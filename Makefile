@@ -2,13 +2,18 @@
 
 PYTHON ?= python
 
-.PHONY: install test chaos chaos-mp schedules mp conformance serving explore bench bench-fast bench-baseline shard-bench profile experiments experiments-full examples clean
+.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore bench bench-fast bench-baseline shard-bench profile experiments experiments-full examples clean
 
 install:
 	pip install -e .
 
 test:
 	$(PYTHON) -m pytest tests/
+
+# Line-budget ratchet: src/**/*.py may not grow past the committed
+# number in tools/loc_budget.py (ROADMAP item 3).
+loc:
+	$(PYTHON) tools/loc_budget.py
 
 chaos:
 	$(PYTHON) -m pytest -m chaos tests/chaos/
@@ -27,7 +32,7 @@ schedules:
 # (see docs/backends.md).
 mp:
 	$(PYTHON) -m pytest tests/test_mp_atomics.py tests/test_mp_queue.py \
-	    tests/test_mp_driver.py
+	    tests/test_mp_driver.py tests/test_mp_fleet.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,
 # task conservation and completion accounting.

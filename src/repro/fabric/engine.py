@@ -51,11 +51,12 @@ bit-identically.  With no scheduler attached the original fast path runs
 unchanged.  ``observers`` are invoked after every executed event — the
 oracle layer uses them to check cross-PE invariants at each step.
 
-Performance: :meth:`Engine.run` dispatches to one of three loops chosen
-once, up front — a bare fast path (no scheduler, no observers), an
-observed path, and the exploration path.  The fast path walks the current
-bucket with everything hot held in locals; it performs **zero** per-event
-instrumentation work (:attr:`Engine.instrumented_events` stays 0).
+Performance: :meth:`Engine.run` dispatches to one of two loops chosen
+once, up front — a bare fast path (no scheduler, no observers) and one
+instrumented loop (observers, optionally a scheduler).  The fast path
+walks the current bucket with everything hot held in locals; it performs
+**zero** per-event instrumentation work
+(:attr:`Engine.instrumented_events` stays 0).
 Attach schedulers/observers *before* calling :meth:`run`; attachments made
 mid-run by an event are not picked up until the next :meth:`run` call.
 """
@@ -741,16 +742,14 @@ class Engine:
         processes remain unfinished when the event queue empties — that
         means every live process is waiting on a resume nobody will send.
 
-        With a :attr:`scheduler` attached, same-timestamp events run in
-        the order the policy chooses (see :meth:`_run_scheduled`); with
-        observers attached, the observed loop notifies them per event.
+        With a :attr:`scheduler` or observers attached the instrumented
+        loop runs (see :meth:`_run_instrumented`): same-timestamp events
+        in the order the policy chooses, observers notified per event.
         Otherwise the bare fast path runs: same event order, same final
         stats, no per-event instrumentation.
         """
-        if self.scheduler is not None:
-            return self._run_scheduled(until)
-        if self.observers:
-            return self._run_observed(until)
+        if self.scheduler is not None or self.observers:
+            return self._run_instrumented(until)
         global _event_tally
         q = self._q
         until_ticks = None if until is None else round(until * TICKS_PER_SECOND)
@@ -812,44 +811,14 @@ class Engine:
             raise DeadlockError(self._deadlock_report())
         return self._now / TICKS_PER_SECOND
 
-    def _run_observed(self, until: float | None) -> float:
-        """Default-order loop with per-event observer notification."""
-        global _event_tally
-        observers = self.observers
-        q = self._q
-        until_ticks = None if until is None else round(until * TICKS_PER_SECOND)
-        events = 0
-        try:
-            while True:
-                e = q.peek()
-                if e is None:
-                    break
-                if until_ticks is not None and e[0] > until_ticks:
-                    self._now = until_ticks
-                    return self._now / TICKS_PER_SECOND
-                q._cur_i += 1
-                q._len -= 1
-                fn = e[2]
-                e[2] = None
-                self._now = e[0]
-                events += 1
-                fn()
-                for obs in observers:
-                    obs()
-        finally:
-            self.events_processed += events
-            self.instrumented_events += events
-            _event_tally += events
-        if self._live > 0:
-            raise DeadlockError(self._deadlock_report())
-        return self._now / TICKS_PER_SECOND
+    def _run_instrumented(self, until: float | None) -> float:
+        """Instrumented loop: observers run after every event, and an
+        attached scheduler breaks same-timestamp ties.
 
-    def _run_scheduled(self, until: float | None) -> float:
-        """Exploration loop: the scheduler breaks same-timestamp ties.
-
-        Each iteration gathers every live event sharing the minimal
-        timestamp into a ready set (already in insertion order — the
-        current bucket is sorted by ``(when, seq)``, so the tie run is
+        Without a scheduler events run in default ``(when, seq)`` order.
+        With one, each iteration gathers every live event sharing the
+        minimal timestamp into a ready set (already in insertion order —
+        the current bucket is sorted by ``(when, seq)``, so the tie run is
         contiguous at the cursor), asks the policy which to run, and
         removes only the chosen entry.  Events the chosen one schedules
         at the same timestamp binary-insert after the cursor and join the
@@ -875,7 +844,7 @@ class Engine:
                 cur = q._cur
                 i = q._cur_i
                 n = len(cur)
-                if i + 1 < n and cur[i + 1][0] == when:
+                if sched is not None and i + 1 < n and cur[i + 1][0] == when:
                     # Tie: gather the contiguous same-tick run (skipping
                     # tombstones) and let the policy choose.
                     ready: list[EventHandle] = []
@@ -896,7 +865,7 @@ class Engine:
                         del cur[pos[idx]]
                 else:
                     entry = first
-                    del cur[i]
+                    q._cur_i = i + 1
                 q._len -= 1
                 fn = entry[2]
                 entry[2] = None

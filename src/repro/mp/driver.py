@@ -34,17 +34,18 @@ import random
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealStatus
 from ..core.stealval import StealValEpoch
 from ..shmem.heap import SymmetricAllocator
-from ..threads.protocol import Backoff, StallTimeout
+from ..threads.protocol import Backoff
 from ..workloads.uts import UtsParams, expand, get_tree
-from .atomics import _preferred_context, pid_alive
+from .atomics import pid_alive
 from .errors import MpStallError, RingOverflowError
 from .faults import CrashInjector, CrashPlan, NO_CRASHES
-from .heap import MpHeap
+from .fleet import Fleet
 from .queue import SdcQueueLayout, SwsQueueLayout
 from .recovery import CrashRegions, ShmInbox, scavenge_rank
 
@@ -268,20 +269,34 @@ class MpRunResult:
 
 
 # ----------------------------------------------------------------------
-# The PE process body
+# The PE process body: one loop, three regimes
+#
+# Everything around the protocol — pop, execute, share, acquire, steal
+# sweep, termination read — is written once in ``_pe_loop``.  A regime
+# changes a handful of seams, bound *once* before the loop into a
+# ``_Regime`` record (regime × seam table: docs/backends.md): plain runs
+# keep a private deque and balance created/completed; crash runs keep a
+# journaled shared-memory ring, log every execution and stop on the
+# supervisor's word; serving runs drain an arrival inbox.
 # ----------------------------------------------------------------------
 
-def _pe_main(
-    rank, npes, heap, layouts, impl, wl, ctl, seed, damping, outq
-) -> None:
-    """One PE: execute local tasks, share on demand, steal when starved."""
-    try:
-        stats = _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping)
-        outq.put(("ok", rank, stats))
-    except BaseException:
-        import traceback
+class _Regime(NamedTuple):
+    """The seams one regime binds into the PE loop."""
 
-        outq.put(("error", rank, traceback.format_exc()))
+    #: Local task store: a ``deque`` or a crash-mode :class:`ShmRing`
+    #: (truth-tested, ``len``-ed and ``extend``-ed by the loop directly).
+    local: object
+    pop: Callable            # () -> newest task (crash: journaled first)
+    take_left: Callable      # n -> the n oldest tasks, to share out
+    settle: Callable         # (batch, pushed): finish a share-out
+    execute: Callable        # payload -> child payloads
+    fingerprint: Callable    # payload -> 64-bit fingerprint
+    finished: Callable       # () -> bool, asked only when starved
+    inbox: Callable | None = None       # () -> tasks posted to this PE
+    after_task: Callable | None = None  # (fingerprint): post-execute hook
+    on_wake: Callable | None = None     # a starved PE found work
+    victim_ok: Callable | None = None   # victim rank -> worth a steal?
+    extras: Callable | None = None      # () -> extra report fields
 
 
 def _bind_workload(kind, arg):
@@ -302,22 +317,182 @@ def _bind_workload(kind, arg):
     raise ValueError(f"unknown workload {kind!r}")
 
 
-def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
-    kind, arg = wl
+def _deque_store(local: deque):
+    """(local, pop, take_left, settle) over a private deque."""
+    popleft, appendleft = local.popleft, local.appendleft
+
+    def take_left(n):
+        return [popleft() for _ in range(n)]
+
+    def settle(batch, pushed):
+        for payload in reversed(batch[pushed:]):
+            appendleft(payload)              # buffer full: keep the rest
+
+    return local, local.pop, take_left, settle
+
+
+def _books_balanced(heap, ctl):
+    """The monotone termination read: ``completed`` *before* ``created``."""
+    created = heap.ref(ctl["created"])
+    completed = heap.ref(ctl["completed"])
+
+    def balanced() -> bool:
+        done = completed.load_seq()
+        return done == created.load_seq()
+
+    return balanced
+
+
+def _bind_plain(rank, heap, layouts, impl, ctl, owner, thieves, wl):
+    seed_tasks, execute, fingerprint = _bind_workload(*wl)
+    local = deque(seed_tasks if rank == 0 else ())
+    return _Regime(*_deque_store(local), execute, fingerprint,
+                   _books_balanced(heap, ctl))
+
+
+def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
+                crash, regions, fresh):
+    """Crash regime (CrashPlan active).
+
+    The private deque moves into a shared-memory ring, every execution
+    is journaled and fingerprint-logged, and termination is supervisor
+    -led (stop word) because created/completed cannot be exactly
+    reconciled once a crash has lost batched completions or double
+    -created children.
+    """
+    owner.stall_s = CRASH_SETTLE_S
+    if impl == "sws":
+        owner.dead_claimant = lambda token: not pid_alive(token)
+    pe = regions.bind(heap, rank)
+    pe.pid.store(os.getpid())
+    ring = pe.ring
+    injector = CrashInjector(crash, rank, len(layouts))
+    die_at_steal = [False]
+
+    def _mk_intent(victim):
+        def _intent(start, count):
+            pe.intent_set(victim, start, count)
+            if die_at_steal[0]:
+                injector.die()       # mid-steal: claim won, loot not copied
+        return _intent
+
+    for v, thief in thieves.items():
+        thief.intent = _mk_intent(v)
+        if impl == "sws":
+            thief.claim_token = os.getpid()
+
+    seed_tasks, execute, fingerprint = _bind_workload(*wl)
+    if rank == 0 and fresh:
+        ring.extend(seed_tasks)
+
+    def pop():
+        payload = ring.peek_right()
+        pe.inflight_write(payload)    # journal before the pop: a
+        ring.drop_right()             # crash here duplicates, at worst
+        return payload
+
+    # A respawn inherits the corpse's flag word; start from a known one.
+    pe.idle.store(0)
+    idle_state = [0]
+
+    def set_idle(flag: int) -> None:
+        if idle_state[0] != flag:
+            idle_state[0] = flag
+            pe.idle.store(flag)
+
+    def bumper(word):
+        count = [word.load()]      # a respawn carries on from the corpse
+
+        def bump() -> None:
+            count[0] += 1
+            word.store(count[0])
+        return bump
+
+    bump_act, heartbeat = bumper(pe.act), bumper(pe.hb)
+    sv_index = heap.index(
+        layouts[rank].stealval if impl == "sws" else layouts[rank].lock
+    )
+
+    def after_task(fp) -> None:
+        heartbeat()
+        pe.xlog.append(fp)
+        bump_act()
+        pe.inflight_clear()
+        point = injector.maybe_die()
+        if point == "steal":
+            die_at_steal[0] = True    # next winning claim dies mid-copy
+        elif point == "lock":
+            heap.words.die_holding(sv_index)
+
+    def on_wake() -> None:
+        bump_act()
+        set_idle(0)
+        pe.intent_clear()        # loot (if any) durable: intent retired
+
+    def finished() -> bool:
+        heartbeat()
+        set_idle(1)
+        return bool(pe.stop.load_seq())
+
+    return _Regime(
+        ring, pop, ring.peek_left_block,
+        # Only after the republish drop the shared-out records: a crash
+        # before this point duplicates them (scavenger + steal queue),
+        # never loses.
+        lambda batch, pushed: ring.drop_left(pushed),
+        execute, fingerprint, finished,
+        inbox=pe.inbox.drain, after_task=after_task, on_wake=on_wake,
+        victim_ok=lambda v: not pe.dead[v].load_seq(),
+    )
+
+
+def _bind_serve(rank, heap, layouts, impl, ctl, owner, thieves,
+                inbox_regions, slo_ns):
+    """Serving regime: records are ``(seq, post_ns)``; executing one is
+    sketching its post→execute latency."""
+    from ..runtime.stats import QuantileSketch
+
+    sketch = QuantileSketch()
+    slo_attained = [0]
+
+    def execute(payload):
+        lat = time.monotonic_ns() - payload[1]
+        sketch.add(lat)
+        if slo_ns and lat <= slo_ns:
+            slo_attained[0] += 1
+        return ()
+
+    closed = heap.ref(ctl["closed"])
+    balanced = _books_balanced(heap, ctl)
+    return _Regime(
+        *_deque_store(deque()), execute, lambda payload: _mix64(payload[0]),
+        lambda: bool(closed.load_seq()) and balanced(),
+        inbox=_serve_inbox(heap, inbox_regions[rank]).drain,
+        extras=lambda: {"serve_sketch": sketch.to_dict(),
+                        "serve_slo_attained": slo_attained[0]},
+    )
+
+
+def _pe_loop(rank, heap, layouts, impl, ctl, seed, damping, bind,
+             *bind_args) -> dict:
+    """One PE: execute local tasks, share on demand, steal when starved."""
+    npes = len(layouts)
     created = heap.ref(ctl["created"])
     completed = heap.ref(ctl["completed"])
     owner = layouts[rank].owner(heap)
     thieves = {
         v: layouts[v].thief(heap) for v in range(npes) if v != rank
     }
+    victims = sorted(thieves)
     rng = random.Random((seed * 1_000_003) ^ rank)
     tracker = DampingTracker(npes, enabled=damping and impl == "sws")
     stats = MpPeStats(rank=rank)
-    local: deque = deque()
-
-    seed_tasks, execute, fingerprint = _bind_workload(kind, arg)
-    if rank == 0:
-        local.extend(seed_tasks)
+    (local, pop, take_left, settle, execute, fingerprint, finished, inbox,
+     after_task, on_wake, victim_ok, extras) = bind(
+        rank, heap, layouts, impl, ctl, owner, thieves, *bind_args)
+    extend = local.extend
+    # Whatever release / acquire re-absorb lands straight in the store.
+    owner.owner_kept = local
 
     # Owner-local metadata inspection runs after every executed task; the
     # seqlock read keeps it off the stripe locks the thieves' claims are
@@ -336,11 +511,6 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
             return sv_cache[1]
         return owner.split.load_seq() - owner.tail.load_seq() > 0
 
-    def reclaim() -> int:
-        kept = owner.take_kept()
-        local.extend(kept)
-        return len(kept)
-
     def try_share() -> None:
         if (
             len(local) < RELEASE_MIN
@@ -348,15 +518,12 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
             or shared_has_work()
         ):
             return
-        n = len(local) // 2
-        batch = [local.popleft() for _ in range(n)]
+        batch = take_left(len(local) // 2)
         pushed = owner.push_all(batch)
-        for payload in reversed(batch[pushed:]):
-            local.appendleft(payload)        # buffer full: keep the rest
         if pushed:
-            owner.release(pushed)
+            owner.release(pushed)        # absorbs the previous remainder
             stats.releases += 1
-            reclaim()                        # absorbed previous remainder
+        settle(batch, pushed)
 
     def try_steal_from(victim: int) -> bool:
         thief = thieves[victim]
@@ -386,17 +553,9 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
         stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
         if res.claimed:
             stats.steal_volumes.append(len(res.claimed))
-            local.extend(res.claimed)
+            extend(res.claimed)
             return True
         return False
-
-    # Completion increments are batched locally and flushed whenever the
-    # local deque drains (and before any termination read).  Deferring
-    # ``completed`` only ever *understates* it, so the global invariant
-    # ``completed <= created`` survives; ``created`` must stay prompt —
-    # children become stealable at the next release, and their creation
-    # has to be on the books before any other PE can complete them.
-    done_pending = 0
 
     def _idle_stall() -> bool:
         # Repair any dead-holder stripes first; if nothing was stuck on
@@ -406,278 +565,90 @@ def _pe_loop(rank, npes, heap, layouts, impl, wl, ctl, seed, damping) -> dict:
         raise MpStallError("PE idle loop made no progress", rank=rank,
                            waited_s=MP_IDLE_STALL_S)
 
+    # Completion increments are batched locally and flushed whenever the
+    # local store drains (and before any termination read).  Deferring
+    # ``completed`` only ever *understates* it, so the global invariant
+    # ``completed <= created`` survives; ``created`` must stay prompt —
+    # children become stealable at the next release, and their creation
+    # has to be on the books before any other PE can complete them.
+    executed = checksum = done_pending = 0
     idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
                    deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
     while True:
         if local:
-            payload = local.pop()
+            payload = pop()
             children = execute(payload)
             if children:
                 created.fetch_add(len(children))
-                local.extend(children)
-            done_pending += 1
-            stats.executed += 1
-            stats.checksum ^= fingerprint(payload)
-            try_share()
-            continue
-        if done_pending:
-            completed.fetch_add(done_pending)
-            done_pending = 0
-        # Local deque empty: reclaim our own shared remainder first.
-        owner.acquire()
-        stats.acquires += 1
-        if reclaim():
-            idle.reset()
-            continue
-        # Steal sweep over victims in a fresh random order.
-        order = rng.sample(sorted(thieves), len(thieves))
-        if any(try_steal_from(v) for v in order):
-            idle.reset()
-            continue
-        # Nothing anywhere: are the books balanced?  (completed first!)
-        done = completed.load_seq()
-        if done == created.load_seq():
-            break
-        idle.wait()
-
-    stats.probes = tracker.stats.probes
-    stats.probe_aborts = tracker.stats.probe_aborts
-    stats.demotions = tracker.stats.demotions
-    stats.promotions = tracker.stats.promotions
-    return stats.__dict__
-
-
-# ----------------------------------------------------------------------
-# Crash-mode PE body (CrashPlan active)
-#
-# The private deque moves into a shared-memory ring, every execution is
-# journaled and fingerprint-logged, and termination is supervisor-led
-# (stop word) because created/completed cannot be exactly reconciled
-# once a crash has lost batched completions or double-created children.
-# ----------------------------------------------------------------------
-
-class _RingKeeper:
-    """``owner_kept`` stand-in that lands reabsorbed tasks straight in
-    the PE's shared ring, instead of a Python list a crash would lose."""
-
-    __slots__ = ("_ring",)
-
-    def __init__(self, ring) -> None:
-        self._ring = ring
-
-    def extend(self, tasks) -> None:
-        self._ring.extend(tasks)
-
-    def append(self, task) -> None:
-        self._ring.extend([task])
-
-
-def _pe_main_crash(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
-                   crash, regions, fresh, outq) -> None:
-    try:
-        stats = _pe_loop_crash(rank, npes, heap, layouts, impl, wl, ctl,
-                               seed, damping, crash, regions, fresh)
-        outq.put(("ok", rank, stats))
-    except BaseException:
-        import traceback
-
-        outq.put(("error", rank, traceback.format_exc()))
-
-
-def _pe_loop_crash(rank, npes, heap, layouts, impl, wl, ctl, seed, damping,
-                   crash, regions, fresh) -> dict:
-    kind, arg = wl
-    created = heap.ref(ctl["created"])
-    completed = heap.ref(ctl["completed"])
-    owner = layouts[rank].owner(heap)
-    owner.stall_s = CRASH_SETTLE_S
-    if impl == "sws":
-        owner.dead_claimant = lambda token: not pid_alive(token)
-    pe = regions.bind(heap, rank)
-    pe.pid.store(os.getpid())
-    ring = pe.ring
-    owner.owner_kept = _RingKeeper(ring)
-    injector = CrashInjector(crash, rank, npes)
-    die_at_steal = [False]
-
-    def _mk_intent(victim):
-        def _intent(start, count):
-            pe.intent_set(victim, start, count)
-            if die_at_steal[0]:
-                injector.die()       # mid-steal: claim won, loot not copied
-        return _intent
-
-    thieves = {}
-    for v in range(npes):
-        if v == rank:
-            continue
-        thief = layouts[v].thief(heap)
-        thief.intent = _mk_intent(v)
-        if impl == "sws":
-            thief.claim_token = os.getpid()
-        thieves[v] = thief
-
-    rng = random.Random((seed * 1_000_003) ^ rank)
-    tracker = DampingTracker(npes, enabled=damping and impl == "sws")
-    stats = MpPeStats(rank=rank)
-    seed_tasks, execute, fingerprint = _bind_workload(kind, arg)
-    if rank == 0 and fresh:
-        ring.extend(seed_tasks)
-
-    sv_cache = [None, False]
-
-    def shared_has_work() -> bool:
-        if impl == "sws":
-            raw = owner.stealval.load_seq()
-            if raw != sv_cache[0]:
-                sv_cache[0] = raw
-                sv_cache[1] = DampingTracker.view_has_work(
-                    StealValEpoch.unpack(raw)
-                )
-            return sv_cache[1]
-        return owner.split.load_seq() - owner.tail.load_seq() > 0
-
-    def try_share() -> None:
-        if (
-            len(ring) < RELEASE_MIN
-            or owner.nfilled >= owner.capacity
-            or shared_has_work()
-        ):
-            return
-        batch = ring.peek_left_block(len(ring) // 2)
-        pushed = owner.push_all(batch)
-        if pushed:
-            owner.release(pushed)    # absorbed remainder lands in the ring
-            stats.releases += 1
-        # Only now drop the shared-out records: a crash before this
-        # point duplicates them (scavenger + steal queue), never loses.
-        ring.drop_left(pushed)
-
-    idle_state = [0]
-
-    def set_idle(flag: int) -> None:
-        if idle_state[0] != flag:
-            idle_state[0] = flag
-            pe.idle.store(flag)
-
-    act_box = [pe.act.load()]
-
-    def bump_act() -> None:
-        act_box[0] += 1
-        pe.act.store(act_box[0])
-
-    def try_steal_from(victim: int) -> bool:
-        thief = thieves[victim]
-        if impl == "sws":
-            if tracker.mode(victim) is TargetMode.EMPTY:
-                view = StealValEpoch.unpack(thief.probe())
-                tracker.note_probe(victim, DampingTracker.view_has_work(view))
-                if tracker.mode(victim) is TargetMode.EMPTY:
-                    return False
-            res = thief.steal()
-            if res.claimed:
-                status = StealStatus.STOLEN
-                tracker.note_success(victim)
-            elif res.aborted_locked:
-                status = StealStatus.DISABLED
-            else:
-                status = StealStatus.EMPTY
-                tracker.note_failed_claim(victim, res.view)
-        else:
-            res = thief.steal(max_spins=200)
-            if res.claimed:
-                status = StealStatus.STOLEN
-            elif res.empty:
-                status = StealStatus.EMPTY
-            else:
-                status = StealStatus.LOCKED_ABORT
-        stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
-        if res.claimed:
-            stats.steal_volumes.append(len(res.claimed))
-            bump_act()
-            set_idle(0)
-            ring.extend(res.claimed)
-            pe.intent_clear()        # loot durable: intent record retired
-            return True
-        return False
-
-    def _idle_stall() -> bool:
-        if heap.words.break_dead_leases():
-            return True
-        raise MpStallError("PE idle loop made no progress", rank=rank,
-                           waited_s=MP_IDLE_STALL_S)
-
-    sv_index = heap.index(
-        layouts[rank].stealval if impl == "sws" else layouts[rank].lock
-    )
-    done_pending = 0
-    hb_n = 0
-    idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
-                   deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
-    while True:
-        hb_n += 1
-        pe.hb.store(hb_n)
-        if ring:
-            set_idle(0)
-            payload = ring.peek_right()
-            pe.inflight_write(payload)    # journal before the pop: a
-            ring.drop_right()             # crash here duplicates, at worst
-            children = execute(payload)
-            if children:
-                created.fetch_add(len(children))
-                ring.extend(children)
+                extend(children)
             fp = fingerprint(payload)
-            pe.xlog.append(fp)
-            stats.executed += 1
-            stats.checksum ^= fp
+            executed += 1
+            checksum ^= fp
             done_pending += 1
-            bump_act()
-            pe.inflight_clear()
-            point = injector.maybe_die()
-            if point == "steal":
-                die_at_steal[0] = True    # next winning claim dies mid-copy
-            elif point == "lock":
-                heap.words.die_holding(sv_index)
+            if after_task is not None:
+                after_task(fp)
             try_share()
-            idle.reset()
             continue
         if done_pending:
             completed.fetch_add(done_pending)
             done_pending = 0
-        owner.acquire()                   # reclaim lands in the ring
-        stats.acquires += 1
-        if ring:
-            bump_act()
+        # Starved.  In turn, while still empty: tasks posted to our
+        # inbox, our own shared remainder, a steal sweep over the
+        # victims in a fresh random order.
+        if inbox is not None:
+            extend(inbox())
+        if not local:
+            owner.acquire()
+            stats.acquires += 1
+        if not local:
+            order = rng.sample(victims, len(victims))
+            if victim_ok is not None:
+                order = [v for v in order if victim_ok(v)]
+            for v in order:
+                if try_steal_from(v):
+                    break
+        if local:
+            if on_wake is not None:
+                on_wake()
             idle.reset()
             continue
-        got = pe.inbox.drain()
-        if got:
-            ring.extend(got)
-            bump_act()
-            set_idle(0)
-            idle.reset()
-            continue
-        order = rng.sample(sorted(thieves), len(thieves))
-        if any(
-            try_steal_from(v) for v in order if not pe.dead[v].load_seq()
-        ):
-            idle.reset()
-            continue
-        set_idle(1)
-        if pe.stop.load_seq():
+        # Nothing anywhere: has the run ended?
+        if finished():
             break
         idle.wait()
 
+    stats.executed = executed
+    stats.checksum = checksum
     stats.probes = tracker.stats.probes
     stats.probe_aborts = tracker.stats.probe_aborts
     stats.demotions = tracker.stats.demotions
     stats.promotions = tracker.stats.promotions
-    return stats.__dict__
+    report = stats.__dict__
+    if extras is not None:
+        report.update(extras())
+    return report
 
 
 # ----------------------------------------------------------------------
-# The parent-side runner
+# The parent-side runners
 # ----------------------------------------------------------------------
+
+_LAYOUTS = {"sws": SwsQueueLayout, "sdc": SdcQueueLayout}
+
+
+def _check_fleet_shape(impl: str, npes: int) -> None:
+    if impl not in _LAYOUTS:
+        raise ValueError(f"impl must be sws|sdc, got {impl!r}")
+    if npes < 2:
+        raise ValueError(f"npes must be >= 2, got {npes}")
+
+
+def _pe_stats(reports, dead_pes=()) -> list[MpPeStats]:
+    """Per-PE stats by rank; a dead incarnation sorts before its respawn."""
+    return sorted(
+        [*dead_pes, *(MpPeStats(**payload) for _, payload in reports)],
+        key=lambda s: s.rank)
+
 
 def run_mp(
     workload: str = "synthetic",
@@ -703,15 +674,11 @@ def run_mp(
     regime: shared-memory rings instead of private deques, a supervisor
     that scavenges and re-injects dead PEs' work, and duplicate-aware
     at-least-once accounting (the oracle is always computed).  Without a
-    plan none of that machinery is allocated and the run is bit-identical
-    to the non-crash driver.
+    plan none of that machinery is allocated.
     """
-    if impl not in ("sws", "sdc"):
-        raise ValueError(f"impl must be sws|sdc, got {impl!r}")
     if workload not in ("synthetic", "uts"):
         raise ValueError(f"workload must be synthetic|uts, got {workload!r}")
-    if npes < 2:
-        raise ValueError(f"npes must be >= 2, got {npes}")
+    _check_fleet_shape(impl, npes)
 
     if workload == "synthetic":
         wl = ("synthetic", ntasks)
@@ -725,64 +692,36 @@ def run_mp(
         capacity = capacity or (1 << 14)
         nseed = 1
 
-    if crash is not None and crash.active:
-        return _run_mp_crash(
-            workload, impl, npes, wl=wl, wpt=wpt, capacity=capacity,
-            nseed=nseed, seed=seed, damping=damping,
-            join_timeout=join_timeout, crash=crash,
+    # The crash regime runs the sequential oracle up front: duplicate
+    # -aware accounting needs the expected set anyway, and its size
+    # bounds the shared rings and fingerprint logs.
+    crashing = crash is not None and crash.active
+    expected = None
+    if verify or crashing:
+        expected = (synthetic_expected(ntasks) if workload == "synthetic"
+                    else uts_expected(wl[1]))
+
+    def reserve(heap):
+        return CrashRegions.reserve(
+            heap, npes, wpt,
+            ring_cap=2 * expected[0] + 64,
+            xlog_cap=2 * expected[0] + 64,
+            inbox_cap=expected[0] + 64,
         )
 
-    ctx = _preferred_context()
-    heap = MpHeap(ctx=ctx)
-    layout_cls = SwsQueueLayout if impl == "sws" else SdcQueueLayout
-    layouts = [
-        layout_cls.reserve(heap, f"pe{r}", capacity, words_per_task=wpt)
-        for r in range(npes)
-    ]
-    alloc = SymmetricAllocator(heap, "ctl")
-    ctl = {"created": alloc.word("created"), "completed": alloc.word("completed")}
-    alloc.commit()
-    heap.freeze()
-    procs: list = []
-    try:
+    with Fleet("mp run", _LAYOUTS[impl], npes, capacity, wpt,
+               ctl=("created", "completed"),
+               regions=reserve if crashing else None) as fleet:
+        heap, ctl = fleet.heap, fleet.ctl
         heap.ref(ctl["created"]).store(nseed)
-        outq = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_pe_main,
-                args=(r, npes, heap, layouts, impl, wl, ctl, seed, damping, outq),
-                daemon=True,
-            )
-            for r in range(npes)
-        ]
-        t0 = time.perf_counter()
-        for p in procs:
-            p.start()
-
-        pes: list[MpPeStats] = []
-        errors: list[str] = []
-        try:
-            for _ in range(npes):
-                status, rank, payload = outq.get(timeout=join_timeout)
-                if status == "ok":
-                    pes.append(MpPeStats(**payload))
-                else:
-                    errors.append(f"PE {rank}:\n{payload}")
-        except BaseException:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            raise
-        wall = time.perf_counter() - t0
-        for p in procs:
-            p.join(timeout=join_timeout)
-            if p.is_alive():
-                p.terminate()
-                errors.append("PE process failed to exit after reporting")
-        if errors:
-            raise RuntimeError("mp run failed:\n" + "\n".join(errors))
-
-        pes.sort(key=lambda s: s.rank)
+        if crashing:
+            wall, dead_pes, books = _supervise_crash(
+                fleet, impl, wl, seed, damping, crash, join_timeout)
+        else:
+            for r in range(npes):
+                fleet.spawn(r, _pe_loop, fleet.layouts, impl, ctl, seed,
+                            damping, _bind_plain, wl)
+            wall, dead_pes, books = fleet.collect(join_timeout), [], {}
         result = MpRunResult(
             workload=workload,
             impl=impl,
@@ -791,27 +730,12 @@ def run_mp(
             created=heap.ref(ctl["created"]).load(),
             completed=heap.ref(ctl["completed"]).load(),
             wall_s=wall,
-            pes=pes,
+            pes=_pe_stats(fleet.reports, dead_pes),
+            **books,
         )
-        if verify:
-            if workload == "synthetic":
-                exp_n, exp_chk = synthetic_expected(ntasks)
-            else:
-                exp_n, exp_chk = uts_expected(wl[1])
-            result.expected_executed = exp_n
-            result.expected_checksum = exp_chk
-        return result
-    finally:
-        # Teardown must run even when a PE died abnormally: kill any
-        # stragglers *before* unlinking so no live mapping outlasts the
-        # segment, then destroy it exactly once (unlink is idempotent).
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=5)
-        heap.close()
-        heap.unlink()
+    if expected is not None:
+        result.expected_executed, result.expected_checksum = expected
+    return result
 
 
 def _sweep_quiescent(heap, layouts, impl, regions, live_ranks):
@@ -849,10 +773,7 @@ def _sweep_quiescent(heap, layouts, impl, regions, live_ranks):
     return True, acts
 
 
-def _run_mp_crash(
-    workload, impl, npes, *, wl, wpt, capacity, nseed, seed, damping,
-    join_timeout, crash,
-) -> MpRunResult:
+def _supervise_crash(fleet, impl, wl, seed, damping, crash, join_timeout):
     """Crash-tolerant mp run: workers + a scavenging supervisor.
 
     The supervisor watches process liveness (and heartbeat words for
@@ -860,206 +781,122 @@ def _run_mp_crash(
     leases, scavenges every shared structure the corpse owned, re-injects
     the orphans to a survivor's inbox, and optionally respawns the rank.
     Termination is a stop word raised once ``STABLE_SWEEPS`` consecutive
-    sweeps observe global quiescence.
+    sweeps observe global quiescence.  Returns ``(wall, stats of the dead
+    incarnations, the at-least-once fields of MpRunResult)``.
     """
-    from queue import Empty as _QueueEmpty
+    heap, layouts, regions = fleet.heap, fleet.layouts, fleet.regions
+    npes = len(layouts)
 
-    # The sequential oracle runs up front: duplicate-aware accounting
-    # needs the expected set anyway, and its size bounds the shared
-    # rings and fingerprint logs.
-    if workload == "synthetic":
-        exp_n, exp_chk = synthetic_expected(wl[1])
-    else:
-        exp_n, exp_chk = uts_expected(wl[1])
+    def spawn(r, plan, fresh):
+        fleet.spawn(r, _pe_loop, layouts, impl, fleet.ctl, seed, damping,
+                    _bind_crash, wl, plan, regions, fresh)
 
-    ctx = _preferred_context()
-    heap = MpHeap(ctx=ctx)
-    layout_cls = SwsQueueLayout if impl == "sws" else SdcQueueLayout
-    layouts = [
-        layout_cls.reserve(heap, f"pe{r}", capacity, words_per_task=wpt)
-        for r in range(npes)
-    ]
-    alloc = SymmetricAllocator(heap, "ctl")
-    ctl = {"created": alloc.word("created"), "completed": alloc.word("completed")}
-    alloc.commit()
-    regions = CrashRegions.reserve(
-        heap, npes, wpt,
-        ring_cap=2 * exp_n + 64,
-        xlog_cap=2 * exp_n + 64,
-        inbox_cap=exp_n + 64,
-    )
-    heap.freeze()
-    procs: dict[int, object] = {}
-    try:
-        heap.ref(ctl["created"]).store(nseed)
-        outq = ctx.Queue()
+    for r in range(npes):
+        spawn(r, crash, True)
 
-        def spawn(r, plan, fresh):
-            p = ctx.Process(
-                target=_pe_main_crash,
-                args=(r, npes, heap, layouts, impl, wl, ctl, seed,
-                      damping, plan, regions, fresh, outq),
-                daemon=True,
+    dead_pes: list[MpPeStats] = []
+    crashed: list[int] = []
+    respawned: list[int] = []
+    scavenged: Counter = Counter()
+    recovery_wall = 0.0
+    dead_flags = heap.slice(regions.dead)
+    stable = 0
+    prev_acts = None
+    inject_rr = 0
+    accounted: set[int] = set()
+    deadline = time.monotonic() + join_timeout
+
+    # -- supervision loop: until quiescence raises the stop word ------
+    stop = heap.ref(regions.stop)
+    while not stop.load():
+        fleet.drain()
+        for r, p in list(fleet.procs.items()):
+            if p.is_alive() or r in accounted:
+                continue
+            accounted.add(r)
+            if p.exitcode == 0:
+                continue            # clean exit; stats via the report
+            # Fail-stop detected: quarantine, repair, scavenge.
+            t1 = time.perf_counter()
+            crashed.append(r)
+            dead_flags[r].store(1)
+            heap.words.break_dead_leases()
+            tasks, breakdown = scavenge_rank(
+                heap, layouts, impl, regions, r
             )
-            p.start()
-            return p
-
-        t0 = time.perf_counter()
-        for r in range(npes):
-            procs[r] = spawn(r, crash, True)
-
-        pes: list[MpPeStats] = []
-        errors: list[str] = []
-        crashed: list[int] = []
-        respawned: list[int] = []
-        scavenged: Counter = Counter()
-        recovery_wall = 0.0
-        dead_flags = heap.slice(regions.dead)
-        stop = heap.ref(regions.stop)
-        stable = 0
-        prev_acts = None
-        inject_rr = 0
-        accounted: set[int] = set()
-        deadline = time.monotonic() + join_timeout
-
-        def drain_outq() -> None:
-            while True:
-                try:
-                    status, r, payload = outq.get_nowait()
-                except _QueueEmpty:
-                    return
-                if status == "ok":
-                    pes.append(MpPeStats(**payload))
-                else:
-                    errors.append(f"PE {r}:\n{payload}")
-
-        # -- supervision loop -----------------------------------------
-        while True:
-            drain_outq()
-            if errors:
-                raise RuntimeError(
-                    "mp crash run failed:\n" + "\n".join(errors)
-                )
-            for r, p in list(procs.items()):
-                if p.is_alive() or r in accounted:
-                    continue
-                accounted.add(r)
-                if p.exitcode == 0:
-                    continue            # clean exit; stats via outq
-                # Fail-stop detected: quarantine, repair, scavenge.
-                t1 = time.perf_counter()
-                crashed.append(r)
-                dead_flags[r].store(1)
-                heap.words.break_dead_leases()
-                tasks, breakdown = scavenge_rank(
-                    heap, layouts, impl, regions, r
-                )
-                scavenged.update(breakdown)
-                # The dead incarnation's durable accounting: its
-                # fingerprint log (a respawn appends after this point,
-                # so the two incarnations never overlap).
-                fps = regions.bind(heap, r).xlog.read_all()
-                chk = 0
-                for f in fps:
-                    chk ^= f
-                pes.append(MpPeStats(rank=r, executed=len(fps),
-                                     checksum=chk))
-                if tasks:
-                    live = [x for x, pp in procs.items() if pp.is_alive()]
-                    if not live:
-                        raise MpStallError(
-                            "every PE died; orphan work cannot be "
-                            "re-injected"
-                        )
-                    target = live[inject_rr % len(live)]
-                    inject_rr += 1
-                    regions.bind(heap, target).inbox.post(tasks)
-                if crash.respawn:
-                    dead_flags[r].store(0)
-                    procs[r] = spawn(r, NO_CRASHES, False)
-                    accounted.discard(r)
-                    respawned.append(r)
-                recovery_wall += time.perf_counter() - t1
-                stable, prev_acts = 0, None
-            live_ranks = [r for r, p in procs.items() if p.is_alive()]
-            if not live_ranks:
-                break                  # everyone exited (or crashed out)
-            quiet, acts = _sweep_quiescent(
-                heap, layouts, impl, regions, live_ranks
-            )
-            if quiet and acts == prev_acts:
-                stable += 1
-                if stable >= STABLE_SWEEPS:
-                    stop.store(1)
-                    break
-            else:
-                stable = 0
-            prev_acts = acts
-            if time.monotonic() > deadline:
-                raise MpStallError(
-                    "crash-mode supervisor saw no quiescence",
-                    waited_s=join_timeout,
-                )
-            time.sleep(0.02)
-
-        # -- shutdown: collect the survivors --------------------------
-        while any(p.is_alive() for p in procs.values()):
-            drain_outq()
-            if errors:
-                raise RuntimeError(
-                    "mp crash run failed:\n" + "\n".join(errors)
-                )
-            if time.monotonic() > deadline:
-                raise MpStallError(
-                    "PE processes failed to exit after stop",
-                    waited_s=join_timeout,
-                )
-            time.sleep(0.01)
-        drain_outq()
-        if errors:
-            raise RuntimeError("mp crash run failed:\n" + "\n".join(errors))
-        wall = time.perf_counter() - t0
-
-        # -- duplicate-aware accounting from the fingerprint logs ------
-        all_fps: list[int] = []
-        for r in range(npes):
-            all_fps.extend(regions.bind(heap, r).xlog.read_all())
-        counts = Counter(all_fps)
-        unique_chk = 0
-        for f in counts:
-            unique_chk ^= f
-        multiplicity = dict(sorted(Counter(counts.values()).items()))
-
-        pes.sort(key=lambda s: s.rank)
-        return MpRunResult(
-            workload=workload,
-            impl=impl,
-            npes=npes,
-            seed=seed,
-            created=heap.ref(ctl["created"]).load(),
-            completed=heap.ref(ctl["completed"]).load(),
-            wall_s=wall,
-            pes=pes,
-            expected_executed=exp_n,
-            expected_checksum=exp_chk,
-            at_least_once=True,
-            crashed_ranks=crashed,
-            respawned_ranks=respawned,
-            scavenged=dict(scavenged),
-            lease_breaks=heap.words.repairs_total(),
-            recovery_wall_s=recovery_wall,
-            executed_unique=len(counts),
-            unique_checksum=unique_chk,
-            multiplicity=multiplicity,
+            scavenged.update(breakdown)
+            # The dead incarnation's durable accounting: its
+            # fingerprint log (a respawn appends after this point,
+            # so the two incarnations never overlap).
+            fps = regions.bind(heap, r).xlog.read_all()
+            chk = 0
+            for f in fps:
+                chk ^= f
+            dead_pes.append(MpPeStats(rank=r, executed=len(fps),
+                                      checksum=chk))
+            if tasks:
+                live = fleet.alive()
+                if not live:
+                    raise MpStallError(
+                        "every PE died; orphan work cannot be "
+                        "re-injected"
+                    )
+                target = live[inject_rr % len(live)]
+                inject_rr += 1
+                regions.bind(heap, target).inbox.post(tasks)
+            if crash.respawn:
+                dead_flags[r].store(0)
+                spawn(r, NO_CRASHES, False)
+                accounted.discard(r)
+                respawned.append(r)
+            recovery_wall += time.perf_counter() - t1
+            stable, prev_acts = 0, None
+        live_ranks = fleet.alive()
+        if not live_ranks:
+            break                  # everyone exited (or crashed out)
+        quiet, acts = _sweep_quiescent(
+            heap, layouts, impl, regions, live_ranks
         )
-    finally:
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-        for p in procs.values():
-            p.join(timeout=5)
-        heap.close()
-        heap.unlink()
+        if quiet and acts == prev_acts:
+            stable += 1
+            if stable >= STABLE_SWEEPS:
+                stop.store(1)
+                continue
+        else:
+            stable = 0
+        prev_acts = acts
+        if time.monotonic() > deadline:
+            raise MpStallError(
+                "crash-mode supervisor saw no quiescence",
+                waited_s=join_timeout,
+            )
+        time.sleep(0.02)
+
+    # -- shutdown: collect the survivors --------------------------
+    wall = fleet.collect(max(0.0, deadline - time.monotonic()),
+                         lost_ok=True)
+
+    # -- duplicate-aware accounting from the fingerprint logs ------
+    all_fps: list[int] = []
+    for r in range(npes):
+        all_fps.extend(regions.bind(heap, r).xlog.read_all())
+    counts = Counter(all_fps)
+    unique_chk = 0
+    for f in counts:
+        unique_chk ^= f
+    multiplicity = dict(sorted(Counter(counts.values()).items()))
+
+    return wall, dead_pes, dict(
+        at_least_once=True,
+        crashed_ranks=crashed,
+        respawned_ranks=respawned,
+        scavenged=dict(scavenged),
+        lease_breaks=heap.words.repairs_total(),
+        recovery_wall_s=recovery_wall,
+        executed_unique=len(counts),
+        unique_checksum=unique_chk,
+        multiplicity=multiplicity,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -1141,164 +978,12 @@ def _serve_inbox(heap, region) -> ShmInbox:
     return ShmInbox(heap, rd, wr, buf, capacity, _SERVE_WPT)
 
 
-def _pe_main_serve(
-    rank, npes, heap, layouts, inbox_regions, impl, ctl, seed, damping,
-    slo_ns, outq
-) -> None:
+def _try_post(inbox: ShmInbox, records) -> bool:
     try:
-        payload = _pe_loop_serve(
-            rank, npes, heap, layouts, inbox_regions, impl, ctl, seed,
-            damping, slo_ns
-        )
-        outq.put(("ok", rank, payload))
-    except BaseException:
-        import traceback
-
-        outq.put(("error", rank, traceback.format_exc()))
-
-
-def _pe_loop_serve(
-    rank, npes, heap, layouts, inbox_regions, impl, ctl, seed, damping,
-    slo_ns
-) -> dict:
-    from ..runtime.stats import QuantileSketch
-
-    created = heap.ref(ctl["created"])
-    completed = heap.ref(ctl["completed"])
-    closed = heap.ref(ctl["closed"])
-    owner = layouts[rank].owner(heap)
-    inbox = _serve_inbox(heap, inbox_regions[rank])
-    thieves = {
-        v: layouts[v].thief(heap) for v in range(npes) if v != rank
-    }
-    rng = random.Random((seed * 1_000_003) ^ rank)
-    tracker = DampingTracker(npes, enabled=damping and impl == "sws")
-    stats = MpPeStats(rank=rank)
-    local: deque = deque()
-    sketch = QuantileSketch()
-    slo_attained = 0
-
-    sv_cache = [None, False]
-
-    def shared_has_work() -> bool:
-        if impl == "sws":
-            raw = owner.stealval.load_seq()
-            if raw != sv_cache[0]:
-                sv_cache[0] = raw
-                sv_cache[1] = DampingTracker.view_has_work(
-                    StealValEpoch.unpack(raw)
-                )
-            return sv_cache[1]
-        return owner.split.load_seq() - owner.tail.load_seq() > 0
-
-    def reclaim() -> int:
-        kept = owner.take_kept()
-        local.extend(kept)
-        return len(kept)
-
-    def try_share() -> None:
-        if (
-            len(local) < RELEASE_MIN
-            or owner.nfilled >= owner.capacity
-            or shared_has_work()
-        ):
-            return
-        n = len(local) // 2
-        batch = [local.popleft() for _ in range(n)]
-        pushed = owner.push_all(batch)
-        for payload in reversed(batch[pushed:]):
-            local.appendleft(payload)
-        if pushed:
-            owner.release(pushed)
-            stats.releases += 1
-            reclaim()
-
-    def try_steal_from(victim: int) -> bool:
-        thief = thieves[victim]
-        if impl == "sws":
-            if tracker.mode(victim) is TargetMode.EMPTY:
-                view = StealValEpoch.unpack(thief.probe())
-                tracker.note_probe(victim, DampingTracker.view_has_work(view))
-                if tracker.mode(victim) is TargetMode.EMPTY:
-                    return False
-            res = thief.steal()
-            if res.claimed:
-                status = StealStatus.STOLEN
-                tracker.note_success(victim)
-            elif res.aborted_locked:
-                status = StealStatus.DISABLED
-            else:
-                status = StealStatus.EMPTY
-                tracker.note_failed_claim(victim, res.view)
-        else:
-            res = thief.steal(max_spins=200)
-            if res.claimed:
-                status = StealStatus.STOLEN
-            elif res.empty:
-                status = StealStatus.EMPTY
-            else:
-                status = StealStatus.LOCKED_ABORT
-        stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
-        if res.claimed:
-            stats.steal_volumes.append(len(res.claimed))
-            local.extend(res.claimed)
-            return True
+        inbox.post(records)
+    except RingOverflowError:
         return False
-
-    done_pending = 0
-
-    def _idle_stall() -> bool:
-        if heap.words.break_dead_leases():
-            return True
-        raise MpStallError("serving PE idle loop made no progress",
-                           rank=rank, waited_s=MP_IDLE_STALL_S)
-
-    idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
-                   deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
-    while True:
-        if local:
-            payload = local.pop()
-            seq, post_ns = payload
-            lat = time.monotonic_ns() - post_ns
-            sketch.add(lat)
-            if slo_ns and lat <= slo_ns:
-                slo_attained += 1
-            done_pending += 1
-            stats.executed += 1
-            stats.checksum ^= _mix64(seq)
-            try_share()
-            continue
-        if done_pending:
-            completed.fetch_add(done_pending)
-            done_pending = 0
-        fresh = inbox.drain()
-        if fresh:
-            local.extend(fresh)
-            idle.reset()
-            continue
-        owner.acquire()
-        stats.acquires += 1
-        if reclaim():
-            idle.reset()
-            continue
-        order = rng.sample(sorted(thieves), len(thieves))
-        if any(try_steal_from(v) for v in order):
-            idle.reset()
-            continue
-        if closed.load_seq():
-            done = completed.load_seq()
-            if done == created.load_seq():
-                break
-        idle.wait()
-
-    stats.probes = tracker.stats.probes
-    stats.probe_aborts = tracker.stats.probe_aborts
-    stats.demotions = tracker.stats.demotions
-    stats.promotions = tracker.stats.promotions
-    payload = stats.__dict__
-    payload["serve_sketch"] = sketch.to_dict()
-    payload["serve_slo_attained"] = slo_attained
-    return payload
+    return True
 
 
 def run_mp_serve(
@@ -1329,10 +1014,7 @@ def run_mp_serve(
     from ..runtime.arrivals import parse_arrival_spec
     from ..runtime.stats import QuantileSketch, ServingStats
 
-    if impl not in ("sws", "sdc"):
-        raise ValueError(f"impl must be sws|sdc, got {impl!r}")
-    if npes < 2:
-        raise ValueError(f"npes must be >= 2, got {npes}")
+    _check_fleet_shape(impl, npes)
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:
@@ -1342,45 +1024,21 @@ def run_mp_serve(
     inbox_cap = inbox_cap or max(64, capacity)
     slo_ns = int(slo_s * 1e9)
 
-    ctx = _preferred_context()
-    heap = MpHeap(ctx=ctx)
-    layout_cls = SwsQueueLayout if impl == "sws" else SdcQueueLayout
-    layouts = [
-        layout_cls.reserve(heap, f"pe{r}", capacity,
-                           words_per_task=_SERVE_WPT)
-        for r in range(npes)
-    ]
-    inbox_regions = [
-        _reserve_serve_inbox(heap, r, inbox_cap) for r in range(npes)
-    ]
-    alloc = SymmetricAllocator(heap, "ctl")
-    ctl = {
-        "created": alloc.word("created"),
-        "completed": alloc.word("completed"),
-        "closed": alloc.word("closed"),
-    }
-    alloc.commit()
-    heap.freeze()
-    procs: list = []
-    try:
+    def reserve(heap):
+        return [_reserve_serve_inbox(heap, r, inbox_cap) for r in range(npes)]
+
+    with Fleet("mp serve run", _LAYOUTS[impl], npes, capacity, _SERVE_WPT,
+               ctl=("created", "completed", "closed"),
+               regions=reserve) as fleet:
+        heap, ctl = fleet.heap, fleet.ctl
         created = heap.ref(ctl["created"])
-        closed = heap.ref(ctl["closed"])
-        outq = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_pe_main_serve,
-                args=(r, npes, heap, layouts, inbox_regions, impl, ctl,
-                      seed, damping, slo_ns, outq),
-                daemon=True,
-            )
-            for r in range(npes)
-        ]
-        t0 = time.perf_counter()
-        for p in procs:
-            p.start()
+        for r in range(npes):
+            fleet.spawn(r, _pe_loop, fleet.layouts, impl, ctl, seed,
+                        damping, _bind_serve, fleet.regions, slo_ns)
 
         # -- the feeder: replay the trace in batches, round-robin ------
-        inboxes = [_serve_inbox(heap, reg) for reg in inbox_regions]
+        inboxes = [_serve_inbox(heap, reg) for reg in fleet.regions]
+        deadline = time.monotonic() + join_timeout
         batch = max(1, (n + nbatches - 1) // nbatches) if n else 0
         injected = 0
         while injected < n:
@@ -1395,45 +1053,25 @@ def run_mp_serve(
                 created.fetch_add(len(group))
                 stamp = time.monotonic_ns()
                 records = [(s, stamp) for s in group]
-                while True:
-                    try:
-                        inboxes[r].post(records)
-                        break
-                    except RingOverflowError:
-                        time.sleep(1e-4)
+                while not _try_post(inboxes[r], records):
+                    # Inbox full: only rank r can drain it.
+                    fleet.drain()
+                    if (not fleet.procs[r].is_alive()
+                            or time.monotonic() > deadline):
+                        raise MpStallError(
+                            f"mp serve run: arrival inbox of "
+                            f"{fleet.describe(r)} never drained", rank=r)
+                    time.sleep(1e-4)
             injected += len(seqs)
             time.sleep(pace_s)
-        closed.store(1)
+        heap.ref(ctl["closed"]).store(1)
 
-        pes: list[MpPeStats] = []
-        errors: list[str] = []
+        wall = fleet.collect(max(0.0, deadline - time.monotonic()))
         sketch = QuantileSketch()
         slo_attained = 0
-        try:
-            for _ in range(npes):
-                status, rank, payload = outq.get(timeout=join_timeout)
-                if status == "ok":
-                    sk = payload.pop("serve_sketch")
-                    slo_attained += payload.pop("serve_slo_attained")
-                    sketch.merge(QuantileSketch.from_dict(sk))
-                    pes.append(MpPeStats(**payload))
-                else:
-                    errors.append(f"PE {rank}:\n{payload}")
-        except BaseException:
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-            raise
-        wall = time.perf_counter() - t0
-        for p in procs:
-            p.join(timeout=join_timeout)
-            if p.is_alive():
-                p.terminate()
-                errors.append("PE process failed to exit after reporting")
-        if errors:
-            raise RuntimeError("mp serve run failed:\n" + "\n".join(errors))
-
-        pes.sort(key=lambda s: s.rank)
+        for _, payload in fleet.reports:
+            sketch.merge(QuantileSketch.from_dict(payload.pop("serve_sketch")))
+            slo_attained += payload.pop("serve_slo_attained")
         result = MpServeResult(
             impl=impl,
             npes=npes,
@@ -1441,24 +1079,16 @@ def run_mp_serve(
             created=created.load(),
             completed=heap.ref(ctl["completed"]).load(),
             wall_s=wall,
-            pes=pes,
+            pes=_pe_stats(fleet.reports),
         )
-        result.serving = ServingStats(
-            emitted=n,
-            injected=injected,
-            shed=0,
-            completed=result.completed,
-            slo_ticks=slo_ns,
-            slo_attained=slo_attained,
-            checksum=result.checksum,
-            latency=sketch,
-        )
-        return result
-    finally:
-        for p in procs:
-            if p.is_alive():
-                p.terminate()
-        for p in procs:
-            p.join(timeout=5)
-        heap.close()
-        heap.unlink()
+    result.serving = ServingStats(
+        emitted=n,
+        injected=injected,
+        shed=0,
+        completed=result.completed,
+        slo_ticks=slo_ns,
+        slo_attained=slo_attained,
+        checksum=result.checksum,
+        latency=sketch,
+    )
+    return result

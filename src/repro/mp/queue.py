@@ -41,10 +41,12 @@ from ..threads.protocol import (
     ShimStealResult,
     SwsShimCore,
     ffmult_steal_once,
+    race,
     sdc_steal_once,
     sws_steal_once,
 )
 from .atomics import pid_alive
+from .fleet import Fleet
 from .heap import MpHeap
 
 #: Default completion-array slots per epoch (covers allotments < 2^24).
@@ -465,27 +467,21 @@ class MpFfMultThief(_MpTaskBuffer):
 # The cross-process hammer (mirror of repro.threads.queue_shim.hammer)
 # ======================================================================
 
-def _hammer_thief(heap, layout, stop_addr, idx, outq, impl, stall_s):
+def _hammer_thief(idx, heap, layout, stop_addr, impl, stall_s) -> list:
     """Thief child: race claims until the owner raises the stop flag."""
     stop = heap.ref(stop_addr)
     thief = layout.thief(heap)
     loot: list = []
-    volumes: list[int] = []
     backoff = Backoff(sleep_s=1e-6, max_sleep_s=1e-4, deadline_s=stall_s)
-    try:
-        while not stop.load_seq():
-            res = (thief.steal(max_spins=100) if impl == "sdc"
-                   else thief.steal())
-            if res.claimed:
-                loot.extend(res.claimed)
-                volumes.append(len(res.claimed))
-                backoff.reset()
-            else:
-                backoff.wait()
-    except StallTimeout as exc:
-        outq.put((idx, loot, volumes, str(exc)))
-        return
-    outq.put((idx, loot, volumes, None))
+    while not stop.load_seq():
+        res = (thief.steal(max_spins=100) if impl == "sdc"
+               else thief.steal())
+        if res.claimed:
+            loot.extend(res.claimed)
+            backoff.reset()
+        else:
+            backoff.wait()
+    return loot
 
 
 def hammer_mp(
@@ -507,17 +503,13 @@ def hammer_mp(
     (set equality), with duplicates legal wherever thief stores raced.
 
     ``stall_s`` is a hard wall-clock deadline on every wait in the
-    harness — the owner's completion settles, each thief's idle
-    backoff, and result collection.  A wedged run raises a diagnostic
-    :class:`~repro.mp.errors.MpStallError` naming the stuck party
-    instead of hanging CI until the job timeout guesses for it.
+    harness — the owner's completion settles and each thief's idle
+    backoff; ``join_timeout`` bounds result collection.  A wedged run
+    raises a diagnostic naming the stuck party (a thief's own traceback
+    in a ``RuntimeError``, or :class:`~repro.mp.errors.MpStallError`)
+    instead of hanging CI until the job timeout guesses for it, and
+    whatever the owner raises, no thief outlives the call.
     """
-    import queue as stdlib_queue
-    import time
-
-    from .atomics import _preferred_context
-    from .errors import MpStallError
-
     layout_classes = {
         "sws": SwsQueueLayout,
         "sdc": SdcQueueLayout,
@@ -525,61 +517,18 @@ def hammer_mp(
     }
     if impl not in layout_classes:
         raise ValueError(f"impl must be sws|sdc|ff-mult, got {impl!r}")
-    ctx = _preferred_context()
-    heap = MpHeap(ctx=ctx)
-    layout_cls = layout_classes[impl]
-    layout = layout_cls.reserve(heap, "q0", capacity=len(tasks))
-    ctl = SymmetricAllocator(heap, "ctl")
-    stop_addr = ctl.word("stop")
-    ctl.commit()
-    heap.freeze()
-    try:
-        queue = layout.owner(heap)
+    with Fleet("mp hammer", layout_classes[impl], 1, len(tasks),
+               ctl=("stop",)) as fleet:
+        layout, stop_addr = fleet.layouts[0], fleet.ctl["stop"]
+        queue = layout.owner(fleet.heap)
         queue.stall_s = stall_s
         queue.push_all(tasks)
-        outq = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_hammer_thief,
-                args=(heap, layout, stop_addr, i, outq, impl, stall_s),
-                daemon=True,
-            )
-            for i in range(nthieves)
-        ]
-        for p in procs:
-            p.start()
-
-        chunk = max(1, len(tasks) // releases)
-        done_acquires = 0
-        while queue.cursor < len(tasks):
-            queue.release(chunk)
-            time.sleep(2e-5)
-            if done_acquires < acquires:
-                queue.acquire()
-                done_acquires += 1
-        queue.drain()
-        heap.ref(stop_addr).store(1)
-
+        for i in range(nthieves):
+            fleet.spawn(i, _hammer_thief, layout, stop_addr, impl, stall_s)
+        _, kept = race(queue, 0, max(1, len(tasks) // releases), acquires)
+        fleet.heap.ref(stop_addr).store(1)
+        fleet.collect(join_timeout)
         loot: list[list[int]] = [[] for _ in range(nthieves)]
-        for _ in range(nthieves):
-            try:
-                idx, claimed, _volumes, err = outq.get(timeout=join_timeout)
-            except stdlib_queue.Empty:
-                raise MpStallError(
-                    "mp hammer thief produced no result",
-                    waited_s=join_timeout,
-                ) from None
-            if err is not None:
-                raise MpStallError(f"mp hammer thief stalled: {err}",
-                                   rank=idx)
+        for idx, claimed in fleet.reports:
             loot[idx] = claimed
-        for p in procs:
-            p.join(timeout=join_timeout)
-            if p.is_alive():
-                p.terminate()
-                raise MpStallError("mp hammer thief failed to exit",
-                                   waited_s=join_timeout)
-        return loot, queue.owner_kept
-    finally:
-        heap.close()
-        heap.unlink()
+        return loot, kept

@@ -19,12 +19,10 @@ the per-index handout multiplicity so property tests can assert
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import Counter
 
 from .atomics import AtomicWord64
-from .protocol import FfMultShimCore, FfMultShimResult
+from .protocol import FfMultShimCore, FfMultShimResult, race
 
 #: Naming symmetry with the other two shims.
 FfMultThreadResult = FfMultShimResult
@@ -56,40 +54,11 @@ def hammer_ffmult(
     the union of loot and kept must **cover** ``tasks`` (set equality),
     with duplicates allowed wherever the multiplicity counter exceeds 1.
     """
-    queue = ThreadFfMultQueue(tasks)
-    loot: list[list[int]] = [[] for _ in range(nthieves)]
+    # One counter per thief: ``c[k] += 1`` is not atomic across threads.
     handouts: list[Counter] = [Counter() for _ in range(nthieves)]
-    stop = threading.Event()
-
-    def thief(idx: int) -> None:
-        while not stop.is_set():
-            res = queue.steal()
-            if res.claimed:
-                loot[idx].extend(res.claimed)
-                handouts[idx][res.index] += 1
-            else:
-                time.sleep(1e-6)
-
-    threads = [
-        threading.Thread(target=thief, args=(i,), daemon=True)
-        for i in range(nthieves)
-    ]
-    for t in threads:
-        t.start()
-
-    chunk = max(1, len(tasks) // releases)
-    done_acquires = 0
-    while queue.cursor < len(tasks):
-        queue.release(chunk)
-        time.sleep(2e-5)
-        if done_acquires < acquires:
-            queue.acquire()
-            done_acquires += 1
-    queue.drain()
-    stop.set()
-    for t in threads:
-        t.join(timeout=5.0)
-    multiplicity: Counter = Counter()
-    for h in handouts:
-        multiplicity.update(h)
-    return loot, queue.owner_kept, multiplicity
+    loot, kept = race(
+        ThreadFfMultQueue(tasks), nthieves,
+        max(1, len(tasks) // releases), acquires,
+        on_claim=lambda idx, res: handouts[idx].update((res.index,)),
+    )
+    return loot, kept, sum(handouts, Counter())

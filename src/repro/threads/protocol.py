@@ -24,20 +24,24 @@ for SDC's spinlock) plus a ``_read_tasks(start, count)`` accessor for
 its task buffer.  The stealval encode/decode is
 :class:`repro.core.stealval.StealValEpoch` — reused, never copied.
 
-Two small data-plane helpers also live here because both real-time
-substrates need them:
+Three small helpers also live here because both real-time substrates
+need them:
 
 * :class:`RecordCodec` — fixed-width packing of task records to/from
   little-endian 64-bit words, so a bulk steal copy is one contiguous
   byte slice instead of per-word atomic loads;
 * :class:`Backoff` — adaptive spin → yield → exponential-sleep waiter
   for polling loops (idle workers, completion waits), replacing
-  fixed-interval sleeps that either burn CPU or add latency.
+  fixed-interval sleeps that either burn CPU or add latency;
+* :func:`race` — the owner/thief race harness every hammer and the
+  serving feeder run, so a new protocol needs a queue class and no
+  harness of its own.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -159,6 +163,62 @@ class Backoff:
             return
         delay = self.sleep_s * (1 << min(n - self.yields, 12))
         time.sleep(delay if delay < self.max_sleep_s else self.max_sleep_s)
+
+
+def race(queue, nthieves: int, chunk: int, acquires: int, *,
+         pace_s: float = 2e-5, on_claim=None,
+         on_release=None) -> tuple[list[list], list]:
+    """Race one owner against ``nthieves`` thief threads.
+
+    The owner (the calling thread) publishes ``queue``'s buffer in
+    chunks — ``release``, a short pause for claims to land, an
+    occasional ``acquire`` — then ``drain``s, while the thieves race
+    ``steal`` against it under genuine preemption.  ``queue`` is any
+    shim core (``cursor`` / ``nfilled`` / ``release`` / ``acquire`` /
+    ``drain`` / ``steal``).
+
+    ``on_release(start, count)`` runs in the owner just before each
+    ``release``; ``on_claim(idx, result)`` runs in thief ``idx`` on every
+    winning steal.  With ``nthieves=0`` only the owner side runs (the mp
+    hammer's thieves are processes).  Returns ``(per-thief loot, tasks
+    the owner kept)``.
+    """
+    loot: list[list] = [[] for _ in range(nthieves)]
+    stop = threading.Event()
+
+    def thief(idx: int) -> None:
+        while not stop.is_set():
+            res = queue.steal()
+            if res.claimed:
+                if on_claim is not None:
+                    on_claim(idx, res)
+                loot[idx].extend(res.claimed)
+            else:
+                time.sleep(1e-6)
+
+    threads = [
+        threading.Thread(target=thief, args=(i,), daemon=True)
+        for i in range(nthieves)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        done_acquires = 0
+        while queue.cursor < queue.nfilled:
+            if on_release is not None:
+                on_release(queue.cursor,
+                           min(chunk, queue.nfilled - queue.cursor))
+            queue.release(chunk)
+            time.sleep(pace_s)
+            if done_acquires < acquires:
+                queue.acquire()
+                done_acquires += 1
+        queue.drain()
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=5.0)
+    return loot, queue.owner_kept
 
 
 @dataclass

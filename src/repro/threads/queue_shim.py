@@ -24,11 +24,8 @@ task set exactly.  The same core also drives the multiprocess substrate
 
 from __future__ import annotations
 
-import threading
-import time
-
 from .atomics import AtomicArray64, AtomicWord64
-from .protocol import ShimStealResult, SwsShimCore
+from .protocol import ShimStealResult, SwsShimCore, race
 
 #: Historic name: thread tests match on these fields.
 ThreadStealResult = ShimStealResult
@@ -60,35 +57,5 @@ def hammer(
     Returns ``(per-thief loot, owner-kept tasks)``; their disjoint union
     must equal ``tasks``.
     """
-    queue = ThreadSwsQueue(tasks)
-    loot: list[list[int]] = [[] for _ in range(nthieves)]
-    stop = threading.Event()
-
-    def thief(idx: int) -> None:
-        while not stop.is_set():
-            res = queue.steal()
-            if res.claimed:
-                loot[idx].extend(res.claimed)
-            else:
-                time.sleep(1e-6)
-
-    threads = [
-        threading.Thread(target=thief, args=(i,), daemon=True)
-        for i in range(nthieves)
-    ]
-    for t in threads:
-        t.start()
-
-    chunk = max(1, len(tasks) // releases)
-    done_acquires = 0
-    while queue.cursor < len(tasks):
-        queue.release(chunk)
-        time.sleep(2e-5)
-        if done_acquires < acquires:
-            queue.acquire()
-            done_acquires += 1
-    queue.drain()
-    stop.set()
-    for t in threads:
-        t.join(timeout=5.0)
-    return loot, queue.owner_kept
+    return race(ThreadSwsQueue(tasks), nthieves,
+                max(1, len(tasks) // releases), acquires)

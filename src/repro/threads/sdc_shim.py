@@ -15,11 +15,8 @@ multiprocess substrate (:mod:`repro.mp.queue`).
 
 from __future__ import annotations
 
-import threading
-import time
-
 from .atomics import AtomicWord64
-from .protocol import SdcShimCore, SdcShimResult
+from .protocol import SdcShimCore, SdcShimResult, race
 
 #: Historic name: thread tests match on these fields.
 SdcThreadResult = SdcShimResult
@@ -47,35 +44,5 @@ def hammer_sdc(
     acquires: int = 3,
 ) -> tuple[list[list[int]], list[int]]:
     """Race harness mirroring :func:`repro.threads.queue_shim.hammer`."""
-    queue = ThreadSdcQueue(tasks)
-    loot: list[list[int]] = [[] for _ in range(nthieves)]
-    stop = threading.Event()
-
-    def thief(idx: int) -> None:
-        while not stop.is_set():
-            res = queue.steal()
-            if res.claimed:
-                loot[idx].extend(res.claimed)
-            else:
-                time.sleep(1e-6)
-
-    threads = [
-        threading.Thread(target=thief, args=(i,), daemon=True)
-        for i in range(nthieves)
-    ]
-    for t in threads:
-        t.start()
-
-    chunk = max(1, len(tasks) // releases)
-    done_acquires = 0
-    while queue.cursor < len(tasks):
-        queue.release(chunk)
-        time.sleep(2e-5)
-        if done_acquires < acquires:
-            queue.acquire()
-            done_acquires += 1
-    queue.drain()
-    stop.set()
-    for t in threads:
-        t.join(timeout=5.0)
-    return loot, queue.owner_kept
+    return race(ThreadSdcQueue(tasks), nthieves,
+                max(1, len(tasks) // releases), acquires)

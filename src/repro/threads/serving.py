@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from ..runtime.arrivals import ArrivalProcess, parse_arrival_spec, serving_checksum
 from ..runtime.stats import QuantileSketch, ServingStats
+from .protocol import race
 from .queue_shim import ThreadSwsQueue
 from .sdc_shim import ThreadSdcQueue
 
@@ -40,6 +41,19 @@ class ThreadServeResult:
         out = [s for chunk in self.loot for s in chunk]
         out.extend(self.kept)
         return out
+
+
+class _StampedKept(list):
+    """``owner_kept`` stand-in: what ``release`` / ``acquire`` / ``drain``
+    re-absorb completes at the absorbing call's time."""
+
+    def __init__(self, note_complete) -> None:
+        super().__init__()
+        self._note = note_complete
+
+    def extend(self, tasks) -> None:
+        self._note(tasks, time.monotonic_ns())
+        super().extend(tasks)
 
 
 def run_serve_threads(
@@ -66,15 +80,12 @@ def run_serve_threads(
     else:
         process = arrival
     n = process.emitted
-    seqs = list(range(n))
-    queue = _QUEUES[impl](seqs)
+    queue = _QUEUES[impl](list(range(n)))
     sketch = QuantileSketch()
     slo_ns = int(slo_s * 1e9)
     slo_attained = 0
     release_ns: dict[int, int] = {}
-    loot: list[list[int]] = [[] for _ in range(nthieves)]
     lat_lock = threading.Lock()
-    stop = threading.Event()
 
     def note_complete(tasks: list[int], now: int) -> None:
         nonlocal slo_attained
@@ -85,62 +96,24 @@ def run_serve_threads(
                 if slo_ns and lat <= slo_ns:
                     slo_attained += 1
 
-    def thief(idx: int) -> None:
-        while not stop.is_set():
-            res = queue.steal()
-            if res.claimed:
-                note_complete(res.claimed, time.monotonic_ns())
-                loot[idx].extend(res.claimed)
-            else:
-                time.sleep(1e-6)
-
-    threads = [
-        threading.Thread(target=thief, args=(i,), daemon=True)
-        for i in range(nthieves)
-    ]
-    for t in threads:
-        t.start()
+    def stamp_release(start: int, count: int) -> None:
+        now = time.monotonic_ns()
+        for s in range(start, start + count):
+            release_ns[s] = now
 
     # The feeder: inject the trace in arrival order, batch by batch.
-    # ``release`` absorbs any unclaimed remainder into owner_kept, so the
-    # kept list grows as the run proceeds; those re-absorptions complete
-    # at the absorbing call's time.
-    kept_stamped = 0
-
-    def stamp_new_kept() -> None:
-        nonlocal kept_stamped
-        fresh = queue.owner_kept[kept_stamped:]
-        kept_stamped = len(queue.owner_kept)
-        if fresh:
-            note_complete(fresh, time.monotonic_ns())
-
-    batch = max(1, (n + nbatches - 1) // nbatches) if n else 0
-    done_acquires = 0
-    injected = 0
-    while injected < n:
-        chunk = seqs[injected : injected + batch]
-        now = time.monotonic_ns()
-        for s in chunk:
-            release_ns[s] = now
-        queue.release(len(chunk))
-        stamp_new_kept()
-        injected += len(chunk)
-        time.sleep(pace_s)
-        if done_acquires < acquires:
-            queue.acquire()
-            stamp_new_kept()
-            done_acquires += 1
-    queue.drain()
-    stamp_new_kept()
-    stop.set()
-    for t in threads:
-        t.join(timeout=5.0)
-    kept = queue.take_kept()
-
+    queue.owner_kept = _StampedKept(note_complete)
+    loot, kept = race(
+        queue, nthieves, max(1, (n + nbatches - 1) // nbatches), acquires,
+        pace_s=pace_s, on_release=stamp_release,
+        on_claim=lambda idx, res: note_complete(
+            res.claimed, time.monotonic_ns()),
+    )
+    kept = list(kept)
     completed = [s for chunk in loot for s in chunk] + kept
     serving = ServingStats(
         emitted=n,
-        injected=injected,
+        injected=queue.cursor,
         shed=0,
         completed=len(completed),
         slo_ticks=slo_ns,
