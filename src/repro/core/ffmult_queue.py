@@ -323,12 +323,12 @@ class FfMultQueue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """No completion array — deferred-copy tracking does not exist."""
-        return []
-
-    def oracle_comp_expected(self) -> dict[int, int] | None:
-        return None
+    #: No completion array — deferred-copy tracking does not exist.
+    oracle_comp_region = None
+    #: ``oracle_check`` reads the reclaim floor, which every thief's
+    #: in-flight registration moves from *its* process: nothing local
+    #: witnesses the change, so the oracle checks this queue every event.
+    oracle_owner_local = False
 
     def oracle_check(self) -> None:
         """Per-event invariants, valid at any event boundary."""

@@ -450,11 +450,10 @@ class SdcQueue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """The completion ring, bulk-read for transition tracking."""
-        return self.system.ctx.heap.load_words(
-            self.rank, COMP_REGION, 0, self.cfg.qsize
-        )
+    #: Completion words the oracle tracks (write journal + live view).
+    oracle_comp_region = COMP_REGION
+    #: ``oracle_check`` reads only this PE's own heap rows and fields.
+    oracle_owner_local = True
 
     def oracle_comp_expected(self) -> dict[int, int] | None:
         """SDC steal volumes are dynamic — no per-slot expectation.

@@ -473,10 +473,10 @@ class SwsQueue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """All completion-array words, bulk-read for transition tracking."""
-        n = self.cfg.max_epochs * self.cfg.comp_slots
-        return self.system.ctx.heap.load_words(self.rank, COMP_REGION, 0, n)
+    #: Completion words the oracle tracks (write journal + live view).
+    oracle_comp_region = COMP_REGION
+    #: ``oracle_check`` reads only this PE's own heap rows and fields.
+    oracle_owner_local = True
 
     def oracle_comp_expected(self) -> dict[int, int]:
         """Legal nonzero value per completion offset, from live records.

@@ -275,11 +275,10 @@ class SwsV1Queue:
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def oracle_comp_words(self) -> list[int]:
-        """The single completion row, bulk-read for transition tracking."""
-        return self.system.ctx.heap.load_words(
-            self.rank, COMP_REGION, 0, self.cfg.comp_slots
-        )
+    #: Completion words the oracle tracks (write journal + live view).
+    oracle_comp_region = COMP_REGION
+    #: ``oracle_check`` reads only this PE's own heap rows and fields.
+    oracle_owner_local = True
 
     def oracle_comp_expected(self) -> dict[int, int]:
         """Legal nonzero value per completion slot of the live allotment.

@@ -22,9 +22,9 @@ invokes these *at message-arrival virtual time*, so the heap itself needs
 no locking — event ordering is the serialization.  Hot *local* readers may
 take a direct :meth:`word_view`/:meth:`byte_view` on their own PE's row;
 views must be treated as read-only by general code because writes through
-a view bypass both bounds checks and ``shmem_wait_until`` waiter
-notification (the queue layer writes task payload bytes through views —
-byte regions never carry waiters).
+a view bypass bounds checks, ``shmem_wait_until`` waiter notification and
+the write journal the invariant oracle reads (the queue layer writes task
+payload bytes through views — byte regions carry neither).
 """
 
 from __future__ import annotations
@@ -71,6 +71,11 @@ class SymmetricHeap:
         self._specs: dict[str, RegionSpec] = {}
         # Waiters for shmem_wait_until: (pe, region, offset) -> callbacks.
         self._waiters: dict[tuple[int, str, int], list[WordWaiter]] = {}
+        #: The one gate every word mutator tests before calling
+        #: ``_notify``: the waiter table itself (empty, hence false, on
+        #: the bare path) or ``True`` while a write journal is attached.
+        self._watched: dict | bool = self._waiters
+        self._journal: list[tuple[int, str, int]] | None = None
 
     # ------------------------------------------------------------------
     # allocation
@@ -145,8 +150,8 @@ class SymmetricHeap:
 
         Local hot paths (queue owners reading their own metadata) index
         this list directly, skipping per-access bounds checks.  Writing
-        through the view would bypass waiter notification; mutate via
-        :meth:`store`/:meth:`fetch_add` instead.
+        through the view would bypass waiter notification and the write
+        journal; mutate via :meth:`store`/:meth:`fetch_add` instead.
         """
         self._check_pe(pe)
         try:
@@ -206,7 +211,7 @@ class SymmetricHeap:
             )
         value &= _U64_MASK
         row[offset] = value
-        if self._waiters:
+        if self._watched:
             self._notify(pe, region, offset, value)
 
     def fetch_add(self, pe: int, region: str, offset: int, delta: int) -> int:
@@ -224,7 +229,7 @@ class SymmetricHeap:
             )
         old = row[offset]
         row[offset] = new = (old + delta) & _U64_MASK
-        if self._waiters:
+        if self._watched:
             self._notify(pe, region, offset, new)
         return old
 
@@ -244,7 +249,7 @@ class SymmetricHeap:
         value &= _U64_MASK
         old = row[offset]
         row[offset] = value
-        if self._waiters:
+        if self._watched:
             self._notify(pe, region, offset, value)
         return old
 
@@ -267,7 +272,7 @@ class SymmetricHeap:
         if old == (expected & _U64_MASK):
             desired &= _U64_MASK
             row[offset] = desired
-            if self._waiters:
+            if self._watched:
                 self._notify(pe, region, offset, desired)
         return old
 
@@ -281,7 +286,7 @@ class SymmetricHeap:
         row = self._word_row(pe, region, offset, len(values))
         masked = [v & _U64_MASK for v in values]
         row[offset : offset + len(masked)] = masked
-        if self._waiters:
+        if self._watched:
             for i, v in enumerate(masked):
                 self._notify(pe, region, offset + i, v)
 
@@ -301,6 +306,8 @@ class SymmetricHeap:
 
     def _notify(self, pe: int, region: str, offset: int, new_value: int) -> None:
         key = (pe, region, offset)
+        if self._journal is not None:
+            self._journal.append(key)
         waiters = self._waiters.get(key)
         if not waiters:
             return
@@ -309,6 +316,28 @@ class SymmetricHeap:
             self._waiters[key] = remaining
         else:
             del self._waiters[key]
+
+    # ------------------------------------------------------------------
+    # write journal (invariant-oracle support)
+    # ------------------------------------------------------------------
+    def attach_journal(self) -> list[tuple[int, str, int]]:
+        """Journal every word write from now on; returns the live list.
+
+        Each mutator appends ``(pe, region, offset)`` per word it writes
+        (a failed compare-swap writes none); the one consumer drains the
+        list in place.  Until this is called nothing is recorded and the
+        mutators pay nothing.
+        """
+        if self._journal is not None:
+            raise RuntimeError("a write journal is already attached")
+        self._journal = []
+        self._watched = True
+        return self._journal
+
+    def detach_journal(self) -> None:
+        """Stop journaling and restore the waiters-only gate."""
+        self._journal = None
+        self._watched = self._waiters
 
     # ------------------------------------------------------------------
     # byte operations (payload)

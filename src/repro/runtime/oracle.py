@@ -1,7 +1,7 @@
 """Cross-PE invariant oracles for schedule exploration.
 
 A :class:`PoolOracle` attaches to a :class:`~repro.runtime.pool.TaskPool`
-as an engine *observer*: after **every** discrete event it re-checks the
+as an engine *observer*: after **every** discrete event it checks the
 protocol invariants whose violation would mean the steal protocol lost,
 duplicated, or corrupted work — exactly the failure modes a racy
 interleaving of the paper's fused fetch-add window would produce:
@@ -31,6 +31,14 @@ interleaving of the paper's fused fetch-add window would produce:
   lost task still fails (the sum cannot balance), while a legal
   duplicate cannot.
 
+**What is checked when.**  Every per-PE check is a function of that PE's
+own heap rows and owner-local fields, so it is re-run only for a PE some
+*witnessed* fact says an event changed: a word of it in the heap's write
+journal, a resume of its process (:meth:`PoolOracle.watch`), a declared
+outside writer (:meth:`PoolOracle.touched`) — or always, for a queue
+whose check reads more than that (``oracle_owner_local = False``).  The
+first check covers every PE.  docs/testing.md has the full table.
+
 All checks are read-only; the oracle never perturbs the simulation, so a
 clean run under the oracle is bit-identical to the same run without it.
 Violations raise :class:`~repro.fabric.errors.OracleViolation`, which the
@@ -42,38 +50,52 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..core.stealval import StealValEpoch, StealValV1
+from ..core.sws_queue import SwsQueue
+from ..core.sws_v1_queue import META_REGION as V1_META_REGION
+from ..core.sws_v1_queue import STEALVAL as V1_STEALVAL
+from ..core.sws_v1_queue import SwsV1Queue
 from ..fabric.errors import OracleViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pool import TaskPool
 
+_UNBUILT = object()  # oracle_comp_expected() not asked for yet
+
+
+class _Resumed:
+    """Generator proxy: whatever the engine calls on a PE's process
+    (``send`` / ``throw`` / ``close``, and nothing else) first marks the
+    PE dirty, so the oracle sees every step of the PE's own code while
+    the engine loop stays untouched."""
+
+    def __init__(self, gen, mark, rank: int) -> None:
+        self._gen, self._mark, self._rank = gen, mark, rank
+
+    def __getattr__(self, name: str):
+        self._mark(self._rank)
+        return getattr(self._gen, name)
+
 
 class PoolOracle:
     """Invariant oracle over every PE of one task pool.
 
-    Construct with the pool, then register :meth:`check` as an engine
-    observer (``TaskPool(oracle=True)`` does both).  ``stride`` checks
-    every N-th event for long runs; the default checks every event.
+    Construct with the pool, then :meth:`attach` it
+    (``TaskPool(oracle=True)`` does both).
     """
 
-    def __init__(self, pool: "TaskPool", stride: int = 1,
-                 ranks=None) -> None:
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
+    def __init__(self, pool: "TaskPool", ranks=None) -> None:
         self.pool = pool
-        self.stride = stride
         # ``ranks`` restricts the oracle to one shard's PEs: remote-shard
         # heap rows are stale replicas there, so structural checks only
         # see authoritative state, and the cross-PE conservation checks
         # are deferred to the merged end-of-run pass
         # (:func:`check_merged_conservation`).
         self._global = ranks is None
-        if self._global:
-            self.workers = pool.workers
-        else:
-            rankset = set(ranks)
-            self.workers = [w for w in pool.workers if w.rank in rankset]
-        self.queues = [w.driver.queue for w in self.workers]
+        if ranks is None:
+            ranks = range(pool.npes)
+        #: rank -> worker, for every PE this oracle watches.
+        self._worker = {r: pool.workers[r] for r in ranks}
         # Semantics contract: pools built outside the protocol registry
         # (or bare test harnesses) default to strict exactly-once.
         protocol = getattr(pool, "protocol", None)
@@ -83,27 +105,86 @@ class PoolOracle:
         #: Violations would raise before incrementing, so this counts
         #: clean sweeps — a cheap "the oracle really ran" signal.
         self.checks_passed = 0
-        self._events = 0
-        # Cross-event tracking state, per PE.
-        self._prev_comp: list[list[int] | None] = [None] * pool.npes
-        self._prev_sv: list[tuple | None] = [None] * pool.npes
+        self._faults = pool.ctx.faults
+        self._conserve = (
+            self._faults is None and self.exactly_once and self._global
+        )
+        # Cross-event tracking state, per watched PE.
+        self._dirty = set(self._worker)  # the first check covers every PE
+        self._journal: list[tuple[int, str, int]] | None = None
+        self._comp: dict[int, list[int]] = {}  # live completion-word views
+        self._written = {r: set() for r in self._worker}  # offsets to compare
+        self._shadow = {r: {} for r in self._worker}  # their nonzero values
+        self._prev_sv: dict[int, tuple] = {}
+        #: Pool-wide [spawned, executed, resident] and each PE's share of
+        #: it, kept current from the dirty PEs' deltas.
+        self.books = [0, 0, 0]
+        self._pe_books = dict.fromkeys(self._worker, (0, 0, 0))
+        # Undeclared means not owner-local: every PE, every event.
+        self._sweep = not all(
+            getattr(w.driver.queue, "oracle_owner_local", False)
+            for w in self._worker.values()
+        )
+
+    def attach(self) -> None:
+        """Start observing: journal the heap's word writes and register
+        :meth:`check` as an engine observer."""
+        ctx = self.pool.ctx
+        self._journal = ctx.heap.attach_journal()
+        for rank, w in self._worker.items():
+            region = w.driver.queue.oracle_comp_region
+            if region is not None:
+                view = self._comp[rank] = ctx.heap.word_view(rank, region)
+                # Whatever predates the journal is due at the first check.
+                self._written[rank].update(i for i, v in enumerate(view) if v)
+        ctx.engine.observers.append(self.check)
+
+    def watch(self, rank: int, gen):
+        """Wrap PE ``rank``'s process generator so its resumes are seen."""
+        return _Resumed(gen, self._dirty.add, rank)
+
+    def touched(self, rank: int) -> None:
+        """Declare a write to ``rank``'s queue or worker statistics made
+        from outside that PE's process (an engine event acting on it)."""
+        self._dirty.add(rank)
 
     # ------------------------------------------------------------------
     def check(self) -> None:
         """Run after one engine event; raises :class:`OracleViolation`."""
-        self._events += 1
-        if self._events % self.stride:
-            return
-        faults = self.pool.ctx.faults
-        now = self.pool.ctx.engine.now
-        for q in self.queues:
-            if faults is not None and faults.is_dead(q.rank, now):
-                continue  # a fail-stopped PE's memory is moot
-            q.oracle_check()
-            self._check_comp_transitions(q)
-            self._check_asteals_monotone(q)
-        if faults is None and self.exactly_once and self._global:
-            self._check_conservation()
+        dirty = self._dirty
+        journal = self._journal
+        if journal is None:
+            raise RuntimeError("PoolOracle.check() before attach()")
+        for pe, region, offset in journal:
+            w = self._worker.get(pe)
+            if w is not None:  # else: a remote shard's replica row
+                dirty.add(pe)
+                if region == w.driver.queue.oracle_comp_region:
+                    self._written[pe].add(offset)
+        journal.clear()
+        if self._sweep:
+            dirty.update(self._worker)
+        if dirty:
+            faults = self._faults
+            now = self.pool.ctx.engine.now
+            for rank in sorted(dirty):
+                if faults is not None and faults.is_dead(rank, now):
+                    continue  # a fail-stopped PE's memory is moot
+                w = self._worker[rank]
+                q = w.driver.queue
+                q.oracle_check()
+                if self._written[rank]:
+                    self._check_comp_transitions(q)
+                self._check_asteals_monotone(q)
+                if self._conserve:
+                    new = (w.stats.tasks_spawned, w.stats.tasks_executed,
+                           w.driver.local_count + w.driver.stealable_remaining)
+                    for i, was in enumerate(self._pe_books[rank]):
+                        self.books[i] += new[i] - was
+                    self._pe_books[rank] = new
+            dirty.clear()
+            if self._conserve:
+                self._check_conservation()
         self.checks_passed += 1
 
     def check_final(self) -> None:
@@ -111,26 +192,14 @@ class PoolOracle:
         drained queues."""
         if not self._global:
             return  # sharded runs balance via check_merged_conservation
-        if self.pool.ctx.faults is not None:
+        if self._faults is not None:
             return  # abandoned steals legitimately break conservation
-        spawned = sum(w.stats.tasks_spawned for w in self.workers)
-        executed = sum(w.stats.tasks_executed for w in self.workers)
-        dups = sum(w.driver.spawn_credit for w in self.workers)
-        if self.exactly_once:
-            if spawned != executed:
-                raise OracleViolation(
-                    "conservation-final",
-                    f"{spawned} tasks spawned but {executed} executed "
-                    f"({spawned - executed} lost or duplicated)",
-                )
-        elif spawned + dups != executed:
-            raise OracleViolation(
-                "conservation-final",
-                f"{spawned} tasks spawned + {dups} duplicate handouts "
-                f"but {executed} executed "
-                f"({spawned + dups - executed} lost or unaccounted)",
-            )
-        for w in self.workers:
+        workers = self._worker.values()
+        spawned = sum(w.stats.tasks_spawned for w in workers)
+        executed = sum(w.stats.tasks_executed for w in workers)
+        dups = sum(w.driver.spawn_credit for w in workers)
+        _check_final_books(spawned, executed, dups, self.exactly_once)
+        for w in workers:
             drv = w.driver
             if drv.local_count or drv.stealable_remaining:
                 raise OracleViolation(
@@ -142,17 +211,22 @@ class PoolOracle:
 
     # ------------------------------------------------------------------
     def _check_comp_transitions(self, q) -> None:
-        """Completion words: written once per steal, with the legal volume."""
-        words = q.oracle_comp_words()
-        prev = self._prev_comp[q.rank]
-        expected = q.oracle_comp_expected()
-        qsize = q.cfg.qsize
-        for off, val in enumerate(words):
-            old = prev[off] if prev is not None else 0
+        """Completion words: written once per steal, with the legal volume.
+
+        Compares each written word's value now against its value at the
+        last check — the net transition, however often the event wrote it.
+        """
+        comp, shadow = self._comp[q.rank], self._shadow[q.rank]
+        written = self._written[q.rank]
+        expected = _UNBUILT
+        for off in sorted(written):
+            val = comp[off]
+            old = shadow.get(off, 0)
             if val == old:
                 continue
             if val == 0:
-                continue  # owner reclaim / epoch turnover
+                del shadow[off]  # owner reclaim / epoch turnover
+                continue
             if old != 0:
                 raise OracleViolation(
                     "double-claim",
@@ -160,12 +234,14 @@ class PoolOracle:
                     f"thieves notified the same steal slot",
                     pe=q.rank,
                 )
+            if expected is _UNBUILT:
+                expected = q.oracle_comp_expected()
             if expected is None:
-                if not 1 <= val <= qsize:
+                if not 1 <= val <= q.cfg.qsize:
                     raise OracleViolation(
                         "comp-volume-range",
                         f"completion word {off} holds {val}, outside "
-                        f"[1, {qsize}]",
+                        f"[1, {q.cfg.qsize}]",
                         pe=q.rank,
                     )
             elif expected.get(off) != val:
@@ -175,7 +251,8 @@ class PoolOracle:
                     f"schedule allows {expected.get(off, 'nothing')}",
                     pe=q.rank,
                 )
-        self._prev_comp[q.rank] = words
+            shadow[off] = val
+        written.clear()
 
     def _check_asteals_monotone(self, q) -> None:
         """asteals only grows within one stealval publication."""
@@ -183,7 +260,7 @@ class PoolOracle:
         if sv is None:
             return
         key, asteals = sv
-        prev = self._prev_sv[q.rank]
+        prev = self._prev_sv.get(q.rank)
         if prev is not None and prev[0] == key and asteals < prev[1]:
             raise OracleViolation(
                 "asteals-monotone",
@@ -191,7 +268,7 @@ class PoolOracle:
                 f"within publication {key}",
                 pe=q.rank,
             )
-        self._prev_sv[q.rank] = (key, asteals)
+        self._prev_sv[q.rank] = sv
 
     @staticmethod
     def _stealval_view(q) -> tuple | None:
@@ -203,44 +280,21 @@ class PoolOracle:
         asteals reset across such a re-publication would look like a lost
         increment.
         """
-        from ..core.stealval import StealValEpoch, StealValV1
-        from ..core.sws_queue import SwsQueue
-        from ..core.sws_v1_queue import SwsV1Queue
-
         if isinstance(q, SwsQueue):
             v = StealValEpoch.unpack(q._load_stealval())
             if v.locked:
                 return None
             return ("epoch", q.publications), v.asteals
         if isinstance(q, SwsV1Queue):
-            from ..core.sws_v1_queue import META_REGION, STEALVAL
-
-            v = StealValV1.unpack(q.pe.local_load(META_REGION, STEALVAL))
+            v = StealValV1.unpack(q.pe.local_load(V1_META_REGION, V1_STEALVAL))
             if not v.valid:
                 return None
             return ("v1", q.publications), v.asteals
         return None
 
-    def shard_books(self) -> dict:
-        """This shard's contribution to the merged conservation pass."""
-        return {
-            "spawned": sum(w.stats.tasks_spawned for w in self.workers),
-            "executed": sum(w.stats.tasks_executed for w in self.workers),
-            "dups": sum(w.driver.spawn_credit for w in self.workers),
-            "resident": sum(
-                w.driver.local_count + w.driver.stealable_remaining
-                for w in self.workers
-            ),
-        }
-
     def _check_conservation(self) -> None:
         """Resident tasks can never exceed spawned - executed."""
-        spawned = sum(w.stats.tasks_spawned for w in self.workers)
-        executed = sum(w.stats.tasks_executed for w in self.workers)
-        resident = sum(
-            w.driver.local_count + w.driver.stealable_remaining
-            for w in self.workers
-        )
+        spawned, executed, resident = self.books
         if resident > spawned - executed:
             raise OracleViolation(
                 "conservation",
@@ -249,6 +303,26 @@ class PoolOracle:
                 f"(spawned={spawned}, executed={executed}): work was "
                 f"duplicated",
             )
+
+
+def _check_final_books(
+    spawned: int, executed: int, dups: int, exactly_once: bool, where: str = ""
+) -> None:
+    """The closing identity of the semantics contract, pool- or job-wide."""
+    if exactly_once:
+        if spawned != executed:
+            raise OracleViolation(
+                "conservation-final",
+                f"{spawned} tasks spawned but {executed} executed{where} "
+                f"({spawned - executed} lost or duplicated)",
+            )
+    elif spawned + dups != executed:
+        raise OracleViolation(
+            "conservation-final",
+            f"{spawned} tasks spawned + {dups} duplicate handouts "
+            f"but {executed} executed{where} "
+            f"({spawned + dups - executed} lost or unaccounted)",
+        )
 
 
 def check_serving_conservation(books: dict) -> None:
@@ -294,8 +368,8 @@ def check_serving_conservation(books: dict) -> None:
 def check_merged_conservation(books: list[dict], exactly_once: bool) -> None:
     """Merged end-of-run conservation over every shard of a sharded run.
 
-    Each entry of ``books`` is one shard's :meth:`PoolOracle.shard_books`
-    (or an equivalent dict).  The same contract as
+    Each entry of ``books`` is one shard's ``books`` from
+    :meth:`~repro.runtime.pool.TaskPool.shard_result`.  The same contract as
     :meth:`PoolOracle.check_final`, applied to the job-wide sums — a task
     stolen across a shard boundary counts as spawned on one shard and
     executed on another, so only the merged books can balance.
@@ -304,21 +378,9 @@ def check_merged_conservation(books: list[dict], exactly_once: bool) -> None:
     executed = sum(b["executed"] for b in books)
     dups = sum(b["dups"] for b in books)
     resident = sum(b["resident"] for b in books)
-    if exactly_once:
-        if spawned != executed:
-            raise OracleViolation(
-                "conservation-final",
-                f"{spawned} tasks spawned but {executed} executed across "
-                f"{len(books)} shard(s) "
-                f"({spawned - executed} lost or duplicated)",
-            )
-    elif spawned + dups != executed:
-        raise OracleViolation(
-            "conservation-final",
-            f"{spawned} tasks spawned + {dups} duplicate handouts but "
-            f"{executed} executed across {len(books)} shard(s) "
-            f"({spawned + dups - executed} lost or unaccounted)",
-        )
+    _check_final_books(
+        spawned, executed, dups, exactly_once, f" across {len(books)} shard(s)"
+    )
     if resident:
         raise OracleViolation(
             "drain-final",

@@ -87,7 +87,7 @@ class TaskPool:
         op_timeout: float | None = None,
         token_timeout: float | None = None,
         scheduler: Scheduler | str | None = None,
-        oracle: bool | PoolOracle = False,
+        oracle: bool = False,
         topology: Topology | None = None,
         shard=None,
     ) -> None:
@@ -237,17 +237,13 @@ class TaskPool:
                     seed=seed,
                 )
             )
-        if isinstance(oracle, PoolOracle):
-            self.oracle: PoolOracle | None = oracle
-        elif oracle:
+        self.oracle: PoolOracle | None = None
+        if oracle:
             # A sharded pool's oracle only watches the PEs it runs:
             # remote-shard heap rows are stale replicas here.
             local = None if shard is None else shard.plan.pes_of(shard.shard_id)
             self.oracle = PoolOracle(self, ranks=local)
-        else:
-            self.oracle = None
-        if self.oracle is not None:
-            self.ctx.engine.observers.append(self.oracle.check)
+            self.oracle.attach()
         self._ran = False
 
     def seed(self, rank: int, tasks: list[Task]) -> None:
@@ -279,8 +275,10 @@ class TaskPool:
         self._ran = True
         procs_by_pe = {}
         for rank in self.local_ranks():
-            w = self.workers[rank]
-            procs_by_pe[rank] = self.ctx.engine.spawn(w.run(), name=f"pe{rank}")
+            gen = self.workers[rank].run()
+            if self.oracle is not None:
+                gen = self.oracle.watch(rank, gen)
+            procs_by_pe[rank] = self.ctx.engine.spawn(gen, name=f"pe{rank}")
         faults = self.ctx.faults
         if faults is not None:
             faults.schedule_failures(self.ctx.engine, procs_by_pe)

@@ -187,6 +187,9 @@ class ServingController:
         # four-counter termination books and the conservation oracle
         # exact (executed can never outrun spawned + injected).
         worker.stats.tasks_spawned += 1
+        if self.pool.oracle is not None:
+            # This event, not the target's process, changed its books.
+            self.pool.oracle.touched(target)
         self.injected += 1
         self._enqueue_tick[seq] = self.engine.now_ticks
         self.metrics.record_serving("injected")

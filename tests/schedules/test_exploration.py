@@ -38,9 +38,9 @@ pytestmark = pytest.mark.schedules
 @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
 @pytest.mark.parametrize("policy", ["random", "pct"])
 def test_sweep_oracle_clean(workload, impl, policy):
-    report = explore(workload, impl, policy=policy, seeds=range(3))
+    report = explore(workload, impl, policy=policy, seeds=range(10))
     assert report.clean, report.render()
-    assert report.runs == 3
+    assert report.runs == 10
     # The sweep must actually exercise choice: a workload with no
     # same-time collisions would be vacuous.
     assert report.decision_points > 0
