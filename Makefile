@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore bench bench-fast bench-baseline shard-bench profile experiments experiments-full examples clean
+.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore bench experiments experiments-full examples clean
 
 install:
 	pip install -e .
@@ -56,33 +56,6 @@ bench:
 	mkdir -p results
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only \
 	    --benchmark-json=results/benchmarks.json
-
-# Parallel cached sweep over the bench scenarios; emits BENCH_fabric.json
-# and fails on a >20% events/sec regression vs the committed baseline
-# (see docs/performance.md).
-bench-fast:
-	$(PYTHON) -m repro sweep --out BENCH_fabric.json \
-	    --baseline benchmarks/BENCH_baseline.json
-
-# Refresh the committed baseline (run on a quiet machine, then commit).
-bench-baseline:
-	$(PYTHON) -m repro sweep --refresh --no-cache \
-	    --out benchmarks/BENCH_baseline.json
-
-# Sharded-simulator measurements alone: the wall-vs-shards speedup
-# series and the 2112-PE jumbo smoke (docs/sharding.md).  Walls are
-# host-dependent; the auto transport forks only when multiple cores
-# exist (on a single core it elides the IPC and runs serial — the
-# transport/host_cpus columns record what actually ran).
-shard-bench:
-	$(PYTHON) -m repro sweep --no-cache \
-	    --scenarios fig7_sharded_s4,fig7_jumbo
-
-# cProfile top-20 for the two throughput-critical scenarios
-# (see docs/performance.md, "Profiling the hot paths").
-profile:
-	mkdir -p results
-	$(PYTHON) tools/profile_hotpath.py --out results/profile_hotpath.txt
 
 experiments:
 	$(PYTHON) -m repro.analysis.cli --exp all --scale quick

@@ -6,12 +6,12 @@ the Figure-2 communication counts, pointers to the full harness).
 Subcommands::
 
     python -m repro --protocol P [--backend fabric|threads|mp|all]
-                    [--shards N [--shard-transport auto|serial|fork]]
+                    [--shards N]
     python -m repro explore [--workload W] [--impl I] [--policy P]
                             [--seeds N] [--dfs-depth D] [--out DIR]
     python -m repro replay TRACE.json [--strict] [--shrink]
     python -m repro sweep [--scenarios S] [--jobs N] [--out FILE]
-                          [--baseline FILE] [--matrix ...]
+                          [--matrix ...]
     python -m repro mp [--workload synthetic|uts] [--impl sws|sdc]
                        [--npes N] [--ntasks N | --tree NAME] [--verify]
     python -m repro serve --arrival poisson:RATE --duration T [--slo MS]
@@ -22,8 +22,9 @@ Subcommands::
 ``sdc``, ``ff-mult``, ``localized`` — see docs/protocols.md) across the
 chosen substrates, verifying its declared semantics contract on each.
 ``--shards N`` partitions the fabric run across N shard engines advancing
-in conservative lock-step time windows (docs/sharding.md); requires
-``--backend fabric`` and ``N <= --npes``.
+in conservative lock-step time windows, all in this process — the
+lookahead argument made executable, not a speedup (docs/sharding.md);
+requires ``--backend fabric`` and ``N <= --npes``.
 
 ``explore`` sweeps same-timestamp event orderings under the invariant
 oracle and writes every failing schedule as a replayable JSON trace;
@@ -63,10 +64,7 @@ def _demo() -> int:
     return 0
 
 
-def _run_protocol_fabric(
-    proto, npes: int, ntasks: int, shards: int = 1,
-    transport: str = "serial",
-) -> bool:
+def _run_protocol_fabric(proto, npes: int, ntasks: int, shards: int = 1) -> bool:
     from .runtime.registry import TaskOutcome, TaskRegistry
     from .runtime.task import Task
 
@@ -81,18 +79,10 @@ def _run_protocol_fabric(
     else:
         from .runtime.sharded import run_sharded_pool
 
-        # The argparse default is "auto", so transport == "fork" means
-        # the user asked for it explicitly: refuse to degrade silently.
         stats = run_sharded_pool(
             npes, reg, seeds, shards, impl=proto.name, oracle=True,
-            transport=transport, strict_transport=(transport == "fork"),
         )
-        sh = stats.sharding or {}
-        where = (
-            f"{npes} PEs / {shards} shards "
-            f"({sh.get('transport', transport)} transport, "
-            f"{sh.get('host_cpus', '?')} host cpu(s))"
-        )
+        where = f"{npes} PEs / {shards} shards"
     executed = sum(w.tasks_executed for w in stats.workers)
     steals = sum(w.tasks_stolen for w in stats.workers)
     print(
@@ -100,14 +90,12 @@ def _run_protocol_fabric(
         f"({executed - ntasks} duplicate(s)), {steals} tasks stolen, "
         f"virtual runtime {stats.runtime * 1e3:.3f} ms — oracle clean"
     )
-    if shards != 1 and stats.sharding:
+    if shards != 1:
         sh = stats.sharding
         print(
-            f"           exchange: {sh.get('rounds', 0)} round(s), "
-            f"{sh.get('grants', 0)} grant(s), "
-            f"{sh.get('elisions', 0)} elision(s), "
-            f"{sh.get('messages', 0)} message(s), "
-            f"{sh.get('exchange_bytes', 0)} ring byte(s)"
+            f"           exchange: {sh['rounds']} round(s), "
+            f"{sh['grants']} grant(s), {sh['elisions']} elision(s), "
+            f"{sh['messages']} message(s)"
         )
     return True
 
@@ -210,16 +198,8 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     ok = True
     for backend in backends:
         if backend == "fabric":
-            from .runtime.sharded import TransportUnavailable
-
-            try:
-                ok &= _run_protocol_fabric(
-                    proto, args.npes, args.ntasks,
-                    shards=args.shards, transport=args.shard_transport,
-                )
-            except TransportUnavailable as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            ok &= _run_protocol_fabric(
+                proto, args.npes, args.ntasks, shards=args.shards)
         elif backend == "threads":
             ok &= _run_protocol_threads(proto, args.ntasks)
         else:
@@ -305,7 +285,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         ResultCache,
         SweepJob,
         bench_report,
-        check_regressions,
         run_jobs,
     )
 
@@ -326,9 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         jobs = [SweepJob.bench(name, args.scale) for name in names]
         if args.scenarios == "all":
-            # Multiprocess-substrate scenarios ride along in the report
-            # and gate against their committed baseline entries like the
-            # simulator scenarios do.
+            # Multiprocess-substrate scenarios ride along in the report.
             jobs += [SweepJob.mp(*mp) for mp in MP_SCENARIOS]
 
     cache = None if args.no_cache else ResultCache(args.cache)
@@ -357,17 +334,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         if args.out:
             Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True))
             print(f"wrote {args.out}")
-        if args.baseline:
-            baseline = json.loads(Path(args.baseline).read_text())
-            problems = check_regressions(report, baseline, args.gate_threshold)
-            if problems:
-                print(f"\nFAIL: {len(problems)} perf regression(s) "
-                      f"vs {args.baseline}:")
-                for p in problems:
-                    print(f"  {p}")
-                return 1
-            print(f"regression gate clean vs {args.baseline} "
-                  f"(threshold {args.gate_threshold:.0%})")
     return 0
 
 
@@ -612,15 +578,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --protocol: tasks per backend run")
     parser.add_argument("--shards", type=int, default=1,
                         help="with --protocol: partition the fabric run "
-                             "across N shard engines in conservative "
-                             "lock-step time windows (fabric backend "
-                             "only; see docs/sharding.md)")
-    parser.add_argument("--shard-transport", default="auto",
-                        choices=("auto", "serial", "fork"),
-                        help="with --shards > 1: run shards in-process "
-                             "(serial, deterministic), as forked OS "
-                             "processes (fork), or pick per host (auto: "
-                             "fork only with >1 CPU to overlap on)")
+                             "across N in-process shard engines in "
+                             "conservative lock-step time windows (fabric "
+                             "backend only; see docs/sharding.md)")
     sub = parser.add_subparsers(dest="cmd")
 
     p_ex = sub.add_parser("explore", help="sweep event schedules under the oracle")
@@ -676,10 +636,6 @@ def main(argv: list[str] | None = None) -> int:
                       help="ignore cached results but still store fresh ones")
     p_sw.add_argument("--out", default=None, metavar="FILE",
                       help="write the BENCH_fabric.json report here")
-    p_sw.add_argument("--baseline", default=None, metavar="FILE",
-                      help="committed baseline report to gate against")
-    p_sw.add_argument("--gate-threshold", type=float, default=0.20,
-                      help="relative events/sec drop that fails the gate")
     p_sw.add_argument("--quiet", action="store_true",
                       help="suppress per-job progress lines")
     p_sw.add_argument("--matrix", action="store_true",

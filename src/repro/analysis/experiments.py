@@ -996,124 +996,15 @@ def exp_ablation_lifelines(scale: str = "quick") -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Sharded simulator: speedup-vs-shards and the >2048-PE jumbo smoke
+# Sharded simulator: the >2048-PE jumbo smoke
 # ----------------------------------------------------------------------
-def _sharded_bpc_row(
-    npes: int,
-    nshards: int,
-    transport: str,
-    params: BpcParams,
-    qsize: int,
-    **pool_kwargs,
-) -> tuple[list, float]:
-    """One sharded BPC run; returns (table row, wall seconds)."""
-    import time as _time
-
-    from ..runtime.sharded import ShardedTaskPool
-
-    reg = TaskRegistry()
-    wl = BpcWorkload(reg, params)
-    pool = ShardedTaskPool(
-        npes,
-        reg,
-        nshards,
-        impl="sws",
-        transport=transport,
-        queue_config=QueueConfig(qsize=qsize, task_size=32),
-        **pool_kwargs,
-    )
-    pool.seed(0, [wl.seed_task()])
-    t0 = _time.perf_counter()
-    stats = pool.run()
-    wall = _time.perf_counter() - t0
-    executed = sum(w.tasks_executed for w in stats.workers)
-    stolen = sum(w.tasks_stolen for w in stats.workers)
-    sh = stats.sharding or {}
-    # Report what actually ran, not what was requested: "auto" resolves
-    # per host, and an unavailable fork degrades to serial — the row
-    # records the effective transport plus the host CPU count the
-    # decision was made against.
-    row = [
-        nshards, sh.get("transport", transport), npes, round(wall, 3),
-        stats.runtime * 1e3, executed, stolen,
-        pool.events_processed, pool.rounds,
-        sh.get("grants", 0), sh.get("exchange_bytes", 0),
-        sh.get("host_cpus", 0),
-    ]
-    return row, wall
-
-
-_SHARDED_HEADERS = [
-    "shards", "transport", "npes", "wall(s)", "virtual(ms)",
-    "executed", "stolen", "events", "rounds", "grants", "xbytes",
-    "host_cpus",
-]
-
-
-def exp_fig7_sharded(scale: str = "quick") -> ExperimentResult:
-    """Fig-7-class BPC under the sharded simulator: wall vs shard count.
-
-    The same job runs at 1, 2 and 4 shards (1 shard = the classic
-    single-engine loop; 2/4 shards = the ``auto`` transport, which
-    forks one OS process per shard when the host has cores to overlap
-    them on and steps the shards in-process otherwise) and the
-    *measured wall* per shard count is the payload.  Unlike every other
-    experiment the interesting output here is host wall time, so cached
-    rows record the walls measured when the scenario last actually ran
-    (``--refresh``/``--no-cache`` re-measure).
-
-    Honesty note: window width is the latency model's lookahead (~270 ns
-    for EDR), and the per-shard conservative bounds leapfrog the shards
-    one cross-shard message at a time, so a run with M cross-shard
-    messages takes ~M exchange rounds.  Under fork each round is a
-    two-way scheduler handoff; on a single-CPU host that cost buys no
-    overlap, which is exactly why ``auto`` elides the IPC there — the
-    ``transport`` and ``host_cpus`` columns record the choice.  Speedup
-    above 1 requires real cores backing forked shards.
-    """
-    if scale == "full":
-        params = BpcParams(n_consumers=32, depth=16,
-                           consumer_time=1e-3, producer_time=200e-6)
-    else:
-        params = BpcParams(n_consumers=32, depth=8,
-                           consumer_time=500e-6, producer_time=100e-6)
-    rows = []
-    walls = {}
-    for nshards in (1, 2, 4):
-        transport = "serial" if nshards == 1 else "auto"
-        row, wall = _sharded_bpc_row(64, nshards, transport, params, 4096)
-        walls[nshards] = wall
-        rows.append(row)
-    for row in rows:
-        row.insert(4, round(walls[1] / max(walls[row[0]], 1e-9), 3))
-    headers = list(_SHARDED_HEADERS)
-    headers.insert(4, "speedup")
-    return ExperimentResult(
-        exp_id="fig7_sharded_s4",
-        title=f"BPC (n=32, depth={params.depth}) wall vs shard count, 64 PEs",
-        headers=headers,
-        rows=rows,
-        notes=[
-            "1 shard = classic single-engine loop (bit-identical path); "
-            "2/4 shards = conservative per-shard time windows, transport "
-            "resolved per host (fork with >1 CPU, else in-process)",
-            "identical virtual(ms) across shard counts is the "
-            "determinism check; speedup is measured host wall",
-            "rounds/grants/xbytes are the exchange counters: grants < "
-            "rounds*shards shows round-elision, xbytes the ring traffic "
-            "(0 = no wire; see docs/sharding.md)",
-        ],
-    )
-
-
 def exp_fig7_jumbo(scale: str = "quick") -> ExperimentResult:
     """Fig-7-class smoke beyond 2048 PEs: 2112 PEs across 4 shards.
 
     2112 = 44 nodes x 48 PEs, split 528 PEs/shard.  The point is that
     the sharded simulator *completes* a beyond-fig7-scale job with the
     oracle-checked books balancing; per-event speed at this scale is
-    tracked by the events/sec column of the bench report.  Serial
-    transport keeps the event tally exact and the payload deterministic.
+    tracked by the events/sec column of the bench report.
     """
     import time as _time
 
@@ -1131,7 +1022,6 @@ def exp_fig7_jumbo(scale: str = "quick") -> ExperimentResult:
         reg,
         nshards,
         impl="sws",
-        transport="serial",
         queue_config=QueueConfig(qsize=256, task_size=32),
         termination="tree",
     )
@@ -1146,18 +1036,16 @@ def exp_fig7_jumbo(scale: str = "quick") -> ExperimentResult:
     wall = _time.perf_counter() - t0
     executed = sum(w.tasks_executed for w in stats.workers)
     stolen = sum(w.tasks_stolen for w in stats.workers)
-    sh = stats.sharding or {}
     row = [
-        nshards, sh.get("transport", "serial"), npes, round(wall, 3),
-        stats.runtime * 1e3, executed, stolen,
-        pool.events_processed, pool.rounds,
-        sh.get("grants", 0), sh.get("exchange_bytes", 0),
-        sh.get("host_cpus", 0),
+        nshards, npes, round(wall, 3), stats.runtime * 1e3, executed,
+        stolen, pool.events_processed, pool.exchange.rounds,
+        pool.exchange.grants,
     ]
     return ExperimentResult(
         exp_id="fig7_jumbo",
         title=f"{npes} PEs / {nshards} shards smoke (tree termination)",
-        headers=list(_SHARDED_HEADERS),
+        headers=["shards", "npes", "wall(s)", "virtual(ms)", "executed",
+                 "stolen", "events", "rounds", "grants"],
         rows=[row],
         notes=[
             f"{npes * (ntasks_per_seed // 2)} leaf tasks on even PEs; "
@@ -1301,7 +1189,6 @@ EXPERIMENTS: dict[str, Callable[[str], ExperimentResult]] = {
     "fig6": exp_fig6,
     "tab2": exp_tab2,
     "fig7": exp_fig7,
-    "fig7_sharded_s4": exp_fig7_sharded,
     "fig7_jumbo": exp_fig7_jumbo,
     "fig8": exp_fig8,
     "protocols": exp_protocols,

@@ -109,11 +109,10 @@ def run_sweep(factory: WorkloadFactory, cfg: SweepConfig | None = None) -> list[
 
 #: The bench scenarios ``repro sweep`` measures by default — one per
 #: ``benchmarks/bench_fig*.py`` figure regeneration, plus the protocol
-#: zoo cross-comparison (new rows stay ungated until a committed
-#: baseline carries them; see ``check_regressions``).
+#: zoo cross-comparison, the sharded jumbo smoke and the serving rows.
 BENCH_SCENARIOS: tuple[str, ...] = (
     "fig2", "fig34", "fig5", "fig6", "fig7", "fig8", "protocols",
-    "fig7_sharded_s4", "fig7_jumbo", "serving_sws", "serving_sdc",
+    "fig7_jumbo", "serving_sws", "serving_sdc",
 )
 
 #: Multiprocess-substrate scenarios measured alongside the bench set:
@@ -125,7 +124,7 @@ MP_SCENARIOS: tuple[tuple, ...] = (
     # Chaos row: rank 1 SIGKILLed holding a stripe lock after its 6th
     # task.  The reported wall is the *recovery* wall (death detection +
     # lease break + scavenge + re-inject), so BENCH_fabric.json tracks
-    # recovery latency over time.  Ungated until a baseline carries it.
+    # recovery latency over time.
     ("synthetic", "sws", 4, 1200, "1@6:lock"),
 )
 
@@ -234,17 +233,13 @@ def _json_safe(value):
 #: payloads are deterministic, so repeating only re-measures the wall —
 #: and the *best* of a few reps is the measurement least polluted by a
 #: transient host stall (GC pause, hypervisor neighbor, cold caches).
-#: The regression gate compares best-of-N against a best-of-N baseline,
-#: which keeps its 20% threshold meaningful on noisy shared machines.
 BENCH_REPS = 3
 
 #: Scenarios measured once instead of :data:`BENCH_REPS` times: the
-#: sharded scenarios are multi-second wall-clock measurements (the
-#: speedup series forks shard processes; the jumbo row simulates 2112
-#: PEs), so best-of-3 would triple the sweep's dominant cost for noise
-#: reduction those rows do not need.
+#: jumbo row simulates 2112 PEs for several seconds of wall, so
+#: best-of-3 would triple the sweep's dominant cost for noise reduction
+#: the row does not need.
 BENCH_REPS_OVERRIDE: dict[str, int] = {
-    "fig7_sharded_s4": 1,
     "fig7_jumbo": 1,
     # Serving rows are open-system single runs; their payload is a change
     # detector (deterministic checksum) more than a timing row, so one
@@ -561,7 +556,7 @@ def _finish(job: SweepJob, key: str, result: dict, version: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# BENCH_fabric.json: the perf-observability report + regression gate
+# BENCH_fabric.json: the perf-observability report
 # ----------------------------------------------------------------------
 def bench_report(outcome: SweepOutcome) -> dict:
     """Shape a bench-mode outcome into the ``BENCH_fabric.json`` schema."""
@@ -577,24 +572,18 @@ def bench_report(outcome: SweepOutcome) -> dict:
             "events_per_sec": round(meta["events_per_sec"], 1),
             "cached": bool(rec.get("cached")),
         }
-        # Sharded scenarios carry exchange counters in their rows;
-        # surface the totals (and the per-row effective transports) at
-        # the scenario level so the coordination cost is a first-class
-        # bench observable, not buried in a table.
+        # The sharded scenario carries exchange counters in its row;
+        # surface the round total at the scenario level so the
+        # coordination cost is a first-class bench observable, not
+        # buried in a table.
         payload = rec.get("payload") or {}
         headers = payload.get("headers")
         if headers and "rounds" in headers:
-            idx = {h: i for i, h in enumerate(headers)}
-            rows = payload.get("rows", [])
-            entry["rounds"] = sum(r[idx["rounds"]] for r in rows)
-            if "xbytes" in idx:
-                entry["exchange_bytes"] = sum(r[idx["xbytes"]] for r in rows)
-            if "transport" in idx:
-                entry["transports"] = [r[idx["transport"]] for r in rows]
+            col = headers.index("rounds")
+            entry["rounds"] = sum(r[col] for r in payload.get("rows", []))
         if spec["kind"] == "mp":
-            # events == completed tasks here, so the gate's events/sec
-            # reads as tasks/sec; mp scenarios gate like any other once
-            # the committed baseline carries their entries.
+            # events == completed tasks here, so events/sec reads as
+            # tasks/sec.
             entry["conserved"] = bool(rec["payload"].get("conserved"))
         scenarios[spec["name"]] = entry
     return {
@@ -607,30 +596,3 @@ def bench_report(outcome: SweepOutcome) -> dict:
         "total_wall_s": round(outcome.wall_s, 4),
         "scenarios": scenarios,
     }
-
-
-def check_regressions(
-    current: dict, baseline: dict, threshold: float = 0.20
-) -> list[str]:
-    """Compare two bench reports; returns one message per regression.
-
-    A scenario regresses when its events/sec drops more than
-    ``threshold`` below the baseline's.  Scenarios present on only one
-    side are reported (coverage must not silently shrink) but a brand
-    new scenario is not a failure.
-    """
-    problems: list[str] = []
-    base = baseline.get("scenarios", {})
-    cur = current.get("scenarios", {})
-    for name, b in sorted(base.items()):
-        c = cur.get(name)
-        if c is None:
-            problems.append(f"{name}: present in baseline but not measured")
-            continue
-        floor = b["events_per_sec"] * (1.0 - threshold)
-        if c["events_per_sec"] < floor:
-            problems.append(
-                f"{name}: {c['events_per_sec']:.0f} events/s is more than "
-                f"{threshold:.0%} below baseline {b['events_per_sec']:.0f}"
-            )
-    return problems

@@ -114,13 +114,6 @@ def reset_event_tally() -> None:
     _event_tally = 0
 
 
-def add_event_tally(events: int) -> None:
-    """Credit events executed outside this process (forked shard
-    children report their engines' tallies back to the coordinator)."""
-    global _event_tally
-    _event_tally += events
-
-
 class CalendarQueue:
     """Bucketed event queue with heapq-identical dequeue order.
 

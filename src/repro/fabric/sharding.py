@@ -44,16 +44,17 @@ Sharded mode is restricted to the fabric the bound is provable for: no
 fault injection, no op timeouts, no schedule exploration, no
 ``link_serialize``, and a latency model with nonzero lookahead.
 
-Two transports run the same window loop: an in-process **serial**
-transport (deterministic, used by the conformance and property suites)
-and a **fork** transport that runs each shard as a real OS process over
-``multiprocessing`` pipes, the parent acting as the exchange
-coordinator.
+All shards live in the coordinator's process and are stepped in shard
+order by :func:`run_window_loop` — deterministic, no IPC.  A sharded run
+is the executable statement of the lookahead argument, not a speedup:
+at ~3 events per round (64 PEs, EDR) no transport that pays a process
+handoff per round can win, which is why there is none (measurements in
+``docs/sharding.md``); multi-core throughput comes from independent
+runs under ``repro sweep``'s process pool.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from math import ceil, log2
@@ -184,7 +185,7 @@ class ShardRouter:
 
     Installed as ``nic.router``; the NIC's public op constructors divert
     any op whose target PE lives on another shard through the methods
-    below.  Ops are buffered in :attr:`outbox` as picklable tuples and
+    below.  Ops are buffered in :attr:`outbox` as plain tuples and
     exchanged at window boundaries; inbound messages are enqueued into
     the local calendar queue at their true arrival ticks by
     :meth:`deliver`.
@@ -549,19 +550,8 @@ class ShardBarrier:
 
 
 # ======================================================================
-# Window-loop coordinator (transport-agnostic)
+# Window-loop coordinator
 # ======================================================================
-#: One shard's between-window report:
-#: (next_event_tick | None, outbox, (barrier_gen, waiting, last_arrival),
-#:  live, ran_to, resp_floor | None) — ``ran_to`` is the effective bound
-#: of the shard's last window after in-window clamps: every event with
-#: ``when < ran_to`` has executed, and it is monotone across rounds.
-#: ``resp_floor`` is :meth:`ShardRouter.response_floor`: a lower bound on
-#: when a still-in-flight fetch response can resume this shard, which
-#: must participate in the shard's earliest-work estimate even though no
-#: local event for it exists yet.
-ShardState = tuple
-
 #: "Unbounded" grant sentinel: every other shard is idle-empty, so no
 #: future message can target the grantee and it may drain its queue.
 INF_TICKS = 1 << 62
@@ -572,10 +562,8 @@ class ExchangeStats:
     """Coordinator-side counters for one sharded run.
 
     ``rounds`` counts coordinator iterations; ``grants`` window grants
-    actually posted (< rounds * nshards when round-elision skips quiet
-    or blocked shards, whose skip count is ``elisions``).  Byte counters
-    cover the shared-memory exchange rings and stay 0 on the serial
-    transport (no wire).
+    actually made (< rounds * nshards when round-elision skips quiet or
+    blocked shards, whose skip count is ``elisions``).
     """
 
     rounds: int = 0
@@ -583,7 +571,6 @@ class ExchangeStats:
     elisions: int = 0
     messages: int = 0
     barrier_releases: int = 0
-    exchange_bytes: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -592,75 +579,20 @@ class ExchangeStats:
             "elisions": self.elisions,
             "messages": self.messages,
             "barrier_releases": self.barrier_releases,
-            "exchange_bytes": self.exchange_bytes,
         }
 
 
-class SerialShardHandle:
-    """In-process shard driver: deterministic, zero IPC.
-
-    Wraps anything exposing ``engine`` (an :class:`Engine`), ``router``
-    (a :class:`ShardRouter`) and ``barrier`` (an object with
-    ``report()``); the sharded ``ShmemCtx`` does.
-    """
-
-    def __init__(self, shard: Any) -> None:
-        self.engine: Engine = shard.engine
-        self.router: ShardRouter = shard.router
-        self.barrier = shard.barrier
-        self._state: ShardState | None = None
-        self._ran_to = 0
-
-    def _snapshot(self) -> ShardState:
-        return (
-            self.engine.next_event_ticks(),
-            self.router.drain_outbox(),
-            self.barrier.report(),
-            self.engine.live,
-            self._ran_to,
-            self.router.response_floor(),
-        )
-
-    def start(self) -> ShardState:
-        return self._snapshot()
-
-    def post(self, limit: int, msgs: list[tuple]) -> None:
-        """Deliver ``msgs`` and run one window to (at most) ``limit``."""
-        self.router.deliver(msgs)
-        self.engine.run_window(limit)
-        # A fetch/barrier clamp may have stopped the window early; a
-        # delivery-only grant may re-post a bound below a deeper earlier
-        # one.  Either way the high-water mark is what "executed below
-        # this" means, so keep it monotone.
-        eff = self.engine.window_ran_to
-        if eff > self._ran_to:
-            self._ran_to = eff
-        self._state = self._snapshot()
-
-    def collect(self) -> ShardState:
-        state, self._state = self._state, None
-        return state
-
-    def deadlock_text(self) -> str:
-        lines = [self.engine._deadlock_report()]
-        extra = self.router.diagnostic()
-        if extra:
-            lines.append(extra)
-        return "\n".join(lines)
-
-    def finish(self) -> Any:
-        return None
-
-    def shutdown(self) -> None:
-        """No-op: serial shards live in the coordinator's process."""
-
-    @property
-    def exchange_bytes(self) -> int:
-        return 0
+def _deadlock_text(shard: Any) -> str:
+    """One shard's section of the merged deadlock report."""
+    lines = [shard.engine._deadlock_report()]
+    extra = shard.router.diagnostic()
+    if extra:
+        lines.append(extra)
+    return "\n".join(lines)
 
 
 def run_window_loop(
-    handles: list,
+    shards: list,
     *,
     window_ticks: int,
     npes: int,
@@ -669,9 +601,16 @@ def run_window_loop(
 ) -> ExchangeStats:
     """Drive shards through conservative windows until global completion.
 
+    A shard is anything exposing ``engine`` (an :class:`Engine`),
+    ``router`` (a :class:`ShardRouter`) and ``barrier`` (an object with
+    ``report()``); the sharded ``ShmemCtx`` does.
+
     Per-shard bounds instead of a single global floor: with ``E_j`` =
-    shard *j*'s earliest unexecuted work (next event tick or earliest
-    undelivered inbound arrival), shard *i* may run to
+    shard *j*'s earliest unexecuted work (next event tick, earliest
+    undelivered inbound arrival, or :meth:`ShardRouter.response_floor` —
+    a lower bound on when a still-in-flight fetch response can resume
+    the shard, for which no local event exists yet), shard *i* may run
+    to
 
         ``limit_i = min(E_j for j != i) + W``
 
@@ -686,10 +625,10 @@ def run_window_loop(
     global minimum always can (its bound exceeds its position by >= W),
     so every round grants at least one shard and the loop terminates.
 
-    Grants are posted to every eligible shard before any report is
-    collected, so transports with real concurrency (fork) overlap all
-    granted shards' windows; the coordinator's own sort/encode work for
-    later shards overlaps earlier shards' stepping.
+    A round's bounds all derive from one consistent set of ``E`` values:
+    every granted shard runs its window before any outbox of the round
+    is ingested, so a message sent in round *r* is delivered in round
+    *r + 1* at the earliest — at a tick no receiver has run past.
 
     Returns an :class:`ExchangeStats`.  Raises :class:`DeadlockError`
     (with every shard's report merged) when all queues drain, nothing is
@@ -703,46 +642,44 @@ def run_window_loop(
 
     — the property suite audits the lookahead and grant invariants from
     it (``bound`` is the uncapped conservative bound, ``limits`` what
-    was actually posted).
+    was actually granted, ``ran_to`` each shard's high-water mark at the
+    start of the round).
     """
     if window_ticks <= 0:
         raise SimulationError(
             f"window width must be positive, got {window_ticks} ticks"
         )
-    nshards = len(handles)
+    nshards = len(shards)
     stats = ExchangeStats()
     #: Undelivered messages per destination: (sort_key, msg) with
     #: sort_key = (arrival, origin, per-origin seq) — the deterministic
-    #: delivery order regardless of report timing.
+    #: delivery order.
     inbox: list[list[tuple[tuple, tuple]]] = [[] for _ in range(nshards)]
     origin_seq = [0] * nshards
-    states: list[ShardState | None] = [None] * nshards
-    inflight = [False] * nshards
+    #: Per-shard high-water mark: every event with ``when < ran_to[s]``
+    #: has executed on shard *s*.  Monotone across rounds.
+    ran_to = [0] * nshards
 
-    def ingest(origin: int, st: ShardState) -> None:
-        states[origin] = st
+    def ingest(origin: int) -> None:
+        out = shards[origin].router.drain_outbox()
         seq = origin_seq[origin]
-        for dest, msg in st[1]:
+        for dest, msg in out:
             inbox[dest].append(((msg[1], origin, seq), msg))
             seq += 1
-        stats.messages += len(st[1])
+        stats.messages += len(out)
         origin_seq[origin] = seq
 
-    for s, h in enumerate(handles):
-        ingest(s, h.start())
-
+    granted: list[int] = list(range(nshards))
     while True:
-        for s in range(nshards):
-            if inflight[s]:
-                ingest(s, handles[s].collect())
-                inflight[s] = False
+        for s in granted:
+            ingest(s)
 
         # Barrier: when every PE in the job is parked, release all
         # shards at max(arrival) + the dissemination-release cost — the
         # same tick a single engine's barrier would pick.  The release
         # is injected as a pending delivery, so it participates in every
         # E_j until delivered (bounding other shards to release + W).
-        reports = [st[2] for st in states]
+        reports = [sh.barrier.report() for sh in shards]
         gen = reports[0][0]
         release: int | None = None
         if (all(r[0] == gen for r in reports)
@@ -753,6 +690,7 @@ def run_window_loop(
             stats.barrier_releases += 1
         barrier_pending = any(r[1] > 0 for r in reports)
 
+        nxt = [sh.engine.next_event_ticks() for sh in shards]
         E: list[int | None] = []
         # Two smallest E values in one pass: shard i's bound needs
         # min(E_j for j != i), which is min2 when i owns the global
@@ -760,8 +698,8 @@ def run_window_loop(
         min1 = min2 = None
         argmin = -1
         for s in range(nshards):
-            t = states[s][0]
-            floor = states[s][5]
+            t = nxt[s]
+            floor = shards[s].router.response_floor()
             if floor is not None and (t is None or floor < t):
                 t = floor
             box = inbox[s]
@@ -779,28 +717,28 @@ def run_window_loop(
                 min2 = t
 
         if min1 is None:  # every E is None: nothing anywhere can run
-            live = sum(st[3] for st in states)
+            live = sum(sh.engine.live for sh in shards)
             if live:
                 parts = [
                     f"sharded run deadlocked with {live} live process(es) "
                     f"across {nshards} shard(s):"
                 ]
-                for s, h in enumerate(handles):
+                for s, sh in enumerate(shards):
                     parts.append(f"--- shard {s} ---")
-                    parts.append(h.deadlock_text())
+                    parts.append(_deadlock_text(sh))
                 raise DeadlockError("\n".join(parts))
             return stats
 
         if trace is not None:
             rec = {
                 "E": list(E),
-                "ran_to": [st[4] for st in states],
+                "ran_to": list(ran_to),
                 "bound": [None] * nshards,
                 "limits": {},
                 "deliveries": [],
                 "barrier": release,
             }
-        posted = 0
+        granted = []
         for s in range(nshards):
             o = min2 if s == argmin else min1
             bound = INF_TICKS if o is None else o + window_ticks
@@ -811,19 +749,18 @@ def run_window_loop(
                     limit = cap
             if trace is not None:
                 rec["bound"][s] = bound
-            t = states[s][0]
+            t = nxt[s]
             box = inbox[s]
             if not box and (t is None or limit <= t):
                 # Nothing deliverable and nothing executable under the
                 # bound: skip the shard entirely this round.
                 stats.elisions += 1
                 continue
-            ran_to = states[s][4]
-            if limit < ran_to:
+            if limit < ran_to[s]:
                 # Delivery-only grant: the shard already ran deeper than
                 # today's bound allows (an earlier, wider grant).  Never
-                # regress the posted bound below the high-water mark.
-                limit = ran_to
+                # regress the bound below the high-water mark.
+                limit = ran_to[s]
             if box:
                 box.sort(key=lambda e: e[0])
                 msgs = [m for _k, m in box]
@@ -836,243 +773,29 @@ def run_window_loop(
                     (s, m[0], m[1], m[-1] if m[0] != "brel" else None)
                     for m in msgs
                 )
-            handles[s].post(limit, msgs)
-            inflight[s] = True
-            posted += 1
-        stats.grants += posted
+            shard = shards[s]
+            shard.router.deliver(msgs)
+            shard.engine.run_window(limit)
+            # An in-window clamp (parked fetch, fully parked barrier) may
+            # stop the window below the granted limit, even below an
+            # earlier deeper mark; the high-water mark is what "executed
+            # below this" means, so it only ever rises.
+            eff = shard.engine.window_ran_to
+            if eff > ran_to[s]:
+                ran_to[s] = eff
+            granted.append(s)
+        stats.grants += len(granted)
         stats.rounds += 1
         if trace is not None:
             trace.append(rec)
-        if not posted:  # pragma: no cover - progress-proof guard
+        if not granted:  # pragma: no cover - progress-proof guard
             raise SimulationError(
                 "sharded exchange stalled: no shard eligible for a grant"
             )
 
 
 # ======================================================================
-# Fork transport: one OS process per shard over shared-memory rings
-# ======================================================================
-def _shard_child_main(conn, link, build: Callable[[int], Any],
-                      shard_id: int) -> None:
-    """Child process body: build the shard, serve grants off the ring.
-
-    The per-round path (grants in, reports out) runs entirely over the
-    inherited :class:`~repro.fabric.shardring.ShardLink`; the pipe
-    carries only the rare control traffic — deadlock reports, the final
-    result, and error payloads.
-    """
-    import os
-    import traceback
-
-    parent = os.getppid()
-
-    def check() -> None:
-        if os.getppid() != parent:  # pragma: no cover - orphan guard
-            raise SimulationError("shard child orphaned: coordinator died")
-
-    try:
-        handle = build(shard_id)
-        link.send_report(handle.start(), check)
-        while True:
-            frame = link.recv_grant(check)
-            if frame is None:  # STOP: switch to the pipe control loop
-                break
-            limit, msgs = frame
-            handle.post(limit, msgs)
-            link.send_report(handle.collect(), check)
-        while True:
-            cmd = conn.recv()
-            op = cmd[0]
-            if op == "deadlock":
-                conn.send(handle.deadlock_text())
-            elif op == "finish":
-                conn.send(handle.finish())
-                return
-            else:  # pragma: no cover - protocol guard
-                raise SimulationError(f"unknown shard command {op!r}")
-    except BaseException as exc:  # surface child failures to the parent
-        try:
-            conn.send(("__shard_error__", repr(exc), traceback.format_exc()))
-        except Exception:  # pragma: no cover - parent already gone
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:  # pragma: no cover - already closed
-            pass
-        link.close()
-
-
-class ShardChildError(SimulationError):
-    """A shard worker process failed; carries the child traceback."""
-
-
-class ForkShardHandle:
-    """Coordinator-side proxy for one forked shard process.
-
-    ``build(shard_id)`` runs *in the child* after fork and must return a
-    :class:`SerialShardHandle`-compatible object; with the fork start
-    method the closure (and everything it captured) is inherited, so no
-    pickling of simulator state ever happens.  Per-round traffic crosses
-    a :class:`~repro.fabric.shardring.ShardLink` (struct-packed, no
-    pickle); the pipe survives only for start/finish/deadlock/error.
-
-    :meth:`post` returns as soon as the grant frame is in the ring, so
-    the coordinator keeps encoding and posting other shards' grants
-    while this child is already stepping.
-    """
-
-    def __init__(self, mp_ctx, build: Callable[[int], Any], shard_id: int,
-                 capacity_words: int | None = None) -> None:
-        from .shardring import ShardLink
-
-        self.link = ShardLink(mp_ctx, capacity_words)
-        parent_conn, child_conn = mp_ctx.Pipe()
-        self.conn = parent_conn
-        self.shard_id = shard_id
-        self._stopped = False
-        self._cleaned = False
-        self.proc = mp_ctx.Process(
-            target=_shard_child_main,
-            args=(child_conn, self.link, build, shard_id),
-            name=f"shard{shard_id}",
-            daemon=True,
-        )
-        self.proc.start()
-        child_conn.close()
-
-    def _check_child(self) -> None:
-        """Ring-poll liveness hook: fail fast instead of spinning on a
-        ring whose far side is dead or has raised."""
-        if self.conn.poll(0):
-            # Unsolicited pipe traffic during ring I/O is always an
-            # error payload from the child's catch-all.
-            self._recv()
-            raise ShardChildError(  # pragma: no cover - protocol guard
-                f"shard {self.shard_id} sent unexpected control traffic"
-            )
-        if not self.proc.is_alive():
-            raise ShardChildError(
-                f"shard {self.shard_id} process exited unexpectedly "
-                f"(exitcode={self.proc.exitcode})"
-            )
-
-    def _recv(self):
-        try:
-            reply = self.conn.recv()
-        except EOFError:
-            raise ShardChildError(
-                f"shard {self.shard_id} process exited unexpectedly "
-                f"(exitcode={self.proc.exitcode})"
-            ) from None
-        if (isinstance(reply, tuple) and reply
-                and reply[0] == "__shard_error__"):
-            raise ShardChildError(
-                f"shard {self.shard_id} failed: {reply[1]}\n{reply[2]}"
-            )
-        return reply
-
-    def start(self) -> ShardState:
-        return self.link.recv_report(self._check_child)
-
-    def post(self, limit: int, msgs: list[tuple]) -> None:
-        self.link.post_grant(limit, msgs, self._check_child)
-
-    def collect(self) -> ShardState:
-        return self.link.recv_report(self._check_child)
-
-    def shutdown(self) -> None:
-        """Move the child from the ring loop to the pipe control loop."""
-        if not self._stopped:
-            self._stopped = True
-            self.link.post_stop(self._check_child)
-
-    def deadlock_text(self) -> str:
-        self.shutdown()
-        self.conn.send(("deadlock",))
-        return self._recv()
-
-    @property
-    def exchange_bytes(self) -> int:
-        return self.link.bytes_moved
-
-    def request_finish(self) -> None:
-        """Ask the child for its result without blocking on it."""
-        self.shutdown()
-        self.conn.send(("finish",))
-
-    def collect_finish(self) -> Any:
-        reply = self._recv()
-        self.conn.close()
-        return reply
-
-    def join(self, deadline: float) -> None:
-        """Join against a shared deadline; terminate a straggler."""
-        self.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        if self.proc.is_alive():  # pragma: no cover - hung child guard
-            self.proc.terminate()
-            self.proc.join(timeout=5)
-        self._cleanup()
-
-    def finish(self) -> Any:
-        """Single-handle convenience; prefer :func:`finish_shards`."""
-        self.request_finish()
-        reply = self.collect_finish()
-        self.join(time.monotonic() + 30)
-        return reply
-
-    def _cleanup(self) -> None:
-        if not self._cleaned:
-            self._cleaned = True
-            self.link.close()
-            self.link.unlink()
-
-    def abort(self) -> None:
-        """Tear the child down after a coordinator-side failure."""
-        try:
-            self.conn.close()
-        except Exception:
-            pass
-        if self.proc.is_alive():
-            self.proc.terminate()
-        self.proc.join(timeout=5)
-        self._cleanup()
-
-
-def finish_shards(handles: list, timeout: float = 30.0) -> list:
-    """Finish a group of shard handles with concurrent teardown.
-
-    All children get their finish request first (they compute and
-    pickle their results in parallel), then results are collected and
-    every pipe closed, then all processes are joined against *one*
-    shared deadline — a hung child costs the group ``timeout`` seconds
-    total, not ``timeout`` each, and is terminated rather than leaked.
-    Works for serial handles too (their finish is synchronous).
-    """
-    serial = [h for h in handles if not isinstance(h, ForkShardHandle)]
-    if serial:
-        return [h.finish() for h in handles]
-    for h in handles:
-        h.request_finish()
-    results = [h.collect_finish() for h in handles]
-    deadline = time.monotonic() + timeout
-    for h in handles:
-        h.join(deadline)
-    return results
-
-
-def fork_context():
-    """The ``fork`` multiprocessing context, or None when unsupported."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return None
-
-
-# ======================================================================
-# Context-level shard group (serial transport)
+# Context-level shard group
 # ======================================================================
 class ShardGroup:
     """N sharded ``ShmemCtx`` instances driven as one logical job.
@@ -1113,9 +836,8 @@ class ShardGroup:
 
         The coordinator counters land in :attr:`exchange`.
         """
-        handles = [SerialShardHandle(ctx) for ctx in self.ctxs]
         self.exchange = run_window_loop(
-            handles,
+            self.ctxs,
             window_ticks=self.latency.shard_window_ticks(),
             npes=self.plan.npes,
             barrier_cost=barrier_cost_ticks(self.latency, self.plan.npes),

@@ -308,7 +308,7 @@ class TaskPool:
         )
 
     def shard_result(self) -> dict:
-        """Collect this shard's end-of-run payload (picklable).
+        """Collect this shard's end-of-run payload.
 
         Called after the window loop completes: checks the local queues'
         structural invariants, then packages the local workers' stats,
@@ -332,14 +332,10 @@ class TaskPool:
         }
         return {
             "end": self.ctx.engine.now,
-            "ranks": ranks,
             "workers": [self.workers[r].stats for r in ranks],
             "comm": self.ctx.metrics.snapshot(),
             "books": books,
             "events": self.ctx.engine.events_processed,
-            "oracle_checks": (
-                self.oracle.checks_passed if self.oracle is not None else 0
-            ),
         }
 
 

@@ -278,6 +278,10 @@ def run_serve(
     which the unmodified termination detectors (gated on the controller's
     ``pending()``) declare as usual.  Returns :class:`RunStats` with the
     ``serving`` field populated; seeded runs are bit-reproducible.
+
+    The serving books (one enqueue tick, one completion, one checksum
+    term per arrival) are exactly-once by construction, so a protocol
+    whose contract allows a task to run twice is refused.
     """
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
@@ -305,6 +309,12 @@ def run_serve(
         worker_config=worker_config,
         **pool_kwargs,
     )
+    semantics = pool.protocol.semantics
+    if not semantics.exactly_once:
+        raise ValueError(
+            f"serving needs an exactly-once protocol: {impl!r} is "
+            f"{semantics.name} ({semantics.description})"
+        )
 
     directory = None
     if plan is not None:

@@ -1,39 +1,18 @@
-"""Sharded task-pool runner: conservative parallel execution of one job.
+"""Sharded task-pool runner: one job across N conservative shard engines.
 
-:class:`ShardedTaskPool` is the drop-in parallel counterpart of
+:class:`ShardedTaskPool` is the sharded counterpart of
 :class:`~repro.runtime.pool.TaskPool`: same construction arguments plus
-``nshards``/``transport``, same :class:`~repro.runtime.stats.RunStats`
-out.  The job's PEs are partitioned into contiguous blocks; each block
-runs inside its own :class:`~repro.runtime.pool.TaskPool` bound to a
-shard (its own engine + calendar queue), and the shards advance in
-conservative lock-step time windows (:mod:`repro.fabric.sharding`).
+``nshards``, same :class:`~repro.runtime.stats.RunStats` out.  The job's
+PEs are partitioned into contiguous blocks; each block runs inside its
+own :class:`~repro.runtime.pool.TaskPool` bound to a shard (its own
+engine + calendar queue), and the shards advance in conservative
+lock-step time windows, all in this process
+(:func:`repro.fabric.sharding.run_window_loop`).
 
 ``nshards=1`` is special-cased to a plain ``TaskPool`` — no router, no
 window loop, today's engine loop unchanged — so single-shard runs stay
-bit-identical to the classic path.
-
-Transports
-----------
-``serial``
-    All shards in this process, stepped round-robin.  Deterministic and
-    dependency-free; what the conformance and property suites use.  No
-    wall-clock speedup (same core), but identical virtual-time results.
-``fork``
-    One OS process per shard over the ``multiprocessing`` fork seam;
-    the parent is the exchange coordinator.  Same virtual-time results
-    as ``serial`` (the window algebra is transport-independent); wall
-    speedup tracks available cores.  POSIX only — falls back to serial
-    with a warning where fork is unavailable.
-``auto`` (default)
-    ``fork`` when it can actually pay for itself — the start method
-    exists and the host has more than one CPU to overlap shards on —
-    else ``serial``.  On a single-CPU host every fork window round
-    still costs two scheduler handoffs plus the exchange encode/decode
-    on both sides with *zero* overlap, a strict loss over stepping the
-    shards in-process; eliding that IPC is the single biggest win on
-    oversubscribed hosts.  The resolved choice is recorded as
-    ``effective_transport`` / ``RunStats.sharding["transport"]``
-    alongside ``host_cpus``, so every report shows what actually ran.
+bit-identical to the classic path.  What a multi-shard run guarantees
+relative to it is stated in ``docs/sharding.md``.
 
 Every shard constructs the *full* job (all queues, all worker objects)
 — construction is deterministic, so all shards agree on the symmetric
@@ -43,21 +22,15 @@ replicas; all access to them routes through the NIC's shard router.
 
 from __future__ import annotations
 
-import os
-import sys
-from typing import Any, Callable
+from typing import Any
 
 from ..fabric.latency import EDR_INFINIBAND, LatencyModel
 from ..fabric.sharding import (
     ExchangeStats,
-    ForkShardHandle,
-    SerialShardHandle,
     ShardBinding,
     ShardPlan,
     barrier_cost_ticks,
     check_shardable,
-    finish_shards,
-    fork_context,
     run_window_loop,
 )
 from .oracle import check_merged_conservation
@@ -66,22 +39,6 @@ from .protocols import get_protocol
 from .registry import TaskRegistry
 from .stats import RunStats
 from .task import Task
-
-
-class TransportUnavailable(RuntimeError):
-    """The explicitly requested shard transport cannot run here."""
-
-
-class _PoolShardHandle(SerialShardHandle):
-    """Window-loop handle over one shard's TaskPool."""
-
-    def __init__(self, pool: TaskPool) -> None:
-        pool.start_workers()
-        super().__init__(pool.ctx)
-        self.pool = pool
-
-    def finish(self) -> dict:
-        return self.pool.shard_result()
 
 
 class ShardedTaskPool:
@@ -93,27 +50,14 @@ class ShardedTaskPool:
         registry: TaskRegistry,
         nshards: int,
         impl: str = "sws",
-        transport: str = "auto",
         latency: LatencyModel = EDR_INFINIBAND,
         oracle: bool = False,
-        strict_transport: bool = False,
         **pool_kwargs: Any,
     ) -> None:
-        if transport not in ("auto", "serial", "fork"):
-            raise ValueError(
-                f"transport must be 'auto', 'serial' or 'fork', "
-                f"got {transport!r}"
-            )
-        #: With strict_transport, an unavailable fork transport raises
-        #: TransportUnavailable instead of silently degrading to serial
-        #: (the CLI maps the explicit --shard-transport fork case to
-        #: exit code 2).
-        self.strict_transport = strict_transport
         self.plan = ShardPlan(npes, nshards)
         self.npes = npes
         self.nshards = nshards
         self.impl = impl
-        self.transport = transport
         self.registry = registry
         self.oracle = oracle
         self._pool_kwargs = dict(pool_kwargs)
@@ -139,13 +83,9 @@ class ShardedTaskPool:
         self._seeds: list[tuple[int, list[Task]]] = []
         self._round_robin: list[Task] = []
         self._ran = False
-        #: Exchange rounds the window loop performed (0 for nshards=1).
-        self.rounds = 0
-        #: Full coordinator counters (ExchangeStats) after :meth:`run`.
+        #: Coordinator counters (ExchangeStats) after a multi-shard
+        #: :meth:`run`; None for nshards=1.
         self.exchange: ExchangeStats | None = None
-        #: The transport the run actually used ("none" for nshards=1;
-        #: "serial" after a fork fallback).
-        self.effective_transport = "none" if nshards == 1 else transport
         #: Engine events summed across shards, set by :meth:`run`.
         self.events_processed = 0
 
@@ -192,108 +132,28 @@ class ShardedTaskPool:
         """Execute to global termination; returns merged statistics."""
         if self._ran:
             raise RuntimeError("pool already ran")
+        self._ran = True
         if self.nshards == 1:
             pool = self._build_pool(None)
-            self._ran = True
             stats = pool.run()
             self.events_processed = pool.ctx.engine.events_processed
             stats.sharding = self._sharding_stats()
             return stats
-        self._ran = True
-        transport = self.transport
-        if transport == "auto":
-            # Fork only when it can pay for itself: a start method to
-            # fork with AND at least one spare CPU to overlap shards on.
-            # On a single-CPU host every fork round is two scheduler
-            # handoffs plus double-sided encode/decode with no overlap —
-            # strictly worse than stepping the shards in-process.
-            mp_ctx = fork_context()
-            if mp_ctx is not None and (os.cpu_count() or 1) > 1:
-                transport = "fork"
-            else:
-                transport = "serial"
-        elif transport == "fork":
-            mp_ctx = fork_context()
-            if mp_ctx is None:  # pragma: no cover - non-POSIX platforms
-                if self.strict_transport:
-                    raise TransportUnavailable(
-                        "fork transport unavailable on this platform "
-                        "(no 'fork' multiprocessing start method)"
-                    )
-                print(
-                    "warning: fork transport unavailable on this platform; "
-                    "falling back to serial shards",
-                    file=sys.stderr,
-                )
-                transport = "serial"
-        self.effective_transport = transport
-        if transport == "fork":
-            results = self._run_fork(mp_ctx)
-        else:
-            results = self._run_serial()
-        return self._merge(results)
-
-    def _run_serial(self) -> list[dict]:
-        handles = [
-            _PoolShardHandle(self._build_pool(s)) for s in range(self.nshards)
-        ]
+        pools = [self._build_pool(s) for s in range(self.nshards)]
+        for pool in pools:
+            pool.start_workers()
         self.exchange = run_window_loop(
-            handles,
+            [pool.ctx for pool in pools],
             window_ticks=self.window_ticks,
             npes=self.npes,
             barrier_cost=barrier_cost_ticks(self.latency, self.npes),
         )
-        self.rounds = self.exchange.rounds
-        return [h.finish() for h in handles]
-
-    def _run_fork(self, mp_ctx) -> list[dict]:
-        build = self._child_builder()
-        handles = [
-            ForkShardHandle(mp_ctx, build, s) for s in range(self.nshards)
-        ]
-        try:
-            self.exchange = run_window_loop(
-                handles,
-                window_ticks=self.window_ticks,
-                npes=self.npes,
-                barrier_cost=barrier_cost_ticks(self.latency, self.npes),
-            )
-            self.rounds = self.exchange.rounds
-            self.exchange.exchange_bytes = sum(
-                h.exchange_bytes for h in handles
-            )
-            results = finish_shards(handles)
-            # The children's engines ran in their own processes; credit
-            # their events to this process's sweep tally so events/sec
-            # reporting sees the whole job.
-            from ..fabric.engine import add_event_tally
-
-            add_event_tally(sum(r["events"] for r in results))
-            return results
-        except BaseException:
-            for h in handles:
-                h.abort()
-            raise
-
-    def _child_builder(self) -> Callable[[int], _PoolShardHandle]:
-        """The closure each forked child runs to build its shard.
-
-        With the fork start method the child inherits ``self`` (registry,
-        seeds, kwargs) by memory image — nothing here is pickled.
-        """
-        def build(shard_id: int) -> _PoolShardHandle:
-            return _PoolShardHandle(self._build_pool(shard_id))
-
-        return build
+        return self._merge([pool.shard_result() for pool in pools])
 
     # ------------------------------------------------------------------
     def _sharding_stats(self) -> dict:
         """The sharding block every RunStats from this pool carries."""
-        out = {
-            "nshards": self.nshards,
-            "transport": self.effective_transport,
-            "host_cpus": os.cpu_count() or 1,
-        }
+        out = {"nshards": self.nshards}
         if self.exchange is not None:
             out.update(self.exchange.as_dict())
         return out

@@ -263,9 +263,9 @@ class RunStats:
     #: classic closed-batch runs.
     serving: ServingStats | None = None
     #: Shard-execution record (``ShardedTaskPool._sharding_stats()``):
-    #: shard count, effective transport, host CPU count, and — for
-    #: multi-shard runs — the coordinator's round/grant/byte counters.
-    #: ``None`` for pools that never touched the sharding layer.
+    #: shard count and — for multi-shard runs — the coordinator's
+    #: round/grant/elision/message counters.  ``None`` for pools that
+    #: never touched the sharding layer.
     sharding: dict | None = None
 
     @property
@@ -452,8 +452,6 @@ class RunStats:
                     "nshards": self.sharding.get("nshards", 1),
                     "shard_rounds": self.sharding.get("rounds", 0),
                     "shard_grants": self.sharding.get("grants", 0),
-                    "exchange_bytes": self.sharding.get("exchange_bytes", 0),
-                    "host_cpus": self.sharding.get("host_cpus", 0),
                 }
             )
         return out

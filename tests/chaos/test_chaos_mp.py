@@ -104,12 +104,18 @@ class TestWiderPlans:
         assert sum(1 for p in result.pes if p.rank == 1) == 2
 
     def test_seeded_plans_kill_the_same_ranks(self):
+        """The seed fixes *which* rank the wildcard names; whether that
+        rank reaches its 6th task before the pool drains is real-process
+        timing, so a live run may kill it or nobody — never anyone else."""
         plan = CrashPlan(seed=3, kills=((-1, 6),))
-        a = run_mp("synthetic", "sdc", NPES, ntasks=NTASKS, crash=plan)
-        b = run_mp("synthetic", "sdc", NPES, ntasks=NTASKS, crash=plan)
-        assert a.crashed_ranks == b.crashed_ranks
-        _assert_recovered(a, 1)
-        _assert_recovered(b, 1)
+        named = [k.rank for k in plan.resolve(NPES)]
+        assert named == [k.rank for k in plan.resolve(NPES)]
+        assert len(named) == 1 and 0 <= named[0] < NPES
+        for _ in range(2):
+            result = run_mp("synthetic", "sdc", NPES, ntasks=NTASKS,
+                            crash=plan)
+            assert set(result.crashed_ranks) <= set(named)
+            _assert_recovered(result, 1)
 
 
 class TestNoCrashPlanIsInert:

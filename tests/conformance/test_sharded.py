@@ -122,46 +122,94 @@ def test_shard_counts_agree_with_each_other(cells, proto):
     assert one == two == four
 
 
-def _pool_run(transport: str):
+def test_sharded_pool_end_to_end_conserves():
+    """Whole-pool sharded run: merged books balance, and the run leaves
+    nothing behind — shards are stepped in this process, so no child
+    process and no ``/dev/shm`` segment may exist afterwards."""
+    import multiprocessing
+    import os
+
     from repro.runtime.registry import TaskOutcome, TaskRegistry
     from repro.runtime.sharded import ShardedTaskPool
     from repro.runtime.task import Task
 
+    shm_before = set(os.listdir("/dev/shm"))
     reg = TaskRegistry()
     reg.register("leaf", lambda payload, tc: TaskOutcome(duration=5e-6))
-    pool = ShardedTaskPool(8, reg, 4, impl="sws", oracle=True,
-                           transport=transport)
-    pool.seed_round_robin([Task(reg.id_of("leaf")) for _ in range(NTOTAL)])
+    for nshards in (2, 4):
+        pool = ShardedTaskPool(8, reg, nshards, impl="sws", oracle=True)
+        pool.seed_round_robin(
+            [Task(reg.id_of("leaf")) for _ in range(NTOTAL)]
+        )
+        stats = pool.run()
+        assert sum(w.tasks_executed for w in stats.workers) == NTOTAL
+        assert stats.sharding["nshards"] == nshards
+        assert stats.sharding["rounds"] > 0
+        assert multiprocessing.active_children() == []
+        assert set(os.listdir("/dev/shm")) == shm_before
+
+
+# ----------------------------------------------------------------------
+# what a sharded run guarantees about virtual time (docs/sharding.md)
+# ----------------------------------------------------------------------
+#: The only worker fields a shard count may move.  The first two are
+#: thief-side waits, which absorb a lost same-tick tie at a target's
+#: atomic unit (one ``amo_process`` slot per tie); ``steal_time`` moves
+#: in its last float digit only, the same durations being differences
+#: of shifted absolute times.
+TIE_SENSITIVE = ("search_time", "first_task_time", "steal_time")
+
+
+def _fig7_class(nshards: int):
+    """The fig7-class job of docs/sharding.md: BPC, 64 PEs, sws, EDR."""
+    from repro.core.config import QueueConfig
+    from repro.runtime.registry import TaskRegistry
+    from repro.runtime.sharded import ShardedTaskPool
+    from repro.workloads.bpc import BpcParams, BpcWorkload
+
+    reg = TaskRegistry()
+    wl = BpcWorkload(reg, BpcParams(n_consumers=32, depth=8,
+                                    consumer_time=500e-6,
+                                    producer_time=100e-6))
+    pool = ShardedTaskPool(64, reg, nshards, impl="sws",
+                           queue_config=QueueConfig(qsize=4096, task_size=32))
+    pool.seed(0, [wl.seed_task()])
     return pool.run()
 
 
-def test_sharded_pool_end_to_end_conserves():
-    """Whole-pool sharded run: merged books balance across transports."""
-    for transport in ("serial", "fork"):
-        stats = _pool_run(transport)
-        executed = sum(w.tasks_executed for w in stats.workers)
-        assert executed == NTOTAL, transport
+@pytest.fixture(scope="module")
+def fig7_single():
+    return _fig7_class(1)
 
 
-def test_fork_transport_bit_identical_to_serial():
-    """The fork transport is the same computation as serial shards, not
-    merely conserving: per-PE worker stats, virtual runtime and merged
-    comm counters must all agree bit-for-bit (the window algebra is
-    transport-independent; only the exchange wiring differs)."""
-    from repro.fabric.sharding import fork_context
+@pytest.mark.parametrize("nshards", [2, 4])
+def test_sharded_virtual_time_is_a_legal_tie_break_away(fig7_single, nshards):
+    """A multi-shard run is the single engine's computation under a
+    different — equally legal — order of same-tick events: a message
+    crossing a shard boundary gets its engine ``seq`` at delivery, not
+    at issue.  On this job that is visible only as which of two
+    same-tick atomics waits one ``amo_process`` slot at the target:
+    every count and every owner-side field is equal, the three
+    thief-side wait sums move by at most three slots, the runtime by at
+    most one.  (Measured: 16 of 64 workers differ at 2 shards, 25 at 4;
+    largest shift 75 ns.  The bound is a pinned fact of this job on EDR,
+    not a theorem — see docs/sharding.md.)"""
+    from repro.fabric.latency import EDR_INFINIBAND
 
-    if fork_context() is None:  # pragma: no cover - non-POSIX platforms
-        pytest.skip("fork start method unavailable")
-    serial, fork = _pool_run("serial"), _pool_run("fork")
-    assert fork.runtime == serial.runtime
-    assert [w.__dict__ for w in fork.workers] == [
-        w.__dict__ for w in serial.workers
-    ]
-    assert fork.comm == serial.comm
-    # Same coordinator decisions too — the counters must agree exactly
-    # (exchange_bytes differs by design: serial has no wire).
-    for key in ("rounds", "grants", "elisions", "messages",
-                "barrier_releases"):
-        assert fork.sharding[key] == serial.sharding[key], key
-    assert fork.sharding["transport"] == "fork"
-    assert fork.sharding["exchange_bytes"] > 0
+    slot = EDR_INFINIBAND.amo_process
+    one, many = fig7_single, _fig7_class(nshards)
+    assert many.comm == one.comm
+    assert len(many.workers) == len(one.workers) == 64
+    for a, b in zip(one.workers, many.workers):
+        fa, fb = dict(a.__dict__), dict(b.__dict__)
+        for name in TIE_SENSITIVE:
+            assert abs(fa.pop(name) - fb.pop(name)) <= 3 * slot + 1e-15, (
+                f"pe{a.rank}.{name} moved by more than 3 amo_process slots"
+            )
+        assert fa == fb, f"pe{a.rank}: a non-timing field changed"
+    assert abs(many.runtime - one.runtime) <= slot + 1e-15
+    # The window loop is deterministic: its round and grant counts on
+    # this job are exact, so a change to the algorithm shows here.
+    assert (many.sharding["rounds"], many.sharding["grants"]) == {
+        2: (27265, 27314), 4: (36486, 58784),
+    }[nshards]

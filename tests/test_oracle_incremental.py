@@ -423,8 +423,8 @@ def test_two_serial_shards(monkeypatch, impl):
     monkeypatch.setattr(ShardedTaskPool, "_build_pool", build_and_watch)
     reg = TaskRegistry()
     leaf = reg.register("leaf", lambda payload, tc: TaskOutcome(duration=2e-6))
-    pool = ShardedTaskPool(4, reg, 2, impl=impl, transport="serial",
-                           oracle=True, queue_config=QueueConfig(qsize=256))
+    pool = ShardedTaskPool(4, reg, 2, impl=impl, oracle=True,
+                           queue_config=QueueConfig(qsize=256))
     pool.seed(0, [Task(leaf)] * 120)
     pool.run()
     assert len(diffs) == 2

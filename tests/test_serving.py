@@ -66,6 +66,14 @@ def test_all_arrivals_complete_and_checksum_pins_set(impl):
     assert s.checksum == serving_checksum(range(s.emitted))
 
 
+def test_at_least_once_protocol_is_refused():
+    """The serving books are exactly-once by construction (a duplicated
+    task's second completion used to die with a bare KeyError, seed 16);
+    ff-mult is refused up front, naming its contract."""
+    with pytest.raises(ValueError, match="exactly-once.*at-least-once"):
+        run_serve(4, impl="ff-mult", arrival="poisson:400000", seed=16)
+
+
 def test_sws_and_sdc_complete_identical_task_set():
     checksums = {
         impl: run_serve(3, impl=impl, arrival=ARRIVAL, duration_s=DURATION,

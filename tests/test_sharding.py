@@ -326,3 +326,36 @@ def test_cross_shard_deadlock_reported():
     group.spawn(0, lonely())
     with pytest.raises(DeadlockError, match="live process"):
         group.run()
+
+
+# ----------------------------------------------------------------------
+# one path: shards are stepped in-process, and nothing selects otherwise
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("flag", [["--shard-transport", "fork"],
+                                  ["--shard-transport=fork"]])
+def test_cli_has_no_shard_transport_option(flag):
+    """``--shard-transport`` is removed, not deprecated: argparse
+    refuses it like any unknown argument (exit 2)."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--protocol", "sws", "--backend", "fabric", "--npes", "8",
+              "--shards", "2", *flag])
+    assert exc.value.code == 2
+
+
+def test_only_the_fleet_starts_processes():
+    """PR 13's claim, true of the whole package since the fork shard
+    transport left: the only ``.Process(`` call in ``src/`` is the mp
+    fleet's."""
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    callers = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if ".Process(" in path.read_text()
+    )
+    assert callers == ["mp/fleet.py"]

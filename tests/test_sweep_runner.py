@@ -17,7 +17,6 @@ from repro.analysis.sweep import (
     ResultCache,
     SweepJob,
     bench_report,
-    check_regressions,
     code_version,
     resolve_jobs,
     run_job,
@@ -185,58 +184,9 @@ def test_bench_report_schema(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the regression gate
-# ----------------------------------------------------------------------
-def _report(**scenarios):
-    return {
-        "schema": 1,
-        "scenarios": {
-            name: {"wall_s": 1.0, "events": 100, "events_per_sec": eps,
-                   "cached": False}
-            for name, eps in scenarios.items()
-        },
-    }
-
-
-def test_gate_passes_on_parity_and_small_drops():
-    base = _report(fig7=1000.0, fig8=500.0)
-    assert check_regressions(_report(fig7=1000.0, fig8=500.0), base) == []
-    # 19% down: inside the default 20% threshold.
-    assert check_regressions(_report(fig7=810.0, fig8=500.0), base) == []
-    # Faster is always fine.
-    assert check_regressions(_report(fig7=2000.0, fig8=500.0), base) == []
-
-
-def test_gate_fails_on_large_drop():
-    base = _report(fig7=1000.0, fig8=500.0)
-    problems = check_regressions(_report(fig7=790.0, fig8=500.0), base)
-    assert len(problems) == 1
-    assert "fig7" in problems[0]
-
-    # A tighter threshold flags a smaller drop.
-    assert check_regressions(_report(fig7=950.0, fig8=500.0), base,
-                             threshold=0.01)
-
-
-def test_gate_fails_on_missing_scenario_but_not_new_ones():
-    base = _report(fig7=1000.0)
-    problems = check_regressions(_report(fig8=500.0), base)
-    assert len(problems) == 1
-    assert "not measured" in problems[0]
-    # A scenario only in the current report is growth, not regression.
-    assert check_regressions(_report(fig7=1000.0, fig9=1.0), base) == []
-
-
-def test_gate_ignores_zero_event_scenarios():
-    # fig34 is pure arithmetic: 0 events, 0 events/sec on both sides.
-    base = _report(fig34=0.0)
-    assert check_regressions(_report(fig34=0.0), base) == []
-
-
-# ----------------------------------------------------------------------
 # CLI wiring (python -m repro sweep)
 # ----------------------------------------------------------------------
-def test_cli_sweep_writes_report_and_gates(tmp_path, monkeypatch, capsys):
+def test_cli_sweep_writes_report(tmp_path, monkeypatch):
     from repro.__main__ import main
 
     monkeypatch.setenv(SERIAL_ENV, "1")
@@ -248,28 +198,3 @@ def test_cli_sweep_writes_report_and_gates(tmp_path, monkeypatch, capsys):
     assert rc == 0
     report = json.loads(out.read_text())
     assert "fig2" in report["scenarios"]
-
-    # A baseline far below any live timing: clean.  (Doctored down, as
-    # the failing leg below is doctored up, so both legs assert the gate's
-    # logic and neither compares two ~0.4 ms timings of a shared host.)
-    baseline = tmp_path / "base.json"
-    doctored = json.loads(out.read_text())
-    doctored["scenarios"]["fig2"]["events_per_sec"] /= 100.0
-    baseline.write_text(json.dumps(doctored))
-    rc = main([
-        "sweep", "--scenarios", "fig2", "--no-cache", "--quiet",
-        "--baseline", str(baseline),
-    ])
-    assert rc == 0
-    assert "regression gate clean" in capsys.readouterr().out
-
-    # Inflate the baseline: the same measurement now fails the gate.
-    doctored = json.loads(out.read_text())
-    doctored["scenarios"]["fig2"]["events_per_sec"] *= 100.0
-    baseline.write_text(json.dumps(doctored))
-    rc = main([
-        "sweep", "--scenarios", "fig2", "--no-cache", "--quiet",
-        "--baseline", str(baseline),
-    ])
-    assert rc == 1
-    assert "regression" in capsys.readouterr().out
