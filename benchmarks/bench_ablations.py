@@ -3,13 +3,13 @@ steal damping, completion-epoch count, and target contention."""
 
 from repro.analysis.experiments import run_experiment
 
-from .conftest import emit, once
+from .conftest import emit
 
 
-def test_ablate_damping(benchmark):
+def test_ablate_damping():
     """§4.3: damping must not cost runtime, and should not increase
     total communication."""
-    result = once(benchmark, lambda: run_experiment("ablate-damping"))
+    result = run_experiment("ablate-damping")
     emit(result)
     rows = {bool(r[0]): r for r in result.rows}
     off, on = rows[False], rows[True]
@@ -19,21 +19,21 @@ def test_ablate_damping(benchmark):
     assert on[2] <= off[2] * 1.10
 
 
-def test_ablate_epochs(benchmark):
+def test_ablate_epochs():
     """Both epoch settings complete correctly; runtimes stay in the same
     regime (epochs pay off under heavier acquire churn than this tiny
     workload generates, so we assert sanity, not a win)."""
-    result = once(benchmark, lambda: run_experiment("ablate-epochs"))
+    result = run_experiment("ablate-epochs")
     emit(result)
     runtimes = [r[1] for r in result.rows]
     assert all(rt > 0 for rt in runtimes)
     assert max(runtimes) < min(runtimes) * 2.0
 
 
-def test_ablate_contention(benchmark):
+def test_ablate_contention():
     """§6: SWS has 'significantly better properties when a target is
     contended' — more simultaneous thieves succeed, each much faster."""
-    result = once(benchmark, lambda: run_experiment("ablate-contention"))
+    result = run_experiment("ablate-contention")
     emit(result)
     rows = {r[0]: r for r in result.rows}
     sdc, sws = rows["SDC"], rows["SWS"]

@@ -8,12 +8,9 @@ critical section leaves a wider window for a lost message or a dead
 lock-holder to stall thieves, so its recovery machinery (lease breaks,
 retries) has to work harder than SWS's at the same fault intensity.
 
-Run with ``pytest benchmarks/bench_faults.py --benchmark-only -s``.
+Run with ``pytest benchmarks/bench_faults.py -s``.
 """
 
-from .conftest import once
-
-from repro.core.config import QueueConfig
 from repro.fabric.faults import FaultPlan, PEFailure
 from repro.runtime.pool import TaskPool
 from repro.runtime.registry import TaskOutcome, TaskRegistry
@@ -24,7 +21,6 @@ NTASKS = 1200
 TASK_US = 15e-6
 DROP_RATES = (0.0, 0.005, 0.02)
 KILL = (PEFailure(pe=5, time=2e-3),)
-SDC_LEASE = 100e-6
 
 
 def run_once(impl, drop_rate, kill):
@@ -41,13 +37,8 @@ def run_once(impl, drop_rate, kill):
         drop_rate=drop_rate,
         pe_failures=KILL if kill else (),
     )
-    qc = (
-        QueueConfig(sdc_lock_lease=SDC_LEASE)
-        if impl == "sdc" and plan.active
-        else QueueConfig()
-    )
     pool = TaskPool(
-        npes=NPES, registry=registry, impl=impl, queue_config=qc,
+        npes=NPES, registry=registry, impl=impl,
         fault_plan=plan if plan.active else None, seed=11,
     )
     pool.seed(0, [Task(leaf, payload=i.to_bytes(4, "little")) for i in range(NTASKS)])
@@ -84,8 +75,8 @@ def sweep():
     return rows
 
 
-def test_bench_fault_sweep(benchmark):
-    rows = once(benchmark, sweep)
+def test_bench_fault_sweep():
+    rows = sweep()
 
     header = (
         f"{'impl':5s} {'drop':>6s} {'kill':>4s} {'ms':>8s} {'exec':>5s} "

@@ -1,39 +1,13 @@
-"""Figures 3 & 4: stealval codec — layout check + pack/unpack throughput.
-
-The codec sits on the critical path of every steal, so its raw speed is
-benchmarked here alongside the layout regeneration.
-"""
+"""Figures 3 & 4: stealval codec — layout check."""
 
 from repro.analysis.experiments import run_experiment
-from repro.core.stealval import StealValEpoch, StealValV1
 
-from .conftest import emit, once
+from .conftest import emit
 
 
-def test_fig34_layouts(benchmark):
-    result = once(benchmark, lambda: run_experiment("fig34"))
+def test_fig34_layouts():
+    result = run_experiment("fig34")
     emit(result)
     v1_row = result.rows[0]
     assert v1_row[2:] == [2, 1, 150, 500]
 
-
-def test_bench_pack_v1(benchmark):
-    assert benchmark(StealValV1.pack, 2, True, 150, 500) == StealValV1.pack(
-        2, True, 150, 500
-    )
-
-
-def test_bench_unpack_v1(benchmark):
-    word = StealValV1.pack(2, True, 150, 500)
-    v = benchmark(StealValV1.unpack, word)
-    assert v.itasks == 150
-
-
-def test_bench_pack_epoch(benchmark):
-    benchmark(StealValEpoch.pack, 7, 1, 1000, 12345)
-
-
-def test_bench_unpack_epoch(benchmark):
-    word = StealValEpoch.pack(7, 1, 1000, 12345)
-    v = benchmark(StealValEpoch.unpack, word)
-    assert v.tail == 12345

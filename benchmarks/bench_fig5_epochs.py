@@ -6,11 +6,11 @@ an in-flight steal at acquire time; two epochs overlap it entirely.
 
 from repro.analysis.experiments import run_experiment
 
-from .conftest import emit, once
+from .conftest import emit
 
 
-def test_fig5_epoch_wait(benchmark):
-    result = once(benchmark, lambda: run_experiment("fig5"))
+def test_fig5_epoch_wait():
+    result = run_experiment("fig5")
     emit(result)
     wait_us = {row[0]: row[1] for row in result.rows}
     assert wait_us[1] > 0, "single epoch must stall on the in-flight steal"

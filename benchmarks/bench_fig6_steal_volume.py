@@ -7,11 +7,11 @@ converge.
 
 from repro.analysis.experiments import run_experiment
 
-from .conftest import emit, once
+from .conftest import emit
 
 
-def test_fig6_steal_volume(benchmark):
-    result = once(benchmark, lambda: run_experiment("fig6"))
+def test_fig6_steal_volume():
+    result = run_experiment("fig6")
     emit(result)
     # rows: [task bytes, volume, sdc_us, sws_us, ratio]
     by_key = {(r[0], r[1]): r for r in result.rows}

@@ -14,7 +14,7 @@ qualitative shapes:
 from repro.analysis.experiments import run_experiment
 from repro.analysis.series import CellSummary
 
-from .conftest import emit, once
+from .conftest import emit
 
 
 def _cells(result):
@@ -22,8 +22,8 @@ def _cells(result):
     return {(r[0], r[1]): r for r in result.rows}
 
 
-def test_fig7_bpc_sweep(benchmark):
-    result = once(benchmark, lambda: run_experiment("fig7"))
+def test_fig7_bpc_sweep():
+    result = run_experiment("fig7")
     emit(result)
     rows = _cells(result)
     npes_list = sorted({k[1] for k in rows})

@@ -11,11 +11,11 @@ story; the paper's shapes are stronger here:
 
 from repro.analysis.experiments import run_experiment
 
-from .conftest import emit, once
+from .conftest import emit
 
 
-def test_fig8_uts_sweep(benchmark):
-    result = once(benchmark, lambda: run_experiment("fig8"))
+def test_fig8_uts_sweep():
+    result = run_experiment("fig8")
     emit(result)
     rows = {(r[0], r[1]): r for r in result.rows}
     npes_list = sorted({k[1] for k in rows})

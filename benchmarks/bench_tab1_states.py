@@ -1,20 +1,20 @@
-"""Table 1: shared-task state machine — lifecycle + throughput."""
+"""Table 1: shared-task state machine — lifecycle."""
 
 from repro.analysis.experiments import run_experiment
 from repro.core.task_state import TaskState, TaskStateTracker
 
-from .conftest import emit, once
+from .conftest import emit
 
 
-def test_tab1_lifecycle(benchmark):
-    result = once(benchmark, lambda: run_experiment("tab1"))
+def test_tab1_lifecycle():
+    result = run_experiment("tab1")
     emit(result)
     assert result.rows[0][1] == "AAA"
     assert result.rows[-1][1] == "III"
 
 
-def test_bench_state_transitions(benchmark):
-    """Throughput of the A->C->F->I lifecycle over many blocks."""
+def test_bench_state_transitions():
+    """The A->C->F->I lifecycle over many blocks."""
 
     def lifecycle():
         t = TaskStateTracker(64)
@@ -26,12 +26,12 @@ def test_bench_state_transitions(benchmark):
             t.invalidate(i)
         return t.count(TaskState.INVALID)
 
-    assert benchmark(lifecycle) == 64
+    assert lifecycle() == 64
 
 
-def test_bench_finished_prefix_scan(benchmark):
+def test_bench_finished_prefix_scan():
     t = TaskStateTracker(256)
     for i in range(255):
         t.claim(i)
         t.finish(i)
-    assert benchmark(t.finished_prefix) == 255
+    assert t.finished_prefix() == 255

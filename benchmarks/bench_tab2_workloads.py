@@ -1,7 +1,7 @@
 """Table 2: benchmark workload characteristics.
 
 Regenerates the workload-characteristics table (paper values alongside
-the scaled reproduction workloads) and benchmarks workload generation.
+the scaled reproduction workloads) and checks workload generation.
 """
 
 from repro.analysis.experiments import run_experiment
@@ -9,11 +9,11 @@ from repro.workloads.bpc import BpcParams, BpcWorkload
 from repro.workloads.uts import TEST_SMALL, enumerate_tree
 from repro.runtime.registry import TaskContext, TaskRegistry
 
-from .conftest import emit, once
+from .conftest import emit
 
 
-def test_tab2_characteristics(benchmark):
-    result = once(benchmark, lambda: run_experiment("tab2"))
+def test_tab2_characteristics():
+    result = run_experiment("tab2")
     emit(result)
     rows = {r[0]: r for r in result.rows}
     # Paper rows recorded verbatim.
@@ -22,18 +22,15 @@ def test_tab2_characteristics(benchmark):
     assert rows["BPC (this repro)"][2] > 1000 * rows["UTS (this repro)"][2]
 
 
-def test_bench_bpc_expansion(benchmark):
-    """Producer expansion rate (tasks generated per producer call)."""
+def test_bench_bpc_expansion():
+    """Producer expansion (tasks generated per producer call)."""
     reg = TaskRegistry()
     wl = BpcWorkload(reg, BpcParams(n_consumers=128, depth=4))
     tc = TaskContext(0, 1)
-    out = benchmark(lambda: reg.execute(wl.seed_task(), tc))
+    out = reg.execute(wl.seed_task(), tc)
     assert len(out.children) == 129
 
 
-def test_bench_uts_enumeration(benchmark):
-    """Sequential SHA-1 tree enumeration throughput (nodes/second)."""
-    stats = benchmark.pedantic(
-        lambda: enumerate_tree(TEST_SMALL), rounds=3, iterations=1
-    )
-    assert stats.nodes == 3542
+def test_bench_uts_enumeration():
+    """Sequential SHA-1 tree enumeration."""
+    assert enumerate_tree(TEST_SMALL).nodes == 3542

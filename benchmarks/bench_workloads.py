@@ -1,7 +1,5 @@
-"""Workload throughput benches: NQueens, Fibonacci, UTS shapes.
-
-Wall-clock cost of simulating each classic workload end to end — the
-numbers that bound how large an experiment the harness can run.
+"""Workload benches: NQueens, Fibonacci, UTS shapes — each classic
+workload simulated end to end and checked against its known answer.
 """
 
 from repro.core.config import QueueConfig
@@ -13,7 +11,7 @@ from repro.workloads.nqueens import SOLUTIONS, NQueensParams, NQueensWorkload
 from repro.workloads.uts import TEST_SMALL, UtsWorkload
 
 
-def test_bench_nqueens8(benchmark):
+def test_bench_nqueens8():
     def run():
         reg = TaskRegistry()
         wl = NQueensWorkload(reg, NQueensParams(n=8))
@@ -23,20 +21,20 @@ def test_bench_nqueens8(benchmark):
         )
         return wl.solutions, stats.total_tasks
 
-    solutions, _ = benchmark.pedantic(run, rounds=3, iterations=1)
+    solutions, _ = run()
     assert solutions == SOLUTIONS[8]
 
 
-def test_bench_fib16(benchmark):
+def test_bench_fib16():
     def run():
         reg = TaskRegistry()
         wl = FibWorkload(reg, FibParams(n=16))
         return run_pool(8, reg, [wl.seed_task()], impl="sws").total_tasks
 
-    assert benchmark.pedantic(run, rounds=3, iterations=1) == task_count(16)
+    assert run() == task_count(16)
 
 
-def test_bench_uts_small_pool(benchmark):
+def test_bench_uts_small_pool():
     def run():
         reg = TaskRegistry()
         wl = UtsWorkload(reg, TEST_SMALL)
@@ -45,11 +43,11 @@ def test_bench_uts_small_pool(benchmark):
             impl="sws", queue_config=QueueConfig(qsize=4096, task_size=48),
         ).total_tasks
 
-    assert benchmark.pedantic(run, rounds=3, iterations=1) == 3542
+    assert run() == 3542
 
 
-def test_bench_sdc_vs_sws_wall_cost(benchmark):
-    """Simulating SDC costs more wall time per steal (more events)."""
+def test_bench_sdc_vs_sws_wall_cost():
+    """The same tree under the baseline protocol."""
 
     def run():
         reg = TaskRegistry()
@@ -59,4 +57,4 @@ def test_bench_sdc_vs_sws_wall_cost(benchmark):
             impl="sdc", queue_config=QueueConfig(qsize=4096, task_size=48),
         ).total_tasks
 
-    assert benchmark.pedantic(run, rounds=3, iterations=1) == 3542
+    assert run() == 3542

@@ -4,11 +4,8 @@ Each ``bench_*`` file regenerates one table or figure from the paper's
 evaluation: it runs the corresponding experiment, prints the same
 rows/series the paper reports, and asserts the qualitative *shape*
 (who wins, roughly by how much) — never the absolute numbers, which
-belong to the authors' hardware.
-
-Heavy experiments run through ``benchmark.pedantic(..., rounds=1)`` so
-pytest-benchmark records the wall time without re-running a multi-second
-sweep dozens of times.
+belong to the authors' hardware.  Nothing here is timed: host-time
+measurement is ``perfbench``'s job (docs/performance.md).
 """
 
 from __future__ import annotations
@@ -20,8 +17,3 @@ def emit(result) -> None:
     """Print an ExperimentResult so `pytest -s benchmarks/` shows the
     regenerated series."""
     sys.stdout.write("\n" + result.render())
-
-
-def once(benchmark, fn):
-    """Benchmark ``fn`` exactly once and return its value."""
-    return benchmark.pedantic(fn, rounds=1, iterations=1)

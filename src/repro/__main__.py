@@ -100,34 +100,43 @@ def _run_protocol_fabric(proto, npes: int, ntasks: int, shards: int = 1) -> bool
     return True
 
 
+def _report_race(label: str, proto, loot, kept, ntasks: int) -> bool:
+    """Print one shim race's verdict under the protocol's contract.
+
+    Tasks are ``range(ntasks)`` — their own buffer indices, so a task
+    stolen twice is an index handed out twice.
+    """
+    from collections import Counter
+
+    tasks = list(range(ntasks))
+    stolen = [t for lane in loot for t in lane]
+    if proto.semantics.exactly_once:
+        ok = sorted(stolen + kept) == tasks
+        print(
+            f"  {label} {len(stolen)} stolen + {len(kept)} kept "
+            f"partitions all {ntasks} tasks exactly: {ok}"
+        )
+    else:
+        ok = set(stolen) | set(kept) == set(tasks)
+        dups = sum(1 for c in Counter(stolen).values() if c > 1)
+        print(
+            f"  {label} {len(stolen)} stolen + {len(kept)} kept covers "
+            f"all {ntasks} tasks: {ok} ({dups} duplicated index(es))"
+        )
+    return ok
+
+
 def _run_protocol_threads(proto, ntasks: int) -> bool:
     if proto.threads_queue is None:
         print("  threads: (no thread shim for this protocol)")
         return True
-    if proto.family == "ffmult":
-        from .threads.ffmult_shim import hammer_ffmult
+    from .threads.protocol import race
 
-        loot, kept, mult = hammer_ffmult(list(range(ntasks)))
-        stolen = [t for lane in loot for t in lane]
-        ok = set(stolen) | set(kept) == set(range(ntasks))
-        dups = sum(1 for c in mult.values() if c > 1)
-        print(
-            f"  threads: {len(stolen)} stolen + {len(kept)} kept covers "
-            f"all {ntasks} tasks: {ok} ({dups} duplicated index(es))"
-        )
-        return ok
-    if proto.family == "sdc":
-        from .threads.sdc_shim import hammer_sdc as hammer_fn
-    else:
-        from .threads.queue_shim import hammer as hammer_fn
-    loot, kept = hammer_fn(list(range(ntasks)))
-    stolen = [t for lane in loot for t in lane]
-    ok = sorted(stolen + kept) == list(range(ntasks))
-    print(
-        f"  threads: {len(stolen)} stolen + {len(kept)} kept "
-        f"partitions all {ntasks} tasks exactly: {ok}"
-    )
-    return ok
+    # The hammers' race (4 thieves, 8 releases, 3 acquires) on whichever
+    # shim the protocol registered.
+    queue = proto.threads_queue(list(range(ntasks)))
+    loot, kept = race(queue, 4, max(1, ntasks // 8), 3)
+    return _report_race("threads:", proto, loot, kept, ntasks)
 
 
 def _run_protocol_mp(proto, ntasks: int) -> bool:
@@ -137,20 +146,7 @@ def _run_protocol_mp(proto, ntasks: int) -> bool:
     from .mp.queue import hammer_mp
 
     loot, kept = hammer_mp(list(range(ntasks)), impl=proto.mp_impl)
-    stolen = [t for lane in loot for t in lane]
-    if proto.semantics.exactly_once:
-        ok = sorted(stolen + kept) == list(range(ntasks))
-        print(
-            f"  mp:      {len(stolen)} stolen + {len(kept)} kept "
-            f"partitions all {ntasks} tasks exactly: {ok}"
-        )
-    else:
-        ok = set(stolen) | set(kept) == set(range(ntasks))
-        print(
-            f"  mp:      {len(stolen)} stolen + {len(kept)} kept covers "
-            f"all {ntasks} tasks: {ok}"
-        )
-    return ok
+    return _report_race("mp:     ", proto, loot, kept, ntasks)
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:

@@ -458,8 +458,7 @@ def exp_protocols(scale: str = "quick") -> ExperimentResult:
     rows = []
     for proto in all_protocols():
         probe = measure_single_steal(
-            proto.name, volume=1 if proto.family == "ffmult" else 8,
-            task_size=24,
+            proto.name, volume=8 if proto.steal_half else 1, task_size=24,
         )
         reg = TaskRegistry()
         reg.register("leaf", lambda payload, tc: TaskOutcome(duration=5e-6))
@@ -589,10 +588,7 @@ def exp_ablation_contention(scale: str = "quick") -> ExperimentResult:
         def owner():
             for _ in range(1024):
                 victim_q.enqueue(bytes(24))
-            if impl == "sws":
-                yield from victim_q.release()
-            else:
-                victim_q.release()
+            yield from victim_q.release()
 
         def thief(rank):
             q = system.handle(rank)

@@ -229,26 +229,6 @@ def _json_safe(value):
     return str(value)
 
 
-#: Repetitions per bench job; the best wall is reported.  Experiment
-#: payloads are deterministic, so repeating only re-measures the wall —
-#: and the *best* of a few reps is the measurement least polluted by a
-#: transient host stall (GC pause, hypervisor neighbor, cold caches).
-BENCH_REPS = 3
-
-#: Scenarios measured once instead of :data:`BENCH_REPS` times: the
-#: jumbo row simulates 2112 PEs for several seconds of wall, so
-#: best-of-3 would triple the sweep's dominant cost for noise reduction
-#: the row does not need.
-BENCH_REPS_OVERRIDE: dict[str, int] = {
-    "fig7_jumbo": 1,
-    # Serving rows are open-system single runs; their payload is a change
-    # detector (deterministic checksum) more than a timing row, so one
-    # rep suffices.
-    "serving_sws": 1,
-    "serving_sdc": 1,
-}
-
-
 def run_job(spec: dict) -> dict:
     """Execute one job spec; returns ``{"payload": ..., "meta": ...}``.
 
@@ -256,7 +236,8 @@ def run_job(spec: dict) -> dict:
     run it.  The *payload* is a pure function of the spec and the code
     version — byte-identical whether the job ran serially, in a pool
     worker, or was replayed from cache.  Wall time and events/sec live
-    in *meta* and are measurement metadata, not identity.
+    in *meta* and are observations of this one run, not identity (and
+    not a benchmark: host-time claims go through ``perfbench``).
     """
     import gc
 
@@ -274,14 +255,8 @@ def run_job(spec: dict) -> dict:
     if spec["kind"] == "bench":
         from .experiments import run_experiment
 
-        reps = BENCH_REPS_OVERRIDE.get(spec["name"], BENCH_REPS)
-        for _ in range(reps):
-            fabric_engine.reset_event_tally()
-            r0 = time.perf_counter()
-            result = run_experiment(spec["name"], spec.get("scale", "quick"))
-            rep_wall = time.perf_counter() - r0
-            if wall_override is None or rep_wall < wall_override:
-                wall_override = rep_wall
+        t0 = time.perf_counter()  # the import above is not the job's
+        result = run_experiment(spec["name"], spec.get("scale", "quick"))
         payload = {
             "exp_id": result.exp_id,
             "headers": list(result.headers),
@@ -334,14 +309,6 @@ def _run_cell(spec: dict) -> "RunStats":
     )
 
 
-#: Repetitions per mp bench job; the best wall is reported, as for the
-#: simulator jobs (:data:`BENCH_REPS`).  A single ~30 ms real-process
-#: run is dominated by fork/scheduler noise (the first fork after a
-#: heavy simulator job pays cold page-fault costs), so the timing
-#: signal is the best of a few warm runs.
-MP_BENCH_REPS = 5
-
-
 def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
     """One multiprocess-substrate job → (payload, events, wall).
 
@@ -350,9 +317,8 @@ def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
     honest; racy per-run observables (steal counts, volumes) are
     measurement metadata and live in the bench report's meta instead.
     ``events`` is the completed-task count, so the report's events/sec
-    column reads as tasks/sec for mp scenarios.  ``wall`` is the best
-    per-run wall (process start to all results in) over
-    :data:`MP_BENCH_REPS` repetitions; every repetition must conserve.
+    column reads as tasks/sec for mp scenarios.  ``wall`` is the run's
+    own wall (process start to all results in).
     """
     from ..mp.driver import run_mp
 
@@ -371,15 +337,11 @@ def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
         kwargs["crash"] = CrashPlan(
             kills=(CrashKill(int(rank_s), int(after_s), point),)
         )
-    wall = None
-    conserved = True
-    for _ in range(MP_BENCH_REPS):
-        result = run_mp(workload, spec["impl"], int(spec["npes"]), **kwargs)
-        conserved = conserved and bool(result.conserved)
-        # Crash jobs report the recovery wall (detect + repair + scavenge
-        # + re-inject); throughput jobs report the end-to-end run wall.
-        rep_wall = result.recovery_wall_s if crash_spec else result.wall_s
-        wall = rep_wall if wall is None else min(wall, rep_wall)
+    result = run_mp(workload, spec["impl"], int(spec["npes"]), **kwargs)
+    conserved = bool(result.conserved)
+    # Crash jobs report the recovery wall (detect + repair + scavenge
+    # + re-inject); throughput jobs report the end-to-end run wall.
+    wall = result.recovery_wall_s if crash_spec else result.wall_s
     s = result.summary()
     if crash_spec:
         # Duplicate totals are racy run to run; the payload keeps only

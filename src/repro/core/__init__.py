@@ -4,6 +4,7 @@ from .config import QueueConfig
 from .damping import DampingStats, DampingTracker, TargetMode
 from .results import StealResult, StealStatus
 from .sdc_queue import SdcQueue, SdcQueueSystem
+from .split_queue import SplitQueue, SplitQueueSystem
 from .steal_half import (
     max_steals,
     schedule,
@@ -36,6 +37,8 @@ __all__ = [
     "StealStatus",
     "SdcQueue",
     "SdcQueueSystem",
+    "SplitQueue",
+    "SplitQueueSystem",
     "SwsQueue",
     "SwsQueueSystem",
     "SwsV1Queue",

@@ -41,9 +41,11 @@ class QueueConfig:
         carries the holder's identity plus an acquisition timestamp, and
         any contender may CAS a lock held past the deadline back open —
         the recovery path for a fail-stopped (or wedged) lock holder.
-        ``None`` keeps the baseline protocol bit-identical.
+        ``None`` keeps the baseline protocol bit-identical on a reliable
+        fabric; under an active fault plan :class:`TaskPool` derives a
+        lease from its ``op_timeout``, so setting this is an override.
     steal_fetch_retries:
-        (SWS) How many times a thief re-issues the post-claim block fetch
+        How many times a thief re-issues the post-claim block fetch
         after a :class:`~repro.fabric.errors.FabricTimeoutError` before
         abandoning the claimed tasks (they are unreachable if the victim
         died).  Only reached when fault injection is active.

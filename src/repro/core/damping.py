@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .steal_half import max_steals
-from .stealval import StealViewEpoch
+from .stealval import StealViewEpoch, owner_remainder
 
 
 class TargetMode(Enum):
@@ -65,8 +64,13 @@ class DampingTracker:
         """
         if not self.enabled or view.locked:
             return
-        overshoot = view.asteals - max_steals(view.itasks)
-        if overshoot >= self.threshold and self.mode(target) is TargetMode.FULL:
+        claims, _disp, remaining = owner_remainder(view.itasks, view.asteals)
+        overshoot = view.asteals - claims  # attempts that found nothing left
+        if (
+            remaining == 0
+            and overshoot >= self.threshold
+            and self.mode(target) is TargetMode.FULL
+        ):
             self._mode[target] = TargetMode.EMPTY
             self.stats.demotions += 1
 
@@ -89,6 +93,4 @@ class DampingTracker:
     @staticmethod
     def view_has_work(view: StealViewEpoch) -> bool:
         """Does a decoded stealval advertise unclaimed tasks?"""
-        if view.locked or view.itasks == 0:
-            return False
-        return view.asteals < max_steals(view.itasks)
+        return not view.locked and owner_remainder(view.itasks, view.asteals)[2] > 0

@@ -51,10 +51,11 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..fabric.errors import OracleViolation, ProtocolError
+from ..fabric.errors import ProtocolError
 from ..shmem.api import ShmemCtx
 from .config import QueueConfig
 from .results import StealResult, StealStatus
+from .split_queue import SplitQueue, SplitQueueSystem
 from .steal_half import share_half
 
 # Metadata word offsets (TAIL and SPLIT contiguous so the thief's
@@ -67,7 +68,174 @@ META_REGION = "ffmq.meta"
 TASK_REGION = "ffmq.tasks"
 
 
-class FfMultQueueSystem:
+class FfMultQueue(SplitQueue):
+    """Per-PE handle: owner-side queue ops + the fence-free steal.
+
+    Like SDC the split lives in symmetric memory; ``reclaim_tail`` trails
+    the reclaim *floor* (see the module docstring) instead of a
+    completion array — there is none.
+    """
+
+    tag = "ffmult"
+    meta_region = META_REGION
+    task_region = TASK_REGION
+    index_names = ("reclaim", "floor", "split", "head")
+    #: ``oracle_check`` reads the reclaim floor, which every thief's
+    #: in-flight registration moves from *its* process: nothing local
+    #: witnesses the change, so the oracle checks this queue every event.
+    oracle_owner_local = False
+
+    # ------------------------------------------------------------------
+    # owner-local index views
+    # ------------------------------------------------------------------
+    @property
+    def local_count(self) -> int:
+        """Tasks in the local (owner-only) portion."""
+        return self.head - self._meta[SPLIT]
+
+    @property
+    def stealable(self) -> int:
+        """Tasks in the shared window (clamped: a stale thief store can
+        transiently push the tail past the split)."""
+        meta = self._meta
+        return max(0, meta[SPLIT] - meta[TAIL])
+
+    @property
+    def dup_handouts(self) -> int:
+        """Duplicate handouts charged to this queue (monotone)."""
+        return self.system.dups[self.rank]
+
+    def _indices(self) -> tuple[int, ...]:
+        floor = self.system.current_floor(self.rank)
+        return self.reclaim_tail, floor, self._meta[SPLIT], self.head
+
+    # ------------------------------------------------------------------
+    # owner operations (local, no communication)
+    # ------------------------------------------------------------------
+    def enqueue(self, record: bytes) -> None:
+        """Append one serialized task at the head of the local portion.
+
+        Calls the base method after resetting the slot's claim history:
+        a fresh task instance at a reused absolute index is not a
+        duplicate of whatever lived there before.
+        """
+        self.system.claims[self.rank].pop(self.head, None)
+        super().enqueue(record)
+
+    def dequeue(self) -> bytes | None:
+        """Pop the newest local task (LIFO); ``None`` when local is empty.
+
+        Mirrors the base method with the split read from symmetric
+        memory, plus the handout accounting: owner consumption is a
+        handout too — a re-privatized task that a stale thief also copied
+        must charge a duplicate to exactly one side, and the symmetric
+        claim count does that for any ordering.
+        """
+        head = self.head
+        if head <= self._meta[SPLIT]:
+            return None
+        self.head = head = head - 1
+        self.system.note_handout(self.rank, head)
+        ts = self._tsize
+        addr = (head % self._qsize) * ts
+        return bytes(self._tasks[addr : addr + ts])
+
+    def release(self) -> Generator:
+        """Expose half of the local portion to thieves.
+
+        Plain local stores, like SDC's release (this generator never
+        yields).  Only valid when the shared window is empty; an overshot
+        tail (a stale thief store that ran past the split) is repaired
+        *first*, so any still in-flight store writes at most the old
+        split and can never jump the new window.
+        """
+        if self.stealable != 0:
+            raise ProtocolError("ff-mult release requires an empty shared window")
+        nshare = share_half(self.local_count)
+        if nshare:
+            split = self._meta[SPLIT]
+            if self._meta[TAIL] != split:
+                self.pe.local_store(META_REGION, TAIL, split)
+            self.pe.local_store(META_REGION, SPLIT, split + nshare)
+        return nshare
+        yield  # unreachable: makes this a generator, per the queue contract
+
+    def acquire(self) -> Generator:
+        """Move half of the shared window back to local.
+
+        No lock to take (there is none), so this generator never yields.
+        An overshot tail is repaired instead.  Returns the number of
+        tasks re-privatized.
+        """
+        meta = self._meta
+        split = meta[SPLIT]
+        tail = meta[TAIL]
+        ntake = 0
+        if tail > split:
+            self.pe.local_store(META_REGION, TAIL, split)
+        elif split > tail:
+            ntake = share_half(split - tail)
+            self.pe.local_store(META_REGION, SPLIT, split - ntake)
+        return ntake
+        yield  # unreachable: makes this a generator, per the queue contract
+
+    def progress(self) -> int:
+        """Advance the reclaim floor; returns slots freed.
+
+        Also prunes claim-count entries now strictly below the floor: no
+        in-flight thief can touch them (the floor is the minimum over
+        every registration) and the owner can only enqueue above it.
+        """
+        floor = self.system.current_floor(self.rank)
+        reclaimed = floor - self.reclaim_tail
+        if reclaimed <= 0:
+            return 0
+        claims = self.system.claims[self.rank]
+        for index in range(self.reclaim_tail, floor):
+            claims.pop(index, None)
+        self.reclaim_tail = floor
+        return reclaimed
+
+    # ------------------------------------------------------------------
+    # thief operation (remote, 3 plain communications, no atomics)
+    # ------------------------------------------------------------------
+    def steal(self, victim: int) -> Generator:
+        """Attempt to steal one task from ``victim`` — fence-free.
+
+        Yields fabric requests; returns a :class:`StealResult`.  An
+        empty window costs a single get.  The registration brackets keep
+        the victim's reclaim floor below every index this thief may
+        still read (see the module docstring).
+        """
+        if victim == self.rank:
+            raise ProtocolError("a PE cannot steal from itself")
+        pe = self.pe
+        system = self.system
+        token = system.register_inflight(victim, system.current_floor(victim))
+        try:
+            # (1) discover: one get of the contiguous [TAIL, SPLIT] pair
+            tail, split = yield pe.get_words(victim, META_REGION, TAIL, 2)
+            if split - tail <= 0:
+                return StealResult(StealStatus.EMPTY, victim)
+            system.update_inflight(victim, token, tail)
+            # (2) copy exactly one task record
+            ts = self._tsize
+            slot = tail % self._qsize
+            data = yield pe.get_bytes(victim, TASK_REGION, slot * ts, ts)
+            # (3) plain tail store — racy by design.  Blocking, so the
+            # in-flight registration outlives the store's apply.
+            yield pe.put_word(victim, META_REGION, TAIL, tail + 1)
+            system.note_handout(victim, tail)
+        finally:
+            system.unregister_inflight(victim, token)
+        return StealResult(StealStatus.STOLEN, victim, 1, [bytes(data)])
+
+    def oracle_check(self) -> None:
+        """Per-event invariants, valid at any event boundary."""
+        self._check_indices(self._violation)
+
+
+class FfMultQueueSystem(SplitQueueSystem):
     """Symmetric regions plus the duplicate-accounting bookkeeping.
 
     The claim counts, duplicate tallies, and in-flight steal snapshots
@@ -77,12 +245,10 @@ class FfMultQueueSystem:
     cost.
     """
 
+    queue_class = FfMultQueue
+
     def __init__(self, ctx: ShmemCtx, config: QueueConfig | None = None) -> None:
-        self.ctx = ctx
-        self.config = config or QueueConfig()
-        cfg = self.config
-        ctx.heap.alloc_words(META_REGION, META_WORDS)
-        ctx.heap.alloc_bytes(TASK_REGION, cfg.qsize * cfg.task_size)
+        super().__init__(ctx, config)
         npes = ctx.npes
         #: Per-victim map of absolute index -> times handed out.
         self.claims: list[dict[int, int]] = [dict() for _ in range(npes)]
@@ -93,9 +259,8 @@ class FfMultQueueSystem:
         self._inflight: list[dict[int, int]] = [dict() for _ in range(npes)]
         self._next_token = 0
 
-    def handle(self, rank: int) -> "FfMultQueue":
-        """Owner/thief handle bound to PE ``rank``."""
-        return FfMultQueue(self, rank)
+    def _alloc_meta(self, heap, cfg) -> None:
+        heap.alloc_words(META_REGION, META_WORDS)
 
     # ------------------------------------------------------------------
     # bookkeeping (zero fabric cost)
@@ -137,226 +302,3 @@ class FfMultQueueSystem:
             self.dups[victim] += 1
             return True
         return False
-
-
-class FfMultQueue:
-    """Per-PE handle: owner-side queue ops + the fence-free steal."""
-
-    driver_family = "ffmult"
-
-    def __init__(self, system: FfMultQueueSystem, rank: int) -> None:
-        self.system = system
-        self.cfg = system.config
-        self.pe = system.ctx.pe(rank)
-        self.rank = rank
-        # Owner-local bookkeeping (absolute indices).
-        self.head = 0        # next enqueue slot
-        self.ctail = 0       # reclaim floor: space below this is free
-        heap = system.ctx.heap
-        self._meta = heap.word_view(rank, META_REGION)
-        self._tasks = heap.byte_view(rank, TASK_REGION)
-        self._qsize = self.cfg.qsize
-        self._tsize = self.cfg.task_size
-
-    # ------------------------------------------------------------------
-    # owner-local index views
-    # ------------------------------------------------------------------
-    @property
-    def local_count(self) -> int:
-        """Tasks in the local (owner-only) portion."""
-        return self.head - self._meta[SPLIT]
-
-    @property
-    def shared_count(self) -> int:
-        """Tasks in the shared window (clamped: a stale thief store can
-        transiently push the tail past the split)."""
-        meta = self._meta
-        return max(0, meta[SPLIT] - meta[TAIL])
-
-    @property
-    def dup_handouts(self) -> int:
-        """Duplicate handouts charged to this queue (monotone)."""
-        return self.system.dups[self.rank]
-
-    def _floor(self) -> int:
-        return self.system.current_floor(self.rank)
-
-    # ------------------------------------------------------------------
-    # owner operations (local, no communication)
-    # ------------------------------------------------------------------
-    def enqueue(self, record: bytes) -> None:
-        """Append one serialized task at the head of the local portion."""
-        ts = self._tsize
-        if len(record) != ts:
-            raise ProtocolError(
-                f"record of {len(record)} bytes; queue expects {ts}"
-            )
-        qsize = self._qsize
-        if self.head - self.ctail >= qsize:
-            self.progress()
-            if self.head - self.ctail >= qsize:
-                raise ProtocolError(
-                    f"PE {self.rank}: ff-mult queue overflow (qsize={qsize})"
-                )
-        # A fresh task instance at a reused absolute index is not a
-        # duplicate of whatever lived there before.
-        self.system.claims[self.rank].pop(self.head, None)
-        addr = (self.head % qsize) * ts
-        self._tasks[addr : addr + ts] = record
-        self.head += 1
-
-    def dequeue(self) -> bytes | None:
-        """Pop the newest local task (LIFO); ``None`` when local is empty.
-
-        Owner consumption is a handout too: a re-privatized task that a
-        stale thief also copied must charge a duplicate to exactly one
-        side, and the symmetric claim count does that for any ordering.
-        """
-        head = self.head
-        if head <= self._meta[SPLIT]:
-            return None
-        self.head = head = head - 1
-        self.system.note_handout(self.rank, head)
-        ts = self._tsize
-        addr = (head % self._qsize) * ts
-        return bytes(self._tasks[addr : addr + ts])
-
-    def release(self) -> int:
-        """Expose half of the local portion to thieves.
-
-        Plain local stores, like SDC's release.  Only valid when the
-        shared window is empty; an overshot tail (a stale thief store
-        that ran past the split) is repaired *first*, so any still
-        in-flight store writes at most the old split and can never jump
-        the new window.
-        """
-        if self.shared_count != 0:
-            raise ProtocolError("ff-mult release requires an empty shared window")
-        nshare = share_half(self.local_count)
-        if nshare == 0:
-            return 0
-        split = self._meta[SPLIT]
-        if self._meta[TAIL] != split:
-            self.pe.local_store(META_REGION, TAIL, split)
-        self.pe.local_store(META_REGION, SPLIT, split + nshare)
-        return nshare
-
-    def acquire(self) -> Generator:
-        """Move half of the shared window back to local.
-
-        No lock to take (there is none), so this generator never yields;
-        it is a generator only to match the driver's ``yield from``
-        calling convention.  An overshot tail is repaired instead.
-        Returns the number of tasks re-privatized.
-        """
-        if False:  # pragma: no cover - makes this a generator
-            yield
-        meta = self._meta
-        split = meta[SPLIT]
-        tail = meta[TAIL]
-        if tail > split:
-            self.pe.local_store(META_REGION, TAIL, split)
-            return 0
-        avail = split - tail
-        if avail <= 0:
-            return 0
-        ntake = share_half(avail)
-        self.pe.local_store(META_REGION, SPLIT, split - ntake)
-        return ntake
-
-    def progress(self) -> int:
-        """Advance the reclaim floor; returns slots freed.
-
-        Also prunes claim-count entries now strictly below the floor: no
-        in-flight thief can touch them (the floor is the minimum over
-        every registration) and the owner can only enqueue above it.
-        """
-        floor = self._floor()
-        reclaimed = floor - self.ctail
-        if reclaimed <= 0:
-            return 0
-        claims = self.system.claims[self.rank]
-        for index in range(self.ctail, floor):
-            claims.pop(index, None)
-        self.ctail = floor
-        return reclaimed
-
-    def seed(self, records: list[bytes]) -> None:
-        """Initial task placement before the run starts (no timing)."""
-        for r in records:
-            self.enqueue(r)
-
-    # ------------------------------------------------------------------
-    # thief operation (remote, 3 plain communications, no atomics)
-    # ------------------------------------------------------------------
-    def steal(self, victim: int) -> Generator:
-        """Attempt to steal one task from ``victim`` — fence-free.
-
-        Yields fabric requests; returns a :class:`StealResult`.  An
-        empty window costs a single get.  The registration brackets keep
-        the victim's reclaim floor below every index this thief may
-        still read (see the module docstring).
-        """
-        if victim == self.rank:
-            raise ProtocolError("a PE cannot steal from itself")
-        pe = self.pe
-        system = self.system
-        token = system.register_inflight(victim, system.current_floor(victim))
-        try:
-            # (1) discover: one get of the contiguous [TAIL, SPLIT] pair
-            tail, split = yield pe.get_words(victim, META_REGION, TAIL, 2)
-            if split - tail <= 0:
-                return StealResult(StealStatus.EMPTY, victim)
-            system.update_inflight(victim, token, tail)
-            # (2) copy exactly one task record
-            ts = self._tsize
-            slot = tail % self._qsize
-            data = yield pe.get_bytes(victim, TASK_REGION, slot * ts, ts)
-            # (3) plain tail store — racy by design.  Blocking, so the
-            # in-flight registration outlives the store's apply.
-            yield pe.put_word(victim, META_REGION, TAIL, tail + 1)
-            system.note_handout(victim, tail)
-        finally:
-            system.unregister_inflight(victim, token)
-        return StealResult(StealStatus.STOLEN, victim, 1, [bytes(data)])
-
-    # ------------------------------------------------------------------
-    # schedule-exploration oracle hooks (repro.runtime.oracle)
-    # ------------------------------------------------------------------
-    #: No completion array — deferred-copy tracking does not exist.
-    oracle_comp_region = None
-    #: ``oracle_check`` reads the reclaim floor, which every thief's
-    #: in-flight registration moves from *its* process: nothing local
-    #: witnesses the change, so the oracle checks this queue every event.
-    oracle_owner_local = False
-
-    def oracle_check(self) -> None:
-        """Per-event invariants, valid at any event boundary."""
-        split = self._meta[SPLIT]
-        floor = self._floor()
-        if not (self.ctail <= floor <= split <= self.head):
-            raise OracleViolation(
-                "ffmult-index-order",
-                f"ctail={self.ctail} floor={floor} split={split} "
-                f"head={self.head}",
-                pe=self.rank,
-            )
-        if self.head - self.ctail > self.cfg.qsize:
-            raise OracleViolation(
-                "ffmult-capacity",
-                f"in_use={self.head - self.ctail} > qsize={self.cfg.qsize}",
-                pe=self.rank,
-            )
-
-    def invariants(self) -> None:
-        """Raise :class:`ProtocolError` if owner-visible state is inconsistent."""
-        split = self._meta[SPLIT]
-        floor = self._floor()
-        if not (self.ctail <= floor <= split <= self.head):
-            raise ProtocolError(
-                f"PE {self.rank}: index order violated "
-                f"ctail={self.ctail} floor={floor} split={split} "
-                f"head={self.head}"
-            )
-        if self.head - self.ctail > self.cfg.qsize:
-            raise ProtocolError(f"PE {self.rank}: queue over capacity")

@@ -14,7 +14,7 @@ class StealStatus(Enum):
     DISABLED = "disabled"      #: target queue locked / steals disabled
     LOCKED_ABORT = "locked"    #: (SDC) gave up waiting for the queue lock
     TIMEOUT = "timeout"        #: a fabric op timed out before claiming work
-    ABANDONED = "abandoned"    #: (SWS) claimed tasks unreachable (victim died)
+    ABANDONED = "abandoned"    #: claimed tasks unreachable (victim died)
 
 
 @dataclass

@@ -36,6 +36,9 @@ The Figure-3 layout expresses the same thing through its valid bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+from .steal_half import max_steals, steal_displacement, steal_volume
 
 _U64 = (1 << 64) - 1
 
@@ -62,6 +65,12 @@ class StealViewV1:
         """Steals disabled (valid bit clear) — mirrors the epoch layout's
         locked sentinel so damping logic works against either view."""
         return not self.valid
+
+    @property
+    def epoch(self) -> int:
+        """The single completion array is row 0 — lets the thief path
+        address completion words the same way for both layouts."""
+        return 0
 
 
 @dataclass(frozen=True)
@@ -194,3 +203,31 @@ def max_initial_tasks(npes: int, codec: type = StealValEpoch) -> int:
     if npes <= 0:
         raise ValueError(f"npes must be positive, got {npes}")
     return max(1, (1 << codec.ITASK_BITS) - npes)
+
+
+# What a decoded ``(itasks, asteals)`` pair means to each side: every
+# substrate (fabric queues, thread / mp shims, the mp scavenger, steal
+# damping) reads a stealval through these two functions.
+@lru_cache(maxsize=1 << 15)
+def thief_claim(itasks: int, asteals: int) -> tuple[int, int]:
+    """``(volume, displacement)`` of the block a thief's fetch-add claimed.
+
+    ``asteals`` is the counter value the fetch-add *returned*: the thief
+    owns ``volume`` tasks starting ``displacement`` entries past the
+    advertised tail.  Volume 0 means the allotment was already exhausted.
+    """
+    return steal_volume(itasks, asteals), steal_displacement(itasks, asteals)
+
+
+@lru_cache(maxsize=1 << 15)
+def owner_remainder(itasks: int, asteals: int) -> tuple[int, int, int]:
+    """``(claims, displacement, remaining)`` of an allotment being settled.
+
+    The view of whoever closes (owner) or takes over (scavenger) a
+    stealval: ``claims`` attempts found work (the counter overshoots the
+    schedule once thieves hit an exhausted allotment), they cover the
+    first ``displacement`` tasks, and ``remaining`` are still unclaimed.
+    """
+    claims = min(asteals, max_steals(itasks))
+    disp = steal_displacement(itasks, claims)
+    return claims, disp, itasks - disp

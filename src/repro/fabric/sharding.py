@@ -109,12 +109,6 @@ class ShardPlan:
         """Number of PEs owned by one shard."""
         return self._starts[shard + 1] - self._starts[shard]
 
-    def describe(self) -> str:
-        """Human-readable partition summary for CLI banners."""
-        sizes = [self.local_size(s) for s in range(self.nshards)]
-        return (f"{self.npes} PEs across {self.nshards} shard(s), "
-                f"block sizes {sizes}")
-
 
 def validate_shards(npes: int, nshards: int) -> None:
     """Up-front validation of a ``--shards``/``--npes`` combination.
@@ -232,10 +226,6 @@ class ShardRouter:
         """Take every buffered message (called at a window boundary)."""
         out, self.outbox = self.outbox, []
         return out
-
-    def pending_fetches(self) -> int:
-        """Fetch ops awaiting a cross-shard response (diagnostics)."""
-        return len(self._pending)
 
     def response_floor(self) -> int | None:
         """Earliest tick an un-scheduled fetch response can resume us."""

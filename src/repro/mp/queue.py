@@ -34,10 +34,8 @@ from ..shmem.heap import SymArray, SymWord, SymmetricAllocator
 from ..threads.protocol import (
     Backoff,
     FfMultShimCore,
-    FfMultShimResult,
     RecordCodec,
     SdcShimCore,
-    SdcShimResult,
     ShimStealResult,
     SwsShimCore,
     ffmult_steal_once,
@@ -383,7 +381,7 @@ class MpSdcThief(_MpTaskBuffer):
         self.tail = heap.ref(layout.tail)
         self.split = heap.ref(layout.split)
 
-    def steal(self, max_spins: int = 10_000) -> SdcShimResult:
+    def steal(self, max_spins: int = 10_000) -> ShimStealResult:
         """One lock-protected steal-half attempt."""
         return sdc_steal_once(
             self.lock, self.tail, self.split, self._read_tasks, max_spins,
@@ -458,7 +456,7 @@ class MpFfMultThief(_MpTaskBuffer):
         self.tail = heap.ref(layout.tail)
         self.split = heap.ref(layout.split)
 
-    def steal(self) -> FfMultShimResult:
+    def steal(self) -> ShimStealResult:
         """One fence-free attempt: two plain reads, one plain store."""
         return ffmult_steal_once(self.tail, self.split, self._read_tasks)
 

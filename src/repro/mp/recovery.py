@@ -41,8 +41,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..core.steal_half import max_steals, schedule, steal_displacement
-from ..core.stealval import StealValEpoch
+from ..core.steal_half import schedule, steal_displacement
+from ..core.stealval import StealValEpoch, owner_remainder
 from ..shmem.heap import SymArray, SymWord, SymmetricAllocator
 from ..threads.protocol import Backoff, RecordCodec
 from .atomics import pid_alive
@@ -404,10 +404,9 @@ def _scavenge_sws_queue(heap: MpHeap, layout) -> list:
         # die_holding).
         return []
     tasks: list = []
-    claims = min(view.asteals, max_steals(view.itasks))
-    disp = steal_displacement(view.itasks, claims)
-    if view.itasks - disp > 0:
-        tasks.extend(thief._read_tasks(view.tail + disp, view.itasks - disp))
+    claims, disp, rem = owner_remainder(view.itasks, view.asteals)
+    if rem > 0:
+        tasks.extend(thief._read_tasks(view.tail + disp, rem))
     # Settle or void the outstanding claims so a respawned owner can
     # safely reuse the completion rows.
     vols = schedule(view.itasks)

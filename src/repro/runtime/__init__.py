@@ -26,7 +26,7 @@ from .victim import (
     VictimSelector,
     make_selector,
 )
-from .worker import QueueDriver, Worker, WorkerConfig
+from .worker import Worker, WorkerConfig
 
 __all__ = [
     "TaskPool",
@@ -57,7 +57,6 @@ __all__ = [
     "LifelineManager",
     "LifelineSystem",
     "hypercube_neighbors",
-    "QueueDriver",
     "Worker",
     "WorkerConfig",
 ]

@@ -50,11 +50,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from ..core.stealval import StealValEpoch, StealValV1
-from ..core.sws_queue import SwsQueue
-from ..core.sws_v1_queue import META_REGION as V1_META_REGION
-from ..core.sws_v1_queue import STEALVAL as V1_STEALVAL
-from ..core.sws_v1_queue import SwsV1Queue
 from ..fabric.errors import OracleViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,10 +115,9 @@ class PoolOracle:
         #: it, kept current from the dirty PEs' deltas.
         self.books = [0, 0, 0]
         self._pe_books = dict.fromkeys(self._worker, (0, 0, 0))
-        # Undeclared means not owner-local: every PE, every event.
+        # One queue that is not owner-local: every PE, every event.
         self._sweep = not all(
-            getattr(w.driver.queue, "oracle_owner_local", False)
-            for w in self._worker.values()
+            w.queue.oracle_owner_local for w in self._worker.values()
         )
 
     def attach(self) -> None:
@@ -132,7 +126,7 @@ class PoolOracle:
         ctx = self.pool.ctx
         self._journal = ctx.heap.attach_journal()
         for rank, w in self._worker.items():
-            region = w.driver.queue.oracle_comp_region
+            region = w.queue.oracle_comp_region
             if region is not None:
                 view = self._comp[rank] = ctx.heap.word_view(rank, region)
                 # Whatever predates the journal is due at the first check.
@@ -159,7 +153,7 @@ class PoolOracle:
             w = self._worker.get(pe)
             if w is not None:  # else: a remote shard's replica row
                 dirty.add(pe)
-                if region == w.driver.queue.oracle_comp_region:
+                if region == w.queue.oracle_comp_region:
                     self._written[pe].add(offset)
         journal.clear()
         if self._sweep:
@@ -171,14 +165,14 @@ class PoolOracle:
                 if faults is not None and faults.is_dead(rank, now):
                     continue  # a fail-stopped PE's memory is moot
                 w = self._worker[rank]
-                q = w.driver.queue
+                q = w.queue
                 q.oracle_check()
                 if self._written[rank]:
                     self._check_comp_transitions(q)
                 self._check_asteals_monotone(q)
                 if self._conserve:
                     new = (w.stats.tasks_spawned, w.stats.tasks_executed,
-                           w.driver.local_count + w.driver.stealable_remaining)
+                           q.local_count + q.stealable)
                     for i, was in enumerate(self._pe_books[rank]):
                         self.books[i] += new[i] - was
                     self._pe_books[rank] = new
@@ -197,15 +191,15 @@ class PoolOracle:
         workers = self._worker.values()
         spawned = sum(w.stats.tasks_spawned for w in workers)
         executed = sum(w.stats.tasks_executed for w in workers)
-        dups = sum(w.driver.spawn_credit for w in workers)
+        dups = sum(w.queue.dup_handouts for w in workers)
         _check_final_books(spawned, executed, dups, self.exactly_once)
         for w in workers:
-            drv = w.driver
-            if drv.local_count or drv.stealable_remaining:
+            q = w.queue
+            if q.local_count or q.stealable:
                 raise OracleViolation(
                     "drain-final",
-                    f"queue not empty at termination: local={drv.local_count} "
-                    f"stealable={drv.stealable_remaining}",
+                    f"queue not empty at termination: local={q.local_count} "
+                    f"stealable={q.stealable}",
                     pe=w.rank,
                 )
 
@@ -272,25 +266,20 @@ class PoolOracle:
 
     @staticmethod
     def _stealval_view(q) -> tuple | None:
-        """(publication key, asteals) for the SWS family; None for SDC.
+        """(publication key, asteals) for a stealval queue; None otherwise.
 
-        The key includes the owner's monotone publication counter, so two
+        The key is the owner's monotone publication counter, so two
         different allotments that happen to advertise identical
         (epoch, itasks, tail) fields are never conflated — without it, an
         asteals reset across such a re-publication would look like a lost
         increment.
         """
-        if isinstance(q, SwsQueue):
-            v = StealValEpoch.unpack(q._load_stealval())
-            if v.locked:
-                return None
-            return ("epoch", q.publications), v.asteals
-        if isinstance(q, SwsV1Queue):
-            v = StealValV1.unpack(q.pe.local_load(V1_META_REGION, V1_STEALVAL))
-            if not v.valid:
-                return None
-            return ("v1", q.publications), v.asteals
-        return None
+        if q.codec is None:
+            return None
+        v = q.codec.unpack(q._load_stealval())
+        if v.locked:
+            return None
+        return q.publications, v.asteals
 
     def _check_conservation(self) -> None:
         """Resident tasks can never exceed spawned - executed."""

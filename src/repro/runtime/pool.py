@@ -19,6 +19,7 @@ Example::
 
 from __future__ import annotations
 
+from dataclasses import replace
 
 from ..core.config import QueueConfig
 from ..core.damping import DampingTracker
@@ -36,7 +37,7 @@ from .stats import RunStats
 from .task import Task
 from .termination import TerminationSystem, TreeTerminationSystem
 from .victim import QuarantineSelector, make_selector
-from .worker import QueueDriver, Worker, WorkerConfig
+from .worker import Worker, WorkerConfig
 
 #: The paper's own implementations: ``sws`` is the Figure-4 epoch design;
 #: ``sws-v1`` the Figure-3 valid-bit variant (§4.1); ``sdc`` the Scioto
@@ -148,6 +149,20 @@ class TaskPool:
                 token_timeout = 4.0 * npes * max(
                     op_timeout, self.worker_config.steal_backoff_max
                 )
+            if self.queue_config.sdc_lock_lease is None:
+                # A lossy fabric can drop the unlock of SDC's swap-lock (or
+                # kill its holder); without a lease nothing ever breaks
+                # that lock and the run cannot terminate.  Four
+                # op_timeouts: the timestamp in a lease word is taken when
+                # the lock CAS is issued, and a live holder's last write
+                # under the lock (the tail put) is applied at most three
+                # timed ops later — lock, metadata get, put, each applied
+                # within one op_timeout or never — plus their return
+                # legs.  No holder that can still write is ever broken,
+                # and a wedged lock costs its thieves a few retries' time.
+                self.queue_config = replace(
+                    self.queue_config, sdc_lock_lease=4.0 * op_timeout
+                )
         self.fault_plan = fault_plan if faulty else None
         self.op_timeout = op_timeout
 
@@ -201,7 +216,6 @@ class TaskPool:
                 if protocol.supports_damping
                 else None
             )
-            driver = QueueDriver(queue, damping)
             selector = (
                 make_selector(victim, npes, rank, seed, self.ctx.topology)
                 if npes > 1
@@ -218,7 +232,7 @@ class TaskPool:
                 Worker(
                     rank=rank,
                     npes=npes,
-                    driver=driver,
+                    queue=queue,
                     registry=registry,
                     selector=selector,
                     termination=self.term_system.handle(rank),
@@ -235,6 +249,7 @@ class TaskPool:
                         else None
                     ),
                     seed=seed,
+                    damping=damping,
                 )
             )
         self.oracle: PoolOracle | None = None
@@ -292,11 +307,11 @@ class TaskPool:
         for w in self.workers:
             if faults is not None and faults.is_dead(w.rank, end):
                 continue  # a fail-stopped PE's mid-protocol state is moot
-            w.driver.queue.invariants()
+            w.queue.invariants()
         if self.oracle is not None:
             self.oracle.check_final()
         for w in self.workers:
-            w.stats.locks_recovered = getattr(w.driver.queue, "locks_recovered", 0)
+            w.stats.locks_recovered = getattr(w.queue, "locks_recovered", 0)
             if isinstance(w.selector, QuarantineSelector):
                 w.stats.quarantines = w.selector.quarantines
         return RunStats(
@@ -318,15 +333,14 @@ class TaskPool:
         ranks = list(self.local_ranks())
         for r in ranks:
             w = self.workers[r]
-            w.driver.queue.invariants()
-            w.stats.locks_recovered = getattr(w.driver.queue, "locks_recovered", 0)
+            w.queue.invariants()
+            w.stats.locks_recovered = getattr(w.queue, "locks_recovered", 0)
         books = {
             "spawned": sum(self.workers[r].stats.tasks_spawned for r in ranks),
             "executed": sum(self.workers[r].stats.tasks_executed for r in ranks),
-            "dups": sum(self.workers[r].driver.spawn_credit for r in ranks),
+            "dups": sum(self.workers[r].queue.dup_handouts for r in ranks),
             "resident": sum(
-                self.workers[r].driver.local_count
-                + self.workers[r].driver.stealable_remaining
+                self.workers[r].queue.local_count + self.workers[r].queue.stealable
                 for r in ranks
             ),
         }

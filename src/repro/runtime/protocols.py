@@ -98,13 +98,14 @@ class Protocol:
         One-line human description for tables and ``--help``.
     semantics:
         The :class:`SemanticsContract` the oracles enforce.
-    family:
-        Owner/thief driver vocabulary: ``"sws"`` (stealval + probe +
-        generator release), ``"sdc"`` (plain release, locked acquire) or
-        ``"ffmult"`` (plain release/acquire, duplicate accounting).
     queue_system:
         Factory ``(ctx, queue_config) -> queue system`` for the fabric
-        simulator backend.
+        simulator backend; its handles meet the owner/thief contract of
+        :mod:`repro.core.split_queue`.
+    steal_half:
+        A steal takes half of what the victim advertises (the paper's
+        choice); ``False`` for a protocol that moves exactly one task
+        per steal.
     default_victim:
         Victim-selector kind when the caller does not pick one.
     supports_damping:
@@ -136,8 +137,8 @@ class Protocol:
     name: str
     title: str
     semantics: SemanticsContract
-    family: str
     queue_system: Callable
+    steal_half: bool = True
     default_victim: str = "uniform"
     supports_damping: bool = False
     supports_faults: bool = False
@@ -148,10 +149,6 @@ class Protocol:
     threads_queue: Callable | None = None
     mp_impl: str | None = None
     notes: str = ""
-
-    def __post_init__(self) -> None:
-        if self.family not in ("sws", "sdc", "ffmult"):
-            raise ValueError(f"unknown protocol family {self.family!r}")
 
 
 _REGISTRY: dict[str, Protocol] = {}
@@ -213,7 +210,6 @@ register_protocol(
         name="sws",
         title="Structured work stealing: fused fetch-add discover+claim (Fig. 4)",
         semantics=EXACTLY_ONCE,
-        family="sws",
         queue_system=SwsQueueSystem,
         supports_damping=True,
         supports_faults=True,
@@ -230,7 +226,6 @@ register_protocol(
         name="sws-v1",
         title="SWS valid-bit variant (Fig. 3, §4.1)",
         semantics=EXACTLY_ONCE,
-        family="sws",
         queue_system=SwsV1QueueSystem,
         supports_damping=True,
         supports_faults=False,
@@ -245,7 +240,6 @@ register_protocol(
         name="sdc",
         title="Scioto SDC baseline: split queue, deferred copies (Fig. 2)",
         semantics=EXACTLY_ONCE,
-        family="sdc",
         queue_system=SdcQueueSystem,
         supports_faults=True,
         comms_total=6,
@@ -261,8 +255,8 @@ register_protocol(
         name="ff-mult",
         title="Fence-free deque with multiplicity (Castañeda & Piña)",
         semantics=AT_LEAST_ONCE,
-        family="ffmult",
         queue_system=FfMultQueueSystem,
+        steal_half=False,
         supports_faults=False,
         shardable=False,
         comms_total=3,
@@ -278,7 +272,6 @@ register_protocol(
         name="localized",
         title="Localized work stealing (Suksompong, Leiserson & Schardl)",
         semantics=EXACTLY_ONCE,
-        family="sws",
         queue_system=SwsQueueSystem,
         default_victim="tiered",
         supports_damping=True,

@@ -166,8 +166,8 @@ class ServingController:
             if self.directory is not None and not self.directory.is_active(rank):
                 continue
             if self.shed_threshold is not None:
-                drv = self.pool.workers[rank].driver
-                if drv.local_count + drv.stealable_remaining >= self.shed_threshold:
+                queue = self.pool.workers[rank].queue
+                if queue.local_count + queue.stealable >= self.shed_threshold:
                     continue
             return rank
         return None
@@ -182,7 +182,7 @@ class ServingController:
         record = Task(self.fn_id, struct.pack("<I", seq)).serialize(
             self.task_size
         )
-        worker.driver.enqueue(record)
+        worker.queue.enqueue(record)
         # The injection is the spawn: counting it on the target keeps the
         # four-counter termination books and the conservation oracle
         # exact (executed can never outrun spawned + injected).
@@ -232,7 +232,7 @@ class ServingController:
             "spawned": sum(w.stats.tasks_spawned for w in workers),
             "executed": sum(w.stats.tasks_executed for w in workers),
             "resident": sum(
-                w.driver.local_count + w.driver.stealable_remaining
+                w.queue.local_count + w.queue.stealable
                 for w in workers
             ),
         }

@@ -13,9 +13,10 @@ Each PE runs the Scioto-style work-first loop:
    failed ones toward search time (Figs. 7e/f, 8e/f);
 4. service termination detection every iteration.
 
-The loop is queue-implementation agnostic: both :class:`SdcQueue` and
-:class:`SwsQueue` are driven through the small adapter below, which also
-hosts SWS steal damping (probe-first empty-mode, §4.3).
+The loop is queue-implementation agnostic: every protocol's queue meets
+the one owner/thief contract of :mod:`repro.core.split_queue`, and the
+worker holds the queue itself.  SWS steal damping (probe-first
+empty-mode, §4.3) lives here too, for the protocols that support it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from typing import Generator
 
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealResult, StealStatus
-from ..core.sdc_queue import SdcQueue
-from ..core.sws_queue import SwsQueue
+from ..core.split_queue import SplitQueue
 from ..fabric.engine import Delay
 from ..fabric.errors import FabricTimeoutError, ProtocolError
 from .inbox import Inbox
@@ -133,99 +133,6 @@ class WorkerConfig:
             raise ValueError("quarantine_time must be positive")
 
 
-class QueueDriver:
-    """Uniform owner/thief interface over the queue implementations.
-
-    Dispatches on the queue's ``driver_family`` vocabulary: ``"sws"``
-    (:class:`SwsQueue` and the Figure-3 variant — stealval/probe,
-    generator release, steal damping), ``"sdc"`` (:class:`SdcQueue` —
-    plain release, locked acquire) or ``"ffmult"`` (the fence-free
-    multiplicity deque — plain release/acquire, duplicate accounting).
-    """
-
-    def __init__(self, queue, damping: DampingTracker | None) -> None:
-        self.queue = queue
-        family = getattr(queue, "driver_family", None)
-        if family is None:
-            family = "sdc" if isinstance(queue, SdcQueue) else "sws"
-        self.family = family
-        self.is_sdc = family == "sdc"
-        self.is_sws = family == "sws"
-        self.damping = damping if self.is_sws else None
-
-    @property
-    def local_count(self) -> int:
-        """Tasks in the owner-only portion."""
-        return self.queue.local_count
-
-    @property
-    def stealable_remaining(self) -> int:
-        """Unclaimed tasks advertised to thieves."""
-        if self.is_sws:
-            return self.queue.shared_remaining
-        return self.queue.shared_count
-
-    @property
-    def spawn_credit(self) -> int:
-        """Duplicate handouts charged to this queue (at-least-once
-        protocols only; exactly-once queues report 0).
-
-        Termination detection needs every execution matched by a
-        production: a duplicated task executes twice against one spawn,
-        so the owner reports ``spawned + spawn_credit``.  The queue
-        tallies each duplicate *at handout time* — before the duplicate
-        can execute — which keeps the count monotone-safe for the
-        four-counter detector.
-        """
-        return getattr(self.queue, "dup_handouts", 0)
-
-    def enqueue(self, record: bytes) -> None:
-        """Append a serialized task locally."""
-        self.queue.enqueue(record)
-
-    def dequeue(self) -> bytes | None:
-        """Pop the newest local task, or None."""
-        return self.queue.dequeue()
-
-    def progress(self) -> int:
-        """Reclaim completed-steal space; returns slots freed."""
-        return self.queue.progress()
-
-    def release_op(self) -> Generator:
-        """Expose half the local portion; generator, returns task count."""
-        if self.is_sws:
-            n = yield from self.queue.release()
-            return n
-        return self.queue.release()
-
-    def acquire_op(self) -> Generator:
-        """Reclaim half the shared portion; generator, returns task count."""
-        n = yield from self.queue.acquire()
-        return n
-
-    def steal_op(self, victim: int, stats: WorkerStats) -> Generator:
-        """One steal attempt against ``victim``, damping-aware for SWS."""
-        if self.damping is not None:
-            if self.damping.mode(victim) is TargetMode.EMPTY:
-                view = yield from self.queue.probe(victim)
-                stats.probes += 1
-                has_work = self.damping.view_has_work(view)
-                self.damping.note_probe(victim, has_work)
-                if not has_work:
-                    return StealResult(StealStatus.EMPTY, victim)
-            result = yield from self.queue.steal(victim)
-            if result.success:
-                self.damping.note_success(victim)
-            elif result.status is StealStatus.EMPTY:
-                # Re-decode the failure for the damping heuristic.
-                view = yield from self.queue.probe(victim)
-                stats.probes += 1
-                self.damping.note_failed_claim(victim, view)
-            return result
-        result = yield from self.queue.steal(victim)
-        return result
-
-
 class Worker:
     """One simulated PE executing the task-pool loop."""
 
@@ -233,7 +140,7 @@ class Worker:
         self,
         rank: int,
         npes: int,
-        driver: QueueDriver,
+        queue: SplitQueue,
         registry: TaskRegistry,
         selector: VictimSelector | None,
         termination: TerminationDetector,
@@ -242,10 +149,16 @@ class Worker:
         inbox: Inbox | None = None,
         lifeline: LifelineManager | None = None,
         seed: int = 0,
+        damping: DampingTracker | None = None,
     ) -> None:
         self.rank = rank
         self.npes = npes
-        self.driver = driver
+        self.queue = queue
+        #: Per-target full/empty bookkeeping, for a protocol that supports
+        #: steal damping (its queue then has ``probe``); ``None`` steals
+        #: with the queue's ``steal`` directly.
+        self.damping = damping
+        self._steal = queue.steal if damping is None else self._probe_first_steal
         self.registry = registry
         self.selector = selector
         self.term = termination
@@ -257,11 +170,11 @@ class Worker:
         self.lifeline = lifeline
         if lifeline is not None and inbox is None:
             raise ProtocolError("lifelines require the remote-spawn inbox")
-        self._engine = driver.queue.system.ctx.engine
+        self._engine = queue.system.ctx.engine
         # Fault mode: timed-out steals are retried with jittered backoff.
         # The jitter RNG is drawn from ONLY on fault paths, so reliable
         # runs stay bit-identical regardless of seed.
-        self._fault_mode = driver.queue.system.ctx.faults is not None
+        self._fault_mode = queue.system.ctx.faults is not None
         self._retry_rng = random.Random((seed << 16) ^ (rank * 0x9E3779B1) ^ 0xFA117)
         self._batches = 0
         self._backoff = config.steal_backoff
@@ -284,34 +197,35 @@ class Worker:
     def seed(self, tasks: list[Task]) -> None:
         """Place initial tasks on this PE's queue (pre-run, untimed)."""
         for t in tasks:
-            self.driver.enqueue(t.serialize(self.task_size))
+            self.queue.enqueue(t.serialize(self.task_size))
         self.stats.tasks_spawned += len(tasks)
 
     # ------------------------------------------------------------------
     def run(self) -> Generator:
         """The PE's process body; finishes at global termination."""
-        pe = self.driver.queue.pe
+        queue = self.queue
+        pe = queue.pe
         yield pe.barrier_all()
         while True:
-            idle = self.driver.local_count == 0
+            idle = queue.local_count == 0
             if self._fault_mode:
                 # Quiescent = holds no live work at all: nothing local,
                 # nothing advertised to thieves, inbox drained.  Feeds
                 # the fault-mode termination test's all-quiescent bit.
                 quiescent = (
                     idle
-                    and self.driver.stealable_remaining == 0
+                    and queue.stealable == 0
                     and (self.inbox is None or not self.inbox.pending_hint)
                 )
                 done = yield from self.term.service(
-                    self.stats.tasks_spawned + self.driver.spawn_credit,
+                    self.stats.tasks_spawned + queue.dup_handouts,
                     self.stats.tasks_executed,
                     idle,
                     quiescent=quiescent,
                 )
             else:
                 done = yield from self.term.service(
-                    self.stats.tasks_spawned + self.driver.spawn_credit,
+                    self.stats.tasks_spawned + queue.dup_handouts,
                     self.stats.tasks_executed,
                     idle,
                 )
@@ -333,27 +247,27 @@ class Worker:
             if (
                 self.lifeline is not None
                 and self.lifeline.active
-                and self.driver.local_count > 0
+                and queue.local_count > 0
             ):
                 # A lifeline delivery arrived: withdraw the others.
                 yield from self.lifeline.retract()
 
-            if self.driver.local_count > 0:
+            if queue.local_count > 0:
                 self._backoff = self.cfg.steal_backoff
                 yield from self._execute_batch()
                 yield from self._manage()
                 continue
 
-            if self.driver.stealable_remaining > 0:
+            if queue.stealable > 0:
                 t0 = self.now
-                got = yield from self.driver.acquire_op()
+                got = yield from queue.acquire()
                 self.stats.acquire_time += self.now - t0
                 self.stats.acquires += 1
                 if got:
                     continue
 
             # Fully idle: reclaim space, then hunt for work.
-            self.driver.progress()
+            queue.progress()
             if self.npes == 1 or self.selector is None:
                 yield Delay(self.cfg.steal_backoff)
                 continue
@@ -363,7 +277,7 @@ class Worker:
                     if self.cfg.idle_wait and self.rank != 0:
                         conds = list(self.term.wake_conditions())
                         conds.append(self.inbox.wake_condition())
-                        yield self.driver.queue.pe.wait_until_any(conds)
+                        yield pe.wait_until_any(conds)
                     else:
                         yield Delay(self._backoff)
                         self._backoff = min(
@@ -389,7 +303,7 @@ class Worker:
                 self.stats.note_steal_volume(result.ntasks)
                 self._backoff = self.cfg.steal_backoff
                 for rec in result.records:
-                    self.driver.enqueue(rec)
+                    queue.enqueue(rec)
             else:
                 self.stats.search_time += dt
                 self.stats.steals_failed += 1
@@ -407,8 +321,9 @@ class Worker:
     def _attempt_steal(self, victim: int) -> Generator:
         """One steal, with bounded retry + jittered backoff on timeouts.
 
-        On a reliable fabric this is exactly ``driver.steal_op`` (no
-        timeouts can occur, nothing extra yields).  Under faults, a
+        On a reliable fabric this is exactly the queue's ``steal`` (behind
+        the probe-first step when damping applies): no timeouts can
+        occur, nothing extra yields.  Under faults, a
         :class:`FabricTimeoutError` is retried against the same victim up
         to ``steal_timeout_retries`` times with exponential backoff and a
         jitter stretch; exhaustion reports the victim to the selector
@@ -417,7 +332,7 @@ class Worker:
         retries = 0
         while True:
             try:
-                result = yield from self.driver.steal_op(victim, self.stats)
+                result = yield from self._steal(victim)
             except FabricTimeoutError:
                 self.stats.steal_timeouts += 1
                 if retries >= self.cfg.steal_timeout_retries:
@@ -441,11 +356,36 @@ class Worker:
                 note_steal(victim, result.success)
             return result
 
+    def _probe_first_steal(self, victim: int) -> Generator:
+        """One damping-aware steal attempt (paper §4.3).
+
+        A victim in empty-mode is probed read-only first and only
+        claimed from when the probe sees work; a claiming attempt that
+        comes back empty is re-decoded for the demotion heuristic.
+        """
+        damping = self.damping
+        queue = self.queue
+        if damping.mode(victim) is TargetMode.EMPTY:
+            view = yield from queue.probe(victim)
+            self.stats.probes += 1
+            has_work = damping.view_has_work(view)
+            damping.note_probe(victim, has_work)
+            if not has_work:
+                return StealResult(StealStatus.EMPTY, victim)
+        result = yield from queue.steal(victim)
+        if result.success:
+            damping.note_success(victim)
+        elif result.status is StealStatus.EMPTY:
+            # Re-decode the failure for the damping heuristic.
+            view = yield from queue.probe(victim)
+            self.stats.probes += 1
+            damping.note_failed_claim(victim, view)
+        return result
+
     # ------------------------------------------------------------------
     def _execute_batch(self) -> Generator:
         """Run up to ``batch_max`` local tasks as one compute segment."""
-        drv = self.driver
-        queue = drv.queue
+        queue = self.queue
         stats = self.stats
         budget = min(self.cfg.batch_max, queue.local_count)
         if stats.tasks_executed == 0 and budget > 0:
@@ -465,7 +405,7 @@ class Worker:
         help_first = self.cfg.spawn_policy == "help_first"
         multi = self.npes > 1
         release_min = self.cfg.release_min_local
-        shared_empty = multi and drv.stealable_remaining == 0
+        shared_empty = multi and queue.stealable == 0
         executed = 0
         duration = 0.0
         spawned = 0
@@ -514,7 +454,7 @@ class Worker:
     def _drain_inbox(self) -> None:
         """Move committed remote spawns onto the local queue (local ops)."""
         for record in self.inbox.drain():
-            self.driver.enqueue(record)
+            self.queue.enqueue(record)
 
     def _elastic_park(self) -> Generator:
         """Graceful leave: drain the queue, hand off residue, go passive.
@@ -530,43 +470,41 @@ class Worker:
         handoff races can still deliver work, which is re-homed), so
         the ring token always flows.
         """
-        drv = self.driver
+        queue = self.queue
         if self.inbox is None:
             raise ProtocolError("elastic membership requires the inbox")
-        while drv.stealable_remaining > 0:
-            got = yield from drv.acquire_op()
+        while queue.stealable > 0:
+            got = yield from queue.acquire()
             self.stats.acquires += 1
             if not got:
                 break  # a thief holds a claim; retry next iteration
-        if drv.stealable_remaining == 0:
+        if queue.stealable == 0:
             target = self.elastic.handoff_target(self.rank)
             while True:
-                rec = drv.dequeue()
+                rec = queue.dequeue()
                 if rec is None:
                     break
                 yield from self.inbox.send(target, rec)
                 self.elastic_handoffs += 1
-            drv.progress()
+            queue.progress()
             self._parked = True
         yield Delay(self._backoff)
         self._backoff = min(self.cfg.steal_backoff_max, self._backoff * 2)
 
     def _manage(self) -> Generator:
         """Post-batch queue management: release + periodic progress."""
-        drv = self.driver
+        queue = self.queue
         self._batches += 1
         if self.cfg.sample_queue:
-            self.samples.append(
-                (self.now, drv.local_count, drv.stealable_remaining)
-            )
+            self.samples.append((self.now, queue.local_count, queue.stealable))
         if self._batches % self.cfg.progress_every == 0:
-            drv.progress()
-        shared = drv.stealable_remaining
+            queue.progress()
+        shared = queue.stealable
         want_release = shared == 0
         if (
             self.cfg.spawn_policy == "help_first"
-            and drv.is_sws
-            and shared < drv.local_count // 2
+            and queue.release_merges_shared
+            and shared < queue.local_count // 2
         ):
             # Help-first: keep the shared portion topped up; SWS release
             # merges the unclaimed remainder so this is safe mid-allotment
@@ -576,10 +514,10 @@ class Worker:
         if (
             self.npes > 1
             and want_release
-            and drv.local_count >= self.cfg.release_min_local
+            and queue.local_count >= self.cfg.release_min_local
         ):
             t0 = self.now
-            yield from drv.release_op()
+            yield from queue.release()
             self.stats.release_time += self.now - t0
             self.stats.releases += 1
         if self.lifeline is not None:
@@ -588,16 +526,16 @@ class Worker:
     def _fulfill_lifelines(self) -> Generator:
         """Donor side: push surplus local tasks to quiescent buddies."""
         ll = self.lifeline
-        drv = self.driver
-        if drv.local_count <= ll.cfg.donor_min_local:
+        queue = self.queue
+        if queue.local_count <= ll.cfg.donor_min_local:
             return
         for requester in ll.pending_requests():
             donated: list[bytes] = []
             while (
                 len(donated) < ll.cfg.donate_max
-                and drv.local_count > ll.cfg.donor_min_local
+                and queue.local_count > ll.cfg.donor_min_local
             ):
-                rec = drv.dequeue()
+                rec = queue.dequeue()
                 if rec is None:
                     break
                 donated.append(rec)

@@ -1,20 +1,18 @@
 """Real-thread substrate: the SWS protocol under genuine preemption."""
 
 from .atomics import AtomicArray64, AtomicWord64
-from .ffmult_shim import FfMultThreadResult, ThreadFfMultQueue, hammer_ffmult
+from .ffmult_shim import ThreadFfMultQueue, hammer_ffmult
 from .protocol import (
     FfMultShimCore,
-    FfMultShimResult,
     SdcShimCore,
-    SdcShimResult,
     ShimStealResult,
     SwsShimCore,
     ffmult_steal_once,
     sdc_steal_once,
     sws_steal_once,
 )
-from .queue_shim import ThreadStealResult, ThreadSwsQueue, hammer
-from .sdc_shim import SdcThreadResult, ThreadSdcQueue, hammer_sdc
+from .queue_shim import ThreadSwsQueue, hammer
+from .sdc_shim import ThreadSdcQueue, hammer_sdc
 
 __all__ = [
     "AtomicWord64",
@@ -23,18 +21,13 @@ __all__ = [
     "SdcShimCore",
     "FfMultShimCore",
     "ShimStealResult",
-    "SdcShimResult",
-    "FfMultShimResult",
     "sws_steal_once",
     "sdc_steal_once",
     "ffmult_steal_once",
     "ThreadSwsQueue",
-    "ThreadStealResult",
     "hammer",
     "ThreadSdcQueue",
-    "SdcThreadResult",
     "hammer_sdc",
     "ThreadFfMultQueue",
-    "FfMultThreadResult",
     "hammer_ffmult",
 ]

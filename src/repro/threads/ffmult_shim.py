@@ -22,10 +22,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .atomics import AtomicWord64
-from .protocol import FfMultShimCore, FfMultShimResult, race
-
-#: Naming symmetry with the other two shims.
-FfMultThreadResult = FfMultShimResult
+from .protocol import FfMultShimCore, race
 
 
 class ThreadFfMultQueue(FfMultShimCore):

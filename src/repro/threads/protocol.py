@@ -12,11 +12,16 @@ copy:
   / settle bookkeeping and the epoch-array completion discipline;
 * :func:`sws_steal_once` — the thief's 3-step fused discover+claim
   (one ``fetch_add``, local schedule arithmetic, completion signal);
+* :class:`TailSplitShimCore` — the owner of a ``[tail, split)`` shared
+  section, which the next two run under a lock and bare;
 * :class:`SdcShimCore` / :func:`sdc_steal_once` — the lock-based SDC
   baseline (spinlock, read metadata, advance tail, unlock);
 * :class:`FfMultShimCore` / :func:`ffmult_steal_once` — the fence-free
   multiplicity deque (plain reads + a plain tail store, no atomic RMW on
   the steal path; racing thieves may duplicate a task, never lose one).
+
+Every thief attempt, whatever the protocol, returns one
+:class:`ShimStealResult`.
 
 A substrate plugs in by providing word objects exposing atomic
 ``load`` / ``store`` / ``swap`` / ``fetch_add`` (and ``compare_swap``
@@ -45,8 +50,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..core.steal_half import max_steals, schedule, steal_displacement, steal_volume
-from ..core.stealval import StealValEpoch
+from ..core.steal_half import schedule
+from ..core.stealval import StealValEpoch, owner_remainder, thief_claim
 
 
 class RecordCodec:
@@ -223,16 +228,24 @@ def race(queue, nthieves: int, chunk: int, acquires: int, *,
 
 @dataclass
 class ShimStealResult:
-    """One thief attempt's outcome (shared by every shim substrate).
+    """One thief attempt's outcome, for every shim protocol and substrate.
 
-    ``view`` is the decoded stealval the claiming fetch-add observed —
-    the damping state machine (paper §4.3) feeds on it.
+    ``claimed`` is empty exactly when the attempt got nothing.  The rest
+    says why, or how: ``empty`` (no shared work), ``aborted_locked`` and
+    ``view`` (SWS: the owner held the stealval locked; the decoded word
+    the claiming fetch-add observed — the damping state machine of paper
+    §4.3 feeds on it), ``lock_spins`` (SDC: spins spent on the queue
+    lock), ``index`` (ff-mult: the absolute buffer index consumed, ``-1``
+    when none — the mutation/property suites key duplicate multiplicity
+    on it).
     """
 
     claimed: list = field(default_factory=list)
-    aborted_locked: bool = False
     empty: bool = False
+    aborted_locked: bool = False
     view: object = None
+    lock_spins: int = 0
+    index: int = -1
 
 
 def sws_steal_once(
@@ -263,10 +276,9 @@ def sws_steal_once(
     view = StealValEpoch.unpack(old)
     if view.locked:
         return ShimStealResult(aborted_locked=True, view=view)
-    vol = steal_volume(view.itasks, view.asteals)
+    vol, disp = thief_claim(view.itasks, view.asteals)
     if vol == 0:
         return ShimStealResult(empty=True, view=view)
-    disp = steal_displacement(view.itasks, view.asteals)
     # The tail field stores start % 2^19; shim buffers stay smaller
     # than that, so the raw value is the buffer index.
     start = view.tail + disp
@@ -372,10 +384,8 @@ class SwsShimCore:
         view = StealValEpoch.unpack(old)
         rec = self._records[-1]
         assert view.epoch == rec["epoch"] and view.itasks == rec["itasks"]
-        claims = min(view.asteals, max_steals(view.itasks))
-        rec["claims"] = claims
-        disp = steal_displacement(rec["itasks"], claims)
-        return rec["start"] + disp, rec["itasks"] - disp
+        rec["claims"], disp, rem = owner_remainder(view.itasks, view.asteals)
+        return rec["start"] + disp, rem
 
     def _reopen(self, start: int, itasks: int) -> None:
         next_epoch = (self.epoch + 1) % self.max_epochs
@@ -433,213 +443,24 @@ class SwsShimCore:
 
 
 # ======================================================================
-# SDC: the lock-based baseline protocol
+# The [tail, split) shared section SDC and ff-mult both publish through
 # ======================================================================
 
-def sdc_steal_once(
-    lock, tail, split, read_tasks, max_spins: int = 10_000,
-    token: int = 1, dead_holder=None, intent=None,
-) -> "SdcShimResult":
-    """One lock-protected steal-half attempt (the six-step SDC shape).
-
-    ``token`` is the value CASed into the lock word (the mp substrate
-    passes its pid so a stuck lock names its holder).  ``dead_holder``,
-    when given, is consulted every few hundred spins with the observed
-    holder token; if it reports the holder dead the spinner takes the
-    lock over with a single CAS (race-free: only one contender's
-    ``compare_swap(holder, token)`` can win).  ``intent(start, count)``
-    is called under the lock *before* the tail advance so a thief crash
-    after the advance leaves a durable record of the claimed range.
-    """
-    res = SdcShimResult()
-    while lock.compare_swap(0, token) != 0:
-        res.lock_spins += 1
-        if dead_holder is not None and res.lock_spins % 256 == 0:
-            holder = lock.load()
-            if holder and dead_holder(holder):
-                if lock.compare_swap(holder, token) == holder:
-                    break  # dead holder's lock taken over
-                continue
-        if res.lock_spins >= max_spins:
-            return res
-        time.sleep(0)
-    try:
-        t, s = tail.load(), split.load()
-        avail = s - t
-        if avail <= 0:
-            res.empty = True
-            return res
-        n = max(1, avail // 2)
-        if intent is not None:
-            intent(t, n)
-        res.claimed = read_tasks(t, n)
-        tail.store(t + n)
-        return res
-    finally:
-        lock.store(0)
-
-
-@dataclass
-class SdcShimResult:
-    """One SDC thief attempt's outcome."""
-
-    claimed: list = field(default_factory=list)
-    lock_spins: int = 0
-    empty: bool = False
-
-
-class SdcShimCore:
-    """Owner-side SDC shim state over any atomic-word substrate.
-
-    Subclasses provide ``self.lock`` / ``self.tail`` / ``self.split``
-    (atomic words), ``self.nfilled`` and :meth:`_read_tasks` before
-    calling :meth:`_init_protocol`.
-    """
-
-    def _init_protocol(self) -> None:
-        self.lock.store(0)
-        self.tail.store(0)
-        self.split.store(0)
-        self.cursor = 0
-        self.owner_kept: list = []
-
-    def _read_tasks(self, start: int, count: int) -> list:
-        raise NotImplementedError
-
-    # -- owner ---------------------------------------------------------
-    def release(self, count: int) -> None:
-        """Expose the next ``count`` buffer tasks (requires empty shared,
-        like the real protocol; surplus shared is absorbed first)."""
-        self._lock()
-        try:
-            tail, split = self.tail.load(), self.split.load()
-            if split > tail:
-                # Absorb the remainder (acquire-all) before re-exposing.
-                self.owner_kept.extend(self._read_tasks(tail, split - tail))
-                self.tail.store(split)
-            count = min(count, self.nfilled - self.cursor)
-            self.cursor += count
-            self.split.store(self.cursor)
-            self.tail.store(self.cursor - count)
-        finally:
-            self._unlock()
-
-    def acquire(self) -> list:
-        """Pull back half of the shared portion under the lock."""
-        self._lock()
-        try:
-            tail, split = self.tail.load(), self.split.load()
-            avail = split - tail
-            ntake = (avail + 1) // 2
-            taken = self._read_tasks(split - ntake, ntake) if ntake else []
-            self.owner_kept.extend(taken)
-            self.split.store(split - ntake)
-            return taken
-        finally:
-            self._unlock()
-
-    def drain(self) -> None:
-        """Absorb everything left (shared remainder + unshared)."""
-        self._lock()
-        try:
-            tail, split = self.tail.load(), self.split.load()
-            self.owner_kept.extend(self._read_tasks(tail, split - tail))
-            self.tail.store(split)
-            self.owner_kept.extend(
-                self._read_tasks(self.cursor, self.nfilled - self.cursor)
-            )
-            self.cursor = self.nfilled
-        finally:
-            self._unlock()
-
-    def take_kept(self) -> list:
-        """Hand back (and clear) the owner-reabsorbed tasks."""
-        kept, self.owner_kept = self.owner_kept, []
-        return kept
-
-    #: Lock-word token this owner CASes in (the mp substrate sets its
-    #: pid so a wedged queue names its holder) and the dead-holder
-    #: oracle consulted by the takeover path (None: spin forever, the
-    #: historical single-address-space behaviour).
-    lock_token: int = 1
-    dead_holder = None
-
-    def _lock(self) -> None:
-        spins = 0
-        while self.lock.compare_swap(0, self.lock_token) != 0:
-            spins += 1
-            if self.dead_holder is not None and spins % 256 == 0:
-                holder = self.lock.load()
-                if holder and self.dead_holder(holder):
-                    if self.lock.compare_swap(holder, self.lock_token) == holder:
-                        return  # dead holder's lock taken over
-            time.sleep(0)
-
-    def _unlock(self) -> None:
-        self.lock.store(0)
-
-    # -- thief ---------------------------------------------------------
-    def steal(self, max_spins: int = 10_000) -> SdcShimResult:
-        """One lock-protected steal-half attempt."""
-        return sdc_steal_once(
-            self.lock, self.tail, self.split, self._read_tasks, max_spins,
-            token=self.lock_token, dead_holder=self.dead_holder,
-        )
-
-
-# ======================================================================
-# ff-mult: the fence-free multiplicity deque
-# ======================================================================
-
-@dataclass
-class FfMultShimResult:
-    """One fence-free thief attempt's outcome.
-
-    ``index`` is the absolute buffer index the thief consumed (``-1``
-    when the shared section looked empty) — the mutation/property suites
-    key duplicate multiplicity on it.
-    """
-
-    claimed: list = field(default_factory=list)
-    empty: bool = False
-    index: int = -1
-
-
-def ffmult_steal_once(tail, split, read_tasks) -> FfMultShimResult:
-    """One fence-free steal (Castañeda & Piña): no atomic RMW anywhere.
-
-    Plain load of ``tail`` and ``split``, plain read of one task record,
-    plain store of ``tail + 1``.  Two thieves observing the same tail
-    both consume the same record and both store the same new tail — a
-    legal duplicate handout.  The record is read *before* the tail store,
-    so an index is never passed without someone holding its task: races
-    duplicate work, they cannot lose it.
-    """
-    t = tail.load()
-    s = split.load()
-    if s - t <= 0:
-        return FfMultShimResult(empty=True)
-    claimed = read_tasks(t, 1)
-    # Widen the race window so duplicates actually happen under test.
-    time.sleep(0)
-    tail.store(t + 1)
-    return FfMultShimResult(claimed=list(claimed), index=t)
-
-
-class FfMultShimCore:
-    """Owner-side fence-free multiplicity shim over any word substrate.
+class TailSplitShimCore:
+    """Owner side of a ``[tail, split)`` shared section over any word
+    substrate — the part SDC and the fence-free deque have in common.
 
     Subclasses provide ``self.tail`` / ``self.split`` (plain-load/store
     word objects), ``self.nfilled`` and :meth:`_read_tasks` before
     calling :meth:`_init_protocol`.
 
-    The owner never takes a lock either: before re-publishing it absorbs
-    the shared remainder ``[tail, split)`` into ``owner_kept`` and
-    repairs the tail upward.  A thief's stale ``tail`` store can land
-    after the repair and re-expose already-consumed indices — those
-    re-steals are duplicates, which the at-least-once contract allows;
-    every absorb reads the range *before* moving the tail, so no index
-    is ever skipped unread.
+    Nothing here takes a lock: before re-publishing, the owner absorbs
+    the shared remainder ``[tail, split)`` into ``owner_kept`` and parks
+    the tail.  Every absorb reads the range *before* moving the tail, so
+    no index is ever skipped unread.  SDC runs each operation inside its
+    queue lock; the fence-free deque runs them bare and lives with what
+    a racing thief's stale ``tail`` store can then do (see
+    :class:`FfMultShimCore`).
     """
 
     def _init_protocol(self) -> None:
@@ -651,9 +472,10 @@ class FfMultShimCore:
     def _read_tasks(self, start: int, count: int) -> list:
         raise NotImplementedError
 
-    # -- owner ---------------------------------------------------------
     def release(self, count: int) -> None:
-        """Absorb the shared remainder, then expose ``count`` new tasks."""
+        """Absorb the shared remainder (acquire-all, like the real
+        protocols' empty-shared precondition), then expose the next
+        ``count`` buffer tasks."""
         t, s = self.tail.load(), self.split.load()
         if s > t:
             self.owner_kept.extend(self._read_tasks(t, s - t))
@@ -694,7 +516,147 @@ class FfMultShimCore:
         kept, self.owner_kept = self.owner_kept, []
         return kept
 
+
+# ======================================================================
+# SDC: the lock-based baseline protocol
+# ======================================================================
+
+def sdc_lock(lock, token: int = 1, dead_holder=None,
+             max_spins: int | None = None) -> tuple[bool, int]:
+    """Spin for the SDC queue lock; returns ``(acquired, spins)``.
+
+    ``token`` is the value CASed into the lock word (the mp substrate
+    passes its pid so a stuck lock names its holder).  ``dead_holder``,
+    when given, is consulted every few hundred spins with the observed
+    holder token; if it reports the holder dead the spinner takes the
+    lock over with a single CAS (race-free: only one contender's
+    ``compare_swap(holder, token)`` can win).  Without ``max_spins`` the
+    spin is unbounded (the historical single-address-space behaviour).
+    """
+    spins = 0
+    while lock.compare_swap(0, token) != 0:
+        spins += 1
+        if dead_holder is not None and spins % 256 == 0:
+            holder = lock.load()
+            if holder and dead_holder(holder):
+                if lock.compare_swap(holder, token) == holder:
+                    break  # dead holder's lock taken over
+                continue
+        if max_spins is not None and spins >= max_spins:
+            return False, spins
+        time.sleep(0)
+    return True, spins
+
+
+def sdc_steal_once(
+    lock, tail, split, read_tasks, max_spins: int = 10_000,
+    token: int = 1, dead_holder=None, intent=None,
+) -> ShimStealResult:
+    """One lock-protected steal-half attempt (the six-step SDC shape).
+
+    ``token`` and ``dead_holder`` are :func:`sdc_lock`'s.
+    ``intent(start, count)`` is called under the lock *before* the tail
+    advance so a thief crash after the advance leaves a durable record
+    of the claimed range.
+    """
+    acquired, spins = sdc_lock(lock, token, dead_holder, max_spins)
+    res = ShimStealResult(lock_spins=spins)
+    if not acquired:
+        return res
+    try:
+        t, s = tail.load(), split.load()
+        avail = s - t
+        if avail <= 0:
+            res.empty = True
+            return res
+        n = max(1, avail // 2)
+        if intent is not None:
+            intent(t, n)
+        res.claimed = read_tasks(t, n)
+        tail.store(t + n)
+        return res
+    finally:
+        lock.store(0)
+
+
+def _under_lock(op):
+    """Run an owner operation of :class:`SdcShimCore` inside its lock."""
+    def locked(self, *args):
+        sdc_lock(self.lock, self.lock_token, self.dead_holder)
+        try:
+            return op(self, *args)
+        finally:
+            self.lock.store(0)
+    return locked
+
+
+class SdcShimCore(TailSplitShimCore):
+    """Owner-side SDC shim state over any atomic-word substrate.
+
+    The owner operations are :class:`TailSplitShimCore`'s, each run
+    under the queue lock thieves also take.  Subclasses provide
+    ``self.lock`` (an atomic word with ``compare_swap``) besides what the
+    base asks for.
+    """
+
+    #: Lock-word token this owner CASes in (the mp substrate sets its
+    #: pid so a wedged queue names its holder) and the dead-holder
+    #: oracle consulted by the takeover path (None: spin forever, the
+    #: historical single-address-space behaviour).
+    lock_token: int = 1
+    dead_holder = None
+
+    def _init_protocol(self) -> None:
+        self.lock.store(0)
+        super()._init_protocol()
+
+    release = _under_lock(TailSplitShimCore.release)
+    acquire = _under_lock(TailSplitShimCore.acquire)
+    drain = _under_lock(TailSplitShimCore.drain)
+
     # -- thief ---------------------------------------------------------
-    def steal(self) -> FfMultShimResult:
+    def steal(self, max_spins: int = 10_000) -> ShimStealResult:
+        """One lock-protected steal-half attempt."""
+        return sdc_steal_once(
+            self.lock, self.tail, self.split, self._read_tasks, max_spins,
+            token=self.lock_token, dead_holder=self.dead_holder,
+        )
+
+
+# ======================================================================
+# ff-mult: the fence-free multiplicity deque
+# ======================================================================
+
+def ffmult_steal_once(tail, split, read_tasks) -> ShimStealResult:
+    """One fence-free steal (Castañeda & Piña): no atomic RMW anywhere.
+
+    Plain load of ``tail`` and ``split``, plain read of one task record,
+    plain store of ``tail + 1``.  Two thieves observing the same tail
+    both consume the same record and both store the same new tail — a
+    legal duplicate handout.  The record is read *before* the tail store,
+    so an index is never passed without someone holding its task: races
+    duplicate work, they cannot lose it.
+    """
+    t = tail.load()
+    s = split.load()
+    if s - t <= 0:
+        return ShimStealResult(empty=True)
+    claimed = read_tasks(t, 1)
+    # Widen the race window so duplicates actually happen under test.
+    time.sleep(0)
+    tail.store(t + 1)
+    return ShimStealResult(claimed=list(claimed), index=t)
+
+
+class FfMultShimCore(TailSplitShimCore):
+    """Owner-side fence-free multiplicity shim over any word substrate.
+
+    :class:`TailSplitShimCore` run bare — the owner never takes a lock
+    either.  A thief's stale ``tail`` store can land after the owner
+    parked the tail and re-expose already-consumed indices — those
+    re-steals are duplicates, which the at-least-once contract allows.
+    """
+
+    def steal(self) -> ShimStealResult:
         """One fence-free attempt against this queue's own words."""
         return ffmult_steal_once(self.tail, self.split, self._read_tasks)

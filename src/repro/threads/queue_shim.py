@@ -25,10 +25,7 @@ task set exactly.  The same core also drives the multiprocess substrate
 from __future__ import annotations
 
 from .atomics import AtomicArray64, AtomicWord64
-from .protocol import ShimStealResult, SwsShimCore, race
-
-#: Historic name: thread tests match on these fields.
-ThreadStealResult = ShimStealResult
+from .protocol import SwsShimCore, race
 
 
 class ThreadSwsQueue(SwsShimCore):
@@ -50,7 +47,6 @@ def hammer(
     nthieves: int = 4,
     releases: int = 8,
     acquires: int = 3,
-    seed: int = 0,
 ) -> tuple[list[list[int]], list[int]]:
     """Race harness: one owner thread releasing/acquiring, N thief threads.
 

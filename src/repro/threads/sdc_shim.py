@@ -16,10 +16,7 @@ multiprocess substrate (:mod:`repro.mp.queue`).
 from __future__ import annotations
 
 from .atomics import AtomicWord64
-from .protocol import SdcShimCore, SdcShimResult, race
-
-#: Historic name: thread tests match on these fields.
-SdcThreadResult = SdcShimResult
+from .protocol import SdcShimCore, race
 
 
 class ThreadSdcQueue(SdcShimCore):

@@ -64,10 +64,9 @@ def measure_single_steal(
         raise ValueError(str(exc)) from None
     if volume < 1:
         raise ValueError(f"volume must be >= 1, got {volume}")
-    if protocol.family == "ffmult" and volume != 1:
+    if not protocol.steal_half and volume != 1:
         raise ValueError(
-            f"the fence-free deque steals exactly one task, got "
-            f"volume={volume}"
+            f"{impl} steals exactly one task, got volume={volume}"
         )
     preload = 4 * volume
     qsize = qsize or max(256, 1 << (preload - 1).bit_length())
@@ -83,10 +82,7 @@ def measure_single_steal(
     def victim() -> object:
         for _ in range(preload):
             victim_q.enqueue(record)
-        if protocol.family == "sws":
-            yield from victim_q.release()
-        else:
-            victim_q.release()
+        yield from victim_q.release()
         out["released"] = True
 
     def thief() -> object:

@@ -51,10 +51,7 @@ def sharded_golden(protocol_name: str, nshards: int) -> dict:
     def victim():
         for i in range(NTOTAL):
             victim_q.enqueue(rec(i))
-        if protocol.family == "sws":
-            yield from victim_q.release()
-        else:
-            victim_q.release()
+        yield from victim_q.release()
 
     def thief():
         yield Delay(50e-6)

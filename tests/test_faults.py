@@ -23,6 +23,8 @@ from repro.fabric.latency import LatencyModel
 from repro.runtime.victim import QuarantineSelector, RoundRobinVictim
 from repro.shmem.api import ShmemCtx
 
+from .conftest import collect
+
 LAT = LatencyModel(
     alpha_sw=1e-6,
     half_rtt_inter=10e-6,
@@ -394,7 +396,7 @@ class TestSdcLeaseRecovery:
         victim = system.handle(0)
         thief = system.handle(1)
         victim.seed([self.TASK] * 8)
-        victim.release()
+        collect(victim.release())
         return ctx, victim, thief
 
     def test_stale_lease_is_broken(self):
@@ -445,7 +447,7 @@ class TestSdcLeaseRecovery:
         system = SdcQueueSystem(ctx, cfg)
         victim, thief = system.handle(0), system.handle(1)
         victim.seed([self.TASK] * 8)
-        victim.release()
+        collect(victim.release())
 
         def body():
             result = yield from thief.steal(0)
@@ -454,6 +456,45 @@ class TestSdcLeaseRecovery:
         result, _ = run_proc(ctx, body())
         assert result.status is StealStatus.STOLEN
         assert thief.locks_recovered == 0
+
+
+class TestSdcUnderFaultsByDefault:
+    """``TaskPool(impl="sdc", fault_plan=<active>)`` with the default
+    ``QueueConfig``: a dropped unlock used to leave the classic swap-lock
+    held with nothing to break it, and the run never terminated."""
+
+    @pytest.mark.timeout(60)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_default_config_terminates_exactly_once(self, seed):
+        from repro.runtime.pool import TaskPool
+        from repro.runtime.registry import TaskRegistry
+        from repro.workloads.uts import TEST_SMALL, UtsWorkload, enumerate_tree
+
+        reg = TaskRegistry()
+        wl = UtsWorkload(reg, TEST_SMALL)
+        pool = TaskPool(
+            6, reg, impl="sdc", fault_plan=FaultPlan(seed=seed, drop_rate=0.03)
+        )
+        # Derived like op_timeout, because the caller left it None ...
+        assert pool.queue_config.sdc_lock_lease == 4.0 * pool.op_timeout
+        pool.seed(0, [wl.seed_task()])
+        stats = pool.run()
+        assert stats.total_tasks == enumerate_tree(TEST_SMALL).nodes
+        assert stats.runtime < 10e-3
+        assert stats.faults["dropped_ops"] > 0
+
+    def test_an_explicit_lease_is_an_override(self):
+        from repro.runtime.pool import TaskPool
+        from repro.runtime.registry import TaskRegistry
+
+        qc = QueueConfig(sdc_lock_lease=50e-6)
+        pool = TaskPool(
+            4, TaskRegistry(), impl="sdc", queue_config=qc,
+            fault_plan=FaultPlan(seed=0, drop_rate=0.03),
+        )
+        assert pool.queue_config is qc
+        # ... and never derived on a reliable fabric.
+        assert TaskPool(4, TaskRegistry(), impl="sdc").queue_config.sdc_lock_lease is None
 
 
 class TestPutSignalSerialization:

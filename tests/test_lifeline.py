@@ -192,7 +192,7 @@ class TestPoolIntegration:
         from repro.core.sws_queue import SwsQueueSystem
         from repro.runtime.lifeline import LifelineSystem
         from repro.runtime.termination import TerminationSystem
-        from repro.runtime.worker import QueueDriver, WorkerConfig
+        from repro.runtime.worker import WorkerConfig
 
         qs = SwsQueueSystem(ctx, QueueConfig(qsize=64, task_size=16))
         ts = TerminationSystem(ctx)
@@ -201,7 +201,7 @@ class TestPoolIntegration:
             Worker(
                 rank=0,
                 npes=2,
-                driver=QueueDriver(qs.handle(0), None),
+                queue=qs.handle(0),
                 registry=TaskRegistry(),
                 selector=None,
                 termination=ts.handle(0),

@@ -98,7 +98,7 @@ class SwsQueueMachine(RuleBasedStateMachine):
         moved, self.local = self.local[:nshare], self.local[nshare:]
         self.shared.extend(moved)
         assert len(self.shared) == before_shared + nshare
-        assert self.q.shared_remaining == len(self.shared)
+        assert self.q.stealable == len(self.shared)
 
     @rule()
     def acquire(self):
@@ -109,7 +109,7 @@ class SwsQueueMachine(RuleBasedStateMachine):
         self.shared = self.shared[: len(self.shared) - ntake]
         # They become the oldest local tasks.
         self.local = taken + self.local
-        assert self.q.shared_remaining == len(self.shared)
+        assert self.q.stealable == len(self.shared)
         assert self.q.local_count == len(self.local)
 
     @precondition(lambda self: len(self.shared) > 0)
@@ -163,7 +163,7 @@ class SwsQueueMachine(RuleBasedStateMachine):
     def queue_self_checks(self):
         self.q.invariants()
         assert self.q.local_count == len(self.local)
-        assert self.q.shared_remaining == len(self.shared)
+        assert self.q.stealable == len(self.shared)
 
 
 TestSwsQueueModel = SwsQueueMachine.TestCase

@@ -75,10 +75,10 @@ class SdcQueueMachine(RuleBasedStateMachine):
     @precondition(lambda self: len(self.local) >= 1 and not self.shared)
     @rule()
     def release(self):
-        nshare = self.q.release()
+        nshare = run_now(self.ctx, self.q.release())
         moved, self.local = self.local[:nshare], self.local[nshare:]
         self.shared.extend(moved)
-        assert self.q.shared_count == len(self.shared)
+        assert self.q.stealable == len(self.shared)
 
     @precondition(lambda self: len(self.shared) >= 1)
     @rule()
@@ -87,7 +87,7 @@ class SdcQueueMachine(RuleBasedStateMachine):
         taken = self.shared[len(self.shared) - ntake :] if ntake else []
         self.shared = self.shared[: len(self.shared) - ntake]
         self.local = taken + self.local
-        assert self.q.shared_count == len(self.shared)
+        assert self.q.stealable == len(self.shared)
         assert self.q.local_count == len(self.local)
 
     @precondition(lambda self: len(self.shared) > 0)
@@ -145,7 +145,7 @@ class SdcQueueMachine(RuleBasedStateMachine):
     def queue_self_checks(self):
         self.q.invariants()
         assert self.q.local_count == len(self.local)
-        assert self.q.shared_count == len(self.shared)
+        assert self.q.stealable == len(self.shared)
 
 
 TestSdcQueueModel = SdcQueueMachine.TestCase

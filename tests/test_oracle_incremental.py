@@ -80,14 +80,14 @@ class RescanOracle:
         return [
             sum(w.stats.tasks_spawned for w in ws),
             sum(w.stats.tasks_executed for w in ws),
-            sum(w.driver.local_count + w.driver.stealable_remaining
+            sum(w.queue.local_count + w.queue.stealable
                 for w in ws),
         ]
 
     def check(self) -> None:
         ctx = self.pool.ctx
         for w in self.workers:
-            q = w.driver.queue
+            q = w.queue
             if ctx.faults is not None and ctx.faults.is_dead(
                     q.rank, ctx.engine.now):
                 continue
@@ -159,7 +159,7 @@ def observable(worker, rows: list[list[int]]) -> tuple:
     heap words (``rows``), the handle's owner-local fields (the allotment
     records by value), the in-flight steal snapshots pinning its reclaim
     floor (ff-mult), its worker's books."""
-    q = worker.driver.queue
+    q = worker.queue
     words = [tuple(view) for view in rows]
     # Heap views and the payload buffer stay live objects in here (equal
     # to themselves whatever they hold): ``words`` covers what matters.
@@ -198,7 +198,7 @@ class Differential:
         self.last_seen: dict[int, tuple] = {}
         self.rows = {}
         for w in self.ref.workers:
-            q = w.driver.queue
+            q = w.queue
             q.oracle_check = self._noting(q.rank, q.oracle_check)
             self.rows[q.rank] = queue_rows(q)
 

@@ -75,7 +75,7 @@ class TestCleanRunsPass:
         pool = run_with_oracle("ff-mult", npes=8, ntasks=200, seed=42)
         spawned = sum(w.stats.tasks_spawned for w in pool.workers)
         executed = sum(w.stats.tasks_executed for w in pool.workers)
-        dups = sum(w.driver.spawn_credit for w in pool.workers)
+        dups = sum(w.queue.dup_handouts for w in pool.workers)
         assert executed == spawned + dups
         pool.oracle.check_final()
 
@@ -115,7 +115,7 @@ class TestMutationsAreCaught:
         """A task left resident at termination trips the drain check."""
         pool = run_with_oracle("localized")
         w = pool.workers[0]
-        w.driver.queue.enqueue(bytes(pool.queue_config.task_size))
+        w.queue.enqueue(bytes(pool.queue_config.task_size))
         with pytest.raises(OracleViolation, match="drain-final"):
             pool.oracle.check_final()
 

@@ -10,7 +10,7 @@ from repro.runtime.task import Task
 from repro.runtime.worker import WorkerConfig
 from repro.shmem.api import ShmemCtx
 
-from .conftest import TEST_LAT, rec, run_procs
+from .conftest import TEST_LAT, collect, rec, run_procs
 
 
 def fanout_registry(width, leaf_time=5e-4):
@@ -30,7 +30,7 @@ class TestSdcStealPolicy:
         victim, thief = sys_.handle(0), sys_.handle(1)
         for i in range(32):
             victim.enqueue(rec(i))
-        victim.release()  # shared = 16
+        collect(victim.release())  # shared = 16
 
         def t():
             r = yield from thief.steal(0)

@@ -51,19 +51,8 @@ class TestRegistryApi:
                     name="sws",
                     title="imposter",
                     semantics=EXACTLY_ONCE,
-                    family="sws",
                     queue_system=SwsQueueSystem,
                 )
-            )
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown protocol family"):
-            Protocol(
-                name="bogus",
-                title="bad family",
-                semantics=EXACTLY_ONCE,
-                family="quantum",
-                queue_system=SwsQueueSystem,
             )
 
     def test_protocols_are_frozen(self):
@@ -102,15 +91,20 @@ class TestDeclaredContracts:
             "localized": SwsQueueSystem,
         }
 
-    def test_family_matches_queue_driver(self):
-        """The declared family agrees with the fabric queue's own tag."""
+    def test_handles_are_split_queues(self):
+        """Every fabric queue is the one split queue — no family tag to
+        dispatch on — and offers ``probe`` exactly when the record says
+        steal damping applies."""
+        from repro.core.split_queue import SplitQueue
         from repro.fabric.latency import ZERO_LATENCY
         from repro.shmem.api import ShmemCtx
 
         for p in all_protocols():
             ctx = ShmemCtx(2, latency=ZERO_LATENCY)
             system = p.queue_system(ctx, QueueConfig(qsize=64, task_size=16))
-            assert system.handle(0).driver_family == p.family, p.name
+            queue = system.handle(0)
+            assert isinstance(queue, SplitQueue), p.name
+            assert hasattr(queue, "probe") == p.supports_damping, p.name
 
     def test_thread_factories_build_matching_shims(self):
         from repro.threads.ffmult_shim import ThreadFfMultQueue

@@ -38,10 +38,7 @@ def _run_scenario(impl: str, sc: dict) -> None:
     kept: list[int] = []
 
     def owner():
-        if impl == "sws":
-            yield from owner_q.release()
-        else:
-            owner_q.release()
+        yield from owner_q.release()
         yield Delay(2e-6)
         for _ in range(sc["owner_acquires"]):
             yield from owner_q.acquire()
@@ -55,10 +52,7 @@ def _run_scenario(impl: str, sc: dict) -> None:
         yield Delay(1.0)
         owner_q.progress()
         while True:
-            if impl == "sws":
-                got = yield from owner_q.acquire()
-            else:
-                got = yield from owner_q.acquire()
+            got = yield from owner_q.acquire()
             if not got:
                 break
             while True:

@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.core.config import QueueConfig
 from repro.core.results import StealStatus
 from repro.core.sdc_queue import LOCK, META_REGION, SdcQueueSystem
 from repro.fabric.engine import Delay
 from repro.fabric.errors import ProtocolError
+from repro.shmem.api import ShmemCtx
 
-from .conftest import collect, make_system, rec, rec_id, run_procs
+from .conftest import TEST_LAT, collect, make_system, rec, rec_id, run_procs
 
 
 class TestLocalOps:
@@ -25,10 +27,10 @@ class TestLocalOps:
         for i in range(10):
             q.enqueue(rec(i))
         assert q.local_count == 10
-        assert q.shared_count == 0
-        q.release()
+        assert q.stealable == 0
+        collect(q.release())
         assert q.local_count == 5
-        assert q.shared_count == 5
+        assert q.stealable == 5
 
     def test_wrong_record_size_rejected(self):
         _, sys_ = make_system("sdc", npes=1)
@@ -41,28 +43,28 @@ class TestLocalOps:
         q = sys_.handle(0)
         for i in range(4):
             q.enqueue(rec(i))
-        q.release()
+        collect(q.release())
         with pytest.raises(ProtocolError, match="empty shared"):
-            q.release()
+            collect(q.release())
 
     def test_release_of_single_task(self):
         _, sys_ = make_system("sdc", npes=1)
         q = sys_.handle(0)
         q.enqueue(rec(0))
-        assert q.release() == 1
+        assert collect(q.release()) == 1
         assert q.local_count == 0
 
     def test_release_empty_local_shares_nothing(self):
         _, sys_ = make_system("sdc", npes=1)
         q = sys_.handle(0)
-        assert q.release() == 0
+        assert collect(q.release()) == 0
 
     def test_acquire_takes_half_back(self):
         ctx, sys_ = make_system("sdc", npes=1)
         q = sys_.handle(0)
         for i in range(8):
             q.enqueue(rec(i))
-        q.release()  # shared=4 local=4
+        collect(q.release())  # shared=4 local=4
         while q.dequeue() is not None:
             pass
         assert q.local_count == 0
@@ -74,7 +76,7 @@ class TestLocalOps:
         (n,) = run_procs(ctx, owner())
         assert n == 2
         assert q.local_count == 2
-        assert q.shared_count == 2
+        assert q.stealable == 2
 
     def test_overflow_raises(self):
         _, sys_ = make_system("sdc", npes=1, qsize=8)
@@ -89,7 +91,7 @@ class TestLocalOps:
         q = sys_.handle(0)
         for i in range(5):
             q.enqueue(rec(i))
-        q.release()
+        collect(q.release())
         q.invariants()
 
 
@@ -99,7 +101,7 @@ class TestStealProtocol:
         victim, thief = sys_.handle(0), sys_.handle(1)
         for i in range(ntasks):
             victim.enqueue(rec(i, sys_.config.task_size))
-        victim.release()
+        collect(victim.release())
         return ctx, victim, thief
 
     def test_steal_takes_half_of_shared(self):
@@ -114,7 +116,7 @@ class TestStealProtocol:
         assert r.ntasks == 2  # floor(5/2)
         # Stolen records are the oldest (nearest the tail).
         assert [rec_id(x) for x in r.records] == [0, 1]
-        assert victim.shared_count == 3
+        assert victim.stealable == 3
 
     def test_steal_uses_exactly_six_comms(self):
         ctx, victim, thief = self._steal_setup(10)
@@ -147,6 +149,60 @@ class TestStealProtocol:
         assert delta["total"] == 3
         assert delta["blocking"] == 3
 
+    @staticmethod
+    def _traced_steal(lease, ntasks):
+        """One steal against a victim holding ``ntasks`` (half of them
+        released) with every fabric op traced: (result, ops, comms)."""
+        cfg = QueueConfig(qsize=256, task_size=16, sdc_lock_lease=lease)
+        ctx = ShmemCtx(2, latency=TEST_LAT, trace_comm=True)
+        sys_ = SdcQueueSystem(ctx, cfg)
+        victim, thief = sys_.handle(0), sys_.handle(1)
+        for i in range(ntasks):
+            victim.enqueue(rec(i))
+        collect(victim.release())
+
+        def t():
+            r = yield from thief.steal(0)
+            return r
+
+        (r,) = run_procs(ctx, t())
+        ops = [(op.initiator, op.target, op.kind) for op in ctx.metrics.trace]
+        return r, ops, ctx.metrics.snapshot()
+
+    def test_classic_op_sequence_is_figure_2(self):
+        """No lease configured: kind and target of every op of the one
+        steal body, in order — the Figure-2 SDC column, and the
+        three-communication empty path."""
+        r, ops, comms = self._traced_steal(None, 10)
+        assert r.success and r.ntasks == 2
+        assert ops == [
+            (1, 0, "amo_swap"), (1, 0, "get"), (1, 0, "put"),
+            (1, 0, "amo_swap"), (1, 0, "get"), (1, 0, "amo_add_nb"),
+        ]
+        r, ops, comms = self._traced_steal(None, 0)
+        assert r.status is StealStatus.EMPTY
+        assert ops == [(1, 0, "amo_swap"), (1, 0, "get"), (1, 0, "amo_swap")]
+
+    def test_lease_is_the_lock_word_strategy_only(self):
+        """A lease that never expires on a reliable fabric changes how
+        the lock word is taken and dropped (CAS for swap) and nothing
+        else: same result, same volume, same 6 / 5 and 3 / 3 counts."""
+        classic, classic_ops, classic_comms = self._traced_steal(None, 10)
+        leased, leased_ops, leased_comms = self._traced_steal(10.0, 10)
+        assert (leased.status, leased.ntasks, leased.records) == (
+            classic.status, classic.ntasks, classic.records
+        )
+        assert leased_ops == [
+            (i, t, "amo_cas" if kind == "amo_swap" else kind)
+            for i, t, kind in classic_ops
+        ]
+        for comms in (classic_comms, leased_comms):
+            assert (comms["total"], comms["blocking"]) == (6, 5)
+        r, ops, comms = self._traced_steal(10.0, 0)
+        assert r.status is StealStatus.EMPTY
+        assert ops == [(1, 0, "amo_cas"), (1, 0, "get"), (1, 0, "amo_cas")]
+        assert (comms["total"], comms["blocking"]) == (3, 3)
+
     def test_steal_from_self_rejected(self):
         _, sys_ = make_system("sdc", npes=2)
         q = sys_.handle(0)
@@ -167,7 +223,7 @@ class TestStealProtocol:
 
         results = run_procs(ctx, t(), owner_wait())
         assert results[1] == results[0].ntasks
-        assert victim.ctail == results[0].ntasks
+        assert victim.reclaim_tail == results[0].ntasks
         victim.invariants()
 
     def test_sequential_steals_drain_shared(self):
@@ -185,14 +241,14 @@ class TestStealProtocol:
         assert sum(volumes) == 8
         assert volumes == [4, 2, 1, 1]
         assert final is StealStatus.EMPTY
-        assert victim.shared_count == 0
+        assert victim.stealable == 0
 
     def test_concurrent_thieves_serialize_on_lock(self):
         ctx, sys_ = make_system("sdc", npes=4)
         victim = sys_.handle(0)
         for i in range(64):
             victim.enqueue(rec(i))
-        victim.release()  # shared = 32
+        collect(victim.release())  # shared = 32
 
         def t(rank):
             q = sys_.handle(rank)
@@ -217,7 +273,7 @@ class TestStealProtocol:
         # Advance the queue indices close to the wrap point.
         for i in range(12):
             victim.enqueue(rec(i))
-        victim.release()  # shared [0,6)
+        collect(victim.release())  # shared [0,6)
 
         def drain():
             total = 0
@@ -237,8 +293,8 @@ class TestStealProtocol:
             pass
         for i in range(12, 24):
             victim.enqueue(rec(i))
-        victim.release()
-        assert victim.shared_count == 6
+        collect(victim.release())
+        assert victim.stealable == 6
 
         ctx2_results = {}
 
@@ -260,7 +316,7 @@ class TestStealProtocol:
         thief = sys_.handle(2)
         for i in range(10):
             victim.enqueue(rec(i))
-        victim.release()
+        collect(victim.release())
         # Jam the lock from a "stuck" process.
         ctx.heap.store(0, META_REGION, LOCK, 1)
 
@@ -277,7 +333,7 @@ class TestStealProtocol:
         thief = sys_.handle(2)
         for i in range(4):
             victim.enqueue(rec(i))
-        victim.release()
+        collect(victim.release())
         ctx.heap.store(0, META_REGION, LOCK, 1)  # lock held elsewhere
 
         def t():

@@ -59,7 +59,7 @@ class TestSwsSnapshot:
         run_procs(ctx, owner())
         snap = q.snapshot()
         assert snap["local_count"] == 5
-        assert snap["shared_remaining"] == 5
+        assert snap["stealable"] == 5
         assert snap["stealval"]["itasks"] == 5
         assert not snap["stealval"]["locked"]
         assert snap["records"][-1]["open"] is True

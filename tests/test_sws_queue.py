@@ -37,7 +37,7 @@ class TestLocalOps:
         q = sys_.handle(0)
         v = StealValEpoch.unpack(q.pe.local_load(META_REGION, STEALVAL))
         assert (v.asteals, v.epoch, v.itasks) == (0, 0, 0)
-        assert q.shared_remaining == 0
+        assert q.stealable == 0
 
     def test_wrong_record_size_rejected(self):
         _, sys_ = make_system("sws", npes=1)
@@ -65,7 +65,7 @@ class TestReleaseAcquire:
         v = StealValEpoch.unpack(q.pe.local_load(META_REGION, STEALVAL))
         assert (v.asteals, v.epoch, v.itasks, v.tail) == (0, 1, 5, 0)
         assert q.local_count == 5
-        assert q.shared_remaining == 5
+        assert q.stealable == 5
 
     def test_release_includes_unclaimed_remainder(self):
         ctx, sys_ = make_system("sws", npes=1)
@@ -75,7 +75,7 @@ class TestReleaseAcquire:
         release_now(ctx, q)  # shared 4, local 4
         n2 = release_now(ctx, q)  # nothing claimed: remainder 4 + half of 4
         assert n2 == 2
-        assert q.shared_remaining == 6
+        assert q.stealable == 6
         assert q.local_count == 2
 
     def test_acquire_takes_half_of_remainder(self):
@@ -94,7 +94,7 @@ class TestReleaseAcquire:
         (n,) = run_procs(ctx, owner())
         assert n == 2
         assert q.local_count == 2
-        assert q.shared_remaining == 2
+        assert q.stealable == 2
         # The re-acquired tasks are the top of the shared block.
         assert rec_id(q.dequeue()) == 3
 
@@ -118,7 +118,7 @@ class TestReleaseAcquire:
             q.enqueue(rec(i))
         n = release_now(ctx, q)
         assert n == 3
-        assert q.shared_remaining == 3
+        assert q.stealable == 3
 
     def test_epoch_cycles_through_max_epochs(self):
         ctx, sys_ = make_system("sws", npes=1)
@@ -230,7 +230,7 @@ class TestStealProtocol:
         assert delta["total"] == 1
         assert delta["amo_fetch"] == 1
         # Probe claimed nothing.
-        assert victim.shared_remaining == 10
+        assert victim.stealable == 10
 
     def test_concurrent_thieves_partition_allotment(self):
         ctx, sys_ = make_system("sws", npes=5)
@@ -443,7 +443,7 @@ class TestEpochMachinery:
         results = run_procs(ctx, owner(), t())
         assert results[1].status is StealStatus.DISABLED
         # After the owner restored the word, the allotment is intact.
-        assert victim.shared_remaining == 8
+        assert victim.stealable == 8
 
     def test_invariants_detect_record_corruption(self):
         _, sys_ = make_system("sws", npes=1)

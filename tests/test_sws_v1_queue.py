@@ -39,7 +39,7 @@ class TestBasics:
         q = sys_.handle(0)
         v = StealValV1.unpack(q.pe.local_load(META_REGION, STEALVAL))
         assert not v.valid
-        assert q.shared_remaining == 0
+        assert q.stealable == 0
 
     def test_lifo_local_ops(self):
         _, sys_ = make_v1(npes=1)
