@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore bench experiments experiments-full examples clean
+.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore bench perf-ab experiments experiments-full examples clean
 
 install:
 	pip install -e .
@@ -57,6 +57,26 @@ explore:
 bench:
 	$(PYTHON) -m pytest benchmarks/
 
+# The one way to make a host-time claim (docs/performance.md), as one
+# command: CI's `bench` job against BASE — perfbench in a worktree of
+# BASE and here, the --compare table, then the exact-statistics check.
+# `make perf-ab SEED=7 ALLOW="--allow virt_runtime_ms"`; ~12 min.
+BASE ?= HEAD^
+SEED ?= 0
+perf-ab:
+	@set -e; out=.perf-ab; rm -rf $$out; mkdir $$out; git worktree prune; \
+	git worktree add --detach $$out/base $(BASE); \
+	trap 'git worktree remove --force $$out/base' EXIT; \
+	(cd $$out/base && python3 -m perfbench --seed $(SEED)); \
+	cp $$out/base/perfbench/out/result.json $$out/parent.json; \
+	python3 -m perfbench --seed $(SEED); \
+	cp perfbench/out/result.json $$out/change.json; \
+	rc=0; python3 -m perfbench --compare $$out/parent.json $$out/change.json \
+	    > $$out/compare.txt || rc=$$?; \
+	cat $$out/compare.txt; \
+	python3 tools/check_exact.py $$out/compare.txt $(ALLOW); \
+	exit $$rc
+
 experiments:
 	$(PYTHON) -m repro.analysis.cli --exp all --scale quick
 
@@ -71,5 +91,5 @@ examples:
 	done
 
 clean:
-	rm -rf .pytest_cache .hypothesis results
+	rm -rf .pytest_cache .hypothesis results .perf-ab
 	find . -name __pycache__ -type d -exec rm -rf {} +

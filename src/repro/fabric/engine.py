@@ -248,16 +248,8 @@ class CalendarQueue:
                     self._tombstones -= 1
                     i += 1
                 self._cur_i = i
-            keys = self._keys
-            if not keys:
-                self._cur = None
+            if self._promote() is None:
                 return None
-            key = heappop(keys)
-            lst = self._buckets.pop(key)
-            lst.sort()
-            self._cur = lst
-            self._cur_i = 0
-            self._cur_key = key
 
     def pop(self) -> tuple[int, int, Callable[[], None], Any] | None:
         """Dequeue the next live entry as a ``(when, seq, fn, actor)`` tuple."""
@@ -317,8 +309,8 @@ class Delay:
     """Request: advance virtual time by ``duration`` seconds.
 
     The tick conversion happens once at construction, so a Delay object
-    may be cached and re-yielded (workers reuse one per constant
-    overhead).  Instances render as ``delay(...)`` in deadlock reports.
+    may be cached and re-yielded (a worker keeps one per backoff
+    length).  Instances render as ``delay(...)`` in deadlock reports.
     """
 
     __slots__ = ("duration", "ticks")
@@ -571,20 +563,7 @@ class Engine:
             if proc.killed:
                 return
             raise SimulationError(f"throw into finished process {proc.name}")
-
-        def _do() -> None:
-            if proc.finished:
-                return
-            proc.waiting = False
-            proc.blocked_on = None
-            try:
-                req = proc.gen.throw(exc)
-            except StopIteration as stop:
-                self._finish(proc, stop.value)
-                return
-            self._dispatch(proc, req)
-
-        self.schedule(delay, _do, actor=proc.name)
+        self.schedule(delay, partial(self._step, proc, None, exc), actor=proc.name)
 
     def kill(self, proc: Process) -> None:
         """Fail-stop ``proc`` immediately (simulated PE crash).
@@ -601,21 +580,21 @@ class Engine:
         self._live -= 1
         proc.gen.close()
 
-    def _step(self, proc: Process, value: Any) -> None:
+    def _step(self, proc: Process, value: Any, exc: BaseException | None = None) -> None:
+        """One resume: send ``value`` (or raise ``exc``) into ``proc``,
+        then start the request it yields.  A finished process is a no-op
+        either way; only a send is checked against a double resume."""
         if proc.finished:
             return
-        if not proc.waiting:
+        if not proc.waiting and exc is None:
             raise SimulationError(f"double resume of process {proc.name}")
         proc.waiting = False
         proc.blocked_on = None
         try:
-            req = proc.gen.send(value)
+            req = proc.gen.send(value) if exc is None else proc.gen.throw(exc)
         except StopIteration as stop:
             self._finish(proc, stop.value)
             return
-        self._dispatch(proc, req)
-
-    def _dispatch(self, proc: Process, req: Any) -> None:
         proc.waiting = True
         if req.__class__ is Delay:
             # Store the request itself as the blocking description — its
@@ -635,9 +614,6 @@ class Engine:
             # Covers Call itself and subclasses (the NIC's pooled
             # operation records) in one C-level type check.
             req.handler(self, proc, *req.args)
-        elif isinstance(req, Delay):  # pragma: no cover - subclass escape hatch
-            proc.blocked_on = req
-            self.resume(proc, None, delay=req.duration)
         else:
             raise SimulationError(
                 f"process {proc.name} yielded unsupported request {req!r}"

@@ -79,12 +79,12 @@ class _QuietWait:
 _POOL_MAX = 1024
 
 
-class _FetchAmoOp(Call):
-    """Pooled record for one fault-free blocking fetching atomic.
+class _PooledOp(Call):
+    """Pooled record for one fault-free blocking round trip.
 
-    The fig7 hot path issues hundreds of thousands of fetch-amos; the
-    closure-based implementation allocated a handler closure, an
-    at-target closure, a resume closure, a ``blocked_on`` description
+    The fig7 hot path issues hundreds of thousands of fetch-amos and
+    gets; the closure-based implementation allocated a handler closure,
+    an at-target closure, a resume closure, a ``blocked_on`` description
     string and a Call object per op.  This record replaces all of them:
     it *is* the Call (handler pre-bound to :meth:`_start`), carries the
     op operands in ``__slots__``, renders its description lazily (only a
@@ -93,60 +93,91 @@ class _FetchAmoOp(Call):
     injector, no op timeout) uses pooled records — the guarded path
     keeps the closure implementation and its descriptor-cancel
     semantics.
+
+    Issue and resume are the same for every round trip and live here;
+    a subclass is its operands plus :meth:`_at_target`, which reads the
+    tick clock and serializes on the target's unit inline
+    (:meth:`Nic._serialize` without the frame).
     """
 
     __slots__ = ("nic", "initiator", "target", "region", "offset", "kind",
-                 "a1", "a2", "proc", "value", "_cb_at_target", "_cb_resume")
+                 "nbytes", "proc", "value", "back", "_pool", "_actors",
+                 "_cb_at_target", "_cb_resume")
 
-    def __init__(self, nic: "Nic") -> None:
+    def __init__(self, nic: "Nic", pool: list, actors: list[str]) -> None:
         self.nic = nic
         self.handler = self._start
         self.args = ()
+        self._pool = pool
+        self._actors = actors
         # Bound-method callbacks created once per record, not per op.
         self._cb_at_target = self._at_target
         self._cb_resume = self._resume
         self.proc = None
         self.value = None
 
-    def __repr__(self) -> str:
-        return f"{self.kind} -> pe{self.target} {self.region}[{self.offset}]"
-
     def _start(self, engine: Engine, proc: Process) -> None:
         nic = self.nic
         initiator = self.initiator
         target = self.target
+        nbytes = self.nbytes
         # Metrics tally inlined (record() validates the kind and converts
         # the clock to float seconds — both wasted on pooled ops).
         metrics = nic.metrics
         metrics.ops_by_pe[initiator][self.kind] += 1
-        metrics.bytes_by_pe[initiator] += WORD_BYTES
+        metrics.bytes_by_pe[initiator] += nbytes
         if metrics.trace_enabled:
             metrics.trace.append(
-                OpRecord(engine.now, initiator, target, self.kind, WORD_BYTES)
+                OpRecord(engine.now, initiator, target, self.kind, nbytes)
             )
         proc.blocked_on = self
         self.proc = proc
-        # One-way latency inlined for the no-jitter common case.
         if nic._ow_dynamic:
             ow = nic._one_way_ticks(initiator, target)
-        elif initiator == target:
-            ow = nic._ow_self_ticks
-        elif initiator // nic._ppn == target // nic._ppn:
-            ow = nic._ow_intra_ticks
         else:
-            ow = nic._ow_inter_ticks
+            # A pure function of the node pair, the same both ways: the
+            # return leg reuses it.  Index 0 inter-node, 1 intra, 2 self.
+            ppn = nic._ppn
+            ow = self.back = nic._ow_ticks[
+                (initiator == target) + (initiator // ppn == target // ppn)
+            ]
         engine.at_ticks(
-            engine.now_ticks + nic._alpha_ticks + ow,
-            self._cb_at_target, actor=nic._amo_actors[target],
+            engine._now + nic._alpha_ticks + ow,
+            self._cb_at_target, actor=self._actors[target],
         )
+
+    def _resume(self) -> None:
+        proc = self.proc
+        value = self.value
+        self.proc = None
+        self.value = None
+        pool = self._pool
+        if len(pool) < _POOL_MAX:
+            pool.append(self)
+        self.nic.engine._step(proc, value)
+
+
+class _FetchAmoOp(_PooledOp):
+    """One blocking fetching atomic (operands ``a1`` / ``a2``)."""
+
+    __slots__ = ("a1", "a2")
+
+    def __init__(self, nic: "Nic") -> None:
+        super().__init__(nic, nic._amo_pool, nic._amo_actors)
+        self.nbytes = WORD_BYTES
+
+    def __repr__(self) -> str:
+        return f"{self.kind} -> pe{self.target} {self.region}[{self.offset}]"
 
     def _at_target(self) -> None:
         nic = self.nic
         engine = nic.engine
         target = self.target
-        done = nic._serialize(
-            nic._amo_busy_until, target, engine.now_ticks, nic._amo_ticks
-        )
+        busy = nic._amo_busy_until
+        done = busy[target]
+        if done < engine._now:
+            done = engine._now
+        busy[target] = done = done + nic._amo_ticks
         heap = nic.heap
         kind = self.kind
         if kind == "amo_fetch_add":
@@ -160,48 +191,25 @@ class _FetchAmoOp(Call):
         else:  # amo_fetch
             value = heap.load(target, self.region, self.offset)
         self.value = value
-        initiator = self.initiator
-        if nic._ow_dynamic:
-            back = nic._one_way_ticks(target, initiator)
-        elif initiator == target:
-            back = nic._ow_self_ticks
-        elif initiator // nic._ppn == target // nic._ppn:
-            back = nic._ow_intra_ticks
-        else:
-            back = nic._ow_inter_ticks
+        back = (
+            nic._one_way_ticks(target, self.initiator)
+            if nic._ow_dynamic else self.back
+        )
         engine.at_ticks(done + back, self._cb_resume, actor=self.proc.name)
-
-    def _resume(self) -> None:
-        nic = self.nic
-        proc = self.proc
-        value = self.value
-        self.proc = None
-        self.value = None
-        pool = nic._amo_pool
-        if len(pool) < _POOL_MAX:
-            pool.append(self)
-        nic.engine._step(proc, value)
 
 
 #: _GetOp payload opcodes.
 _GET_WORD, _GET_WORDS, _GET_BYTES = 0, 1, 2
 
 
-class _GetOp(Call):
-    """Pooled record for one fault-free blocking get (see _FetchAmoOp)."""
+class _GetOp(_PooledOp):
+    """One blocking get (``count`` words or bytes, by ``opcode``)."""
 
-    __slots__ = ("nic", "initiator", "target", "region", "offset", "count",
-                 "nbytes", "opcode", "proc", "value",
-                 "_cb_at_target", "_cb_resume")
+    __slots__ = ("count", "opcode")
 
     def __init__(self, nic: "Nic") -> None:
-        self.nic = nic
-        self.handler = self._start
-        self.args = ()
-        self._cb_at_target = self._at_target
-        self._cb_resume = self._resume
-        self.proc = None
-        self.value = None
+        super().__init__(nic, nic._get_pool, nic._get_actors)
+        self.kind = "get"
 
     def __repr__(self) -> str:
         if self.opcode == _GET_WORD:
@@ -210,40 +218,15 @@ class _GetOp(Call):
         return (f"get -> pe{self.target} "
                 f"{self.region}[{self.offset}:{self.offset + self.count}]{suffix}")
 
-    def _start(self, engine: Engine, proc: Process) -> None:
-        nic = self.nic
-        initiator = self.initiator
-        target = self.target
-        nbytes = self.nbytes
-        metrics = nic.metrics
-        metrics.ops_by_pe[initiator]["get"] += 1
-        metrics.bytes_by_pe[initiator] += nbytes
-        if metrics.trace_enabled:
-            metrics.trace.append(
-                OpRecord(engine.now, initiator, target, "get", nbytes)
-            )
-        proc.blocked_on = self
-        self.proc = proc
-        if nic._ow_dynamic:
-            ow = nic._one_way_ticks(initiator, target)
-        elif initiator == target:
-            ow = nic._ow_self_ticks
-        elif initiator // nic._ppn == target // nic._ppn:
-            ow = nic._ow_intra_ticks
-        else:
-            ow = nic._ow_inter_ticks
-        engine.at_ticks(
-            engine.now_ticks + nic._alpha_ticks + ow,
-            self._cb_at_target, actor=nic._get_actors[target],
-        )
-
     def _at_target(self) -> None:
         nic = self.nic
         engine = nic.engine
         target = self.target
-        done = nic._serialize(
-            nic._get_busy_until, target, engine.now_ticks, nic._get_ticks
-        )
+        busy = nic._get_busy_until
+        done = busy[target]
+        if done < engine._now:
+            done = engine._now
+        busy[target] = done = done + nic._get_ticks
         heap = nic.heap
         opcode = self.opcode
         if opcode == _GET_WORD:
@@ -254,15 +237,10 @@ class _GetOp(Call):
             value = heap.read_bytes(target, self.region, self.offset, self.count)
         self.value = value
         stream = round(self.nbytes * nic._beta_fs)
-        initiator = self.initiator
-        if nic._ow_dynamic:
-            back = nic._one_way_ticks(target, initiator)
-        elif initiator == target:
-            back = nic._ow_self_ticks
-        elif initiator // nic._ppn == target // nic._ppn:
-            back = nic._ow_intra_ticks
-        else:
-            back = nic._ow_inter_ticks
+        back = (
+            nic._one_way_ticks(target, self.initiator)
+            if nic._ow_dynamic else self.back
+        )
         if nic._link_serialize:
             # The response payload occupies the target's egress link;
             # concurrent bulk reads of one victim serialize.
@@ -270,17 +248,6 @@ class _GetOp(Call):
         else:
             back += stream
         engine.at_ticks(done + back, self._cb_resume, actor=self.proc.name)
-
-    def _resume(self) -> None:
-        nic = self.nic
-        proc = self.proc
-        value = self.value
-        self.proc = None
-        self.value = None
-        pool = nic._get_pool
-        if len(pool) < _POOL_MAX:
-            pool.append(self)
-        nic.engine._step(proc, value)
 
 
 class Nic:
@@ -338,11 +305,13 @@ class Nic:
         self._alpha_ticks = round(lat.alpha_sw * TICKS_PER_SECOND)
         self._amo_ticks = round(lat.amo_process * TICKS_PER_SECOND)
         self._get_ticks = round(lat.get_process * TICKS_PER_SECOND)
-        self._ow_self_ticks = round(
-            lat.half_rtt_intra * lat.local_penalty * TICKS_PER_SECOND
-        )
-        self._ow_intra_ticks = round(lat.one_way(True) * TICKS_PER_SECOND)
-        self._ow_inter_ticks = round(lat.one_way(False) * TICKS_PER_SECOND)
+        # One-way latency by relation of the PE pair, indexed
+        # ``(a == b) + (same node)``: 0 inter-node, 1 intra-node, 2 self.
+        self._ow_ticks = [
+            round(lat.one_way(False) * TICKS_PER_SECOND),
+            round(lat.one_way(True) * TICKS_PER_SECOND),
+            round(lat.half_rtt_intra * lat.local_penalty * TICKS_PER_SECOND),
+        ]
         self._beta_fs = lat.beta * TICKS_PER_SECOND  # payload fs per byte
         self._jitter_on = bool(lat.jitter)
         # Tiered mode: a four-level one-way table indexed by the
@@ -357,7 +326,7 @@ class Nic:
                 round(lat.one_way_tier(t) * TICKS_PER_SECOND) for t in range(4)
             ]
             self._tier_of = topology.tier
-            self._ow_self_ticks = round(
+            self._ow_ticks[2] = round(
                 lat.half_rtt_socket * lat.local_penalty * TICKS_PER_SECOND
             )
         else:
@@ -389,14 +358,10 @@ class Nic:
     # ------------------------------------------------------------------
     def _one_way_ticks(self, a: int, b: int) -> int:
         if not self._jitter_on:
-            if a == b:
-                return self._ow_self_ticks
-            if self._tier_ticks is not None:
+            if self._tier_ticks is not None and a != b:
                 return self._tier_ticks[self._tier_of(a, b)]
             ppn = self._ppn
-            if a // ppn == b // ppn:
-                return self._ow_intra_ticks
-            return self._ow_inter_ticks
+            return self._ow_ticks[(a == b) + (a // ppn == b // ppn)]
         lat = self.latency
         if a == b:
             if self._tier_ticks is not None:

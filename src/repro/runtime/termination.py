@@ -93,28 +93,25 @@ class TerminationSystem:
         return TerminationDetector(self, rank)
 
 
-class TerminationDetector:
-    """Per-PE participant in the token ring."""
+class _Detector:
+    """What the ring and the tree participant share.
 
-    def __init__(self, system: TerminationSystem, rank: int) -> None:
+    ``_term`` is a read-only view of this PE's own ``term`` words: the
+    worker loop polls them every iteration (``terminated``, the
+    ``needs_service`` predicates).  Every write stays on ``local_store``.
+    """
+
+    def __init__(self, system, rank: int) -> None:
         self.system = system
         self.pe = system.ctx.pe(rank)
         self.rank = rank
         self.npes = system.ctx.npes
-        # PE 0 starts holding the (conceptual) token.
-        self._holding = rank == 0
-        self._round = 0
-        self._prev: tuple[int, int] | None = None
-        # Fault-mode state: previous round's all-quiescent bit, the last
-        # time PE 0 saw token activity, and how many tokens it regrew.
-        self._prev_q = False
-        self._last_token = 0.0
-        self.regenerations = 0
+        self._term = system.ctx.heap.word_view(rank, REGION)
 
     @property
     def terminated(self) -> bool:
         """Has global termination been declared?"""
-        return self.pe.local_load(REGION, TERM_FLAG) == 1
+        return self._term[TERM_FLAG] == 1
 
     def _arrivals_pending(self) -> bool:
         """Does an attached open-system source still owe injections?
@@ -125,6 +122,48 @@ class TerminationDetector:
         """
         src = self.system.arrival_source
         return src is not None and src.pending() > 0
+
+    def _service_alone(self, created: int, executed: int, idle: bool) -> bool:
+        """``npes == 1``: an idle PE with balanced books declares by itself."""
+        if idle and created == executed and not self._arrivals_pending():
+            self.pe.local_store(REGION, TERM_FLAG, 1)
+            return True
+        return False
+
+
+class TerminationDetector(_Detector):
+    """Per-PE participant in the token ring."""
+
+    def __init__(self, system: TerminationSystem, rank: int) -> None:
+        super().__init__(system, rank)
+        # The fault-aware token timeout is time-driven and a lone PE
+        # declares by itself: both are serviced on every iteration.
+        self._poll = system.fault_aware or self.npes == 1
+        # PE 0 starts holding the (conceptual) token.
+        self._holding = rank == 0
+        self._round = 0
+        self._prev: tuple[int, int] | None = None
+        # Fault-mode state: previous round's all-quiescent bit, the last
+        # time PE 0 saw token activity, and how many tokens it regrew.
+        self._prev_q = False
+        self._last_token = 0.0
+        self.regenerations = 0
+
+    def needs_service(self, idle: bool) -> bool:
+        """Would :meth:`service` do anything now?
+
+        What :meth:`wake_conditions` says for a blocked PE, asked by a
+        polling one: the flag or the token is here, or PE 0 (the only
+        rank that ever holds) may start a round.  May say yes when
+        ``service`` then finds nothing, never no when it would act.
+        """
+        term = self._term
+        return (
+            term[TOKEN_FLAG] != 0
+            or term[TERM_FLAG] != 0
+            or (self._holding and idle)
+            or self._poll
+        )
 
     def wake_conditions(self) -> list[tuple[int, str, int]]:
         """Local words whose mutation requires servicing this detector.
@@ -164,10 +203,7 @@ class TerminationDetector:
             )
             return done
         if self.npes == 1:
-            if idle and created == executed and not self._arrivals_pending():
-                self.pe.local_store(REGION, TERM_FLAG, 1)
-                return True
-            return False
+            return self._service_alone(created, executed, idle)
 
         if self.rank == 0:
             if self._holding and idle:
@@ -356,14 +392,12 @@ class TreeTerminationSystem:
         return TreeTerminationDetector(self, rank)
 
 
-class TreeTerminationDetector:
+class TreeTerminationDetector(_Detector):
     """Per-PE participant in the binary-tree four-counter protocol."""
 
     def __init__(self, system: TreeTerminationSystem, rank: int) -> None:
-        self.system = system
-        self.pe = system.ctx.pe(rank)
-        self.rank = rank
-        self.npes = system.ctx.npes
+        super().__init__(system, rank)
+        self._tree = system.ctx.heap.word_view(rank, TREE_REGION)  # read-only
         self.children = [
             c for c in (2 * rank + 1, 2 * rank + 2) if c < self.npes
         ]
@@ -372,15 +406,15 @@ class TreeTerminationDetector:
         self._reported = 0    # highest round this PE pushed up
         self._prev: tuple[int, int] | None = None
 
-    @property
-    def terminated(self) -> bool:
-        """Has global termination been declared?"""
-        return self.pe.local_load(REGION, TERM_FLAG) == 1
-
-    def _arrivals_pending(self) -> bool:
-        """Open-system gate; see ``TerminationDetector._arrivals_pending``."""
-        src = self.system.arrival_source
-        return src is not None and src.pending() > 0
+    def needs_service(self, idle: bool) -> bool:
+        """Would :meth:`service` do anything now?  The polling form of
+        :meth:`wake_conditions`; see ``TerminationDetector.needs_service``."""
+        return (
+            self._term[TERM_FLAG] != 0
+            or self._down_pending(self._tree[T_DOWN])
+            or self._push_pending()
+            or self.npes == 1
+        )
 
     def _down_pending(self, word: int) -> bool:
         """Is there an unserviced down-wave word?"""
@@ -411,13 +445,14 @@ class TreeTerminationDetector:
 
     def _children_ready(self) -> tuple[int, int] | None:
         """Sum of children's reports for the current round, if complete."""
+        tree = self._tree
         c_sum = e_sum = 0
         for idx, _child in enumerate(self.children):
             base = _CHILD_BASE[idx]
-            if self.pe.local_load(TREE_REGION, base) != self._round:
+            if tree[base] != self._round:
                 return None
-            c_sum += self.pe.local_load(TREE_REGION, base + 1)
-            e_sum += self.pe.local_load(TREE_REGION, base + 2)
+            c_sum += tree[base + 1]
+            e_sum += tree[base + 2]
         return c_sum, e_sum
 
     def service(self, created: int, executed: int, idle: bool) -> Generator:
@@ -425,10 +460,7 @@ class TreeTerminationDetector:
         if self.terminated:
             return True
         if self.npes == 1:
-            if idle and created == executed and not self._arrivals_pending():
-                self.pe.local_store(REGION, TERM_FLAG, 1)
-                return True
-            return False
+            return self._service_alone(created, executed, idle)
 
         # Down-wave: adopt round advances from the parent.
         down = self.pe.local_load(TREE_REGION, T_DOWN)

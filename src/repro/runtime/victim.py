@@ -268,6 +268,9 @@ class QuarantineSelector:
         self._dead: set[int] = set()
         #: Total quarantine events (reported into WorkerStats).
         self.quarantines = 0
+        #: Outcome notes are an adaptive inner selector's own ``note``,
+        #: resolved once; ``None`` when it takes none.
+        self.note = getattr(inner, "note", None)
 
     def mark_dead(self, victim: int) -> None:
         """Permanently quarantine ``victim``: a supervisor confirmed the
@@ -334,12 +337,6 @@ class QuarantineSelector:
             # Any response at all proves the victim is alive.
             self._strikes.pop(victim, None)
 
-    def note(self, success: bool) -> None:
-        """Forward outcome notes to an adaptive inner selector."""
-        note = getattr(self.inner, "note", None)
-        if note is not None:
-            note(success)
-
 
 class ElasticMembership:
     """Serving-mode wrapper: never target a PE that has left the pool.
@@ -359,6 +356,12 @@ class ElasticMembership:
         self.inner = inner
         self.directory = directory
         self.max_redraws = max_redraws
+        #: Outcome reports are the inner selector's own hooks (an adaptive
+        #: policy's ``note``, a QuarantineSelector's ``note_timeout`` and
+        #: ``note_steal``), resolved once; ``None`` where it takes none.
+        self.note = getattr(inner, "note", None)
+        self.note_timeout = getattr(inner, "note_timeout", None)
+        self.note_steal = getattr(inner, "note_steal", None)
 
     def next_victim(self) -> int:
         """A victim from the inner policy, dodging inactive PEs."""
@@ -368,24 +371,6 @@ class ElasticMembership:
                 return victim
             victim = self.inner.next_victim()
         return victim
-
-    def note(self, success: bool) -> None:
-        """Forward outcome notes to an adaptive inner selector."""
-        note = getattr(self.inner, "note", None)
-        if note is not None:
-            note(success)
-
-    def note_timeout(self, victim: int) -> None:
-        """Forward timeout reports (inner may be a QuarantineSelector)."""
-        note_timeout = getattr(self.inner, "note_timeout", None)
-        if note_timeout is not None:
-            note_timeout(victim)
-
-    def note_steal(self, victim: int, success: bool) -> None:
-        """Forward completion reports likewise."""
-        note_steal = getattr(self.inner, "note_steal", None)
-        if note_steal is not None:
-            note_steal(victim, success)
 
 
 def make_selector(

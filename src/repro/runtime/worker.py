@@ -28,7 +28,7 @@ from typing import Generator
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealResult, StealStatus
 from ..core.split_queue import SplitQueue
-from ..fabric.engine import Delay
+from ..fabric.engine import TICKS_PER_SECOND, Delay
 from ..fabric.errors import FabricTimeoutError, ProtocolError
 from .inbox import Inbox
 from .lifeline import LifelineManager
@@ -37,6 +37,24 @@ from .stats import WorkerStats
 from .task import Task, parse_record
 from .termination import TerminationDetector
 from .victim import VictimSelector
+
+
+# An Enum member is a metaclass attribute lookup, several times a plain
+# global: the per-attempt paths compare against these aliases.
+_TIMEOUT = StealStatus.TIMEOUT
+_ABANDONED = StealStatus.ABANDONED
+_EMPTY = StealStatus.EMPTY
+_EMPTY_MODE = TargetMode.EMPTY
+
+
+class _Pauses(dict):
+    """Backoff length -> its :class:`Delay`, built on first use: a worker
+    pauses for ``steal_backoff`` doubled up to the cap, a handful of
+    lengths, and re-yields one Delay per length."""
+
+    def __missing__(self, seconds: float) -> Delay:
+        pause = self[seconds] = Delay(seconds)
+        return pause
 
 
 @dataclass(frozen=True)
@@ -158,7 +176,6 @@ class Worker:
         #: steal damping (its queue then has ``probe``); ``None`` steals
         #: with the queue's ``steal`` directly.
         self.damping = damping
-        self._steal = queue.steal if damping is None else self._probe_first_steal
         self.registry = registry
         self.selector = selector
         self.term = termination
@@ -170,14 +187,22 @@ class Worker:
         self.lifeline = lifeline
         if lifeline is not None and inbox is None:
             raise ProtocolError("lifelines require the remote-spawn inbox")
-        self._engine = queue.system.ctx.engine
+        ctx = queue.system.ctx
+        self._engine = ctx.engine
         # Fault mode: timed-out steals are retried with jittered backoff.
         # The jitter RNG is drawn from ONLY on fault paths, so reliable
         # runs stay bit-identical regardless of seed.
-        self._fault_mode = queue.system.ctx.faults is not None
+        self._fault_mode = ctx.faults is not None
         self._retry_rng = random.Random((seed << 16) ^ (rank * 0x9E3779B1) ^ 0xFA117)
+        # One steal attempt, composed once: the queue's ``steal``, behind
+        # the probe-first step when damping applies, behind the
+        # timeout-retry wrapper only on a fabric whose ops can time out.
+        self._steal_once = queue.steal if damping is None else self._probe_first_steal
+        can_time_out = self._fault_mode or ctx.nic.op_timeout is not None
+        self._steal = self._attempt_steal if can_time_out else self._steal_once
         self._batches = 0
         self._backoff = config.steal_backoff
+        self._pauses = _Pauses()
         self._remote_spawns: list[tuple[int, Task]] = []
         #: Elastic membership directory (serving mode); ``None`` keeps
         #: the classic always-on behaviour.  Set by the serving layer
@@ -205,110 +230,139 @@ class Worker:
         """The PE's process body; finishes at global termination."""
         queue = self.queue
         pe = queue.pe
+        engine = self._engine
+        stats = self.stats
+        cfg = self.cfg
+        term = self.term
+        inbox = self.inbox
+        lifeline = self.lifeline
+        steal = self._steal
+        pauses = self._pauses
+        # Resolved as the body starts, not in ``__init__``: the serving
+        # layer installs ``elastic`` and wraps the selector after
+        # construction.  An idle iteration re-decides none of this.
+        elastic = self.elastic
+        selector = self.selector
+        solo = self.npes == 1 or selector is None
+        needs_service = term.needs_service
+        note = getattr(selector, "note", None)
+        note_steal = getattr(selector, "note_steal", None)
+        note_timeout = getattr(selector, "note_timeout", None)
         yield pe.barrier_all()
         while True:
             idle = queue.local_count == 0
-            if self._fault_mode:
-                # Quiescent = holds no live work at all: nothing local,
-                # nothing advertised to thieves, inbox drained.  Feeds
-                # the fault-mode termination test's all-quiescent bit.
-                quiescent = (
-                    idle
-                    and queue.stealable == 0
-                    and (self.inbox is None or not self.inbox.pending_hint)
-                )
-                done = yield from self.term.service(
-                    self.stats.tasks_spawned + queue.dup_handouts,
-                    self.stats.tasks_executed,
-                    idle,
-                    quiescent=quiescent,
-                )
-            else:
-                done = yield from self.term.service(
-                    self.stats.tasks_spawned + queue.dup_handouts,
-                    self.stats.tasks_executed,
-                    idle,
-                )
-            if done or self.term.terminated:
-                break
+            if needs_service(idle):
+                created = stats.tasks_spawned + queue.dup_handouts
+                if self._fault_mode:
+                    # Quiescent = holds no live work at all: nothing local,
+                    # nothing advertised to thieves, inbox drained.  Feeds
+                    # the fault-mode termination test's all-quiescent bit.
+                    quiescent = (
+                        idle
+                        and queue.stealable == 0
+                        and (inbox is None or not inbox.pending_hint)
+                    )
+                    done = yield from term.service(
+                        created, stats.tasks_executed, idle, quiescent
+                    )
+                else:
+                    done = yield from term.service(
+                        created, stats.tasks_executed, idle
+                    )
+                if done or term.terminated:
+                    break
 
-            if self.inbox is not None:
+            if inbox is not None:
                 self._drain_inbox()
 
-            if self.elastic is not None:
-                if not self.elastic.is_active(self.rank):
+            if elastic is not None:
+                if not elastic.is_active(self.rank):
                     yield from self._elastic_park()
                     continue
                 if self._parked:
                     # Rejoined: resume stealing with a fresh backoff.
                     self._parked = False
-                    self._backoff = self.cfg.steal_backoff
+                    self._backoff = cfg.steal_backoff
 
             if (
-                self.lifeline is not None
-                and self.lifeline.active
+                lifeline is not None
+                and lifeline.active
                 and queue.local_count > 0
             ):
                 # A lifeline delivery arrived: withdraw the others.
-                yield from self.lifeline.retract()
+                yield from lifeline.retract()
 
             if queue.local_count > 0:
-                self._backoff = self.cfg.steal_backoff
+                self._backoff = cfg.steal_backoff
                 yield from self._execute_batch()
                 yield from self._manage()
                 continue
 
             if queue.stealable > 0:
-                t0 = self.now
+                t0 = engine._now
                 got = yield from queue.acquire()
-                self.stats.acquire_time += self.now - t0
-                self.stats.acquires += 1
+                stats.acquire_time += (
+                    engine._now / TICKS_PER_SECOND - t0 / TICKS_PER_SECOND
+                )
+                stats.acquires += 1
                 if got:
                     continue
 
             # Fully idle: reclaim space, then hunt for work.
             queue.progress()
-            if self.npes == 1 or self.selector is None:
-                yield Delay(self.cfg.steal_backoff)
+            if solo:
+                yield pauses[cfg.steal_backoff]
                 continue
-            if self.lifeline is not None:
-                if self.lifeline.active:
+            if lifeline is not None:
+                if lifeline.active:
                     # Quiescent: no steal traffic; wait for a delivery.
-                    if self.cfg.idle_wait and self.rank != 0:
-                        conds = list(self.term.wake_conditions())
-                        conds.append(self.inbox.wake_condition())
+                    if cfg.idle_wait and self.rank != 0:
+                        conds = list(term.wake_conditions())
+                        conds.append(inbox.wake_condition())
                         yield pe.wait_until_any(conds)
                     else:
-                        yield Delay(self._backoff)
+                        yield pauses[self._backoff]
                         self._backoff = min(
-                            self.cfg.steal_backoff_max, self._backoff * 2
+                            cfg.steal_backoff_max, self._backoff * 2
                         )
                     continue
-                if self.lifeline.should_activate:
-                    yield from self.lifeline.activate()
+                if lifeline.should_activate:
+                    yield from lifeline.activate()
                     continue
-            victim = self.selector.next_victim()
-            t0 = self.now
-            result = yield from self._attempt_steal(victim)
-            dt = self.now - t0
-            if self.lifeline is not None:
-                self.lifeline.note_steal(result.success)
-            noter = getattr(self.selector, "note", None)
-            if noter is not None:
-                noter(result.success)
-            if result.success:
-                self.stats.steal_time += dt
-                self.stats.steals_ok += 1
-                self.stats.tasks_stolen += result.ntasks
-                self.stats.note_steal_volume(result.ntasks)
-                self._backoff = self.cfg.steal_backoff
+            victim = selector.next_victim()
+            t0 = engine._now
+            result = yield from steal(victim)
+            # Two divisions, then the difference: (t1 - t0) / 10**15
+            # differs in the last ulp and would move every search time.
+            dt = engine._now / TICKS_PER_SECOND - t0 / TICKS_PER_SECOND
+            status = result.status
+            success = result.success
+            if status is _TIMEOUT:
+                # Retries exhausted: the selector may quarantine the victim.
+                if note_timeout is not None:
+                    note_timeout(victim)
+            else:
+                if status is _ABANDONED:
+                    stats.steals_abandoned += 1
+                if note_steal is not None:
+                    note_steal(victim, success)
+            if lifeline is not None:
+                lifeline.note_steal(success)
+            if note is not None:
+                note(success)
+            if success:
+                stats.steal_time += dt
+                stats.steals_ok += 1
+                stats.tasks_stolen += result.ntasks
+                stats.note_steal_volume(result.ntasks)
+                self._backoff = cfg.steal_backoff
                 for rec in result.records:
                     queue.enqueue(rec)
             else:
-                self.stats.search_time += dt
-                self.stats.steals_failed += 1
-                yield Delay(self._backoff)
-                self._backoff = min(self.cfg.steal_backoff_max, self._backoff * 2)
+                stats.search_time += dt
+                stats.steals_failed += 1
+                yield pauses[self._backoff]
+                self._backoff = min(cfg.steal_backoff_max, self._backoff * 2)
         # Drain any passive completion notifications before exiting.
         if self._fault_mode:
             try:
@@ -319,27 +373,22 @@ class Worker:
             yield pe.quiet()
 
     def _attempt_steal(self, victim: int) -> Generator:
-        """One steal, with bounded retry + jittered backoff on timeouts.
+        """One steal on a fabric whose ops can time out (a reliable one
+        never routes through here).
 
-        On a reliable fabric this is exactly the queue's ``steal`` (behind
-        the probe-first step when damping applies): no timeouts can
-        occur, nothing extra yields.  Under faults, a
-        :class:`FabricTimeoutError` is retried against the same victim up
-        to ``steal_timeout_retries`` times with exponential backoff and a
-        jitter stretch; exhaustion reports the victim to the selector
-        (quarantine) and surfaces as a failed :class:`StealResult`.
+        A :class:`FabricTimeoutError` is retried against the same victim
+        up to ``steal_timeout_retries`` times with exponential backoff
+        and a jitter stretch; exhaustion surfaces as a ``TIMEOUT``
+        :class:`StealResult`, which the loop reports to the selector.
         """
         retries = 0
         while True:
             try:
-                result = yield from self._steal(victim)
+                return (yield from self._steal_once(victim))
             except FabricTimeoutError:
                 self.stats.steal_timeouts += 1
                 if retries >= self.cfg.steal_timeout_retries:
-                    note_timeout = getattr(self.selector, "note_timeout", None)
-                    if note_timeout is not None:
-                        note_timeout(victim)
-                    return StealResult(StealStatus.TIMEOUT, victim)
+                    return StealResult(_TIMEOUT, victim)
                 retries += 1
                 self.stats.steal_retries += 1
                 pause = min(
@@ -348,13 +397,6 @@ class Worker:
                 )
                 pause *= 1.0 + self.cfg.retry_jitter * self._retry_rng.random()
                 yield Delay(pause)
-                continue
-            if result.status is StealStatus.ABANDONED:
-                self.stats.steals_abandoned += 1
-            note_steal = getattr(self.selector, "note_steal", None)
-            if note_steal is not None:
-                note_steal(victim, result.success)
-            return result
 
     def _probe_first_steal(self, victim: int) -> Generator:
         """One damping-aware steal attempt (paper §4.3).
@@ -365,17 +407,17 @@ class Worker:
         """
         damping = self.damping
         queue = self.queue
-        if damping.mode(victim) is TargetMode.EMPTY:
+        if damping.mode(victim) is _EMPTY_MODE:
             view = yield from queue.probe(victim)
             self.stats.probes += 1
             has_work = damping.view_has_work(view)
             damping.note_probe(victim, has_work)
             if not has_work:
-                return StealResult(StealStatus.EMPTY, victim)
+                return StealResult(_EMPTY, victim)
         result = yield from queue.steal(victim)
         if result.success:
             damping.note_success(victim)
-        elif result.status is StealStatus.EMPTY:
+        elif result.status is _EMPTY:
             # Re-decode the failure for the damping heuristic.
             view = yield from queue.probe(victim)
             self.stats.probes += 1
@@ -488,7 +530,7 @@ class Worker:
                 self.elastic_handoffs += 1
             queue.progress()
             self._parked = True
-        yield Delay(self._backoff)
+        yield self._pauses[self._backoff]
         self._backoff = min(self.cfg.steal_backoff_max, self._backoff * 2)
 
     def _manage(self) -> Generator:
