@@ -6,7 +6,6 @@ the Figure-2 communication counts, pointers to the full harness).
 Subcommands::
 
     python -m repro --protocol P [--backend fabric|threads|mp|all]
-                    [--shards N]
     python -m repro explore [--workload W] [--impl I] [--policy P]
                             [--seeds N] [--dfs-depth D] [--out DIR]
     python -m repro replay TRACE.json [--strict] [--shrink]
@@ -21,10 +20,6 @@ Subcommands::
 ``--protocol`` runs one registered steal protocol (``sws``, ``sws-v1``,
 ``sdc``, ``ff-mult``, ``localized`` — see docs/protocols.md) across the
 chosen substrates, verifying its declared semantics contract on each.
-``--shards N`` partitions the fabric run across N shard engines advancing
-in conservative lock-step time windows, all in this process — the
-lookahead argument made executable, not a speedup (docs/sharding.md);
-requires ``--backend fabric`` and ``N <= --npes``.
 
 ``explore`` sweeps same-timestamp event orderings under the invariant
 oracle and writes every failing schedule as a replayable JSON trace;
@@ -64,39 +59,22 @@ def _demo() -> int:
     return 0
 
 
-def _run_protocol_fabric(proto, npes: int, ntasks: int, shards: int = 1) -> bool:
+def _run_protocol_fabric(proto, npes: int, ntasks: int) -> bool:
+    from .runtime.pool import run_pool
     from .runtime.registry import TaskOutcome, TaskRegistry
     from .runtime.task import Task
 
     reg = TaskRegistry()
     reg.register("leaf", lambda payload, tc: TaskOutcome(duration=5e-6))
     seeds = [Task(reg.id_of("leaf")) for _ in range(ntasks)]
-    if shards == 1:
-        from .runtime.pool import run_pool
-
-        stats = run_pool(npes, reg, seeds, impl=proto.name, oracle=True)
-        where = f"{npes} PEs"
-    else:
-        from .runtime.sharded import run_sharded_pool
-
-        stats = run_sharded_pool(
-            npes, reg, seeds, shards, impl=proto.name, oracle=True,
-        )
-        where = f"{npes} PEs / {shards} shards"
+    stats = run_pool(npes, reg, seeds, impl=proto.name, oracle=True)
     executed = sum(w.tasks_executed for w in stats.workers)
     steals = sum(w.tasks_stolen for w in stats.workers)
     print(
-        f"  fabric:  {where}, {executed} executed "
+        f"  fabric:  {npes} PEs, {executed} executed "
         f"({executed - ntasks} duplicate(s)), {steals} tasks stolen, "
         f"virtual runtime {stats.runtime * 1e3:.3f} ms — oracle clean"
     )
-    if shards != 1:
-        sh = stats.sharding
-        print(
-            f"           exchange: {sh['rounds']} round(s), "
-            f"{sh['grants']} grant(s), {sh['elisions']} elision(s), "
-            f"{sh['messages']} message(s)"
-        )
     return True
 
 
@@ -152,32 +130,6 @@ def _run_protocol_mp(proto, ntasks: int) -> bool:
 def _cmd_protocol(args: argparse.Namespace) -> int:
     """Run one registered protocol across the requested backends."""
     proto = get_protocol(args.protocol)
-    # Validate the shard request up front, before any backend runs, so a
-    # bad --shards/--npes combination fails fast with one clear message.
-    if args.shards != 1:
-        from .fabric.sharding import validate_shards
-
-        try:
-            validate_shards(args.npes, args.shards)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.backend != "fabric":
-            print(
-                "error: --shards applies to the fabric simulator only; "
-                "add --backend fabric (threads/mp substrates are real "
-                "parallelism already)",
-                file=sys.stderr,
-            )
-            return 2
-        if not proto.shardable:
-            print(
-                f"error: protocol {proto.name!r} cannot run sharded "
-                f"(its steal path reads remote heap rows without NIC "
-                f"mediation); use --shards 1",
-                file=sys.stderr,
-            )
-            return 2
     backends = (
         ("fabric", "threads", "mp")
         if args.backend == "all"
@@ -194,8 +146,7 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     ok = True
     for backend in backends:
         if backend == "fabric":
-            ok &= _run_protocol_fabric(
-                proto, args.npes, args.ntasks, shards=args.shards)
+            ok &= _run_protocol_fabric(proto, args.npes, args.ntasks)
         elif backend == "threads":
             ok &= _run_protocol_threads(proto, args.ntasks)
         else:
@@ -572,11 +523,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --protocol: fabric PE count")
     parser.add_argument("--ntasks", type=int, default=300,
                         help="with --protocol: tasks per backend run")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="with --protocol: partition the fabric run "
-                             "across N in-process shard engines in "
-                             "conservative lock-step time windows (fabric "
-                             "backend only; see docs/sharding.md)")
     sub = parser.add_subparsers(dest="cmd")
 
     p_ex = sub.add_parser("explore", help="sweep event schedules under the oracle")

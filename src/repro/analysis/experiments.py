@@ -992,62 +992,58 @@ def exp_ablation_lifelines(scale: str = "quick") -> ExperimentResult:
 
 
 # ----------------------------------------------------------------------
-# Sharded simulator: the >2048-PE jumbo smoke
+# The >2048-PE jumbo smoke
 # ----------------------------------------------------------------------
 def exp_fig7_jumbo(scale: str = "quick") -> ExperimentResult:
-    """Fig-7-class smoke beyond 2048 PEs: 2112 PEs across 4 shards.
+    """Fig-7-class smoke beyond 2048 PEs: 2112 PEs on one engine.
 
-    2112 = 44 nodes x 48 PEs, split 528 PEs/shard.  The point is that
-    the sharded simulator *completes* a beyond-fig7-scale job with the
-    oracle-checked books balancing; per-event speed at this scale is
-    tracked by the events/sec column of the bench report.
+    2112 = 44 nodes x 48 PEs.  The point is that the simulator
+    *completes* a beyond-fig7-scale job with every seeded task executed
+    exactly once; per-event speed at this scale is tracked by the
+    events/sec column of the bench report.
     """
-    import time as _time
-
+    from ..runtime.oracle import OracleViolation
+    from ..runtime.pool import TaskPool
     from ..runtime.registry import TaskOutcome
-    from ..runtime.sharded import ShardedTaskPool
     from ..runtime.task import Task
 
     npes = 2112
-    nshards = 4
     ntasks_per_seed = 4 if scale == "quick" else 8
     reg = TaskRegistry()
     reg.register("leaf", lambda payload, tc: TaskOutcome(duration=5e-6))
-    pool = ShardedTaskPool(
+    pool = TaskPool(
         npes,
         reg,
-        nshards,
         impl="sws",
         queue_config=QueueConfig(qsize=256, task_size=32),
         termination="tree",
     )
     # Seed every even PE only: half the machine must steal, so the run
-    # exercises cross-PE (and cross-shard) traffic at full width without
-    # the long one-seed spread phase.
+    # exercises cross-PE traffic at full width without the long one-seed
+    # spread phase.
     for rank in range(0, npes, 2):
         pool.seed(rank, [Task(reg.id_of("leaf"))
                          for _ in range(ntasks_per_seed)])
-    t0 = _time.perf_counter()
+    seeded = (npes // 2) * ntasks_per_seed
     stats = pool.run()
-    wall = _time.perf_counter() - t0
     executed = sum(w.tasks_executed for w in stats.workers)
     stolen = sum(w.tasks_stolen for w in stats.workers)
-    row = [
-        nshards, npes, round(wall, 3), stats.runtime * 1e3, executed,
-        stolen, pool.events_processed, pool.exchange.rounds,
-        pool.exchange.grants,
-    ]
+    if executed != seeded:
+        raise OracleViolation(
+            "conservation-final",
+            f"{seeded} tasks seeded but {executed} executed",
+        )
     return ExperimentResult(
         exp_id="fig7_jumbo",
-        title=f"{npes} PEs / {nshards} shards smoke (tree termination)",
-        headers=["shards", "npes", "wall(s)", "virtual(ms)", "executed",
-                 "stolen", "events", "rounds", "grants"],
-        rows=[row],
+        title=f"{npes} PEs smoke (tree termination)",
+        headers=["npes", "virtual(ms)", "executed", "stolen", "events"],
+        rows=[[npes, stats.runtime * 1e3, executed, stolen,
+               pool.ctx.engine.events_processed]],
         notes=[
-            f"{npes * (ntasks_per_seed // 2)} leaf tasks on even PEs; "
+            f"{seeded} leaf tasks on even PEs; "
             "odd PEs acquire work by stealing",
             "completes beyond the paper's 2048-PE fig7 x-axis; "
-            "merged conservation checked by ShardedTaskPool",
+            "executed checked equal to the seeded count",
         ],
     )
 

@@ -31,9 +31,9 @@ PAPER_EXPECTATIONS: dict[str, str] = {
             "magnitude apart in granularity.",
     "fig7": "BPC runtimes near parity (compute-bound); SWS steal and "
             "search time visibly lower, gap growing with PEs; efficiency "
-            "high for both; run variation well under 1%% of the mean on "
+            "high for both; run variation well under 1% of the mean on "
             "the paper's testbed (larger here at reduced workload scale).",
-    "fig8": "UTS: SWS ahead in throughput (~9%% at scale in the paper), "
+    "fig8": "UTS: SWS ahead in throughput (~9% at scale in the paper), "
             "steal time lower by 3-4x, search time low and flat.",
     "ablate-damping": "Damping has no measurable cost and trims AMO "
                       "traffic on drained queues (paper §4.3).",

@@ -109,7 +109,7 @@ def run_sweep(factory: WorkloadFactory, cfg: SweepConfig | None = None) -> list[
 
 #: The bench scenarios ``repro sweep`` measures by default — one per
 #: ``benchmarks/bench_fig*.py`` figure regeneration, plus the protocol
-#: zoo cross-comparison, the sharded jumbo smoke and the serving rows.
+#: zoo cross-comparison, the 2112-PE jumbo smoke and the serving rows.
 BENCH_SCENARIOS: tuple[str, ...] = (
     "fig2", "fig34", "fig5", "fig6", "fig7", "fig8", "protocols",
     "fig7_jumbo", "serving_sws", "serving_sdc",
@@ -534,15 +534,6 @@ def bench_report(outcome: SweepOutcome) -> dict:
             "events_per_sec": round(meta["events_per_sec"], 1),
             "cached": bool(rec.get("cached")),
         }
-        # The sharded scenario carries exchange counters in its row;
-        # surface the round total at the scenario level so the
-        # coordination cost is a first-class bench observable, not
-        # buried in a table.
-        payload = rec.get("payload") or {}
-        headers = payload.get("headers")
-        if headers and "rounds" in headers:
-            col = headers.index("rounds")
-            entry["rounds"] = sum(r[col] for r in payload.get("rows", []))
         if spec["kind"] == "mp":
             # events == completed tasks here, so events/sec reads as
             # tasks/sec.

@@ -221,10 +221,11 @@ class CalendarQueue:
             if cur is not None:
                 keys = self._keys
                 if keys and keys[0] < self._cur_key:
-                    # Windowed stepping (Engine.run_window) can park the
-                    # cursor on a future bucket; a later insert below that
-                    # bucket's key range would then be hidden behind it.
-                    # Shelve the unconsumed tail and re-promote in order.
+                    # Engine.run(until=) stops with the cursor parked on
+                    # the bucket of the first event past its bound; a later
+                    # insert below that bucket's key range would then be
+                    # hidden behind it.  Shelve the unconsumed tail and
+                    # re-promote in order.
                     tail = cur[self._cur_i:]
                     if tail:
                         b = self._buckets.get(self._cur_key)
@@ -403,18 +404,6 @@ class Engine:
         #: Callbacks invoked after every executed event (invariant
         #: oracles).  Must not mutate simulation state.
         self.observers: list[Callable[[], None]] = []
-        #: Active window bound while :meth:`run_window` is executing
-        #: (None outside a window).  Event handlers may *lower* it via
-        #: :meth:`clamp_window` — the sharded router clamps when a
-        #: cross-shard fetch parks (its response may arrive as early as
-        #: ``request_arrival + W``) and the shard barrier clamps when
-        #: every local PE is parked (the release tick is not yet known).
-        self._window_limit: int | None = None
-        #: Effective bound of the last :meth:`run_window` call after any
-        #: in-window clamps: every event with ``when < window_ran_to``
-        #: has been executed.  The shard coordinator reads this to know
-        #: how far the shard actually advanced.
-        self.window_ran_to = 0
 
     # ------------------------------------------------------------------
     # clock & event queue
@@ -624,82 +613,10 @@ class Engine:
         proc.result = result
         self._live -= 1
 
-    # ------------------------------------------------------------------
-    # windowed execution (sharded conservative-parallel mode)
-    # ------------------------------------------------------------------
     @property
     def live(self) -> int:
         """Number of spawned processes that have not finished."""
         return self._live
-
-    def next_event_ticks(self) -> int | None:
-        """Tick of the earliest pending live event, or None when empty.
-
-        The shard coordinator polls this between lock-step windows to
-        compute the next safe window bound (YAWNS-style: the global
-        minimum next-event time plus the latency model's lookahead).
-        """
-        e = self._q.peek()
-        return None if e is None else e[0]
-
-    def run_window(self, limit_ticks: int) -> int:
-        """Execute every pending event with ``when < limit_ticks``.
-
-        Returns the number of events executed.  Unlike :meth:`run`, an
-        empty queue is *not* a deadlock here — a shard may simply have
-        nothing to do this window while a cross-shard message is in
-        flight toward it; the coordinator owns global deadlock detection.
-        The clock is left at the last executed event (never advanced to
-        the bound), so message insertions at ticks ``>= limit_ticks``
-        are always legal afterwards.
-
-        Window mode supports observers (per-shard oracles) but not
-        schedule exploration: sharded contexts reject schedulers up
-        front.
-
-        The bound is dynamic: an event handler may lower it mid-window
-        through :meth:`clamp_window` (never raise it).  The effective
-        bound at exit is published as :attr:`window_ran_to` — the tick
-        below which every event has now been executed.
-        """
-        global _event_tally
-        observers = self.observers
-        q = self._q
-        events = 0
-        self._window_limit = limit_ticks
-        try:
-            while True:
-                e = q.peek()
-                if e is None or e[0] >= self._window_limit:
-                    break
-                q._cur_i += 1
-                q._len -= 1
-                fn = e[2]
-                e[2] = None
-                self._now = e[0]
-                events += 1
-                fn()
-                if observers:
-                    for obs in observers:
-                        obs()
-        finally:
-            self.window_ran_to = self._window_limit
-            self._window_limit = None
-            self.events_processed += events
-            _event_tally += events
-        return events
-
-    def clamp_window(self, limit_ticks: int) -> None:
-        """Lower the active :meth:`run_window` bound (no-op outside one).
-
-        Events execute in tick order, so by the time a handler running
-        at tick ``t`` clamps to ``limit_ticks >= t`` no event beyond the
-        new bound has executed — lowering is always sound; raising is
-        never allowed.
-        """
-        wl = self._window_limit
-        if wl is not None and limit_ticks < wl:
-            self._window_limit = limit_ticks
 
     # ------------------------------------------------------------------
     # main loop
@@ -730,6 +647,12 @@ class Engine:
                 # identity across callbacks (insertions insort in place,
                 # compaction rewrites in place), so only the cursor and
                 # length are re-read per iteration.
+                if q._cur is not None and q._keys and q._keys[0] < q._cur_key:
+                    # Resuming after run(until=) with an event inserted
+                    # below the parked bucket: let peek() shelve it.  Only
+                    # possible at entry — inside this loop every insert is
+                    # at or after the current bucket.
+                    q.peek()
                 while True:
                     cur = q._cur
                     if cur is None or q._cur_i >= len(cur):

@@ -28,8 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .engine import TICKS_PER_SECOND
-
 
 @dataclass(frozen=True)
 class LatencyModel:
@@ -110,57 +108,6 @@ class LatencyModel:
             get_process=self.get_process * factor,
         )
 
-    # ------------------------------------------------------------------
-    # conservative-parallel (PDES) lookahead bounds
-    # ------------------------------------------------------------------
-    def min_one_way(self) -> float:
-        """Smallest one-way wire latency any cross-PE message can have.
-
-        Two distinct PEs are at best on the same node, so the floor is
-        ``half_rtt_intra`` (the tiered model overrides this with the
-        same-socket tier).  Jitter only *adds* latency, so the floor
-        holds with jitter enabled.
-        """
-        return min(self.half_rtt_intra, self.half_rtt_inter)
-
-    def min_lookahead_ticks(self) -> int:
-        """Hard lower bound, in integer femtosecond ticks, on the delay
-        between a PE issuing any fabric operation and that operation
-        first touching another PE's state.
-
-        Every message pays ``alpha_sw`` of injection overhead plus at
-        least the smallest one-way wire latency, so this is
-        ``alpha_sw + half_rtt_intra`` for the two-level model — the
-        lookahead a conservative time-window parallel simulation of this
-        fabric may rely on.  Derived, never hand-tuned: the tick values
-        are exactly the NIC's own per-op constants.
-        """
-        return (round(self.alpha_sw * TICKS_PER_SECOND)
-                + round(self.min_one_way() * TICKS_PER_SECOND))
-
-    def shard_window_ticks(self) -> int:
-        """Safe lock-step window width for the sharded simulator, ticks.
-
-        Tighter than :meth:`min_lookahead_ticks` because a *response* hop
-        (the return half of a fetching atomic or get) is scheduled from
-        the target at only ``process + one_way`` ahead of the target's
-        clock — the injection overhead was paid on the request hop.  The
-        window is the minimum margin over every cross-shard event class:
-
-        * request delivery:  ``alpha_sw + one_way``
-        * fetch/get response: ``min(amo_process, get_process) + one_way``
-
-        so ``W = min(alpha_sw, amo_process, get_process) + min(one_way)``.
-        A zero-latency model yields ``W == 0`` — sharded execution must
-        reject it (no lookahead, no conservative parallelism).
-        """
-        floor = min(
-            round(self.alpha_sw * TICKS_PER_SECOND),
-            round(self.amo_process * TICKS_PER_SECOND),
-            round(self.get_process * TICKS_PER_SECOND),
-        )
-        return floor + round(self.min_one_way() * TICKS_PER_SECOND)
-
 
 @dataclass(frozen=True)
 class TieredLatencyModel(LatencyModel):
@@ -178,15 +125,6 @@ class TieredLatencyModel(LatencyModel):
 
     half_rtt_socket: float = 0.12e-6
     half_rtt_xrack: float = 1.6e-6
-
-    def min_one_way(self) -> float:
-        """Floor over all four tiers: two PEs may share a socket."""
-        return min(
-            self.half_rtt_socket,
-            self.half_rtt_intra,
-            self.half_rtt_inter,
-            self.half_rtt_xrack,
-        )
 
     def one_way_tier(self, tier: int) -> float:
         """One-way latency for a 0..3 hierarchy tier."""

@@ -275,10 +275,6 @@ class Nic:
         self.topology = topology
         self.latency = latency
         self.metrics = metrics or FabricMetrics(heap.npes)
-        #: Route-to-shard seam: a ShardRouter in sharded runs, else None.
-        #: When set, ops whose target PE lives on another shard divert to
-        #: the router instead of scheduling directly (see fabric.sharding).
-        self.router = None
         #: Active fault injector, or None for a perfectly reliable fabric.
         self.faults = faults
         #: Per-op timeout for blocking calls and quiet(); None disables.
@@ -460,10 +456,6 @@ class Nic:
     # ------------------------------------------------------------------
     def amo_fetch_add(self, initiator: int, target: int, region: str, offset: int, delta: int) -> Call:
         """Atomic fetch-and-add on a remote 64-bit word; yields the old value."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.fetch_amo(initiator, target, region, offset,
-                               "amo_fetch_add", delta, 0)
         if self.faults is None and self._timeout_ticks is None:
             return self._pooled_amo(initiator, target, region, offset,
                                     "amo_fetch_add", delta, 0)
@@ -472,10 +464,6 @@ class Nic:
 
     def amo_swap(self, initiator: int, target: int, region: str, offset: int, value: int) -> Call:
         """Atomic swap on a remote word; yields the old value."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.fetch_amo(initiator, target, region, offset,
-                               "amo_swap", value, 0)
         if self.faults is None and self._timeout_ticks is None:
             return self._pooled_amo(initiator, target, region, offset,
                                     "amo_swap", value, 0)
@@ -485,10 +473,6 @@ class Nic:
     def amo_cas(self, initiator: int, target: int, region: str, offset: int,
                 expected: int, desired: int) -> Call:
         """Atomic compare-and-swap; yields the old value."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.fetch_amo(initiator, target, region, offset,
-                               "amo_cas", expected, desired)
         if self.faults is None and self._timeout_ticks is None:
             return self._pooled_amo(initiator, target, region, offset,
                                     "amo_cas", expected, desired)
@@ -497,10 +481,6 @@ class Nic:
 
     def amo_fetch(self, initiator: int, target: int, region: str, offset: int) -> Call:
         """Atomic read of a remote word (steal-damping probe); yields the value."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.fetch_amo(initiator, target, region, offset,
-                               "amo_fetch", 0, 0)
         if self.faults is None and self._timeout_ticks is None:
             return self._pooled_amo(initiator, target, region, offset,
                                     "amo_fetch", 0, 0)
@@ -562,9 +542,6 @@ class Nic:
     # ------------------------------------------------------------------
     def amo_add_nb(self, initiator: int, target: int, region: str, offset: int, delta: int) -> Call:
         """Non-blocking atomic add; initiator resumes after injection only."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.amo_add_nb(initiator, target, region, offset, delta)
 
         def handler(engine: Engine, proc: Process) -> None:
             self.metrics.record(engine.now, initiator, target, "amo_add_nb", WORD_BYTES)
@@ -598,10 +575,6 @@ class Nic:
     # ------------------------------------------------------------------
     def get_words(self, initiator: int, target: int, region: str, offset: int, count: int) -> Call:
         """Blocking read of consecutive remote words; yields list[int]."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.get(initiator, target, region, offset, count,
-                         count * WORD_BYTES, _GET_WORDS)
         if self.faults is None and self._timeout_ticks is None:
             return self._pooled_get(initiator, target, region, offset, count,
                                     count * WORD_BYTES, _GET_WORDS)
@@ -611,10 +584,6 @@ class Nic:
 
     def get_word(self, initiator: int, target: int, region: str, offset: int) -> Call:
         """Blocking read of one remote word; yields int."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.get(initiator, target, region, offset, 1,
-                         WORD_BYTES, _GET_WORD)
         if self.faults is None and self._timeout_ticks is None:
             return self._pooled_get(initiator, target, region, offset, 1,
                                     WORD_BYTES, _GET_WORD)
@@ -624,10 +593,6 @@ class Nic:
 
     def get_bytes(self, initiator: int, target: int, region: str, offset: int, count: int) -> Call:
         """Blocking read of remote bytes; yields bytes."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.get(initiator, target, region, offset, count,
-                         count, _GET_BYTES)
         if self.faults is None and self._timeout_ticks is None:
             return self._pooled_get(initiator, target, region, offset, count,
                                     count, _GET_BYTES)
@@ -699,37 +664,21 @@ class Nic:
     # ------------------------------------------------------------------
     def put_word(self, initiator: int, target: int, region: str, offset: int, value: int) -> Call:
         """Blocking write of one remote word (acked round trip)."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.put(initiator, target, region, offset, [value],
-                         is_bytes=False, blocking=True)
         return self._put(initiator, target, WORD_BYTES, blocking=True,
                          write=lambda: self.heap.store(target, region, offset, value))
 
     def put_words(self, initiator: int, target: int, region: str, offset: int, values: list[int]) -> Call:
         """Blocking write of consecutive remote words."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.put(initiator, target, region, offset, list(values),
-                         is_bytes=False, blocking=True)
         return self._put(initiator, target, len(values) * WORD_BYTES, blocking=True,
                          write=lambda: self.heap.store_words(target, region, offset, values))
 
     def put_bytes_nb(self, initiator: int, target: int, region: str, offset: int, data: bytes) -> Call:
         """Non-blocking write of remote bytes (complete after quiet)."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.put(initiator, target, region, offset, bytes(data),
-                         is_bytes=True, blocking=False)
         return self._put(initiator, target, len(data), blocking=False,
                          write=lambda: self.heap.write_bytes(target, region, offset, data))
 
     def put_word_nb(self, initiator: int, target: int, region: str, offset: int, value: int) -> Call:
         """Non-blocking write of one remote word."""
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.put(initiator, target, region, offset, [value],
-                         is_bytes=False, blocking=False)
         return self._put(initiator, target, WORD_BYTES, blocking=False,
                          write=lambda: self.heap.store(target, region, offset, value))
 
@@ -827,11 +776,6 @@ class Nic:
         the signal is guaranteed to see the data.  Replaces a
         put + quiet + atomic triple with a single communication.
         """
-        r = self.router
-        if r is not None and not r.is_local(target):
-            return r.put_signal_nb(initiator, target, region, offset,
-                                   bytes(data), sig_region, sig_offset,
-                                   sig_value)
 
         def handler(engine: Engine, proc: Process) -> None:
             nbytes = len(data) + WORD_BYTES

@@ -79,18 +79,10 @@ class PoolOracle:
     (``TaskPool(oracle=True)`` does both).
     """
 
-    def __init__(self, pool: "TaskPool", ranks=None) -> None:
+    def __init__(self, pool: "TaskPool") -> None:
         self.pool = pool
-        # ``ranks`` restricts the oracle to one shard's PEs: remote-shard
-        # heap rows are stale replicas there, so structural checks only
-        # see authoritative state, and the cross-PE conservation checks
-        # are deferred to the merged end-of-run pass
-        # (:func:`check_merged_conservation`).
-        self._global = ranks is None
-        if ranks is None:
-            ranks = range(pool.npes)
-        #: rank -> worker, for every PE this oracle watches.
-        self._worker = {r: pool.workers[r] for r in ranks}
+        #: rank -> worker, for every PE of the pool.
+        self._worker = dict(enumerate(pool.workers))
         # Semantics contract: pools built outside the protocol registry
         # (or bare test harnesses) default to strict exactly-once.
         protocol = getattr(pool, "protocol", None)
@@ -101,9 +93,7 @@ class PoolOracle:
         #: clean sweeps — a cheap "the oracle really ran" signal.
         self.checks_passed = 0
         self._faults = pool.ctx.faults
-        self._conserve = (
-            self._faults is None and self.exactly_once and self._global
-        )
+        self._conserve = self._faults is None and self.exactly_once
         # Cross-event tracking state, per watched PE.
         self._dirty = set(self._worker)  # the first check covers every PE
         self._journal: list[tuple[int, str, int]] | None = None
@@ -150,11 +140,9 @@ class PoolOracle:
         if journal is None:
             raise RuntimeError("PoolOracle.check() before attach()")
         for pe, region, offset in journal:
-            w = self._worker.get(pe)
-            if w is not None:  # else: a remote shard's replica row
-                dirty.add(pe)
-                if region == w.queue.oracle_comp_region:
-                    self._written[pe].add(offset)
+            dirty.add(pe)
+            if region == self._worker[pe].queue.oracle_comp_region:
+                self._written[pe].add(offset)
         journal.clear()
         if self._sweep:
             dirty.update(self._worker)
@@ -184,15 +172,26 @@ class PoolOracle:
     def check_final(self) -> None:
         """End-of-run books: conservation per the semantics contract,
         drained queues."""
-        if not self._global:
-            return  # sharded runs balance via check_merged_conservation
         if self._faults is not None:
             return  # abandoned steals legitimately break conservation
         workers = self._worker.values()
         spawned = sum(w.stats.tasks_spawned for w in workers)
         executed = sum(w.stats.tasks_executed for w in workers)
         dups = sum(w.queue.dup_handouts for w in workers)
-        _check_final_books(spawned, executed, dups, self.exactly_once)
+        if self.exactly_once:
+            if spawned != executed:
+                raise OracleViolation(
+                    "conservation-final",
+                    f"{spawned} tasks spawned but {executed} executed "
+                    f"({spawned - executed} lost or duplicated)",
+                )
+        elif spawned + dups != executed:
+            raise OracleViolation(
+                "conservation-final",
+                f"{spawned} tasks spawned + {dups} duplicate handouts "
+                f"but {executed} executed "
+                f"({spawned + dups - executed} lost or unaccounted)",
+            )
         for w in workers:
             q = w.queue
             if q.local_count or q.stealable:
@@ -294,26 +293,6 @@ class PoolOracle:
             )
 
 
-def _check_final_books(
-    spawned: int, executed: int, dups: int, exactly_once: bool, where: str = ""
-) -> None:
-    """The closing identity of the semantics contract, pool- or job-wide."""
-    if exactly_once:
-        if spawned != executed:
-            raise OracleViolation(
-                "conservation-final",
-                f"{spawned} tasks spawned but {executed} executed{where} "
-                f"({spawned - executed} lost or duplicated)",
-            )
-    elif spawned + dups != executed:
-        raise OracleViolation(
-            "conservation-final",
-            f"{spawned} tasks spawned + {dups} duplicate handouts "
-            f"but {executed} executed{where} "
-            f"({spawned + dups - executed} lost or unaccounted)",
-        )
-
-
 def check_serving_conservation(books: dict) -> None:
     """Open-system conservation at the end of a serving run.
 
@@ -351,28 +330,4 @@ def check_serving_conservation(books: dict) -> None:
             f"open-system books unbalanced: {internal} internal spawns + "
             f"{emitted} arrivals != {executed} executed + {resident} "
             f"resident + {shed} shed",
-        )
-
-
-def check_merged_conservation(books: list[dict], exactly_once: bool) -> None:
-    """Merged end-of-run conservation over every shard of a sharded run.
-
-    Each entry of ``books`` is one shard's ``books`` from
-    :meth:`~repro.runtime.pool.TaskPool.shard_result`.  The same contract as
-    :meth:`PoolOracle.check_final`, applied to the job-wide sums — a task
-    stolen across a shard boundary counts as spawned on one shard and
-    executed on another, so only the merged books can balance.
-    """
-    spawned = sum(b["spawned"] for b in books)
-    executed = sum(b["executed"] for b in books)
-    dups = sum(b["dups"] for b in books)
-    resident = sum(b["resident"] for b in books)
-    _check_final_books(
-        spawned, executed, dups, exactly_once, f" across {len(books)} shard(s)"
-    )
-    if resident:
-        raise OracleViolation(
-            "drain-final",
-            f"{resident} task(s) resident in queues at termination "
-            f"across {len(books)} shard(s)",
         )

@@ -47,24 +47,6 @@ from .worker import Worker, WorkerConfig
 IMPLEMENTATIONS = ("sws", "sws-v1", "sdc")
 
 
-def resolved_latency(
-    impl: str,
-    latency: LatencyModel = EDR_INFINIBAND,
-    topology: Topology | None = None,
-) -> LatencyModel:
-    """The latency model a pool with these arguments will actually use.
-
-    Mirrors :class:`TaskPool`'s tiered-protocol defaulting (a tiered
-    protocol with the stock EDR preset and no explicit topology swaps in
-    ``TIERED_EDR``) so the sharded coordinator can derive the window
-    width before any shard pool exists.
-    """
-    protocol = get_protocol(impl)
-    if topology is None and protocol.tiered and latency is EDR_INFINIBAND:
-        return TIERED_EDR
-    return latency
-
-
 class TaskPool:
     """A complete simulated work-stealing job."""
 
@@ -90,7 +72,6 @@ class TaskPool:
         scheduler: Scheduler | str | None = None,
         oracle: bool = False,
         topology: Topology | None = None,
-        shard=None,
     ) -> None:
         try:
             protocol = get_protocol(impl)
@@ -117,9 +98,6 @@ class TaskPool:
             if latency is EDR_INFINIBAND:
                 latency = TIERED_EDR
         self.topology_override = topology
-        #: ShardBinding in sharded runs (this pool builds the full job but
-        #: only runs its shard's PEs); None for the classic single engine.
-        self.shard = shard
 
         faulty = fault_plan is not None and fault_plan.active
         if faulty:
@@ -178,7 +156,6 @@ class TaskPool:
             op_timeout=op_timeout,
             scheduler=scheduler,
             topology=topology,
-            shard=shard,
         )
         self.queue_system = protocol.queue_system(self.ctx, self.queue_config)
         if termination == "ring":
@@ -254,10 +231,7 @@ class TaskPool:
             )
         self.oracle: PoolOracle | None = None
         if oracle:
-            # A sharded pool's oracle only watches the PEs it runs:
-            # remote-shard heap rows are stale replicas here.
-            local = None if shard is None else shard.plan.pes_of(shard.shard_id)
-            self.oracle = PoolOracle(self, ranks=local)
+            self.oracle = PoolOracle(self)
             self.oracle.attach()
         self._ran = False
 
@@ -272,25 +246,16 @@ class TaskPool:
         for i, t in enumerate(tasks):
             self.workers[i % self.npes].seed([t])
 
-    def local_ranks(self) -> range:
-        """PEs this pool actually runs: all of them, or its shard's block."""
-        if self.shard is None:
-            return range(self.npes)
-        return self.shard.plan.pes_of(self.shard.shard_id)
-
     def start_workers(self) -> dict:
-        """Spawn this pool's workers without running the engine.
-
-        The classic path (:meth:`run`) spawns and runs in one call; the
-        sharded window loop needs spawn and stepping decoupled — and a
-        sharded pool spawns only the PEs its shard owns.
-        """
+        """Spawn every PE's worker without running the engine
+        (:meth:`run` does both; a caller stepping the engine itself with
+        ``ctx.run(until=)`` starts here)."""
         if self._ran:
             raise RuntimeError("pool already ran")
         self._ran = True
         procs_by_pe = {}
-        for rank in self.local_ranks():
-            gen = self.workers[rank].run()
+        for rank, worker in enumerate(self.workers):
+            gen = worker.run()
             if self.oracle is not None:
                 gen = self.oracle.watch(rank, gen)
             procs_by_pe[rank] = self.ctx.engine.spawn(gen, name=f"pe{rank}")
@@ -321,36 +286,6 @@ class TaskPool:
             comm=self.ctx.metrics.snapshot(),
             faults=faults.snapshot() if faults is not None else {},
         )
-
-    def shard_result(self) -> dict:
-        """Collect this shard's end-of-run payload.
-
-        Called after the window loop completes: checks the local queues'
-        structural invariants, then packages the local workers' stats,
-        metrics and conservation books for the coordinator to merge
-        (:mod:`repro.runtime.sharded`).
-        """
-        ranks = list(self.local_ranks())
-        for r in ranks:
-            w = self.workers[r]
-            w.queue.invariants()
-            w.stats.locks_recovered = getattr(w.queue, "locks_recovered", 0)
-        books = {
-            "spawned": sum(self.workers[r].stats.tasks_spawned for r in ranks),
-            "executed": sum(self.workers[r].stats.tasks_executed for r in ranks),
-            "dups": sum(self.workers[r].queue.dup_handouts for r in ranks),
-            "resident": sum(
-                self.workers[r].queue.local_count + self.workers[r].queue.stealable
-                for r in ranks
-            ),
-        }
-        return {
-            "end": self.ctx.engine.now,
-            "workers": [self.workers[r].stats for r in ranks],
-            "comm": self.ctx.metrics.snapshot(),
-            "books": books,
-            "events": self.ctx.engine.events_processed,
-        }
 
 
 def run_pool(

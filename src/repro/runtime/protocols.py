@@ -115,13 +115,6 @@ class Protocol:
     tiered:
         Protocol wants the socket/node/rack tiered topology + latency
         model by default (localized stealing).
-    shardable:
-        Whether the protocol works under the sharded conservative-window
-        simulator (:mod:`repro.runtime.sharded`).  Requires every
-        cross-PE access to route through the NIC; protocols with
-        zero-cost shared-memory bookkeeping across PEs (the fence-free
-        deque's reclaim-floor registry reads the victim's tail directly)
-        cannot run against stale per-shard heap replicas.
     comms_total / comms_blocking:
         One-sided fabric operations per successful steal (Fig. 2 style).
     threads_queue:
@@ -143,7 +136,6 @@ class Protocol:
     supports_damping: bool = False
     supports_faults: bool = False
     tiered: bool = False
-    shardable: bool = True
     comms_total: int = 0
     comms_blocking: int = 0
     threads_queue: Callable | None = None
@@ -258,7 +250,6 @@ register_protocol(
         queue_system=FfMultQueueSystem,
         steal_half=False,
         supports_faults=False,
-        shardable=False,
         comms_total=3,
         comms_blocking=3,
         threads_queue=_threads_ffmult,

@@ -107,8 +107,6 @@ class ServingController:
         directory: ElasticDirectory | None = None,
         latency_rel_err: float = 0.01,
     ) -> None:
-        if pool.shard is not None:
-            raise ProtocolError("serving mode is single-engine (no shards)")
         self.pool = pool
         self.process = process
         self.fn_id = fn_id

@@ -262,11 +262,6 @@ class RunStats:
     #: Open-system serving results (``ServingStats``); ``None`` for the
     #: classic closed-batch runs.
     serving: ServingStats | None = None
-    #: Shard-execution record (``ShardedTaskPool._sharding_stats()``):
-    #: shard count and — for multi-shard runs — the coordinator's
-    #: round/grant/elision/message counters.  ``None`` for pools that
-    #: never touched the sharding layer.
-    sharding: dict | None = None
 
     @property
     def total_tasks(self) -> int:
@@ -400,8 +395,6 @@ class RunStats:
             payload["faults"] = self.faults
         if self.serving is not None:
             payload["serving"] = self.serving.to_dict()
-        if self.sharding is not None:
-            payload["sharding"] = self.sharding
         return json.dumps(payload)
 
     @classmethod
@@ -426,7 +419,6 @@ class RunStats:
                 if "serving" in payload
                 else None
             ),
-            sharding=payload.get("sharding"),
         )
 
     def summary(self) -> dict[str, float]:
@@ -444,14 +436,6 @@ class RunStats:
                     "latency_p99": pct["p99"],
                     "latency_p999": pct["p999"],
                     "slo_fraction": self.serving.slo_fraction,
-                }
-            )
-        if self.sharding is not None:
-            out.update(
-                {
-                    "nshards": self.sharding.get("nshards", 1),
-                    "shard_rounds": self.sharding.get("rounds", 0),
-                    "shard_grants": self.sharding.get("grants", 0),
                 }
             )
         return out

@@ -15,7 +15,6 @@ because a PE touching its own symmetric heap is an ordinary load/store.
 from __future__ import annotations
 
 import math
-from typing import Any
 
 from ..fabric.engine import Call, Delay, Engine, Process
 from ..fabric.faults import FaultInjector, FaultPlan
@@ -39,16 +38,6 @@ class ShmemCtx:
     (:mod:`repro.fabric.scheduler`) that breaks same-timestamp event
     ties; ``None`` keeps the engine's bit-identical insertion-order
     fast path.
-
-    ``shard`` binds this context to one shard of a conservatively
-    parallel run (:mod:`repro.fabric.sharding`): the context still
-    constructs the *full* ``npes``-wide heap and topology (construction
-    is deterministic, so every shard agrees on the layout), but only the
-    bound shard's PEs may run here — remote-shard operations divert
-    through the NIC's router and cross at window boundaries.  Sharded
-    mode composes only with the fabric the conservative window bound is
-    provable for, so faults, op timeouts, schedule exploration and
-    ``link_serialize`` are rejected.
     """
 
     def __init__(
@@ -62,36 +51,11 @@ class ShmemCtx:
         op_timeout: float | None = None,
         scheduler: Scheduler | None = None,
         topology: Topology | None = None,
-        shard: Any = None,
     ) -> None:
         if topology is not None and topology.npes != npes:
             raise ValueError(
                 f"topology has {topology.npes} PEs but ctx has {npes}"
             )
-        if shard is not None:
-            if shard.plan.npes != npes:
-                raise ValueError(
-                    f"shard plan covers {shard.plan.npes} PEs but ctx has {npes}"
-                )
-            if fault_plan is not None and fault_plan.active:
-                raise ValueError(
-                    "sharded execution does not compose with fault injection "
-                    "(run faults with --shards 1)"
-                )
-            if op_timeout is not None:
-                raise ValueError(
-                    "sharded execution does not compose with op_timeout "
-                    "(cross-shard descriptors cannot be cancelled "
-                    "retroactively)"
-                )
-            if scheduler is not None:
-                raise ValueError(
-                    "sharded execution does not compose with schedule "
-                    "exploration (tie-breaking must stay insertion-ordered)"
-                )
-            from ..fabric.sharding import check_shardable
-
-            check_shardable(latency)
         self.npes = npes
         self.engine = Engine(scheduler=scheduler)
         self.heap = SymmetricHeap(npes)
@@ -115,23 +79,7 @@ class ShmemCtx:
             op_timeout=op_timeout,
         )
         self.latency = latency
-        self.shard = shard
-        if shard is not None:
-            from ..fabric.sharding import ShardBarrier, ShardRouter
-
-            self.router = ShardRouter(
-                self.nic, shard.plan, shard.shard_id,
-                window_ticks=latency.shard_window_ticks(),
-            )
-            self.barrier = ShardBarrier(
-                self.engine,
-                local_pes=shard.plan.local_size(shard.shard_id),
-            )
-            self.router.barrier_release = self.barrier.release
-            self._barrier = self.barrier
-        else:
-            self.router = None
-            self._barrier = _Barrier(self)
+        self._barrier = _Barrier(self)
 
     def pe(self, rank: int) -> "Pe":
         """Return a handle bound to PE ``rank``."""

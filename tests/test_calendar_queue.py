@@ -26,6 +26,7 @@ _OPS = st.lists(
         st.tuples(st.just("cancel"), st.integers(0, 1 << 30)),
         st.tuples(st.just("resched"), st.integers(0, 1 << 30)),
         st.tuples(st.just("pop"), st.just(0)),
+        st.tuples(st.just("peek"), st.just(0)),
     ),
     max_size=300,
 )
@@ -61,10 +62,13 @@ def _drive(q, ops):
         live[seq] = entry
         seq += 1
 
-    def model_pop():
+    def model_peek():
         while model and model[0][1] not in live:
             heapq.heappop(model)  # cancelled in the reference too
-        if not model:
+        return model[0] if model else None
+
+    def model_pop():
+        if model_peek() is None:
             return None
         when, s = heapq.heappop(model)
         del live[s]
@@ -82,6 +86,12 @@ def _drive(q, ops):
             assert q.cancel(entry) is False  # cancellation is idempotent
             if op == "resched":
                 push(now + (arg % 1000))
+        elif op == "peek":
+            # Parks the cursor on the head's bucket without consuming it
+            # (Engine.run(until=) stops this way); a later push below
+            # that bucket must still dequeue first.
+            got = q.peek()
+            assert (None if got is None else (got[0], got[1])) == model_peek()
         else:  # pop
             expected = model_pop()
             got = q.pop()

@@ -84,6 +84,30 @@ def test_run_until_stops_early():
     assert fired == [1, 2]
 
 
+@pytest.mark.parametrize("resume", ["bare", "until", "instrumented"])
+def test_insert_after_run_until_runs_in_time_order(resume):
+    # run(until=) parks the queue cursor on the bucket of the first event
+    # past the bound; an event inserted below that bucket afterwards must
+    # still run first, whichever loop resumes the run.
+    eng = Engine()
+    seen = []
+
+    def mark(name):
+        seen.append((name, eng.now))
+
+    eng.at(1e-6, lambda: mark("a"))
+    eng.at(100e-6, lambda: mark("far"))
+    assert eng.run(until=50e-6) == 50e-6
+    eng.at(60e-6, lambda: mark("mid"))
+    if resume == "instrumented":
+        eng.observers.append(lambda: None)
+    eng.run(until=1.0 if resume == "until" else None)
+    assert [name for name, _ in seen] == ["a", "mid", "far"]
+    times = [t for _, t in seen]
+    assert times == sorted(times)
+    assert eng.instrumented_events == (2 if resume == "instrumented" else 0)
+
+
 def test_processes_spawned_before_run_start_at_zero():
     eng = Engine()
     starts = []

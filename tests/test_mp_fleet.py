@@ -174,3 +174,19 @@ def test_serve_feeder_gives_up_on_an_inbox_that_cannot_drain():
             run_mp_serve("fixed:200000", 2e-3, npes=2, inbox_cap=16,
                          nbatches=4, join_timeout=1.0)
     assert exc.value.rank == 0
+
+
+def test_only_the_fleet_starts_processes():
+    """PR 13's claim, true of the whole package: the only ``.Process(``
+    call in ``src/`` is the mp fleet's."""
+    from pathlib import Path
+
+    import repro
+
+    root = Path(repro.__file__).resolve().parent
+    callers = sorted(
+        str(path.relative_to(root))
+        for path in root.rglob("*.py")
+        if ".Process(" in path.read_text()
+    )
+    assert callers == ["mp/fleet.py"]

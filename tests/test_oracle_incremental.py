@@ -13,7 +13,7 @@ both on the same pool, records each side's first violation without
 stopping the run, and demands the same ``(event index, check, detail)``
 and the same ``checks_passed`` — on clean runs, on planted protocol
 bugs, under serving arrivals (whose injections change a PE's books from
-outside its process), elastic membership, fail-stopped PEs and shards.
+outside its process), elastic membership and fail-stopped PEs.
 
 Verdicts alone say nothing on a clean run, so after every event the
 harness also asserts the two facts the skipping rests on: the oracle's
@@ -49,7 +49,6 @@ from repro.runtime.oracle import PoolOracle
 from repro.runtime.pool import TaskPool
 from repro.runtime.registry import TaskOutcome, TaskRegistry
 from repro.runtime.serving import ServingController, run_serve
-from repro.runtime.sharded import ShardedTaskPool
 from repro.runtime.task import Task
 from tests.schedules.test_mutation import _unfused_steal
 
@@ -63,13 +62,10 @@ class RescanOracle:
 
     def __init__(self, pool: TaskPool) -> None:
         self.pool = pool
-        ranks = pool.local_ranks()
-        self.workers = [pool.workers[r] for r in ranks]
+        ranks = range(pool.npes)
+        self.workers = pool.workers
         self.exactly_once = pool.protocol.semantics.exactly_once
-        self.conserve = (
-            pool.ctx.faults is None and self.exactly_once
-            and pool.shard is None
-        )
+        self.conserve = pool.ctx.faults is None and self.exactly_once
         self.checks_passed = 0
         self.books = [0, 0, 0]  # as of the last check
         self.prev_comp = {r: None for r in ranks}
@@ -392,7 +388,7 @@ def test_serving_shed_threshold():
 
 
 # ----------------------------------------------------------------------
-# faults and shards
+# faults
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("impl,lease", [("sws", None), ("sdc", 100e-6)])
@@ -407,30 +403,6 @@ def test_fail_stopped_pe_stays_skipped(impl, lease):
     pool.seed(0, [Task(leaf)] * 200)
     assert_clean(Differential(pool).run(pool.run))
     assert pool.ctx.faults.is_dead(2, pool.ctx.engine.now)
-
-
-@pytest.mark.parametrize("impl", ["sws", "sdc"])
-def test_two_serial_shards(monkeypatch, impl):
-    """Ranks-restricted oracles under ``run_window``, one per shard."""
-    diffs = []
-    build = ShardedTaskPool._build_pool
-
-    def build_and_watch(self, shard_id):
-        pool = build(self, shard_id)
-        diffs.append(Differential(pool))
-        return pool
-
-    monkeypatch.setattr(ShardedTaskPool, "_build_pool", build_and_watch)
-    reg = TaskRegistry()
-    leaf = reg.register("leaf", lambda payload, tc: TaskOutcome(duration=2e-6))
-    pool = ShardedTaskPool(4, reg, 2, impl=impl, oracle=True,
-                           queue_config=QueueConfig(qsize=256))
-    pool.seed(0, [Task(leaf)] * 120)
-    pool.run()
-    assert len(diffs) == 2
-    for d in diffs:
-        d.assert_agree()
-        assert_clean(d)
 
 
 # ----------------------------------------------------------------------
