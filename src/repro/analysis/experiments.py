@@ -188,8 +188,7 @@ def exp_fig5(scale: str = "quick") -> ExperimentResult:
         owner_q, thief_q = system.handle(0), system.handle(1)
 
         def owner():
-            for _ in range(2048):
-                owner_q.enqueue(bytes(192))
+            owner_q.enqueue_many([bytes(192)] * 2048)
             yield from owner_q.release()
             # The thief claims 512 tasks at ~18 us; its ~100 us task copy
             # and the passive completion are still in flight when the
@@ -586,8 +585,7 @@ def exp_ablation_contention(scale: str = "quick") -> ExperimentResult:
         done: list[float] = []
 
         def owner():
-            for _ in range(1024):
-                victim_q.enqueue(bytes(24))
+            victim_q.enqueue_many([bytes(24)] * 1024)
             yield from victim_q.release()
 
         def thief(rank):
@@ -864,8 +862,7 @@ def exp_ablation_bandwidth(scale: str = "quick") -> ExperimentResult:
         lats: list[float] = []
 
         def owner():
-            for _ in range(8192):
-                victim.enqueue(bytes(192))
+            victim.enqueue_many([bytes(192)] * 8192)
             yield from victim.release()
 
         def thief(rank):

@@ -49,7 +49,7 @@ slot any thief may still copy.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Sequence
 
 from ..fabric.errors import ProtocolError
 from ..shmem.api import ShmemCtx
@@ -113,32 +113,25 @@ class FfMultQueue(SplitQueue):
     # owner operations (local, no communication)
     # ------------------------------------------------------------------
     def enqueue(self, record: bytes) -> None:
-        """Append one serialized task at the head of the local portion.
+        self.enqueue_many((record,))  # the one place that resets claims
 
-        Calls the base method after resetting the slot's claim history:
-        a fresh task instance at a reused absolute index is not a
-        duplicate of whatever lived there before.
-        """
-        self.system.claims[self.rank].pop(self.head, None)
-        super().enqueue(record)
+    def enqueue_many(self, records: Sequence[bytes]) -> None:
+        """Append serialized tasks at the head of the local portion; a
+        fresh instance starts its index's claim history over."""
+        claims = self.system.claims[self.rank]
+        for index in range(self.head, self.head + len(records)):
+            claims.pop(index, None)
+        super().enqueue_many(records)
 
     def dequeue(self) -> bytes | None:
-        """Pop the newest local task (LIFO); ``None`` when local is empty.
-
-        Mirrors the base method with the split read from symmetric
-        memory, plus the handout accounting: owner consumption is a
-        handout too — a re-privatized task that a stale thief also copied
-        must charge a duplicate to exactly one side, and the symmetric
-        claim count does that for any ordering.
-        """
-        head = self.head
-        if head <= self._meta[SPLIT]:
-            return None
-        self.head = head = head - 1
-        self.system.note_handout(self.rank, head)
-        ts = self._tsize
-        addr = (head % self._qsize) * ts
-        return bytes(self._tasks[addr : addr + ts])
+        """Pop the newest local task, booked as a handout like a steal: a
+        re-privatized task that a stale thief also copied must charge a
+        duplicate to exactly one side, and the symmetric claim count does
+        that for any ordering."""
+        record = super().dequeue()
+        if record is not None:
+            self.system.note_handout(self.rank, self.head)
+        return record
 
     def release(self) -> Generator:
         """Expose half of the local portion to thieves.
@@ -289,16 +282,10 @@ class FfMultQueueSystem(SplitQueueSystem):
         """Drop a registration (steal finished, aborted, or empty)."""
         self._inflight[victim].pop(token, None)
 
-    def note_handout(self, victim: int, index: int) -> bool:
-        """Record one handout of ``victim``'s task at ``index``.
-
-        Returns True when this handout is a duplicate (the instance was
-        already claimed), in which case the victim's duplicate tally has
-        been incremented.
-        """
+    def note_handout(self, victim: int, index: int) -> None:
+        """Record one handout of ``victim``'s task at ``index``; the second
+        and later handouts of one instance are duplicates, tallied now."""
         count = self.claims[victim].get(index, 0) + 1
         self.claims[victim][index] = count
         if count > 1:
             self.dups[victim] += 1
-            return True
-        return False

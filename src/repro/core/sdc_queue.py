@@ -106,20 +106,6 @@ class SdcQueue(SplitQueue):
     # ------------------------------------------------------------------
     # owner operations
     # ------------------------------------------------------------------
-    def dequeue(self) -> bytes | None:
-        """Pop the newest local task (LIFO); ``None`` when local is empty.
-
-        Mirrors the base method with the split read from symmetric
-        memory (this is the owner's per-task path: no property hop).
-        """
-        head = self.head
-        if head <= self._meta[SPLIT]:
-            return None
-        self.head = head = head - 1
-        ts = self._tsize
-        addr = (head % self._qsize) * ts
-        return bytes(self._tasks[addr : addr + ts])
-
     def release(self) -> Generator:
         """Expose half of the local portion to thieves (paper §3.1).
 

@@ -21,6 +21,9 @@ rest, once, together with the contract the runtime drives every queue
 through:
 
 ===================  ================================================
+``enqueue_many()``   append records on top of the local portion
+``dequeue()``        pop the newest local record; ``None`` when empty
+``room(pending)``    free slots beyond ``pending``; raises on overflow
 ``local_count``      tasks only the owner can reach
 ``stealable``        unclaimed tasks advertised to thieves
 ``release()``        generator; returns the number of tasks exposed
@@ -42,7 +45,7 @@ operations, and its oracle declarations; see ``docs/protocols.md`` §0.
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Sequence
 
 from ..fabric.errors import FabricTimeoutError, OracleViolation, ProtocolError
 from ..shmem.api import ShmemCtx
@@ -80,8 +83,8 @@ class SplitQueue:
     The split point itself is the subclass's: the stealval queues keep it
     as a plain ``split`` attribute (thieves never read it), SDC and the
     fence-free deque keep it in symmetric memory (thieves do) and
-    override the members that read it: :attr:`local_count`,
-    :meth:`dequeue` and :meth:`_indices`.
+    override the members that read it: :attr:`local_count` and
+    :meth:`_indices`.
     """
 
     #: Short protocol name prefixed to every oracle rule of this queue.
@@ -152,38 +155,59 @@ class SplitQueue:
     # ------------------------------------------------------------------
     # owner operations (local, no communication)
     # ------------------------------------------------------------------
+    def room(self, pending: int = 0) -> int:
+        """Slots free beyond ``pending`` records not yet written: at least
+        one, or this raises.  Reclaims finished steals only when there is
+        none — the capacity test of every enqueue."""
+        room = self._qsize - pending - self.head + self.reclaim_tail
+        if room <= 0:
+            room += self.progress()
+            if room <= 0:
+                raise ProtocolError(
+                    f"PE {self.rank}: {self.tag} queue overflow (qsize={self._qsize})"
+                )
+        return room
+
     def enqueue(self, record: bytes) -> None:
         """Append one serialized task at the head of the local portion."""
         ts = self._tsize
         if len(record) != ts:
-            raise ProtocolError(
-                f"record of {len(record)} bytes; queue expects {ts}"
-            )
-        qsize = self._qsize
-        if self.head - self.reclaim_tail >= qsize:
-            self.progress()
-            if self.head - self.reclaim_tail >= qsize:
-                raise ProtocolError(
-                    f"PE {self.rank}: {self.tag} queue overflow (qsize={qsize})"
-                )
-        addr = (self.head % qsize) * ts
+            raise ProtocolError(f"record of {len(record)} bytes; queue expects {ts}")
+        self.room()
+        addr = (self.head % self._qsize) * ts
         self._tasks[addr : addr + ts] = record
         self.head += 1
 
+    def enqueue_many(self, records: Sequence[bytes]) -> None:
+        """Append serialized tasks at the head of the local portion, the
+        last one on top: one capacity test and one buffer store (two
+        when the block wraps) for all of them."""
+        n = len(records)
+        if not n:
+            return
+        ts = self._tsize
+        if {*map(len, records)} != {ts}:
+            size = next(len(r) for r in records if len(r) != ts)
+            raise ProtocolError(f"record of {size} bytes; queue expects {ts}")
+        self.room(n - 1)
+        data = b"".join(records)
+        addr = (self.head % self._qsize) * ts
+        first = len(self._tasks) - addr
+        if len(data) <= first:
+            self._tasks[addr : addr + len(data)] = data
+        else:
+            self._tasks[addr:] = data[:first]
+            self._tasks[: len(data) - first] = data[first:]
+        self.head += n
+
     def dequeue(self) -> bytes | None:
         """Pop the newest local task (LIFO); ``None`` when local is empty."""
-        head = self.head
-        if head <= self.split:
+        if self.local_count <= 0:
             return None
-        self.head = head = head - 1
+        self.head = head = self.head - 1
         ts = self._tsize
         addr = (head % self._qsize) * ts
         return bytes(self._tasks[addr : addr + ts])
-
-    def seed(self, records: list[bytes]) -> None:
-        """Initial task placement before the run starts (no timing)."""
-        for r in records:
-            self.enqueue(r)
 
     # ------------------------------------------------------------------
     # thief side: everything after a won claim

@@ -18,7 +18,7 @@ giving the depth-first traversal the Scioto model prescribes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..fabric.errors import ProtocolError
 from .task import Task
@@ -42,6 +42,8 @@ class TaskOutcome:
 
     A ``__slots__`` class: one outcome is built per executed task, which
     makes construction cost part of the simulator's per-task overhead.
+    Most tasks are leaves: one that names no children holds the shared
+    immutable ``()``, so build the list first and pass it in.
     """
 
     __slots__ = ("duration", "children", "remote_children")
@@ -49,14 +51,14 @@ class TaskOutcome:
     def __init__(
         self,
         duration: float,
-        children: list[Task] | None = None,
-        remote_children: list[tuple[int, Task]] | None = None,
+        children: Sequence[Task] = (),
+        remote_children: Sequence[tuple[int, Task]] = (),
     ) -> None:
         if duration < 0:
             raise ValueError(f"negative task duration: {duration}")
         self.duration = duration
-        self.children = [] if children is None else children
-        self.remote_children = [] if remote_children is None else remote_children
+        self.children = children
+        self.remote_children = remote_children
 
     def __repr__(self) -> str:
         return (

@@ -15,13 +15,18 @@ matching the Scioto execution model's portability requirement.
 
 from __future__ import annotations
 
+import functools
 import struct
 
 from ..fabric.errors import ProtocolError
 
-_HEADER = struct.Struct("<HH")
-_unpack_header = _HEADER.unpack_from
-HEADER_BYTES = _HEADER.size
+HEADER_BYTES = struct.calcsize("<HH")
+
+
+@functools.lru_cache(maxsize=None)
+def _record(size: int) -> struct.Struct:
+    """The one codec of ``size``-byte records (header + NUL-padded payload)."""
+    return struct.Struct(f"<HH{size - HEADER_BYTES}s")
 
 
 class Task:
@@ -62,47 +67,26 @@ class Task:
                 f"task needs {HEADER_BYTES + len(payload)} bytes; "
                 f"record size is {task_size}"
             )
-        body = _HEADER.pack(self.fn_id, len(payload)) + payload
-        return body.ljust(task_size, b"\0")
+        return _record(task_size).pack(self.fn_id, len(payload), payload)
 
     @classmethod
     def deserialize(cls, record: bytes) -> "Task":
         """Decode a fixed-size record back into a task."""
-        if len(record) < HEADER_BYTES:
-            raise ProtocolError(f"record of {len(record)} bytes has no header")
-        fn_id, plen = _unpack_header(record)
-        if HEADER_BYTES + plen > len(record):
-            raise ProtocolError(
-                f"record declares {plen} payload bytes but holds "
-                f"{len(record) - HEADER_BYTES}"
-            )
-        # Field ranges are guaranteed by the u16 header — skip __init__'s
-        # re-validation on this hot path.
-        task = cls.__new__(cls)
-        task.fn_id = fn_id
-        task.payload = bytes(record[HEADER_BYTES : HEADER_BYTES + plen])
-        return task
-
-    def size_on_wire(self, task_size: int) -> int:
-        """Bytes this task occupies in a queue of the given record size."""
-        return task_size
+        return make_task(*parse_record(record))
 
 
 def parse_record(record: bytes) -> tuple[int, bytes]:
-    """Decode a record to ``(fn_id, payload)`` without building a Task.
-
-    Same validation as :meth:`Task.deserialize`; used by the worker's
-    batch loop, which only needs the two fields.
-    """
-    if len(record) < HEADER_BYTES:
-        raise ProtocolError(f"record of {len(record)} bytes has no header")
-    fn_id, plen = _unpack_header(record)
-    if HEADER_BYTES + plen > len(record):
+    """Decode a record to ``(fn_id, payload)`` without building a Task:
+    the worker's batch loop only needs the two fields."""
+    size = len(record)
+    if size < HEADER_BYTES:
+        raise ProtocolError(f"record of {size} bytes has no header")
+    fn_id, plen, body = _record(size).unpack(record)
+    if plen > len(body):
         raise ProtocolError(
-            f"record declares {plen} payload bytes but holds "
-            f"{len(record) - HEADER_BYTES}"
+            f"record declares {plen} payload bytes but holds {len(body)}"
         )
-    return fn_id, bytes(record[HEADER_BYTES : HEADER_BYTES + plen])
+    return fn_id, body[:plen]
 
 
 def make_task(fn_id: int, payload: bytes) -> Task:

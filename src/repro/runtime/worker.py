@@ -34,7 +34,7 @@ from .inbox import Inbox
 from .lifeline import LifelineManager
 from .registry import TaskContext, TaskRegistry
 from .stats import WorkerStats
-from .task import Task, parse_record
+from .task import HEADER_BYTES, Task, parse_record
 from .termination import TerminationDetector
 from .victim import VictimSelector
 
@@ -221,8 +221,7 @@ class Worker:
 
     def seed(self, tasks: list[Task]) -> None:
         """Place initial tasks on this PE's queue (pre-run, untimed)."""
-        for t in tasks:
-            self.queue.enqueue(t.serialize(self.task_size))
+        self.queue.enqueue_many([t.serialize(self.task_size) for t in tasks])
         self.stats.tasks_spawned += len(tasks)
 
     # ------------------------------------------------------------------
@@ -273,7 +272,8 @@ class Worker:
                     break
 
             if inbox is not None:
-                self._drain_inbox()
+                # Committed remote spawns move onto the local queue.
+                queue.enqueue_many(inbox.drain())
 
             if elastic is not None:
                 if not elastic.is_active(self.rank):
@@ -356,8 +356,7 @@ class Worker:
                 stats.tasks_stolen += result.ntasks
                 stats.note_steal_volume(result.ntasks)
                 self._backoff = cfg.steal_backoff
-                for rec in result.records:
-                    queue.enqueue(rec)
+                queue.enqueue_many(result.records)
             else:
                 stats.search_time += dt
                 stats.steals_failed += 1
@@ -426,43 +425,63 @@ class Worker:
 
     # ------------------------------------------------------------------
     def _execute_batch(self) -> Generator:
-        """Run up to ``batch_max`` local tasks as one compute segment."""
+        """Run up to ``batch_max`` local tasks as one compute segment.
+
+        The batch is a write-back window over the local portion: tasks
+        spawned in it wait on ``stack``, the top of the LIFO, and only
+        the ones still there at the end become records.
+        """
         queue = self.queue
         stats = self.stats
-        budget = min(self.cfg.batch_max, queue.local_count)
+        local = queue.local_count
+        budget = min(self.cfg.batch_max, local)
         if stats.tasks_executed == 0 and budget > 0:
             stats.first_task_time = self.now
         # Loop-invariant hoists.  The loop body never yields, so no engine
-        # event can interleave with it: the advertised shared portion —
+        # event can interleave with it: nothing reads the local portion
+        # before the write-back, and the advertised shared portion —
         # mutated only by remote atomics (fabric events) or the owner's
         # own release/acquire (not called here) — is constant for the
         # whole batch, so its emptiness check is evaluated once.
         dequeue = queue.dequeue
-        enqueue = queue.enqueue
         fns = self.registry.dispatch_table()
         nfns = len(fns)
         tc = self.tc
         task_size = self.task_size
+        payload_max = task_size - HEADER_BYTES
         overhead = self.cfg.task_overhead
         help_first = self.cfg.spawn_policy == "help_first"
         multi = self.npes > 1
         release_min = self.cfg.release_min_local
         shared_empty = multi and queue.stealable == 0
+        stack: list[Task] = []
+        # Slots known to be free beyond ``stack``.  Running a task only adds
+        # room, so the count may trail the truth but never leads it.
+        room = 0
         executed = 0
         duration = 0.0
         spawned = 0
         task_time = 0.0
         while executed < budget:
-            rec = dequeue()
-            if rec is None:
-                break
-            fn_id, payload = parse_record(rec)
+            if stack:
+                task = stack.pop()
+                fn_id = task.fn_id
+                payload = task.payload
+            else:
+                # ``budget`` tasks were local when the batch began.
+                fn_id, payload = parse_record(dequeue())
+                local -= 1
             if fn_id >= nfns:
                 raise ProtocolError(f"task references unregistered fn_id {fn_id}")
             outcome = fns[fn_id](payload, tc)
             children = outcome.children
             for child in children:
-                enqueue(child.serialize(task_size))
+                if len(child.payload) > payload_max:
+                    child.serialize(task_size)  # raises: names the sizes
+                if not room:
+                    room = queue.room(len(stack))
+                room -= 1
+                stack.append(child)
             if outcome.remote_children:
                 if self.inbox is None:
                     raise ProtocolError(
@@ -479,10 +498,12 @@ class Worker:
             if (
                 multi
                 and ((help_first and children) or shared_empty)
-                and queue.local_count >= release_min
+                and local + len(stack) >= release_min
             ):
                 # Break the batch so _manage can release promptly.
                 break
+        if stack:
+            queue.enqueue_many([t.serialize(task_size) for t in stack])
         stats.tasks_spawned += spawned
         stats.task_time += task_time
         stats.tasks_executed += executed
@@ -492,11 +513,6 @@ class Worker:
             spawns, self._remote_spawns = self._remote_spawns, []
             for target, task in spawns:
                 yield from self.inbox.send(target, task.serialize(self.task_size))
-
-    def _drain_inbox(self) -> None:
-        """Move committed remote spawns onto the local queue (local ops)."""
-        for record in self.inbox.drain():
-            self.queue.enqueue(record)
 
     def _elastic_park(self) -> Generator:
         """Graceful leave: drain the queue, hand off residue, go passive.

@@ -80,8 +80,7 @@ def measure_single_steal(
     out: dict[str, object] = {}
 
     def victim() -> object:
-        for _ in range(preload):
-            victim_q.enqueue(record)
+        victim_q.enqueue_many([record] * preload)
         yield from victim_q.release()
         out["released"] = True
 

@@ -64,6 +64,8 @@ class UtsWorkload:
         # Hot-loop hoists: _node runs once per tree node.
         self._node_time = self.params.node_time
         self._per_child = self.params.per_child_time
+        # One immutable outcome serves every leaf (most nodes): built once.
+        self._leaf = TaskOutcome(self._node_time)
         # GEO trees: the geometric draw's log(1 - p) is a pure function of
         # depth, so table it once here instead of re-deriving (and hashing
         # the params dataclass through an lru_cache) per node.  Depths past
@@ -83,28 +85,31 @@ class UtsWorkload:
         )
 
     def _node(self, payload: bytes, tc: TaskContext) -> TaskOutcome:
+        # make_task: the fn id is a registry id and the payload a fixed-width
+        # struct, so Task's range validation is statically satisfied.
         depth, flags, state = _NODE.unpack(payload)
         table = self._log1mp
-        if table is not None:
+        if table is None:
+            tasks = [
+                make_task(self.node_id, _NODE.pack(depth + 1, 0, c))
+                for c in expand(self.tree, state, depth, bool(flags & _ROOT_FLAG))
+            ]
+        else:
             # Inlined GEO expansion (bit-identical to tree.num_children):
             # the state is a fixed-width struct field, so the validating
             # to_prob/spawn wrappers are skipped.
             log1mp = table[depth] if depth < len(table) else 0.0
             if log1mp == 0.0:
-                n = 0
-            else:
-                u = (int.from_bytes(state[:4], "big") & 0x7FFFFFFF) / _TWO31
-                n = int(_LOG(1.0 - u) / log1mp)
-            sha1 = _SHA1
-            cpack = _CHILD_PACK
-            children = [sha1(state + cpack(i)).digest() for i in range(n)]
-        else:
-            children = expand(self.tree, state, depth, bool(flags & _ROOT_FLAG))
-        pack = _NODE.pack
-        nid = self.node_id
-        d1 = depth + 1
-        # make_task: nid is a registry id and the payload a fixed-width
-        # struct, so Task's range validation is statically satisfied.
-        tasks = [make_task(nid, pack(d1, 0, c)) for c in children]
-        duration = self._node_time + self._per_child * len(tasks)
-        return TaskOutcome(duration=duration, children=tasks)
+                return self._leaf
+            u = (int.from_bytes(state[:4], "big") & 0x7FFFFFFF) / _TWO31
+            n = int(_LOG(1.0 - u) / log1mp)
+            if not n:
+                return self._leaf
+            pack = _NODE.pack
+            nid = self.node_id
+            d1 = depth + 1
+            tasks = [
+                make_task(nid, pack(d1, 0, _SHA1(state + _CHILD_PACK(i)).digest()))
+                for i in range(n)
+            ]
+        return TaskOutcome(self._node_time + self._per_child * len(tasks), tasks)

@@ -64,7 +64,7 @@ class TestExpansion:
         assert prod.duration == 3.0
         cons = reg.execute(prod.children[1], TaskContext(0, 1))
         assert cons.duration == 7.0
-        assert cons.children == []
+        assert not cons.children
 
 
 class TestEndToEnd:

@@ -395,7 +395,7 @@ class TestSdcLeaseRecovery:
         system = SdcQueueSystem(ctx, cfg)
         victim = system.handle(0)
         thief = system.handle(1)
-        victim.seed([self.TASK] * 8)
+        victim.enqueue_many([self.TASK] * 8)
         collect(victim.release())
         return ctx, victim, thief
 
@@ -446,7 +446,7 @@ class TestSdcLeaseRecovery:
         assert cfg.sdc_lock_lease is None
         system = SdcQueueSystem(ctx, cfg)
         victim, thief = system.handle(0), system.handle(1)
-        victim.seed([self.TASK] * 8)
+        victim.enqueue_many([self.TASK] * 8)
         collect(victim.release())
 
         def body():

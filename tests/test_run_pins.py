@@ -29,7 +29,7 @@ from repro.runtime.serving import run_serve
 from repro.runtime.stats import RunStats, WorkerStats
 from repro.runtime.worker import WorkerConfig
 from repro.workloads.bpc import BpcParams, BpcWorkload
-from repro.workloads.uts import TEST_TINY, UtsWorkload
+from repro.workloads.uts import TEST_SMALL, TEST_TINY, UtsWorkload
 
 PINS = Path(__file__).parent / "data" / "run_pins.json"
 FIELDS = [f.name for f in dataclasses.fields(WorkerStats)]
@@ -43,7 +43,8 @@ def _pool(impl: str, npes: int, workload: str = "bpc", **kwargs) -> RunStats:
     if workload == "bpc":
         seed_task = BpcWorkload(registry, BPC).seed_task()
     else:
-        seed_task = UtsWorkload(registry, TEST_TINY).seed_task()
+        tree = TEST_SMALL if workload == "uts_small" else TEST_TINY
+        seed_task = UtsWorkload(registry, tree).seed_task()
     kwargs.setdefault("seed", SEED)
     pool = TaskPool(npes, registry, impl=impl, **kwargs)
     pool.seed(0, [seed_task])
@@ -98,6 +99,14 @@ def _cases() -> dict:
             )
         add(f"{impl}/uts/p4", _pool, impl, 4, workload="uts")
     add("sws/op_timeout", _pool, "sws", 5, op_timeout=1e-3)
+    # TEST_TINY's 85 nodes never fill a batch; TEST_SMALL's do.
+    for impl in ("sws", "sdc"):
+        for policy in ("work_first", "help_first"):
+            add(
+                f"{impl}/uts_small/{policy}",
+                _pool, impl, 4, workload="uts_small",
+                worker_config=WorkerConfig(spawn_policy=policy),
+            )
     return cases
 
 
