@@ -1,11 +1,12 @@
 """Shared helpers for the benchmark suite.
 
-Each ``bench_*`` file regenerates one table or figure from the paper's
-evaluation: it runs the corresponding experiment, prints the same
-rows/series the paper reports, and asserts the qualitative *shape*
-(who wins, roughly by how much) — never the absolute numbers, which
-belong to the authors' hardware.  Nothing here is timed: host-time
-measurement is ``perfbench``'s job (docs/performance.md).
+``bench_experiments.py`` runs every registered experiment, prints the
+rows/series the paper reports, and requires the verdict of the judge
+written beside it — the qualitative *shape* (who wins, roughly by how
+much), never the absolute numbers, which belong to the authors'
+hardware.  ``bench_faults.py`` and ``bench_workloads.py`` run their own
+sweeps.  Nothing here is timed: host-time measurement is ``perfbench``'s
+job (docs/performance.md).
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ Subcommands::
     python -m repro explore [--workload W] [--impl I] [--policy P]
                             [--seeds N] [--dfs-depth D] [--out DIR]
     python -m repro replay TRACE.json [--strict] [--shrink]
-    python -m repro sweep [--scenarios S] [--jobs N] [--out FILE]
-                          [--matrix ...]
+    python -m repro sweep [--scenarios S] [--scale quick|full] [--jobs N]
+                          [--tables] [--csv-dir DIR] [--markdown FILE]
+                          [--diff CODE_VERSION] [--out FILE] [--matrix ...]
     python -m repro mp [--workload synthetic|uts] [--impl sws|sdc]
                        [--npes N] [--ntasks N | --tree NAME] [--verify]
     python -m repro serve --arrival poisson:RATE --duration T [--slo MS]
@@ -24,9 +25,11 @@ chosen substrates, verifying its declared semantics contract on each.
 ``explore`` sweeps same-timestamp event orderings under the invariant
 oracle and writes every failing schedule as a replayable JSON trace;
 ``replay`` re-executes such a trace bit-identically (the local half of
-the CI-artifact-to-repro workflow; see docs/testing.md); ``sweep`` fans
-deterministic bench scenarios / matrix cells across a process pool with
-an on-disk result cache and emits ``BENCH_fabric.json`` (see
+the CI-artifact-to-repro workflow; see docs/testing.md); ``sweep`` is the
+experiment runner — registered experiments / matrix cells fan out across
+a process pool, each finished job is one row of the sqlite experiment
+table, and the ASCII tables, CSVs, EXPERIMENTS.md and the diff against
+another code version are views of those rows (see docs/reproducing.md,
 docs/performance.md); ``mp`` runs a workload end-to-end on the
 multiprocess substrate — real OS processes over shared memory (see
 docs/backends.md); ``serve`` runs the open-system serving mode —
@@ -53,7 +56,7 @@ def _demo() -> int:
     print(f"repro {__version__} — SWS structured-atomic work stealing "
           f"(ICPP 2021 reproduction)\n")
     print(run_experiment("fig2").render())
-    print("full harness: python -m repro.analysis.cli --exp all")
+    print("full harness: python -m repro sweep --scenarios all --tables")
     print("schedule fuzzing: python -m repro explore --help")
     print("docs: README.md, DESIGN.md, EXPERIMENTS.md, docs/")
     return 0
@@ -224,16 +227,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from .analysis.sweep import (
-        BENCH_SCENARIOS,
-        MP_SCENARIOS,
-        ResultCache,
-        SweepJob,
-        bench_report,
-        run_jobs,
-    )
+    from .analysis.experiments import EXPERIMENTS
+    from .analysis.sweep import MP_SCENARIOS, SweepJob
 
     jobs: list[SweepJob] = []
     if args.matrix:
@@ -246,20 +241,43 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                     for seed in range(args.seed_base, args.seed_base + args.seeds):
                         jobs.append(SweepJob.cell(tree, impl, npes, seed))
     else:
-        names = (
-            BENCH_SCENARIOS if args.scenarios == "all"
-            else tuple(args.scenarios.split(","))
-        )
+        every = args.scenarios == "all"
+        names = sorted(EXPERIMENTS) if every else args.scenarios.split(",")
+        unknown = [n for n in names if n not in EXPERIMENTS]
+        if unknown:
+            print(f"unknown scenario(s) {', '.join(unknown)}; valid ids: "
+                  f"{', '.join(sorted(EXPERIMENTS))}", file=sys.stderr)
+            return 2
         jobs = [SweepJob.bench(name, args.scale) for name in names]
-        if args.scenarios == "all":
+        if every:
             # Multiprocess-substrate scenarios ride along in the report.
             jobs += [SweepJob.mp(*mp) for mp in MP_SCENARIOS]
 
-    cache = None if args.no_cache else ResultCache(args.cache)
+    if args.no_cache:
+        if args.diff:
+            print("--diff reads the table: drop --no-cache", file=sys.stderr)
+            return 2
+        return _sweep(args, jobs, None)
+    from .analysis.table import Table
+
+    table = Table(args.cache)
+    try:
+        return _sweep(args, jobs, table)
+    finally:
+        table.close()
+
+
+def _sweep(args: argparse.Namespace, jobs: list, table) -> int:
+    """Run ``jobs`` into ``table``, then render the views asked for."""
+    import json
+
+    from .analysis.experiments import ExperimentResult
+    from .analysis.sweep import bench_report, run_jobs
+
     outcome = run_jobs(
         jobs,
         workers=args.jobs,
-        cache=cache,
+        table=table,
         refresh=args.refresh,
         progress=print if not args.quiet else None,
     )
@@ -272,16 +290,69 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     if not args.matrix:
         report = bench_report(outcome)
+        width = max(map(len, report["scenarios"]))
         for name, s in sorted(report["scenarios"].items()):
             tag = " (cached)" if s["cached"] else ""
             print(
-                f"  {name:8s} {s['wall_s']:8.3f}s  {s['events']:>9d} events"
+                f"  {name:{width}s} {s['wall_s']:8.3f}s  {s['events']:>9d} events"
                 f"  {s['events_per_sec']:>12,.0f} ev/s{tag}"
             )
         if args.out:
             Path(args.out).write_text(json.dumps(report, indent=2, sort_keys=True))
             print(f"wrote {args.out}")
-    return 0
+
+    # Views of the rows: nothing below runs an experiment.
+    results = [
+        ExperimentResult(**rec["payload"]) for rec in outcome.records
+        if rec["spec"]["kind"] == "bench" and rec["status"] == "done"
+    ]
+    if args.tables:
+        for result in results:
+            print(result.render(with_charts=True))
+    if args.csv_dir:
+        from .analysis.report import write_csv
+
+        for result in results:
+            path = write_csv(Path(args.csv_dir) / f"{result.exp_id}.csv",
+                             result.headers, result.rows)
+            print(f"wrote {path}")
+    if args.markdown:
+        from .analysis.markdown import render_document
+
+        Path(args.markdown).write_text(render_document(results, args.scale))
+        print(f"wrote {args.markdown}")
+    rc = 0
+    if args.diff:
+        rc = _diff_rows(table, outcome, args.diff)
+    failed = outcome.failed()
+    if failed:
+        print(f"not PASS: {', '.join(failed)}", file=sys.stderr)
+        for rec in outcome.records:
+            if rec["error"]:
+                print(f"--- {rec['spec']['name']}\n{rec['error']}", file=sys.stderr)
+        rc = rc or 1
+    return rc
+
+
+def _diff_rows(table, outcome, other: str) -> int:
+    """``--diff``: each job's row against the same job's at ``other``."""
+    from .analysis.table import diff_payloads, render_diff
+
+    changed = shared = 0
+    for rec in outcome.records:
+        before = table.get(rec["spec"], other)
+        if before is None:
+            continue
+        shared += 1
+        diffs = diff_payloads(before["payload"], rec["payload"])
+        print(f"== {rec['spec']['name']} ({other} -> {outcome.code_version}) ==")
+        print(render_diff(diffs))
+        changed += bool(diffs)
+    if not shared:
+        print(f"no row of these jobs at code version {other!r}; the table "
+              f"holds: {', '.join(table.code_versions())}", file=sys.stderr)
+        return 2
+    return 1 if changed else 0
 
 
 def _parse_crash(specs, point, respawn, seed):
@@ -561,28 +632,40 @@ def main(argv: list[str] | None = None) -> int:
     p_rp.set_defaults(fn=_cmd_replay)
 
     p_sw = sub.add_parser(
-        "sweep", help="fan deterministic runs across processes, with caching"
+        "sweep", help="run experiments into the table; render views of it"
     )
     p_sw.add_argument("--scenarios", default="all",
-                      help="comma-separated experiment ids, or 'all' "
-                           "(the bench_fig* set)")
-    p_sw.add_argument("--scale", default="quick", choices=("quick", "full"))
+                      help="comma-separated experiment ids, or 'all' (every "
+                           "registered experiment plus the mp rows)")
+    p_sw.add_argument("--scale", default="quick", choices=("quick", "full"),
+                      help="quick = seconds per experiment; full = the "
+                           "EXPERIMENTS.md runs")
     p_sw.add_argument("--jobs", type=int, default=None,
                       help="worker processes (default: nproc, capped at 2 "
-                           "under CI; REPRO_SWEEP_SERIAL=1 forces serial)")
-    p_sw.add_argument("--cache", default="results/sweep-cache",
-                      help="result-cache directory")
+                           "under CI; 1 runs serially in this process)")
+    p_sw.add_argument("--cache", default="results/experiments.db",
+                      help="the experiment table (a sqlite file)")
     p_sw.add_argument("--no-cache", action="store_true",
-                      help="neither read nor write the cache")
+                      help="neither read nor write the table")
     p_sw.add_argument("--refresh", action="store_true",
-                      help="ignore cached results but still store fresh ones")
+                      help="re-run rows already done, replacing them")
+    p_sw.add_argument("--tables", action="store_true",
+                      help="print each experiment's ASCII table and charts")
+    p_sw.add_argument("--csv-dir", default=None, metavar="DIR",
+                      help="write one CSV per experiment")
+    p_sw.add_argument("--markdown", default=None, metavar="FILE",
+                      help="write the EXPERIMENTS.md document")
+    p_sw.add_argument("--diff", default=None, metavar="CODE_VERSION",
+                      help="compare each row, cell by cell and exactly, with "
+                           "the same job's row at another code version; "
+                           "exit 1 on any difference")
     p_sw.add_argument("--out", default=None, metavar="FILE",
-                      help="write the BENCH_fabric.json report here")
+                      help="dump the rows' wall_s / events columns as JSON")
     p_sw.add_argument("--quiet", action="store_true",
                       help="suppress per-job progress lines")
     p_sw.add_argument("--matrix", action="store_true",
                       help="run a seed×impl×workload matrix instead of "
-                           "bench scenarios")
+                           "registered experiments")
     p_sw.add_argument("--workloads", default="test_tiny",
                       help="matrix: comma-separated named UTS trees")
     p_sw.add_argument("--impls", default="sdc,sws",

@@ -4,7 +4,6 @@ from .experiments import EXPERIMENTS, ExperimentResult, run_experiment
 from .plots import AsciiChart, chart_cells
 from .profiles import imbalance_report, profile_run, render_profiles
 from .report import ascii_table, sparkline, write_csv
-from .store import ResultStore, RowDiff, render_diff
 from .series import (
     CellSummary,
     by_impl,
@@ -13,6 +12,7 @@ from .series import (
     summarize_cells,
 )
 from .sweep import SweepConfig, SweepPoint, run_point, run_sweep
+from .table import RowDiff, Table, diff_payloads, render_diff
 
 __all__ = [
     "EXPERIMENTS",
@@ -23,8 +23,9 @@ __all__ = [
     "profile_run",
     "render_profiles",
     "imbalance_report",
-    "ResultStore",
+    "Table",
     "RowDiff",
+    "diff_payloads",
     "render_diff",
     "ascii_table",
     "sparkline",

@@ -6,20 +6,24 @@ averages 10 runs per point; seeds here perturb victim selection, the
 physical source of run-to-run variance on the real cluster).
 
 The second half of this module is the **fan-out runner** behind
-``python -m repro sweep``: every run in this simulator is deterministic
-and independent, so bench scenarios and seed×impl×workload matrix cells
-fan out across a :class:`~concurrent.futures.ProcessPoolExecutor` and
-land in a content-addressed on-disk cache keyed by
-``(job spec, code version)`` — a job re-runs only when its inputs or the
-simulator sources change.  See ``docs/performance.md``.
+``python -m repro sweep``, the one way experiments are run: every run in
+this simulator is deterministic and independent, so registered
+experiments, seed×impl×workload matrix cells and the multiprocess rows
+fan out across a :class:`~concurrent.futures.ProcessPoolExecutor`, and
+each finished job becomes one row of the experiment table
+(:mod:`repro.analysis.table`) keyed by ``(job spec, code version)`` — a
+job re-runs only when its inputs or the simulator sources change, and a
+job that raises is an ``error`` row, not the end of the sweep.  See
+``docs/performance.md``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import json
 import os
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -104,42 +108,28 @@ def run_sweep(factory: WorkloadFactory, cfg: SweepConfig | None = None) -> list[
 
 
 # ======================================================================
-# Fan-out runner: parallel deterministic jobs + content-addressed cache
+# Fan-out runner: parallel deterministic jobs, one table row each
 # ======================================================================
 
-#: The bench scenarios ``repro sweep`` measures by default — one per
-#: ``benchmarks/bench_fig*.py`` figure regeneration, plus the protocol
-#: zoo cross-comparison, the 2112-PE jumbo smoke and the serving rows.
-BENCH_SCENARIOS: tuple[str, ...] = (
-    "fig2", "fig34", "fig5", "fig6", "fig7", "fig8", "protocols",
-    "fig7_jumbo", "serving_sws", "serving_sdc",
-)
-
-#: Multiprocess-substrate scenarios measured alongside the bench set:
-#: (workload, impl, npes, size) — size is ntasks for synthetic, a named
-#: UTS tree otherwise.  Small on purpose: CI runners have 2 cores.
+#: Multiprocess-substrate scenarios that ride along with ``--scenarios
+#: all``: (workload, impl, npes, size) — size is ntasks for synthetic, a
+#: named UTS tree otherwise.  Small on purpose: CI runners have 2 cores.
 MP_SCENARIOS: tuple[tuple, ...] = (
     ("synthetic", "sws", 4, 1200),
     ("uts", "sws", 4, "test_tiny"),
     # Chaos row: rank 1 SIGKILLed holding a stripe lock after its 6th
     # task.  The reported wall is the *recovery* wall (death detection +
-    # lease break + scavenge + re-inject), so BENCH_fabric.json tracks
+    # lease break + scavenge + re-inject), so the row's ``wall_s`` tracks
     # recovery latency over time.
     ("synthetic", "sws", 4, 1200, "1@6:lock"),
 )
-
-#: Default on-disk cache location (relative to the invoking directory).
-DEFAULT_CACHE_DIR = "results/sweep-cache"
-
-#: Environment switch forcing serial execution regardless of ``--jobs``.
-SERIAL_ENV = "REPRO_SWEEP_SERIAL"
 
 
 def code_version() -> str:
     """Content hash of the simulator sources (12 hex chars).
 
     Hashes every ``.py`` file under ``src/repro`` (path + bytes), so any
-    source change — even whitespace — invalidates all cached results.
+    source change — even whitespace — opens a fresh set of table rows.
     Deliberately coarse: correctness over cleverness.
     """
     root = Path(__file__).resolve().parent.parent
@@ -159,8 +149,8 @@ class SweepJob:
     ``kind`` is ``"bench"`` (regenerate one experiment scenario),
     ``"cell"`` (one TaskPool run of a named UTS tree) or ``"mp"`` (one
     end-to-end run on the multiprocess shared-memory substrate).  The
-    frozen spec is the cache identity — two jobs with equal specs are
-    the same job.
+    frozen spec is the job's table identity — two jobs with equal specs
+    are the same row.
     """
 
     kind: str
@@ -207,11 +197,6 @@ class SweepJob:
         out.update(self.params)
         return out
 
-    def key(self, version: str) -> str:
-        """Content address: hash of the canonical spec + code version."""
-        blob = json.dumps(self.spec(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(f"{version}|{blob}".encode()).hexdigest()[:32]
-
     def label(self) -> str:
         """Short human-readable name for progress lines."""
         if self.kind in ("bench", "mp"):
@@ -222,23 +207,31 @@ class SweepJob:
 
 def _json_safe(value):
     """Coerce experiment row values to JSON-stable primitives."""
-    if isinstance(value, float):
-        return value
-    if isinstance(value, (int, str, bool)) or value is None:
-        return value
-    return str(value)
+    ok = value is None or isinstance(value, (float, int, str, bool))
+    return value if ok else str(value)
 
 
 def run_job(spec: dict) -> dict:
-    """Execute one job spec; returns ``{"payload": ..., "meta": ...}``.
+    """Execute one job spec; returns its resultfields and never raises.
 
     Module-level (picklable) so :class:`ProcessPoolExecutor` workers can
-    run it.  The *payload* is a pure function of the spec and the code
-    version — byte-identical whether the job ran serially, in a pool
-    worker, or was replayed from cache.  Wall time and events/sec live
-    in *meta* and are observations of this one run, not identity (and
-    not a benchmark: host-time claims go through ``perfbench``).
+    run it.  A job that raises becomes ``status="error"`` carrying the
+    traceback, so an exception out of a pool future is always the pool's
+    own failure.  ``verdict`` and ``payload`` are a pure function of the
+    spec and the code version — byte-identical whether the job ran
+    serially, in a pool worker, or was read back from the table.
+    ``wall_s`` and ``events`` are observations of this one run, not
+    identity (and not a benchmark: host-time claims go through
+    ``perfbench``).
     """
+    try:
+        return _execute(spec)
+    except Exception:
+        return {"status": "error", "error": traceback.format_exc(),
+                "verdict": "", "payload": {}, "wall_s": 0.0, "events": 0}
+
+
+def _execute(spec: dict) -> dict:
     import gc
 
     from ..fabric import engine as fabric_engine
@@ -250,46 +243,37 @@ def run_job(spec: dict) -> dict:
     gc.collect()
     fabric_engine.reset_event_tally()
     events = None
-    wall_override = None
+    verdict = ""
     t0 = time.perf_counter()
     if spec["kind"] == "bench":
         from .experiments import run_experiment
 
         t0 = time.perf_counter()  # the import above is not the job's
         result = run_experiment(spec["name"], spec.get("scale", "quick"))
-        payload = {
-            "exp_id": result.exp_id,
-            "headers": list(result.headers),
-            "rows": [[_json_safe(v) for v in row] for row in result.rows],
-        }
+        wall = time.perf_counter() - t0
+        # Everything a view renders, so no view re-runs the experiment.
+        payload = dataclasses.asdict(result)
+        payload["rows"] = [[_json_safe(v) for v in row] for row in result.rows]
         # Engine-free experiments (pure encode/decode arithmetic, e.g.
-        # fig34) report their op count so the bench row is not "events: 0".
+        # fig34) report their op count so the row is not "events: 0".
         events = fabric_engine.events_tally() or result.ops
+        del payload["ops"]
+        verdict = result.verdict
     elif spec["kind"] == "cell":
         stats = _run_cell(spec)
+        wall = time.perf_counter() - t0
         payload = {
             "summary": {k: _json_safe(v) for k, v in sorted(stats.summary().items())}
         }
     elif spec["kind"] == "mp":
-        payload, events, wall_override = _run_mp_job(spec)
+        payload, events, wall = _run_mp_job(spec)
+        verdict = "PASS" if payload["conserved"] else "FAIL"
     else:
         raise ValueError(f"unknown job kind {spec['kind']!r}")
-    wall = time.perf_counter() - t0
-    if wall_override is not None:
-        wall = wall_override
     if events is None:
         events = fabric_engine.events_tally()
-    return {
-        "payload": payload,
-        "meta": {
-            "wall_s": wall,
-            "events": events,
-            # Sub-0.1ms walls (engine-free experiments on a fast box)
-            # would explode the ratio into timer noise; clamp the
-            # denominator instead of dividing by ~0.
-            "events_per_sec": events / max(wall, 1e-4),
-        },
-    }
+    return {"status": "done", "error": "", "verdict": verdict,
+            "payload": payload, "wall_s": wall, "events": events}
 
 
 def _run_cell(spec: dict) -> "RunStats":
@@ -313,9 +297,8 @@ def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
     """One multiprocess-substrate job → (payload, events, wall).
 
     The payload keeps only fields that are a pure function of the spec
-    (task counts and conservation) so the content-addressed cache stays
-    honest; racy per-run observables (steal counts, volumes) are
-    measurement metadata and live in the bench report's meta instead.
+    (task counts and conservation) so the table row stays honest; racy
+    per-run observables (steal counts, volumes) are not stored.
     ``events`` is the completed-task count, so the report's events/sec
     column reads as tasks/sec for mp scenarios.  ``wall`` is the run's
     own wall (process start to all results in).
@@ -345,7 +328,7 @@ def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
     s = result.summary()
     if crash_spec:
         # Duplicate totals are racy run to run; the payload keeps only
-        # the spec-determined invariants so the cache stays honest.
+        # the spec-determined invariants so the row stays honest.
         payload = {
             "workload": workload,
             "impl": spec["impl"],
@@ -367,50 +350,13 @@ def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
     return payload, s["completed"], wall
 
 
-class ResultCache:
-    """Content-addressed store of completed job records.
-
-    One JSON file per key under ``root``; writes are atomic (tmp file +
-    rename) so a killed run never leaves a truncated record, and corrupt
-    or unreadable entries degrade to cache misses.
-    """
-
-    def __init__(self, root: str | Path = DEFAULT_CACHE_DIR) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str) -> dict | None:
-        """The stored record for ``key``, or None on miss/corruption."""
-        path = self._path(key)
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-
-    def put(self, key: str, record: dict) -> Path:
-        """Atomically persist one record."""
-        path = self._path(key)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True, indent=1))
-        tmp.replace(path)
-        return path
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.root.glob("*.json"))
-
-
 def resolve_jobs(requested: int | None = None) -> int:
     """Worker-count policy for the fan-out pool.
 
-    Priority: ``REPRO_SWEEP_SERIAL=1`` forces 1; an explicit request
-    wins next; under ``CI`` default to at most 2 (shared runners); else
-    use the machine's core count.
+    An explicit request wins (``--jobs 1`` is the serial run); under
+    ``CI`` default to at most 2 (shared runners); else use the machine's
+    core count.
     """
-    if os.environ.get(SERIAL_ENV, "") not in ("", "0"):
-        return 1
     ncpu = os.cpu_count() or 1
     if requested is not None:
         return max(1, requested)
@@ -427,43 +373,59 @@ class SweepOutcome:
     code_version: str
     mode: str                # "serial" | "pool"
     workers: int             # workers actually used
-    hits: int                # jobs served from cache
+    hits: int                # jobs served from the table
     wall_s: float            # whole fan-out wall time
+
+    def failed(self) -> list[str]:
+        """Names of the rows that are ``error`` or judged ``FAIL``."""
+        return [
+            f"{rec['spec']['name']} ({rec['verdict'] or rec['status']})"
+            for rec in self.records
+            if rec["status"] != "done" or rec["verdict"] == "FAIL"
+        ]
 
 
 def run_jobs(
     jobs: list[SweepJob],
     *,
     workers: int | None = None,
-    cache: ResultCache | None = None,
+    table=None,
     refresh: bool = False,
     progress: Callable[[str], None] | None = None,
 ) -> SweepOutcome:
-    """Run every job, fanning across processes and consulting the cache.
+    """Run every job not yet ``done`` in ``table`` at this code version.
 
-    Cache hits (matching key *and* code version) are returned without
-    re-execution.  The pool degrades gracefully: if the executor cannot
-    start or dies (sandboxes without semaphores, single-core boxes, a
-    killed worker), remaining jobs fall back to in-process serial
-    execution — the payloads are identical either way.
+    Each record is written to the table as its job completes, so a later
+    failure loses nothing already finished.  The pool degrades
+    gracefully: if the executor cannot start or dies (sandboxes without
+    semaphores, single-core boxes, a killed worker), remaining jobs fall
+    back to in-process serial execution — the payloads are identical
+    either way.
     """
     t_start = time.perf_counter()
     version = code_version()
     say = progress or (lambda _msg: None)
     records: list[dict | None] = [None] * len(jobs)
-    keys = [job.key(version) for job in jobs]
     hits = 0
     pending: list[int] = []
     for i, job in enumerate(jobs):
-        hit = None if (cache is None or refresh) else cache.get(keys[i])
-        if hit is not None and hit.get("code_version") == version:
-            hit = dict(hit)
+        hit = None if (table is None or refresh) else table.get(job.spec(), version)
+        if hit is not None and hit["status"] == "done":
             hit["cached"] = True
             records[i] = hit
             hits += 1
             say(f"cached  {job.label()}")
         else:
             pending.append(i)
+
+    def finish(i: int, result: dict, how: str) -> None:
+        spec = jobs[i].spec()
+        if table is not None:
+            table.put(spec, version, result)
+        records[i] = {"spec": spec, "code_version": version,
+                      "cached": False, **result}
+        what = "ran    " if result["status"] == "done" else "ERROR  "
+        say(f"{what} {jobs[i].label()} [{how}]")
 
     nworkers = min(resolve_jobs(workers), max(1, len(pending)))
     mode = "serial"
@@ -476,24 +438,16 @@ def run_jobs(
                     pool.submit(run_job, jobs[i].spec()): i for i in pending
                 }
                 for fut in as_completed(futures):
-                    i = futures[fut]
-                    records[i] = _finish(jobs[i], keys[i], fut.result(), version)
-                    say(f"ran     {jobs[i].label()} [pool]")
+                    finish(futures[fut], fut.result(), "pool")
             mode = "pool"
-        except (ImportError, OSError, PermissionError, RuntimeError) as exc:
-            # Executor unavailable (no sem_open, fork refused, worker
+        except (ImportError, OSError, RuntimeError) as exc:
+            # run_job never raises, so this is the executor itself (no
+            # sem_open, fork refused, BrokenProcessPool after a worker
             # died): finish whatever is left serially.
             say(f"pool unavailable ({exc.__class__.__name__}); running serially")
     for i in pending:
         if records[i] is None:
-            records[i] = _finish(jobs[i], keys[i], run_job(jobs[i].spec()), version)
-            say(f"ran     {jobs[i].label()} [serial]")
-
-    if cache is not None:
-        for i in pending:
-            rec = records[i]
-            if rec is not None and not rec.get("cached"):
-                cache.put(keys[i], {k: v for k, v in rec.items() if k != "cached"})
+            finish(i, run_job(jobs[i].spec()), "serial")
 
     return SweepOutcome(
         records=records,  # type: ignore[arg-type]
@@ -505,33 +459,22 @@ def run_jobs(
     )
 
 
-def _finish(job: SweepJob, key: str, result: dict, version: str) -> dict:
-    """Assemble the stored/returned record for one executed job."""
-    return {
-        "key": key,
-        "code_version": version,
-        "spec": job.spec(),
-        "payload": result["payload"],
-        "meta": result["meta"],
-        "cached": False,
-    }
-
-
-# ----------------------------------------------------------------------
-# BENCH_fabric.json: the perf-observability report
-# ----------------------------------------------------------------------
 def bench_report(outcome: SweepOutcome) -> dict:
-    """Shape a bench-mode outcome into the ``BENCH_fabric.json`` schema."""
+    """The ``--out`` dump: each bench/mp row's ``wall_s`` and ``events``
+    columns — observations of this host, not claims."""
     scenarios = {}
     for rec in outcome.records:
         spec = rec["spec"]
         if spec["kind"] not in ("bench", "mp"):
             continue
-        meta = rec["meta"]
         entry = {
-            "wall_s": round(meta["wall_s"], 4),
-            "events": meta["events"],
-            "events_per_sec": round(meta["events_per_sec"], 1),
+            "status": rec["status"],
+            "wall_s": round(rec["wall_s"], 4),
+            "events": rec["events"],
+            # Sub-0.1ms walls (engine-free experiments on a fast box)
+            # would explode the ratio into timer noise; clamp the
+            # denominator instead of dividing by ~0.
+            "events_per_sec": round(rec["events"] / max(rec["wall_s"], 1e-4), 1),
             "cached": bool(rec.get("cached")),
         }
         if spec["kind"] == "mp":

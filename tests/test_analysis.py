@@ -148,16 +148,17 @@ class TestExperiments:
         assert any("UTS" in n for n in names)
 
     def test_cli_single_experiment(self, capsys, tmp_path):
-        from repro.analysis.cli import main
+        from repro.__main__ import main
 
-        rc = main(["--exp", "fig2", "--csv-dir", str(tmp_path)])
+        rc = main(["sweep", "--scenarios", "fig2", "--tables", "--no-cache",
+                   "--jobs", "1", "--csv-dir", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
-        assert "fig2" in out
-        assert (tmp_path / "fig2.csv").exists()
+        assert "== fig2: Steal communication counts" in out
+        assert (tmp_path / "fig2.csv").read_text().startswith("impl,total comms")
 
-    def test_cli_unknown_experiment(self):
-        from repro.analysis.cli import main
+    def test_cli_unknown_experiment(self, capsys):
+        from repro.__main__ import main
 
-        with pytest.raises(SystemExit):
-            main(["--exp", "nope"])
+        assert main(["sweep", "--scenarios", "nope", "--no-cache"]) == 2
+        assert "valid ids: " in capsys.readouterr().err

@@ -1,68 +1,64 @@
-"""Tests for the tools/compare_runs.py regression CLI."""
+"""``python -m repro sweep --diff CODE_VERSION``: the regression diff.
 
-import importlib.util
-import sys
-from pathlib import Path
+The rows a sweep just produced (or read back) against the same jobs' rows
+at another code version, compared exactly; exit 1 on any difference.
+"""
 
 import pytest
 
-from repro.analysis.experiments import ExperimentResult
-from repro.analysis.store import ResultStore
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "compare_runs.py"
+from repro.__main__ import main
+from repro.analysis.sweep import SweepJob, code_version
+from repro.analysis.table import Table
 
 
 @pytest.fixture
-def compare_main():
-    spec = importlib.util.spec_from_file_location("compare_runs", TOOL)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.main
+def db(tmp_path):
+    """A table holding fig2 at this code version and a copy at 'before'."""
+    path = tmp_path / "experiments.db"
+    assert main(["sweep", "--scenarios", "fig2", "--jobs", "1", "--quiet",
+                 "--cache", str(path)]) == 0
+    return path
 
 
-def seed_store(root, scale_after=1.0):
-    store = ResultStore(root)
-    for label, scale in (("before", 1.0), ("after", scale_after)):
-        store.save(
-            label,
-            ExperimentResult(
-                "fig6", "t", ["impl", "v", "us"],
-                [["sws", 2, 1.0 * scale], ["sdc", 2, 2.0 * scale]],
-            ),
-        )
-    return store
+def copy_row(path, mutate=lambda payload: None, version="before"):
+    table = Table(path)
+    spec = SweepJob.bench("fig2").spec()
+    row = table.get(spec, code_version())
+    mutate(row["payload"])
+    table.put(spec, version, row)
+    table.close()
 
 
-def test_no_change_exit_zero(tmp_path, compare_main, capsys):
-    seed_store(tmp_path)
-    rc = compare_main(
-        ["before", "after", "--results-dir", str(tmp_path), "--key-cols", "2"]
-    )
-    assert rc == 0
-    assert "no significant changes" in capsys.readouterr().out
+def diff(path, version="before"):
+    return main(["sweep", "--scenarios", "fig2", "--jobs", "1", "--quiet",
+                 "--cache", str(path), "--diff", version])
 
 
-def test_change_reported(tmp_path, compare_main, capsys):
-    seed_store(tmp_path, scale_after=1.5)
-    rc = compare_main(
-        ["before", "after", "--results-dir", str(tmp_path), "--key-cols", "2"]
-    )
-    assert rc == 0  # reported but not failing without the flag
-    assert "+50.0%" in capsys.readouterr().out
+def test_no_change_exit_zero(db, capsys):
+    copy_row(db)
+    assert diff(db) == 0
+    out = capsys.readouterr().out
+    assert f"== fig2 (before -> {code_version()}) ==" in out
+    assert "(no changes)" in out
 
 
-def test_fail_on_change(tmp_path, compare_main):
-    seed_store(tmp_path, scale_after=2.0)
-    rc = compare_main(
-        ["before", "after", "--results-dir", str(tmp_path),
-         "--key-cols", "2", "--fail-on-change"]
-    )
-    assert rc == 1
+def test_change_reported(db, capsys):
+    def halve_sws_total(payload):
+        payload["rows"][1][1] = 2
+
+    copy_row(db, halve_sws_total)
+    diff(db)
+    assert "row 1 total comms: 2 -> 3 (+50.0%)" in capsys.readouterr().out
 
 
-def test_no_shared_experiments(tmp_path, compare_main):
-    ResultStore(tmp_path).save(
-        "before", ExperimentResult("fig6", "t", ["a"], [[1]])
-    )
-    rc = compare_main(["before", "after", "--results-dir", str(tmp_path)])
-    assert rc == 2
+def test_fail_on_change(db, capsys):
+    copy_row(db, lambda payload: payload["rows"].pop())
+    assert diff(db) == 1  # a shape change fails like a cell change
+    assert "shape: 1 rows x " in capsys.readouterr().out
+
+
+def test_no_shared_experiments(db, capsys):
+    copy_row(db)
+    assert diff(db, "deadbeefcafe") == 2
+    err = capsys.readouterr().err
+    assert "deadbeefcafe" in err and "before" in err  # names what it holds

@@ -70,9 +70,10 @@ class TestPublicSurface:
 
 class TestCliChartFlag:
     def test_chart_flag_renders(self, capsys):
-        from repro.analysis.cli import main
+        from repro.__main__ import main
 
-        rc = main(["--exp", "fig6", "--chart", "--scale", "quick"])
+        rc = main(["sweep", "--scenarios", "fig6", "--tables", "--no-cache",
+                   "--jobs", "1", "--quiet"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "fig6" in out

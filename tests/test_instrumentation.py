@@ -1,4 +1,4 @@
-"""Tests for queue sampling, RunStats JSON, and the CLI --save flag."""
+"""Tests for queue sampling, RunStats JSON, and the sweep's table file."""
 
 import json
 
@@ -92,15 +92,17 @@ class TestRunStatsJson:
 
 class TestCliSave:
     def test_save_flag_persists_result(self, tmp_path, capsys):
-        from repro.analysis.cli import main
-        from repro.analysis.store import ResultStore
+        """``--cache FILE`` names the table a sweep's rows persist in."""
+        from repro.__main__ import main
+        from repro.analysis.sweep import SweepJob, code_version
+        from repro.analysis.table import Table
 
-        rc = main(
-            ["--exp", "fig2", "--save", "ci", "--results-dir", str(tmp_path)]
-        )
+        db = tmp_path / "ci.db"
+        rc = main(["sweep", "--scenarios", "fig2", "--jobs", "1", "--quiet",
+                   "--cache", str(db)])
         assert rc == 0
-        store = ResultStore(tmp_path)
-        assert store.runs() == ["ci"]
-        loaded = store.load("ci", "fig2")
-        counts = {row[0]: row[1:] for row in loaded.rows}
+        table = Table(db)
+        assert table.code_versions() == [code_version()]
+        loaded = table.get(SweepJob.bench("fig2").spec(), code_version())
+        counts = {row[0]: row[1:] for row in loaded["payload"]["rows"]}
         assert counts["SWS"] == [3, 2, 1]

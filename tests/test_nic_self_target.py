@@ -64,11 +64,12 @@ class TestSelfTarget:
 
 class TestCliList:
     def test_list_prints_registry(self, capsys):
-        from repro.analysis.cli import main
+        """An unknown id is answered with the registry's ids."""
+        from repro.__main__ import main
         from repro.analysis.experiments import EXPERIMENTS
 
-        rc = main(["--list"])
-        assert rc == 0
-        out = capsys.readouterr().out
+        rc = main(["sweep", "--scenarios", "list", "--no-cache"])
+        assert rc == 2
+        err = capsys.readouterr().err
         for exp_id in EXPERIMENTS:
-            assert exp_id in out
+            assert exp_id in err

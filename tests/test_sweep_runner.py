@@ -1,9 +1,9 @@
-"""Tests for the parallel cached sweep runner (repro.analysis.sweep).
+"""Tests for the sweep runner (repro.analysis.sweep) over the table.
 
 The acceptance contract from docs/performance.md: a job's *payload* is a
 pure function of (spec, code version) — byte-identical whether it ran
-serially, in a process-pool worker, or was replayed from the on-disk
-cache — and the worker-count policy degrades to serial deterministically.
+serially, in a process-pool worker, or was read back from the experiment
+table.  What a failing job does to a sweep is in ``test_table.py``.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import json
 import pytest
 
 from repro.analysis.sweep import (
-    SERIAL_ENV,
-    ResultCache,
     SweepJob,
     bench_report,
     code_version,
@@ -22,6 +20,7 @@ from repro.analysis.sweep import (
     run_job,
     run_jobs,
 )
+from repro.analysis.table import Table
 
 
 def _cell_jobs():
@@ -31,31 +30,36 @@ def _cell_jobs():
     ]
 
 
+@pytest.fixture
+def table(tmp_path):
+    t = Table(tmp_path / "store" / "experiments.db")
+    yield t
+    t.close()
+
+
 def _payloads(outcome):
-    return [rec["payload"] for rec in outcome.records]
+    return [json.dumps(rec["payload"], sort_keys=True) for rec in outcome.records]
 
 
 # ----------------------------------------------------------------------
-# serial == parallel == cached
+# serial == parallel == read back from the table
 # ----------------------------------------------------------------------
-def test_serial_pool_and_cache_agree(tmp_path, monkeypatch):
-    monkeypatch.delenv(SERIAL_ENV, raising=False)
-    jobs = _cell_jobs()
+def test_serial_pool_and_cache_agree(table):
+    jobs = _cell_jobs() + [SweepJob.bench("fig6")]
 
-    serial = run_jobs(jobs, workers=1, cache=None)
-    assert serial.mode == "serial"
+    serial = run_jobs(jobs, workers=1)
+    assert serial.mode == "serial" and serial.workers == 1
     assert serial.hits == 0
 
-    cache = ResultCache(tmp_path / "store")
-    pooled = run_jobs(jobs, workers=2, cache=cache)
+    pooled = run_jobs(jobs, workers=2, table=table)
     # Pool startup may legitimately fail in a constrained sandbox, in
     # which case the runner must have fallen back to serial — either
     # way every record exists and the payloads are identical.
     assert pooled.mode in ("pool", "serial")
     assert pooled.hits == 0
-    assert len(cache) == len(jobs)
+    assert all(table.get(job.spec(), code_version()) for job in jobs)
 
-    cached = run_jobs(jobs, workers=2, cache=cache)
+    cached = run_jobs(jobs, workers=2, table=table)
     assert cached.hits == len(jobs)
     assert all(rec["cached"] for rec in cached.records)
 
@@ -65,50 +69,48 @@ def test_serial_pool_and_cache_agree(tmp_path, monkeypatch):
         assert rec["spec"] == job.spec()
 
 
-def test_refresh_ignores_but_rewrites_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv(SERIAL_ENV, "1")
+def test_refresh_ignores_but_rewrites_cache(table):
     jobs = _cell_jobs()[:1]
-    cache = ResultCache(tmp_path)
-    first = run_jobs(jobs, cache=cache)
-    refreshed = run_jobs(jobs, cache=cache, refresh=True)
+    first = run_jobs(jobs, workers=1, table=table)
+    stored = table.get(jobs[0].spec(), code_version())
+    stored["wall_s"] = -1.0  # mark the stored row
+    table.put(jobs[0].spec(), code_version(), stored)
+    refreshed = run_jobs(jobs, workers=1, table=table, refresh=True)
     assert refreshed.hits == 0
     assert not refreshed.records[0]["cached"]
     assert _payloads(first) == _payloads(refreshed)
+    assert table.get(jobs[0].spec(), code_version())["wall_s"] >= 0  # rewritten
 
 
-def test_stale_code_version_is_a_miss(tmp_path, monkeypatch):
-    monkeypatch.setenv(SERIAL_ENV, "1")
+def test_stale_code_version_is_a_miss(table):
     jobs = _cell_jobs()[:1]
-    cache = ResultCache(tmp_path)
-    run_jobs(jobs, cache=cache)
+    fresh = run_jobs(jobs, workers=1).records[0]
+    table.put(jobs[0].spec(), "deadbeefcafe", fresh)
 
-    key = jobs[0].key(code_version())
-    record = cache.get(key)
-    record["code_version"] = "deadbeefcafe"
-    cache.put(key, record)
-
-    again = run_jobs(jobs, cache=cache)
-    assert again.hits == 0  # stale version must not be served
+    again = run_jobs(jobs, workers=1, table=table)
+    assert again.hits == 0  # another version's row must not be served
     assert again.records[0]["code_version"] == code_version()
+    assert table.code_versions() == sorted(["deadbeefcafe", code_version()])
+
+
+def test_error_row_is_not_a_hit(table):
+    """Only ``done`` rows are served; an ``error`` row is pulled again."""
+    jobs = _cell_jobs()[:1]
+    table.put(jobs[0].spec(), code_version(), {
+        "status": "error", "error": "Boom", "verdict": "", "payload": {},
+        "wall_s": 0.0, "events": 0,
+    })
+    outcome = run_jobs(jobs, workers=1, table=table)
+    assert outcome.hits == 0
+    assert table.get(jobs[0].spec(), code_version())["status"] == "done"
 
 
 # ----------------------------------------------------------------------
-# worker-count policy + forced-serial degradation
+# worker-count policy
 # ----------------------------------------------------------------------
-def test_forced_serial_env_wins(monkeypatch):
-    monkeypatch.setenv(SERIAL_ENV, "1")
-    assert resolve_jobs(None) == 1
-    assert resolve_jobs(16) == 1
-
-    outcome = run_jobs(_cell_jobs()[:1], workers=16, cache=None)
-    assert outcome.mode == "serial"
-    assert outcome.workers == 1
-
-
 def test_resolve_jobs_policy(monkeypatch):
     import os
 
-    monkeypatch.delenv(SERIAL_ENV, raising=False)
     monkeypatch.delenv("CI", raising=False)
     ncpu = os.cpu_count() or 1
 
@@ -123,12 +125,9 @@ def test_resolve_jobs_policy(monkeypatch):
     monkeypatch.setenv("CI", "false")
     assert resolve_jobs(None) == ncpu          # CI=false is not CI
 
-    monkeypatch.setenv(SERIAL_ENV, "0")
-    assert resolve_jobs(None) == ncpu          # SERIAL=0 is off
-
 
 # ----------------------------------------------------------------------
-# content addressing
+# row identity
 # ----------------------------------------------------------------------
 def test_code_version_shape_and_stability():
     v = code_version()
@@ -137,29 +136,27 @@ def test_code_version_shape_and_stability():
     assert code_version() == v
 
 
-def test_job_keys_separate_specs_and_versions():
+def test_job_keys_separate_specs_and_versions(table):
     a = SweepJob.cell("test_tiny", "sws", 2, 7)
     b = SweepJob.cell("test_tiny", "sws", 2, 8)
-    assert a.key("v1") == SweepJob.cell("test_tiny", "sws", 2, 7).key("v1")
-    assert a.key("v1") != b.key("v1")
-    assert a.key("v1") != a.key("v2")
-    assert a.key("v1") != SweepJob.bench("fig2").key("v1")
-    assert len(a.key("v1")) == 32
 
+    def row(events):
+        return {"status": "done", "error": "", "verdict": "", "payload": {},
+                "wall_s": 0.0, "events": events}
 
-def test_cache_corruption_degrades_to_miss(tmp_path):
-    cache = ResultCache(tmp_path)
-    assert cache.get("nope") is None
-    cache.put("k", {"payload": 1})
-    assert cache.get("k") == {"payload": 1}
-    (tmp_path / "k.json").write_text("{not json")
-    assert cache.get("k") is None
-    # Atomic writes never leave a temp file behind.
-    assert not list(tmp_path.glob("*.tmp"))
+    table.put(a.spec(), "v1", row(1))
+    table.put(b.spec(), "v1", row(2))                      # other seed
+    table.put(a.spec(), "v2", row(3))                      # other version
+    table.put(SweepJob.bench("fig2").spec(), "v1", row(4))  # other kind
+    same = SweepJob.cell("test_tiny", "sws", 2, 7)          # equal spec: same row
+    table.put(same.spec(), "v1", row(5))
+    assert [table.get(j.spec(), v)["events"] for j, v in
+            ((a, "v1"), (b, "v1"), (a, "v2"), (SweepJob.bench("fig2"), "v1"))
+            ] == [5, 2, 3, 4]
 
 
 # ----------------------------------------------------------------------
-# bench jobs + the BENCH_fabric.json report
+# bench jobs + the --out dump
 # ----------------------------------------------------------------------
 def test_bench_job_is_deterministic():
     spec = SweepJob.bench("fig2").spec()
@@ -167,13 +164,13 @@ def test_bench_job_is_deterministic():
     two = run_job(spec)
     assert one["payload"] == two["payload"]
     assert one["payload"]["exp_id"] == "fig2"
-    assert one["payload"]["rows"]
-    assert one["meta"]["events"] == two["meta"]["events"] > 0
+    assert one["payload"]["rows"] and one["payload"]["claim"]
+    assert one["status"] == "done" and one["verdict"] == "PASS"
+    assert one["events"] == two["events"] > 0
 
 
-def test_bench_report_schema(monkeypatch):
-    monkeypatch.setenv(SERIAL_ENV, "1")
-    outcome = run_jobs([SweepJob.bench("fig2")], cache=None)
+def test_bench_report_schema():
+    outcome = run_jobs([SweepJob.bench("fig2")], workers=1)
     report = bench_report(outcome)
     assert report["schema"] == 1
     assert report["code_version"] == code_version()
@@ -186,14 +183,13 @@ def test_bench_report_schema(monkeypatch):
 # ----------------------------------------------------------------------
 # CLI wiring (python -m repro sweep)
 # ----------------------------------------------------------------------
-def test_cli_sweep_writes_report(tmp_path, monkeypatch):
+def test_cli_sweep_writes_report(tmp_path):
     from repro.__main__ import main
 
-    monkeypatch.setenv(SERIAL_ENV, "1")
     out = tmp_path / "BENCH_fabric.json"
     rc = main([
         "sweep", "--scenarios", "fig2", "--no-cache", "--quiet",
-        "--out", str(out),
+        "--jobs", "1", "--out", str(out),
     ])
     assert rc == 0
     report = json.loads(out.read_text())
