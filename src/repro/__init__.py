@@ -28,78 +28,42 @@ Quickstart::
           f"{stats.parallel_efficiency:.2%}")
 """
 
-from .core import (
-    DampingTracker,
-    QueueConfig,
-    SdcQueue,
-    SdcQueueSystem,
-    StealResult,
-    StealStatus,
-    StealValEpoch,
-    StealValV1,
-    SwsQueue,
-    SwsQueueSystem,
-)
-from .fabric import (
-    EDR_INFINIBAND,
-    SLOW_ETHERNET,
-    ZERO_LATENCY,
-    FabricTimeoutError,
-    FaultPlan,
-    LatencyModel,
-    OracleViolation,
-    PEFailure,
-    ScheduleTrace,
-    Scheduler,
-    make_scheduler,
-)
-from .runtime import (
-    PoolOracle,
-    RunStats,
-    Task,
-    TaskOutcome,
-    TaskPool,
-    TaskRegistry,
-    WorkerConfig,
-    WorkerStats,
-    run_pool,
-)
-from .shmem import Pe, ShmemCtx
+from ._exports import exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "TaskPool",
-    "run_pool",
-    "TaskRegistry",
-    "Task",
-    "TaskOutcome",
-    "RunStats",
-    "WorkerStats",
-    "WorkerConfig",
-    "QueueConfig",
-    "SwsQueue",
-    "SwsQueueSystem",
-    "SdcQueue",
-    "SdcQueueSystem",
-    "StealResult",
-    "StealStatus",
-    "StealValV1",
-    "StealValEpoch",
-    "DampingTracker",
-    "LatencyModel",
-    "EDR_INFINIBAND",
-    "SLOW_ETHERNET",
-    "ZERO_LATENCY",
-    "FaultPlan",
-    "PEFailure",
-    "FabricTimeoutError",
-    "Scheduler",
-    "ScheduleTrace",
-    "make_scheduler",
-    "PoolOracle",
-    "OracleViolation",
-    "ShmemCtx",
-    "Pe",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "TaskPool": "runtime.pool",
+    "run_pool": "runtime.pool",
+    "TaskRegistry": "runtime.registry",
+    "Task": "runtime.task",
+    "TaskOutcome": "runtime.registry",
+    "RunStats": "runtime.stats",
+    "WorkerStats": "runtime.stats",
+    "WorkerConfig": "runtime.worker",
+    "QueueConfig": "core.config",
+    "SwsQueue": "core.sws_queue",
+    "SwsQueueSystem": "core.sws_queue",
+    "SdcQueue": "core.sdc_queue",
+    "SdcQueueSystem": "core.sdc_queue",
+    "StealResult": "core.results",
+    "StealStatus": "core.results",
+    "StealValV1": "core.stealval",
+    "StealValEpoch": "core.stealval",
+    "DampingTracker": "core.damping",
+    "LatencyModel": "fabric.latency",
+    "EDR_INFINIBAND": "fabric.latency",
+    "SLOW_ETHERNET": "fabric.latency",
+    "ZERO_LATENCY": "fabric.latency",
+    "FaultPlan": "fabric.faults",
+    "PEFailure": "fabric.faults",
+    "FabricTimeoutError": "fabric.errors",
+    "Scheduler": "fabric.scheduler",
+    "ScheduleTrace": "fabric.scheduler",
+    "make_scheduler": "fabric.scheduler",
+    "PoolOracle": "runtime.oracle",
+    "OracleViolation": "fabric.errors",
+    "ShmemCtx": "shmem.api",
+    "Pe": "shmem.api",
+})
+__all__.append("__version__")

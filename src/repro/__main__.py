@@ -44,8 +44,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis.explore import WORKLOADS, explore, replay_trace, shrink_trace
-from .fabric.scheduler import POLICIES, ScheduleTrace
 from .runtime.protocols import get_protocol, protocol_names
 
 
@@ -160,11 +158,25 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_choice(args: argparse.Namespace, flag: str, valid) -> None:
+    """argparse's ``choices=`` for names another module owns, checked
+    once the handler has imported that module."""
+    value = getattr(args, flag.lstrip("-"))
+    if value not in valid:
+        args.error(f"argument {flag}: invalid choice: {value!r} "
+                   f"(choose from {', '.join(map(repr, valid))})")
+
+
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.replay is not None:
         # `explore --replay T` == `replay T`: reproduce a recorded trace.
         args.trace = args.replay
         return _cmd_replay(args)
+    from .analysis.explore import WORKLOADS, explore, shrink_trace
+    from .fabric.scheduler import POLICIES
+
+    _check_choice(args, "--workload", (*WORKLOADS, "all"))
+    _check_choice(args, "--policy", [p for p in POLICIES if p != "replay"])
     workloads = WORKLOADS if args.workload == "all" else (args.workload,)
     impls = protocol_names() if args.impl == "all" else (args.impl,)
     out = Path(args.out) if args.out else None
@@ -206,7 +218,14 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    trace = ScheduleTrace.from_json(Path(args.trace).read_text())
+    try:
+        text = Path(args.trace).read_text()
+    except OSError as exc:
+        args.error(f"cannot read trace {args.trace}: {exc.strerror}")
+    from .analysis.explore import replay_trace, shrink_trace
+    from .fabric.scheduler import ScheduleTrace
+
+    trace = ScheduleTrace.from_json(text)
     meta = trace.meta
     print(f"replaying {args.trace}: workload={meta.get('workload')} "
           f"impl={meta.get('impl')} choices={len(trace.choices)}")
@@ -357,10 +376,10 @@ def _diff_rows(table, outcome, other: str) -> int:
 
 def _parse_crash(specs, point, respawn, seed):
     """``--crash RANK@N`` strings -> a CrashPlan (None when no kills)."""
-    from .mp.faults import CrashKill, CrashPlan
-
     if not specs:
         return None
+    from .mp.faults import CrashKill, CrashPlan
+
     kills = []
     for spec in specs:
         try:
@@ -375,6 +394,8 @@ def _parse_crash(specs, point, respawn, seed):
 
 
 def _cmd_mp(args: argparse.Namespace) -> int:
+    if args.npes < 2:
+        args.error(f"argument --npes: must be >= 2, got {args.npes}")
     from .core.results import StealStatus
     from .mp.driver import run_mp
 
@@ -597,11 +618,13 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="cmd")
 
     p_ex = sub.add_parser("explore", help="sweep event schedules under the oracle")
-    p_ex.add_argument("--workload", default="all", choices=(*WORKLOADS, "all"))
+    p_ex.add_argument("--workload", default="all",
+                      help="an exploration workload, or all (a wrong name "
+                           "lists them)")
     p_ex.add_argument("--impl", default="all",
                       choices=(*protocol_names(), "all"))
     p_ex.add_argument("--policy", default="random",
-                      choices=[p for p in POLICIES if p != "replay"])
+                      help="a scheduler policy (a wrong name lists them)")
     p_ex.add_argument("--seeds", type=int, default=20,
                       help="number of seeds (random/pct)")
     p_ex.add_argument("--seed-base", type=int, default=0,
@@ -619,7 +642,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="re-execute a recorded trace instead of sweeping")
     p_ex.add_argument("--strict", action="store_true",
                       help="with --replay: verify recorded ready-set widths")
-    p_ex.set_defaults(fn=_cmd_explore)
+    p_ex.set_defaults(fn=_cmd_explore, error=p_ex.error)
 
     p_rp = sub.add_parser("replay", help="re-execute a recorded schedule trace")
     p_rp.add_argument("trace", help="trace JSON written by explore")
@@ -629,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
                       help="shrink the trace before replaying")
     p_rp.add_argument("--out", default=None,
                       help="write the shrunk trace here")
-    p_rp.set_defaults(fn=_cmd_replay)
+    p_rp.set_defaults(fn=_cmd_replay, error=p_rp.error)
 
     p_sw = sub.add_parser(
         "sweep", help="run experiments into the table; render views of it"
@@ -705,7 +728,7 @@ def main(argv: list[str] | None = None) -> int:
                            "after the claim, or holding a stripe lock")
     p_mp.add_argument("--respawn", action="store_true",
                       help="supervisor restarts each crashed rank once")
-    p_mp.set_defaults(fn=_cmd_mp)
+    p_mp.set_defaults(fn=_cmd_mp, error=p_mp.error)
 
     p_sv = sub.add_parser(
         "serve", help="open-system serving: streaming arrivals with "

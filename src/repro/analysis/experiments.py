@@ -24,8 +24,10 @@ from typing import Callable, NamedTuple
 
 from ..core.config import QueueConfig
 from ..core.damping import DampingTracker
+from ..core.sdc_queue import SdcQueueSystem
 from ..core.steal_half import schedule, steal_displacement, steal_volume
 from ..core.stealval import StealValEpoch, StealValV1
+from ..core.sws_queue import SwsQueueSystem
 from ..core.task_state import TaskStateTracker
 from ..fabric.latency import EDR_INFINIBAND
 from ..runtime.registry import TaskOutcome, TaskRegistry
@@ -34,14 +36,14 @@ from ..runtime.worker import WorkerConfig
 from ..workloads.bpc import PAPER_PARAMS as BPC_PAPER
 from ..workloads.bpc import BpcParams, BpcWorkload
 from ..workloads.synthetic import measure_single_steal
-from ..workloads.uts import (
-    BENCH_GEO,
-    TEST_SMALL,
+from ..workloads.uts.params import BENCH_GEO, TEST_SMALL
+from ..workloads.uts.sequential import enumerate_tree
+from ..workloads.uts.workload import (
+    PAPER_NODE_TIME,
+    PAPER_TASK_SIZE,
     UtsWorkload,
     UtsWorkloadParams,
-    enumerate_tree,
 )
-from ..workloads.uts.workload import PAPER_NODE_TIME, PAPER_TASK_SIZE
 from .report import ascii_table
 from .series import (
     CellSummary,
@@ -235,7 +237,6 @@ def exp_fig5(scale: str = "quick") -> ExperimentResult:
     performs release/acquire cycles; with a single epoch the owner must
     poll for the in-flight steal, with two it proceeds immediately.
     """
-    from ..core.sws_queue import SwsQueueSystem
     from ..fabric.engine import Delay
     from ..fabric.latency import SLOW_ETHERNET
     from ..shmem.api import ShmemCtx
@@ -774,8 +775,6 @@ def _judge_contention(rows):
 )
 def exp_ablation_contention(scale: str = "quick") -> ExperimentResult:
     """Many thieves hitting one victim: protocol behaviour under contention."""
-    from ..core.sdc_queue import SdcQueueSystem
-    from ..core.sws_queue import SwsQueueSystem
     from ..fabric.engine import Delay
     from ..shmem.api import ShmemCtx
 
@@ -1074,7 +1073,6 @@ def exp_ablation_bandwidth(scale: str = "quick") -> ExperimentResult:
     """
     from dataclasses import replace
 
-    from ..core.sws_queue import SwsQueueSystem
     from ..fabric.engine import Delay
     from ..shmem.api import ShmemCtx
 

@@ -279,7 +279,8 @@ def _execute(spec: dict) -> dict:
 def _run_cell(spec: dict) -> "RunStats":
     """One matrix cell: a named UTS tree through :func:`run_point`."""
     from ..runtime.registry import TaskRegistry
-    from ..workloads.uts import UtsWorkload, get_tree
+    from ..workloads.uts.params import get_tree
+    from ..workloads.uts.workload import UtsWorkload
 
     tree = get_tree(spec["name"])
 

@@ -7,89 +7,51 @@ latency costs, one-sided remote memory semantics, and target-side
 serialization of atomics.
 """
 
-from .engine import Call, Delay, Engine, Process
-from .errors import (
-    AddressError,
-    AlignmentError,
-    DeadlockError,
-    FabricError,
-    FabricTimeoutError,
-    OracleViolation,
-    PEIndexError,
-    ProtocolError,
-    RegionError,
-    SimulationError,
-)
-from .faults import NO_FAULTS, FaultInjector, FaultPlan, PEFailure
-from .latency import (
-    EDR_INFINIBAND,
-    PRESETS,
-    SLOW_ETHERNET,
-    ZERO_LATENCY,
-    LatencyModel,
-    get_preset,
-)
-from .memory import RegionSpec, SymmetricHeap
-from .metrics import BLOCKING_KINDS, OP_KINDS, FabricMetrics, OpRecord
-from .nic import WORD_BYTES, Nic
-from .scheduler import (
-    POLICIES,
-    DfsScheduler,
-    FixedScheduler,
-    PctScheduler,
-    RandomScheduler,
-    ReplayScheduler,
-    ScheduleDivergence,
-    ScheduleTrace,
-    Scheduler,
-    dfs_successor,
-    make_scheduler,
-)
-from .topology import Topology
+from .._exports import exports
 
-__all__ = [
-    "Call",
-    "Delay",
-    "Engine",
-    "Process",
-    "FabricError",
-    "AddressError",
-    "AlignmentError",
-    "DeadlockError",
-    "FabricTimeoutError",
-    "FaultPlan",
-    "FaultInjector",
-    "PEFailure",
-    "NO_FAULTS",
-    "PEIndexError",
-    "ProtocolError",
-    "OracleViolation",
-    "RegionError",
-    "SimulationError",
-    "LatencyModel",
-    "EDR_INFINIBAND",
-    "SLOW_ETHERNET",
-    "ZERO_LATENCY",
-    "PRESETS",
-    "get_preset",
-    "RegionSpec",
-    "SymmetricHeap",
-    "FabricMetrics",
-    "OpRecord",
-    "OP_KINDS",
-    "BLOCKING_KINDS",
-    "Nic",
-    "WORD_BYTES",
-    "Scheduler",
-    "FixedScheduler",
-    "RandomScheduler",
-    "PctScheduler",
-    "DfsScheduler",
-    "ReplayScheduler",
-    "ScheduleDivergence",
-    "ScheduleTrace",
-    "dfs_successor",
-    "make_scheduler",
-    "POLICIES",
-    "Topology",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "Call": "engine",
+    "Delay": "engine",
+    "Engine": "engine",
+    "Process": "engine",
+    "FabricError": "errors",
+    "AddressError": "errors",
+    "AlignmentError": "errors",
+    "DeadlockError": "errors",
+    "FabricTimeoutError": "errors",
+    "FaultPlan": "faults",
+    "FaultInjector": "faults",
+    "PEFailure": "faults",
+    "NO_FAULTS": "faults",
+    "PEIndexError": "errors",
+    "ProtocolError": "errors",
+    "OracleViolation": "errors",
+    "RegionError": "errors",
+    "SimulationError": "errors",
+    "LatencyModel": "latency",
+    "EDR_INFINIBAND": "latency",
+    "SLOW_ETHERNET": "latency",
+    "ZERO_LATENCY": "latency",
+    "PRESETS": "latency",
+    "get_preset": "latency",
+    "RegionSpec": "memory",
+    "SymmetricHeap": "memory",
+    "FabricMetrics": "metrics",
+    "OpRecord": "metrics",
+    "OP_KINDS": "metrics",
+    "BLOCKING_KINDS": "metrics",
+    "Nic": "nic",
+    "WORD_BYTES": "nic",
+    "Scheduler": "scheduler",
+    "FixedScheduler": "scheduler",
+    "RandomScheduler": "scheduler",
+    "PctScheduler": "scheduler",
+    "DfsScheduler": "scheduler",
+    "ReplayScheduler": "scheduler",
+    "ScheduleDivergence": "scheduler",
+    "ScheduleTrace": "scheduler",
+    "dfs_successor": "scheduler",
+    "make_scheduler": "scheduler",
+    "POLICIES": "scheduler",
+    "Topology": "topology",
+})

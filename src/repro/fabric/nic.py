@@ -48,15 +48,17 @@ Every operation is tallied in :class:`~repro.fabric.metrics.FabricMetrics`.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from .engine import TICKS_PER_SECOND, Call, Engine, Process
 from .errors import FabricTimeoutError, SimulationError
-from .faults import FaultInjector
 from .latency import LatencyModel, TieredLatencyModel
 from .memory import SymmetricHeap
 from .metrics import FabricMetrics, OpRecord
 from .topology import Topology, TieredTopology
+
+if TYPE_CHECKING:
+    from .faults import FaultInjector
 
 WORD_BYTES = 8
 

@@ -8,46 +8,26 @@ driver that runs the synthetic and UTS workloads end-to-end.  See
 ``docs/backends.md`` for what each substrate can and cannot falsify.
 """
 
-from .atomics import ShmWords, WordRef, WordSlice
-from .driver import (
-    MpPeStats,
-    MpRunResult,
-    run_mp,
-    synthetic_expected,
-    uts_expected,
-)
-from .heap import MpHeap
-from .queue import (
-    FfMultQueueLayout,
-    MpFfMultQueue,
-    MpFfMultThief,
-    MpSdcQueue,
-    MpSdcThief,
-    MpSwsQueue,
-    MpSwsThief,
-    SdcQueueLayout,
-    SwsQueueLayout,
-    hammer_mp,
-)
+from .._exports import exports
 
-__all__ = [
-    "ShmWords",
-    "WordRef",
-    "WordSlice",
-    "MpHeap",
-    "SwsQueueLayout",
-    "SdcQueueLayout",
-    "FfMultQueueLayout",
-    "MpSwsQueue",
-    "MpSwsThief",
-    "MpSdcQueue",
-    "MpSdcThief",
-    "MpFfMultQueue",
-    "MpFfMultThief",
-    "hammer_mp",
-    "run_mp",
-    "MpRunResult",
-    "MpPeStats",
-    "synthetic_expected",
-    "uts_expected",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "ShmWords": "atomics",
+    "WordRef": "atomics",
+    "WordSlice": "atomics",
+    "MpHeap": "heap",
+    "SwsQueueLayout": "queue",
+    "SdcQueueLayout": "queue",
+    "FfMultQueueLayout": "queue",
+    "MpSwsQueue": "queue",
+    "MpSwsThief": "queue",
+    "MpSdcQueue": "queue",
+    "MpSdcThief": "queue",
+    "MpFfMultQueue": "queue",
+    "MpFfMultThief": "queue",
+    "hammer_mp": "queue",
+    "run_mp": "driver",
+    "MpRunResult": "driver",
+    "MpPeStats": "driver",
+    "synthetic_expected": "driver",
+    "uts_expected": "driver",
+})

@@ -34,20 +34,27 @@ import random
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealStatus
 from ..core.stealval import StealValEpoch
 from ..shmem.heap import SymmetricAllocator
 from ..threads.protocol import Backoff
-from ..workloads.uts import UtsParams, expand, get_tree
+from ..workloads.uts.params import get_tree
+from ..workloads.uts.tree import UtsParams, expand
 from .atomics import pid_alive
 from .errors import MpStallError, RingOverflowError
-from .faults import CrashInjector, CrashPlan, NO_CRASHES
 from .fleet import Fleet
 from .queue import SdcQueueLayout, SwsQueueLayout
-from .recovery import CrashRegions, ShmInbox, scavenge_rank
+
+# The crash regime (``faults``, ``recovery``) is imported by the branch of
+# ``run_mp`` that a plan switches on, and the serving inbox by
+# ``run_mp_serve``: always in the parent, before the first PE is forked,
+# so a plain run compiles neither and no PE loop ever imports.
+if TYPE_CHECKING:
+    from .faults import CrashPlan
+    from .recovery import ShmInbox
 
 _U64 = (1 << 64) - 1
 
@@ -351,7 +358,7 @@ def _bind_plain(rank, heap, layouts, impl, ctl, owner, thieves, wl):
 
 
 def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
-                crash, regions, fresh):
+                injector, regions, fresh):
     """Crash regime (CrashPlan active).
 
     The private deque moves into a shared-memory ring, every execution
@@ -366,7 +373,6 @@ def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
     pe = regions.bind(heap, rank)
     pe.pid.store(os.getpid())
     ring = pe.ring
-    injector = CrashInjector(crash, rank, len(layouts))
     die_at_steal = [False]
 
     def _mk_intent(victim):
@@ -701,17 +707,20 @@ def run_mp(
         expected = (synthetic_expected(ntasks) if workload == "synthetic"
                     else uts_expected(wl[1]))
 
-    def reserve(heap):
-        return CrashRegions.reserve(
-            heap, npes, wpt,
-            ring_cap=2 * expected[0] + 64,
-            xlog_cap=2 * expected[0] + 64,
-            inbox_cap=expected[0] + 64,
-        )
+    reserve = None
+    if crashing:
+        from .recovery import CrashRegions
+
+        def reserve(heap):
+            return CrashRegions.reserve(
+                heap, npes, wpt,
+                ring_cap=2 * expected[0] + 64,
+                xlog_cap=2 * expected[0] + 64,
+                inbox_cap=expected[0] + 64,
+            )
 
     with Fleet("mp run", _LAYOUTS[impl], npes, capacity, wpt,
-               ctl=("created", "completed"),
-               regions=reserve if crashing else None) as fleet:
+               ctl=("created", "completed"), regions=reserve) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
         heap.ref(ctl["created"]).store(nseed)
         if crashing:
@@ -784,12 +793,16 @@ def _supervise_crash(fleet, impl, wl, seed, damping, crash, join_timeout):
     sweeps observe global quiescence.  Returns ``(wall, stats of the dead
     incarnations, the at-least-once fields of MpRunResult)``.
     """
+    from .faults import NO_CRASHES, CrashInjector
+    from .recovery import scavenge_rank
+
     heap, layouts, regions = fleet.heap, fleet.layouts, fleet.regions
     npes = len(layouts)
 
     def spawn(r, plan, fresh):
         fleet.spawn(r, _pe_loop, layouts, impl, fleet.ctl, seed, damping,
-                    _bind_crash, wl, plan, regions, fresh)
+                    _bind_crash, wl, CrashInjector(plan, r, npes), regions,
+                    fresh)
 
     for r in range(npes):
         spawn(r, crash, True)
@@ -974,6 +987,8 @@ def _reserve_serve_inbox(heap, rank: int, capacity: int):
 
 
 def _serve_inbox(heap, region) -> ShmInbox:
+    from .recovery import ShmInbox
+
     rd, wr, buf, capacity = region
     return ShmInbox(heap, rd, wr, buf, capacity, _SERVE_WPT)
 
@@ -1032,12 +1047,13 @@ def run_mp_serve(
                regions=reserve) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
         created = heap.ref(ctl["created"])
+        # Bound before the first fork: the PEs inherit the inbox module.
+        inboxes = [_serve_inbox(heap, reg) for reg in fleet.regions]
         for r in range(npes):
             fleet.spawn(r, _pe_loop, fleet.layouts, impl, ctl, seed,
                         damping, _bind_serve, fleet.regions, slo_ns)
 
         # -- the feeder: replay the trace in batches, round-robin ------
-        inboxes = [_serve_inbox(heap, reg) for reg in fleet.regions]
         deadline = time.monotonic() + join_timeout
         batch = max(1, (n + nbatches - 1) // nbatches) if n else 0
         injected = 0

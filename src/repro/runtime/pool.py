@@ -20,17 +20,13 @@ Example::
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from ..core.config import QueueConfig
 from ..core.damping import DampingTracker
-from ..fabric.faults import FaultPlan
 from ..fabric.latency import EDR_INFINIBAND, TIERED_EDR, LatencyModel
-from ..fabric.scheduler import Scheduler, make_scheduler
 from ..fabric.topology import TieredTopology, Topology
 from ..shmem.api import ShmemCtx
-from .oracle import PoolOracle
-from .inbox import InboxSystem
-from .lifeline import LifelineConfig, LifelineSystem
 from .protocols import get_protocol, protocol_names
 from .registry import TaskRegistry
 from .stats import RunStats
@@ -38,6 +34,15 @@ from .task import Task
 from .termination import TerminationSystem, TreeTerminationSystem
 from .victim import QuarantineSelector, make_selector
 from .worker import Worker, WorkerConfig
+
+# What an option switches on (fault plan, scheduler, oracle, inbox,
+# lifelines) is imported by the branch of ``__init__`` that switches it
+# on: a plain pool never compiles it, and nothing is imported in ``run``.
+if TYPE_CHECKING:
+    from ..fabric.faults import FaultPlan
+    from ..fabric.scheduler import Scheduler
+    from .lifeline import LifelineConfig
+    from .oracle import PoolOracle
 
 #: The paper's own implementations: ``sws`` is the Figure-4 epoch design;
 #: ``sws-v1`` the Figure-3 valid-bit variant (§4.1); ``sdc`` the Scioto
@@ -145,6 +150,8 @@ class TaskPool:
         self.op_timeout = op_timeout
 
         if isinstance(scheduler, str):
+            from ..fabric.scheduler import make_scheduler
+
             scheduler = make_scheduler(scheduler, seed=seed)
         self.scheduler = scheduler
 
@@ -171,15 +178,19 @@ class TaskPool:
                 f"termination must be 'ring' or 'tree', got {termination!r}"
             )
         # Lifelines deliver work through the inbox, so they imply it.
-        self.inbox_system = (
-            InboxSystem(self.ctx, inbox_capacity, self.queue_config.task_size)
-            if (remote_spawn or lifelines)
-            else None
-        )
-        self.lifeline_system = (
-            LifelineSystem(self.ctx, faults=self.ctx.faults) if lifelines else None
-        )
-        self.lifeline_config = lifeline_config or LifelineConfig()
+        self.inbox_system = self.lifeline_system = None
+        if remote_spawn or lifelines:
+            from .inbox import InboxSystem
+
+            self.inbox_system = InboxSystem(
+                self.ctx, inbox_capacity, self.queue_config.task_size
+            )
+        if lifelines:
+            from .lifeline import LifelineConfig, LifelineSystem
+
+            self.lifeline_system = LifelineSystem(self.ctx, faults=self.ctx.faults)
+            lifeline_config = lifeline_config or LifelineConfig()
+        self.lifeline_config = lifeline_config
 
         self.workers: list[Worker] = []
         for rank in range(npes):
@@ -231,6 +242,8 @@ class TaskPool:
             )
         self.oracle: PoolOracle | None = None
         if oracle:
+            from .oracle import PoolOracle
+
             self.oracle = PoolOracle(self)
             self.oracle.attach()
         self._ran = False

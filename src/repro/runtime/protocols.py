@@ -8,8 +8,8 @@ module gives every steal protocol one registered description so
 ``--protocol`` composes with every backend, workload, scheduler, and
 oracle:
 
-* **queue layout + owner/thief cores** — a factory for the fabric queue
-  system, plus lazy factories for the threads-shim queue and the name the
+* **queue layout + owner/thief cores** — lazy factories for the fabric
+  queue system and the threads-shim queue, plus the name the
   multiprocess hammer knows the protocol by;
 * **semantics contract** — *exactly-once* (every spawned task executes
   exactly once; checksums and partitions must match bit-for-bit across
@@ -46,12 +46,8 @@ Registered protocols:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from importlib import import_module
 from typing import Callable
-
-from ..core.ffmult_queue import FfMultQueueSystem
-from ..core.sdc_queue import SdcQueueSystem
-from ..core.sws_queue import SwsQueueSystem
-from ..core.sws_v1_queue import SwsV1QueueSystem
 
 
 @dataclass(frozen=True)
@@ -99,9 +95,9 @@ class Protocol:
     semantics:
         The :class:`SemanticsContract` the oracles enforce.
     queue_system:
-        Factory ``(ctx, queue_config) -> queue system`` for the fabric
-        simulator backend; its handles meet the owner/thief contract of
-        :mod:`repro.core.split_queue`.
+        Lazy factory ``(ctx, queue_config) -> queue system`` for the
+        fabric simulator backend; its handles meet the owner/thief
+        contract of :mod:`repro.core.split_queue`.
     steal_half:
         A steal takes half of what the victim advertises (the paper's
         choice); ``False`` for a protocol that moves exactly one task
@@ -175,26 +171,26 @@ def all_protocols() -> tuple[Protocol, ...]:
 
 
 # ----------------------------------------------------------------------
-# Lazy backend factories.  Imports happen inside the callables so that
-# merely importing the registry never drags in threading/multiprocessing
-# machinery (the fabric simulator is the default backend).
+# Lazy backend factories.  Each names a class by module and imports it on
+# first call, so that merely importing the registry (to list the protocol
+# names, say) never drags in a queue module, the fabric under it, or
+# threading machinery: a pool compiles the one protocol it runs, when it
+# is built.
 # ----------------------------------------------------------------------
-def _threads_sws(tasks, **kw):
-    from ..threads.queue_shim import ThreadSwsQueue
+def _by_name(module: str, attr: str) -> Callable:
+    def build(*args, **kw):
+        return getattr(import_module(module, __package__), attr)(*args, **kw)
 
-    return ThreadSwsQueue(tasks, **kw)
-
-
-def _threads_sdc(tasks, **kw):
-    from ..threads.sdc_shim import ThreadSdcQueue
-
-    return ThreadSdcQueue(tasks, **kw)
+    return build
 
 
-def _threads_ffmult(tasks, **kw):
-    from ..threads.ffmult_shim import ThreadFfMultQueue
-
-    return ThreadFfMultQueue(tasks, **kw)
+_fabric_sws = _by_name("..core.sws_queue", "SwsQueueSystem")
+_fabric_sws_v1 = _by_name("..core.sws_v1_queue", "SwsV1QueueSystem")
+_fabric_sdc = _by_name("..core.sdc_queue", "SdcQueueSystem")
+_fabric_ffmult = _by_name("..core.ffmult_queue", "FfMultQueueSystem")
+_threads_sws = _by_name("..threads.queue_shim", "ThreadSwsQueue")
+_threads_sdc = _by_name("..threads.sdc_shim", "ThreadSdcQueue")
+_threads_ffmult = _by_name("..threads.ffmult_shim", "ThreadFfMultQueue")
 
 
 register_protocol(
@@ -202,7 +198,7 @@ register_protocol(
         name="sws",
         title="Structured work stealing: fused fetch-add discover+claim (Fig. 4)",
         semantics=EXACTLY_ONCE,
-        queue_system=SwsQueueSystem,
+        queue_system=_fabric_sws,
         supports_damping=True,
         supports_faults=True,
         comms_total=3,
@@ -218,7 +214,7 @@ register_protocol(
         name="sws-v1",
         title="SWS valid-bit variant (Fig. 3, §4.1)",
         semantics=EXACTLY_ONCE,
-        queue_system=SwsV1QueueSystem,
+        queue_system=_fabric_sws_v1,
         supports_damping=True,
         supports_faults=False,
         comms_total=3,
@@ -232,7 +228,7 @@ register_protocol(
         name="sdc",
         title="Scioto SDC baseline: split queue, deferred copies (Fig. 2)",
         semantics=EXACTLY_ONCE,
-        queue_system=SdcQueueSystem,
+        queue_system=_fabric_sdc,
         supports_faults=True,
         comms_total=6,
         comms_blocking=5,
@@ -247,7 +243,7 @@ register_protocol(
         name="ff-mult",
         title="Fence-free deque with multiplicity (Castañeda & Piña)",
         semantics=AT_LEAST_ONCE,
-        queue_system=FfMultQueueSystem,
+        queue_system=_fabric_ffmult,
         steal_half=False,
         supports_faults=False,
         comms_total=3,
@@ -263,7 +259,7 @@ register_protocol(
         name="localized",
         title="Localized work stealing (Suksompong, Leiserson & Schardl)",
         semantics=EXACTLY_ONCE,
-        queue_system=SwsQueueSystem,
+        queue_system=_fabric_sws,
         default_victim="tiered",
         supports_damping=True,
         supports_faults=True,

@@ -30,6 +30,10 @@ from __future__ import annotations
 
 import struct
 
+# ``run_serve`` builds its pool inside the call its callers time, so the
+# queue modules of the two protocols the CLI serves load with this module:
+# the registry's lazy factories then find them compiled.
+from ..core import sdc_queue, sws_queue  # noqa: F401
 from ..fabric.engine import to_ticks
 from ..fabric.errors import ProtocolError
 from .arrivals import (
@@ -40,7 +44,6 @@ from .arrivals import (
     parse_elastic_spec,
 )
 from .pool import TaskPool
-from .oracle import check_serving_conservation
 from .registry import TaskOutcome, TaskRegistry
 from .stats import QuantileSketch, RunStats, ServingStats
 from .task import Task
@@ -342,6 +345,9 @@ def run_serve(
 
     stats = pool.run()
     if oracle:
+        # Loaded when the pool armed its oracle, before the run.
+        from .oracle import check_serving_conservation
+
         check_serving_conservation(controller.books())
     stats.serving = controller.serving_stats()
     return stats

@@ -23,20 +23,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Generator
+from typing import TYPE_CHECKING, Generator
 
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealResult, StealStatus
 from ..core.split_queue import SplitQueue
 from ..fabric.engine import TICKS_PER_SECOND, Delay
 from ..fabric.errors import FabricTimeoutError, ProtocolError
-from .inbox import Inbox
-from .lifeline import LifelineManager
 from .registry import TaskContext, TaskRegistry
 from .stats import WorkerStats
 from .task import HEADER_BYTES, Task, parse_record
 from .termination import TerminationDetector
 from .victim import VictimSelector
+
+if TYPE_CHECKING:
+    from .inbox import Inbox
+    from .lifeline import LifelineManager
 
 
 # An Enum member is a metaclass attribute lookup, several times a plain

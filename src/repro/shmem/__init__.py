@@ -1,18 +1,16 @@
 """OpenSHMEM-like PGAS layer over the simulated fabric."""
 
-from .api import Pe, ShmemCtx
-from .collectives import Collectives, CollectiveSystem, REDUCERS
-from .heap import HeapBackend, SymArray, SymBytes, SymWord, SymmetricAllocator
+from .._exports import exports
 
-__all__ = [
-    "Pe",
-    "ShmemCtx",
-    "HeapBackend",
-    "SymWord",
-    "SymArray",
-    "SymBytes",
-    "SymmetricAllocator",
-    "Collectives",
-    "CollectiveSystem",
-    "REDUCERS",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "Pe": "api",
+    "ShmemCtx": "api",
+    "HeapBackend": "heap",
+    "SymWord": "heap",
+    "SymArray": "heap",
+    "SymBytes": "heap",
+    "SymmetricAllocator": "heap",
+    "Collectives": "collectives",
+    "CollectiveSystem": "collectives",
+    "REDUCERS": "collectives",
+})

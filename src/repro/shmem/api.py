@@ -15,15 +15,18 @@ because a PE touching its own symmetric heap is an ordinary load/store.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 from ..fabric.engine import Call, Delay, Engine, Process
-from ..fabric.faults import FaultInjector, FaultPlan
 from ..fabric.latency import EDR_INFINIBAND, LatencyModel
 from ..fabric.memory import SymmetricHeap
 from ..fabric.metrics import FabricMetrics
 from ..fabric.nic import Nic
-from ..fabric.scheduler import Scheduler
 from ..fabric.topology import Topology
+
+if TYPE_CHECKING:
+    from ..fabric.faults import FaultInjector, FaultPlan
+    from ..fabric.scheduler import Scheduler
 
 
 class ShmemCtx:
@@ -67,6 +70,8 @@ class ShmemCtx:
         self.metrics = FabricMetrics(npes, trace=trace_comm)
         self.faults: FaultInjector | None = None
         if fault_plan is not None and fault_plan.active:
+            from ..fabric.faults import FaultInjector
+
             self.faults = FaultInjector(fault_plan, npes)
         self.nic = Nic(
             self.engine,

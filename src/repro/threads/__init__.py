@@ -1,33 +1,21 @@
 """Real-thread substrate: the SWS protocol under genuine preemption."""
 
-from .atomics import AtomicArray64, AtomicWord64
-from .ffmult_shim import ThreadFfMultQueue, hammer_ffmult
-from .protocol import (
-    FfMultShimCore,
-    SdcShimCore,
-    ShimStealResult,
-    SwsShimCore,
-    ffmult_steal_once,
-    sdc_steal_once,
-    sws_steal_once,
-)
-from .queue_shim import ThreadSwsQueue, hammer
-from .sdc_shim import ThreadSdcQueue, hammer_sdc
+from .._exports import exports
 
-__all__ = [
-    "AtomicWord64",
-    "AtomicArray64",
-    "SwsShimCore",
-    "SdcShimCore",
-    "FfMultShimCore",
-    "ShimStealResult",
-    "sws_steal_once",
-    "sdc_steal_once",
-    "ffmult_steal_once",
-    "ThreadSwsQueue",
-    "hammer",
-    "ThreadSdcQueue",
-    "hammer_sdc",
-    "ThreadFfMultQueue",
-    "hammer_ffmult",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "AtomicWord64": "atomics",
+    "AtomicArray64": "atomics",
+    "SwsShimCore": "protocol",
+    "SdcShimCore": "protocol",
+    "FfMultShimCore": "protocol",
+    "ShimStealResult": "protocol",
+    "sws_steal_once": "protocol",
+    "sdc_steal_once": "protocol",
+    "ffmult_steal_once": "protocol",
+    "ThreadSwsQueue": "queue_shim",
+    "hammer": "queue_shim",
+    "ThreadSdcQueue": "sdc_shim",
+    "hammer_sdc": "sdc_shim",
+    "ThreadFfMultQueue": "ffmult_shim",
+    "hammer_ffmult": "ffmult_shim",
+})

@@ -1,26 +1,21 @@
 """Benchmark workloads: BPC, UTS, and the Figure-6 steal-latency probe."""
 
-from .bpc import PAPER_PARAMS as BPC_PAPER_PARAMS
-from .bpc import PAPER_TASK_SIZE as BPC_PAPER_TASK_SIZE
-from .bpc import BpcParams, BpcWorkload, paper_scale
-from .fib import FibParams, FibWorkload, fib, task_count
-from .nqueens import SOLUTIONS, NQueensParams, NQueensWorkload
-from .synthetic import StealProbeResult, measure_single_steal, steal_volume_sweep
+from .._exports import exports
 
-__all__ = [
-    "BpcParams",
-    "BpcWorkload",
-    "BPC_PAPER_PARAMS",
-    "BPC_PAPER_TASK_SIZE",
-    "paper_scale",
-    "StealProbeResult",
-    "measure_single_steal",
-    "steal_volume_sweep",
-    "FibParams",
-    "FibWorkload",
-    "fib",
-    "task_count",
-    "NQueensParams",
-    "NQueensWorkload",
-    "SOLUTIONS",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "BpcParams": "bpc",
+    "BpcWorkload": "bpc",
+    "BPC_PAPER_PARAMS": "bpc:PAPER_PARAMS",
+    "BPC_PAPER_TASK_SIZE": "bpc:PAPER_TASK_SIZE",
+    "paper_scale": "bpc",
+    "StealProbeResult": "synthetic",
+    "measure_single_steal": "synthetic",
+    "steal_volume_sweep": "synthetic",
+    "FibParams": "fib",
+    "FibWorkload": "fib",
+    "fib": "fib",
+    "task_count": "fib",
+    "NQueensParams": "nqueens",
+    "NQueensWorkload": "nqueens",
+    "SOLUTIONS": "nqueens",
+})

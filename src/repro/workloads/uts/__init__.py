@@ -1,44 +1,31 @@
 """Unbalanced Tree Search benchmark (UTS) over SHA-1 splittable trees."""
 
-from .params import (
-    BENCH_BIN,
-    BENCH_GEO,
-    NAMED_TREES,
-    SWEEP_GEO,
-    T1WL,
-    TEST_SMALL,
-    TEST_TINY,
-    get_tree,
-)
-from .sequential import TreeStats, enumerate_tree
-from .sha1_rng import STATE_BYTES, rand31, root_state, spawn, to_prob
-from .tree import GeoShape, TreeType, UtsParams, branching_factor, expand, num_children
-from .workload import PAPER_NODE_TIME, PAPER_TASK_SIZE, UtsWorkload, UtsWorkloadParams
+from ..._exports import exports
 
-__all__ = [
-    "UtsParams",
-    "UtsWorkload",
-    "UtsWorkloadParams",
-    "TreeType",
-    "GeoShape",
-    "branching_factor",
-    "num_children",
-    "expand",
-    "enumerate_tree",
-    "TreeStats",
-    "root_state",
-    "spawn",
-    "rand31",
-    "to_prob",
-    "STATE_BYTES",
-    "PAPER_TASK_SIZE",
-    "PAPER_NODE_TIME",
-    "NAMED_TREES",
-    "get_tree",
-    "T1WL",
-    "TEST_TINY",
-    "TEST_SMALL",
-    "BENCH_GEO",
-    "SWEEP_GEO",
-    "BENCH_BIN",
-]
+__getattr__, __dir__, __all__ = exports(__name__, {
+    "UtsParams": "tree",
+    "UtsWorkload": "workload",
+    "UtsWorkloadParams": "workload",
+    "TreeType": "tree",
+    "GeoShape": "tree",
+    "branching_factor": "tree",
+    "num_children": "tree",
+    "expand": "tree",
+    "enumerate_tree": "sequential",
+    "TreeStats": "sequential",
+    "root_state": "sha1_rng",
+    "spawn": "sha1_rng",
+    "rand31": "sha1_rng",
+    "to_prob": "sha1_rng",
+    "STATE_BYTES": "sha1_rng",
+    "PAPER_TASK_SIZE": "workload",
+    "PAPER_NODE_TIME": "workload",
+    "NAMED_TREES": "params",
+    "get_tree": "params",
+    "T1WL": "params",
+    "TEST_TINY": "params",
+    "TEST_SMALL": "params",
+    "BENCH_GEO": "params",
+    "SWEEP_GEO": "params",
+    "BENCH_BIN": "params",
+})

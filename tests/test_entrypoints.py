@@ -79,3 +79,37 @@ class TestCliChartFlag:
         assert "fig6" in out
         # The chart block includes axis bars.
         assert "|" in out and "o=sdc" in out
+
+
+class TestUsageErrors:
+    """A request the CLI cannot run ends in the parser's one-line error
+    with rc 2, before any heap, pool or process exists."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mp", "--npes", "1"], "error: argument --npes: must be >= 2, got 1"),
+        (["replay", "/no/such/file"],
+         "error: cannot read trace /no/such/file: No such file or directory"),
+        (["explore", "--replay", "/no/such/file"],
+         "error: cannot read trace /no/such/file: No such file or directory"),
+        (["explore", "--workload", "nope"],
+         "error: argument --workload: invalid choice: 'nope' "
+         "(choose from 'flat', 'tree', 'churn', 'all')"),
+        (["explore", "--policy", "replay"],
+         "error: argument --policy: invalid choice: 'replay' "
+         "(choose from 'fixed', 'random', 'pct', 'dfs')"),
+    ])
+    def test_rc2_and_one_line(self, argv, message):
+        import os
+
+        shm = "/dev/shm"
+        before = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.rstrip().splitlines()[-1].endswith(message)
+        after = set(os.listdir(shm)) if os.path.isdir(shm) else set()
+        assert after == before

@@ -82,7 +82,14 @@ class TestDeclaredContracts:
         }
 
     def test_queue_system_factories(self):
-        systems = {p.name: p.queue_system for p in all_protocols()}
+        from repro.fabric.latency import ZERO_LATENCY
+        from repro.shmem.api import ShmemCtx
+
+        config = QueueConfig(qsize=64, task_size=16)
+        systems = {
+            p.name: type(p.queue_system(ShmemCtx(2, latency=ZERO_LATENCY), config))
+            for p in all_protocols()
+        }
         assert systems == {
             "sws": SwsQueueSystem,
             "sws-v1": SwsV1QueueSystem,
