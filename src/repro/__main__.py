@@ -105,27 +105,19 @@ def _report_race(label: str, proto, loot, kept, ntasks: int) -> bool:
     return ok
 
 
-def _run_protocol_threads(proto, ntasks: int) -> bool:
-    if proto.threads_queue is None:
-        print("  threads: (no thread shim for this protocol)")
-        return True
-    from .threads.protocol import race
-
-    # The hammers' race (4 thieves, 8 releases, 3 acquires) on whichever
-    # shim the protocol registered.
-    queue = proto.threads_queue(list(range(ntasks)))
-    loot, kept = race(queue, 4, max(1, ntasks // 8), 3)
-    return _report_race("threads:", proto, loot, kept, ntasks)
-
-
-def _run_protocol_mp(proto, ntasks: int) -> bool:
+def _run_protocol_race(proto, backend: str, ntasks: int) -> bool:
+    """The protocol's hammer on ``backend``: thief threads or processes
+    against one owner (4 thieves, 8 releases, 3 acquires)."""
+    label = f"{backend}:"
     if proto.mp_impl is None:
-        print("  mp:      (no multiprocess substrate for this protocol)")
+        print(f"  {label:8} (no {backend} substrate for this protocol)")
         return True
-    from .mp.queue import hammer_mp
-
-    loot, kept = hammer_mp(list(range(ntasks)), impl=proto.mp_impl)
-    return _report_race("mp:     ", proto, loot, kept, ntasks)
+    if backend == "threads":
+        from .threads.protocol import hammer
+    else:
+        from .mp.queue import hammer_mp as hammer
+    loot, kept = hammer(list(range(ntasks)), impl=proto.mp_impl)
+    return _report_race(f"{label:8}", proto, loot, kept, ntasks)
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
@@ -148,10 +140,8 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     for backend in backends:
         if backend == "fabric":
             ok &= _run_protocol_fabric(proto, args.npes, args.ntasks)
-        elif backend == "threads":
-            ok &= _run_protocol_threads(proto, args.ntasks)
         else:
-            ok &= _run_protocol_mp(proto, args.ntasks)
+            ok &= _run_protocol_race(proto, backend, args.ntasks)
     if not ok:
         print("FAIL: a backend violated the protocol's semantics contract")
         return 1

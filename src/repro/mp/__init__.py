@@ -1,10 +1,11 @@
-"""Multiprocess substrate: the SWS protocol across real OS processes.
+"""Multiprocess substrate: the shim protocols across real OS processes.
 
 The third execution substrate of the reproduction (after the simulated
-fabric and the in-process thread shims): shared-memory 64-bit words with
-cross-process atomic operations, the same shim protocol cores as the
-thread substrate (:mod:`repro.threads.protocol`), and a process-pool PE
-driver that runs the synthetic and UTS workloads end-to-end.  See
+fabric and the in-process threads): shared-memory 64-bit words with
+cross-process atomic operations, the shim protocol cores of
+:mod:`repro.threads.protocol` bound to them once (:mod:`repro.mp.queue`,
+which the threads backend runs too), and a process-pool PE driver that
+runs the synthetic and UTS workloads end-to-end.  See
 ``docs/backends.md`` for what each substrate can and cannot falsify.
 """
 

@@ -8,10 +8,11 @@ it appears only here).  Semantics first: each operation holds one of a
 word serialize (real atomicity across address spaces) while contended
 victims on different stripes don't serialize the whole world.
 
-Like :class:`repro.threads.atomics.AtomicWord64`, this trades raw speed
-for honest cross-process mutual exclusion — CPython has no shared-memory
-CAS — but unlike the threads shim the preemption here is the OS kernel
-scheduling *separate processes*, GIL nowhere in sight.
+This trades raw speed for honest cross-process mutual exclusion —
+CPython has no shared-memory CAS.  The same words serve the threads
+backend (thief threads of one process, GIL present) and the mp backend,
+where the preemption is the OS kernel scheduling *separate processes*,
+GIL nowhere in sight.
 
 Two lock-free escape hatches keep the data plane off the lock path:
 
@@ -616,12 +617,12 @@ class ShmWords:
                 pass
 
     def ref(self, index: int) -> "WordRef":
-        """An :class:`AtomicWord64`-shaped handle on one word."""
+        """An atomic handle on one word."""
         self._check(index)
         return WordRef(self, index)
 
     def slice(self, start: int, length: int) -> "WordSlice":
-        """An :class:`AtomicArray64`-shaped handle on a word range."""
+        """An array of atomic handles over a word range."""
         self._check(start)
         if length > 0:
             self._check(start + length - 1)
@@ -629,7 +630,8 @@ class ShmWords:
 
 
 class WordRef:
-    """One shared word behind the :class:`AtomicWord64` interface."""
+    """One shared word: ``load`` / ``store`` / ``swap`` / ``fetch_add`` /
+    ``compare_swap``, and the lock-free ``load_seq``."""
 
     __slots__ = ("_words", "_index")
 
@@ -658,7 +660,7 @@ class WordRef:
 
 
 class WordSlice:
-    """A shared word range behind the :class:`AtomicArray64` interface."""
+    """A shared word range: indexable into :class:`WordRef` handles."""
 
     __slots__ = ("_words", "_start", "_length")
 

@@ -36,17 +36,15 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from ..core.damping import DampingTracker, TargetMode
+from ..core.damping import DampingTracker
 from ..core.results import StealStatus
-from ..core.stealval import StealValEpoch
 from ..shmem.heap import SymmetricAllocator
 from ..threads.protocol import Backoff
 from ..workloads.uts.params import get_tree
 from ..workloads.uts.tree import UtsParams, expand
-from .atomics import pid_alive
 from .errors import MpStallError, RingOverflowError
 from .fleet import Fleet
-from .queue import SdcQueueLayout, SwsQueueLayout
+from .queue import LAYOUTS
 
 # The crash regime (``faults``, ``recovery``) is imported by the branch of
 # ``run_mp`` that a plan switches on, and the serving inbox by
@@ -350,14 +348,14 @@ def _books_balanced(heap, ctl):
     return balanced
 
 
-def _bind_plain(rank, heap, layouts, impl, ctl, owner, thieves, wl):
+def _bind_plain(rank, heap, layouts, ctl, owner, thieves, wl):
     seed_tasks, execute, fingerprint = _bind_workload(*wl)
     local = deque(seed_tasks if rank == 0 else ())
     return _Regime(*_deque_store(local), execute, fingerprint,
                    _books_balanced(heap, ctl))
 
 
-def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
+def _bind_crash(rank, heap, layouts, ctl, owner, thieves, wl,
                 injector, regions, fresh):
     """Crash regime (CrashPlan active).
 
@@ -368,8 +366,6 @@ def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
     -created children.
     """
     owner.stall_s = CRASH_SETTLE_S
-    if impl == "sws":
-        owner.dead_claimant = lambda token: not pid_alive(token)
     pe = regions.bind(heap, rank)
     pe.pid.store(os.getpid())
     ring = pe.ring
@@ -383,9 +379,7 @@ def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
         return _intent
 
     for v, thief in thieves.items():
-        thief.intent = _mk_intent(v)
-        if impl == "sws":
-            thief.claim_token = os.getpid()
+        thief.arm_crash(_mk_intent(v))
 
     seed_tasks, execute, fingerprint = _bind_workload(*wl)
     if rank == 0 and fresh:
@@ -415,9 +409,7 @@ def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
         return bump
 
     bump_act, heartbeat = bumper(pe.act), bumper(pe.hb)
-    sv_index = heap.index(
-        layouts[rank].stealval if impl == "sws" else layouts[rank].lock
-    )
+    lock_index = heap.index(layouts[rank].lock_word)
 
     def after_task(fp) -> None:
         heartbeat()
@@ -428,7 +420,7 @@ def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
         if point == "steal":
             die_at_steal[0] = True    # next winning claim dies mid-copy
         elif point == "lock":
-            heap.words.die_holding(sv_index)
+            heap.words.die_holding(lock_index)
 
     def on_wake() -> None:
         bump_act()
@@ -452,7 +444,7 @@ def _bind_crash(rank, heap, layouts, impl, ctl, owner, thieves, wl,
     )
 
 
-def _bind_serve(rank, heap, layouts, impl, ctl, owner, thieves,
+def _bind_serve(rank, heap, layouts, ctl, owner, thieves,
                 inbox_regions, slo_ns):
     """Serving regime: records are ``(seq, post_ns)``; executing one is
     sketching its post→execute latency."""
@@ -479,7 +471,7 @@ def _bind_serve(rank, heap, layouts, impl, ctl, owner, thieves,
     )
 
 
-def _pe_loop(rank, heap, layouts, impl, ctl, seed, damping, bind,
+def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
              *bind_args) -> dict:
     """One PE: execute local tasks, share on demand, steal when starved."""
     npes = len(layouts)
@@ -491,31 +483,18 @@ def _pe_loop(rank, heap, layouts, impl, ctl, seed, damping, bind,
     }
     victims = sorted(thieves)
     rng = random.Random((seed * 1_000_003) ^ rank)
-    tracker = DampingTracker(npes, enabled=damping and impl == "sws")
+    # Only a protocol that damps ever consults the tracker.
+    tracker = DampingTracker(npes, enabled=damping)
     stats = MpPeStats(rank=rank)
     (local, pop, take_left, settle, execute, fingerprint, finished, inbox,
      after_task, on_wake, victim_ok, extras) = bind(
-        rank, heap, layouts, impl, ctl, owner, thieves, *bind_args)
+        rank, heap, layouts, ctl, owner, thieves, *bind_args)
     extend = local.extend
     # Whatever release / acquire re-absorb lands straight in the store.
     owner.owner_kept = local
-
-    # Owner-local metadata inspection runs after every executed task; the
-    # seqlock read keeps it off the stripe locks the thieves' claims are
-    # hammering, and the verdict is cached against the raw word (claims
-    # change the word, so a stale verdict is impossible).
-    sv_cache = [None, False]
-
-    def shared_has_work() -> bool:
-        if impl == "sws":
-            raw = owner.stealval.load_seq()
-            if raw != sv_cache[0]:
-                sv_cache[0] = raw
-                sv_cache[1] = DampingTracker.view_has_work(
-                    StealValEpoch.unpack(raw)
-                )
-            return sv_cache[1]
-        return owner.split.load_seq() - owner.tail.load_seq() > 0
+    # Owner-local metadata inspection runs after every executed task, off
+    # the stripe locks the thieves' claims are hammering.
+    shared_has_work = owner.has_work
 
     def try_share() -> None:
         if (
@@ -532,34 +511,13 @@ def _pe_loop(rank, heap, layouts, impl, ctl, seed, damping, bind,
         settle(batch, pushed)
 
     def try_steal_from(victim: int) -> bool:
-        thief = thieves[victim]
-        if impl == "sws":
-            if tracker.mode(victim) is TargetMode.EMPTY:
-                view = StealValEpoch.unpack(thief.probe())
-                tracker.note_probe(victim, DampingTracker.view_has_work(view))
-                if tracker.mode(victim) is TargetMode.EMPTY:
-                    return False             # probe said empty: no AMO spent
-            res = thief.steal()
-            if res.claimed:
-                status = StealStatus.STOLEN
-                tracker.note_success(victim)
-            elif res.aborted_locked:
-                status = StealStatus.DISABLED
-            else:
-                status = StealStatus.EMPTY
-                tracker.note_failed_claim(victim, res.view)
-        else:
-            res = thief.steal(max_spins=200)
-            if res.claimed:
-                status = StealStatus.STOLEN
-            elif res.empty:
-                status = StealStatus.EMPTY
-            else:
-                status = StealStatus.LOCKED_ABORT
+        status, claimed = thieves[victim].try_steal(tracker, victim)
+        if status is None:
+            return False                     # probe said empty: no AMO spent
         stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
-        if res.claimed:
-            stats.steal_volumes.append(len(res.claimed))
-            extend(res.claimed)
+        if claimed:
+            stats.steal_volumes.append(len(claimed))
+            extend(claimed)
             return True
         return False
 
@@ -639,12 +597,13 @@ def _pe_loop(rank, heap, layouts, impl, ctl, seed, damping, bind,
 # The parent-side runners
 # ----------------------------------------------------------------------
 
-_LAYOUTS = {"sws": SwsQueueLayout, "sdc": SdcQueueLayout}
+#: The PE loop's created/completed books close on exactly-once protocols.
+_LAYOUTS = {name: cls for name, cls in LAYOUTS.items() if cls.exactly_once}
 
 
 def _check_fleet_shape(impl: str, npes: int) -> None:
     if impl not in _LAYOUTS:
-        raise ValueError(f"impl must be sws|sdc, got {impl!r}")
+        raise ValueError(f"impl must be {'|'.join(_LAYOUTS)}, got {impl!r}")
     if npes < 2:
         raise ValueError(f"npes must be >= 2, got {npes}")
 
@@ -725,11 +684,11 @@ def run_mp(
         heap.ref(ctl["created"]).store(nseed)
         if crashing:
             wall, dead_pes, books = _supervise_crash(
-                fleet, impl, wl, seed, damping, crash, join_timeout)
+                fleet, wl, seed, damping, crash, join_timeout)
         else:
             for r in range(npes):
-                fleet.spawn(r, _pe_loop, fleet.layouts, impl, ctl, seed,
-                            damping, _bind_plain, wl)
+                fleet.spawn(r, _pe_loop, fleet.layouts, ctl, seed, damping,
+                            _bind_plain, wl)
             wall, dead_pes, books = fleet.collect(join_timeout), [], {}
         result = MpRunResult(
             workload=workload,
@@ -747,7 +706,7 @@ def run_mp(
     return result
 
 
-def _sweep_quiescent(heap, layouts, impl, regions, live_ranks):
+def _sweep_quiescent(heap, queues, regions, live_ranks):
     """One supervisor observation: is the system plausibly done?
 
     Quiescent iff every live PE flags idle, no inbox holds undelivered
@@ -767,22 +726,12 @@ def _sweep_quiescent(heap, layouts, impl, regions, live_ranks):
     )
     for r in live_ranks:
         pe = regions.bind(heap, r)
-        if pe.inbox.pending() or len(pe.ring):
+        if pe.inbox.pending() or len(pe.ring) or queues[r].has_work():
             return False, None
-        if impl == "sws":
-            view = StealValEpoch.unpack(
-                heap.ref(layouts[r].stealval).load_seq()
-            )
-            if DampingTracker.view_has_work(view):
-                return False, None
-        else:
-            if (heap.ref(layouts[r].split).load_seq()
-                    - heap.ref(layouts[r].tail).load_seq() > 0):
-                return False, None
     return True, acts
 
 
-def _supervise_crash(fleet, impl, wl, seed, damping, crash, join_timeout):
+def _supervise_crash(fleet, wl, seed, damping, crash, join_timeout):
     """Crash-tolerant mp run: workers + a scavenging supervisor.
 
     The supervisor watches process liveness (and heartbeat words for
@@ -798,9 +747,11 @@ def _supervise_crash(fleet, impl, wl, seed, damping, crash, join_timeout):
 
     heap, layouts, regions = fleet.heap, fleet.layouts, fleet.regions
     npes = len(layouts)
+    # The supervisor's view of every PE's shared queue.
+    queues = [layout.thief(heap) for layout in layouts]
 
     def spawn(r, plan, fresh):
-        fleet.spawn(r, _pe_loop, layouts, impl, fleet.ctl, seed, damping,
+        fleet.spawn(r, _pe_loop, layouts, fleet.ctl, seed, damping,
                     _bind_crash, wl, CrashInjector(plan, r, npes), regions,
                     fresh)
 
@@ -834,9 +785,7 @@ def _supervise_crash(fleet, impl, wl, seed, damping, crash, join_timeout):
             crashed.append(r)
             dead_flags[r].store(1)
             heap.words.break_dead_leases()
-            tasks, breakdown = scavenge_rank(
-                heap, layouts, impl, regions, r
-            )
+            tasks, breakdown = scavenge_rank(heap, layouts, regions, r)
             scavenged.update(breakdown)
             # The dead incarnation's durable accounting: its
             # fingerprint log (a respawn appends after this point,
@@ -867,9 +816,7 @@ def _supervise_crash(fleet, impl, wl, seed, damping, crash, join_timeout):
         live_ranks = fleet.alive()
         if not live_ranks:
             break                  # everyone exited (or crashed out)
-        quiet, acts = _sweep_quiescent(
-            heap, layouts, impl, regions, live_ranks
-        )
+        quiet, acts = _sweep_quiescent(heap, queues, regions, live_ranks)
         if quiet and acts == prev_acts:
             stable += 1
             if stable >= STABLE_SWEEPS:
@@ -1050,8 +997,8 @@ def run_mp_serve(
         # Bound before the first fork: the PEs inherit the inbox module.
         inboxes = [_serve_inbox(heap, reg) for reg in fleet.regions]
         for r in range(npes):
-            fleet.spawn(r, _pe_loop, fleet.layouts, impl, ctl, seed,
-                        damping, _bind_serve, fleet.regions, slo_ns)
+            fleet.spawn(r, _pe_loop, fleet.layouts, ctl, seed, damping,
+                        _bind_serve, fleet.regions, slo_ns)
 
         # -- the feeder: replay the trace in batches, round-robin ------
         deadline = time.monotonic() + join_timeout

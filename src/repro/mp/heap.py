@@ -96,11 +96,6 @@ class MpHeap:
         if self.words is not None:
             self.words.unlink()
 
-    @property
-    def total_words(self) -> int:
-        """Words reserved so far (== segment size once frozen)."""
-        return self._cursor
-
     # -- addressing ----------------------------------------------------
     def _base(self, region: str, offset: int, length: int = 1) -> int:
         if self.words is None:

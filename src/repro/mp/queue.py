@@ -1,35 +1,40 @@
-"""SWS and SDC stealval queues across real OS processes.
+"""SWS, SDC and ff-mult queues over shared-memory words — the one
+binding of the shim protocols, for threads and processes alike.
 
 These bind the substrate-independent shim protocol cores
-(:mod:`repro.threads.protocol` — the *same* release / acquire / claim /
-completion logic the thread shims run, reusing
+(:mod:`repro.threads.protocol`, reusing
 :class:`repro.core.stealval.StealValEpoch` verbatim) to shared-memory
 words from :class:`~repro.mp.heap.MpHeap`.  The owner-side objects live
-in the process that plays the PE owning the queue; thief-side views
-(:class:`MpSwsThief`, :class:`MpSdcThief`) are cheap picklable handles
-any other process can steal through.
+in the process that plays the PE owning the queue; thief-side views are
+cheap picklable handles any other process can steal through.  The
+threads backend runs the same owner objects on a heap of its own
+process (:func:`in_process_queue`), raced by thief threads.
 
 Task payloads are tuples of 64-bit words (``words_per_task``), or bare
-ints when ``words_per_task == 1``.  The *control* words (stealval,
-completion array, SDC lock/tail/split) go through the striped-lock
-atomic seam; the *task buffer* is a lock-free bulk data plane: a
-claimed block is exclusively owned by the claiming thief, so the copy
-is one contiguous ``read_block`` byte slice (two when the ring wraps)
-decoded by :class:`~repro.threads.protocol.RecordCodec`, and the
-owner's fill is one ``write_block`` into the not-yet-published region.
+ints when ``words_per_task == 1``.  The *control* words go through the
+striped-lock atomic seam; the *task buffer* is a lock-free bulk data
+plane: a claimed block is exclusively owned by the claiming thief, so
+the copy is one contiguous ``read_block`` byte slice (two when the ring
+wraps), and the owner's fill is one ``write_block`` into the
+not-yet-published region.
 
-:func:`hammer_mp` mirrors :func:`repro.threads.queue_shim.hammer` with
-thief *processes*: the owner runs in the calling process, N children
-race claims against it, and the returned loot/kept partition must equal
-the original task set exactly.
+What the PE driver and the crash supervisor need to know about a
+protocol they ask of its layout and views — never of its name:
+``exactly_once`` and ``lock_word`` on the layout, ``has_work()`` on both
+views, ``try_steal`` / ``arm_crash`` / ``scavenge`` on the thief.
+:data:`LAYOUTS` is the one place a protocol name becomes a class.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
+from ..core.damping import DampingTracker, TargetMode
+from ..core.results import StealStatus
 from ..core.steal_half import schedule, steal_displacement
+from ..core.stealval import StealValEpoch, owner_remainder
 from ..shmem.heap import SymArray, SymWord, SymmetricAllocator
 from ..threads.protocol import (
     Backoff,
@@ -49,6 +54,17 @@ from .heap import MpHeap
 
 #: Default completion-array slots per epoch (covers allotments < 2^24).
 DEFAULT_COMP_SLOTS = 24
+
+
+def _dead_pid_token(token: int) -> bool:
+    """Dead-holder oracle for pid tokens (SDC lock, SWS claimant).
+
+    The mp lock and claimant words hold a pid, so "is the holder dead"
+    is a signal-0 probe.  Pid recycling within one run would mask a
+    death; astronomically unlikely at these process counts and run
+    lengths, and the cost would be a diagnosed stall, not corruption.
+    """
+    return not pid_alive(token)
 
 
 class _MpTaskBuffer:
@@ -90,74 +106,93 @@ class _MpTaskBuffer:
             data = buf.read_block(w0, head) + buf.read_block(0, nw - head)
         return self._codec.decode(data)
 
+    def push_all(self, tasks) -> int:
+        """Append many tasks in one bulk write; returns how many fit.
 
-@dataclass(frozen=True)
-class SwsQueueLayout:
-    """Picklable symmetric-heap footprint of one mp SWS queue."""
+        The fill region ``[nfilled, nfilled + fit)`` is unpublished
+        (``release`` exposes it later through a control-word store), so
+        the single-writer ``write_block`` contract holds.
+        """
+        tasks = list(tasks)
+        fit = min(len(tasks), self.capacity - self.nfilled)
+        if fit <= 0:
+            return 0
+        batch = tasks[:fit]
+        wpt = self.words_per_task
+        if wpt > 1:
+            for task in batch:
+                if len(task) != wpt:
+                    raise ValueError(
+                        f"task must be {wpt} words, got {len(task)}"
+                    )
+        self._buf.write_block(self.nfilled * wpt, self._codec.encode(batch))
+        self.nfilled += fit
+        return fit
 
-    stealval: SymWord
-    comp: SymArray
-    buffer: SymArray
-    capacity: int
-    words_per_task: int = 1
-    max_epochs: int = 2
-    comp_slots: int = DEFAULT_COMP_SLOTS
-    #: Claimant-token array parallel to ``comp`` — a successful claim
-    #: records who holds it (rank + 1) before copying, so a crashed
-    #: thief's claim can be identified and voided.  Always reserved
-    #: (2 * comp_slots words is noise); only written in crash mode.
-    claimant: SymArray | None = None
 
-    @classmethod
-    def reserve(
-        cls,
-        heap: MpHeap,
-        prefix: str,
-        capacity: int,
-        words_per_task: int = 1,
-        max_epochs: int = 2,
-        comp_slots: int = DEFAULT_COMP_SLOTS,
-    ) -> "SwsQueueLayout":
-        """Lay the queue out on an unfrozen heap via the shmem allocator."""
-        if capacity >= 1 << 19:
-            # The stealval tail field stores start % 2^19; shim buffers
-            # must stay below that so the raw value is the buffer index.
-            raise ValueError(f"capacity must be < 2^19, got {capacity}")
-        alloc = SymmetricAllocator(heap, prefix)
-        stealval = alloc.word("stealval")
-        comp = alloc.array("comp", max_epochs * comp_slots)
-        buffer = alloc.array("buffer", capacity * words_per_task)
-        claimant = alloc.array("claimant", max_epochs * comp_slots)
-        alloc.commit()
-        return cls(stealval, comp, buffer, capacity, words_per_task,
-                   max_epochs, comp_slots, claimant)
+class _Layout:
+    """A queue's symmetric-heap footprint: picklable, and the factory of
+    its two views (``owner_class`` / ``thief_class``)."""
 
-    def owner(self, heap: MpHeap) -> "MpSwsQueue":
+    def owner(self, heap: MpHeap):
         """Owner-side queue object (construct in the owning process)."""
-        return MpSwsQueue(heap, self)
+        return self.owner_class(heap, self)
 
-    def thief(self, heap: MpHeap) -> "MpSwsThief":
+    def thief(self, heap: MpHeap):
         """Thief-side view (construct in any process)."""
-        return MpSwsThief(heap, self)
+        return self.thief_class(heap, self)
 
 
-class MpSwsQueue(_MpTaskBuffer, SwsShimCore):
-    """Owner-side SWS queue state over cross-process atomics."""
+# ======================================================================
+# SWS: the fused fetch-add stealval
+# ======================================================================
 
-    #: Dead-claimant oracle ``token -> bool`` (crash mode only): maps a
-    #: claimant token recorded by ``sws_steal_once`` to "that process is
-    #: dead".  The driver installs it; ``None`` keeps the historical
-    #: wait-forever-on-completion behaviour.
-    dead_claimant = None
+class _SwsWords(_MpTaskBuffer):
+    """The words both views of an SWS queue address."""
 
-    def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
+    #: ``has_work``'s verdict, cached against the raw word it decoded:
+    #: every claim changes the word, so a stale verdict is impossible.
+    _sv_raw = None
+    _sv_work = False
+
+    def _bind(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
         self._bind_buffer(heap, layout.buffer, layout.capacity,
                           layout.words_per_task)
-        self.nfilled = 0
         self.stealval = heap.ref(layout.stealval)
         self.comp = heap.slice(layout.comp)
-        if layout.claimant is not None:
-            self.claimant = heap.slice(layout.claimant)
+        self.comp_slots = layout.comp_slots
+        self.claimant = (
+            heap.slice(layout.claimant) if layout.claimant is not None
+            else None
+        )
+
+    def has_work(self) -> bool:
+        """Does the published allotment still hold unclaimed tasks?
+
+        Seqlock read: every stealval mutation goes through the locked
+        word API (which bumps the shadow sequence), so this skips the
+        stripe lock the thieves' claims are hammering.
+        """
+        raw = self.stealval.load_seq()
+        if raw != self._sv_raw:
+            self._sv_raw = raw
+            self._sv_work = DampingTracker.view_has_work(
+                StealValEpoch.unpack(raw))
+        return self._sv_work
+
+
+class MpSwsQueue(_SwsWords, SwsShimCore):
+    """Owner-side SWS queue state over cross-process atomics."""
+
+    #: Dead-claimant oracle ``token -> bool``: maps a claimant token
+    #: recorded by ``sws_steal_once`` to "that process is dead".  Only
+    #: consulted once a completion wait outlives ``stall_s``, and tokens
+    #: are only written by thieves armed for the crash regime.
+    dead_claimant = staticmethod(_dead_pid_token)
+
+    def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
+        self._bind(heap, layout)
+        self.nfilled = 0
         self._init_protocol(layout.max_epochs, layout.comp_slots)
 
     def _on_settle_stall(self) -> bool:
@@ -187,8 +222,7 @@ class MpSwsQueue(_MpTaskBuffer, SwsShimCore):
 
     def void_dead_claims(self) -> int:
         """Void unsettled claims whose claimant is dead; returns count."""
-        dead = self.dead_claimant
-        if dead is None or self.claimant is None:
+        if self.claimant is None:
             return 0
         voided = 0
         for rec in self._records:
@@ -201,7 +235,7 @@ class MpSwsQueue(_MpTaskBuffer, SwsShimCore):
                 if self.comp[base + i].load() == vols[i]:
                     continue
                 token = self.claimant[base + i].load()
-                if token and dead(token):
+                if token and self.dead_claimant(token):
                     disp = steal_displacement(rec["itasks"], i)
                     self.owner_kept.extend(
                         self._read_tasks(rec["start"] + disp, vols[i])
@@ -210,69 +244,26 @@ class MpSwsQueue(_MpTaskBuffer, SwsShimCore):
                     voided += 1
         return voided
 
-    def push(self, task) -> bool:
-        """Append one task's words at the fill cursor; False when full."""
-        if self.nfilled >= self.capacity:
-            return False
-        wpt = self.words_per_task
-        base = self.nfilled * wpt
-        if wpt == 1:
-            self._buf[base].store(task)
-        else:
-            if len(task) != wpt:
-                raise ValueError(
-                    f"task must be {wpt} words, got {len(task)}"
-                )
-            for j, word in enumerate(task):
-                self._buf[base + j].store(word)
-        self.nfilled += 1
-        return True
 
-    def push_all(self, tasks) -> int:
-        """Append many tasks in one bulk write; returns how many fit.
-
-        The fill region ``[nfilled, nfilled + fit)`` is unpublished
-        (``release`` exposes it later via a locked stealval store), so
-        the single-writer ``write_block`` contract holds.
-        """
-        tasks = list(tasks)
-        fit = min(len(tasks), self.capacity - self.nfilled)
-        if fit <= 0:
-            return 0
-        batch = tasks[:fit]
-        wpt = self.words_per_task
-        if wpt > 1:
-            for task in batch:
-                if len(task) != wpt:
-                    raise ValueError(
-                        f"task must be {wpt} words, got {len(task)}"
-                    )
-        self._buf.write_block(self.nfilled * wpt, self._codec.encode(batch))
-        self.nfilled += fit
-        return fit
-
-
-class MpSwsThief(_MpTaskBuffer):
+class MpSwsThief(_SwsWords):
     """Thief-side view: just enough shared words to claim blocks."""
 
-    #: Crash-mode hooks (inert by default): a nonzero ``claim_token``
-    #: (rank + 1) records ownership of each winning claim in the
-    #: victim's claimant array; ``intent(start, vol)`` durably records
-    #: the claimed buffer range before the copy so a thief crash after
-    #: the completion signal is recoverable by the supervisor.
+    #: Crash-mode hooks (inert until :meth:`arm_crash`): a nonzero
+    #: ``claim_token`` (the thief's pid) records ownership of each
+    #: winning claim in the victim's claimant array; ``intent(start,
+    #: vol)`` durably records the claimed buffer range before the copy
+    #: so a thief crash after the completion signal is recoverable by
+    #: the supervisor.
     claim_token: int = 0
     intent = None
 
     def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
-        self._bind_buffer(heap, layout.buffer, layout.capacity,
-                          layout.words_per_task)
-        self.stealval = heap.ref(layout.stealval)
-        self.comp = heap.slice(layout.comp)
-        self.comp_slots = layout.comp_slots
-        self.claimant = (
-            heap.slice(layout.claimant) if layout.claimant is not None
-            else None
-        )
+        self._bind(heap, layout)
+
+    def arm_crash(self, intent) -> None:
+        """Crash regime: record claimant tokens and steal intents."""
+        self.intent = intent
+        self.claim_token = os.getpid()
 
     def steal(self) -> ShimStealResult:
         """One fused discover+claim attempt (single remote fetch-add)."""
@@ -282,26 +273,89 @@ class MpSwsThief(_MpTaskBuffer):
             claim_token=self.claim_token, intent=self.intent,
         )
 
-    def probe(self) -> int:
-        """Read-only stealval fetch (damping's empty-mode probe).
+    def try_steal(self, tracker: DampingTracker, victim: int):
+        """One damped attempt (paper §4.3): ``(status, claimed)``.
 
-        Seqlock read: every stealval mutation goes through the locked
-        word API (which bumps the shadow sequence), so the probe skips
-        the stripe lock entirely.
+        A victim in empty mode is probed read-only first; when the probe
+        finds nothing the status is ``None`` — no attempt, no fetch-add
+        spent.  A claim that meets the locked word is ``DISABLED`` and
+        leaves the tracker alone; one that finds the allotment spent is
+        ``EMPTY`` and may demote the victim.
         """
-        return self.stealval.load_seq()
+        if tracker.mode(victim) is TargetMode.EMPTY:
+            tracker.note_probe(victim, self.has_work())
+            if tracker.mode(victim) is TargetMode.EMPTY:
+                return None, ()
+        res = self.steal()
+        if res.claimed:
+            tracker.note_success(victim)
+            return StealStatus.STOLEN, res.claimed
+        if res.aborted_locked:
+            return StealStatus.DISABLED, ()
+        tracker.note_failed_claim(victim, res.view)
+        return StealStatus.EMPTY, ()
+
+    def scavenge(self) -> list:
+        """Take over a dead owner's queue; return the unclaimed remainder.
+
+        The supervisor plays the owner's own close protocol: one swap to
+        the locked sentinel wins against every racing claim (a fetch-add
+        before the swap is counted in the closing view's ``asteals``;
+        one after it observes the sentinel and aborts).  Claims still in
+        flight are then settled or — when the claimant pid is dead —
+        voided, their ranges re-read from the still-valid buffer bytes.
+        """
+        view = StealValEpoch.unpack(
+            self.stealval.swap(StealValEpoch.locked_word()))
+        if view.locked:
+            # Already locked: a previous scavenge, or a death inside an
+            # owner-side critical window (unreachable from the seeded
+            # crash points, which only fire between tasks / post-claim /
+            # in die_holding).
+            return []
+        tasks: list = []
+        claims, disp, rem = owner_remainder(view.itasks, view.asteals)
+        if rem > 0:
+            tasks.extend(self._read_tasks(view.tail + disp, rem))
+        # Settle or void the outstanding claims so a respawned owner can
+        # safely reuse the completion rows.
+        vols = schedule(view.itasks)
+        base = view.epoch * self.comp_slots
+        backoff = Backoff(sleep_s=1e-5, max_sleep_s=1e-3, deadline_s=30.0)
+        for i in range(claims):
+            while self.comp[base + i].load() < vols[i]:
+                token = (self.claimant[base + i].load()
+                         if self.claimant is not None else 0)
+                if token and _dead_pid_token(token):
+                    d = steal_displacement(view.itasks, i)
+                    tasks.extend(self._read_tasks(view.tail + d, vols[i]))
+                    self.comp[base + i].store(vols[i])
+                    break
+                backoff.wait()
+        return tasks
 
 
 @dataclass(frozen=True)
-class SdcQueueLayout:
-    """Picklable symmetric-heap footprint of one mp SDC queue."""
+class SwsQueueLayout(_Layout):
+    """Picklable symmetric-heap footprint of one mp SWS queue."""
 
-    lock: SymWord
-    tail: SymWord
-    split: SymWord
+    stealval: SymWord
+    comp: SymArray
     buffer: SymArray
     capacity: int
     words_per_task: int = 1
+    max_epochs: int = 2
+    comp_slots: int = DEFAULT_COMP_SLOTS
+    #: Claimant-token array parallel to ``comp`` — a successful claim
+    #: records who holds it (the thief's pid) before copying, so a
+    #: crashed thief's claim can be identified and voided.  Always
+    #: reserved (2 * comp_slots words is noise); only written in crash
+    #: mode.
+    claimant: SymArray | None = None
+
+    exactly_once = True
+    owner_class = MpSwsQueue
+    thief_class = MpSwsThief
 
     @classmethod
     def reserve(
@@ -310,37 +364,92 @@ class SdcQueueLayout:
         prefix: str,
         capacity: int,
         words_per_task: int = 1,
-    ) -> "SdcQueueLayout":
+        max_epochs: int = 2,
+        comp_slots: int = DEFAULT_COMP_SLOTS,
+    ) -> "SwsQueueLayout":
+        """Lay the queue out on an unfrozen heap via the shmem allocator."""
+        if capacity >= 1 << 19:
+            # The stealval tail field stores start % 2^19; shim buffers
+            # must stay below that so the raw value is the buffer index.
+            raise ValueError(f"capacity must be < 2^19, got {capacity}")
+        alloc = SymmetricAllocator(heap, prefix)
+        stealval = alloc.word("stealval")
+        comp = alloc.array("comp", max_epochs * comp_slots)
+        buffer = alloc.array("buffer", capacity * words_per_task)
+        claimant = alloc.array("claimant", max_epochs * comp_slots)
+        alloc.commit()
+        return cls(stealval, comp, buffer, capacity, words_per_task,
+                   max_epochs, comp_slots, claimant)
+
+    @property
+    def lock_word(self) -> SymWord:
+        """The owner's swap-to-locked is SWS's only lock."""
+        return self.stealval
+
+
+# ======================================================================
+# The [tail, split) shared section: SDC under its lock, ff-mult bare
+# ======================================================================
+
+class _TailSplitLayout(_Layout):
+    """Reserves its ``WORDS`` (in order), then the task buffer."""
+
+    @classmethod
+    def reserve(cls, heap: MpHeap, prefix: str, capacity: int,
+                words_per_task: int = 1):
         """Lay the queue out on an unfrozen heap via the shmem allocator."""
         alloc = SymmetricAllocator(heap, prefix)
-        lock = alloc.word("lock")
-        tail = alloc.word("tail")
-        split = alloc.word("split")
+        words = [alloc.word(name) for name in cls.WORDS]
         buffer = alloc.array("buffer", capacity * words_per_task)
         alloc.commit()
-        return cls(lock, tail, split, buffer, capacity, words_per_task)
-
-    def owner(self, heap: MpHeap) -> "MpSdcQueue":
-        """Owner-side queue object (construct in the owning process)."""
-        return MpSdcQueue(heap, self)
-
-    def thief(self, heap: MpHeap) -> "MpSdcThief":
-        """Thief-side view (construct in any process)."""
-        return MpSdcThief(heap, self)
+        return cls(*words, buffer, capacity, words_per_task)
 
 
-def _dead_pid_token(token: int) -> bool:
-    """Dead-holder oracle for pid lock tokens (SDC takeover path).
+class _TailSplitWords(_MpTaskBuffer):
+    """The words both views of a ``[tail, split)`` queue address."""
 
-    The mp SDC lock word holds its owner's pid, so "is the holder dead"
-    is a signal-0 probe.  Pid recycling within one run would mask a
-    death; astronomically unlikely at these process counts and run
-    lengths, and the cost would be a diagnosed stall, not corruption.
-    """
-    return not pid_alive(token)
+    def _bind(self, heap: MpHeap, layout) -> None:
+        self._bind_buffer(heap, layout.buffer, layout.capacity,
+                          layout.words_per_task)
+        self.tail = heap.ref(layout.tail)
+        self.split = heap.ref(layout.split)
+
+    def has_work(self) -> bool:
+        """Does ``[tail, split)`` hold tasks?  Two seqlock reads."""
+        return self.split.load_seq() - self.tail.load_seq() > 0
 
 
-class MpSdcQueue(_MpTaskBuffer, SdcShimCore):
+class _TailSplitThief(_TailSplitWords):
+    """Thief side of a ``[tail, split)`` queue: no damping, so the
+    tracker is never consulted."""
+
+    #: Crash-mode range-intent hook (see :class:`MpSwsThief`).
+    intent = None
+
+    def arm_crash(self, intent) -> None:
+        """Crash regime: record steal intents."""
+        self.intent = intent
+
+    def try_steal(self, tracker: DampingTracker, victim: int):
+        """One attempt: ``(status, claimed)``; ``LOCKED_ABORT`` when the
+        queue lock outlasted the spin budget."""
+        res = self.steal()
+        if res.claimed:
+            return StealStatus.STOLEN, res.claimed
+        return (StealStatus.EMPTY if res.empty
+                else StealStatus.LOCKED_ABORT), ()
+
+    def scavenge(self) -> list:
+        """Absorb a dead owner's shared section ``[tail, split)``."""
+        t, s = self.tail.load(), self.split.load()
+        if s <= t:
+            return []
+        tasks = self._read_tasks(t, s - t)
+        self.tail.store(s)
+        return tasks
+
+
+class MpSdcQueue(_TailSplitWords, SdcShimCore):
     """Owner-side SDC (lock-based) queue over cross-process atomics.
 
     The lock word carries this process's *pid* as its token, so any
@@ -355,43 +464,99 @@ class MpSdcQueue(_MpTaskBuffer, SdcShimCore):
     dead_holder = staticmethod(_dead_pid_token)
 
     def __init__(self, heap: MpHeap, layout: SdcQueueLayout) -> None:
-        self._bind_buffer(heap, layout.buffer, layout.capacity,
-                          layout.words_per_task)
+        self._bind(heap, layout)
         self.nfilled = 0
         self.lock = heap.ref(layout.lock)
-        self.tail = heap.ref(layout.tail)
-        self.split = heap.ref(layout.split)
         self.lock_token = os.getpid()
         self._init_protocol()
 
-    push = MpSwsQueue.push
-    push_all = MpSwsQueue.push_all
 
-
-class MpSdcThief(_MpTaskBuffer):
+class MpSdcThief(_TailSplitThief):
     """Thief-side view of an mp SDC queue."""
 
-    #: Crash-mode range-intent hook (see :class:`MpSwsThief`).
-    intent = None
+    #: Lock spins before an attempt gives up as ``LOCKED_ABORT``.
+    max_spins = 200
 
     def __init__(self, heap: MpHeap, layout: SdcQueueLayout) -> None:
-        self._bind_buffer(heap, layout.buffer, layout.capacity,
-                          layout.words_per_task)
+        self._bind(heap, layout)
         self.lock = heap.ref(layout.lock)
-        self.tail = heap.ref(layout.tail)
-        self.split = heap.ref(layout.split)
 
-    def steal(self, max_spins: int = 10_000) -> ShimStealResult:
+    def steal(self) -> ShimStealResult:
         """One lock-protected steal-half attempt."""
         return sdc_steal_once(
-            self.lock, self.tail, self.split, self._read_tasks, max_spins,
-            token=os.getpid(), dead_holder=_dead_pid_token,
+            self.lock, self.tail, self.split, self._read_tasks,
+            self.max_spins, token=os.getpid(), dead_holder=_dead_pid_token,
             intent=self.intent,
         )
 
+    def scavenge(self) -> list:
+        """Take the lock (over a dead holder if need be), then absorb."""
+        token = os.getpid()
+        backoff = Backoff(sleep_s=1e-5, max_sleep_s=1e-3, deadline_s=30.0)
+        while True:
+            holder = self.lock.compare_swap(0, token)
+            if holder == 0:
+                break
+            if (_dead_pid_token(holder)
+                    and self.lock.compare_swap(holder, token) == holder):
+                break
+            backoff.wait()
+        try:
+            return super().scavenge()
+        finally:
+            self.lock.store(0)
+
 
 @dataclass(frozen=True)
-class FfMultQueueLayout:
+class SdcQueueLayout(_TailSplitLayout):
+    """Picklable symmetric-heap footprint of one mp SDC queue."""
+
+    lock: SymWord
+    tail: SymWord
+    split: SymWord
+    buffer: SymArray
+    capacity: int
+    words_per_task: int = 1
+
+    WORDS = ("lock", "tail", "split")
+    exactly_once = True
+    owner_class = MpSdcQueue
+    thief_class = MpSdcThief
+
+    @property
+    def lock_word(self) -> SymWord:
+        return self.lock
+
+
+class MpFfMultQueue(_TailSplitWords, FfMultShimCore):
+    """Owner-side fence-free multiplicity queue over shared memory.
+
+    No lock word at all: the owner repairs the tail and absorbs the
+    shared remainder with plain stores — across threads or address
+    spaces a stale thief store can re-expose consumed indices, producing
+    the duplicates the at-least-once contract allows (the hammers check
+    set-coverage, not partition).
+    """
+
+    def __init__(self, heap: MpHeap, layout: FfMultQueueLayout) -> None:
+        self._bind(heap, layout)
+        self.nfilled = 0
+        self._init_protocol()
+
+
+class MpFfMultThief(_TailSplitThief):
+    """Thief-side view of an mp ff-mult queue (no atomic RMW at all)."""
+
+    def __init__(self, heap: MpHeap, layout: FfMultQueueLayout) -> None:
+        self._bind(heap, layout)
+
+    def steal(self) -> ShimStealResult:
+        """One fence-free attempt: two plain reads, one plain store."""
+        return ffmult_steal_once(self.tail, self.split, self._read_tasks)
+
+
+@dataclass(frozen=True)
+class FfMultQueueLayout(_TailSplitLayout):
     """Picklable symmetric-heap footprint of one mp ff-mult queue."""
 
     tail: SymWord
@@ -400,80 +565,62 @@ class FfMultQueueLayout:
     capacity: int
     words_per_task: int = 1
 
-    @classmethod
-    def reserve(
-        cls,
-        heap: MpHeap,
-        prefix: str,
-        capacity: int,
-        words_per_task: int = 1,
-    ) -> "FfMultQueueLayout":
-        """Lay the queue out on an unfrozen heap via the shmem allocator."""
-        alloc = SymmetricAllocator(heap, prefix)
-        tail = alloc.word("tail")
-        split = alloc.word("split")
-        buffer = alloc.array("buffer", capacity * words_per_task)
-        alloc.commit()
-        return cls(tail, split, buffer, capacity, words_per_task)
-
-    def owner(self, heap: MpHeap) -> "MpFfMultQueue":
-        """Owner-side queue object (construct in the owning process)."""
-        return MpFfMultQueue(heap, self)
-
-    def thief(self, heap: MpHeap) -> "MpFfMultThief":
-        """Thief-side view (construct in any process)."""
-        return MpFfMultThief(heap, self)
+    #: Racing thieves may hand a task out twice: the PE driver's
+    #: created/completed books cannot close over it.
+    WORDS = ("tail", "split")
+    exactly_once = False
+    owner_class = MpFfMultQueue
+    thief_class = MpFfMultThief
 
 
-class MpFfMultQueue(_MpTaskBuffer, FfMultShimCore):
-    """Owner-side fence-free multiplicity queue over shared memory.
+#: Protocol name -> layout: the one place a name turns into code.  The
+#: registry's ``Protocol.mp_impl`` names an entry; the PE driver and the
+#: serving feeders take the ``exactly_once`` ones.
+LAYOUTS = {
+    "sws": SwsQueueLayout,
+    "sdc": SdcQueueLayout,
+    "ff-mult": FfMultQueueLayout,
+}
 
-    No lock word at all: the owner repairs the tail and absorbs the
-    shared remainder with plain stores, exactly like the thread shim —
-    across address spaces a stale thief store can still re-expose
-    consumed indices, producing the duplicates the at-least-once
-    contract allows (the hammer checks set-coverage, not partition).
+
+def layout_class(impl: str):
+    """``LAYOUTS[impl]``, or a ValueError naming the choices."""
+    try:
+        return LAYOUTS[impl]
+    except KeyError:
+        raise ValueError(
+            f"impl must be {'|'.join(LAYOUTS)}, got {impl!r}") from None
+
+
+@contextmanager
+def in_process_queue(impl: str, tasks):
+    """An owner queue of ``impl`` holding ``tasks``, on a heap of this
+    process only — the threads backend's substrate.
+
+    The heap's lifetime is the :class:`~repro.mp.fleet.Fleet`'s, with no
+    child ever spawned: it is unlinked when the ``with`` block exits,
+    however it exits.
     """
-
-    def __init__(self, heap: MpHeap, layout: FfMultQueueLayout) -> None:
-        self._bind_buffer(heap, layout.buffer, layout.capacity,
-                          layout.words_per_task)
-        self.nfilled = 0
-        self.tail = heap.ref(layout.tail)
-        self.split = heap.ref(layout.split)
-        self._init_protocol()
-
-    push = MpSwsQueue.push
-    push_all = MpSwsQueue.push_all
-
-
-class MpFfMultThief(_MpTaskBuffer):
-    """Thief-side view of an mp ff-mult queue (no atomic RMW at all)."""
-
-    def __init__(self, heap: MpHeap, layout: FfMultQueueLayout) -> None:
-        self._bind_buffer(heap, layout.buffer, layout.capacity,
-                          layout.words_per_task)
-        self.tail = heap.ref(layout.tail)
-        self.split = heap.ref(layout.split)
-
-    def steal(self) -> ShimStealResult:
-        """One fence-free attempt: two plain reads, one plain store."""
-        return ffmult_steal_once(self.tail, self.split, self._read_tasks)
+    tasks = list(tasks)
+    with Fleet(f"{impl} queue", layout_class(impl), 1,
+               max(1, len(tasks))) as fleet:
+        queue = fleet.layouts[0].owner(fleet.heap)
+        queue.push_all(tasks)
+        yield queue
 
 
 # ======================================================================
-# The cross-process hammer (mirror of repro.threads.queue_shim.hammer)
+# The cross-process hammer (repro.threads.protocol.hammer races threads)
 # ======================================================================
 
-def _hammer_thief(idx, heap, layout, stop_addr, impl, stall_s) -> list:
+def _hammer_thief(idx, heap, layout, stop_addr, stall_s) -> list:
     """Thief child: race claims until the owner raises the stop flag."""
     stop = heap.ref(stop_addr)
     thief = layout.thief(heap)
     loot: list = []
     backoff = Backoff(sleep_s=1e-6, max_sleep_s=1e-4, deadline_s=stall_s)
     while not stop.load_seq():
-        res = (thief.steal(max_spins=100) if impl == "sdc"
-               else thief.steal())
+        res = thief.steal()
         if res.claimed:
             loot.extend(res.claimed)
             backoff.reset()
@@ -508,21 +655,14 @@ def hammer_mp(
     instead of hanging CI until the job timeout guesses for it, and
     whatever the owner raises, no thief outlives the call.
     """
-    layout_classes = {
-        "sws": SwsQueueLayout,
-        "sdc": SdcQueueLayout,
-        "ff-mult": FfMultQueueLayout,
-    }
-    if impl not in layout_classes:
-        raise ValueError(f"impl must be sws|sdc|ff-mult, got {impl!r}")
-    with Fleet("mp hammer", layout_classes[impl], 1, len(tasks),
+    with Fleet("mp hammer", layout_class(impl), 1, len(tasks),
                ctl=("stop",)) as fleet:
         layout, stop_addr = fleet.layouts[0], fleet.ctl["stop"]
         queue = layout.owner(fleet.heap)
         queue.stall_s = stall_s
         queue.push_all(tasks)
         for i in range(nthieves):
-            fleet.spawn(i, _hammer_thief, layout, stop_addr, impl, stall_s)
+            fleet.spawn(i, _hammer_thief, layout, stop_addr, stall_s)
         _, kept = race(queue, 0, max(1, len(tasks) // releases), acquires)
         fleet.heap.ref(stop_addr).store(1)
         fleet.collect(join_timeout)

@@ -30,22 +30,19 @@ in-flight journal, intent, victim buffer, inbox) or already fingerprint
 -logged — at-least-once, with duplicates absorbed by the accounting,
 never silent loss.
 
-The supervisor-side scavengers live here too: :func:`scavenge_rank`
-pulls a dead PE's shared-queue remainder (via the protocol's own lock /
-swap-to-locked paths, so live thieves race it safely), ring, journal,
-intent and undrained inbox into a list of payloads ready to re-inject.
+The supervisor-side scavenger lives here too: :func:`scavenge_rank`
+pulls a dead PE's shared-queue remainder (the thief view's
+``scavenge``, through the protocol's own lock / swap-to-locked paths, so
+live thieves race it safely), ring, journal, intent and undrained inbox
+into a list of payloads ready to re-inject.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from ..core.steal_half import schedule, steal_displacement
-from ..core.stealval import StealValEpoch, owner_remainder
 from ..shmem.heap import SymArray, SymWord, SymmetricAllocator
-from ..threads.protocol import Backoff, RecordCodec
-from .atomics import pid_alive
+from ..threads.protocol import RecordCodec
 from .errors import RingOverflowError
 from .heap import MpHeap
 
@@ -384,74 +381,7 @@ class PeRegions:
 # Supervisor-side scavenging
 # ----------------------------------------------------------------------
 
-def _scavenge_sws_queue(heap: MpHeap, layout) -> list:
-    """Take over a dead owner's SWS queue; return the unclaimed remainder.
-
-    The supervisor plays the owner's own close protocol: one swap to the
-    locked sentinel wins against every racing claim (a fetch-add before
-    the swap is counted in the closing view's ``asteals``; one after it
-    observes the sentinel and aborts).  Claims still in flight are then
-    settled or — when the claimant pid is dead — voided, their ranges
-    re-read from the still-valid buffer bytes.
-    """
-    thief = layout.thief(heap)
-    old = heap.ref(layout.stealval).swap(StealValEpoch.locked_word())
-    view = StealValEpoch.unpack(old)
-    if view.locked:
-        # Already locked: a previous scavenge, or a death inside an
-        # owner-side critical window (unreachable from the seeded crash
-        # points, which only fire between tasks / post-claim / in
-        # die_holding).
-        return []
-    tasks: list = []
-    claims, disp, rem = owner_remainder(view.itasks, view.asteals)
-    if rem > 0:
-        tasks.extend(thief._read_tasks(view.tail + disp, rem))
-    # Settle or void the outstanding claims so a respawned owner can
-    # safely reuse the completion rows.
-    vols = schedule(view.itasks)
-    base = view.epoch * thief.comp_slots
-    backoff = Backoff(sleep_s=1e-5, max_sleep_s=1e-3, deadline_s=30.0)
-    for i in range(claims):
-        while thief.comp[base + i].load() < vols[i]:
-            token = (thief.claimant[base + i].load()
-                     if thief.claimant is not None else 0)
-            if token and not pid_alive(token):
-                d = steal_displacement(view.itasks, i)
-                tasks.extend(thief._read_tasks(view.tail + d, vols[i]))
-                thief.comp[base + i].store(vols[i])
-                break
-            backoff.wait()
-    return tasks
-
-
-def _scavenge_sdc_queue(heap: MpHeap, layout) -> list:
-    """Take over a dead owner's SDC queue; return the shared remainder."""
-    thief = layout.thief(heap)
-    lock = heap.ref(layout.lock)
-    token = os.getpid()
-    backoff = Backoff(sleep_s=1e-5, max_sleep_s=1e-3, deadline_s=30.0)
-    while True:
-        holder = lock.compare_swap(0, token)
-        if holder == 0:
-            break
-        if not pid_alive(holder):
-            if lock.compare_swap(holder, token) == holder:
-                break
-        backoff.wait()
-    try:
-        t = heap.ref(layout.tail).load()
-        s = heap.ref(layout.split).load()
-        if s <= t:
-            return []
-        tasks = thief._read_tasks(t, s - t)
-        heap.ref(layout.tail).store(s)
-        return tasks
-    finally:
-        lock.store(0)
-
-
-def scavenge_rank(heap: MpHeap, layouts, impl: str, regions: CrashRegions,
+def scavenge_rank(heap: MpHeap, layouts, regions: CrashRegions,
                   rank: int) -> tuple[list, dict[str, int]]:
     """Everything a dead ``rank`` still owed the computation.
 
@@ -464,10 +394,7 @@ def scavenge_rank(heap: MpHeap, layouts, impl: str, regions: CrashRegions,
     tasks: list = []
     breakdown: dict[str, int] = {}
 
-    if impl == "sws":
-        got = _scavenge_sws_queue(heap, layouts[rank])
-    else:
-        got = _scavenge_sdc_queue(heap, layouts[rank])
+    got = layouts[rank].thief(heap).scavenge()
     breakdown["queue"] = len(got)
     tasks.extend(got)
 

@@ -8,9 +8,9 @@ module gives every steal protocol one registered description so
 ``--protocol`` composes with every backend, workload, scheduler, and
 oracle:
 
-* **queue layout + owner/thief cores** — lazy factories for the fabric
-  queue system and the threads-shim queue, plus the name the
-  multiprocess hammer knows the protocol by;
+* **queue layout + owner/thief cores** — a lazy factory for the fabric
+  queue system, plus the shared-memory layout the two real-time
+  substrates (threads, processes) run it on;
 * **semantics contract** — *exactly-once* (every spawned task executes
   exactly once; checksums and partitions must match bit-for-bit across
   backends) or *at-least-once-with-multiplicity* (duplicates are legal
@@ -113,12 +113,10 @@ class Protocol:
         model by default (localized stealing).
     comms_total / comms_blocking:
         One-sided fabric operations per successful steal (Fig. 2 style).
-    threads_queue:
-        Lazy factory ``(tasks, **kw) -> shim queue`` for the real-thread
-        backend, or ``None`` when the protocol has no thread shim.
     mp_impl:
-        The name :func:`repro.mp.queue.hammer_mp` runs this protocol
-        under, or ``None`` when it has no multiprocess substrate.
+        The :data:`repro.mp.queue.LAYOUTS` entry the threads and mp
+        backends run this protocol on (both hammers take it as
+        ``impl``), or ``None`` when it has no real-time substrate.
     notes:
         Free-form remarks for docs/tables.
     """
@@ -134,7 +132,6 @@ class Protocol:
     tiered: bool = False
     comms_total: int = 0
     comms_blocking: int = 0
-    threads_queue: Callable | None = None
     mp_impl: str | None = None
     notes: str = ""
 
@@ -173,9 +170,8 @@ def all_protocols() -> tuple[Protocol, ...]:
 # ----------------------------------------------------------------------
 # Lazy backend factories.  Each names a class by module and imports it on
 # first call, so that merely importing the registry (to list the protocol
-# names, say) never drags in a queue module, the fabric under it, or
-# threading machinery: a pool compiles the one protocol it runs, when it
-# is built.
+# names, say) never drags in a queue module or the fabric under it: a
+# pool compiles the one protocol it runs, when it is built.
 # ----------------------------------------------------------------------
 def _by_name(module: str, attr: str) -> Callable:
     def build(*args, **kw):
@@ -188,9 +184,6 @@ _fabric_sws = _by_name("..core.sws_queue", "SwsQueueSystem")
 _fabric_sws_v1 = _by_name("..core.sws_v1_queue", "SwsV1QueueSystem")
 _fabric_sdc = _by_name("..core.sdc_queue", "SdcQueueSystem")
 _fabric_ffmult = _by_name("..core.ffmult_queue", "FfMultQueueSystem")
-_threads_sws = _by_name("..threads.queue_shim", "ThreadSwsQueue")
-_threads_sdc = _by_name("..threads.sdc_shim", "ThreadSdcQueue")
-_threads_ffmult = _by_name("..threads.ffmult_shim", "ThreadFfMultQueue")
 
 
 register_protocol(
@@ -203,7 +196,6 @@ register_protocol(
         supports_faults=True,
         comms_total=3,
         comms_blocking=2,
-        threads_queue=_threads_sws,
         mp_impl="sws",
         notes="paper's protocol; epoch-sliced completion array",
     )
@@ -232,7 +224,6 @@ register_protocol(
         supports_faults=True,
         comms_total=6,
         comms_blocking=5,
-        threads_queue=_threads_sdc,
         mp_impl="sdc",
         notes="lock-based; aborting steals; per-seq completion ring",
     )
@@ -248,7 +239,6 @@ register_protocol(
         supports_faults=False,
         comms_total=3,
         comms_blocking=3,
-        threads_queue=_threads_ffmult,
         mp_impl="ff-mult",
         notes="no atomics on the steal path; duplicates legal, accounted",
     )
@@ -266,7 +256,6 @@ register_protocol(
         tiered=True,
         comms_total=3,
         comms_blocking=2,
-        threads_queue=_threads_sws,
         mp_impl="sws",
         notes="SWS steal core + tier-biased victims over socket/node/rack",
     )

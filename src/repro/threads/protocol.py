@@ -1,12 +1,11 @@
-"""Backend-agnostic SWS / SDC shim protocol cores.
+"""Backend-agnostic SWS / SDC / ff-mult shim protocol cores.
 
-The stealval claim protocol validated under real threads
-(:mod:`repro.threads.queue_shim`) and under real OS processes
-(:mod:`repro.mp.queue`) is *the same algorithm*; only the atomic
-substrate differs — :class:`~repro.threads.atomics.AtomicWord64` for
-threads, striped-lock shared-memory words for processes.  This module
-holds the substrate-independent halves so neither backend carries a
-copy:
+The stealval claim protocol validated under real threads and under real
+OS processes is *the same algorithm over the same words*: both
+real-time substrates bind these cores to shared-memory words once, in
+:mod:`repro.mp.queue` — threads race an owner on a heap of their own
+process, processes race it across address spaces.  This module holds
+the substrate-independent halves:
 
 * :class:`SwsShimCore` — the owner's release / acquire / close / reopen
   / settle bookkeeping and the epoch-array completion discipline;
@@ -38,9 +37,9 @@ need them:
 * :class:`Backoff` — adaptive spin → yield → exponential-sleep waiter
   for polling loops (idle workers, completion waits), replacing
   fixed-interval sleeps that either burn CPU or add latency;
-* :func:`race` — the owner/thief race harness every hammer and the
+* :func:`race` — the owner/thief race harness both hammers and the
   serving feeder run, so a new protocol needs a queue class and no
-  harness of its own.
+  harness of its own; :func:`hammer` is its thread-thief form.
 """
 
 from __future__ import annotations
@@ -141,10 +140,6 @@ class Backoff:
         self._n = 0
         self._t0 = None
 
-    def elapsed(self) -> float:
-        """Seconds spent in the current no-progress stretch."""
-        return 0.0 if self._t0 is None else time.monotonic() - self._t0
-
     def wait(self) -> None:
         n = self._n
         self._n = n + 1
@@ -224,6 +219,29 @@ def race(queue, nthieves: int, chunk: int, acquires: int, *,
         for t in threads:
             t.join(timeout=5.0)
     return loot, queue.owner_kept
+
+
+def hammer(
+    tasks: list[int],
+    nthieves: int = 4,
+    releases: int = 8,
+    acquires: int = 3,
+    impl: str = "sws",
+) -> tuple[list[list[int]], list[int]]:
+    """Race harness: one owner, N thief *threads* (the process-thief
+    form is :func:`repro.mp.queue.hammer_mp`, same arguments).
+
+    The queue is ``impl``'s shared-memory layout on a heap of this
+    process only.  Returns ``(per-thief loot, owner-kept tasks)``: for
+    the exactly-once protocols their disjoint union equals ``tasks``,
+    for ``ff-mult`` it covers them.
+    """
+    # Imported here: the layouts are bound to the cores of this module.
+    from ..mp.queue import in_process_queue
+
+    with in_process_queue(impl, tasks) as queue:
+        return race(queue, nthieves, max(1, len(tasks) // releases),
+                    acquires)
 
 
 @dataclass
@@ -606,6 +624,9 @@ class SdcShimCore(TailSplitShimCore):
     lock_token: int = 1
     dead_holder = None
 
+    #: Lock spins before a thief attempt gives up empty-handed.
+    max_spins = 10_000
+
     def _init_protocol(self) -> None:
         self.lock.store(0)
         super()._init_protocol()
@@ -615,11 +636,12 @@ class SdcShimCore(TailSplitShimCore):
     drain = _under_lock(TailSplitShimCore.drain)
 
     # -- thief ---------------------------------------------------------
-    def steal(self, max_spins: int = 10_000) -> ShimStealResult:
+    def steal(self) -> ShimStealResult:
         """One lock-protected steal-half attempt."""
         return sdc_steal_once(
-            self.lock, self.tail, self.split, self._read_tasks, max_spins,
-            token=self.lock_token, dead_holder=self.dead_holder,
+            self.lock, self.tail, self.split, self._read_tasks,
+            self.max_spins, token=self.lock_token,
+            dead_holder=self.dead_holder,
         )
 
 

@@ -1,4 +1,4 @@
-"""Open-system serving over the real-thread shim substrate.
+"""Open-system serving over the real-thread substrate.
 
 The threads backend has no virtual clock, so the arrival trace is
 replayed by *order*, not by tick: the owner thread doubles as the
@@ -19,13 +19,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..mp.queue import LAYOUTS, in_process_queue
 from ..runtime.arrivals import ArrivalProcess, parse_arrival_spec, serving_checksum
 from ..runtime.stats import QuantileSketch, ServingStats
 from .protocol import race
-from .queue_shim import ThreadSwsQueue
-from .sdc_shim import ThreadSdcQueue
 
-_QUEUES = {"sws": ThreadSwsQueue, "sdc": ThreadSdcQueue}
+#: Serving books close on exactly-once protocols only.
+_QUEUES = {name: cls for name, cls in LAYOUTS.items() if cls.exactly_once}
 
 
 @dataclass
@@ -35,12 +35,6 @@ class ThreadServeResult:
     serving: ServingStats
     loot: list[list[int]] = field(default_factory=list)
     kept: list[int] = field(default_factory=list)
-
-    @property
-    def completed_seqs(self) -> list[int]:
-        out = [s for chunk in self.loot for s in chunk]
-        out.extend(self.kept)
-        return out
 
 
 class _StampedKept(list):
@@ -67,7 +61,7 @@ def run_serve_threads(
     pace_s: float = 2e-5,
     acquires: int = 2,
 ) -> ThreadServeResult:
-    """Replay one arrival trace through the thread shim queues.
+    """Replay one arrival trace through an in-process shim queue.
 
     Every emitted arrival is injected (no shedding on this substrate);
     the disjoint union of thief loot and owner-kept tasks must equal the
@@ -80,7 +74,6 @@ def run_serve_threads(
     else:
         process = arrival
     n = process.emitted
-    queue = _QUEUES[impl](list(range(n)))
     sketch = QuantileSketch()
     slo_ns = int(slo_s * 1e9)
     slo_attained = 0
@@ -102,18 +95,20 @@ def run_serve_threads(
             release_ns[s] = now
 
     # The feeder: inject the trace in arrival order, batch by batch.
-    queue.owner_kept = _StampedKept(note_complete)
-    loot, kept = race(
-        queue, nthieves, max(1, (n + nbatches - 1) // nbatches), acquires,
-        pace_s=pace_s, on_release=stamp_release,
-        on_claim=lambda idx, res: note_complete(
-            res.claimed, time.monotonic_ns()),
-    )
+    with in_process_queue(impl, range(n)) as queue:
+        queue.owner_kept = _StampedKept(note_complete)
+        loot, kept = race(
+            queue, nthieves, max(1, (n + nbatches - 1) // nbatches), acquires,
+            pace_s=pace_s, on_release=stamp_release,
+            on_claim=lambda idx, res: note_complete(
+                res.claimed, time.monotonic_ns()),
+        )
+        injected = queue.cursor
     kept = list(kept)
     completed = [s for chunk in loot for s in chunk] + kept
     serving = ServingStats(
         emitted=n,
-        injected=queue.cursor,
+        injected=injected,
         shed=0,
         completed=len(completed),
         slo_ticks=slo_ns,

@@ -13,7 +13,7 @@ the same observable record::
     }
 
 The conformance tests assert these agree across the discrete-event
-fabric, the thread shim, and the multiprocess substrate: the schedule
+fabric, the threads backend, and the multiprocess substrate: the schedule
 arithmetic is a pure function of (itasks, asteals), so every backend
 must produce the §4 golden volumes {75, 37, 19, 9, 5, 2, 1, 1, 1}
 exactly, conserve the task set, and account 150 completed tasks.
@@ -79,12 +79,13 @@ def golden_fabric() -> dict:
 
 
 def golden_threads() -> dict:
-    """The scenario on the in-process thread shim (real atomics)."""
-    from repro.threads.queue_shim import ThreadSwsQueue
+    """The scenario on the threads backend: the SWS layout on a heap of
+    this process, the owner's own ``steal`` as the thief."""
+    from repro.mp.queue import in_process_queue
 
-    queue = ThreadSwsQueue(list(range(NTOTAL)))
-    queue.release(NTOTAL // 2)
-    return _drain_shim(queue)
+    with in_process_queue("sws", range(NTOTAL)) as queue:
+        queue.release(NTOTAL // 2)
+        return _drain_shim(queue)
 
 
 def golden_mp() -> dict:
@@ -150,8 +151,8 @@ BACKENDS = {
 # Protocol × backend matrix runners
 # ======================================================================
 
-#: Protocols the matrix drives on every substrate (sws-v1 has no thread
-#: or mp shim, so it stays out of the cross-backend rows).
+#: Protocols the matrix drives on every substrate (sws-v1 has no
+#: shared-memory layout, so it stays out of the cross-backend rows).
 MATRIX_PROTOCOLS = ("sws", "sdc", "localized", "ff-mult")
 
 
@@ -205,33 +206,26 @@ def protocol_fabric(protocol_name: str) -> dict:
 
 
 def protocol_threads(protocol_name: str) -> dict:
-    """One protocol's golden scenario on the in-process thread shim."""
+    """One protocol's golden scenario on the threads backend."""
+    from repro.mp.queue import in_process_queue
     from repro.runtime.protocols import get_protocol
 
     protocol = get_protocol(protocol_name)
-    assert protocol.threads_queue is not None, protocol_name
-    queue = protocol.threads_queue(list(range(NTOTAL)))
-    queue.release(NTOTAL // 2)
-    return _drain_any(queue)
+    assert protocol.mp_impl is not None, protocol_name
+    with in_process_queue(protocol.mp_impl, range(NTOTAL)) as queue:
+        queue.release(NTOTAL // 2)
+        return _drain_any(queue)
 
 
 def protocol_mp(protocol_name: str) -> dict:
     """One protocol's golden scenario on the multiprocess substrate."""
     from repro.mp.heap import MpHeap
-    from repro.mp.queue import (
-        FfMultQueueLayout,
-        SdcQueueLayout,
-        SwsQueueLayout,
-    )
+    from repro.mp.queue import LAYOUTS
     from repro.runtime.protocols import get_protocol
 
     protocol = get_protocol(protocol_name)
     assert protocol.mp_impl is not None, protocol_name
-    layout_cls = {
-        "sws": SwsQueueLayout,
-        "sdc": SdcQueueLayout,
-        "ff-mult": FfMultQueueLayout,
-    }[protocol.mp_impl]
+    layout_cls = LAYOUTS[protocol.mp_impl]
     heap = MpHeap()
     layout = layout_cls.reserve(heap, "confmx", capacity=NTOTAL)
     heap.freeze()

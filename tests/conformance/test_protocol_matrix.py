@@ -1,6 +1,6 @@
 """Protocol × backend conformance matrix.
 
-Every registered protocol with thread and multiprocess shims runs the
+Every registered protocol with a shared-memory layout runs the
 golden §4 scenario — a 150-task allotment of 300 enqueued tasks drained
 by a single thief — on all three substrates.  The contract checked
 depends on the protocol's declared semantics:
@@ -51,11 +51,7 @@ def test_matrix_protocols_match_registry():
     """The matrix rows cover exactly the multi-substrate protocols."""
     from repro.runtime.protocols import all_protocols
 
-    expected = {
-        p.name
-        for p in all_protocols()
-        if p.threads_queue is not None and p.mp_impl is not None
-    }
+    expected = {p.name for p in all_protocols() if p.mp_impl is not None}
     assert set(MATRIX_PROTOCOLS) == expected
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import signal
+from contextlib import ExitStack
 
 import pytest
 
@@ -67,6 +68,18 @@ def rec_id(record: bytes) -> int:
 def impl(request):
     """Parametrize a test over both queue implementations."""
     return request.param
+
+
+@pytest.fixture
+def shim_queue():
+    """``shim_queue(impl, tasks)``: the threads backend's queue — the mp
+    layout ``impl`` names, owned on an in-process heap holding ``tasks``.
+    Every heap made is unlinked at teardown."""
+    from repro.mp.queue import in_process_queue
+
+    with ExitStack() as stack:
+        yield lambda impl, tasks: stack.enter_context(
+            in_process_queue(impl, tasks))
 
 
 # ----------------------------------------------------------------------

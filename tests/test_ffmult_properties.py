@@ -5,10 +5,11 @@ owner/thief interleavings — including stale thief tail stores landing
 after the owner republished — may duplicate a task but can never lose
 one.  Two layers:
 
-* deterministic Hypothesis-driven op sequences against the shim core,
-  with thief steals optionally split into read and (deferred, stale)
-  store halves so duplicates occur on demand and shrink well;
-* the real-thread hammer, where genuine preemption produces the races.
+* deterministic Hypothesis-driven op sequences against the shim core
+  (the threads backend's queue: the ff-mult layout on an in-process
+  heap), with thief steals optionally split into read and (deferred,
+  stale) store halves so duplicates occur on demand and shrink well;
+* the real-thread race, where genuine preemption produces the races.
 """
 
 from collections import Counter
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.threads.ffmult_shim import ThreadFfMultQueue, hammer_ffmult
+from repro.mp.queue import in_process_queue
+from repro.threads.protocol import race
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -33,7 +35,11 @@ OPS = st.lists(
 
 def _drive(ntasks: int, chunk: int, ops: list[str]) -> tuple[list, list, Counter]:
     """Run one deterministic op sequence; returns (stolen, kept, mult)."""
-    queue = ThreadFfMultQueue(list(range(ntasks)))
+    with in_process_queue("ff-mult", range(ntasks)) as queue:
+        return _drive_queue(queue, chunk, ops)
+
+
+def _drive_queue(queue, chunk: int, ops: list[str]):
     stolen: list[int] = []
     multiplicity: Counter = Counter()
     pending: list[tuple[int, list[int]]] = []  # deferred tail stores
@@ -119,16 +125,22 @@ def test_atomic_steals_alone_are_exactly_once(ntasks, chunk, ops):
 def test_thread_hammer_covers_and_accounts(nthieves):
     """Real threads: coverage holds and duplicates match the tally."""
     tasks = list(range(300))
-    loot, kept, multiplicity = hammer_ffmult(tasks, nthieves=nthieves)
+    # One counter per thief: ``c[k] += 1`` is not atomic across threads.
+    handouts = [Counter() for _ in range(nthieves)]
+    with in_process_queue("ff-mult", tasks) as queue:
+        loot, kept = race(
+            queue, nthieves, len(tasks) // 8, 3,
+            on_claim=lambda idx, res: handouts[idx].update((res.index,)))
+    multiplicity = sum(handouts, Counter())
     flat = [t for chunk in loot for t in chunk]
     assert set(flat) | set(kept) == set(tasks)
     assert Counter(flat) == multiplicity
     assert all(count >= 1 for count in multiplicity.values())
 
 
-def test_shim_release_absorbs_remainder():
+def test_shim_release_absorbs_remainder(shim_queue):
     """A release with a non-empty shared window keeps leftovers safe."""
-    queue = ThreadFfMultQueue(list(range(10)))
+    queue = shim_queue("ff-mult", range(10))
     queue.release(4)          # exposes 0..3
     res = queue.steal()       # consumes 0
     assert res.claimed == [0]

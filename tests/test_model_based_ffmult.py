@@ -2,11 +2,12 @@
 
 Two layers, per the protocol's at-least-once contract:
 
-* a Hypothesis :class:`RuleBasedStateMachine` drives the
-  substrate-independent shim core with owner operations interleaved with
-  *two-phase* thief steals (``begin_steal`` snapshots tail/split and
-  reads the record; ``finish_steal`` lands the plain tail store
-  arbitrarily late, possibly stale) against a reference model — every
+* a Hypothesis :class:`RuleBasedStateMachine` drives the threads
+  backend's queue (the ff-mult layout on an in-process heap) with owner
+  operations interleaved with *two-phase* thief steals (``begin_steal``
+  snapshots tail/split and reads the record; ``finish_steal`` lands the
+  plain tail store arbitrarily late, possibly stale) against a
+  reference model — every
   handout is checked for fabrication and multiplicity, and teardown
   checks full set coverage (duplicates legal, losses not);
 * schedule exploration (:func:`repro.analysis.explore.explore`) runs the
@@ -15,6 +16,7 @@ Two layers, per the protocol's at-least-once contract:
 """
 
 from collections import Counter
+from contextlib import ExitStack
 
 import pytest
 from hypothesis import settings
@@ -27,7 +29,7 @@ from hypothesis.stateful import (
 )
 
 from repro.analysis.explore import explore
-from repro.threads.ffmult_shim import ThreadFfMultQueue
+from repro.mp.queue import in_process_queue
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -46,7 +48,9 @@ class FfMultQueueMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.q = ThreadFfMultQueue(list(range(NTASKS)))
+        self._heap = ExitStack()
+        self.q = self._heap.enter_context(
+            in_process_queue("ff-mult", range(NTASKS)))
         self.stolen: list[int] = []
         self.handouts: Counter = Counter()
         self.pending: list[tuple[int, list[int]]] = []
@@ -108,16 +112,18 @@ class FfMultQueueMachine(RuleBasedStateMachine):
         assert self.q.split.load() <= self.q.cursor
 
     def teardown(self):
-        """Quiesce and check the at-least-once conservation contract."""
-        while self.pending:
-            t, claimed = self.pending.pop(0)
-            self.stolen.extend(claimed)
-            self.q.tail.store(t + 1)
-        self.q.drain()
-        kept = self.q.take_kept()
-        assert set(self.stolen) | set(kept) == set(range(NTASKS)), (
-            "at-least-once violated: some task was lost"
-        )
+        """Quiesce and check the at-least-once conservation contract,
+        then unlink the heap."""
+        with self._heap:
+            while self.pending:
+                t, claimed = self.pending.pop(0)
+                self.stolen.extend(claimed)
+                self.q.tail.store(t + 1)
+            self.q.drain()
+            kept = self.q.take_kept()
+            assert set(self.stolen) | set(kept) == set(range(NTASKS)), (
+                "at-least-once violated: some task was lost"
+            )
 
 
 TestFfMultQueueModel = FfMultQueueMachine.TestCase

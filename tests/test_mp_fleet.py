@@ -9,6 +9,10 @@ that dies without reporting, a hammer owner that raises while thieves
 run, a serving feeder posting to an inbox nobody drains.  Each must end
 in an error that names a rank, promptly, and leave neither a child
 process nor a shared-memory segment behind.
+
+Part three holds the threads backend to the same rule: its queues live
+on a heap of their own process, which every hammer, serving run and
+failed race must unlink.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from repro.mp.errors import MpStallError
 from repro.mp.faults import CrashKill, CrashPlan
 from repro.mp.queue import hammer_mp
 from repro.runtime.arrivals import parse_arrival_spec, serving_checksum
+from repro.threads.protocol import hammer
+from repro.threads.serving import run_serve_threads
 
 pytestmark = [pytest.mark.mp, pytest.mark.timeout(120)]
 
@@ -174,6 +180,33 @@ def test_serve_feeder_gives_up_on_an_inbox_that_cannot_drain():
             run_mp_serve("fixed:200000", 2e-3, npes=2, inbox_cap=16,
                          nbatches=4, join_timeout=1.0)
     assert exc.value.rank == 0
+
+
+# ----------------------------------------------------------------------
+# the threads backend allocates a heap too: it must leave nothing behind
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("impl", ("sws", "sdc", "ff-mult"))
+def test_thread_hammer_leaves_no_segment(impl):
+    with _NothingLeftBehind():
+        loot, kept = hammer(list(range(300)), nthieves=3, impl=impl)
+    assert {t for lane in loot for t in lane} | set(kept) == set(range(300))
+
+
+def test_thread_serving_leaves_no_segment():
+    with _NothingLeftBehind():
+        result = run_serve_threads("fixed:200000", 1e-3, nthieves=2)
+    assert result.serving.completed == result.serving.emitted
+
+
+def test_thread_race_whose_owner_raises_leaves_no_segment(monkeypatch):
+    def drain(self):
+        raise ZeroDivisionError("owner fell over mid-race")
+
+    monkeypatch.setattr(mp_queue.MpSwsQueue, "drain", drain)
+    with _NothingLeftBehind():
+        with pytest.raises(ZeroDivisionError):
+            hammer(list(range(200)), nthieves=2)
 
 
 def test_only_the_fleet_starts_processes():

@@ -9,10 +9,13 @@ conservation, the invariant the whole reproduction hangs on.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 
 import pytest
 
+from repro.core.damping import DampingTracker, TargetMode
+from repro.core.results import StealStatus
 from repro.core.stealval import StealValEpoch
 from repro.mp.heap import MpHeap
 from repro.mp.queue import (
@@ -81,7 +84,7 @@ class TestMpSwsQueue:
 
     def test_push_respects_capacity(self, heap):
         layout, q = _sws(heap, list(range(4)), capacity=4)
-        assert not q.push(99)
+        assert q.push_all([99]) == 0
         assert q.nfilled == 4
 
 
@@ -105,9 +108,96 @@ class TestMpSdcQueue:
         q.push_all(range(8))
         q.release(8)
         q.lock.store(1)  # wedge the lock: thief must bail, not hang
-        res = layout.thief(heap).steal(max_spins=50)
+        thief = layout.thief(heap)
+        thief.max_spins = 50
+        res = thief.steal()
         assert not res.claimed
         assert res.lock_spins >= 50
+
+
+class _SpyTracker(DampingTracker):
+    """A damping tracker that logs which of its notes a thief called."""
+
+    def __init__(self):
+        super().__init__(2, threshold=0)
+        self.notes: list[str] = []
+
+    def note_failed_claim(self, target, view):
+        self.notes.append("failed_claim")
+        super().note_failed_claim(target, view)
+
+    def note_probe(self, target, has_work):
+        self.notes.append("probe")
+        super().note_probe(target, has_work)
+
+    def note_success(self, target):
+        self.notes.append("success")
+        super().note_success(target)
+
+
+class TestTrySteal:
+    """The PE driver's steal-result classification, one attempt at a
+    time, on the thief views it runs (the driver asks no protocol name)."""
+
+    def test_sws_locked_stealval_is_disabled_and_uncharged(self, heap):
+        layout, q = _sws(heap, list(range(10)))
+        q.release(8)
+        q.stealval.store(StealValEpoch.locked_word())
+        tracker = _SpyTracker()
+        status, claimed = layout.thief(heap).try_steal(tracker, 0)
+        assert (status, claimed) == (StealStatus.DISABLED, ())
+        assert tracker.notes == []
+        assert tracker.mode(0) is TargetMode.FULL
+
+    def test_sws_empty_allotment_is_empty_and_noted(self, heap):
+        layout, _ = _sws(heap, [1, 2, 3])
+        tracker = _SpyTracker()
+        status, claimed = layout.thief(heap).try_steal(tracker, 0)
+        assert (status, claimed) == (StealStatus.EMPTY, ())
+        assert tracker.notes == ["failed_claim"]
+        assert tracker.mode(0) is TargetMode.EMPTY    # threshold 0: demoted
+
+    def test_sws_empty_mode_probe_spends_no_fetch_add(self, heap):
+        layout, q = _sws(heap, [1, 2, 3])
+        thief = layout.thief(heap)
+        tracker = _SpyTracker()
+        thief.try_steal(tracker, 0)                   # demotes the victim
+        word = q.stealval.load()
+        assert thief.try_steal(tracker, 0) == (None, ())
+        assert q.stealval.load() == word              # no claim issued
+        assert tracker.notes == ["failed_claim", "probe"]
+        assert tracker.stats.probe_aborts == 1
+
+    def test_sws_success_is_stolen(self, heap):
+        layout, q = _sws(heap, list(range(20)))
+        q.release(16)
+        tracker = _SpyTracker()
+        status, claimed = layout.thief(heap).try_steal(tracker, 1)
+        assert (status, claimed) == (StealStatus.STOLEN, list(range(8)))
+        assert tracker.notes == ["success"]
+
+    def test_sdc_lock_held_by_live_pid_aborts(self, heap):
+        layout = SdcQueueLayout.reserve(heap, "q", capacity=8)
+        heap.freeze()
+        q = layout.owner(heap)
+        q.push_all(range(8))
+        q.release(8)
+        q.lock.store(os.getpid())     # a live holder is never taken over
+        thief = layout.thief(heap)
+        thief.max_spins = 20
+        tracker = _SpyTracker()
+        assert thief.try_steal(tracker, 0) == (StealStatus.LOCKED_ABORT, ())
+        assert thief.steal().lock_spins == 20
+        assert tracker.notes == []
+
+    def test_sdc_empty_section_is_empty(self, heap):
+        layout = SdcQueueLayout.reserve(heap, "q", capacity=8)
+        heap.freeze()
+        layout.owner(heap).push_all(range(8))
+        tracker = _SpyTracker()
+        status, claimed = layout.thief(heap).try_steal(tracker, 0)
+        assert (status, claimed) == (StealStatus.EMPTY, ())
+        assert tracker.notes == []
 
 
 @pytest.mark.parametrize("impl", ["sws", "sdc"])

@@ -119,17 +119,15 @@ class TestMutationsAreCaught:
         with pytest.raises(OracleViolation, match="drain-final"):
             pool.oracle.check_final()
 
-    def test_sabotaged_thief_store_loses_a_task(self):
+    def test_sabotaged_thief_store_loses_a_task(self, shim_queue):
         """Shim-level ff-mult mutation: a thief that stores ``t + 2``
         skips an index — the dedup-set conservation check must fail.
 
         This proves the at-least-once check is not vacuous: coverage
         equality really distinguishes a lost task from a duplicate.
         """
-        from repro.threads.ffmult_shim import ThreadFfMultQueue
-
         ntasks = 40
-        queue = ThreadFfMultQueue(list(range(ntasks)))
+        queue = shim_queue("ff-mult", range(ntasks))
         queue.release(20)
         stolen = []
         while True:
@@ -147,13 +145,11 @@ class TestMutationsAreCaught:
         lost = set(range(ntasks)) - covered
         assert lost, "the sabotaged store must lose at least one task"
 
-    def test_healthy_thief_store_loses_nothing(self):
+    def test_healthy_thief_store_loses_nothing(self, shim_queue):
         """Control for the mutation above: the correct ``t + 1`` store
         preserves full coverage under the same drive."""
-        from repro.threads.ffmult_shim import ThreadFfMultQueue
-
         ntasks = 40
-        queue = ThreadFfMultQueue(list(range(ntasks)))
+        queue = shim_queue("ff-mult", range(ntasks))
         queue.release(20)
         stolen = []
         while True:

@@ -113,21 +113,24 @@ class TestDeclaredContracts:
             assert isinstance(queue, SplitQueue), p.name
             assert hasattr(queue, "probe") == p.supports_damping, p.name
 
-    def test_thread_factories_build_matching_shims(self):
-        from repro.threads.ffmult_shim import ThreadFfMultQueue
-        from repro.threads.queue_shim import ThreadSwsQueue
-        from repro.threads.sdc_shim import ThreadSdcQueue
+    def test_thread_factories_build_matching_shims(self, shim_queue):
+        """``mp_impl`` names the one layout both real-time substrates
+        run; its owner is the protocol's, and so is its contract."""
+        from repro.mp.queue import LAYOUTS, MpFfMultQueue, MpSdcQueue, MpSwsQueue
 
         expected = {
-            "sws": ThreadSwsQueue,
-            "sdc": ThreadSdcQueue,
-            "ff-mult": ThreadFfMultQueue,
-            "localized": ThreadSwsQueue,
+            "sws": MpSwsQueue,
+            "sdc": MpSdcQueue,
+            "ff-mult": MpFfMultQueue,
+            "localized": MpSwsQueue,
         }
         for name, cls in expected.items():
-            queue = get_protocol(name).threads_queue(list(range(8)))
+            protocol = get_protocol(name)
+            queue = shim_queue(protocol.mp_impl, range(8))
             assert isinstance(queue, cls), name
-        assert get_protocol("sws-v1").threads_queue is None
+            assert (LAYOUTS[protocol.mp_impl].exactly_once
+                    == protocol.semantics.exactly_once), name
+        assert get_protocol("sws-v1").mp_impl is None
 
     def test_localized_defaults(self):
         p = get_protocol("localized")

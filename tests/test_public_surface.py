@@ -69,10 +69,9 @@ PUBLIC = {
         run_point run_sweep
     """,
     "repro.threads": """
-        AtomicWord64 AtomicArray64 SwsShimCore SdcShimCore
+        SwsShimCore SdcShimCore
         FfMultShimCore ShimStealResult sws_steal_once sdc_steal_once
-        ffmult_steal_once ThreadSwsQueue hammer ThreadSdcQueue
-        hammer_sdc ThreadFfMultQueue hammer_ffmult
+        ffmult_steal_once hammer
     """,
     "repro.mp": """
         ShmWords WordRef WordSlice MpHeap SwsQueueLayout

@@ -1,8 +1,7 @@
 """The race harness's owner side, driven with a fake queue.
 
-``hammer``, ``hammer_sdc``, ``hammer_ffmult``, ``hammer_mp``'s owner and
-``run_serve_threads``' feeder all used to carry their own copy of this
-loop; the call sequence they shared is pinned here once.
+``hammer``, ``hammer_mp``'s owner and ``run_serve_threads``' feeder all
+run this one loop; the call sequence they share is pinned here once.
 """
 
 from __future__ import annotations

@@ -1,45 +1,46 @@
-"""Race tests for the lock-based SDC thread shim."""
+"""Race tests for the lock-based SDC protocol over real threads."""
 
 from collections import Counter
 
 import pytest
 
-from repro.threads.sdc_shim import ThreadSdcQueue, hammer_sdc
+from repro.threads import hammer
 
 #: Race tests must fail loudly, not hang the suite, when a thread wedges.
 pytestmark = pytest.mark.timeout(120)
 
 
 class TestSequential:
-    def test_release_then_steal_half(self):
-        q = ThreadSdcQueue(list(range(16)))
+    def test_release_then_steal_half(self, shim_queue):
+        q = shim_queue("sdc", range(16))
         q.release(16)
         r = q.steal()
         assert r.claimed == list(range(8))
         r2 = q.steal()
         assert r2.claimed == [8, 9, 10, 11]
 
-    def test_empty_steal(self):
-        q = ThreadSdcQueue(list(range(4)))
+    def test_empty_steal(self, shim_queue):
+        q = shim_queue("sdc", range(4))
         r = q.steal()
         assert r.empty and not r.claimed
 
-    def test_acquire_takes_top_half(self):
-        q = ThreadSdcQueue(list(range(8)))
+    def test_acquire_takes_top_half(self, shim_queue):
+        q = shim_queue("sdc", range(8))
         q.release(8)
         taken = q.acquire()
         assert taken == [4, 5, 6, 7]
 
-    def test_locked_steal_spins(self):
-        q = ThreadSdcQueue(list(range(8)))
+    def test_locked_steal_spins(self, shim_queue):
+        q = shim_queue("sdc", range(8))
         q.release(8)
         q.lock.store(1)  # jam the lock
-        r = q.steal(max_spins=10)
+        q.max_spins = 10
+        r = q.steal()
         assert r.lock_spins == 10
         assert not r.claimed
 
-    def test_drain_collects_everything(self):
-        q = ThreadSdcQueue(list(range(10)))
+    def test_drain_collects_everything(self, shim_queue):
+        q = shim_queue("sdc", range(10))
         q.release(4)
         q.steal()
         q.drain()
@@ -50,7 +51,8 @@ class TestSequential:
 @pytest.mark.parametrize("nthieves", [2, 4, 8])
 def test_hammer_sdc_conserves_tasks(nthieves):
     tasks = list(range(3000))
-    loot, kept = hammer_sdc(tasks, nthieves=nthieves, releases=6, acquires=2)
+    loot, kept = hammer(tasks, nthieves=nthieves, releases=6, acquires=2,
+                        impl="sdc")
     stolen = [t for l in loot for t in l]
     counts = Counter(stolen + kept)
     assert all(v == 1 for v in counts.values()), "duplicated tasks"
@@ -59,10 +61,9 @@ def test_hammer_sdc_conserves_tasks(nthieves):
 
 def test_sdc_and_sws_shims_agree_on_conservation():
     """Same hammer pattern on both protocols: both conserve exactly."""
-    from repro.threads import hammer
-
     tasks = list(range(2000))
-    for fn in (hammer, hammer_sdc):
-        loot, kept = fn(tasks, nthieves=4, releases=5, acquires=2)
+    for impl in ("sws", "sdc"):
+        loot, kept = hammer(tasks, nthieves=4, releases=5, acquires=2,
+                            impl=impl)
         stolen = [t for l in loot for t in l]
-        assert sorted(stolen + kept) == tasks, fn.__name__
+        assert sorted(stolen + kept) == tasks, impl
