@@ -32,7 +32,8 @@ schedules:
 # (see docs/backends.md).
 mp:
 	$(PYTHON) -m pytest tests/test_mp_atomics.py tests/test_mp_queue.py \
-	    tests/test_mp_driver.py tests/test_mp_fleet.py
+	    tests/test_mp_driver.py tests/test_mp_fleet.py \
+	    tests/test_mp_owner_path.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,
 # task conservation and completion accounting.
@@ -99,7 +100,7 @@ experiments-check:
 
 examples:
 	@for e in quickstart steal_latency damping_demo trace_timeline \
-	          nqueens_demo lifeline_demo; do \
+	          lifeline_demo; do \
 	    echo "== examples/$$e.py =="; \
 	    $(PYTHON) examples/$$e.py || exit 1; \
 	done

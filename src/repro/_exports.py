@@ -48,17 +48,4 @@ def exports(package: str, table: dict[str, str]):
     def __dir__() -> list[str]:
         return sorted({*namespace, *table})
 
-    shadowed = {name for name, target in table.items() if target == name}
-    if shadowed:
-        # The import system binds a loaded submodule on its package,
-        # which would hide the export of the same name from then on; the
-        # export wins, as it did when ``__init__`` imported it.
-        class Package(ModuleType):
-            def __setattr__(self, name, value):
-                if name in shadowed and isinstance(value, ModuleType):
-                    value = getattr(value, name)
-                super().__setattr__(name, value)
-
-        sys.modules[package].__class__ = Package
-
     return __getattr__, __dir__, list(table)

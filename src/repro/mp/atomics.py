@@ -61,6 +61,7 @@ from dataclasses import dataclass
 _U64_MASK = (1 << 64) - 1
 _WORD = struct.Struct("<Q")
 _PAIR = struct.Struct("<QQ")
+_unpack_word = _WORD.unpack_from
 WORD_BYTES = _WORD.size
 
 #: Lock-free read spins before yielding the CPU to the (single) writer.
@@ -617,7 +618,7 @@ class ShmWords:
                 pass
 
     def ref(self, index: int) -> "WordRef":
-        """An atomic handle on one word."""
+        """An atomic handle on one word (bounds-checked here, once)."""
         self._check(index)
         return WordRef(self, index)
 
@@ -633,17 +634,33 @@ class WordRef:
     """One shared word: ``load`` / ``store`` / ``swap`` / ``fetch_add`` /
     ``compare_swap``, and the lock-free ``load_seq``."""
 
-    __slots__ = ("_words", "_index")
+    __slots__ = ("_words", "_index", "_buf", "_off", "_soff")
 
     def __init__(self, words: ShmWords, index: int) -> None:
         self._words = words
         self._index = index
+        # The segment's own view (no new export: ``close`` still works)
+        # and the word's offsets, for the one-frame ``load_seq``.
+        self._buf = words._shm.buf
+        self._off = index * WORD_BYTES
+        self._soff = words._seq_base + self._off
 
     def load(self) -> int:
         return self._words.load(self._index)
 
     def load_seq(self) -> int:
-        """Lock-free seqlock read (see :meth:`ShmWords.load_seq`)."""
+        """Lock-free seqlock read (see :meth:`ShmWords.load_seq`).
+
+        One clean ``seq / data / seq`` sample inline; a sample that meets
+        a writer falls back to the full retry loop, with its spin, yield,
+        lease repair and stall diagnostic.
+        """
+        buf, soff = self._buf, self._soff
+        s0 = _unpack_word(buf, soff)[0]
+        if not s0 & 1:
+            value = _unpack_word(buf, self._off)[0]
+            if _unpack_word(buf, soff)[0] == s0:
+                return value
         return self._words.load_seq(self._index)
 
     def store(self, value: int) -> None:

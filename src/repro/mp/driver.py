@@ -19,7 +19,15 @@ Workloads:
 Termination uses two global counters (``created`` / ``completed``) with
 the monotone argument: ``completed <= created`` always, and reading
 ``completed`` *before* ``created`` makes an observed equality stable —
-every created task has executed, nothing is in flight.
+every created task has executed, nothing is in flight.  Both counters
+are booked in batches, because the local store belongs to its owner
+alone: a PE counts the children it spawns and books them with one
+``fetch_add`` before any task leaves the store (a share-out) and before
+it books its completions (when the store drains).  So every completion
+on the books is of a task on the books, and a child not yet booked
+descends from a task this PE ran since its last drain — booked, its
+completion still pending — which keeps ``completed`` strictly below
+``created`` while such a child exists.
 
 Steal attempts are classified with the simulator's own
 :class:`repro.core.results.StealStatus`, and per-PE stats aggregate into
@@ -29,8 +37,11 @@ Steal attempts are classified with the simulator's own
 
 from __future__ import annotations
 
+import hashlib
+import math
 import os
 import random
+import struct
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -41,7 +52,8 @@ from ..core.results import StealStatus
 from ..shmem.heap import SymmetricAllocator
 from ..threads.protocol import Backoff
 from ..workloads.uts.params import get_tree
-from ..workloads.uts.tree import UtsParams, expand
+from ..workloads.uts.sha1_rng import _TWO31
+from ..workloads.uts.tree import TreeType, UtsParams, expand, geo_log1mp_table
 from .errors import MpStallError, RingOverflowError
 from .fleet import Fleet
 from .queue import LAYOUTS
@@ -83,25 +95,15 @@ def _mix64(x: int) -> int:
 # Task codecs: workload payloads <-> tuples of 64-bit words
 # ----------------------------------------------------------------------
 
+#: A UTS node's 20-byte SHA-1 state as its first three task words; the
+#: fourth is the depth, with the root flag at bit 32.
+UTS_STATE = struct.Struct("<QQI")
+_DEPTH_MASK = 0xFFFFFFFF
+
+
 def encode_uts(state: bytes, depth: int, is_root: bool) -> tuple[int, int, int, int]:
     """Pack a UTS node (20-byte SHA-1 state + depth + root flag) into 4 words."""
-    return (
-        int.from_bytes(state[0:8], "little"),
-        int.from_bytes(state[8:16], "little"),
-        int.from_bytes(state[16:20], "little"),
-        depth | (int(is_root) << 32),
-    )
-
-
-def decode_uts(words) -> tuple[bytes, int, bool]:
-    """Inverse of :func:`encode_uts`."""
-    w0, w1, w2, w3 = words
-    state = (
-        w0.to_bytes(8, "little")
-        + w1.to_bytes(8, "little")
-        + (w2 & 0xFFFFFFFF).to_bytes(4, "little")
-    )
-    return state, w3 & 0xFFFFFFFF, bool(w3 >> 32)
+    return UTS_STATE.unpack(state) + (depth | (int(is_root) << 32),)
 
 
 def _fp_uts(words) -> int:
@@ -304,21 +306,57 @@ class _Regime(NamedTuple):
     extras: Callable | None = None      # () -> extra report fields
 
 
+def _uts_execute(params: UtsParams) -> Callable:
+    """A UTS node's task body: its words in, its children's words out.
+
+    GEO trees draw the child count through the per-depth table, exactly
+    as :func:`~repro.workloads.uts.tree.num_children` does, and hash a
+    child's state only when there is one; BIN trees run the reference
+    :func:`~repro.workloads.uts.tree.expand`.
+    """
+    pack, unpack = UTS_STATE.pack, UTS_STATE.unpack
+    if params.tree_type is not TreeType.GEO:
+        def execute(payload):
+            w0, w1, w2, w3 = payload
+            depth = w3 & _DEPTH_MASK
+            child = (depth + 1,)
+            return [unpack(c) + child for c in
+                    expand(params, pack(w0, w1, w2), depth, w3 >> 32)]
+
+        return execute
+
+    table = geo_log1mp_table(params)
+    horizon = len(table)
+    be32 = struct.Struct(">I")          # the draw, and a child's index
+    draw, index = be32.unpack_from, be32.pack
+    sha1, log = hashlib.sha1, math.log
+
+    def execute(payload):
+        w0, w1, w2, w3 = payload
+        depth = w3 & _DEPTH_MASK
+        if depth >= horizon:
+            return ()
+        log1mp = table[depth]
+        if log1mp == 0.0:
+            return ()
+        state = pack(w0, w1, w2)
+        n = int(log(1.0 - (draw(state)[0] & 0x7FFFFFFF) / _TWO31) / log1mp)
+        if not n:
+            return ()
+        child = (depth + 1,)
+        return [unpack(sha1(state + index(i)).digest()) + child
+                for i in range(n)]
+
+    return execute
+
+
 def _bind_workload(kind, arg):
     """(rank-0 seed tasks, execute, fingerprint) for a workload spec."""
     if kind == "synthetic":
         return range(arg), (lambda payload: ()), _mix64
     if kind == "uts":
-        params = arg
-
-        def execute(payload):
-            state, depth, is_root = decode_uts(payload)
-            return [
-                encode_uts(c, depth + 1, False)
-                for c in expand(params, state, depth, is_root)
-            ]
-
-        return [encode_uts(params.root(), 0, True)], execute, _fp_uts
+        return ([encode_uts(arg.root(), 0, True)], _uts_execute(arg),
+                _fp_uts)
     raise ValueError(f"unknown workload {kind!r}")
 
 
@@ -495,14 +533,9 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
     # Owner-local metadata inspection runs after every executed task, off
     # the stripe locks the thieves' claims are hammering.
     shared_has_work = owner.has_work
+    capacity = owner.capacity
 
-    def try_share() -> None:
-        if (
-            len(local) < RELEASE_MIN
-            or owner.nfilled >= owner.capacity
-            or shared_has_work()
-        ):
-            return
+    def share_out() -> None:
         batch = take_left(len(local) // 2)
         pushed = owner.push_all(batch)
         if pushed:
@@ -529,13 +562,16 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
         raise MpStallError("PE idle loop made no progress", rank=rank,
                            waited_s=MP_IDLE_STALL_S)
 
-    # Completion increments are batched locally and flushed whenever the
-    # local store drains (and before any termination read).  Deferring
-    # ``completed`` only ever *understates* it, so the global invariant
-    # ``completed <= created`` survives; ``created`` must stay prompt —
-    # children become stealable at the next release, and their creation
-    # has to be on the books before any other PE can complete them.
-    executed = checksum = done_pending = 0
+    # Both books are batched: ``born`` counts the children spawned and
+    # ``done_pending`` the tasks run since the last flush.  ``born`` is
+    # flushed first at both flush points — before a share-out publishes
+    # anything, and before ``done_pending`` when the store drains — so
+    # (i) no task reaches a thief, or completes on the books, before it
+    # is on the books itself: ``completed <= created`` holds; and (ii) a
+    # child not yet booked descends from a task this PE ran since its
+    # last drain, which is booked and whose completion is still pending:
+    # the books cannot balance while such a child exists.
+    executed = checksum = born = done_pending = 0
     idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
                    deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
     while True:
@@ -543,7 +579,7 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
             payload = pop()
             children = execute(payload)
             if children:
-                created.fetch_add(len(children))
+                born += len(children)
                 extend(children)
             fp = fingerprint(payload)
             executed += 1
@@ -551,8 +587,16 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
             done_pending += 1
             if after_task is not None:
                 after_task(fp)
-            try_share()
+            if (len(local) >= RELEASE_MIN and owner.nfilled < capacity
+                    and not shared_has_work()):
+                if born:
+                    created.fetch_add(born)
+                    born = 0
+                share_out()
             continue
+        if born:
+            created.fetch_add(born)
+            born = 0
         if done_pending:
             completed.fetch_add(done_pending)
             done_pending = 0

@@ -11,11 +11,4 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "StealProbeResult": "synthetic",
     "measure_single_steal": "synthetic",
     "steal_volume_sweep": "synthetic",
-    "FibParams": "fib",
-    "FibWorkload": "fib",
-    "fib": "fib",
-    "task_count": "fib",
-    "NQueensParams": "nqueens",
-    "NQueensWorkload": "nqueens",
-    "SOLUTIONS": "nqueens",
 })

@@ -112,6 +112,18 @@ def _geo_log1mp(params: UtsParams, depth: int) -> float:
     return math.log(1.0 - 1.0 / (1.0 + b))
 
 
+def geo_log1mp_table(params: UtsParams) -> tuple[float, ...]:
+    """``log(1 - p)`` of a GEO tree's geometric draw, indexed by depth.
+
+    Built once per run by the per-node fast paths (the fabric workload
+    and the mp PE loop), so a node costs a tuple index instead of hashing
+    ``params`` through :func:`_geo_log1mp`'s cache.  Depths past the
+    table, like entries of 0.0, are leaves.
+    """
+    horizon = 5 * params.gen_mx if params.shape is GeoShape.CYCLIC else params.gen_mx
+    return tuple(_geo_log1mp(params, d) for d in range(horizon + 1))
+
+
 def num_children(params: UtsParams, state: bytes, depth: int, is_root: bool) -> int:
     """Deterministic child count of one node (the UTS expansion rule)."""
     if params.tree_type is TreeType.GEO:

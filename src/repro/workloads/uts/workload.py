@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from ...runtime.registry import TaskContext, TaskOutcome, TaskRegistry
 from ...runtime.task import Task, make_task
 from .sha1_rng import _TWO31
-from .tree import GeoShape, TreeType, UtsParams, _geo_log1mp, expand
+from .tree import TreeType, UtsParams, expand, geo_log1mp_table
 
 _NODE = struct.Struct("<II20s")
 _CHILD_PACK = struct.Struct(">I").pack
@@ -67,16 +67,9 @@ class UtsWorkload:
         # One immutable outcome serves every leaf (most nodes): built once.
         self._leaf = TaskOutcome(self._node_time)
         # GEO trees: the geometric draw's log(1 - p) is a pure function of
-        # depth, so table it once here instead of re-deriving (and hashing
-        # the params dataclass through an lru_cache) per node.  Depths past
-        # the table are leaves by construction.
-        if tree.tree_type is TreeType.GEO:
-            horizon = 5 * tree.gen_mx if tree.shape is GeoShape.CYCLIC else tree.gen_mx
-            self._log1mp: tuple[float, ...] | None = tuple(
-                _geo_log1mp(tree, d) for d in range(horizon + 1)
-            )
-        else:
-            self._log1mp = None
+        # depth, tabled once here instead of per node.
+        self._log1mp = (geo_log1mp_table(tree)
+                        if tree.tree_type is TreeType.GEO else None)
 
     def seed_task(self) -> Task:
         """The root node's task."""

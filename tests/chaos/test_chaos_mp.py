@@ -18,23 +18,17 @@ contract:
 
 from __future__ import annotations
 
-import glob
-
 import pytest
 
 from repro.mp.driver import run_mp
 from repro.mp.faults import CrashKill, CrashPlan
 
-from ..conftest import sure_kill
+from ..conftest import nothing_left_behind, sure_kill
 
 pytestmark = [pytest.mark.chaos, pytest.mark.mp, pytest.mark.timeout(300)]
 
 NPES = 4
 NTASKS = 800
-
-
-def _leaked_segments() -> set[str]:
-    return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/wnsm_*"))
 
 
 def _assert_recovered(result, nkills: int) -> None:
@@ -63,11 +57,11 @@ class TestKillMatrix:
         kill = CrashKill(1, 5, point) if point == "steal" else sure_kill(
             NTASKS, point=point)
         rank = kill.rank
-        before = _leaked_segments()
-        result = run_mp(
-            "synthetic", impl, NPES, ntasks=NTASKS,
-            crash=CrashPlan(kills=(kill,)),
-        )
+        with nothing_left_behind():
+            result = run_mp(
+                "synthetic", impl, NPES, ntasks=NTASKS,
+                crash=CrashPlan(kills=(kill,)),
+            )
         _assert_recovered(result, nkills=1)
         if point == "steal":
             assert set(result.crashed_ranks) <= {rank}
@@ -76,7 +70,6 @@ class TestKillMatrix:
         if point == "lock":
             # the stripe the victim died holding must have been repaired
             assert result.lease_breaks >= 1
-        assert _leaked_segments() == before  # no shm leak
 
     @pytest.mark.parametrize("impl", ["sws", "sdc"])
     def test_kill_on_uts(self, impl):
@@ -143,10 +136,10 @@ class TestNoCrashPlanIsInert:
         assert result.lease_breaks == 0
 
     def test_segment_destroyed_after_crash_run(self):
-        before = _leaked_segments()
-        result = run_mp(
-            "synthetic", "sws", NPES, ntasks=NTASKS,
-            crash=CrashPlan(kills=(CrashKill(1, 3, "exec"),), respawn=True),
-        )
+        with nothing_left_behind():
+            result = run_mp(
+                "synthetic", "sws", NPES, ntasks=NTASKS,
+                crash=CrashPlan(kills=(CrashKill(1, 3, "exec"),),
+                                respawn=True),
+            )
         assert set(result.crashed_ranks) <= {1}
-        assert _leaked_segments() == before

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import glob
+import os
 import signal
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -81,6 +85,76 @@ def sure_kill(nseeded: int, after: int = 5, point: str = "exec") -> CrashKill:
         raise ValueError(f"a {point} kill at task {after} of rank 0 is not "
                          f"certain to fire with {nseeded} seeded task(s)")
     return CrashKill(0, after, point)
+
+
+# ----------------------------------------------------------------------
+# Nothing outlives its test session: child processes, fds, segments
+# ----------------------------------------------------------------------
+
+def shm_segments() -> set[str]:
+    """The POSIX shared-memory segments Python's ``SharedMemory`` names."""
+    return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/wnsm_*"))
+
+
+def child_pids() -> set[int]:
+    """Pids whose parent is this process, zombies included (``/proc``),
+    less multiprocessing's resource tracker: one per session, by design."""
+    me, out = os.getpid(), set()
+    for path in glob.glob("/proc/[0-9]*/stat"):
+        try:
+            with open(path, "rb") as f:
+                stat = f.read()
+        except OSError:
+            continue                       # exited while we looked
+        if int(stat[stat.rindex(b")") + 2:].split()[1]) == me:
+            out.add(int(path.split("/")[2]))
+    return out - {resource_tracker._resource_tracker._pid}
+
+
+def open_fds() -> dict[int, str]:
+    """This process's open descriptors and what each one points at, less
+    the resource tracker's pipe."""
+    out = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            out[int(name)] = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:
+            continue                       # the listing's own descriptor
+    out.pop(resource_tracker._resource_tracker._fd, None)
+    return out
+
+
+@contextmanager
+def nothing_left_behind():
+    """On exit no child process lives and ``/dev/shm`` is as found."""
+    before = shm_segments()
+    yield
+    assert child_pids() == set()
+    assert shm_segments() == before
+
+
+@pytest.fixture(scope="session", autouse=True)
+def nothing_outlives_the_session():
+    """Fail the session on a child process, an open descriptor or a
+    shared-memory segment that was not there when it started.
+
+    A ``SharedMemory`` whose ``close()`` met a live export of its buffer
+    keeps its descriptor (``ShmWords.close`` swallows the ``BufferError``),
+    so a cached view that blocks ``close`` shows here as a leaked fd.
+    """
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    children, segments, fds = child_pids(), shm_segments(), open_fds()
+    yield
+    gc.collect()
+    leaks = [f"child process {pid}" for pid in sorted(child_pids() - children)]
+    leaks += [f"segment {name}" for name in sorted(shm_segments() - segments)]
+    leaks += [f"fd {fd} -> {target}" for fd, target in sorted(open_fds().items())
+              if fds.get(fd) != target]
+    if leaks:
+        pytest.fail("the test session leaked:\n  " + "\n  ".join(leaks),
+                    pytrace=False)
 
 
 @pytest.fixture(params=["sws", "sdc"])

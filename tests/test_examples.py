@@ -54,12 +54,6 @@ def test_paper_scale_smallest():
     assert "8,193 tasks" in out
 
 
-def test_nqueens_demo():
-    out = run_example("nqueens_demo.py", "7")
-    assert "40 solutions [OK]" in out
-    assert "WRONG" not in out
-
-
 def test_profile_breakdown():
     out = run_example("profile_breakdown.py")
     assert "per-PE time breakdown" in out

@@ -190,11 +190,8 @@ def test_registry_imports_no_body_and_each_body_imports_alone():
 
 
 #: Modules no entry point reaches: two waiting for the structured event
-#: spine that will absorb them, and the Fibonacci and NQueens workloads,
-#: which only examples, benchmarks and their own tests use.  A new module
-#: must be reached from the CLI.
-UNREACHED = ["repro.analysis.profiles", "repro.fabric.trace",
-             "repro.workloads.fib", "repro.workloads.nqueens"]
+#: spine that will absorb them.  A new module must be reached from the CLI.
+UNREACHED = ["repro.analysis.profiles", "repro.fabric.trace"]
 
 
 def reached(src: Path) -> tuple[set[str], set[str]]:

@@ -17,7 +17,6 @@ failed race must unlink.
 
 from __future__ import annotations
 
-import glob
 import multiprocessing
 import os
 import time
@@ -34,7 +33,7 @@ from repro.runtime.arrivals import parse_arrival_spec, serving_checksum
 from repro.threads.protocol import hammer
 from repro.threads.serving import run_serve_threads
 
-from .conftest import sure_kill
+from .conftest import nothing_left_behind, sure_kill
 
 pytestmark = [pytest.mark.mp, pytest.mark.timeout(120)]
 
@@ -87,23 +86,6 @@ def test_serve_regime_completes_the_trace(impl):
 # teardown regressions
 # ----------------------------------------------------------------------
 
-def _segments() -> set[str]:
-    return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/wnsm_*"))
-
-
-class _NothingLeftBehind:
-    """Context: on exit no child process lives and /dev/shm is as found."""
-
-    def __enter__(self):
-        self.before = _segments()
-        return self
-
-    def __exit__(self, *exc):
-        assert multiprocessing.active_children() == []
-        assert _segments() == self.before
-        return False
-
-
 @needs_fork
 @pytest.mark.parametrize("impl", IMPLS)
 def test_pe_dying_silently_is_named_at_once(monkeypatch, impl):
@@ -122,7 +104,7 @@ def test_pe_dying_silently_is_named_at_once(monkeypatch, impl):
         return seed_tasks, dying, fingerprint
 
     monkeypatch.setattr(driver, "_bind_workload", dying_workload)
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         t0 = time.monotonic()
         with pytest.raises(MpStallError) as exc:
             run_mp("synthetic", impl, 2, ntasks=NTASKS, join_timeout=60)
@@ -137,7 +119,7 @@ def test_hammer_owner_raising_takes_its_thieves_down(monkeypatch):
         raise ZeroDivisionError("owner fell over before the stop word")
 
     monkeypatch.setattr(mp_queue.MpSwsQueue, "drain", drain)
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         with pytest.raises(ZeroDivisionError):
             hammer_mp(list(range(200)), nthieves=2)
 
@@ -146,7 +128,7 @@ def test_hammer_owner_raising_takes_its_thieves_down(monkeypatch):
 def test_hammer_thief_dying_is_named(monkeypatch):
     monkeypatch.setattr(mp_queue.MpSwsThief, "steal",
                         lambda self: os._exit(7))
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         with pytest.raises(MpStallError) as exc:
             hammer_mp(list(range(200)), nthieves=2, join_timeout=60)
     assert exc.value.rank in (0, 1)
@@ -163,7 +145,7 @@ def test_serve_feeder_names_the_dead_rank(monkeypatch):
         return bind(rank, *args)
 
     monkeypatch.setattr(driver, "_bind_serve", rank_one_dies)
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         t0 = time.monotonic()
         with pytest.raises(MpStallError) as exc:
             # 2 ranks x 40 records per batch into 48-record inboxes: the
@@ -176,7 +158,7 @@ def test_serve_feeder_names_the_dead_rank(monkeypatch):
 
 
 def test_serve_feeder_gives_up_on_an_inbox_that_cannot_drain():
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         with pytest.raises(MpStallError) as exc:
             # 50 records per rank per batch never fit a 16-record inbox.
             run_mp_serve("fixed:200000", 2e-3, npes=2, inbox_cap=16,
@@ -190,13 +172,13 @@ def test_serve_feeder_gives_up_on_an_inbox_that_cannot_drain():
 
 @pytest.mark.parametrize("impl", ("sws", "sdc", "ff-mult"))
 def test_thread_hammer_leaves_no_segment(impl):
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         loot, kept = hammer(list(range(300)), nthieves=3, impl=impl)
     assert {t for lane in loot for t in lane} | set(kept) == set(range(300))
 
 
 def test_thread_serving_leaves_no_segment():
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         result = run_serve_threads("fixed:200000", 1e-3, nthieves=2)
     assert result.serving.completed == result.serving.emitted
 
@@ -206,7 +188,7 @@ def test_thread_race_whose_owner_raises_leaves_no_segment(monkeypatch):
         raise ZeroDivisionError("owner fell over mid-race")
 
     monkeypatch.setattr(mp_queue.MpSwsQueue, "drain", drain)
-    with _NothingLeftBehind():
+    with nothing_left_behind():
         with pytest.raises(ZeroDivisionError):
             hammer(list(range(200)), nthieves=2)
 

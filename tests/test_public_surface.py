@@ -15,8 +15,8 @@ import pytest
 
 #: ``__all__`` of every package at the commit before the export tables
 #: (``git show de922d5:src/repro/.../__init__.py``), as literals, less the
-#: names of modules deleted since (the threads shims and
-#: ``shmem/collectives``).
+#: names of modules deleted since (the threads shims,
+#: ``shmem/collectives`` and the Fibonacci and NQueens workloads).
 PUBLIC = {
     "repro": """
         TaskPool run_pool TaskRegistry Task TaskOutcome RunStats
@@ -84,8 +84,7 @@ PUBLIC = {
     "repro.workloads": """
         BpcParams BpcWorkload BPC_PAPER_PARAMS BPC_PAPER_TASK_SIZE
         paper_scale StealProbeResult measure_single_steal
-        steal_volume_sweep FibParams FibWorkload fib task_count
-        NQueensParams NQueensWorkload SOLUTIONS
+        steal_volume_sweep
     """,
     "repro.workloads.uts": """
         UtsParams UtsWorkload UtsWorkloadParams TreeType GeoShape
@@ -138,19 +137,6 @@ def test_unknown_attribute_is_an_attribute_error(package):
     with pytest.raises(AttributeError, match=f"'{re.escape(package)}'"):
         module.no_such_name
     assert not hasattr(module, "no_such_name")
-
-
-def test_a_submodule_never_shadows_the_export_of_its_name():
-    """``repro.workloads.fib`` is the function, whichever of the function
-    and the module ``repro.workloads.fib`` is asked for first."""
-    order = ("import repro.workloads.fib as m, repro.workloads as w",
-             "import repro.workloads as w; w.fib; import repro.workloads.fib")
-    for first in order:
-        code = (f"{first}\nimport sys\n"
-                "assert w.fib(10) == 55\n"
-                "assert w.fib is sys.modules['repro.workloads.fib'].fib\n"
-                "from repro.workloads import fib\nassert fib is w.fib")
-        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def test_lazily_resolved_classes_pickle():
