@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..fabric.engine import TICKS_PER_SECOND
 
@@ -477,27 +477,3 @@ def parse_elastic_spec(spec: str) -> ElasticPlan:
                 f"bad elastic event {part!r} (want ACTION:RANK@TIME): {exc}"
             ) from None
     return ElasticPlan(events=tuple(events))
-
-
-# ----------------------------------------------------------------------
-# Open-system conservation books
-# ----------------------------------------------------------------------
-
-@dataclass
-class ArrivalBooks:
-    """The serving frontend's side of the open-system ledger.
-
-    ``emitted`` comes from the arrival process's own trace; ``injected``
-    and ``shed`` are counted by the injection path.  Conservation
-    demands ``emitted == injected + shed`` at end of run — a silently
-    dropped arrival is neither, and the oracle catches it.
-    """
-
-    emitted: int = 0
-    injected: int = 0
-    shed: int = 0
-    handoffs: int = field(default=0)  # elastic leave residue re-homed
-
-    @property
-    def balanced(self) -> bool:
-        return self.emitted == self.injected + self.shed

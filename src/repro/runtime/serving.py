@@ -44,11 +44,15 @@ from .arrivals import (
     parse_elastic_spec,
 )
 from .pool import TaskPool
+from .protocols import get_protocol, protocol_names
 from .registry import TaskOutcome, TaskRegistry
 from .stats import QuantileSketch, RunStats, ServingStats
 from .task import Task
 from .victim import ElasticMembership
 from .worker import WorkerConfig
+
+#: The serve payload: the arrival's seq, one little-endian u32.
+_SEQ = struct.Struct("<I")
 
 
 class ElasticDirectory:
@@ -67,13 +71,6 @@ class ElasticDirectory:
 
     def is_active(self, rank: int) -> bool:
         return self._active[rank]
-
-    @property
-    def nactive(self) -> int:
-        return sum(self._active)
-
-    def active_ranks(self) -> list[int]:
-        return [r for r in range(self.npes) if self._active[r]]
 
     def set_active(self, rank: int, active: bool) -> None:
         if self._active[rank] == active:
@@ -98,6 +95,16 @@ class ServingController:
     The controller is also the pool's ``arrival_source`` (its
     :meth:`pending` gates termination) and the completion sink (the
     ``serve`` task function reports back through :meth:`complete`).
+
+    Every arrival tick is scheduled with the one bound method
+    :meth:`_fire`, which labels an arrival by the number fired before it.
+    The bare loop fires arrivals in trace order (ticks non-decreasing,
+    pushed with ascending engine seqs), so the label is the trace index.
+    A tie-breaking scheduler may fire arrivals that share a tick in its
+    own order, and their labels then follow fire order.  They share one
+    enqueue tick, the round-robin target is picked in fire order either
+    way and the checksum is order-free, so no statistic moves; with
+    shedding on, which seqs of a tied group are shed follows fire order.
     """
 
     def __init__(
@@ -126,31 +133,31 @@ class ServingController:
         self.slo_attained = 0
         self.checksum = 0
         self._fired = 0
-        self._total = 0
         self._next_rank = 0
-        self._enqueue_tick: dict[int, int] = {}
+        #: Enqueue tick per seq; ``None`` until injected and once completed.
+        self._enqueue_tick: list[int | None] = [None] * process.emitted
+        Task(fn_id, bytes(_SEQ.size)).serialize(self.task_size)  # raises if too small
+        # Byte for byte ``Task(fn_id, _SEQ.pack(seq)).serialize(task_size)``.
+        self._pack_record = struct.Struct(f"<HHI{self.task_size - 8}x").pack
 
     # -- termination gate ----------------------------------------------
     def pending(self) -> int:
         """Arrival events still scheduled (monotone non-increasing)."""
-        return self._total - self._fired
+        return len(self._enqueue_tick) - self._fired
 
     # -- setup ----------------------------------------------------------
     def attach(self) -> None:
         """Pre-schedule the whole trace and hook the termination gate."""
-        trace = self.process.trace()
-        self._total = len(trace)
-        for seq, tick in enumerate(trace):
-            self.engine.at_ticks(
-                tick, self._make_arrival(seq), actor="arrivals"
-            )
+        fire = self._fire
+        for tick in self.process.trace():
+            self.engine.at_ticks(tick, fire, actor="arrivals")
         self.pool.term_system.arrival_source = self
 
-    def _make_arrival(self, seq: int):
-        def fire() -> None:
-            self._fired += 1
-            self._inject(seq)
-        return fire
+    def _fire(self) -> None:
+        """One arrival event: label it and inject it (see the class doc)."""
+        seq = self._fired
+        self._fired = seq + 1
+        self._inject(seq)
 
     # -- injection -------------------------------------------------------
     def _pick_target(self) -> int | None:
@@ -180,10 +187,7 @@ class ServingController:
             self.metrics.record_serving("shed")
             return
         worker = self.pool.workers[target]
-        record = Task(self.fn_id, struct.pack("<I", seq)).serialize(
-            self.task_size
-        )
-        worker.queue.enqueue(record)
+        worker.queue.enqueue(self._pack_record(self.fn_id, _SEQ.size, seq))
         # The injection is the spawn: counting it on the target keeps the
         # four-counter termination books and the conservation oracle
         # exact (executed can never outrun spawned + injected).
@@ -192,14 +196,19 @@ class ServingController:
             # This event, not the target's process, changed its books.
             self.pool.oracle.touched(target)
         self.injected += 1
-        self._enqueue_tick[seq] = self.engine.now_ticks
+        self._enqueue_tick[seq] = self.engine._now
         self.metrics.record_serving("injected")
 
     # -- completion sink -------------------------------------------------
     def complete(self, payload: bytes) -> None:
-        """Called by the serve task fn: stamp latency, SLO, checksum."""
-        (seq,) = struct.unpack_from("<I", payload)
-        latency = self.engine.now_ticks - self._enqueue_tick.pop(seq)
+        """Called by the serve task fn once per arrival: latency, SLO, checksum."""
+        (seq,) = _SEQ.unpack_from(payload)
+        ticks = self._enqueue_tick
+        enqueued = ticks[seq]
+        if enqueued is None:
+            raise ProtocolError(f"arrival {seq} completed twice or never injected")
+        ticks[seq] = None
+        latency = self.engine._now - enqueued
         self.sketch.add(latency)
         self.completed += 1
         if self.slo_ticks and latency <= self.slo_ticks:
@@ -248,10 +257,11 @@ def build_serving_registry(task_s: float) -> tuple[TaskRegistry, list]:
     """
     cell: list = [None]
     registry = TaskRegistry()
+    outcome = TaskOutcome(duration=task_s)  # a leaf: one shared outcome
 
     def serve_fn(payload: bytes, tc) -> TaskOutcome:
         cell[0].complete(payload)
-        return TaskOutcome(duration=task_s)
+        return outcome
 
     registry.register("serve", serve_fn)
     return registry, cell
@@ -284,6 +294,13 @@ def run_serve(
     term per arrival) are exactly-once by construction, so a protocol
     whose contract allows a task to run twice is refused.
     """
+    semantics = get_protocol(impl).semantics if impl in protocol_names() else None
+    if semantics is not None and not semantics.exactly_once:
+        raise ValueError(
+            f"serving needs an exactly-once protocol: {impl!r} is "
+            f"{semantics.name} ({semantics.description})"
+        )
+
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:
@@ -310,12 +327,6 @@ def run_serve(
         worker_config=worker_config,
         **pool_kwargs,
     )
-    semantics = pool.protocol.semantics
-    if not semantics.exactly_once:
-        raise ValueError(
-            f"serving needs an exactly-once protocol: {impl!r} is "
-            f"{semantics.name} ({semantics.description})"
-        )
 
     directory = None
     if plan is not None:

@@ -50,11 +50,16 @@ _EMPTY_MODE = TargetMode.EMPTY
 
 
 class _Pauses(dict):
-    """Backoff length -> its :class:`Delay`, built on first use: a worker
-    pauses for ``steal_backoff`` doubled up to the cap, a handful of
-    lengths, and re-yields one Delay per length."""
+    """Pause length -> its :class:`Delay`, built on first use: backoffs
+    (``steal_backoff`` doubled up to the cap) and batch compute segments,
+    which repeat when task durations do.  Durations that never repeat
+    start the cache over every ``LIMIT`` lengths."""
+
+    LIMIT = 1024
 
     def __missing__(self, seconds: float) -> Delay:
+        if len(self) >= self.LIMIT:
+            self.clear()
         pause = self[seconds] = Delay(seconds)
         return pause
 
@@ -239,6 +244,9 @@ class Worker:
         lifeline = self.lifeline
         steal = self._steal
         pauses = self._pauses
+        multi = self.npes > 1
+        # Help-first and lifelines may act in ``_manage`` after any batch.
+        manage_always = cfg.spawn_policy == "help_first" or lifeline is not None
         # Resolved as the body starts, not in ``__init__``: the serving
         # layer installs ``elastic`` and wraps the selector after
         # construction.  An idle iteration re-decides none of this.
@@ -297,7 +305,16 @@ class Worker:
             if queue.local_count > 0:
                 self._backoff = cfg.steal_backoff
                 yield from self._execute_batch()
-                yield from self._manage()
+                self._batches += 1
+                if cfg.sample_queue:
+                    self.samples.append((self.now, queue.local_count, queue.stealable))
+                if self._batches % cfg.progress_every == 0:
+                    queue.progress()
+                if manage_always or (
+                    multi and queue.stealable == 0
+                    and queue.local_count >= cfg.release_min_local
+                ):
+                    yield from self._manage()
                 continue
 
             if queue.stealable > 0:
@@ -510,7 +527,7 @@ class Worker:
         stats.task_time += task_time
         stats.tasks_executed += executed
         if duration > 0:
-            yield Delay(duration)
+            yield self._pauses[duration]
         if self._remote_spawns:
             spawns, self._remote_spawns = self._remote_spawns, []
             for target, task in spawns:
@@ -552,13 +569,9 @@ class Worker:
         self._backoff = min(self.cfg.steal_backoff_max, self._backoff * 2)
 
     def _manage(self) -> Generator:
-        """Post-batch queue management: release + periodic progress."""
+        """Post-batch release and lifeline donations.  The loop enters it
+        only where it can act: anywhere else it yields and changes nothing."""
         queue = self.queue
-        self._batches += 1
-        if self.cfg.sample_queue:
-            self.samples.append((self.now, queue.local_count, queue.stealable))
-        if self._batches % self.cfg.progress_every == 0:
-            queue.progress()
         shared = queue.stealable
         want_release = shared == 0
         if (
