@@ -36,9 +36,11 @@ mp:
 	    tests/test_mp_owner_path.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,
-# task conservation and completion accounting.
+# task conservation and completion accounting; and every protocol ×
+# backend × feature cell of the capability table, run or refused.
 conformance:
-	$(PYTHON) -m pytest -m conformance tests/conformance/
+	$(PYTHON) -m pytest -m conformance tests/conformance/ \
+	    tests/test_capabilities.py
 
 # Open-system serving mode: arrival-process properties, quantile-sketch
 # bounds, SLO/shedding/elastic runs, and the cross-backend serving

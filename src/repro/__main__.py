@@ -79,55 +79,60 @@ def _run_protocol_fabric(proto, npes: int, ntasks: int) -> bool:
     return True
 
 
-def _report_race(label: str, proto, loot, kept, ntasks: int) -> bool:
-    """Print one shim race's verdict under the protocol's contract.
-
-    Tasks are ``range(ntasks)`` — their own buffer indices, so a task
-    stolen twice is an index handed out twice.
-    """
+def _run_protocol_race(proto, backend: str, ntasks: int) -> bool:
+    """The protocol's hammer on ``backend`` (4 thief threads or processes,
+    8 releases, 3 acquires) and its verdict under the protocol's contract.
+    Tasks are their own buffer indices: one stolen twice is an index
+    handed out twice."""
     from collections import Counter
 
+    if backend == "threads":
+        from .threads.protocol import hammer
+    else:
+        from .mp.queue import hammer_mp as hammer
     tasks = list(range(ntasks))
+    loot, kept = hammer(tasks, impl=proto.mp_impl)
     stolen = [t for lane in loot for t in lane]
+    label = f"{backend}:"
     if proto.semantics.exactly_once:
         ok = sorted(stolen + kept) == tasks
         print(
-            f"  {label} {len(stolen)} stolen + {len(kept)} kept "
+            f"  {label:8} {len(stolen)} stolen + {len(kept)} kept "
             f"partitions all {ntasks} tasks exactly: {ok}"
         )
     else:
         ok = set(stolen) | set(kept) == set(tasks)
         dups = sum(1 for c in Counter(stolen).values() if c > 1)
         print(
-            f"  {label} {len(stolen)} stolen + {len(kept)} kept covers "
+            f"  {label:8} {len(stolen)} stolen + {len(kept)} kept covers "
             f"all {ntasks} tasks: {ok} ({dups} duplicated index(es))"
         )
     return ok
 
 
-def _run_protocol_race(proto, backend: str, ntasks: int) -> bool:
-    """The protocol's hammer on ``backend``: thief threads or processes
-    against one owner (4 thieves, 8 releases, 3 acquires)."""
-    label = f"{backend}:"
-    if proto.mp_impl is None:
-        print(f"  {label:8} (no {backend} substrate for this protocol)")
-        return True
-    if backend == "threads":
-        from .threads.protocol import hammer
-    else:
-        from .mp.queue import hammer_mp as hammer
-    loot, kept = hammer(list(range(ntasks)), impl=proto.mp_impl)
-    return _report_race(f"{label:8}", proto, loot, kept, ntasks)
+def _cells(args: argparse.Namespace, protocol: str, features):
+    """The requested backends, and the table's refusal of each one's cell."""
+    from .capabilities import check
+
+    backends = (("fabric", "threads", "mp") if args.backend == "all"
+                else (args.backend,))
+    refused = {}
+    for backend in backends:
+        try:
+            check(protocol, backend, features(backend))
+        except ValueError as exc:
+            refused[backend] = str(exc)
+    return backends, refused
 
 
 def _cmd_protocol(args: argparse.Namespace) -> int:
     """Run one registered protocol across the requested backends."""
     proto = get_protocol(args.protocol)
-    backends = (
-        ("fabric", "threads", "mp")
-        if args.backend == "all"
-        else (args.backend,)
-    )
+    backends, refused = _cells(
+        args, proto.name, lambda b: ("run",) if b == "fabric" else ("race",))
+    if args.backend in refused:
+        print(f"error: {refused[args.backend]}", file=sys.stderr)
+        return 2
     print(
         f"{proto.name}: {proto.title}\n"
         f"  semantics: {proto.semantics.name} "
@@ -138,7 +143,9 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     )
     ok = True
     for backend in backends:
-        if backend == "fabric":
+        if backend in refused:
+            print(f"note: {refused[backend]}")
+        elif backend == "fabric":
             ok &= _run_protocol_fabric(proto, args.npes, args.ntasks)
         else:
             ok &= _run_protocol_race(proto, backend, args.ntasks)
@@ -384,8 +391,12 @@ def _parse_crash(specs, point, respawn, seed):
 
 
 def _cmd_mp(args: argparse.Namespace) -> int:
-    if args.npes < 2:
-        args.error(f"argument --npes: must be >= 2, got {args.npes}")
+    from .capabilities import check
+
+    try:  # --impl is one of the parser's choices: only --npes is refused
+        check(args.impl, "mp", ("run",), args.npes)
+    except ValueError as exc:
+        args.error(f"argument --{exc}")
     from .core.results import StealStatus
     from .mp.driver import run_mp
 
@@ -548,19 +559,14 @@ def _serve_mp(args: argparse.Namespace, slo_s: float) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    backends = (
-        ("fabric", "threads", "mp")
-        if args.backend == "all"
-        else (args.backend,)
-    )
-    if args.backend != "fabric" and (args.shed_threshold or args.elastic):
-        if args.backend == "all":
-            print("note: --shed-threshold/--elastic apply to the fabric "
-                  "run only")
-        else:
-            print("error: --shed-threshold/--elastic need --backend fabric",
-                  file=sys.stderr)
-            return 2
+    extras = (("shedding",) * (args.shed_threshold is not None)
+              + ("elastic",) * (args.elastic is not None))
+    backends, refused = _cells(args, args.impl, lambda b: ("serving", *extras))
+    if args.backend in refused:
+        print(f"error: {refused[args.backend]}", file=sys.stderr)
+        return 2
+    if refused:  # --backend all: the others serve without the options
+        print(f"note: {next(iter(refused.values()))}")
     slo_s = args.slo * 1e-3 if args.slo else 0.0
     print(
         f"serve/{args.impl}: {args.arrival} over {args.duration * 1e3:g}ms"

@@ -47,6 +47,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from ..capabilities import check
 from ..core.damping import DampingTracker
 from ..core.results import StealStatus
 from ..shmem.heap import SymmetricAllocator
@@ -641,17 +642,6 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
 # The parent-side runners
 # ----------------------------------------------------------------------
 
-#: The PE loop's created/completed books close on exactly-once protocols.
-_LAYOUTS = {name: cls for name, cls in LAYOUTS.items() if cls.exactly_once}
-
-
-def _check_fleet_shape(impl: str, npes: int) -> None:
-    if impl not in _LAYOUTS:
-        raise ValueError(f"impl must be {'|'.join(_LAYOUTS)}, got {impl!r}")
-    if npes < 2:
-        raise ValueError(f"npes must be >= 2, got {npes}")
-
-
 def _pe_stats(reports, dead_pes=()) -> list[MpPeStats]:
     """Per-PE stats by rank; a dead incarnation sorts before its respawn."""
     return sorted(
@@ -687,7 +677,8 @@ def run_mp(
     """
     if workload not in ("synthetic", "uts"):
         raise ValueError(f"workload must be synthetic|uts, got {workload!r}")
-    _check_fleet_shape(impl, npes)
+    crashing = crash is not None and crash.active
+    check(impl, "mp", ("run", "crash") if crashing else ("run",), npes)
 
     if workload == "synthetic":
         wl = ("synthetic", ntasks)
@@ -704,7 +695,6 @@ def run_mp(
     # The crash regime runs the sequential oracle up front: duplicate
     # -aware accounting needs the expected set anyway, and its size
     # bounds the shared rings and fingerprint logs.
-    crashing = crash is not None and crash.active
     expected = None
     if verify or crashing:
         expected = (synthetic_expected(ntasks) if workload == "synthetic"
@@ -722,7 +712,7 @@ def run_mp(
                 inbox_cap=expected[0] + 64,
             )
 
-    with Fleet("mp run", _LAYOUTS[impl], npes, capacity, wpt,
+    with Fleet("mp run", LAYOUTS[impl], npes, capacity, wpt,
                ctl=("created", "completed"), regions=reserve) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
         heap.ref(ctl["created"]).store(nseed)
@@ -1020,7 +1010,7 @@ def run_mp_serve(
     from ..runtime.arrivals import parse_arrival_spec
     from ..runtime.stats import QuantileSketch, ServingStats
 
-    _check_fleet_shape(impl, npes)
+    check(impl, "mp", ("serving",), npes)
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:
@@ -1033,7 +1023,7 @@ def run_mp_serve(
     def reserve(heap):
         return [_reserve_serve_inbox(heap, r, inbox_cap) for r in range(npes)]
 
-    with Fleet("mp serve run", _LAYOUTS[impl], npes, capacity, _SERVE_WPT,
+    with Fleet("mp serve run", LAYOUTS[impl], npes, capacity, _SERVE_WPT,
                ctl=("created", "completed", "closed"),
                regions=reserve) as fleet:
         heap, ctl = fleet.heap, fleet.ctl

@@ -14,6 +14,9 @@ exitcode) instead of hanging the parent for its whole timeout.
 
 from __future__ import annotations
 
+import ctypes
+import os
+import signal
 import time
 import traceback
 from queue import Empty
@@ -28,8 +31,20 @@ from .heap import MpHeap
 POLL_S = 0.05
 
 
-def _child_main(body, rank, heap, args, outq) -> None:
-    """Process entry: run ``body`` and report its result or traceback."""
+#: Linux's ``prctl``: a child asks for SIGKILL when its parent dies.
+_PRCTL = getattr(ctypes.CDLL(None), "prctl", None)
+_PR_SET_PDEATHSIG = 1
+
+
+def _child_main(body, rank, heap, args, outq, parent) -> None:
+    """Process entry: run ``body`` and report its result or traceback.
+
+    A child dies with its parent: a supervisor killed by SIGKILL cannot
+    tear its fleet down, so no PE may outlive it (nor keep its segment).
+    """
+    if _PRCTL is not None and _PRCTL(_PR_SET_PDEATHSIG, signal.SIGKILL) == 0:
+        if os.getppid() != parent:        # it died before the request
+            os._exit(1)
     try:
         outq.put(("ok", rank, body(rank, heap, *args)))
     except Exception:
@@ -89,7 +104,7 @@ class Fleet:
             self.t0 = time.perf_counter()
         p = self.ctx.Process(
             target=_child_main,
-            args=(body, rank, self.heap, args, self.outq),
+            args=(body, rank, self.heap, args, self.outq, os.getpid()),
             daemon=True,
         )
         p.start()

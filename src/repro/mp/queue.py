@@ -20,8 +20,8 @@ not-yet-published region.
 
 What the PE driver and the crash supervisor need to know about a
 protocol they ask of its layout and views — never of its name:
-``exactly_once`` and ``lock_word`` on the layout, ``has_work()`` on both
-views, ``try_steal`` / ``arm_crash`` / ``scavenge`` on the thief.
+``lock_word`` on the layout, ``has_work()`` on both views,
+``try_steal`` / ``arm_crash`` / ``scavenge`` on the thief.
 :data:`LAYOUTS` is the one place a protocol name becomes a class.
 """
 
@@ -31,6 +31,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 
+from ..capabilities import check
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealStatus
 from ..core.steal_half import schedule, steal_displacement
@@ -353,7 +354,6 @@ class SwsQueueLayout(_Layout):
     #: mode.
     claimant: SymArray | None = None
 
-    exactly_once = True
     owner_class = MpSwsQueue
     thief_class = MpSwsThief
 
@@ -519,7 +519,6 @@ class SdcQueueLayout(_TailSplitLayout):
     words_per_task: int = 1
 
     WORDS = ("lock", "tail", "split")
-    exactly_once = True
     owner_class = MpSdcQueue
     thief_class = MpSdcThief
 
@@ -565,31 +564,18 @@ class FfMultQueueLayout(_TailSplitLayout):
     capacity: int
     words_per_task: int = 1
 
-    #: Racing thieves may hand a task out twice: the PE driver's
-    #: created/completed books cannot close over it.
     WORDS = ("tail", "split")
-    exactly_once = False
     owner_class = MpFfMultQueue
     thief_class = MpFfMultThief
 
 
 #: Protocol name -> layout: the one place a name turns into code.  The
-#: registry's ``Protocol.mp_impl`` names an entry; the PE driver and the
-#: serving feeders take the ``exactly_once`` ones.
+#: registry's ``Protocol.mp_impl`` names an entry.
 LAYOUTS = {
     "sws": SwsQueueLayout,
     "sdc": SdcQueueLayout,
     "ff-mult": FfMultQueueLayout,
 }
-
-
-def layout_class(impl: str):
-    """``LAYOUTS[impl]``, or a ValueError naming the choices."""
-    try:
-        return LAYOUTS[impl]
-    except KeyError:
-        raise ValueError(
-            f"impl must be {'|'.join(LAYOUTS)}, got {impl!r}") from None
 
 
 @contextmanager
@@ -602,7 +588,7 @@ def in_process_queue(impl: str, tasks):
     however it exits.
     """
     tasks = list(tasks)
-    with Fleet(f"{impl} queue", layout_class(impl), 1,
+    with Fleet(f"{impl} queue", LAYOUTS[impl], 1,
                max(1, len(tasks))) as fleet:
         queue = fleet.layouts[0].owner(fleet.heap)
         queue.push_all(tasks)
@@ -655,7 +641,8 @@ def hammer_mp(
     instead of hanging CI until the job timeout guesses for it, and
     whatever the owner raises, no thief outlives the call.
     """
-    with Fleet("mp hammer", layout_class(impl), 1, len(tasks),
+    check(impl, "mp", ("race",), nthieves + 1)
+    with Fleet("mp hammer", LAYOUTS[impl], 1, len(tasks),
                ctl=("stop",)) as fleet:
         layout, stop_addr = fleet.layouts[0], fleet.ctl["stop"]
         queue = layout.owner(fleet.heap)

@@ -22,12 +22,13 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
+from ..capabilities import CELLS, check
 from ..core.config import QueueConfig
 from ..core.damping import DampingTracker
 from ..fabric.latency import EDR_INFINIBAND, TIERED_EDR, LatencyModel
 from ..fabric.topology import TieredTopology, Topology
 from ..shmem.api import ShmemCtx
-from .protocols import get_protocol, protocol_names
+from .protocols import get_protocol
 from .registry import TaskRegistry
 from .stats import RunStats
 from .task import Task
@@ -78,13 +79,11 @@ class TaskPool:
         oracle: bool = False,
         topology: Topology | None = None,
     ) -> None:
-        try:
-            protocol = get_protocol(impl)
-        except KeyError:
-            raise ValueError(
-                f"impl must be a registered protocol "
-                f"{protocol_names()}, got {impl!r}"
-            ) from None
+        faulty = fault_plan is not None and fault_plan.active
+        asks = {"run": True, "faults": faulty, "tree": termination == "tree",
+                "scheduler": scheduler is not None, "oracle": oracle}
+        check(impl, "fabric", [f for f, on in asks.items() if on], npes)
+        protocol = get_protocol(impl)
         self.npes = npes
         self.impl = impl
         #: The registered steal protocol driving every layer below.
@@ -104,18 +103,7 @@ class TaskPool:
                 latency = TIERED_EDR
         self.topology_override = topology
 
-        faulty = fault_plan is not None and fault_plan.active
         if faulty:
-            if not protocol.supports_faults:
-                raise ValueError(
-                    f"fault injection is not supported for impl={impl!r} "
-                    f"(the protocol declares no recovery path)"
-                )
-            if termination != "ring":
-                raise ValueError(
-                    "fault injection requires termination='ring' "
-                    "(the tree detector has no fault-tolerant variant)"
-                )
             if any(f.pe == 0 for f in fault_plan.pe_failures):
                 raise ValueError(
                     "PE 0 cannot be in pe_failures: it anchors termination "
@@ -201,7 +189,7 @@ class TaskPool:
                     threshold=self.queue_config.damping_threshold,
                     enabled=self.worker_config.damping,
                 )
-                if protocol.supports_damping
+                if "damping" in CELLS[impl]["fabric"]
                 else None
             )
             selector = (

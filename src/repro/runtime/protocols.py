@@ -16,31 +16,17 @@ oracle:
   backends) or *at-least-once-with-multiplicity* (duplicates are legal
   and accounted; conservation holds over the deduplicated set with
   ``executed == spawned + dup_handouts``);
-* **composition hints** — the default victim selector, whether SWS-style
-  steal damping applies, whether the fault-injection fabric is
-  supported, and whether the protocol wants the tiered
-  (socket/node/rack) topology and latency model;
+* **composition hints** — the default victim selector and whether the
+  protocol wants the tiered (socket/node/rack) topology and latency
+  model.  Which backends and features (faults, damping, serving, ...)
+  it runs is its row of :data:`repro.capabilities.CELLS`;
 * **comm counts** — the one-sided operation budget of a successful
   steal, extending the paper's Figure-2 comparison across the zoo.
 
-Registered protocols:
-
-``sws``
-    The paper's Figure-4 epoch design: fused discover+claim via a single
-    fetch-add on the packed stealval (3 comms, 2 blocking).
-``sws-v1``
-    The Figure-3 valid-bit variant (§4.1), kept for ablations.
-``sdc``
-    The Scioto split-queue/deferred-copy baseline (6 comms, 5 blocking).
-``ff-mult``
-    Fence-free work-stealing deque with multiplicity (Castañeda & Piña):
-    plain reads + a plain tail store, no atomics on the steal path, so a
-    task may be handed out more than once — at-least-once semantics with
-    duplicate-aware accounting (3 comms, all blocking).
-``localized``
-    Localized work stealing (Suksompong, Leiserson & Schardl): the SWS
-    steal core unchanged, but victims drawn tier-by-tier from a
-    socket/node/rack hierarchy over the tiered latency model.
+The registered protocols are the records at the end of this module —
+``sws`` (Fig. 4), ``sws-v1`` (Fig. 3, §4.1), ``sdc`` (the Scioto
+baseline), ``ff-mult`` (Castañeda & Piña) and ``localized``
+(Suksompong, Leiserson & Schardl) — walked through in docs/protocols.md.
 """
 
 from __future__ import annotations
@@ -104,10 +90,6 @@ class Protocol:
         per steal.
     default_victim:
         Victim-selector kind when the caller does not pick one.
-    supports_damping:
-        Whether SWS steal damping (probe-first empty mode) applies.
-    supports_faults:
-        Whether the fault-injection fabric has a recovery path.
     tiered:
         Protocol wants the socket/node/rack tiered topology + latency
         model by default (localized stealing).
@@ -127,8 +109,6 @@ class Protocol:
     queue_system: Callable
     steal_half: bool = True
     default_victim: str = "uniform"
-    supports_damping: bool = False
-    supports_faults: bool = False
     tiered: bool = False
     comms_total: int = 0
     comms_blocking: int = 0
@@ -192,8 +172,6 @@ register_protocol(
         title="Structured work stealing: fused fetch-add discover+claim (Fig. 4)",
         semantics=EXACTLY_ONCE,
         queue_system=_fabric_sws,
-        supports_damping=True,
-        supports_faults=True,
         comms_total=3,
         comms_blocking=2,
         mp_impl="sws",
@@ -207,8 +185,6 @@ register_protocol(
         title="SWS valid-bit variant (Fig. 3, §4.1)",
         semantics=EXACTLY_ONCE,
         queue_system=_fabric_sws_v1,
-        supports_damping=True,
-        supports_faults=False,
         comms_total=3,
         comms_blocking=2,
         notes="ablation only: no epoch turnover, no fault recovery",
@@ -221,7 +197,6 @@ register_protocol(
         title="Scioto SDC baseline: split queue, deferred copies (Fig. 2)",
         semantics=EXACTLY_ONCE,
         queue_system=_fabric_sdc,
-        supports_faults=True,
         comms_total=6,
         comms_blocking=5,
         mp_impl="sdc",
@@ -236,7 +211,6 @@ register_protocol(
         semantics=AT_LEAST_ONCE,
         queue_system=_fabric_ffmult,
         steal_half=False,
-        supports_faults=False,
         comms_total=3,
         comms_blocking=3,
         mp_impl="ff-mult",
@@ -251,8 +225,6 @@ register_protocol(
         semantics=EXACTLY_ONCE,
         queue_system=_fabric_sws,
         default_victim="tiered",
-        supports_damping=True,
-        supports_faults=True,
         tiered=True,
         comms_total=3,
         comms_blocking=2,

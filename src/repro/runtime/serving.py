@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import struct
 
+from ..capabilities import check
 # ``run_serve`` builds its pool inside the call its callers time, so the
 # queue modules of the two protocols the CLI serves load with this module:
 # the registry's lazy factories then find them compiled.
@@ -44,7 +45,6 @@ from .arrivals import (
     parse_elastic_spec,
 )
 from .pool import TaskPool
-from .protocols import get_protocol, protocol_names
 from .registry import TaskOutcome, TaskRegistry
 from .stats import QuantileSketch, RunStats, ServingStats
 from .task import Task
@@ -294,13 +294,9 @@ def run_serve(
     term per arrival) are exactly-once by construction, so a protocol
     whose contract allows a task to run twice is refused.
     """
-    semantics = get_protocol(impl).semantics if impl in protocol_names() else None
-    if semantics is not None and not semantics.exactly_once:
-        raise ValueError(
-            f"serving needs an exactly-once protocol: {impl!r} is "
-            f"{semantics.name} ({semantics.description})"
-        )
-
+    check(impl, "fabric", ("serving",)
+          + ("shedding",) * (shed_threshold is not None)
+          + ("elastic",) * (elastic is not None))
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:

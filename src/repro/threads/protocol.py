@@ -49,6 +49,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from ..capabilities import check
 from ..core.steal_half import schedule
 from ..core.stealval import StealValEpoch, owner_remainder, thief_claim
 
@@ -239,6 +240,7 @@ def hammer(
     # Imported here: the layouts are bound to the cores of this module.
     from ..mp.queue import in_process_queue
 
+    check(impl, "threads", ("race",), nthieves + 1)
     with in_process_queue(impl, tasks) as queue:
         return race(queue, nthieves, max(1, len(tasks) // releases),
                     acquires)

@@ -19,13 +19,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..mp.queue import LAYOUTS, in_process_queue
+from ..capabilities import check
+from ..mp.queue import in_process_queue
 from ..runtime.arrivals import ArrivalProcess, parse_arrival_spec, serving_checksum
 from ..runtime.stats import QuantileSketch, ServingStats
 from .protocol import race
-
-#: Serving books close on exactly-once protocols only.
-_QUEUES = {name: cls for name, cls in LAYOUTS.items() if cls.exactly_once}
 
 
 @dataclass
@@ -67,8 +65,7 @@ def run_serve_threads(
     the disjoint union of thief loot and owner-kept tasks must equal the
     full trace, which :class:`ServingStats`'s books and checksum record.
     """
-    if impl not in _QUEUES:
-        raise ValueError(f"impl must be one of {sorted(_QUEUES)}, got {impl!r}")
+    check(impl, "threads", ("serving",), nthieves + 1)
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:

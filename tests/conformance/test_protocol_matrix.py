@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runtime.protocols import AT_LEAST_ONCE, EXACTLY_ONCE, all_protocols
+
 from .backends import (
     GOLDEN_150,
     MATRIX_PROTOCOLS,
@@ -32,8 +34,13 @@ from .backends import (
 
 pytestmark = [pytest.mark.conformance, pytest.mark.timeout(120)]
 
-EXACTLY_ONCE_PROTOCOLS = ("sws", "sdc", "localized")
-AT_LEAST_ONCE_PROTOCOLS = ("ff-mult",)
+#: The matrix rows by declared contract, in registration order.
+EXACTLY_ONCE_PROTOCOLS = tuple(
+    p.name for p in all_protocols()
+    if p.mp_impl is not None and p.semantics is EXACTLY_ONCE)
+AT_LEAST_ONCE_PROTOCOLS = tuple(
+    p.name for p in all_protocols()
+    if p.mp_impl is not None and p.semantics is AT_LEAST_ONCE)
 SEQUENTIAL_ORACLE = frozenset(range(NTOTAL))
 
 
@@ -49,8 +56,6 @@ def matrix():
 
 def test_matrix_protocols_match_registry():
     """The matrix rows cover exactly the multi-substrate protocols."""
-    from repro.runtime.protocols import all_protocols
-
     expected = {p.name for p in all_protocols() if p.mp_impl is not None}
     assert set(MATRIX_PROTOCOLS) == expected
 

@@ -97,6 +97,10 @@ class TestUsageErrors:
         (["explore", "--policy", "replay"],
          "error: argument --policy: invalid choice: 'replay' "
          "(choose from 'fixed', 'random', 'pct', 'dfs')"),
+        (["--protocol", "sws-v1", "--backend", "mp"],
+         "error: no mp substrate for 'sws-v1': it runs on fabric only"),
+        (["serve", "--backend", "threads", "--shed-threshold", "8"],
+         "error: shedding runs on fabric only"),
     ])
     def test_rc2_and_one_line(self, argv, message):
         import os

@@ -207,3 +207,138 @@ def test_only_the_fleet_starts_processes():
         if ".Process(" in path.read_text()
     )
     assert callers == ["mp/fleet.py"]
+
+
+# ----------------------------------------------------------------------
+# abnormal exits of the supervisor itself: SIGKILL and Ctrl-C
+# ----------------------------------------------------------------------
+
+#: A supervisor whose PEs run ``synthetic`` tasks of 10 ms each: far
+#: longer than the tests below wait once they have stopped it.
+_SLOW_SUPERVISOR = """
+import time
+import repro.mp.driver as d
+
+bind = d._bind_workload
+
+def slow(*wl):
+    seeds, execute, fingerprint = bind(*wl)
+    def execute_slowly(payload):
+        time.sleep(0.01)
+        return execute(payload)
+    return seeds, execute_slowly, fingerprint
+
+d._bind_workload = slow
+d.run_mp("synthetic", "sws", 2, ntasks=20000)
+"""
+
+
+def _children_of(pid: int) -> set[int]:
+    out = set()
+    for path in os.listdir("/proc"):
+        if path.isdigit():
+            try:
+                with open(f"/proc/{path}/stat", "rb") as f:
+                    stat = f.read()
+            except OSError:
+                continue
+            if int(stat[stat.rindex(b")") + 2:].split()[1]) == pid:
+                out.add(int(path))
+    return out
+
+
+def _reap_all(deadline_s: float) -> None:
+    """Wait for (and reap) every child this process has, up to a
+    deadline: what a subreaper inherited included."""
+    from .conftest import child_pids
+
+    deadline = time.monotonic() + deadline_s
+    while child_pids() and time.monotonic() < deadline:
+        for pid in child_pids():
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                pass
+        time.sleep(0.05)
+
+
+@needs_fork
+@pytest.mark.timeout(60)
+def test_a_sigkilled_supervisor_leaves_nothing_behind():
+    """The supervisor runs in its own session and this process is the
+    subreaper, so its orphaned PEs (and its resource tracker) become
+    this process's children: none may outlive it, and the segment they
+    mapped must go."""
+    import ctypes
+    import signal
+    import subprocess
+    import sys
+
+    pr_set_child_subreaper = 36
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    assert prctl(pr_set_child_subreaper, 1, 0, 0, 0) == 0
+    try:
+        with nothing_left_behind():
+            proc = subprocess.Popen(
+                [sys.executable, "-c", _SLOW_SUPERVISOR],
+                start_new_session=True,
+                env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+            deadline = time.monotonic() + 30
+            while len(_children_of(proc.pid)) < 3:   # 2 PEs + the tracker
+                assert proc.poll() is None, "the supervisor exited early"
+                assert time.monotonic() < deadline, "no PE ever started"
+                time.sleep(0.05)
+            time.sleep(0.2)                          # the PEs are running
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait()
+            _reap_all(10.0)
+    finally:
+        # Whatever the verdict, take down the PEs a failure left running;
+        # the supervisor's resource tracker then unlinks its segment.
+        from .conftest import child_pids
+
+        for pid in child_pids():
+            try:
+                with open(f"/proc/{pid}/cmdline", "rb") as f:
+                    if b"resource_tracker" not in f.read():
+                        os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass                             # exited while we looked
+        _reap_all(10.0)
+        prctl(pr_set_child_subreaper, 0, 0, 0, 0)
+
+
+@needs_fork
+@pytest.mark.timeout(60)
+def test_a_keyboard_interrupt_mid_run_leaves_nothing_behind(monkeypatch):
+    """Ctrl-C lands in ``run_mp`` while its PEs run: the interrupt
+    propagates, and the fleet's teardown still kills and reaps every PE
+    and unlinks the segment."""
+    import _thread
+    import threading
+
+    from .conftest import child_pids
+
+    bind = driver._bind_workload
+
+    def slow(*wl):
+        seeds, execute, fingerprint = bind(*wl)
+
+        def execute_slowly(payload):
+            time.sleep(0.01)
+            return execute(payload)
+        return seeds, execute_slowly, fingerprint
+
+    monkeypatch.setattr(driver, "_bind_workload", slow)
+
+    def interrupt_once_running():
+        deadline = time.monotonic() + 30
+        while len(child_pids()) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        time.sleep(0.2)
+        _thread.interrupt_main()
+
+    with nothing_left_behind():
+        threading.Thread(target=interrupt_once_running, daemon=True).start()
+        with pytest.raises(KeyboardInterrupt):
+            run_mp("synthetic", "sws", 2, ntasks=20000)

@@ -22,8 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mp.driver import (
+    LAYOUTS,
     UTS_STATE,
-    _LAYOUTS,
     _bind_plain,
     _pe_loop,
     _uts_execute,
@@ -169,7 +169,7 @@ def _checked_pe_loop(rank, heap, layouts, ctl, *args):
 def test_books_never_overdraw_at_a_flush(impl, npes):
     params = get_tree("test_small")
     wl = ("uts", params)
-    with Fleet("books", _LAYOUTS[impl], npes, 1 << 12, 4,
+    with Fleet("books", LAYOUTS[impl], npes, 1 << 12, 4,
                ctl=("created", "completed")) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
         heap.ref(ctl["created"]).store(1)

@@ -100,8 +100,9 @@ class TestDeclaredContracts:
 
     def test_handles_are_split_queues(self):
         """Every fabric queue is the one split queue — no family tag to
-        dispatch on — and offers ``probe`` exactly when the record says
-        steal damping applies."""
+        dispatch on — and offers ``probe`` exactly when its fabric cell
+        lists steal damping."""
+        from repro.capabilities import CELLS
         from repro.core.split_queue import SplitQueue
         from repro.fabric.latency import ZERO_LATENCY
         from repro.shmem.api import ShmemCtx
@@ -111,12 +112,15 @@ class TestDeclaredContracts:
             system = p.queue_system(ctx, QueueConfig(qsize=64, task_size=16))
             queue = system.handle(0)
             assert isinstance(queue, SplitQueue), p.name
-            assert hasattr(queue, "probe") == p.supports_damping, p.name
+            assert hasattr(queue, "probe") == (
+                "damping" in CELLS[p.name]["fabric"]), p.name
 
     def test_thread_factories_build_matching_shims(self, shim_queue):
         """``mp_impl`` names the one layout both real-time substrates
-        run; its owner is the protocol's, and so is its contract."""
-        from repro.mp.queue import LAYOUTS, MpFfMultQueue, MpSdcQueue, MpSwsQueue
+        run; its owner is the protocol's, and the mp PE loop runs it
+        exactly when its contract is exactly-once."""
+        from repro.capabilities import CELLS
+        from repro.mp.queue import MpFfMultQueue, MpSdcQueue, MpSwsQueue
 
         expected = {
             "sws": MpSwsQueue,
@@ -128,18 +132,23 @@ class TestDeclaredContracts:
             protocol = get_protocol(name)
             queue = shim_queue(protocol.mp_impl, range(8))
             assert isinstance(queue, cls), name
-            assert (LAYOUTS[protocol.mp_impl].exactly_once
+            assert (("run" in CELLS[protocol.mp_impl]["mp"])
                     == protocol.semantics.exactly_once), name
         assert get_protocol("sws-v1").mp_impl is None
 
     def test_localized_defaults(self):
+        from repro.capabilities import CELLS
+
         p = get_protocol("localized")
         assert p.tiered
         assert p.default_victim == "tiered"
-        assert p.supports_damping
+        assert "damping" in CELLS[p.name]["fabric"]
 
     def test_fault_support_gating(self):
-        support = {p.name: p.supports_faults for p in all_protocols()}
+        from repro.capabilities import CELLS
+
+        support = {p.name: "faults" in CELLS[p.name]["fabric"]
+                   for p in all_protocols()}
         assert support == {
             "sws": True,
             "sws-v1": False,
