@@ -47,14 +47,10 @@ class DampingTracker:
         self.npes = npes
         self.threshold = threshold
         self.enabled = enabled
-        self._mode: dict[int, TargetMode] = {}
+        #: target -> mode, full-mode when absent.  Only an enabled tracker
+        #: demotes, so ``modes.get(victim)`` is the whole empty-mode test.
+        self.modes: dict[int, TargetMode] = {}
         self.stats = DampingStats()
-
-    def mode(self, target: int) -> TargetMode:
-        """Current mode for ``target`` (defaults to full-mode)."""
-        if not self.enabled:
-            return TargetMode.FULL
-        return self._mode.get(target, TargetMode.FULL)
 
     def note_failed_claim(self, target: int, view: StealViewEpoch) -> None:
         """A claiming fetch-add found no work; maybe demote the target.
@@ -69,28 +65,30 @@ class DampingTracker:
         if (
             remaining == 0
             and overshoot >= self.threshold
-            and self.mode(target) is TargetMode.FULL
+            and self.modes.get(target) is not TargetMode.EMPTY
         ):
-            self._mode[target] = TargetMode.EMPTY
+            self.modes[target] = TargetMode.EMPTY
             self.stats.demotions += 1
 
     def note_probe(self, target: int, has_work: bool) -> None:
         """Record a probe outcome; promote the target if work appeared."""
         self.stats.probes += 1
         if has_work:
-            if self._mode.get(target) is TargetMode.EMPTY:
-                self._mode[target] = TargetMode.FULL
+            if self.modes.get(target) is TargetMode.EMPTY:
+                self.modes[target] = TargetMode.FULL
                 self.stats.promotions += 1
         else:
             self.stats.probe_aborts += 1
 
     def note_success(self, target: int) -> None:
         """A successful steal confirms full-mode."""
-        if self._mode.get(target) is TargetMode.EMPTY:
-            self._mode[target] = TargetMode.FULL
+        if self.modes.get(target) is TargetMode.EMPTY:
+            self.modes[target] = TargetMode.FULL
             self.stats.promotions += 1
 
     @staticmethod
     def view_has_work(view: StealViewEpoch) -> bool:
-        """Does a decoded stealval advertise unclaimed tasks?"""
+        """Does a decoded stealval advertise unclaimed tasks?  The
+        reference that each codec's shift-and-mask ``has_work(word)`` is
+        held to (``tests/test_codec_has_work.py``)."""
         return not view.locked and owner_remainder(view.itasks, view.asteals)[2] > 0

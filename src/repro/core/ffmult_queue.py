@@ -207,9 +207,9 @@ class FfMultQueue(SplitQueue):
         token = system.register_inflight(victim, system.current_floor(victim))
         try:
             # (1) discover: one get of the contiguous [TAIL, SPLIT] pair
-            tail, split = yield pe.get_words(victim, META_REGION, TAIL, 2)
+            tail, split = yield self._get_words(self.rank, victim, META_REGION, TAIL, 2)
             if split - tail <= 0:
-                return StealResult(StealStatus.EMPTY, victim)
+                return self.empty_results[victim]
             system.update_inflight(victim, token, tail)
             # (2) copy exactly one task record
             ts = self._tsize

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..fabric.engine import Delay
 from ..fabric.errors import FabricTimeoutError, ProtocolError
 from .results import StealResult, StealStatus
 from .split_queue import SplitQueue, SplitQueueSystem
@@ -146,7 +145,7 @@ class SdcQueue(SplitQueue):
                 if self.pe.local_cas(META_REGION, LOCK, old, my) == old:
                     self.locks_recovered += 1
                     break
-            yield Delay(self.cfg.lock_backoff)
+            yield self._lock_pause
         try:
             avail = self.stealable
             if avail <= 0:
@@ -208,22 +207,25 @@ class SdcQueue(SplitQueue):
         propagating, and the post-claim block fetch is retried before the
         claimed tasks are abandoned (:meth:`SplitQueue._fetch_block`).
         """
-        if victim == self.rank:
+        rank = self.rank
+        if victim == rank:
             raise ProtocolError("a PE cannot steal from itself")
         pe = self.pe
         cfg = self.cfg
         lease = cfg.sdc_lock_lease
         ctx = self.system.ctx
+        swap = self._amo_swap
+        get_words = self._get_words
         my = _LOCKED
         polls = 0
         while True:
             # (1) acquire remote queue lock
             if lease is None:
-                old = yield pe.atomic_swap(victim, META_REGION, LOCK, _LOCKED)
+                old = yield swap(rank, victim, META_REGION, LOCK, _LOCKED)
                 if old == _UNLOCKED:
                     break
             else:
-                my = _lease_word(self.rank, ctx.now)
+                my = _lease_word(rank, ctx.now)
                 old = yield pe.atomic_compare_swap(victim, META_REGION, LOCK, _UNLOCKED, my)
                 if old == _UNLOCKED:
                     break
@@ -234,20 +236,18 @@ class SdcQueue(SplitQueue):
                         break
                     # raced: fall through and poll like a held lock
             # Lock held: poll metadata read-only; abort if work vanished.
-            words = yield pe.get_words(victim, META_REGION, TAIL, 3)
-            tail, _seq, split = words
+            tail, _seq, split = yield get_words(rank, victim, META_REGION, TAIL, 3)
             if split - tail <= 0:
-                return StealResult(StealStatus.EMPTY, victim)
+                return self.empty_results[victim]
             polls += 1
             if polls >= max_lock_polls:
                 return StealResult(StealStatus.LOCKED_ABORT, victim)
-            yield Delay(cfg.lock_backoff)
+            yield self._lock_pause
 
         ntasks = 0
         try:
             # (2) fetch metadata: tail, seq, split in one get
-            words = yield pe.get_words(victim, META_REGION, TAIL, 3)
-            tail, seq, split = words
+            tail, seq, split = yield get_words(rank, victim, META_REGION, TAIL, 3)
             avail = split - tail
             if avail > 0:
                 ntasks = 1 if cfg.sdc_steal == "one" else max(1, avail // 2)
@@ -258,11 +258,11 @@ class SdcQueue(SplitQueue):
             raise
         # (4) release the lock ((3') of the 3-communication empty path)
         if lease is None:
-            yield pe.atomic_swap(victim, META_REGION, LOCK, _UNLOCKED)
+            yield swap(rank, victim, META_REGION, LOCK, _UNLOCKED)
         else:
             yield from self._unlock(victim, my)
         if ntasks == 0:
-            return StealResult(StealStatus.EMPTY, victim)
+            return self.empty_results[victim]
         # (5) copy the stolen block (two gets when it wraps the buffer)
         # (6) deferred-copy completion: non-blocking atomic into the ring
         result = yield from self._take_claimed(victim, tail, ntasks, seq % cfg.qsize)

@@ -30,7 +30,8 @@ through:
 ``acquire()``        generator; returns the number taken back
 ``progress()``       reclaim finished steals; returns slots freed
 ``steal(victim)``    generator; returns a :class:`StealResult`
-``probe(victim)``    optional read-only look (steal damping)
+``probe(victim)``    optional: a request yielding the raw metadata word
+                     (steal damping; ``codec.has_work`` reads it)
 ``dup_handouts``     duplicate handouts so far (0 unless at-least-once)
 ===================  ================================================
 
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 from typing import Generator, Sequence
 
+from ..fabric.engine import Delay
 from ..fabric.errors import FabricTimeoutError, OracleViolation, ProtocolError
 from ..shmem.api import ShmemCtx
 from .config import QueueConfig
@@ -66,6 +68,17 @@ class SplitQueueSystem:
     def __init__(self, ctx: ShmemCtx, config: QueueConfig | None = None) -> None:
         self.ctx = ctx
         self.config = cfg = config or QueueConfig()
+        #: victim -> the one ``EMPTY`` result every failed attempt on it
+        #: returns (shared by all handles: nothing mutates a result).
+        self.empty_results = [StealResult(StealStatus.EMPTY, v)
+                              for v in range(ctx.npes)]
+        # The thief paths' remote ops and lock-poll pause, built once per
+        # pool and shared by every handle.
+        nic = ctx.nic
+        self.amo_swap = nic.amo_swap
+        self.amo_fetch_add = nic.amo_fetch_add
+        self.get_words = nic.get_words
+        self.lock_pause = Delay(cfg.lock_backoff)
         self._alloc_meta(ctx.heap, cfg)
         ctx.heap.alloc_bytes(self.queue_class.task_region, cfg.qsize * cfg.task_size)
 
@@ -130,6 +143,15 @@ class SplitQueue:
         self._tasks = heap.byte_view(rank, self.task_region)
         self._qsize = self.cfg.qsize
         self._tsize = self.cfg.task_size
+        # The thief paths' remote ops: a yielded ``self._amo_swap(
+        # self.rank, victim, ...)`` is the NIC's request without the
+        # ``Pe`` forwarding frame.
+        self._amo_swap = system.amo_swap
+        self._amo_fetch_add = system.amo_fetch_add
+        self._get_words = system.get_words
+        self.empty_results = system.empty_results
+        #: The ``lock_backoff`` pause of every lock / epoch poll.
+        self._lock_pause = system.lock_pause
 
     # ------------------------------------------------------------------
     # owner-local views

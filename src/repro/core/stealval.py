@@ -133,6 +133,14 @@ class StealValV1:
         )
 
     @classmethod
+    def has_work(cls, word: int) -> bool:
+        """The damped probe's decode: ``view_has_work(unpack(word))``."""
+        if not (word >> cls.VALID_SHIFT) & 1:
+            return False
+        itasks = (word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS
+        return (word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS < max_steals(itasks)
+
+    @classmethod
     def invalid_word(cls) -> int:
         """A stealval advertising no stealable work (valid bit clear)."""
         return cls.pack(0, False, 0, 0)
@@ -186,6 +194,14 @@ class StealValEpoch:
             itasks=(word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS,
             tail=word & cls.MAX_TAIL,
         )
+
+    @classmethod
+    def has_work(cls, word: int) -> bool:
+        """The damped probe's decode: ``view_has_work(unpack(word))``."""
+        if (word >> cls.EPOCH_SHIFT) & cls.EPOCH_LOCKED == cls.EPOCH_LOCKED:
+            return False
+        itasks = (word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS
+        return (word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS < max_steals(itasks)
 
     @classmethod
     def locked_word(cls) -> int:

@@ -32,9 +32,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Generator
 
-from ..fabric.engine import Delay
 from ..fabric.errors import ProtocolError
 from .results import StealResult, StealStatus
 from .split_queue import SplitQueue, SplitQueueSystem
@@ -99,6 +99,12 @@ class StealvalQueue(SplitQueue):
         #: Monotone count of stealval publications (oracle: identifies a
         #: publication uniquely even when epoch/itasks/tail repeat).
         self.publications = 0
+        #: Empty-mode probe (steal damping, §4.3): ``yield
+        #: self.probe(victim)`` is one read-only atomic fetch of the
+        #: victim's stealval and returns the raw word, which
+        #: ``codec.has_work`` reads; it never claims work.
+        self.probe = partial(system.ctx.nic.amo_fetch, rank,
+                             region=self.meta_region, offset=STEALVAL)
 
     def _load_stealval(self) -> int:
         return self._meta[STEALVAL]
@@ -151,15 +157,15 @@ class StealvalQueue(SplitQueue):
             raise ProtocolError("a PE cannot steal from itself")
         codec = self.codec
         # (1) discover AND claim in one atomic round trip
-        old = yield self.pe.atomic_fetch_add(
-            victim, self.meta_region, STEALVAL, codec.ASTEAL_UNIT
+        old = yield self._amo_fetch_add(
+            self.rank, victim, self.meta_region, STEALVAL, codec.ASTEAL_UNIT
         )
         view = codec.unpack(old)
         if view.locked:
             return StealResult(StealStatus.DISABLED, victim)
         ntasks, disp = thief_claim(view.itasks, view.asteals)
         if ntasks == 0:
-            return StealResult(StealStatus.EMPTY, victim)
+            return self.empty_results[victim]
         # (2) copy the claimed block (start computed locally, §4 example)
         # (3) passive completion notification into this epoch's row
         result = yield from self._take_claimed(
@@ -167,15 +173,6 @@ class StealvalQueue(SplitQueue):
             self._comp_offset(view.epoch, view.asteals),
         )
         return result
-
-    def probe(self, victim: int) -> Generator:
-        """Empty-mode probe (steal damping, §4.3): read-only atomic fetch.
-
-        Returns the decoded stealval view; costs a single communication
-        and never claims work.
-        """
-        word = yield self.pe.atomic_fetch(victim, self.meta_region, STEALVAL)
-        return self.codec.unpack(word)
 
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
@@ -281,7 +278,7 @@ class SwsQueue(StealvalQueue):
             self.progress()
             if not any(r.epoch == next_epoch for r in self.records):
                 break
-            yield Delay(self.cfg.lock_backoff)
+            yield self._lock_pause
         self.epoch_wait_time += self.system.ctx.engine.now - t0
         # Re-initialize the epoch's completion row before re-enabling steals.
         base = self._comp_offset(next_epoch, 0)

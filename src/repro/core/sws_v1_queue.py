@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..fabric.engine import Delay
 from ..fabric.errors import ProtocolError
 from .split_queue import SplitQueueSystem
 from .steal_half import schedule
@@ -85,7 +84,7 @@ class SwsV1Queue(StealvalQueue):
         t0 = self.system.ctx.engine.now
         comp = self._comp
         while not all(comp[i] == vols[i] for i in range(claims)):
-            yield Delay(self.cfg.lock_backoff)
+            yield self._lock_pause
         self.stall_time += self.system.ctx.engine.now - t0
         # Fold everything: all claims finished, space reclaimable.
         self.reclaim_tail = self.allot_start + disp

@@ -429,18 +429,7 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past: {delay}")
         # Relative scheduling is exact integer arithmetic on the current
         # tick — immune to float round-trip loss at large virtual times.
-        when = self._now + round(delay * TICKS_PER_SECOND)
-        entry = [when, self._seq, fn, actor]
-        self._seq += 1
-        # Current-bucket insert inlined from CalendarQueue.push (hot path).
-        q = self._q
-        cur = q._cur
-        if cur is not None and when >> q._shift == q._cur_key:
-            insort(cur, entry, q._cur_i)
-        else:
-            q._push_slow(entry)
-        q._len += 1
-        return entry
+        return self.schedule_ticks(round(delay * TICKS_PER_SECOND), fn, actor)
 
     def schedule_ticks(self, dticks: int, fn: Callable[[], None],
                        actor: str | None = None) -> EventHandle:

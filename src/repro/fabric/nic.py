@@ -48,6 +48,7 @@ Every operation is tallied in :class:`~repro.fabric.metrics.FabricMetrics`.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import TYPE_CHECKING, Any, Callable
 
 from .engine import TICKS_PER_SECOND, Call, Engine, Process
@@ -81,8 +82,14 @@ class _QuietWait:
 _POOL_MAX = 1024
 
 
+#: Pooled get payload opcodes.
+_GET_WORD, _GET_WORDS, _GET_BYTES = 0, 1, 2
+
+
 class _PooledOp(Call):
-    """Pooled record for one fault-free blocking round trip.
+    """Pooled record for one fault-free blocking round trip: a fetching
+    atomic (``kind``, operands ``a1`` / ``a2``) or a get (``count`` words
+    or bytes, by ``opcode``).
 
     The fig7 hot path issues hundreds of thousands of fetch-amos and
     gets; the closure-based implementation allocated a handler closure,
@@ -96,27 +103,41 @@ class _PooledOp(Call):
     keeps the closure implementation and its descriptor-cancel
     semantics.
 
-    Issue and resume are the same for every round trip and live here;
-    a subclass is its operands plus :meth:`_at_target`, which reads the
-    tick clock and serializes on the target's unit inline
-    (:meth:`Nic._serialize` without the frame).
+    :meth:`_at_target` reads the tick clock and serializes on the
+    target's unit inline (:meth:`Nic._serialize` without the frame).
+    Both legs push their ``[when, seq, fn, actor]`` entry the way
+    ``Engine._step`` pushes a Delay's: ``Engine.at_ticks`` minus its
+    frame and its past-check (an arrival is never before now).
     """
 
     __slots__ = ("nic", "initiator", "target", "region", "offset", "kind",
-                 "nbytes", "proc", "value", "back", "_pool", "_actors",
-                 "_cb_at_target", "_cb_resume")
+                 "nbytes", "proc", "value", "back", "a1", "a2", "count",
+                 "opcode", "_pool", "_actors", "_cb_at_target", "_cb_resume",
+                 "_step")
 
-    def __init__(self, nic: "Nic", pool: list, actors: list[str]) -> None:
+    def __init__(self, nic: "Nic", get: bool) -> None:
         self.nic = nic
         self.handler = self._start
         self.args = ()
-        self._pool = pool
-        self._actors = actors
+        # A record serves one free list: gets, or the atomics (which set
+        # ``kind`` per op).
+        self._pool = nic._get_pool if get else nic._amo_pool
+        self._actors = nic._get_actors if get else nic._amo_actors
+        self.kind = "get" if get else None
+        self.nbytes = WORD_BYTES
         # Bound-method callbacks created once per record, not per op.
         self._cb_at_target = self._at_target
         self._cb_resume = self._resume
+        self._step = nic.engine._step
         self.proc = None
         self.value = None
+
+    def __repr__(self) -> str:
+        if self.kind != "get" or self.opcode == _GET_WORD:
+            return f"{self.kind} -> pe{self.target} {self.region}[{self.offset}]"
+        suffix = "B" if self.opcode == _GET_BYTES else ""
+        return (f"get -> pe{self.target} "
+                f"{self.region}[{self.offset}:{self.offset + self.count}]{suffix}")
 
     def _start(self, engine: Engine, proc: Process) -> None:
         nic = self.nic
@@ -137,52 +158,44 @@ class _PooledOp(Call):
         if nic._ow_dynamic:
             ow = nic._one_way_ticks(initiator, target)
         else:
-            # A pure function of the node pair, the same both ways: the
-            # return leg reuses it.  Index 0 inter-node, 1 intra, 2 self.
-            ppn = nic._ppn
+            # A pure function of the pair, the same both ways: the return
+            # leg reuses it.
+            node_of = nic._node_of
             ow = self.back = nic._ow_ticks[
-                (initiator == target) + (initiator // ppn == target // ppn)
+                (initiator == target) + (node_of[initiator] == node_of[target])
             ]
-        engine.at_ticks(
-            engine._now + nic._alpha_ticks + ow,
-            self._cb_at_target, actor=self._actors[target],
-        )
-
-    def _resume(self) -> None:
-        proc = self.proc
-        value = self.value
-        self.proc = None
-        self.value = None
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            pool.append(self)
-        self.nic.engine._step(proc, value)
-
-
-class _FetchAmoOp(_PooledOp):
-    """One blocking fetching atomic (operands ``a1`` / ``a2``)."""
-
-    __slots__ = ("a1", "a2")
-
-    def __init__(self, nic: "Nic") -> None:
-        super().__init__(nic, nic._amo_pool, nic._amo_actors)
-        self.nbytes = WORD_BYTES
-
-    def __repr__(self) -> str:
-        return f"{self.kind} -> pe{self.target} {self.region}[{self.offset}]"
+        when = engine._now + nic._alpha_ticks + ow
+        entry = [when, engine._seq, self._cb_at_target, self._actors[target]]
+        engine._seq += 1
+        q = engine._q
+        cur = q._cur
+        if cur is not None and when >> q._shift == q._cur_key:
+            insort(cur, entry, q._cur_i)
+        else:
+            q._push_slow(entry)
+        q._len += 1
 
     def _at_target(self) -> None:
         nic = self.nic
         engine = nic.engine
         target = self.target
-        busy = nic._amo_busy_until
+        heap = nic.heap
+        kind = self.kind
+        get = kind == "get"
+        busy = nic._get_busy_until if get else nic._amo_busy_until
         done = busy[target]
         if done < engine._now:
             done = engine._now
-        busy[target] = done = done + nic._amo_ticks
-        heap = nic.heap
-        kind = self.kind
-        if kind == "amo_fetch_add":
+        busy[target] = done = done + (nic._get_ticks if get else nic._amo_ticks)
+        if get:
+            opcode = self.opcode
+            if opcode == _GET_WORD:
+                value = heap.load(target, self.region, self.offset)
+            elif opcode == _GET_WORDS:
+                value = heap.load_words(target, self.region, self.offset, self.count)
+            else:
+                value = heap.read_bytes(target, self.region, self.offset, self.count)
+        elif kind == "amo_fetch_add":
             value = heap.fetch_add(target, self.region, self.offset, self.a1)
         elif kind == "amo_swap":
             value = heap.swap(target, self.region, self.offset, self.a1)
@@ -197,59 +210,34 @@ class _FetchAmoOp(_PooledOp):
             nic._one_way_ticks(target, self.initiator)
             if nic._ow_dynamic else self.back
         )
-        engine.at_ticks(done + back, self._cb_resume, actor=self.proc.name)
-
-
-#: _GetOp payload opcodes.
-_GET_WORD, _GET_WORDS, _GET_BYTES = 0, 1, 2
-
-
-class _GetOp(_PooledOp):
-    """One blocking get (``count`` words or bytes, by ``opcode``)."""
-
-    __slots__ = ("count", "opcode")
-
-    def __init__(self, nic: "Nic") -> None:
-        super().__init__(nic, nic._get_pool, nic._get_actors)
-        self.kind = "get"
-
-    def __repr__(self) -> str:
-        if self.opcode == _GET_WORD:
-            return f"get -> pe{self.target} {self.region}[{self.offset}]"
-        suffix = "B" if self.opcode == _GET_BYTES else ""
-        return (f"get -> pe{self.target} "
-                f"{self.region}[{self.offset}:{self.offset + self.count}]{suffix}")
-
-    def _at_target(self) -> None:
-        nic = self.nic
-        engine = nic.engine
-        target = self.target
-        busy = nic._get_busy_until
-        done = busy[target]
-        if done < engine._now:
-            done = engine._now
-        busy[target] = done = done + nic._get_ticks
-        heap = nic.heap
-        opcode = self.opcode
-        if opcode == _GET_WORD:
-            value = heap.load(target, self.region, self.offset)
-        elif opcode == _GET_WORDS:
-            value = heap.load_words(target, self.region, self.offset, self.count)
+        if get:
+            stream = round(self.nbytes * nic._beta_fs)
+            if nic._link_serialize:
+                # The response payload occupies the target's egress link;
+                # concurrent bulk reads of one victim serialize.
+                done = nic._serialize(nic._link_busy_until, target, done, stream)
+            else:
+                back += stream
+        when = done + back
+        entry = [when, engine._seq, self._cb_resume, self.proc.name]
+        engine._seq += 1
+        q = engine._q
+        cur = q._cur
+        if cur is not None and when >> q._shift == q._cur_key:
+            insort(cur, entry, q._cur_i)
         else:
-            value = heap.read_bytes(target, self.region, self.offset, self.count)
-        self.value = value
-        stream = round(self.nbytes * nic._beta_fs)
-        back = (
-            nic._one_way_ticks(target, self.initiator)
-            if nic._ow_dynamic else self.back
-        )
-        if nic._link_serialize:
-            # The response payload occupies the target's egress link;
-            # concurrent bulk reads of one victim serialize.
-            done = nic._serialize(nic._link_busy_until, target, done, stream)
-        else:
-            back += stream
-        engine.at_ticks(done + back, self._cb_resume, actor=self.proc.name)
+            q._push_slow(entry)
+        q._len += 1
+
+    def _resume(self) -> None:
+        proc = self.proc
+        value = self.value
+        self.proc = None
+        self.value = None
+        pool = self._pool
+        if len(pool) < _POOL_MAX:
+            pool.append(self)
+        self._step(proc, value)
 
 
 class Nic:
@@ -339,7 +327,11 @@ class Nic:
             None if op_timeout is None
             else round(op_timeout * TICKS_PER_SECOND)
         )
-        self._ppn = topology.pes_per_node
+        #: Blocking ops travel as pooled records (no injector, no timeout).
+        self._pooled = faults is None and op_timeout is None
+        self._ppn = ppn = topology.pes_per_node
+        #: PE -> node index, for the ``_ow_ticks`` relation index.
+        self._node_of = [p // ppn for p in range(npes)]
         # Pre-rendered actor names (schedule-exploration tags); building
         # these per op would be an f-string on every message.
         self._amo_actors = [f"nic.amo:pe{p}" for p in range(npes)]
@@ -347,8 +339,8 @@ class Nic:
         self._put_actors = [f"nic.put:pe{p}" for p in range(npes)]
         self._timer_actors = [f"timer:pe{p}" for p in range(npes)]
         # Free lists of pooled op records (fault-free blocking path only).
-        self._amo_pool: list[_FetchAmoOp] = []
-        self._get_pool: list[_GetOp] = []
+        self._amo_pool: list[_PooledOp] = []
+        self._get_pool: list[_PooledOp] = []
         engine.diagnostics.append(self._deadlock_diagnostic)
 
     # ------------------------------------------------------------------
@@ -358,8 +350,8 @@ class Nic:
         if not self._jitter_on:
             if self._tier_ticks is not None and a != b:
                 return self._tier_ticks[self._tier_of(a, b)]
-            ppn = self._ppn
-            return self._ow_ticks[(a == b) + (a // ppn == b // ppn)]
+            node_of = self._node_of
+            return self._ow_ticks[(a == b) + (node_of[a] == node_of[b])]
         lat = self.latency
         if a == b:
             if self._tier_ticks is not None:
@@ -458,82 +450,93 @@ class Nic:
     # ------------------------------------------------------------------
     def amo_fetch_add(self, initiator: int, target: int, region: str, offset: int, delta: int) -> Call:
         """Atomic fetch-and-add on a remote 64-bit word; yields the old value."""
-        if self.faults is None and self._timeout_ticks is None:
-            return self._pooled_amo(initiator, target, region, offset,
-                                    "amo_fetch_add", delta, 0)
-        return self._fetch_amo(initiator, target, region, offset, "amo_fetch_add",
-                               lambda: self.heap.fetch_add(target, region, offset, delta))
+        if self._pooled:
+            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
+            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+            rec.kind, rec.a1 = "amo_fetch_add", delta
+            return rec
+        return self._guarded(initiator, target, "amo_fetch_add", region, offset,
+                             lambda: self.heap.fetch_add(target, region, offset, delta))
 
     def amo_swap(self, initiator: int, target: int, region: str, offset: int, value: int) -> Call:
         """Atomic swap on a remote word; yields the old value."""
-        if self.faults is None and self._timeout_ticks is None:
-            return self._pooled_amo(initiator, target, region, offset,
-                                    "amo_swap", value, 0)
-        return self._fetch_amo(initiator, target, region, offset, "amo_swap",
-                               lambda: self.heap.swap(target, region, offset, value))
+        if self._pooled:
+            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
+            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+            rec.kind, rec.a1 = "amo_swap", value
+            return rec
+        return self._guarded(initiator, target, "amo_swap", region, offset,
+                             lambda: self.heap.swap(target, region, offset, value))
 
     def amo_cas(self, initiator: int, target: int, region: str, offset: int,
                 expected: int, desired: int) -> Call:
         """Atomic compare-and-swap; yields the old value."""
-        if self.faults is None and self._timeout_ticks is None:
-            return self._pooled_amo(initiator, target, region, offset,
-                                    "amo_cas", expected, desired)
-        return self._fetch_amo(initiator, target, region, offset, "amo_cas",
-                               lambda: self.heap.compare_swap(target, region, offset, expected, desired))
+        if self._pooled:
+            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
+            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+            rec.kind, rec.a1, rec.a2 = "amo_cas", expected, desired
+            return rec
+        return self._guarded(initiator, target, "amo_cas", region, offset,
+                             lambda: self.heap.compare_swap(target, region, offset, expected, desired))
 
     def amo_fetch(self, initiator: int, target: int, region: str, offset: int) -> Call:
         """Atomic read of a remote word (steal-damping probe); yields the value."""
-        if self.faults is None and self._timeout_ticks is None:
-            return self._pooled_amo(initiator, target, region, offset,
-                                    "amo_fetch", 0, 0)
-        return self._fetch_amo(initiator, target, region, offset, "amo_fetch",
-                               lambda: self.heap.load(target, region, offset))
+        if self._pooled:
+            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
+            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+            rec.kind = "amo_fetch"
+            return rec
+        return self._guarded(initiator, target, "amo_fetch", region, offset,
+                             lambda: self.heap.load(target, region, offset))
 
-    def _pooled_amo(self, initiator: int, target: int, region: str, offset: int,
-                    kind: str, a1: int, a2: int) -> "_FetchAmoOp":
-        """Check a record out of the free list and load its operands."""
-        pool = self._amo_pool
-        rec = pool.pop() if pool else _FetchAmoOp(self)
-        rec.initiator = initiator
-        rec.target = target
-        rec.region = region
-        rec.offset = offset
-        rec.kind = kind
-        rec.a1 = a1
-        rec.a2 = a2
-        return rec
+    def _guarded(self, initiator: int, target: int, kind: str, region: str,
+                 where: Any, apply: Callable[[], Any], nbytes: int = WORD_BYTES,
+                 unit: str = "") -> Call:
+        """One blocking round trip under a fault injector or an op timeout
+        (the pooled records never run here): a closure chain whose
+        descriptor the timeout can cancel.  ``kind`` is ``"get"`` or the
+        atomic's name, and picks the target's unit and the payload leg."""
+        get = kind == "get"
+        desc = f"{kind} -> pe{target} {region}[{where}]{unit}"
 
-    def _fetch_amo(self, initiator: int, target: int, region: str, offset: int,
-                   kind: str, apply: Callable[[], int]) -> Call:
         def handler(engine: Engine, proc: Process) -> None:
-            self.metrics.record(engine.now, initiator, target, kind, WORD_BYTES)
-            proc.blocked_on = f"{kind} -> pe{target} {region}[{offset}]"
+            self.metrics.record(engine.now, initiator, target, kind, nbytes)
+            proc.blocked_on = desc
             arrival = (engine.now_ticks + self._alpha_ticks
                        + self._one_way_ticks(initiator, target))
-            guarded = self.faults is not None or self.op_timeout is not None
-            state = {"applied": False, "dead": False} if guarded else None
+            state = {"applied": False, "dead": False}
             lost = False
             if self.faults is not None:
                 arrival, lost = self._fault_route(target, kind, arrival)
 
             def at_target() -> None:
-                if state is not None:
-                    if state["dead"]:
-                        return  # descriptor cancelled by the timeout
-                    state["applied"] = True
-                    timer = state.get("timer")
-                    if timer is not None:
-                        engine.cancel(timer)
-                done = self._serialize(
-                    self._amo_busy_until, target, engine.now_ticks, self._amo_ticks
-                )
+                if state["dead"]:
+                    return  # descriptor cancelled by the timeout
+                state["applied"] = True
+                timer = state.get("timer")
+                if timer is not None:
+                    engine.cancel(timer)
+                busy, cost = ((self._get_busy_until, self._get_ticks) if get
+                              else (self._amo_busy_until, self._amo_ticks))
+                done = self._serialize(busy, target, engine.now_ticks, cost)
                 value = apply()
                 back = self._one_way_ticks(target, initiator)
+                if get:
+                    stream = self._payload_ticks(nbytes)
+                    if self._link_serialize:
+                        # The response payload occupies the target's egress
+                        # link; concurrent bulk reads of one victim serialize.
+                        done = self._serialize(
+                            self._link_busy_until, target, done, stream
+                        )
+                    else:
+                        back += stream
                 engine.at_ticks(done + back, lambda: engine._step(proc, value),
                                 actor=proc.name)
 
             if not lost:
-                engine.at_ticks(arrival, at_target, actor=self._amo_actors[target])
+                actors = self._get_actors if get else self._amo_actors
+                engine.at_ticks(arrival, at_target, actor=actors[target])
             if self.op_timeout is not None:
                 self._arm_timeout(engine, proc, state, initiator, target, kind)
 
@@ -577,89 +580,35 @@ class Nic:
     # ------------------------------------------------------------------
     def get_words(self, initiator: int, target: int, region: str, offset: int, count: int) -> Call:
         """Blocking read of consecutive remote words; yields list[int]."""
-        if self.faults is None and self._timeout_ticks is None:
-            return self._pooled_get(initiator, target, region, offset, count,
-                                    count * WORD_BYTES, _GET_WORDS)
-        return self._get(initiator, target, count * WORD_BYTES,
-                         lambda: self.heap.load_words(target, region, offset, count),
-                         f"get -> pe{target} {region}[{offset}:{offset + count}]")
+        if self._pooled:
+            rec = self._get_pool.pop() if self._get_pool else _PooledOp(self, True)
+            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+            rec.count, rec.nbytes, rec.opcode = count, count * WORD_BYTES, _GET_WORDS
+            return rec
+        return self._guarded(initiator, target, "get", region, f"{offset}:{offset + count}",
+                             lambda: self.heap.load_words(target, region, offset, count),
+                             count * WORD_BYTES)
 
     def get_word(self, initiator: int, target: int, region: str, offset: int) -> Call:
         """Blocking read of one remote word; yields int."""
-        if self.faults is None and self._timeout_ticks is None:
-            return self._pooled_get(initiator, target, region, offset, 1,
-                                    WORD_BYTES, _GET_WORD)
-        return self._get(initiator, target, WORD_BYTES,
-                         lambda: self.heap.load(target, region, offset),
-                         f"get -> pe{target} {region}[{offset}]")
+        if self._pooled:
+            rec = self._get_pool.pop() if self._get_pool else _PooledOp(self, True)
+            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+            rec.count, rec.nbytes, rec.opcode = 1, WORD_BYTES, _GET_WORD
+            return rec
+        return self._guarded(initiator, target, "get", region, offset,
+                             lambda: self.heap.load(target, region, offset))
 
     def get_bytes(self, initiator: int, target: int, region: str, offset: int, count: int) -> Call:
         """Blocking read of remote bytes; yields bytes."""
-        if self.faults is None and self._timeout_ticks is None:
-            return self._pooled_get(initiator, target, region, offset, count,
-                                    count, _GET_BYTES)
-        return self._get(initiator, target, count,
-                         lambda: self.heap.read_bytes(target, region, offset, count),
-                         f"get -> pe{target} {region}[{offset}:{offset + count}]B")
-
-    def _pooled_get(self, initiator: int, target: int, region: str, offset: int,
-                    count: int, nbytes: int, opcode: int) -> "_GetOp":
-        """Check a get record out of the free list and load its operands."""
-        pool = self._get_pool
-        rec = pool.pop() if pool else _GetOp(self)
-        rec.initiator = initiator
-        rec.target = target
-        rec.region = region
-        rec.offset = offset
-        rec.count = count
-        rec.nbytes = nbytes
-        rec.opcode = opcode
-        return rec
-
-    def _get(self, initiator: int, target: int, nbytes: int,
-             read: Callable[[], Any], desc: str = "") -> Call:
-        def handler(engine: Engine, proc: Process) -> None:
-            self.metrics.record(engine.now, initiator, target, "get", nbytes)
-            proc.blocked_on = desc or f"get -> pe{target} ({nbytes}B)"
-            arrival = (engine.now_ticks + self._alpha_ticks
-                       + self._one_way_ticks(initiator, target))
-            guarded = self.faults is not None or self.op_timeout is not None
-            state = {"applied": False, "dead": False} if guarded else None
-            lost = False
-            if self.faults is not None:
-                arrival, lost = self._fault_route(target, "get", arrival)
-
-            def at_target() -> None:
-                if state is not None:
-                    if state["dead"]:
-                        return
-                    state["applied"] = True
-                    timer = state.get("timer")
-                    if timer is not None:
-                        engine.cancel(timer)
-                done = self._serialize(
-                    self._get_busy_until, target, engine.now_ticks, self._get_ticks
-                )
-                value = read()
-                stream = self._payload_ticks(nbytes)
-                if self._link_serialize:
-                    # The response payload occupies the target's egress
-                    # link; concurrent bulk reads of one victim serialize.
-                    done = self._serialize(
-                        self._link_busy_until, target, done, stream
-                    )
-                    back = self._one_way_ticks(target, initiator)
-                else:
-                    back = self._one_way_ticks(target, initiator) + stream
-                engine.at_ticks(done + back, lambda: engine._step(proc, value),
-                                actor=proc.name)
-
-            if not lost:
-                engine.at_ticks(arrival, at_target, actor=self._get_actors[target])
-            if self.op_timeout is not None:
-                self._arm_timeout(engine, proc, state, initiator, target, "get")
-
-        return Call(handler)
+        if self._pooled:
+            rec = self._get_pool.pop() if self._get_pool else _PooledOp(self, True)
+            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+            rec.count, rec.nbytes, rec.opcode = count, count, _GET_BYTES
+            return rec
+        return self._guarded(initiator, target, "get", region, f"{offset}:{offset + count}",
+                             lambda: self.heap.read_bytes(target, region, offset, count),
+                             count, "B")
 
     # ------------------------------------------------------------------
     # puts

@@ -177,8 +177,7 @@ class _SwsWords(_MpTaskBuffer):
         raw = self.stealval.load_seq()
         if raw != self._sv_raw:
             self._sv_raw = raw
-            self._sv_work = DampingTracker.view_has_work(
-                StealValEpoch.unpack(raw))
+            self._sv_work = StealValEpoch.has_work(raw)
         return self._sv_work
 
 
@@ -283,9 +282,10 @@ class MpSwsThief(_SwsWords):
         leaves the tracker alone; one that finds the allotment spent is
         ``EMPTY`` and may demote the victim.
         """
-        if tracker.mode(victim) is TargetMode.EMPTY:
+        modes = tracker.modes
+        if modes.get(victim) is TargetMode.EMPTY:
             tracker.note_probe(victim, self.has_work())
-            if tracker.mode(victim) is TargetMode.EMPTY:
+            if modes.get(victim) is TargetMode.EMPTY:
                 return None, ()
         res = self.steal()
         if res.claimed:

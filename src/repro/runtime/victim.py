@@ -32,10 +32,17 @@ class UniformVictim:
         self.npes = npes
         self.rank = rank
         self._rng = random.Random((seed << 20) ^ (rank * 0x9E3779B1))
+        self._bits = self._rng.getrandbits
+        self._k = (npes - 1).bit_length()
 
     def next_victim(self) -> int:
-        """A uniformly random PE other than self."""
-        v = self._rng.randrange(self.npes - 1)
+        """A uniformly random PE other than self: ``randrange(npes - 1)``
+        drawn the way CPython draws it (``_randbelow_with_getrandbits``:
+        ``k``-bit draws until one is in range), minus its two frames."""
+        n = self.npes - 1
+        v = self._bits(self._k)
+        while v >= n:
+            v = self._bits(self._k)
         return v if v < self.rank else v + 1
 
 

@@ -46,6 +46,7 @@ if TYPE_CHECKING:
 _TIMEOUT = StealStatus.TIMEOUT
 _ABANDONED = StealStatus.ABANDONED
 _EMPTY = StealStatus.EMPTY
+_STOLEN = StealStatus.STOLEN
 _EMPTY_MODE = TargetMode.EMPTY
 
 
@@ -253,6 +254,8 @@ class Worker:
         elastic = self.elastic
         selector = self.selector
         solo = self.npes == 1 or selector is None
+        next_victim = None if solo else selector.next_victim
+        progress = queue.progress
         needs_service = term.needs_service
         note = getattr(selector, "note", None)
         note_steal = getattr(selector, "note_steal", None)
@@ -280,10 +283,12 @@ class Worker:
                     )
                 if done or term.terminated:
                     break
+                idle = queue.local_count == 0
 
             if inbox is not None:
                 # Committed remote spawns move onto the local queue.
                 queue.enqueue_many(inbox.drain())
+                idle = queue.local_count == 0
 
             if elastic is not None:
                 if not elastic.is_active(self.rank):
@@ -294,15 +299,14 @@ class Worker:
                     self._parked = False
                     self._backoff = cfg.steal_backoff
 
-            if (
-                lifeline is not None
-                and lifeline.active
-                and queue.local_count > 0
-            ):
+            # ``idle`` is re-read after every yield and drain above: only an
+            # engine event (the serving injector) or the owner moves the
+            # local portion, and the injector only adds to it.
+            if lifeline is not None and lifeline.active and not idle:
                 # A lifeline delivery arrived: withdraw the others.
                 yield from lifeline.retract()
 
-            if queue.local_count > 0:
+            if not idle:
                 self._backoff = cfg.steal_backoff
                 yield from self._execute_batch()
                 self._batches += 1
@@ -328,7 +332,7 @@ class Worker:
                     continue
 
             # Fully idle: reclaim space, then hunt for work.
-            queue.progress()
+            progress()
             if solo:
                 yield pauses[cfg.steal_backoff]
                 continue
@@ -348,14 +352,14 @@ class Worker:
                 if lifeline.should_activate:
                     yield from lifeline.activate()
                     continue
-            victim = selector.next_victim()
+            victim = next_victim()
             t0 = engine._now
             result = yield from steal(victim)
             # Two divisions, then the difference: (t1 - t0) / 10**15
             # differs in the last ulp and would move every search time.
             dt = engine._now / TICKS_PER_SECOND - t0 / TICKS_PER_SECOND
             status = result.status
-            success = result.success
+            success = status is _STOLEN and result.ntasks > 0
             if status is _TIMEOUT:
                 # Retries exhausted: the selector may quarantine the victim.
                 if note_timeout is not None:
@@ -420,24 +424,24 @@ class Worker:
         """One damping-aware steal attempt (paper §4.3).
 
         A victim in empty-mode is probed read-only first and only
-        claimed from when the probe sees work; a claiming attempt that
-        comes back empty is re-decoded for the demotion heuristic.
+        claimed from when the probe's raw word shows work (the codec's
+        shift-and-mask ``has_work``); a claiming attempt that comes back
+        empty is re-read as a view for the demotion heuristic.
         """
         damping = self.damping
         queue = self.queue
-        if damping.mode(victim) is _EMPTY_MODE:
-            view = yield from queue.probe(victim)
+        if damping.modes.get(victim) is _EMPTY_MODE:
+            has_work = queue.codec.has_work((yield queue.probe(victim)))
             self.stats.probes += 1
-            has_work = damping.view_has_work(view)
             damping.note_probe(victim, has_work)
             if not has_work:
-                return StealResult(_EMPTY, victim)
+                return queue.empty_results[victim]
         result = yield from queue.steal(victim)
-        if result.success:
+        status = result.status
+        if status is _STOLEN and result.ntasks:
             damping.note_success(victim)
-        elif result.status is _EMPTY:
-            # Re-decode the failure for the damping heuristic.
-            view = yield from queue.probe(victim)
+        elif status is _EMPTY:
+            view = queue.codec.unpack((yield queue.probe(victim)))
             self.stats.probes += 1
             damping.note_failed_claim(victim, view)
         return result

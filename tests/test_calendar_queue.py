@@ -5,10 +5,12 @@ schedule / cancel / reschedule sequence dequeues bit-identically to a
 ``(when, seq)`` heapq — including lazy-cancellation tombstones,
 compaction sweeps, and consumed-prefix trimming.  These tests drive a
 random operation sequence against both structures and require exact
-agreement at every pop.  The last property lifts the model to the
+agreement at every pop.  The engine property lifts the model to the
 engine: ``at`` / ``run(until=)`` / ``cancel`` interleavings on all three
 run loops (bare, bounded, instrumented) — the late-event bug of a parked
-cursor was once found by deleting code, not by a test.
+cursor was once found by deleting code, not by a test.  The last one
+covers the NIC's pooled round trips, which insert into the queue
+without going through the engine.
 """
 
 import heapq
@@ -252,3 +254,88 @@ def test_every_run_loop_matches_the_heapq_model(ops, shift):
     model.run(None)
     assert log == model.log
     assert len(engine._q) == 0
+
+
+# ----------------------------------------------------------------------
+# The pooled NIC legs push into the queue themselves
+# ----------------------------------------------------------------------
+#: One PE's program: (op, target, operand) steps.  ``delay`` operands are
+#: ticks, so drawn waits land in the current bucket and in later ones.
+_NIC_STEP = st.tuples(
+    st.sampled_from(["fetch_add", "swap", "fetch", "get", "delay"]),
+    st.integers(0, 7),
+    st.one_of(st.integers(0, 3), st.integers(0, 1 << 34)),
+)
+_NIC_PROGRAMS = st.lists(st.lists(_NIC_STEP, max_size=10), min_size=1, max_size=6)
+
+
+@given(programs=_NIC_PROGRAMS, shift=st.integers(0, 40), ppn=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_pooled_nic_legs_keep_heapq_order(programs, shift, ppn):
+    """``_PooledOp._start`` and ``_at_target`` insert their entries with
+    the queue's current-bucket fast path inlined.  Every entry pushed by
+    any site (the NIC legs, the engine's ``Delay`` and ``at_ticks`` paths,
+    ``CalendarQueue.push``) is tagged as it goes in; the run must fire
+    each exactly once, in strictly increasing ``(when, seq)`` order —
+    the order a heapq holding the same pushes would pop them in."""
+    from unittest import mock
+
+    from repro.fabric import engine as engine_mod
+    from repro.fabric import nic as nic_mod
+    from repro.fabric.engine import Delay
+    from repro.shmem.api import ShmemCtx
+
+    pushed: list[list] = []
+    fired: list[tuple[int, int]] = []
+
+    def tag(entry):
+        fn, key = entry[2], (entry[0], entry[1])
+
+        def fire():
+            fired.append(key)
+            fn()
+
+        entry[2] = fire
+        pushed.append(entry)
+
+    class Tagging(CalendarQueue):
+        __slots__ = ()
+
+        def _push_slow(self, entry):
+            tag(entry)
+            CalendarQueue._push_slow(self, entry)
+
+    def tagging_insort(a, entry, lo=0):
+        tag(entry)
+        real_insort(a, entry, lo)
+
+    real_insort = nic_mod.insort
+    npes = len(programs)
+    ctx = ShmemCtx(npes, pes_per_node=ppn)
+    ctx.heap.alloc_words("m", 4)
+    ctx.engine._q = Tagging(shift=shift)
+    nic = ctx.nic
+
+    def body(rank, program):
+        for op, t, operand in program:
+            t %= npes
+            if op == "fetch_add":
+                yield nic.amo_fetch_add(rank, t, "m", operand % 4, operand)
+            elif op == "swap":
+                yield nic.amo_swap(rank, t, "m", operand % 4, operand)
+            elif op == "fetch":
+                yield nic.amo_fetch(rank, t, "m", operand % 4)
+            elif op == "get":
+                yield nic.get_words(rank, t, "m", 0, 1 + operand % 4)
+            else:
+                yield Delay(operand / TICKS_PER_SECOND)
+
+    with mock.patch.object(nic_mod, "insort", tagging_insort), \
+            mock.patch.object(engine_mod, "insort", tagging_insort):
+        assert nic._pooled
+        for rank, program in enumerate(programs):
+            ctx.engine.spawn(body(rank, program), f"pe{rank}")
+        ctx.engine.run()
+    assert len(fired) == len(pushed)
+    assert all(a < b for a, b in zip(fired, fired[1:]))
+    assert len(ctx.engine._q) == 0

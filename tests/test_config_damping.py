@@ -45,30 +45,30 @@ def view(asteals=0, epoch=0, itasks=0, tail=0):
 class TestDampingTracker:
     def test_default_mode_full(self):
         d = DampingTracker(4)
-        assert d.mode(1) is TargetMode.FULL
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.FULL
 
     def test_demotion_requires_overshoot(self):
         d = DampingTracker(4, threshold=4)
         # itasks=8 -> max_steals=4; asteals=6 -> overshoot 2 < 4: stays full
         d.note_failed_claim(1, view(asteals=6, itasks=8))
-        assert d.mode(1) is TargetMode.FULL
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.FULL
         # overshoot 4 >= threshold: demoted
         d.note_failed_claim(1, view(asteals=8, itasks=8))
-        assert d.mode(1) is TargetMode.EMPTY
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.EMPTY
         assert d.stats.demotions == 1
 
     def test_locked_view_never_demotes(self):
         d = DampingTracker(4, threshold=0)
         locked = StealValEpoch.unpack(StealValEpoch.locked_word())
         d.note_failed_claim(1, locked)
-        assert d.mode(1) is TargetMode.FULL
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.FULL
 
     def test_probe_promotes_on_work(self):
         d = DampingTracker(4, threshold=0)
         d.note_failed_claim(1, view(asteals=5, itasks=4))
-        assert d.mode(1) is TargetMode.EMPTY
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.EMPTY
         d.note_probe(1, has_work=True)
-        assert d.mode(1) is TargetMode.FULL
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.FULL
         assert d.stats.promotions == 1
 
     def test_probe_abort_counted(self):
@@ -80,12 +80,12 @@ class TestDampingTracker:
         d = DampingTracker(4, threshold=0)
         d.note_failed_claim(2, view(asteals=9, itasks=4))
         d.note_success(2)
-        assert d.mode(2) is TargetMode.FULL
+        assert d.modes.get(2, TargetMode.FULL) is TargetMode.FULL
 
     def test_disabled_tracker_always_full(self):
         d = DampingTracker(4, threshold=0, enabled=False)
         d.note_failed_claim(1, view(asteals=99, itasks=4))
-        assert d.mode(1) is TargetMode.FULL
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.FULL
 
     def test_view_has_work(self):
         d = DampingTracker
@@ -104,5 +104,5 @@ class TestDampingTracker:
     def test_per_target_independence(self):
         d = DampingTracker(4, threshold=0)
         d.note_failed_claim(1, view(asteals=9, itasks=4))
-        assert d.mode(1) is TargetMode.EMPTY
-        assert d.mode(2) is TargetMode.FULL
+        assert d.modes.get(1, TargetMode.FULL) is TargetMode.EMPTY
+        assert d.modes.get(2, TargetMode.FULL) is TargetMode.FULL

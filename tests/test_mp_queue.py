@@ -147,7 +147,7 @@ class TestTrySteal:
         status, claimed = layout.thief(heap).try_steal(tracker, 0)
         assert (status, claimed) == (StealStatus.DISABLED, ())
         assert tracker.notes == []
-        assert tracker.mode(0) is TargetMode.FULL
+        assert tracker.modes.get(0, TargetMode.FULL) is TargetMode.FULL
 
     def test_sws_empty_allotment_is_empty_and_noted(self, heap):
         layout, _ = _sws(heap, [1, 2, 3])
@@ -155,7 +155,7 @@ class TestTrySteal:
         status, claimed = layout.thief(heap).try_steal(tracker, 0)
         assert (status, claimed) == (StealStatus.EMPTY, ())
         assert tracker.notes == ["failed_claim"]
-        assert tracker.mode(0) is TargetMode.EMPTY    # threshold 0: demoted
+        assert tracker.modes.get(0, TargetMode.FULL) is TargetMode.EMPTY    # threshold 0: demoted
 
     def test_sws_empty_mode_probe_spends_no_fetch_add(self, heap):
         layout, q = _sws(heap, [1, 2, 3])

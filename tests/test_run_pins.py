@@ -35,13 +35,19 @@ PINS = Path(__file__).parent / "data" / "run_pins.json"
 FIELDS = [f.name for f in dataclasses.fields(WorkerStats)]
 SEED = 7
 BPC = BpcParams(n_consumers=8, depth=4, consumer_time=50e-6, producer_time=10e-6)
+#: A deep chain on many PEs: most attempts fail and damping probes ~2,000
+#: times, so a probe-decode change moves its seed-5 run — decoding the
+#: Figure-3 word with the Figure-4 layout does — where the 5-PE runs
+#: barely probe.
+BPC_DEEP = BpcParams(n_consumers=8, depth=32, consumer_time=50e-6, producer_time=10e-6)
 FAULTS = FaultPlan(seed=3, drop_rate=0.03, pe_failures=(PEFailure(3, 40e-6),))
 
 
 def _pool(impl: str, npes: int, workload: str = "bpc", **kwargs) -> RunStats:
     registry = TaskRegistry()
-    if workload == "bpc":
-        seed_task = BpcWorkload(registry, BPC).seed_task()
+    if workload in ("bpc", "bpc_deep"):
+        params = BPC if workload == "bpc" else BPC_DEEP
+        seed_task = BpcWorkload(registry, params).seed_task()
     else:
         tree = TEST_SMALL if workload == "uts_small" else TEST_TINY
         seed_task = UtsWorkload(registry, tree).seed_task()
@@ -107,6 +113,7 @@ def _cases() -> dict:
                 _pool, impl, 4, workload="uts_small",
                 worker_config=WorkerConfig(spawn_policy=policy),
             )
+    add("sws-v1/bpc_deep/p32", _pool, "sws-v1", 32, workload="bpc_deep", seed=5)
     return cases
 
 

@@ -220,11 +220,13 @@ class TestStealProtocol:
 
         def t():
             before = ctx.metrics.snapshot()
-            view = yield from thief.probe(0)
+            word = yield thief.probe(0)
             delta = ctx.metrics.delta(before)
-            return view, delta
+            return word, delta
 
-        ((view, delta),) = run_procs(ctx, t())
+        ((word, delta),) = run_procs(ctx, t())
+        assert thief.codec.has_work(word)
+        view = thief.codec.unpack(word)
         assert view.itasks == 10
         assert view.asteals == 0
         assert delta["total"] == 1

@@ -1,5 +1,7 @@
 """Tests for victim selection policies."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,19 @@ class TestUniform:
     def test_needs_two_pes(self):
         with pytest.raises(ValueError):
             UniformVictim(1, 0)
+
+    @pytest.mark.parametrize("npes", range(2, 65))
+    def test_draw_is_cpython_randrange(self, npes):
+        """``next_victim`` inlines ``randrange(npes - 1)``: the same stream
+        of victims, mapped past the own rank.  Every simulated run draws
+        through it, so a CPython whose ``randrange`` draws differently
+        fails here rather than moving every pinned run."""
+        seed, rank = 7 + npes, (7 * npes) // 11
+        sel = UniformVictim(npes, rank, seed)
+        ref = random.Random((seed << 20) ^ (rank * 0x9E3779B1))
+        want = [ref.randrange(npes - 1) for _ in range(10_000)]
+        want = [v if v < rank else v + 1 for v in want]
+        assert [sel.next_victim() for _ in range(10_000)] == want
 
 
 class TestRoundRobin:
