@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore bench perf-ab experiments experiments-full experiments-check examples clean
+.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore perf-ab experiments experiments-full experiments-check examples clean
 
 install:
 	pip install -e .
@@ -43,7 +43,7 @@ conformance:
 	    tests/test_capabilities.py
 
 # Open-system serving mode: arrival-process properties, quantile-sketch
-# bounds, SLO/shedding/elastic runs, and the cross-backend serving
+# bounds, SLO/shedding runs, and the cross-backend serving
 # checksums (docs/serving.md).
 serving:
 	$(PYTHON) -m pytest -m serving tests/
@@ -54,12 +54,6 @@ explore:
 	$(PYTHON) -m repro explore --seeds 50 --shrink --out results/schedules
 	$(PYTHON) -m repro explore --policy dfs --dfs-depth 5 --shrink \
 	    --out results/schedules
-
-# Run every registered experiment and assert its judge's verdict (plus
-# the fault and workload sweeps).  Nothing is timed here: host-time
-# claims go through perfbench (docs/performance.md).
-bench:
-	$(PYTHON) -m pytest benchmarks/
 
 # The one way to make a host-time claim (docs/performance.md), as one
 # command: CI's `bench` job against BASE — perfbench in a worktree of

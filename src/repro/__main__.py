@@ -12,11 +12,11 @@ Subcommands::
     python -m repro sweep [--scenarios S] [--scale quick|full] [--jobs N]
                           [--tables] [--csv-dir DIR] [--markdown FILE]
                           [--diff CODE_VERSION] [--out FILE] [--matrix ...]
-    python -m repro mp [--workload synthetic|uts] [--impl sws|sdc]
+    python -m repro mp [--workload synthetic|uts] [--impl P]
                        [--npes N] [--ntasks N | --tree NAME] [--verify]
     python -m repro serve --arrival poisson:RATE --duration T [--slo MS]
-                          [--backend fabric|threads|mp|all] [--impl I]
-                          [--npes N] [--shed-threshold K] [--elastic PLAN]
+                          [--backend fabric|threads|mp|all] [--impl P]
+                          [--npes N] [--shed-threshold K]
 
 ``--protocol`` runs one registered steal protocol (``sws``, ``sws-v1``,
 ``sdc``, ``ff-mult``, ``localized`` — see docs/protocols.md) across the
@@ -33,8 +33,10 @@ another code version are views of those rows (see docs/reproducing.md,
 docs/performance.md); ``mp`` runs a workload end-to-end on the
 multiprocess substrate — real OS processes over shared memory (see
 docs/backends.md); ``serve`` runs the open-system serving mode —
-streaming arrivals, tail-latency SLOs, shedding and elastic PE
-membership across any of the three substrates (see docs/serving.md).
+streaming arrivals, tail-latency SLOs and shedding across any of the
+three substrates (see docs/serving.md).  ``mp`` and ``serve`` take any
+registered protocol for ``--impl`` and refuse, with rc 2, a cell the
+capability table does not list (docs/protocols.md §0).
 """
 
 from __future__ import annotations
@@ -393,10 +395,12 @@ def _parse_crash(specs, point, respawn, seed):
 def _cmd_mp(args: argparse.Namespace) -> int:
     from .capabilities import check
 
-    try:  # --impl is one of the parser's choices: only --npes is refused
+    try:
         check(args.impl, "mp", ("run",), args.npes)
     except ValueError as exc:
-        args.error(f"argument --{exc}")
+        # The table refuses the cell before it looks at --npes.
+        args.error(f"argument --{exc}" if str(exc).startswith("npes:")
+                   else str(exc))
     from .core.results import StealStatus
     from .mp.driver import run_mp
 
@@ -487,7 +491,6 @@ def _serve_fabric(args: argparse.Namespace, slo_s: float) -> tuple[int, int]:
         seed=args.seed,
         task_s=args.task_s,
         shed_threshold=args.shed_threshold,
-        elastic=args.elastic,
     )
     s = stats.serving
     pct = s.latency.percentiles()
@@ -502,11 +505,6 @@ def _serve_fabric(args: argparse.Namespace, slo_s: float) -> tuple[int, int]:
         f"p999={pct['p999'] * to_us:.2f}us (virtual)"
         + (f", SLO attained {s.slo_fraction:.1%}" if s.slo_ticks else "")
     )
-    if s.leaves or s.joins:
-        print(
-            f"           elastic: {s.leaves} leave(s), {s.joins} join(s), "
-            f"{s.handoffs} residue task(s) handed off"
-        )
     print(f"           checksum {s.checksum:#018x} — oracle clean")
     return s.checksum, s.shed
 
@@ -559,19 +557,24 @@ def _serve_mp(args: argparse.Namespace, slo_s: float) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    extras = (("shedding",) * (args.shed_threshold is not None)
-              + ("elastic",) * (args.elastic is not None))
+    extras = ("shedding",) * (args.shed_threshold is not None)
     backends, refused = _cells(args, args.impl, lambda b: ("serving", *extras))
     if args.backend in refused:
         print(f"error: {refused[args.backend]}", file=sys.stderr)
         return 2
-    if refused:  # --backend all: the others serve without the options
-        print(f"note: {next(iter(refused.values()))}")
+    # --backend all: a backend whose plain serving cell is refused is
+    # skipped; one that refuses only the options serves without them.
+    _, unserved = _cells(args, args.impl, lambda b: ("serving",))
+    for reason in refused.values():
+        print(f"note: {reason}")
+    backends = [b for b in backends if b not in unserved]
+    if not backends:
+        print(f"error: no backend serves {args.impl!r}", file=sys.stderr)
+        return 2
     slo_s = args.slo * 1e-3 if args.slo else 0.0
     print(
         f"serve/{args.impl}: {args.arrival} over {args.duration * 1e3:g}ms"
         + (f", SLO {args.slo:g}ms" if args.slo else "")
-        + (f", elastic {args.elastic}" if args.elastic else "")
     )
     checksums = {}
     shed = 0
@@ -583,12 +586,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             checksums["mp"] = _serve_mp(args, slo_s)
     if len(checksums) > 1:
+        sums = set(checksums.values())
         if shed:
             print("(fabric shed arrivals; cross-backend checksum "
                   "comparison skipped)")
-        elif len(set(checksums.values())) == 1:
+        elif len(sums) == 1:
             print(f"all {len(checksums)} backends completed the identical "
-                  f"task set (checksum {checksums['fabric']:#018x})")
+                  f"task set (checksum {sums.pop():#018x})")
         else:
             print("FAIL: backends completed different task sets: "
                   + ", ".join(f"{b}={c:#x}" for b, c in checksums.items()))
@@ -701,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_mp.add_argument("--workload", default="synthetic",
                       choices=("synthetic", "uts"))
-    p_mp.add_argument("--impl", default="sws", choices=("sws", "sdc"))
+    p_mp.add_argument("--impl", default="sws", choices=protocol_names())
     p_mp.add_argument("--npes", type=int, default=4,
                       help="worker processes (PEs)")
     p_mp.add_argument("--ntasks", type=int, default=2000,
@@ -741,7 +745,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sv.add_argument("--slo", type=float, default=0.0, metavar="MS",
                       help="latency SLO in milliseconds (0 = no SLO "
                            "accounting)")
-    p_sv.add_argument("--impl", default="sws", choices=("sws", "sdc"))
+    p_sv.add_argument("--impl", default="sws", choices=protocol_names())
     p_sv.add_argument("--backend", default="fabric",
                       choices=("fabric", "threads", "mp", "all"))
     p_sv.add_argument("--npes", type=int, default=4)
@@ -750,11 +754,8 @@ def main(argv: list[str] | None = None) -> int:
                       help="fabric: virtual service time per task")
     p_sv.add_argument("--shed-threshold", type=int, default=None,
                       metavar="K",
-                      help="fabric: shed arrivals when every active queue "
+                      help="fabric: shed arrivals when every queue "
                            "holds >= K tasks")
-    p_sv.add_argument("--elastic", default=None, metavar="PLAN",
-                      help="fabric: membership plan "
-                           "('leave:RANK@T,join:RANK@T' or 'seeded')")
     p_sv.set_defaults(fn=_cmd_serve)
 
     # main() with no argv is the library entry point (and the historic

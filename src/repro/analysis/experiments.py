@@ -233,6 +233,21 @@ def _judge_serving(rows):
     )
 
 
+def _judge_faults(rows):
+    heavy = max(r[2] for r in rows)
+    at = {(r[0], r[1]): r for r in rows if r[2] == heavy}
+    return (
+        # every run executes every task exactly once
+        all(r[3] == r[4] == r[5] for r in rows)
+        # only SDC's steal takes a lock, so only SDC recovers one
+        and all(r[10] == 0 if r[1] == "SWS" else r[10] > 0 for r in rows)
+        # at the heaviest drop rate SDC retries more per steal and runs longer
+        and all(at[s, "SDC"][9] > 1.5 * at[s, "SWS"][9]
+                and at[s, "SDC"][6] > at[s, "SWS"][6]
+                for s in {r[0] for r in rows})
+    )
+
+
 #: completed + shed == emitted
 _SERVING_BENCH = (
     "An open-system run near saturation closes its books: every emitted "
@@ -296,6 +311,13 @@ EXPERIMENTS: dict[str, Experiment] = {
         "SWS 'has significantly better properties when a target is "
         "contended' (§6).",
         _judge_contention, "exp_steal"),
+    "ablate-faults": Experiment(
+        "SDC's steal holds the victim's swap lock from its first message "
+        "to its fourth, SWS's takes none: on a fabric that drops messages "
+        "only SDC needs lock recovery, and at a 2 % drop rate it retries "
+        "over 1.5x as often per steal and finishes later; both still run "
+        "every task exactly once.",
+        _judge_faults, "exp_pool"),
     "ablate-granularity": Experiment(
         "Fine tasks are sensitive to steal latency; coarse tasks tolerate "
         "it (§2) — the SWS advantage decays toward parity as tasks "

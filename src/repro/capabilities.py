@@ -5,7 +5,7 @@ the package, so ``from repro.mp import run_mp`` can afford it.
 """
 
 _POOL = "run tree scheduler oracle"
-_SERVE = "serving elastic shedding"
+_SERVE = "serving shedding"
 
 #: protocol -> backend -> the features that cell runs, in registry order.
 CELLS = {protocol: {b: frozenset(f.split()) for b, f in row.items()}
@@ -29,7 +29,7 @@ _ONCE = ("{0} needs an exactly-once protocol: {1!r} is at-least-once (tasks "
 
 #: feature -> why a protocol runs it on no backend at all.
 RULES = {
-    "serving": _ONCE, "elastic": _ONCE, "shedding": _ONCE,
+    "serving": _ONCE, "shedding": _ONCE,
     "faults": "fault injection is not supported for impl={1!r} (the "
               "protocol declares no recovery path)",
 }

@@ -53,13 +53,13 @@ class FabricMetrics:
         self.bytes_by_pe: list[int] = [0] * npes
         self.trace_enabled = trace
         self.trace: list[OpRecord] = []
-        #: Open-system serving events (arrival injections, sheds, elastic
-        #: membership changes).  Empty for closed-batch runs, so their
-        #: snapshots stay byte-identical to pre-serving archives.
+        #: Open-system serving events (arrival injections and sheds).
+        #: Empty for closed-batch runs, so their snapshots stay
+        #: byte-identical to pre-serving archives.
         self.serving: Counter = Counter()
 
     def record_serving(self, event: str, count: int = 1) -> None:
-        """Tally one serving-frontend event (injected/shed/leave/join/…)."""
+        """Tally one serving-frontend event (injected or shed)."""
         self.serving[event] += count
 
     def record(

@@ -72,7 +72,7 @@ class CrashPlan:
         Scheduled :class:`CrashKill`\\ s (or bare ``(rank, after)`` /
         ``(rank, after, point)`` tuples, normalized on construction).
     respawn:
-        Elastic rejoin: when True the supervisor restarts each crashed
+        Respawn: when True the supervisor restarts each crashed
         rank once, rebinding it to a spare queue generation.
     """
 

@@ -30,17 +30,14 @@ arrivals in the trace) and a declared **intensity envelope**
 against which the property suite checks that the programmed rate never
 leaves the declared bounds.
 
-The module also hosts :class:`ElasticPlan` — the seeded join/leave
-schedule driving elastic PE membership — and the order-independent
-``serving_checksum`` every backend uses to fingerprint its completed
-task set.
+The module also hosts the order-independent ``serving_checksum`` every
+backend uses to fingerprint its completed task set.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 from ..fabric.engine import TICKS_PER_SECOND
 
@@ -363,117 +360,3 @@ def parse_arrival_spec(
         f"bad arrival spec {spec!r}: want KIND:RATE(,...) with KIND in "
         f"{ARRIVAL_KINDS}"
     )
-
-
-# ----------------------------------------------------------------------
-# Elastic membership plans
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ElasticEvent:
-    """One membership change: ``rank`` leaves or joins at ``time_s``."""
-
-    time_s: float
-    action: str  # "leave" | "join"
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.action not in ("leave", "join"):
-            raise ValueError(
-                f"action must be leave|join, got {self.action!r}"
-            )
-        if self.time_s < 0:
-            raise ValueError(f"event time must be >= 0, got {self.time_s}")
-        if self.rank < 0:
-            raise ValueError(f"rank must be >= 0, got {self.rank}")
-
-
-@dataclass(frozen=True)
-class ElasticPlan:
-    """A time-ordered membership schedule for one serving run.
-
-    PE 0 may never leave (it anchors termination detection, exactly as
-    in the fault fabric), and per rank the actions must alternate
-    leave → join → leave …, starting from the active state.
-    """
-
-    events: tuple[ElasticEvent, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.events, key=lambda e: (e.time_s, e.rank)))
-        object.__setattr__(self, "events", ordered)
-        state: dict[int, bool] = {}
-        for ev in ordered:
-            if ev.rank == 0:
-                raise ValueError(
-                    "PE 0 cannot appear in an elastic plan: it anchors "
-                    "termination detection"
-                )
-            active = state.get(ev.rank, True)
-            if ev.action == "leave" and not active:
-                raise ValueError(
-                    f"rank {ev.rank} leaves twice without a join"
-                )
-            if ev.action == "join" and active:
-                raise ValueError(
-                    f"rank {ev.rank} joins while already active"
-                )
-            state[ev.rank] = ev.action == "join"
-
-    @property
-    def active(self) -> bool:
-        return bool(self.events)
-
-    def validate(self, npes: int) -> None:
-        """Check every rank in the plan exists in an ``npes``-PE job."""
-        for ev in self.events:
-            if ev.rank >= npes:
-                raise ValueError(
-                    f"elastic plan names rank {ev.rank} but the job has "
-                    f"{npes} PEs"
-                )
-
-    @classmethod
-    def seeded(
-        cls, seed: int, npes: int, duration_s: float, cycles: int = 2
-    ) -> "ElasticPlan":
-        """A random-but-reproducible plan: ``cycles`` leave/join pairs.
-
-        Ranks are drawn from 1..npes-1; each cycle's leave and rejoin
-        land at sorted random times inside the run.
-        """
-        if npes < 2:
-            raise ValueError("a seeded elastic plan needs >= 2 PEs")
-        rng = random.Random((seed << 8) ^ 0xE1A571C)
-        events = []
-        busy_until: dict[int, float] = {}
-        for _ in range(cycles):
-            rank = rng.randrange(1, npes)
-            t0 = rng.uniform(0.05, 0.6) * duration_s
-            t0 = max(t0, busy_until.get(rank, 0.0) + 1e-4 * duration_s)
-            t1 = t0 + rng.uniform(0.1, 0.3) * duration_s
-            if t1 >= duration_s:
-                continue
-            events.append(ElasticEvent(t0, "leave", rank))
-            events.append(ElasticEvent(t1, "join", rank))
-            busy_until[rank] = t1
-        return cls(events=tuple(events), seed=seed)
-
-
-def parse_elastic_spec(spec: str) -> ElasticPlan:
-    """``leave:RANK@T,join:RANK@T,...`` -> an :class:`ElasticPlan`."""
-    events = []
-    for part in spec.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            action, rest = part.split(":", 1)
-            rank_s, time_s = rest.split("@", 1)
-            events.append(ElasticEvent(float(time_s), action, int(rank_s)))
-        except ValueError as exc:
-            raise ValueError(
-                f"bad elastic event {part!r} (want ACTION:RANK@TIME): {exc}"
-            ) from None
-    return ElasticPlan(events=tuple(events))

@@ -4,10 +4,9 @@ The classic :class:`~repro.runtime.pool.TaskPool` run is closed-batch.
 This module layers the streaming frontend on top: a
 :class:`ServingController` pre-schedules every tick of a seeded
 :class:`~repro.runtime.arrivals.ArrivalProcess` as engine events, injects
-each arrival into the least-loaded active PE (round-robin with an
-optional shed threshold), stamps enqueue→complete latencies into a
-:class:`~repro.runtime.stats.QuantileSketch`, and drives the seeded
-:class:`~repro.runtime.arrivals.ElasticPlan` membership changes.
+each arrival into a PE (round-robin with an optional shed threshold),
+and stamps enqueue→complete latencies into a
+:class:`~repro.runtime.stats.QuantileSketch`.
 
 Termination still comes from the unmodified ring/tree detectors: the
 controller registers itself as the termination system's
@@ -17,13 +16,6 @@ arrival horizon, which makes every closed-system oracle (conservation,
 drain, exactly-once checksums) apply unchanged, plus the open-system
 ledger checked by
 :func:`~repro.runtime.oracle.check_serving_conservation`.
-
-Elasticity reuses the fail-stop plumbing in its graceful form: a leave
-drains the PE's shared portion, hands the local residue through the
-remote-spawn inbox to the lowest active rank, and parks the worker (it
-keeps forwarding the termination token); a join flips the directory flag
-and the worker unparks on its next loop iteration.  Thieves dodge parked
-victims via :class:`~repro.runtime.victim.ElasticMembership`.
 """
 
 from __future__ import annotations
@@ -37,56 +29,15 @@ from ..capabilities import check
 from ..core import sdc_queue, sws_queue  # noqa: F401
 from ..fabric.engine import to_ticks
 from ..fabric.errors import ProtocolError
-from .arrivals import (
-    ArrivalProcess,
-    ElasticPlan,
-    mix64,
-    parse_arrival_spec,
-    parse_elastic_spec,
-)
+from .arrivals import ArrivalProcess, mix64, parse_arrival_spec
 from .pool import TaskPool
 from .registry import TaskOutcome, TaskRegistry
 from .stats import QuantileSketch, RunStats, ServingStats
 from .task import Task
-from .victim import ElasticMembership
 from .worker import WorkerConfig
 
 #: The serve payload: the arrival's seq, one little-endian u32.
 _SEQ = struct.Struct("<I")
-
-
-class ElasticDirectory:
-    """Live membership flags for one serving run.
-
-    Engine callbacks from the :class:`ElasticPlan` mutate it; workers and
-    victim selectors read it.  PE 0 is always active (it anchors
-    termination detection), which the plan validator already enforces.
-    """
-
-    def __init__(self, npes: int) -> None:
-        self.npes = npes
-        self._active = [True] * npes
-        self.leaves = 0
-        self.joins = 0
-
-    def is_active(self, rank: int) -> bool:
-        return self._active[rank]
-
-    def set_active(self, rank: int, active: bool) -> None:
-        if self._active[rank] == active:
-            return
-        self._active[rank] = active
-        if active:
-            self.joins += 1
-        else:
-            self.leaves += 1
-
-    def handoff_target(self, rank: int) -> int:
-        """Lowest active rank other than ``rank`` (PE 0 is always there)."""
-        for r in range(self.npes):
-            if r != rank and self._active[r]:
-                return r
-        raise ProtocolError("no active PE left to hand work to")
 
 
 class ServingController:
@@ -114,7 +65,6 @@ class ServingController:
         fn_id: int,
         slo_s: float = 0.0,
         shed_threshold: int | None = None,
-        directory: ElasticDirectory | None = None,
         latency_rel_err: float = 0.01,
     ) -> None:
         self.pool = pool
@@ -122,7 +72,6 @@ class ServingController:
         self.fn_id = fn_id
         self.slo_ticks = to_ticks(slo_s) if slo_s > 0 else 0
         self.shed_threshold = shed_threshold
-        self.directory = directory
         self.task_size = pool.queue_config.task_size
         self.engine = pool.ctx.engine
         self.metrics = pool.ctx.metrics
@@ -161,18 +110,16 @@ class ServingController:
 
     # -- injection -------------------------------------------------------
     def _pick_target(self) -> int | None:
-        """Round-robin over active PEs, skipping overloaded queues.
+        """Round-robin over the PEs, skipping overloaded queues.
 
-        One full sweep; ``None`` means every active queue is at or over
-        the shed threshold (the overload signal).  Without a threshold
-        the first active PE in rotation wins — pure round-robin spread.
+        One full sweep; ``None`` means every queue is at or over the shed
+        threshold (the overload signal).  Without a threshold the next PE
+        in rotation wins — pure round-robin spread.
         """
         npes = self.pool.npes
         for _ in range(npes):
             rank = self._next_rank
             self._next_rank = (self._next_rank + 1) % npes
-            if self.directory is not None and not self.directory.is_active(rank):
-                continue
             if self.shed_threshold is not None:
                 queue = self.pool.workers[rank].queue
                 if queue.local_count + queue.stealable >= self.shed_threshold:
@@ -217,15 +164,11 @@ class ServingController:
 
     # -- results ----------------------------------------------------------
     def serving_stats(self) -> ServingStats:
-        handoffs = sum(w.elastic_handoffs for w in self.pool.workers)
         return ServingStats(
             emitted=self.process.emitted,
             injected=self.injected,
             shed=self.shed,
             completed=self.completed,
-            handoffs=handoffs,
-            leaves=self.directory.leaves if self.directory else 0,
-            joins=self.directory.joins if self.directory else 0,
             slo_ticks=self.slo_ticks,
             slo_attained=self.slo_attained,
             checksum=self.checksum,
@@ -276,7 +219,6 @@ def run_serve(
     seed: int = 0,
     task_s: float = 2e-6,
     shed_threshold: int | None = None,
-    elastic: str | ElasticPlan | None = None,
     oracle: bool = True,
     controller_factory=ServingController,
     worker_config: WorkerConfig | None = None,
@@ -294,23 +236,12 @@ def run_serve(
     term per arrival) are exactly-once by construction, so a protocol
     whose contract allows a task to run twice is refused.
     """
-    check(impl, "fabric", ("serving",)
-          + ("shedding",) * (shed_threshold is not None)
-          + ("elastic",) * (elastic is not None))
+    check(impl, "fabric",
+          ("serving",) + ("shedding",) * (shed_threshold is not None))
     if isinstance(arrival, str):
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:
         process = arrival
-    if elastic == "seeded":
-        plan: ElasticPlan | None = ElasticPlan.seeded(seed, npes, duration_s)
-    elif isinstance(elastic, str):
-        plan = parse_elastic_spec(elastic)
-    else:
-        plan = elastic
-    if plan is not None and not plan.active:
-        plan = None
-    if plan is not None:
-        plan.validate(npes)
 
     registry, cell = build_serving_registry(task_s)
     pool = TaskPool(
@@ -318,34 +249,16 @@ def run_serve(
         registry,
         impl=impl,
         seed=seed,
-        remote_spawn=plan is not None,
         oracle=oracle,
         worker_config=worker_config,
         **pool_kwargs,
     )
-
-    directory = None
-    if plan is not None:
-        directory = ElasticDirectory(npes)
-        engine = pool.ctx.engine
-        for ev in plan.events:
-            engine.at(
-                ev.time_s,
-                _make_membership_event(pool, directory, ev),
-                actor="elastic",
-            )
-        for w in pool.workers:
-            w.elastic = directory
-            if w.selector is not None:
-                w.selector = ElasticMembership(w.selector, directory)
-
     controller = controller_factory(
         pool,
         process,
         fn_id=registry.id_of("serve"),
         slo_s=slo_s,
         shed_threshold=shed_threshold,
-        directory=directory,
     )
     cell[0] = controller
     controller.attach()
@@ -359,9 +272,3 @@ def run_serve(
     stats.serving = controller.serving_stats()
     return stats
 
-
-def _make_membership_event(pool: TaskPool, directory: ElasticDirectory, ev):
-    def fire() -> None:
-        directory.set_active(ev.rank, ev.action == "join")
-        pool.ctx.metrics.record_serving(ev.action)
-    return fire

@@ -155,9 +155,6 @@ class ServingStats:
     injected: int = 0
     shed: int = 0
     completed: int = 0
-    handoffs: int = 0               # elastic leave residue re-homed
-    leaves: int = 0                 # elastic membership changes applied
-    joins: int = 0
     slo_ticks: int = 0              # 0 = no SLO configured
     slo_attained: int = 0
     checksum: int = 0               # xor-mix64 over completed seqs
@@ -180,9 +177,6 @@ class ServingStats:
             "injected": self.injected,
             "shed": self.shed,
             "completed": self.completed,
-            "handoffs": self.handoffs,
-            "leaves": self.leaves,
-            "joins": self.joins,
             "slo_ticks": self.slo_ticks,
             "slo_attained": self.slo_attained,
             "checksum": self.checksum,

@@ -286,14 +286,6 @@ class QuarantineSelector:
         self._strikes.pop(victim, None)
         self._until.pop(victim, None)
 
-    def revive(self, victim: int) -> None:
-        """Lift a permanent quarantine (elastic rejoin after respawn);
-        the victim's strike/episode history is forgiven entirely."""
-        self._dead.discard(victim)
-        self._strikes.pop(victim, None)
-        self._until.pop(victim, None)
-        self._episodes.pop(victim, None)
-
     @property
     def dead(self) -> frozenset[int]:
         """Victims currently under permanent quarantine."""
@@ -343,41 +335,6 @@ class QuarantineSelector:
         else:
             # Any response at all proves the victim is alive.
             self._strikes.pop(victim, None)
-
-
-class ElasticMembership:
-    """Serving-mode wrapper: never target a PE that has left the pool.
-
-    Wraps any :class:`VictimSelector` over a membership *directory*
-    (anything with ``is_active(rank) -> bool``, in practice the serving
-    layer's ``ElasticDirectory``).  Selection redraws from the inner
-    policy up to ``max_redraws`` times to dodge inactive PEs; when
-    everything drawn is inactive the last draw is returned anyway — a
-    parked victim simply has an empty queue, so the steal fails cleanly
-    rather than the thief livelocking.  Mirrors
-    :class:`QuarantineSelector`'s shape so the two compose with the
-    same worker plumbing.
-    """
-
-    def __init__(self, inner: VictimSelector, directory, max_redraws: int = 8) -> None:
-        self.inner = inner
-        self.directory = directory
-        self.max_redraws = max_redraws
-        #: Outcome reports are the inner selector's own hooks (an adaptive
-        #: policy's ``note``, a QuarantineSelector's ``note_timeout`` and
-        #: ``note_steal``), resolved once; ``None`` where it takes none.
-        self.note = getattr(inner, "note", None)
-        self.note_timeout = getattr(inner, "note_timeout", None)
-        self.note_steal = getattr(inner, "note_steal", None)
-
-    def next_victim(self) -> int:
-        """A victim from the inner policy, dodging inactive PEs."""
-        victim = self.inner.next_victim()
-        for _ in range(self.max_redraws):
-            if self.directory.is_active(victim):
-                return victim
-            victim = self.inner.next_victim()
-        return victim
 
 
 def make_selector(

@@ -212,12 +212,6 @@ class Worker:
         self._backoff = config.steal_backoff
         self._pauses = _Pauses()
         self._remote_spawns: list[tuple[int, Task]] = []
-        #: Elastic membership directory (serving mode); ``None`` keeps
-        #: the classic always-on behaviour.  Set by the serving layer
-        #: after construction, together with an inbox requirement.
-        self.elastic = None
-        self._parked = False
-        self.elastic_handoffs = 0
         #: (virtual time, local count, stealable count) samples, when
         #: ``sample_queue`` is enabled.
         self.samples: list[tuple[float, int, int]] = []
@@ -248,10 +242,8 @@ class Worker:
         multi = self.npes > 1
         # Help-first and lifelines may act in ``_manage`` after any batch.
         manage_always = cfg.spawn_policy == "help_first" or lifeline is not None
-        # Resolved as the body starts, not in ``__init__``: the serving
-        # layer installs ``elastic`` and wraps the selector after
-        # construction.  An idle iteration re-decides none of this.
-        elastic = self.elastic
+        # Resolved once, as the body starts: an idle iteration re-decides
+        # none of this.
         selector = self.selector
         solo = self.npes == 1 or selector is None
         next_victim = None if solo else selector.next_victim
@@ -289,15 +281,6 @@ class Worker:
                 # Committed remote spawns move onto the local queue.
                 queue.enqueue_many(inbox.drain())
                 idle = queue.local_count == 0
-
-            if elastic is not None:
-                if not elastic.is_active(self.rank):
-                    yield from self._elastic_park()
-                    continue
-                if self._parked:
-                    # Rejoined: resume stealing with a fresh backoff.
-                    self._parked = False
-                    self._backoff = cfg.steal_backoff
 
             # ``idle`` is re-read after every yield and drain above: only an
             # engine event (the serving injector) or the owner moves the
@@ -536,41 +519,6 @@ class Worker:
             spawns, self._remote_spawns = self._remote_spawns, []
             for target, task in spawns:
                 yield from self.inbox.send(target, task.serialize(self.task_size))
-
-    def _elastic_park(self) -> Generator:
-        """Graceful leave: drain the queue, hand off residue, go passive.
-
-        Mirrors the fail-stop plumbing but loses nothing: everything
-        advertised to thieves is reclaimed (acquire), then the whole
-        local portion is handed to the lowest active rank through the
-        remote-spawn inbox.  Handoffs do NOT bump ``tasks_spawned`` —
-        the producer already counted these tasks, and the receiver's
-        inbox drain enqueues without a bump, so the four-counter books
-        and the conservation oracle stay exact.  While parked the PE
-        keeps servicing termination and its inbox (late steals or
-        handoff races can still deliver work, which is re-homed), so
-        the ring token always flows.
-        """
-        queue = self.queue
-        if self.inbox is None:
-            raise ProtocolError("elastic membership requires the inbox")
-        while queue.stealable > 0:
-            got = yield from queue.acquire()
-            self.stats.acquires += 1
-            if not got:
-                break  # a thief holds a claim; retry next iteration
-        if queue.stealable == 0:
-            target = self.elastic.handoff_target(self.rank)
-            while True:
-                rec = queue.dequeue()
-                if rec is None:
-                    break
-                yield from self.inbox.send(target, rec)
-                self.elastic_handoffs += 1
-            queue.progress()
-            self._parked = True
-        yield self._pauses[self._backoff]
-        self._backoff = min(self.cfg.steal_backoff_max, self._backoff * 2)
 
     def _manage(self) -> Generator:
         """Post-batch release and lifeline donations.  The loop enters it

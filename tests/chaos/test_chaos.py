@@ -154,6 +154,8 @@ class TestPeFailStop:
         summary = stats.summary()
         assert summary["pes_killed"] == 1
         assert summary["steal_timeouts"] == stats.total_steal_timeouts
+        if impl == "sws":  # no lock in its steal, so none to recover
+            assert stats.total_locks_recovered == 0
 
 
 class TestSdcLeaseUnderChaos:

@@ -31,11 +31,9 @@ from repro.runtime.arrivals import (
     ARRIVAL_KINDS,
     BurstyArrivals,
     DiurnalArrivals,
-    ElasticPlan,
     FixedRateArrivals,
     PoissonArrivals,
     parse_arrival_spec,
-    parse_elastic_spec,
     serving_checksum,
 )
 
@@ -177,7 +175,7 @@ def test_serving_checksum_order_independent(seqs):
 
 
 # ----------------------------------------------------------------------
-# spec parsing + elastic plans
+# spec parsing
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [
@@ -187,32 +185,6 @@ def test_serving_checksum_order_independent(seqs):
 def test_bad_arrival_specs_rejected(bad):
     with pytest.raises(ValueError):
         parse_arrival_spec(bad, 1e-3, 0)
-
-
-def test_elastic_plan_validation():
-    plan = parse_elastic_spec("leave:2@0.0001,join:2@0.0003")
-    assert [e.action for e in plan.events] == ["leave", "join"]
-    plan.validate(npes=4)
-    with pytest.raises(ValueError):
-        plan.validate(npes=2)  # rank 2 out of range
-    with pytest.raises(ValueError):
-        parse_elastic_spec("leave:0@0.1")  # PE 0 anchors termination
-    with pytest.raises(ValueError):
-        parse_elastic_spec("leave:1@0.1,leave:1@0.2")  # no double-leave
-    with pytest.raises(ValueError):
-        parse_elastic_spec("join:1@0.1")  # join while already active
-
-
-@given(seed=seeds, npes=st.integers(2, 16))
-@settings(max_examples=50, deadline=None)
-def test_seeded_elastic_plan_reproducible_and_legal(seed, npes):
-    a = ElasticPlan.seeded(seed, npes, 1e-3)
-    b = ElasticPlan.seeded(seed, npes, 1e-3)
-    assert a.events == b.events
-    a.validate(npes)  # every rank in range; ctor enforced alternation
-    for ev in a.events:
-        assert 1 <= ev.rank < npes
-        assert 0 <= ev.time_s < 1e-3
 
 
 def test_trace_uses_femtosecond_ticks():

@@ -217,7 +217,6 @@ RUNS = {
     ("fabric", "faults"): _fabric_faults,
     ("fabric", "damping"): _fabric_damping,
     ("fabric", "serving"): _serve(),
-    ("fabric", "elastic"): _serve(elastic="seeded"),
     ("fabric", "shedding"): _serve_shedding,
     ("threads", "race"): _race("threads"),
     ("threads", "serving"): _serve_realtime("threads"),
@@ -252,24 +251,19 @@ def _refuse_serve(features, **kw):
     return features, call
 
 
-def _refuse_cli(backend, flag, value):
-    """``serve`` on a real-time backend with a fabric-only option: the
-    CLI's rc 2 and its one line, as a ``ValueError``."""
-    features = ("serving", {"--shed-threshold": "shedding",
-                            "--elastic": "elastic"}[flag])
-
+def _refuse_cli(backend):
+    """``serve --shed-threshold`` on a real-time backend (a fabric-only
+    option): the CLI's rc 2 and its one line, as a ``ValueError``."""
     def call(protocol, npes):
         from repro.__main__ import main
 
-        if protocol not in ("sws", "sdc"):   # the parser's --impl choices
-            check(protocol, backend, features)
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(err):
             rc = main(["serve", "--backend", backend, "--impl", protocol,
-                       flag, value])
+                       "--shed-threshold", "8"])
         assert rc == 2
         raise ValueError(err.getvalue().strip().removeprefix("error: "))
-    return features, call
+    return ("serving", "shedding"), call
 
 
 def _refuse_race(backend):
@@ -317,20 +311,16 @@ REFUSALS = {
     ("fabric", "faults"): _refuse_pool(("run", "faults"),
                                        fault_plan=FAULTS[0]),
     ("fabric", "serving"): _refuse_serve(("serving",)),
-    ("fabric", "elastic"): _refuse_serve(("serving", "elastic"),
-                                         elastic="seeded"),
     ("fabric", "shedding"): _refuse_serve(("serving", "shedding"),
                                           shed_threshold=1),
     ("threads", "race"): _refuse_race("threads"),
     ("threads", "serving"): _refuse_serve_realtime("threads"),
-    ("threads", "elastic"): _refuse_cli("threads", "--elastic", "seeded"),
-    ("threads", "shedding"): _refuse_cli("threads", "--shed-threshold", "8"),
+    ("threads", "shedding"): _refuse_cli("threads"),
     ("mp", "race"): _refuse_race("mp"),
     ("mp", "serving"): _refuse_serve_realtime("mp"),
     ("mp", "run"): _refuse_mp_run(),
     ("mp", "crash"): _refuse_mp_run(crash=True),
-    ("mp", "elastic"): _refuse_cli("mp", "--elastic", "seeded"),
-    ("mp", "shedding"): _refuse_cli("mp", "--shed-threshold", "8"),
+    ("mp", "shedding"): _refuse_cli("mp"),
 }
 
 
@@ -423,7 +413,7 @@ def test_books_that_close_once_need_an_exactly_once_protocol():
         for backend, cell in row.items():
             if "serving" in cell or (backend == "mp" and "run" in cell):
                 assert _exactly_once(protocol), (protocol, backend)
-        for feature in ("serving", "elastic", "shedding"):
+        for feature in ("serving", "shedding"):
             if not any(feature in cell for cell in row.values()):
                 assert get_protocol(protocol).semantics is AT_LEAST_ONCE
                 assert RULES[feature].format(feature, protocol).endswith(

@@ -101,6 +101,14 @@ class TestUsageErrors:
          "error: no mp substrate for 'sws-v1': it runs on fabric only"),
         (["serve", "--backend", "threads", "--shed-threshold", "8"],
          "error: shedding runs on fabric only"),
+        (["serve", "--impl", "ff-mult"],
+         "error: serving needs an exactly-once protocol: 'ff-mult' is "
+         "at-least-once (tasks may duplicate (multiplicity >= 1), never "
+         "vanish; executed == spawned + dup_handouts)"),
+        (["mp", "--impl", "localized"],
+         "error: the mp cell of 'localized' runs race: no run"),
+        (["serve", "--elastic", "seeded"],
+         "error: unrecognized arguments: --elastic seeded"),
     ])
     def test_rc2_and_one_line(self, argv, message):
         import os
@@ -117,3 +125,18 @@ class TestUsageErrors:
         assert proc.stderr.rstrip().splitlines()[-1].endswith(message)
         after = set(os.listdir(shm)) if os.path.isdir(shm) else set()
         assert after == before
+
+
+def test_serve_all_skips_each_backend_the_table_refuses(capsys):
+    """``serve --backend all`` serves where the protocol's plain serving
+    cell is listed and notes every backend it skips."""
+    from repro.__main__ import main
+
+    assert main(["serve", "--impl", "sws-v1", "--backend", "all"]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("note:")] == [
+        "note: no threads substrate for 'sws-v1': it runs on fabric only",
+        "note: no mp substrate for 'sws-v1': it runs on fabric only",
+    ]
+    assert "  fabric:" in out and "oracle clean" in out
+    assert "threads:" not in out and "  mp:" not in out

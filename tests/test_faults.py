@@ -372,19 +372,6 @@ class TestQuarantineSelector:
         sel.note_steal(2, True)
         assert sel.is_quarantined(2)
 
-    def test_revive_lifts_quarantine_and_forgives_history(self):
-        sel, _ = self.make()
-        sel.note_timeout(2)
-        sel.note_timeout(2)
-        sel.mark_dead(2)
-        sel.revive(2)
-        assert not sel.is_quarantined(2)
-        assert 2 not in sel.dead
-        # episode history was forgiven: next quarantine is a first episode
-        sel.note_timeout(2)
-        sel.note_timeout(2)
-        assert sel._episodes[2] == 1
-
 
 class TestSdcLeaseRecovery:
     TASK = bytes(range(64))

@@ -30,7 +30,7 @@ class TestShapeVerdict:
             judge("fig2", [])
 
     def test_every_experiment_has_a_claim_and_a_judge(self):
-        assert len(EXPERIMENTS) == 24
+        assert len(EXPERIMENTS) == 25
         for exp_id, exp in EXPERIMENTS.items():
             assert exp.claim and "n/a" not in exp.claim, exp_id
             assert callable(exp.judge), exp_id
@@ -102,6 +102,29 @@ class TestShapeVerdict:
         row = ["SWS", 1800000, 1888, 1888, 1880, 8, 8.7, 34.0, 960.6, "99.6%", "0x0"]
         assert judge(exp_id, [row])
         assert not judge(exp_id, [row[:4] + [1879] + row[5:]])  # one lost
+
+    FAULTS = [
+        [11, "SWS", 0.005, 1200, 1200, 1200, 4.47, 164, 12, 0.073, 0, 18],
+        [11, "SDC", 0.005, 1200, 1200, 1200, 4.89, 141, 20, 0.142, 8, 31],
+        [11, "SWS", 0.02, 1200, 1200, 1200, 4.70, 158, 46, 0.291, 0, 57],
+        [11, "SDC", 0.02, 1200, 1200, 1200, 6.02, 153, 97, 0.634, 30, 135],
+    ]
+
+    @pytest.mark.parametrize("row, col, value", [
+        (None, None, None),   # the table above passes
+        (0, 6, 5.0),          # SWS slower at drop 0.005: not judged
+        (2, 10, 1),           # SWS with one lease break
+        (1, 10, 0),           # SDC recovering no lock
+        (3, 9, 1.4 * 0.291),  # SDC retries/steal 1.4x SWS's
+        (3, 6, 4.70),         # SDC no slower at drop 0.02
+        (1, 4, 1199),         # one run executed 1,199 tasks
+        (2, 5, 1199),         # one task ran twice
+    ])
+    def test_ablate_faults_judge(self, row, col, value):
+        rows = [list(r) for r in self.FAULTS]
+        if row is not None:
+            rows[row][col] = value
+        assert judge("ablate-faults", rows) == (row in (None, 0))
 
     def test_fig7_jumbo_judge(self):
         assert judge("fig7_jumbo", [[2112, 2.7, 4224, 4224, 742, 485929]])

@@ -13,7 +13,7 @@ both on the same pool, records each side's first violation without
 stopping the run, and demands the same ``(event index, check, detail)``
 and the same ``checks_passed`` — on clean runs, on planted protocol
 bugs, under serving arrivals (whose injections change a PE's books from
-outside its process), elastic membership and fail-stopped PEs.
+outside its process) and fail-stopped PEs.
 
 Verdicts alone say nothing on a clean run, so after every event the
 harness also asserts the two facts the skipping rests on: the oracle's
@@ -377,10 +377,6 @@ def serve(controller=ServingController, **kwargs) -> Differential:
 @pytest.mark.parametrize("impl", ["sws", "sdc", "sws-v1"])
 def test_serving_books_never_stale(impl):
     assert_clean(serve(npes=4, impl=impl))
-
-
-def test_serving_elastic_leave_join():
-    assert_clean(serve(npes=4, elastic="leave:2@0.00005,join:2@0.00012"))
 
 
 def test_serving_shed_threshold():

@@ -139,8 +139,8 @@ def test_serving_stats_roundtrip():
     sketch.add(100.0)
     sketch.add(300.0)
     stats = ServingStats(
-        emitted=5, injected=4, shed=1, completed=4, handoffs=2,
-        leaves=1, joins=1, slo_ticks=200, slo_attained=3,
+        emitted=5, injected=4, shed=1, completed=4, slo_ticks=200,
+        slo_attained=3,
         checksum=0xDEADBEEF, latency=sketch,
     )
     back = ServingStats.from_dict(stats.to_dict())

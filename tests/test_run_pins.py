@@ -97,12 +97,11 @@ def _cases() -> dict:
                 f"{impl}/oracle/{policy}",
                 _pool, impl, 4, oracle=True, scheduler=policy,
             )
-        for elastic in (None, "seeded"):
-            add(
-                f"{impl}/serve/elastic={elastic}",
-                run_serve, 4, impl=impl, arrival="poisson:1000000",
-                duration_s=0.3e-3, slo_s=50e-6, seed=SEED, elastic=elastic,
-            )
+        add(
+            f"{impl}/serve",
+            run_serve, 4, impl=impl, arrival="poisson:1000000",
+            duration_s=0.3e-3, slo_s=50e-6, seed=SEED,
+        )
         add(f"{impl}/uts/p4", _pool, impl, 4, workload="uts")
     add("sws/op_timeout", _pool, "sws", 5, op_timeout=1e-3)
     # TEST_TINY's 85 nodes never fill a batch; TEST_SMALL's do.

@@ -1,5 +1,5 @@
-"""Open-system serving on the fabric backend: determinism, shedding,
-elastic membership, the conservation oracle, and termination gating.
+"""Open-system serving on the fabric backend: determinism, shedding, the
+conservation oracle, and termination gating.
 
 The serving regime breaks the closed-batch assumption the rest of the
 harness was built on, so these tests pin the new contracts end to end:
@@ -9,7 +9,6 @@ harness was built on, so these tests pin the new contracts end to end:
 * SWS and SDC complete the **identical task set** for the same trace;
 * overload shedding keeps the open-system books exact
   (``emitted == injected + shed``, completed == injected);
-* elastic leave/join conserves tasks and hands residue off gracefully;
 * a mutated controller that silently drops an arrival is **caught** by
   :func:`repro.runtime.oracle.check_serving_conservation`;
 * the termination detectors (ring and tree) do **not** declare
@@ -109,38 +108,6 @@ def test_overload_sheds_and_books_stay_exact():
     assert s.emitted == s.injected + s.shed
     assert s.completed == s.injected
     assert 0 < s.shed_fraction < 1
-
-
-def test_elastic_plan_conserves_tasks():
-    """Leave/join mid-run: identical completed set as the static run."""
-    static = run_serve(4, arrival=ARRIVAL, duration_s=DURATION, seed=7)
-    elastic = run_serve(
-        4, arrival=ARRIVAL, duration_s=DURATION, seed=7,
-        elastic="leave:2@0.00005,join:2@0.00012",
-    )
-    s = elastic.serving
-    assert s.leaves == 1 and s.joins == 1
-    assert s.emitted == s.completed == static.serving.completed
-    assert s.checksum == static.serving.checksum
-
-
-def test_elastic_seeded_plan_runs_clean():
-    stats = run_serve(4, arrival=ARRIVAL, duration_s=DURATION, seed=7,
-                      elastic="seeded")
-    s = stats.serving
-    assert s.emitted == s.completed
-    assert s.checksum == serving_checksum(range(s.emitted))
-    assert s.leaves == s.joins  # every leave rejoined inside the run
-
-
-@pytest.mark.parametrize("impl", ["sws", "sdc"])
-def test_elastic_checksum_matches_across_impls(impl):
-    stats = run_serve(
-        4, impl=impl, arrival=ARRIVAL, duration_s=DURATION, seed=7,
-        elastic="leave:3@0.00004,join:3@0.00011",
-    )
-    s = stats.serving
-    assert s.checksum == serving_checksum(range(s.emitted))
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 #: Physical lines in src/**/*.py at the last commit that touched this.
-BUDGET = 19305
+BUDGET = 19071
 
 
 def count(root: Path) -> int:
