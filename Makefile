@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc chaos chaos-mp schedules mp conformance serving explore perf-ab experiments experiments-full experiments-check examples clean
+.PHONY: install test loc chaos schedules mp conformance serving explore perf-ab experiments experiments-full experiments-check examples clean
 
 install:
 	pip install -e .
@@ -18,22 +18,17 @@ loc:
 chaos:
 	$(PYTHON) -m pytest -m chaos tests/chaos/
 
-# Real-process chaos: SIGKILL workers at seeded triggers (between tasks,
-# mid-steal, holding a stripe lock) and assert at-least-once recovery;
-# includes the lease/repair unit layer (docs/backends.md).
-chaos-mp:
-	$(PYTHON) -m pytest tests/chaos/test_chaos_mp.py \
-	    tests/test_mp_leases.py
-
 schedules:
 	$(PYTHON) -m pytest -m schedules tests/schedules/
 
 # Multiprocess-substrate tests: real OS processes over shared memory
-# (see docs/backends.md).
+# (see docs/backends.md).  The one list of mp suites: CI's mp job runs
+# this target.
 mp:
 	$(PYTHON) -m pytest tests/test_mp_atomics.py tests/test_mp_queue.py \
 	    tests/test_mp_driver.py tests/test_mp_fleet.py \
-	    tests/test_mp_owner_path.py
+	    tests/test_mp_owner_path.py tests/test_mp_leases.py \
+	    tests/test_mp_bulkcopy.py tests/test_mp_inbox.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,
 # task conservation and completion accounting; and every protocol ×

@@ -373,25 +373,6 @@ def _diff_rows(table, outcome, other: str) -> int:
     return 1 if changed else 0
 
 
-def _parse_crash(specs, point, respawn, seed):
-    """``--crash RANK@N`` strings -> a CrashPlan (None when no kills)."""
-    if not specs:
-        return None
-    from .mp.faults import CrashKill, CrashPlan
-
-    kills = []
-    for spec in specs:
-        try:
-            rank_s, after_s = spec.split("@", 1)
-            rank = -1 if rank_s in ("any", "*") else int(rank_s)
-            kills.append(CrashKill(rank, int(after_s), point))
-        except ValueError as exc:
-            raise SystemExit(
-                f"bad --crash spec {spec!r} (want RANK@N or any@N): {exc}"
-            ) from None
-    return CrashPlan(seed=seed, kills=tuple(kills), respawn=respawn)
-
-
 def _cmd_mp(args: argparse.Namespace) -> int:
     from .capabilities import check
 
@@ -404,9 +385,6 @@ def _cmd_mp(args: argparse.Namespace) -> int:
     from .core.results import StealStatus
     from .mp.driver import run_mp
 
-    crash = _parse_crash(
-        args.crash, args.crash_point, args.respawn, args.seed
-    )
     result = run_mp(
         args.workload,
         args.impl,
@@ -416,7 +394,6 @@ def _cmd_mp(args: argparse.Namespace) -> int:
         seed=args.seed,
         damping=not args.no_damping,
         verify=args.verify,
-        crash=crash,
     )
     s = result.summary()
     print(
@@ -438,30 +415,6 @@ def _cmd_mp(args: argparse.Namespace) -> int:
             f"releases={p.releases} probes={p.probes} "
             f"demotions={p.demotions}"
         )
-    if result.at_least_once:
-        print(
-            f"  crash recovery: killed ranks {s['crashed_ranks']} "
-            f"(respawned {s['respawned_ranks']}), "
-            f"{s['duplicates']} duplicate executions, "
-            f"{s['lease_breaks']} lease breaks, scavenged "
-            + ", ".join(f"{k}={v}" for k, v in s["scavenged"].items())
-            + f", recovery {s['recovery_wall_s']:.3f}s"
-        )
-        if not result.conserved:
-            print(
-                f"FAIL: at-least-once accounting violated — "
-                f"{s['executed_unique']} distinct tasks executed "
-                f"(expected {result.expected_executed}), unique checksum "
-                f"{result.unique_checksum:#x} (expected "
-                f"{result.expected_checksum:#x})"
-            )
-            return 1
-        print(
-            f"verified: all {result.expected_executed} tasks ran at "
-            f"least once, none lost (unique checksum "
-            f"{result.unique_checksum:#018x})"
-        )
-        return 0
     if args.verify:
         if not result.conserved:
             print(
@@ -718,16 +671,6 @@ def main(argv: list[str] | None = None) -> int:
     p_mp.add_argument("--verify", action="store_true",
                       help="check count + checksum against the sequential "
                            "oracle; nonzero exit on mismatch")
-    p_mp.add_argument("--crash", action="append", metavar="RANK@N",
-                      help="SIGKILL RANK after its N-th task (repeatable; "
-                           "rank 'any' draws a seeded random rank); "
-                           "switches the run to at-least-once accounting")
-    p_mp.add_argument("--crash-point", default="exec",
-                      choices=("exec", "steal", "lock"),
-                      help="where the kill lands: between tasks, mid-steal "
-                           "after the claim, or holding a stripe lock")
-    p_mp.add_argument("--respawn", action="store_true",
-                      help="supervisor restarts each crashed rank once")
     p_mp.set_defaults(fn=_cmd_mp, error=p_mp.error)
 
     p_sv = sub.add_parser(

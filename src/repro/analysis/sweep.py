@@ -34,11 +34,6 @@ from typing import Callable
 MP_SCENARIOS: tuple[tuple, ...] = (
     ("synthetic", "sws", 4, 1200),
     ("uts", "sws", 4, "test_tiny"),
-    # Chaos row: rank 1 SIGKILLed holding a stripe lock after its 6th
-    # task.  The reported wall is the *recovery* wall (death detection +
-    # lease break + scavenge + re-inject), so the row's ``wall_s`` tracks
-    # recovery latency over time.
-    ("synthetic", "sws", 4, 1200, "1@6:lock"),
 )
 
 
@@ -87,25 +82,12 @@ class SweepJob:
         )
 
     @classmethod
-    def mp(cls, workload: str, impl: str, npes: int, size,
-           crash: str | None = None) -> "SweepJob":
-        """One multiprocess-substrate run (``size``: ntasks or tree).
-
-        ``crash`` is an optional ``"RANK@N:POINT"`` kill spec; a crash
-        job measures recovery wall instead of throughput wall and is
-        named ``mp_crash_recovery``.
-        """
-        if crash is None:
-            name = f"mp_{workload}_{impl}_n{npes}"
-            return cls(
-                "mp", name,
-                (("workload", workload), ("impl", impl), ("npes", npes),
-                 ("size", size)),
-            )
+    def mp(cls, workload: str, impl: str, npes: int, size) -> "SweepJob":
+        """One multiprocess-substrate run (``size``: ntasks or tree)."""
         return cls(
-            "mp", "mp_crash_recovery",
+            "mp", f"mp_{workload}_{impl}_n{npes}",
             (("workload", workload), ("impl", impl), ("npes", npes),
-             ("size", size), ("crash", crash)),
+             ("size", size)),
         )
 
     def spec(self) -> dict:
@@ -245,33 +227,8 @@ def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
         kwargs["ntasks"] = int(size)
     else:
         kwargs["tree"] = str(size)
-    crash_spec = spec.get("crash")
-    if crash_spec:
-        from ..mp.faults import CrashKill, CrashPlan
-
-        kill, point = crash_spec.split(":", 1)
-        rank_s, after_s = kill.split("@", 1)
-        kwargs["crash"] = CrashPlan(
-            kills=(CrashKill(int(rank_s), int(after_s), point),)
-        )
     result = run_mp(workload, spec["impl"], int(spec["npes"]), **kwargs)
-    conserved = bool(result.conserved)
-    # Crash jobs report the recovery wall (detect + repair + scavenge
-    # + re-inject); throughput jobs report the end-to-end run wall.
-    wall = result.recovery_wall_s if crash_spec else result.wall_s
     s = result.summary()
-    if crash_spec:
-        # Duplicate totals are racy run to run; the payload keeps only
-        # the spec-determined invariants so the row stays honest.
-        payload = {
-            "workload": workload,
-            "impl": spec["impl"],
-            "npes": int(spec["npes"]),
-            "crash": crash_spec,
-            "executed_unique": s["executed_unique"],
-            "conserved": conserved,
-        }
-        return payload, s["executed_unique"], wall
     payload = {
         "workload": workload,
         "impl": spec["impl"],
@@ -279,9 +236,9 @@ def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
         "created": s["created"],
         "completed": s["completed"],
         "executed": s["executed"],
-        "conserved": conserved,
+        "conserved": bool(result.conserved),
     }
-    return payload, s["completed"], wall
+    return payload, s["completed"], result.wall_s
 
 
 def resolve_jobs(requested: int | None = None) -> int:

@@ -11,14 +11,18 @@ _SERVE = "serving shedding"
 CELLS = {protocol: {b: frozenset(f.split()) for b, f in row.items()}
          for protocol, row in {
     "sws": {"fabric": f"{_POOL} {_SERVE} faults damping",
-            "threads": "race serving", "mp": "race run crash serving damping"},
+            "threads": "race serving", "mp": "race run serving damping"},
     "sws-v1": {"fabric": f"{_POOL} {_SERVE} damping"},
     "sdc": {"fabric": f"{_POOL} {_SERVE} faults",
-            "threads": "race serving", "mp": "race run crash serving"},
+            "threads": "race serving", "mp": "race run serving"},
     "ff-mult": {"fabric": _POOL, "threads": "race", "mp": "race"},
     "localized": {"fabric": f"{_POOL} {_SERVE} faults damping",
                   "threads": "race", "mp": "race"},
 }.items()}
+
+#: Every feature some cell runs.
+FEATURES = frozenset().union(*(c for row in CELLS.values()
+                               for c in row.values()))
 
 #: backend -> the fewest PEs it runs (a real-time run is an owner and a thief).
 MIN_NPES = {"fabric": 1, "threads": 2, "mp": 2}
@@ -47,6 +51,9 @@ def check(protocol: str, backend: str, features=(), npes=None) -> None:
     for f in features:
         if f in row[backend]:
             continue
+        if f not in FEATURES:
+            raise ValueError(f"unknown feature {f!r}: the table knows "
+                             f"{', '.join(sorted(FEATURES))}")
         if f in RULES and not any(f in cell for cell in row.values()):
             raise ValueError(RULES[f].format(f, protocol))
         homes = [b for b in MIN_NPES

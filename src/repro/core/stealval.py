@@ -222,8 +222,8 @@ def max_initial_tasks(npes: int, codec: type = StealValEpoch) -> int:
 
 
 # What a decoded ``(itasks, asteals)`` pair means to each side: every
-# substrate (fabric queues, thread / mp shims, the mp scavenger, steal
-# damping) reads a stealval through these two functions.
+# substrate (fabric queues, thread / mp shims, steal damping) reads a
+# stealval through these two functions.
 @lru_cache(maxsize=1 << 15)
 def thief_claim(itasks: int, asteals: int) -> tuple[int, int]:
     """``(volume, displacement)`` of the block a thief's fetch-add claimed.
@@ -239,8 +239,7 @@ def thief_claim(itasks: int, asteals: int) -> tuple[int, int]:
 def owner_remainder(itasks: int, asteals: int) -> tuple[int, int, int]:
     """``(claims, displacement, remaining)`` of an allotment being settled.
 
-    The view of whoever closes (owner) or takes over (scavenger) a
-    stealval: ``claims`` attempts found work (the counter overshoots the
+    The view of the owner closing a stealval: ``claims`` attempts found work (the counter overshoots the
     schedule once thieves hit an exhausted allotment), they cover the
     first ``displacement`` tasks, and ``remaining`` are still unclaimed.
     """

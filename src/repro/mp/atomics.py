@@ -399,12 +399,11 @@ class ShmWords:
         _WORD.pack_into(self._shm.buf, self._admin_base + WORD_BYTES, 0)
         self._repair_lock.release()
 
-    # -- chaos hook ----------------------------------------------------
+    # -- fault hook ----------------------------------------------------
     def die_holding(self, index: int, make_seq_odd: bool = True) -> None:
         """Fail-stop THIS process while holding ``index``'s stripe lock.
 
-        The chaos harness's worst-case crash point: the stripe lease is
-        held, and (with ``make_seq_odd``) the word's shadow sequence is
+        The lease tests' worst case: the stripe lease is held, and (with ``make_seq_odd``) the word's shadow sequence is
         left odd as if the holder died mid-``store`` — exactly the state
         :meth:`break_lease` must repair.  Never returns.
         """

@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import random
 import struct
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -59,13 +58,11 @@ from .errors import MpStallError, RingOverflowError
 from .fleet import Fleet
 from .queue import LAYOUTS
 
-# The crash regime (``faults``, ``recovery``) is imported by the branch of
-# ``run_mp`` that a plan switches on, and the serving inbox by
-# ``run_mp_serve``: always in the parent, before the first PE is forked,
-# so a plain run compiles neither and no PE loop ever imports.
+# The serving inbox is imported by ``run_mp_serve``, in the parent and
+# before the first PE is forked, so a plain run never compiles it and no
+# PE loop ever imports.
 if TYPE_CHECKING:
-    from .faults import CrashPlan
-    from .recovery import ShmInbox
+    from .inbox import ShmInbox
 
 _U64 = (1 << 64) - 1
 
@@ -75,13 +72,6 @@ RELEASE_MIN = 4
 #: Hard deadline on a PE's idle wait with no global progress: pre-lease
 #: deadlocks fail fast with a diagnostic instead of hanging the job.
 MP_IDLE_STALL_S = 120.0
-
-#: Completion-wait deadline in crash mode, after which the owner checks
-#: for (and voids) claims held by dead thieves.
-CRASH_SETTLE_S = 2.0
-
-#: Consecutive stable supervisor sweeps required to declare quiescence.
-STABLE_SWEEPS = 3
 
 
 def _mix64(x: int) -> int:
@@ -174,23 +164,6 @@ class MpRunResult:
     pes: list[MpPeStats] = field(default_factory=list)
     expected_executed: int | None = None
     expected_checksum: int | None = None
-    # -- crash-mode (at-least-once) accounting -------------------------
-    #: True when a CrashPlan was active: tasks may legitimately execute
-    #: more than once, and the oracle becomes duplicate-aware.
-    at_least_once: bool = False
-    crashed_ranks: list[int] = field(default_factory=list)
-    respawned_ranks: list[int] = field(default_factory=list)
-    #: Tasks recovered from dead PEs, by source (queue/ring/inflight/...).
-    scavenged: dict = field(default_factory=dict)
-    #: Stripe lease breaks performed across the whole run.
-    lease_breaks: int = 0
-    #: Wall time spent detecting deaths, repairing and re-injecting.
-    recovery_wall_s: float = 0.0
-    #: Distinct tasks executed (xlog union) and their xor fingerprint.
-    executed_unique: int | None = None
-    unique_checksum: int | None = None
-    #: multiplicity -> how many distinct tasks ran that many times.
-    multiplicity: dict = field(default_factory=dict)
 
     @property
     def total_executed(self) -> int:
@@ -211,24 +184,8 @@ class MpRunResult:
 
     @property
     def conserved(self) -> bool:
-        """No task lost, as far as the books can tell.
-
-        Exactly-once runs require the full counter/checksum equalities.
-        At-least-once (crash) runs require the *deduplicated* executed
-        set to match the sequential oracle exactly — every task ran at
-        least once (``executed >= expected`` follows), and the xor over
-        distinct fingerprints reconciles; duplicates are legitimate.
-        """
-        if self.at_least_once:
-            ok = True
-            if self.expected_executed is not None:
-                ok = (
-                    self.executed_unique == self.expected_executed
-                    and self.total_executed >= self.expected_executed
-                )
-            if self.expected_checksum is not None:
-                ok = ok and self.unique_checksum == self.expected_checksum
-            return ok
+        """No task lost or run twice, as far as the books can tell: the
+        counters balance, and match the sequential oracle when verified."""
         ok = self.created == self.completed == self.total_executed
         if self.expected_executed is not None:
             ok = ok and self.total_executed == self.expected_executed
@@ -245,7 +202,7 @@ class MpRunResult:
 
     def summary(self) -> dict:
         """Flat JSON-ready record (sweep payload / CLI output)."""
-        out = {
+        return {
             "workload": self.workload,
             "impl": self.impl,
             "npes": self.npes,
@@ -258,52 +215,27 @@ class MpRunResult:
             "tasks_stolen": sum(p.tasks_stolen for p in self.pes),
             "wall_s": round(self.wall_s, 4),
         }
-        if self.at_least_once:
-            out.update({
-                "at_least_once": True,
-                "crashed_ranks": list(self.crashed_ranks),
-                "respawned_ranks": list(self.respawned_ranks),
-                "executed_unique": self.executed_unique,
-                "duplicates": (
-                    None if self.executed_unique is None
-                    else self.total_executed - self.executed_unique
-                ),
-                "multiplicity": dict(self.multiplicity),
-                "scavenged": dict(self.scavenged),
-                "lease_breaks": self.lease_breaks,
-                "recovery_wall_s": round(self.recovery_wall_s, 4),
-            })
-        return out
 
 
 # ----------------------------------------------------------------------
-# The PE process body: one loop, three regimes
+# The PE process body: one loop, two regimes
 #
 # Everything around the protocol — pop, execute, share, acquire, steal
 # sweep, termination read — is written once in ``_pe_loop``.  A regime
 # changes a handful of seams, bound *once* before the loop into a
 # ``_Regime`` record (regime × seam table: docs/backends.md): plain runs
-# keep a private deque and balance created/completed; crash runs keep a
-# journaled shared-memory ring, log every execution and stop on the
-# supervisor's word; serving runs drain an arrival inbox.
+# seed rank 0's deque and end when created/completed balance; serving
+# runs drain an arrival inbox and end once the feeder has closed it.
 # ----------------------------------------------------------------------
 
 class _Regime(NamedTuple):
     """The seams one regime binds into the PE loop."""
 
-    #: Local task store: a ``deque`` or a crash-mode :class:`ShmRing`
-    #: (truth-tested, ``len``-ed and ``extend``-ed by the loop directly).
-    local: object
-    pop: Callable            # () -> newest task (crash: journaled first)
-    take_left: Callable      # n -> the n oldest tasks, to share out
-    settle: Callable         # (batch, pushed): finish a share-out
+    local: deque             # the private task store, newest on the right
     execute: Callable        # payload -> child payloads
     fingerprint: Callable    # payload -> 64-bit fingerprint
     finished: Callable       # () -> bool, asked only when starved
     inbox: Callable | None = None       # () -> tasks posted to this PE
-    after_task: Callable | None = None  # (fingerprint): post-execute hook
-    on_wake: Callable | None = None     # a starved PE found work
-    victim_ok: Callable | None = None   # victim rank -> worth a steal?
     extras: Callable | None = None      # () -> extra report fields
 
 
@@ -361,20 +293,6 @@ def _bind_workload(kind, arg):
     raise ValueError(f"unknown workload {kind!r}")
 
 
-def _deque_store(local: deque):
-    """(local, pop, take_left, settle) over a private deque."""
-    popleft, appendleft = local.popleft, local.appendleft
-
-    def take_left(n):
-        return [popleft() for _ in range(n)]
-
-    def settle(batch, pushed):
-        for payload in reversed(batch[pushed:]):
-            appendleft(payload)              # buffer full: keep the rest
-
-    return local, local.pop, take_left, settle
-
-
 def _books_balanced(heap, ctl):
     """The monotone termination read: ``completed`` *before* ``created``."""
     created = heap.ref(ctl["created"])
@@ -390,97 +308,7 @@ def _books_balanced(heap, ctl):
 def _bind_plain(rank, heap, layouts, ctl, owner, thieves, wl):
     seed_tasks, execute, fingerprint = _bind_workload(*wl)
     local = deque(seed_tasks if rank == 0 else ())
-    return _Regime(*_deque_store(local), execute, fingerprint,
-                   _books_balanced(heap, ctl))
-
-
-def _bind_crash(rank, heap, layouts, ctl, owner, thieves, wl,
-                injector, regions, fresh):
-    """Crash regime (CrashPlan active).
-
-    The private deque moves into a shared-memory ring, every execution
-    is journaled and fingerprint-logged, and termination is supervisor
-    -led (stop word) because created/completed cannot be exactly
-    reconciled once a crash has lost batched completions or double
-    -created children.
-    """
-    owner.stall_s = CRASH_SETTLE_S
-    pe = regions.bind(heap, rank)
-    pe.pid.store(os.getpid())
-    ring = pe.ring
-    die_at_steal = [False]
-
-    def _mk_intent(victim):
-        def _intent(start, count):
-            pe.intent_set(victim, start, count)
-            if die_at_steal[0]:
-                injector.die()       # mid-steal: claim won, loot not copied
-        return _intent
-
-    for v, thief in thieves.items():
-        thief.arm_crash(_mk_intent(v))
-
-    seed_tasks, execute, fingerprint = _bind_workload(*wl)
-    if rank == 0 and fresh:
-        ring.extend(seed_tasks)
-
-    def pop():
-        payload = ring.peek_right()
-        pe.inflight_write(payload)    # journal before the pop: a
-        ring.drop_right()             # crash here duplicates, at worst
-        return payload
-
-    # A respawn inherits the corpse's flag word; start from a known one.
-    pe.idle.store(0)
-    idle_state = [0]
-
-    def set_idle(flag: int) -> None:
-        if idle_state[0] != flag:
-            idle_state[0] = flag
-            pe.idle.store(flag)
-
-    def bumper(word):
-        count = [word.load()]      # a respawn carries on from the corpse
-
-        def bump() -> None:
-            count[0] += 1
-            word.store(count[0])
-        return bump
-
-    bump_act, heartbeat = bumper(pe.act), bumper(pe.hb)
-    lock_index = heap.index(layouts[rank].lock_word)
-
-    def after_task(fp) -> None:
-        heartbeat()
-        pe.xlog.append(fp)
-        bump_act()
-        pe.inflight_clear()
-        point = injector.maybe_die()
-        if point == "steal":
-            die_at_steal[0] = True    # next winning claim dies mid-copy
-        elif point == "lock":
-            heap.words.die_holding(lock_index)
-
-    def on_wake() -> None:
-        bump_act()
-        set_idle(0)
-        pe.intent_clear()        # loot (if any) durable: intent retired
-
-    def finished() -> bool:
-        heartbeat()
-        set_idle(1)
-        return bool(pe.stop.load_seq())
-
-    return _Regime(
-        ring, pop, ring.peek_left_block,
-        # Only after the republish drop the shared-out records: a crash
-        # before this point duplicates them (scavenger + steal queue),
-        # never loses.
-        lambda batch, pushed: ring.drop_left(pushed),
-        execute, fingerprint, finished,
-        inbox=pe.inbox.drain, after_task=after_task, on_wake=on_wake,
-        victim_ok=lambda v: not pe.dead[v].load_seq(),
-    )
+    return _Regime(local, execute, fingerprint, _books_balanced(heap, ctl))
 
 
 def _bind_serve(rank, heap, layouts, ctl, owner, thieves,
@@ -502,7 +330,7 @@ def _bind_serve(rank, heap, layouts, ctl, owner, thieves,
     closed = heap.ref(ctl["closed"])
     balanced = _books_balanced(heap, ctl)
     return _Regime(
-        *_deque_store(deque()), execute, lambda payload: _mix64(payload[0]),
+        deque(), execute, lambda payload: _mix64(payload[0]),
         lambda: bool(closed.load_seq()) and balanced(),
         inbox=_serve_inbox(heap, inbox_regions[rank]).drain,
         extras=lambda: {"serve_sketch": sketch.to_dict(),
@@ -525,10 +353,10 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
     # Only a protocol that damps ever consults the tracker.
     tracker = DampingTracker(npes, enabled=damping)
     stats = MpPeStats(rank=rank)
-    (local, pop, take_left, settle, execute, fingerprint, finished, inbox,
-     after_task, on_wake, victim_ok, extras) = bind(
+    local, execute, fingerprint, finished, inbox, extras = bind(
         rank, heap, layouts, ctl, owner, thieves, *bind_args)
-    extend = local.extend
+    pop, popleft, appendleft, extend = (
+        local.pop, local.popleft, local.appendleft, local.extend)
     # Whatever release / acquire re-absorb lands straight in the store.
     owner.owner_kept = local
     # Owner-local metadata inspection runs after every executed task, off
@@ -537,12 +365,13 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
     capacity = owner.capacity
 
     def share_out() -> None:
-        batch = take_left(len(local) // 2)
+        batch = [popleft() for _ in range(len(local) // 2)]
         pushed = owner.push_all(batch)
         if pushed:
             owner.release(pushed)        # absorbs the previous remainder
             stats.releases += 1
-        settle(batch, pushed)
+        for payload in reversed(batch[pushed:]):
+            appendleft(payload)          # buffer full: keep the rest
 
     def try_steal_from(victim: int) -> bool:
         status, claimed = thieves[victim].try_steal(tracker, victim)
@@ -582,12 +411,9 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
             if children:
                 born += len(children)
                 extend(children)
-            fp = fingerprint(payload)
             executed += 1
-            checksum ^= fp
+            checksum ^= fingerprint(payload)
             done_pending += 1
-            if after_task is not None:
-                after_task(fp)
             if (len(local) >= RELEASE_MIN and owner.nfilled < capacity
                     and not shared_has_work()):
                 if born:
@@ -610,15 +436,10 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
             owner.acquire()
             stats.acquires += 1
         if not local:
-            order = rng.sample(victims, len(victims))
-            if victim_ok is not None:
-                order = [v for v in order if victim_ok(v)]
-            for v in order:
+            for v in rng.sample(victims, len(victims)):
                 if try_steal_from(v):
                     break
         if local:
-            if on_wake is not None:
-                on_wake()
             idle.reset()
             continue
         # Nothing anywhere: has the run ended?
@@ -642,11 +463,10 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
 # The parent-side runners
 # ----------------------------------------------------------------------
 
-def _pe_stats(reports, dead_pes=()) -> list[MpPeStats]:
-    """Per-PE stats by rank; a dead incarnation sorts before its respawn."""
-    return sorted(
-        [*dead_pes, *(MpPeStats(**payload) for _, payload in reports)],
-        key=lambda s: s.rank)
+def _pe_stats(reports) -> list[MpPeStats]:
+    """Per-PE stats, by rank."""
+    return sorted((MpPeStats(**payload) for _, payload in reports),
+                  key=lambda s: s.rank)
 
 
 def run_mp(
@@ -661,24 +481,16 @@ def run_mp(
     capacity: int | None = None,
     verify: bool = False,
     join_timeout: float = 120.0,
-    crash: CrashPlan | None = None,
 ) -> MpRunResult:
     """Run one workload end-to-end across ``npes`` real processes.
 
     With ``verify=True`` the expected node count and checksum are
     computed by a sequential oracle and attached to the result, making
     ``result.conserved`` a zero-lost / zero-duplicated proof.
-
-    With an active ``crash`` plan the run switches to the crash-tolerant
-    regime: shared-memory rings instead of private deques, a supervisor
-    that scavenges and re-injects dead PEs' work, and duplicate-aware
-    at-least-once accounting (the oracle is always computed).  Without a
-    plan none of that machinery is allocated.
     """
     if workload not in ("synthetic", "uts"):
         raise ValueError(f"workload must be synthetic|uts, got {workload!r}")
-    crashing = crash is not None and crash.active
-    check(impl, "mp", ("run", "crash") if crashing else ("run",), npes)
+    check(impl, "mp", ("run",), npes)
 
     if workload == "synthetic":
         wl = ("synthetic", ntasks)
@@ -692,38 +504,19 @@ def run_mp(
         capacity = capacity or (1 << 14)
         nseed = 1
 
-    # The crash regime runs the sequential oracle up front: duplicate
-    # -aware accounting needs the expected set anyway, and its size
-    # bounds the shared rings and fingerprint logs.
     expected = None
-    if verify or crashing:
+    if verify:
         expected = (synthetic_expected(ntasks) if workload == "synthetic"
                     else uts_expected(wl[1]))
 
-    reserve = None
-    if crashing:
-        from .recovery import CrashRegions
-
-        def reserve(heap):
-            return CrashRegions.reserve(
-                heap, npes, wpt,
-                ring_cap=2 * expected[0] + 64,
-                xlog_cap=2 * expected[0] + 64,
-                inbox_cap=expected[0] + 64,
-            )
-
     with Fleet("mp run", LAYOUTS[impl], npes, capacity, wpt,
-               ctl=("created", "completed"), regions=reserve) as fleet:
+               ctl=("created", "completed")) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
         heap.ref(ctl["created"]).store(nseed)
-        if crashing:
-            wall, dead_pes, books = _supervise_crash(
-                fleet, wl, seed, damping, crash, join_timeout)
-        else:
-            for r in range(npes):
-                fleet.spawn(r, _pe_loop, fleet.layouts, ctl, seed, damping,
-                            _bind_plain, wl)
-            wall, dead_pes, books = fleet.collect(join_timeout), [], {}
+        for r in range(npes):
+            fleet.spawn(r, _pe_loop, fleet.layouts, ctl, seed, damping,
+                        _bind_plain, wl)
+        wall = fleet.collect(join_timeout)
         result = MpRunResult(
             workload=workload,
             impl=impl,
@@ -732,165 +525,11 @@ def run_mp(
             created=heap.ref(ctl["created"]).load(),
             completed=heap.ref(ctl["completed"]).load(),
             wall_s=wall,
-            pes=_pe_stats(fleet.reports, dead_pes),
-            **books,
+            pes=_pe_stats(fleet.reports),
         )
     if expected is not None:
         result.expected_executed, result.expected_checksum = expected
     return result
-
-
-def _sweep_quiescent(heap, queues, regions, live_ranks):
-    """One supervisor observation: is the system plausibly done?
-
-    Quiescent iff every live PE flags idle, no inbox holds undelivered
-    re-injections, no ring holds queued work, and no live shared queue
-    exposes stealable tasks.  Returns ``(verdict, act vector)``; the
-    caller additionally requires the act vector (per-PE activity
-    counters) to hold still across ``STABLE_SWEEPS`` consecutive
-    quiescent sweeps, which closes the claim-in-flight races a single
-    observation cannot see.
-    """
-    idle_w = heap.slice(regions.idle)
-    for r in live_ranks:
-        if not idle_w[r].load_seq():
-            return False, None
-    acts = tuple(
-        (r, heap.slice(regions.act)[r].load_seq()) for r in live_ranks
-    )
-    for r in live_ranks:
-        pe = regions.bind(heap, r)
-        if pe.inbox.pending() or len(pe.ring) or queues[r].has_work():
-            return False, None
-    return True, acts
-
-
-def _supervise_crash(fleet, wl, seed, damping, crash, join_timeout):
-    """Crash-tolerant mp run: workers + a scavenging supervisor.
-
-    The supervisor watches process liveness (and heartbeat words for
-    diagnostics); on a death it quarantines the rank, breaks its stripe
-    leases, scavenges every shared structure the corpse owned, re-injects
-    the orphans to a survivor's inbox, and optionally respawns the rank.
-    Termination is a stop word raised once ``STABLE_SWEEPS`` consecutive
-    sweeps observe global quiescence.  Returns ``(wall, stats of the dead
-    incarnations, the at-least-once fields of MpRunResult)``.
-    """
-    from .faults import NO_CRASHES, CrashInjector
-    from .recovery import scavenge_rank
-
-    heap, layouts, regions = fleet.heap, fleet.layouts, fleet.regions
-    npes = len(layouts)
-    # The supervisor's view of every PE's shared queue.
-    queues = [layout.thief(heap) for layout in layouts]
-
-    def spawn(r, plan, fresh):
-        fleet.spawn(r, _pe_loop, layouts, fleet.ctl, seed, damping,
-                    _bind_crash, wl, CrashInjector(plan, r, npes), regions,
-                    fresh)
-
-    for r in range(npes):
-        spawn(r, crash, True)
-
-    dead_pes: list[MpPeStats] = []
-    crashed: list[int] = []
-    respawned: list[int] = []
-    scavenged: Counter = Counter()
-    recovery_wall = 0.0
-    dead_flags = heap.slice(regions.dead)
-    stable = 0
-    prev_acts = None
-    inject_rr = 0
-    accounted: set[int] = set()
-    deadline = time.monotonic() + join_timeout
-
-    # -- supervision loop: until quiescence raises the stop word ------
-    stop = heap.ref(regions.stop)
-    while not stop.load():
-        fleet.drain()
-        for r, p in list(fleet.procs.items()):
-            if p.is_alive() or r in accounted:
-                continue
-            accounted.add(r)
-            if p.exitcode == 0:
-                continue            # clean exit; stats via the report
-            # Fail-stop detected: quarantine, repair, scavenge.
-            t1 = time.perf_counter()
-            crashed.append(r)
-            dead_flags[r].store(1)
-            heap.words.break_dead_leases()
-            tasks, breakdown = scavenge_rank(heap, layouts, regions, r)
-            scavenged.update(breakdown)
-            # The dead incarnation's durable accounting: its
-            # fingerprint log (a respawn appends after this point,
-            # so the two incarnations never overlap).
-            fps = regions.bind(heap, r).xlog.read_all()
-            chk = 0
-            for f in fps:
-                chk ^= f
-            dead_pes.append(MpPeStats(rank=r, executed=len(fps),
-                                      checksum=chk))
-            if tasks:
-                live = fleet.alive()
-                if not live:
-                    raise MpStallError(
-                        "every PE died; orphan work cannot be "
-                        "re-injected"
-                    )
-                target = live[inject_rr % len(live)]
-                inject_rr += 1
-                regions.bind(heap, target).inbox.post(tasks)
-            if crash.respawn:
-                dead_flags[r].store(0)
-                spawn(r, NO_CRASHES, False)
-                accounted.discard(r)
-                respawned.append(r)
-            recovery_wall += time.perf_counter() - t1
-            stable, prev_acts = 0, None
-        live_ranks = fleet.alive()
-        if not live_ranks:
-            break                  # everyone exited (or crashed out)
-        quiet, acts = _sweep_quiescent(heap, queues, regions, live_ranks)
-        if quiet and acts == prev_acts:
-            stable += 1
-            if stable >= STABLE_SWEEPS:
-                stop.store(1)
-                continue
-        else:
-            stable = 0
-        prev_acts = acts
-        if time.monotonic() > deadline:
-            raise MpStallError(
-                "crash-mode supervisor saw no quiescence",
-                waited_s=join_timeout,
-            )
-        time.sleep(0.02)
-
-    # -- shutdown: collect the survivors --------------------------
-    wall = fleet.collect(max(0.0, deadline - time.monotonic()),
-                         lost_ok=True)
-
-    # -- duplicate-aware accounting from the fingerprint logs ------
-    all_fps: list[int] = []
-    for r in range(npes):
-        all_fps.extend(regions.bind(heap, r).xlog.read_all())
-    counts = Counter(all_fps)
-    unique_chk = 0
-    for f in counts:
-        unique_chk ^= f
-    multiplicity = dict(sorted(Counter(counts.values()).items()))
-
-    return wall, dead_pes, dict(
-        at_least_once=True,
-        crashed_ranks=crashed,
-        respawned_ranks=respawned,
-        scavenged=dict(scavenged),
-        lease_breaks=heap.words.repairs_total(),
-        recovery_wall_s=recovery_wall,
-        executed_unique=len(counts),
-        unique_checksum=unique_chk,
-        multiplicity=multiplicity,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -968,7 +607,7 @@ def _reserve_serve_inbox(heap, rank: int, capacity: int):
 
 
 def _serve_inbox(heap, region) -> ShmInbox:
-    from .recovery import ShmInbox
+    from .inbox import ShmInbox
 
     rd, wr, buf, capacity = region
     return ShmInbox(heap, rd, wr, buf, capacity, _SERVE_WPT)

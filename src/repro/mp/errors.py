@@ -40,8 +40,5 @@ class MpStallError(StallTimeout):
 
 
 class RingOverflowError(RuntimeError):
-    """A crash-mode shared ring (private deque / xlog / inbox) filled up.
-
-    Sizing is generous for the chaos workloads; overflowing one is a
-    configuration error, not a protocol state — fail loudly.
-    """
+    """A serving inbox (:class:`~repro.mp.inbox.ShmInbox`) cannot take a
+    post: the feeder retries once its PE has drained."""

@@ -1,10 +1,10 @@
 """The fleet harness: one shared heap, its child processes, one teardown.
 
-Every multiprocess entry point (``run_mp`` in its plain and crash
-regimes, ``run_mp_serve``, ``hammer_mp``) has the same lifecycle:
-reserve the symmetric heap (one steal queue per PE, a few control words,
-optionally regime regions) → freeze → spawn children → collect their
-reports → terminate stragglers → join → close → unlink.  :class:`Fleet`
+Every multiprocess entry point (``run_mp``, ``run_mp_serve``,
+``hammer_mp``) has the same lifecycle: reserve the symmetric heap (one
+steal queue per PE, a few control words, optionally regime regions) →
+freeze → spawn children → collect their reports → terminate stragglers
+→ join → close → unlink.  :class:`Fleet`
 is that lifecycle as a context manager, so the teardown guarantee — no
 child outlives the segment, the segment never outlives the call — is
 written once, and so is the rule that a child which dies *without*
@@ -98,8 +98,7 @@ class Fleet:
         self.heap.unlink()
 
     def spawn(self, rank: int, body, *args) -> None:
-        """Start ``body(rank, heap, *args)`` as child ``rank`` (a respawn
-        replaces the rank's previous, dead, process)."""
+        """Start ``body(rank, heap, *args)`` as child ``rank``."""
         if not self.procs:
             self.t0 = time.perf_counter()
         p = self.ctx.Process(
@@ -113,9 +112,6 @@ class Fleet:
     def describe(self, rank: int) -> str:
         p = self.procs[rank]
         return f"rank {rank} (pid {p.pid}, exitcode {p.exitcode})"
-
-    def alive(self) -> list[int]:
-        return [r for r, p in self.procs.items() if p.is_alive()]
 
     def drain(self, block_s: float = 0.0) -> None:
         """Move queued child reports into :attr:`reports`, waiting up to
@@ -136,13 +132,12 @@ class Fleet:
         if errors:
             raise RuntimeError(f"{self.what} failed:\n" + "\n".join(errors))
 
-    def collect(self, timeout: float, lost_ok: bool = False) -> float:
+    def collect(self, timeout: float) -> float:
         """Wait for every child's report, then for its exit.
 
         Returns the wall time from the first spawn to the last report.
         A child found dead with nothing reported raises at once, naming
-        it — unless ``lost_ok`` (crash regime: fail-stops are the point,
-        their books come from shared memory).
+        it.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -152,11 +147,11 @@ class Fleet:
             self.drain(0.0 if len(gone) == len(self.procs) else POLL_S)
             pending = [r for r in self.procs if r not in self._reported]
             lost = [r for r in pending if r in gone]
-            if lost and not lost_ok:
+            if lost:
                 raise MpStallError(
                     f"{self.what}: {self.describe(lost[0])} died without "
                     f"reporting", rank=lost[0])
-            if len(lost) == len(pending):
+            if not pending:
                 break
             if time.monotonic() > deadline:
                 raise MpStallError(

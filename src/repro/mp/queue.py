@@ -18,11 +18,10 @@ the copy is one contiguous ``read_block`` byte slice (two when the ring
 wraps), and the owner's fill is one ``write_block`` into the
 not-yet-published region.
 
-What the PE driver and the crash supervisor need to know about a
-protocol they ask of its layout and views — never of its name:
-``lock_word`` on the layout, ``has_work()`` on both views,
-``try_steal`` / ``arm_crash`` / ``scavenge`` on the thief.
-:data:`LAYOUTS` is the one place a protocol name becomes a class.
+What the PE driver needs to know about a protocol it asks of its
+views — never of its name: ``has_work()`` on both, ``try_steal`` on the
+thief.  :data:`LAYOUTS` is the one place a protocol name becomes a
+class.
 """
 
 from __future__ import annotations
@@ -34,8 +33,7 @@ from dataclasses import dataclass
 from ..capabilities import check
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealStatus
-from ..core.steal_half import schedule, steal_displacement
-from ..core.stealval import StealValEpoch, owner_remainder
+from ..core.stealval import StealValEpoch
 from ..shmem.heap import SymArray, SymWord, SymmetricAllocator
 from ..threads.protocol import (
     Backoff,
@@ -49,23 +47,11 @@ from ..threads.protocol import (
     sdc_steal_once,
     sws_steal_once,
 )
-from .atomics import pid_alive
 from .fleet import Fleet
 from .heap import MpHeap
 
 #: Default completion-array slots per epoch (covers allotments < 2^24).
 DEFAULT_COMP_SLOTS = 24
-
-
-def _dead_pid_token(token: int) -> bool:
-    """Dead-holder oracle for pid tokens (SDC lock, SWS claimant).
-
-    The mp lock and claimant words hold a pid, so "is the holder dead"
-    is a signal-0 probe.  Pid recycling within one run would mask a
-    death; astronomically unlikely at these process counts and run
-    lengths, and the cost would be a diagnosed stall, not corruption.
-    """
-    return not pid_alive(token)
 
 
 class _MpTaskBuffer:
@@ -162,10 +148,6 @@ class _SwsWords(_MpTaskBuffer):
         self.stealval = heap.ref(layout.stealval)
         self.comp = heap.slice(layout.comp)
         self.comp_slots = layout.comp_slots
-        self.claimant = (
-            heap.slice(layout.claimant) if layout.claimant is not None
-            else None
-        )
 
     def has_work(self) -> bool:
         """Does the published allotment still hold unclaimed tasks?
@@ -184,93 +166,21 @@ class _SwsWords(_MpTaskBuffer):
 class MpSwsQueue(_SwsWords, SwsShimCore):
     """Owner-side SWS queue state over cross-process atomics."""
 
-    #: Dead-claimant oracle ``token -> bool``: maps a claimant token
-    #: recorded by ``sws_steal_once`` to "that process is dead".  Only
-    #: consulted once a completion wait outlives ``stall_s``, and tokens
-    #: are only written by thieves armed for the crash regime.
-    dead_claimant = staticmethod(_dead_pid_token)
-
     def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
         self._bind(heap, layout)
         self.nfilled = 0
         self._init_protocol(layout.max_epochs, layout.comp_slots)
 
-    def _on_settle_stall(self) -> bool:
-        """A completion wait stalled: void claims held by dead thieves.
-
-        A thief SIGKILLed between its claiming ``fetch_add`` and its
-        completion ``fetch_add`` leaves its slot short forever, wedging
-        the owner's settle wait.  For each unsettled claim whose
-        recorded claimant token maps to a dead process, re-read the
-        claimed buffer range (still valid: claimed ranges are never
-        overwritten while the record is live) back into ``owner_kept``
-        and store the expected volume into the completion slot.  The
-        dead thief may also have copied the block before dying — that
-        path yields a duplicate execution, which at-least-once
-        accounting absorbs.
-
-        Returns truthy to keep waiting: either a void just unwedged the
-        books, or the claimant is alive and merely slow.  Only a long
-        run of fruitless rounds (no void, no settle) gives up and lets
-        the backoff raise its diagnostic.
-        """
-        if self.void_dead_claims():
-            self._stall_rounds = 0
-            return True
-        self._stall_rounds = getattr(self, "_stall_rounds", 0) + 1
-        return self._stall_rounds < 30
-
-    def void_dead_claims(self) -> int:
-        """Void unsettled claims whose claimant is dead; returns count."""
-        if self.claimant is None:
-            return 0
-        voided = 0
-        for rec in self._records:
-            claims = rec.get("claims")
-            if claims is None:
-                continue  # the live (still-open) record
-            vols = schedule(rec["itasks"])
-            base = rec["epoch"] * self.comp_slots
-            for i in range(claims):
-                if self.comp[base + i].load() == vols[i]:
-                    continue
-                token = self.claimant[base + i].load()
-                if token and self.dead_claimant(token):
-                    disp = steal_displacement(rec["itasks"], i)
-                    self.owner_kept.extend(
-                        self._read_tasks(rec["start"] + disp, vols[i])
-                    )
-                    self.comp[base + i].store(vols[i])
-                    voided += 1
-        return voided
-
-
 class MpSwsThief(_SwsWords):
     """Thief-side view: just enough shared words to claim blocks."""
-
-    #: Crash-mode hooks (inert until :meth:`arm_crash`): a nonzero
-    #: ``claim_token`` (the thief's pid) records ownership of each
-    #: winning claim in the victim's claimant array; ``intent(start,
-    #: vol)`` durably records the claimed buffer range before the copy
-    #: so a thief crash after the completion signal is recoverable by
-    #: the supervisor.
-    claim_token: int = 0
-    intent = None
 
     def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
         self._bind(heap, layout)
 
-    def arm_crash(self, intent) -> None:
-        """Crash regime: record claimant tokens and steal intents."""
-        self.intent = intent
-        self.claim_token = os.getpid()
-
     def steal(self) -> ShimStealResult:
         """One fused discover+claim attempt (single remote fetch-add)."""
         return sws_steal_once(
-            self.stealval, self.comp, self.comp_slots, self._read_tasks,
-            claimant=self.claimant if self.claim_token else None,
-            claim_token=self.claim_token, intent=self.intent,
+            self.stealval, self.comp, self.comp_slots, self._read_tasks
         )
 
     def try_steal(self, tracker: DampingTracker, victim: int):
@@ -296,46 +206,6 @@ class MpSwsThief(_SwsWords):
         tracker.note_failed_claim(victim, res.view)
         return StealStatus.EMPTY, ()
 
-    def scavenge(self) -> list:
-        """Take over a dead owner's queue; return the unclaimed remainder.
-
-        The supervisor plays the owner's own close protocol: one swap to
-        the locked sentinel wins against every racing claim (a fetch-add
-        before the swap is counted in the closing view's ``asteals``;
-        one after it observes the sentinel and aborts).  Claims still in
-        flight are then settled or — when the claimant pid is dead —
-        voided, their ranges re-read from the still-valid buffer bytes.
-        """
-        view = StealValEpoch.unpack(
-            self.stealval.swap(StealValEpoch.locked_word()))
-        if view.locked:
-            # Already locked: a previous scavenge, or a death inside an
-            # owner-side critical window (unreachable from the seeded
-            # crash points, which only fire between tasks / post-claim /
-            # in die_holding).
-            return []
-        tasks: list = []
-        claims, disp, rem = owner_remainder(view.itasks, view.asteals)
-        if rem > 0:
-            tasks.extend(self._read_tasks(view.tail + disp, rem))
-        # Settle or void the outstanding claims so a respawned owner can
-        # safely reuse the completion rows.
-        vols = schedule(view.itasks)
-        base = view.epoch * self.comp_slots
-        backoff = Backoff(sleep_s=1e-5, max_sleep_s=1e-3, deadline_s=30.0)
-        for i in range(claims):
-            while self.comp[base + i].load() < vols[i]:
-                token = (self.claimant[base + i].load()
-                         if self.claimant is not None else 0)
-                if token and _dead_pid_token(token):
-                    d = steal_displacement(view.itasks, i)
-                    tasks.extend(self._read_tasks(view.tail + d, vols[i]))
-                    self.comp[base + i].store(vols[i])
-                    break
-                backoff.wait()
-        return tasks
-
-
 @dataclass(frozen=True)
 class SwsQueueLayout(_Layout):
     """Picklable symmetric-heap footprint of one mp SWS queue."""
@@ -347,12 +217,6 @@ class SwsQueueLayout(_Layout):
     words_per_task: int = 1
     max_epochs: int = 2
     comp_slots: int = DEFAULT_COMP_SLOTS
-    #: Claimant-token array parallel to ``comp`` — a successful claim
-    #: records who holds it (the thief's pid) before copying, so a
-    #: crashed thief's claim can be identified and voided.  Always
-    #: reserved (2 * comp_slots words is noise); only written in crash
-    #: mode.
-    claimant: SymArray | None = None
 
     owner_class = MpSwsQueue
     thief_class = MpSwsThief
@@ -376,15 +240,9 @@ class SwsQueueLayout(_Layout):
         stealval = alloc.word("stealval")
         comp = alloc.array("comp", max_epochs * comp_slots)
         buffer = alloc.array("buffer", capacity * words_per_task)
-        claimant = alloc.array("claimant", max_epochs * comp_slots)
         alloc.commit()
         return cls(stealval, comp, buffer, capacity, words_per_task,
-                   max_epochs, comp_slots, claimant)
-
-    @property
-    def lock_word(self) -> SymWord:
-        """The owner's swap-to-locked is SWS's only lock."""
-        return self.stealval
+                   max_epochs, comp_slots)
 
 
 # ======================================================================
@@ -423,13 +281,6 @@ class _TailSplitThief(_TailSplitWords):
     """Thief side of a ``[tail, split)`` queue: no damping, so the
     tracker is never consulted."""
 
-    #: Crash-mode range-intent hook (see :class:`MpSwsThief`).
-    intent = None
-
-    def arm_crash(self, intent) -> None:
-        """Crash regime: record steal intents."""
-        self.intent = intent
-
     def try_steal(self, tracker: DampingTracker, victim: int):
         """One attempt: ``(status, claimed)``; ``LOCKED_ABORT`` when the
         queue lock outlasted the spin budget."""
@@ -439,29 +290,12 @@ class _TailSplitThief(_TailSplitWords):
         return (StealStatus.EMPTY if res.empty
                 else StealStatus.LOCKED_ABORT), ()
 
-    def scavenge(self) -> list:
-        """Absorb a dead owner's shared section ``[tail, split)``."""
-        t, s = self.tail.load(), self.split.load()
-        if s <= t:
-            return []
-        tasks = self._read_tasks(t, s - t)
-        self.tail.store(s)
-        return tasks
-
-
 class MpSdcQueue(_TailSplitWords, SdcShimCore):
     """Owner-side SDC (lock-based) queue over cross-process atomics.
 
-    The lock word carries this process's *pid* as its token, so any
-    contender can detect a SIGKILLed holder and take the lock over with
-    one race-free ``compare_swap(holder, token)``.  The queue state
-    under a broken SDC lock is benign: the six-step critical sections
-    only ever advance ``tail``/``split`` after reading, so a takeover
-    mid-section re-reads consistent words (at worst the same block is
-    read twice — a duplicate, never a loss).
+    The lock word carries the holder's *pid* as its token, so a stuck
+    lock names its holder.
     """
-
-    dead_holder = staticmethod(_dead_pid_token)
 
     def __init__(self, heap: MpHeap, layout: SdcQueueLayout) -> None:
         self._bind(heap, layout)
@@ -485,26 +319,8 @@ class MpSdcThief(_TailSplitThief):
         """One lock-protected steal-half attempt."""
         return sdc_steal_once(
             self.lock, self.tail, self.split, self._read_tasks,
-            self.max_spins, token=os.getpid(), dead_holder=_dead_pid_token,
-            intent=self.intent,
+            self.max_spins, token=os.getpid(),
         )
-
-    def scavenge(self) -> list:
-        """Take the lock (over a dead holder if need be), then absorb."""
-        token = os.getpid()
-        backoff = Backoff(sleep_s=1e-5, max_sleep_s=1e-3, deadline_s=30.0)
-        while True:
-            holder = self.lock.compare_swap(0, token)
-            if holder == 0:
-                break
-            if (_dead_pid_token(holder)
-                    and self.lock.compare_swap(holder, token) == holder):
-                break
-            backoff.wait()
-        try:
-            return super().scavenge()
-        finally:
-            self.lock.store(0)
 
 
 @dataclass(frozen=True)
@@ -521,10 +337,6 @@ class SdcQueueLayout(_TailSplitLayout):
     WORDS = ("lock", "tail", "split")
     owner_class = MpSdcQueue
     thief_class = MpSdcThief
-
-    @property
-    def lock_word(self) -> SymWord:
-        return self.lock
 
 
 class MpFfMultQueue(_TailSplitWords, FfMultShimCore):

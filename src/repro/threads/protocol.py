@@ -268,10 +268,8 @@ class ShimStealResult:
     index: int = -1
 
 
-def sws_steal_once(
-    stealval, comp, comp_slots: int, read_tasks,
-    claimant=None, claim_token: int = 0, intent=None,
-) -> ShimStealResult:
+def sws_steal_once(stealval, comp, comp_slots: int,
+                   read_tasks) -> ShimStealResult:
     """One claiming attempt — exactly the simulator's 3-step protocol.
 
     ``stealval`` is an atomic word, ``comp`` an indexable of atomic
@@ -279,18 +277,6 @@ def sws_steal_once(
     the substrate's task-buffer accessor.  The single ``fetch_add``
     both discovers and claims; everything after it is local arithmetic
     plus the completion signal.
-
-    Two optional crash-tolerance hooks (inert by default, used by the
-    mp substrate's :class:`CrashPlan` mode):
-
-    * ``claimant`` / ``claim_token`` — an atomic word array parallel to
-      ``comp``; a successful claim stores its token (rank + 1) into its
-      slot *before* copying, so a victim whose completion wait stalls
-      can tell whether the claim is held by a dead process and void it.
-    * ``intent(start, vol)`` — called after the claim wins and before
-      the copy; the thief records the claimed buffer range durably so a
-      crash after the completion signal (loot only in dead private
-      memory) is recoverable from the victim's buffer.
     """
     old = stealval.fetch_add(StealValEpoch.ASTEAL_UNIT)
     view = StealValEpoch.unpack(old)
@@ -301,12 +287,7 @@ def sws_steal_once(
         return ShimStealResult(empty=True, view=view)
     # The tail field stores start % 2^19; shim buffers stay smaller
     # than that, so the raw value is the buffer index.
-    start = view.tail + disp
-    if claimant is not None:
-        claimant[view.epoch * comp_slots + view.asteals].store(claim_token)
-    if intent is not None:
-        intent(start, vol)
-    claimed = read_tasks(start, vol)
+    claimed = read_tasks(view.tail + disp, vol)
     # Simulate copy latency so completion really lags the claim.
     time.sleep(0)
     comp[view.epoch * comp_slots + view.asteals].fetch_add(vol)
@@ -326,32 +307,16 @@ class SwsShimCore:
     #: completions (the historical fixed poll interval).
     POLL_S = 1e-5
 
-    #: Hard wall-clock deadline for one no-progress completion wait.
-    #: ``None`` (the default, and the threads backend's setting) keeps
-    #: the historical unbounded wait; the mp substrate sets it so a
-    #: thief that died mid-claim stalls into :meth:`_on_settle_stall`
-    #: instead of wedging the owner forever.
+    #: Hard wall-clock deadline for one no-progress completion wait,
+    #: past which it raises :class:`StallTimeout`.  ``None`` (the
+    #: default, and the threads backend's setting) keeps the historical
+    #: unbounded wait; the mp hammer sets it so a claim a wedged thief
+    #: never completes fails the run instead of hanging the owner.
     stall_s: float | None = None
 
-    #: Optional claimant-token word array parallel to ``comp`` (crash
-    #: accounting — see ``sws_steal_once``).  When present its epoch row
-    #: is zeroed alongside the completion row on epoch reuse.
-    claimant = None
-
-    def _on_settle_stall(self) -> bool:
-        """Called when a completion wait exceeds ``stall_s``.
-
-        Return truthy if progress was repaired (e.g. dead claims voided)
-        and the wait should continue with a fresh deadline; the default
-        repairs nothing, so the wait raises :class:`StallTimeout`.
-        """
-        return False
-
     def _settle_backoff(self) -> Backoff:
-        return Backoff(
-            sleep_s=self.POLL_S / 4, max_sleep_s=self.POLL_S,
-            deadline_s=self.stall_s, on_deadline=self._on_settle_stall,
-        )
+        return Backoff(sleep_s=self.POLL_S / 4, max_sleep_s=self.POLL_S,
+                       deadline_s=self.stall_s)
 
     def _init_protocol(self, max_epochs: int, comp_slots: int) -> None:
         self.max_epochs = max_epochs
@@ -421,9 +386,6 @@ class SwsShimCore:
         base = next_epoch * self.comp_slots
         for i in range(self.comp_slots):
             self.comp[base + i].store(0)
-        if self.claimant is not None:
-            for i in range(self.comp_slots):
-                self.claimant[base + i].store(0)
         self.epoch = next_epoch
         self._records.append({"epoch": next_epoch, "start": start, "itasks": itasks})
         self.stealval.store(StealValEpoch.pack(0, next_epoch, itasks, start % (1 << 19)))
@@ -541,27 +503,18 @@ class TailSplitShimCore:
 # SDC: the lock-based baseline protocol
 # ======================================================================
 
-def sdc_lock(lock, token: int = 1, dead_holder=None,
+def sdc_lock(lock, token: int = 1,
              max_spins: int | None = None) -> tuple[bool, int]:
     """Spin for the SDC queue lock; returns ``(acquired, spins)``.
 
     ``token`` is the value CASed into the lock word (the mp substrate
-    passes its pid so a stuck lock names its holder).  ``dead_holder``,
-    when given, is consulted every few hundred spins with the observed
-    holder token; if it reports the holder dead the spinner takes the
-    lock over with a single CAS (race-free: only one contender's
-    ``compare_swap(holder, token)`` can win).  Without ``max_spins`` the
-    spin is unbounded (the historical single-address-space behaviour).
+    passes its pid so a stuck lock names its holder).  Without
+    ``max_spins`` the spin is unbounded (the historical single-address
+    -space behaviour).
     """
     spins = 0
     while lock.compare_swap(0, token) != 0:
         spins += 1
-        if dead_holder is not None and spins % 256 == 0:
-            holder = lock.load()
-            if holder and dead_holder(holder):
-                if lock.compare_swap(holder, token) == holder:
-                    break  # dead holder's lock taken over
-                continue
         if max_spins is not None and spins >= max_spins:
             return False, spins
         time.sleep(0)
@@ -569,17 +522,11 @@ def sdc_lock(lock, token: int = 1, dead_holder=None,
 
 
 def sdc_steal_once(
-    lock, tail, split, read_tasks, max_spins: int = 10_000,
-    token: int = 1, dead_holder=None, intent=None,
+    lock, tail, split, read_tasks, max_spins: int = 10_000, token: int = 1,
 ) -> ShimStealResult:
-    """One lock-protected steal-half attempt (the six-step SDC shape).
-
-    ``token`` and ``dead_holder`` are :func:`sdc_lock`'s.
-    ``intent(start, count)`` is called under the lock *before* the tail
-    advance so a thief crash after the advance leaves a durable record
-    of the claimed range.
-    """
-    acquired, spins = sdc_lock(lock, token, dead_holder, max_spins)
+    """One lock-protected steal-half attempt (the six-step SDC shape);
+    ``token`` is :func:`sdc_lock`'s."""
+    acquired, spins = sdc_lock(lock, token, max_spins)
     res = ShimStealResult(lock_spins=spins)
     if not acquired:
         return res
@@ -590,8 +537,6 @@ def sdc_steal_once(
             res.empty = True
             return res
         n = max(1, avail // 2)
-        if intent is not None:
-            intent(t, n)
         res.claimed = read_tasks(t, n)
         tail.store(t + n)
         return res
@@ -602,7 +547,7 @@ def sdc_steal_once(
 def _under_lock(op):
     """Run an owner operation of :class:`SdcShimCore` inside its lock."""
     def locked(self, *args):
-        sdc_lock(self.lock, self.lock_token, self.dead_holder)
+        sdc_lock(self.lock, self.lock_token)
         try:
             return op(self, *args)
         finally:
@@ -620,11 +565,8 @@ class SdcShimCore(TailSplitShimCore):
     """
 
     #: Lock-word token this owner CASes in (the mp substrate sets its
-    #: pid so a wedged queue names its holder) and the dead-holder
-    #: oracle consulted by the takeover path (None: spin forever, the
-    #: historical single-address-space behaviour).
+    #: pid so a wedged queue names its holder).
     lock_token: int = 1
-    dead_holder = None
 
     #: Lock spins before a thief attempt gives up empty-handed.
     max_spins = 10_000
@@ -643,7 +585,6 @@ class SdcShimCore(TailSplitShimCore):
         return sdc_steal_once(
             self.lock, self.tail, self.split, self._read_tasks,
             self.max_spins, token=self.lock_token,
-            dead_holder=self.dead_holder,
         )
 
 

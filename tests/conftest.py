@@ -15,7 +15,6 @@ from repro.core.config import QueueConfig
 from repro.core.sdc_queue import SdcQueueSystem
 from repro.core.sws_queue import SwsQueueSystem
 from repro.fabric.latency import ZERO_LATENCY, LatencyModel
-from repro.mp.faults import CrashKill
 from repro.shmem.api import ShmemCtx
 
 #: Simple latencies for hand-verifiable protocol timing.
@@ -67,24 +66,6 @@ def rec(i: int, size: int = 16) -> bytes:
 def rec_id(record: bytes) -> int:
     """Inverse of :func:`rec`."""
     return int.from_bytes(record[:4], "little")
-
-
-def sure_kill(nseeded: int, after: int = 5, point: str = "exec") -> CrashKill:
-    """A real-process kill certain to fire: rank 0, at a trigger inside
-    its seeded share.
-
-    Rank 0 seeds all ``nseeded`` tasks of an mp run (``ntasks`` of a
-    synthetic run, a tree's root) into its private store, and a share-out
-    moves at most half of that store where a thief can reach it, so rank 0
-    runs at least ``nseeded.bit_length()`` tasks without winning a steal.
-    A kill of another rank, or a ``steal`` kill (it waits for a steal
-    intent), fires only if real-process timing lets it: a test naming one
-    may assert only that the ranks which died are among those it named.
-    """
-    if point == "steal" or not 0 < after <= nseeded.bit_length():
-        raise ValueError(f"a {point} kill at task {after} of rank 0 is not "
-                         f"certain to fire with {nseeded} seeded task(s)")
-    return CrashKill(0, after, point)
 
 
 # ----------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.runtime.protocols import (
     protocol_names,
 )
 
-from .conftest import nothing_left_behind, sure_kill
+from .conftest import nothing_left_behind
 
 pytestmark = pytest.mark.conformance
 
@@ -196,18 +196,6 @@ def _mp_run(**kw):
     return run
 
 
-def _mp_crash(protocol, npes):
-    from repro.mp.driver import run_mp
-    from repro.mp.faults import CrashPlan
-
-    ntasks = 400
-    result = run_mp("synthetic", protocol, max(npes, 3), ntasks=ntasks,
-                    crash=CrashPlan(kills=(sure_kill(ntasks),)))
-    assert result.crashed_ranks == [0]
-    assert result.executed_unique == result.expected_executed
-    assert result.unique_checksum == result.expected_checksum
-
-
 #: (backend, feature) -> an oracle-checked run of a listed cell.
 RUNS = {
     ("fabric", "run"): _fabric_pool(),
@@ -223,7 +211,6 @@ RUNS = {
     ("mp", "race"): _race("mp"),
     ("mp", "serving"): _serve_realtime("mp"),
     ("mp", "run"): _mp_run(),
-    ("mp", "crash"): _mp_crash,
     ("mp", "damping"): _mp_run(damping=True),
 }
 
@@ -291,14 +278,12 @@ def _refuse_serve_realtime(backend):
     return ("serving",), call
 
 
-def _refuse_mp_run(crash=False):
+def _refuse_mp_run():
     def call(protocol, npes):
         from repro.mp.driver import run_mp
-        from repro.mp.faults import CrashPlan
 
-        run_mp("synthetic", protocol, npes, ntasks=100,
-               crash=CrashPlan(kills=(sure_kill(100),)) if crash else None)
-    return ("run", "crash") if crash else ("run",), call
+        run_mp("synthetic", protocol, npes, ntasks=100)
+    return ("run",), call
 
 
 #: (backend, feature) -> (the features its entry point asks for, the call).
@@ -319,7 +304,6 @@ REFUSALS = {
     ("mp", "race"): _refuse_race("mp"),
     ("mp", "serving"): _refuse_serve_realtime("mp"),
     ("mp", "run"): _refuse_mp_run(),
-    ("mp", "crash"): _refuse_mp_run(crash=True),
     ("mp", "shedding"): _refuse_cli("mp"),
 }
 
@@ -442,6 +426,15 @@ def test_fabric_damping_is_the_queue_probe():
 def test_faults_and_the_tree_detector_never_run_together():
     with pytest.raises(ValueError, match="termination='ring'"):
         check("sws", "fabric", ("faults", "tree"))
+
+
+@pytest.mark.parametrize("feature", ["crash", "elastic", "bogus"])
+def test_an_unknown_feature_is_named(feature):
+    """A feature no cell runs (a deleted one included) is refused as
+    unknown, with the features the table does know."""
+    assert _refusal("sws", "mp", (feature,)) == (
+        f"unknown feature {feature!r}: the table knows "
+        + ", ".join(FEATURES))
 
 
 # ----------------------------------------------------------------------

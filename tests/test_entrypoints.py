@@ -109,6 +109,9 @@ class TestUsageErrors:
          "error: the mp cell of 'localized' runs race: no run"),
         (["serve", "--elastic", "seeded"],
          "error: unrecognized arguments: --elastic seeded"),
+        (["mp", "--crash", "1@5"],
+         "error: unrecognized arguments: --crash 1@5"),
+        (["mp", "--respawn"], "error: unrecognized arguments: --respawn"),
     ])
     def test_rc2_and_one_line(self, argv, message):
         import os

@@ -97,10 +97,9 @@ def _cli(*argv: str, **extra) -> dict:
     return {"argv": list(argv), **extra}
 
 
-#: The crash regime, fault injection and the oracle are switched on by an
-#: option; a plain run never imports them.
-OPTIONAL = ("repro.mp.recovery", "repro.mp.faults", "repro.fabric.faults",
-            "repro.runtime.oracle")
+#: The serving inbox, fault injection and the oracle are switched on by
+#: an option; a plain run never imports them.
+OPTIONAL = ("repro.mp.inbox", "repro.fabric.faults", "repro.runtime.oracle")
 SIMULATOR = ("repro.fabric", "repro.runtime.pool", "repro.analysis")
 #: A steal-level experiment runs on a bare ``ShmemCtx``.
 POOL = ("repro.runtime.pool", "repro.workloads.bpc", "repro.workloads.uts")
@@ -120,24 +119,24 @@ ENTRY_POINTS = {
         28, 6854, SUBSTRATES + OPTIONAL),
     "from repro.mp import run_mp, uts_expected": (
         {"stmt": "from repro.mp import run_mp, uts_expected"},
-        23, 4536, SIMULATOR + OPTIONAL),
+        23, 4146, SIMULATOR + OPTIONAL),
     "from repro.runtime.serving import run_serve": (
         {"stmt": "from repro.runtime.serving import run_serve"},
-        32, 8493, SUBSTRATES + OPTIONAL),
+        32, 8161, SUBSTRATES + OPTIONAL),
     "python -m repro --help": (
         _cli("--help"), 4, 442, PACKAGES[:2] + PACKAGES[3:]),
     "python -m repro": (
         _cli(), 29, 6040, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
     "python -m repro --protocol sws --backend all": (
         _cli("--protocol", "sws", "--backend", "all", "--ntasks", "100"),
-        41, 10223, ("repro.analysis",) + OPTIONAL[:3]),
+        40, 9903, ("repro.analysis",) + OPTIONAL[:2]),
     "python -m repro serve": (
         _cli("serve", "--npes", "4", "--seed", "7"),
-        33, 8826, SUBSTRATES + OPTIONAL[:3]),
+        33, 8494, SUBSTRATES + OPTIONAL[:2]),
     "python -m repro mp --workload uts": (
         _cli("mp", "--workload", "uts", "--tree", "test_tiny", "--npes", "2",
              "--verify", "--seed", "7"),
-        25, 4845, SIMULATOR + OPTIONAL),
+        25, 4416, SIMULATOR + OPTIONAL),
     "python -m repro sweep --jobs 2": (
         _cli("sweep", "--scenarios", "fig5,fig6", "--no-cache", "--jobs", "2",
              "--quiet", watch_executor=True),

@@ -1,8 +1,8 @@
 """The single PE loop across its regimes, and the fleet harness's teardown.
 
-Part one is a regime matrix: the one ``_pe_loop`` runs plain, crash
-(with and without respawn) and serving, on both queue protocols, and
-every cell must conserve the task set against the sequential oracle.
+Part one is a regime matrix: the one ``_pe_loop`` runs plain and
+serving, on both queue protocols, and every cell must conserve the task
+set against the sequential oracle.
 
 Part two pins three failures the fleet harness exists to prevent — a PE
 that dies without reporting, a hammer owner that raises while thieves
@@ -27,13 +27,12 @@ from repro.mp import driver
 from repro.mp import queue as mp_queue
 from repro.mp.driver import run_mp, run_mp_serve, synthetic_expected
 from repro.mp.errors import MpStallError
-from repro.mp.faults import CrashPlan
 from repro.mp.queue import hammer_mp
 from repro.runtime.arrivals import parse_arrival_spec, serving_checksum
 from repro.threads.protocol import hammer
 from repro.threads.serving import run_serve_threads
 
-from .conftest import nothing_left_behind, sure_kill
+from .conftest import nothing_left_behind
 
 pytestmark = [pytest.mark.mp, pytest.mark.timeout(120)]
 
@@ -55,20 +54,6 @@ def test_plain_regime_is_exactly_once(impl):
     result = run_mp("synthetic", impl, 3, ntasks=NTASKS, verify=True)
     assert result.conserved
     assert (result.total_executed, result.checksum) == synthetic_expected(NTASKS)
-
-
-@pytest.mark.parametrize("impl", IMPLS)
-@pytest.mark.parametrize("respawn", [False, True])
-def test_crash_regime_survives_one_kill(impl, respawn):
-    result = run_mp(
-        "synthetic", impl, 3, ntasks=NTASKS,
-        crash=CrashPlan(kills=(sure_kill(NTASKS),), respawn=respawn),
-    )
-    assert result.conserved, result.summary()
-    assert result.crashed_ranks == [0]
-    assert result.respawned_ranks == ([0] if respawn else [])
-    assert (result.executed_unique, result.unique_checksum) \
-        == synthetic_expected(NTASKS)
 
 
 @pytest.mark.parametrize("impl", IMPLS)

@@ -4,8 +4,7 @@ A PE SIGKILLed while holding a stripe lock of :class:`ShmWords` must
 not wedge the job: the lease words name the holder, liveness probing
 detects the death, and :meth:`break_lease` repairs the stripe (force
 release + re-evening any seqlock shadow the victim left odd).  These
-tests exercise the protocol directly with real killed processes; the
-end-to-end chaos matrix lives in ``tests/chaos/test_chaos_mp.py``.
+tests exercise the protocol directly with real killed processes.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.mp.atomics import (
     pid_alive,
 )
 from repro.mp.errors import MpStallError
-from repro.mp.faults import NO_CRASHES, CrashInjector, CrashKill, CrashPlan
 
 NWORDS = 64
 LEASE_S = 0.15
@@ -179,56 +177,3 @@ def test_live_holder_is_never_broken_then_stalls():
     finally:
         w.close()
         w.unlink()
-
-
-# ----------------------------------------------------------------------
-# crash plans
-# ----------------------------------------------------------------------
-
-def test_crash_plan_validation():
-    with pytest.raises(ValueError):
-        CrashKill(0, 1, "nowhere")
-    with pytest.raises(ValueError):
-        CrashKill(-2, 1)
-    with pytest.raises(ValueError):
-        CrashKill(0, -1)
-    assert not NO_CRASHES.active
-    assert CrashPlan(kills=((0, 3),)).active
-
-
-def test_crash_plan_tuple_normalization():
-    plan = CrashPlan(kills=((1, 5), (2, 7, "steal")))
-    assert all(isinstance(k, CrashKill) for k in plan.kills)
-    assert plan.kills[1].point == "steal"
-
-
-def test_wildcard_resolution_is_seeded_and_distinct():
-    plan = CrashPlan(seed=11, kills=((-1, 3), (-1, 4)))
-    a = plan.resolve(6)
-    b = plan.resolve(6)
-    assert a == b  # deterministic
-    assert a[0].rank != a[1].rank  # distinct while ranks remain
-    assert all(0 <= k.rank < 6 for k in a)
-
-
-def test_resolve_rejects_out_of_range_rank():
-    with pytest.raises(ValueError):
-        CrashPlan(kills=((7, 1),)).resolve(4)
-
-
-def test_injector_trigger_and_disarm():
-    plan = CrashPlan(kills=((2, 3, "steal"),))
-    inj = CrashInjector(plan, rank=2, npes=4)
-    assert inj.armed and inj.point == "steal"
-    assert inj.maybe_die() is None
-    assert inj.maybe_die() is None
-    assert inj.maybe_die() == "steal"  # 3rd task trips the trigger
-    assert not inj.armed
-    assert inj.maybe_die() is None  # disarmed: later tasks run on
-
-
-def test_injector_other_ranks_inert():
-    inj = CrashInjector(CrashPlan(kills=((2, 1),)), rank=0, npes=4)
-    assert not inj.armed
-    for _ in range(10):
-        assert inj.maybe_die() is None

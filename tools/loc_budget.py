@@ -5,7 +5,8 @@ Compares the physical line count of the package source against the
 number committed below and fails when it is exceeded.  A PR that deletes
 code lowers BUDGET to the count this prints, in the same commit; a PR
 that has to add code raises it on purpose, in the diff, where a reviewer
-sees it.  ROADMAP item 3's trajectory ends at 18,000.
+sees it.  ROADMAP item 3's trajectory ended at 18,000, and the count is
+now below it: the ratchet keeps what the deletions won.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 from pathlib import Path
 
 #: Physical lines in src/**/*.py at the last commit that touched this.
-BUDGET = 19071
+BUDGET = 17829
 
 
 def count(root: Path) -> int:
