@@ -27,8 +27,8 @@ schedules:
 mp:
 	$(PYTHON) -m pytest tests/test_mp_atomics.py tests/test_mp_queue.py \
 	    tests/test_mp_driver.py tests/test_mp_fleet.py \
-	    tests/test_mp_owner_path.py tests/test_mp_leases.py \
-	    tests/test_mp_bulkcopy.py tests/test_mp_inbox.py
+	    tests/test_mp_owner_path.py tests/test_mp_bulkcopy.py \
+	    tests/test_mp_inbox.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,
 # task conservation and completion accounting; and every protocol ×

@@ -50,7 +50,7 @@ from ..capabilities import check
 from ..core.damping import DampingTracker
 from ..core.results import StealStatus
 from ..shmem.heap import SymmetricAllocator
-from ..threads.protocol import Backoff
+from ..threads.protocol import Backoff, StallTimeout
 from ..workloads.uts.params import get_tree
 from ..workloads.uts.sha1_rng import _TWO31
 from ..workloads.uts.tree import TreeType, UtsParams, expand, geo_log1mp_table
@@ -69,8 +69,8 @@ _U64 = (1 << 64) - 1
 #: Local-queue size below which a PE does not bother sharing.
 RELEASE_MIN = 4
 
-#: Hard deadline on a PE's idle wait with no global progress: pre-lease
-#: deadlocks fail fast with a diagnostic instead of hanging the job.
+#: Hard deadline on a PE's idle wait with no global progress: a livelock
+#: fails fast with a diagnostic naming the rank instead of hanging the job.
 MP_IDLE_STALL_S = 120.0
 
 
@@ -384,14 +384,6 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
             return True
         return False
 
-    def _idle_stall() -> bool:
-        # Repair any dead-holder stripes first; if nothing was stuck on
-        # a corpse, this is a genuine livelock — name the rank and die.
-        if heap.words.break_dead_leases():
-            return True
-        raise MpStallError("PE idle loop made no progress", rank=rank,
-                           waited_s=MP_IDLE_STALL_S)
-
     # Both books are batched: ``born`` counts the children spawned and
     # ``done_pending`` the tasks run since the last flush.  ``born`` is
     # flushed first at both flush points — before a share-out publishes
@@ -403,7 +395,7 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
     # the books cannot balance while such a child exists.
     executed = checksum = born = done_pending = 0
     idle = Backoff(sleep_s=1e-5, max_sleep_s=1e-3,
-                   deadline_s=MP_IDLE_STALL_S, on_deadline=_idle_stall)
+                   deadline_s=MP_IDLE_STALL_S)
     while True:
         if local:
             payload = pop()
@@ -445,7 +437,11 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
         # Nothing anywhere: has the run ended?
         if finished():
             break
-        idle.wait()
+        try:
+            idle.wait()
+        except StallTimeout:
+            raise MpStallError("PE idle loop made no progress", rank=rank,
+                               waited_s=MP_IDLE_STALL_S) from None
 
     stats.executed = executed
     stats.checksum = checksum

@@ -11,7 +11,7 @@ queue's symmetric footprint identically on either substrate.
 Two-phase lifecycle: reserve regions (``alloc_words`` — directly or via
 an allocator's ``commit``), then :meth:`freeze` to create the backing
 segment.  Addressing helpers (:meth:`ref`, :meth:`slice`) are only valid
-after the freeze.  All access goes through the striped-lock atomic seam
+after the freeze.  All access goes through the atomic word seam
 (:class:`~repro.mp.atomics.ShmWords`); this module never touches raw
 buffer bytes.
 """
@@ -19,37 +19,15 @@ buffer bytes.
 from __future__ import annotations
 
 from ..shmem.heap import SymArray, SymWord
-from .atomics import (
-    DEFAULT_LEASE_S,
-    DEFAULT_STALL_S,
-    DEFAULT_STRIPES,
-    ShmWords,
-    WordRef,
-    WordSlice,
-)
+from .atomics import DEFAULT_STRIPES, ShmWords, WordRef, WordSlice
 
 
 class MpHeap:
-    """Named word regions in one cross-process shared-memory segment.
+    """Named word regions in one cross-process shared-memory segment."""
 
-    ``lease_s`` / ``stall_s`` tune the word seam's crash tolerance (see
-    :class:`~repro.mp.atomics.ShmWords`): how long a dead holder's
-    stripe lease lasts before contenders may break it, and the hard
-    wall-clock bound before a stuck wait raises
-    :class:`~repro.mp.errors.MpStallError`.
-    """
-
-    def __init__(
-        self,
-        nstripes: int = DEFAULT_STRIPES,
-        ctx=None,
-        lease_s: float = DEFAULT_LEASE_S,
-        stall_s: float = DEFAULT_STALL_S,
-    ) -> None:
+    def __init__(self, nstripes: int = DEFAULT_STRIPES, ctx=None) -> None:
         self.nstripes = nstripes
         self._ctx = ctx
-        self._lease_s = lease_s
-        self._stall_s = stall_s
         self._regions: dict[str, tuple[int, int]] = {}  # name -> (start, nwords)
         self._cursor = 0
         self.words: ShmWords | None = None
@@ -80,10 +58,7 @@ class MpHeap:
             raise RuntimeError("heap already frozen")
         if not self._cursor:
             raise RuntimeError("freeze() with no regions reserved")
-        self.words = ShmWords(
-            self._cursor, self.nstripes, ctx=self._ctx,
-            lease_s=self._lease_s, stall_s=self._stall_s,
-        )
+        self.words = ShmWords(self._cursor, self.nstripes, ctx=self._ctx)
         return self
 
     def close(self) -> None:

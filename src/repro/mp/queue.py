@@ -12,8 +12,8 @@ process (:func:`in_process_queue`), raced by thief threads.
 
 Task payloads are tuples of 64-bit words (``words_per_task``), or bare
 ints when ``words_per_task == 1``.  The *control* words go through the
-striped-lock atomic seam; the *task buffer* is a lock-free bulk data
-plane: a claimed block is exclusively owned by the claiming thief, so
+atomic seam (RMWs and stores under a stripe lock, loads as seqlock
+reads); the *task buffer* is a lock-free bulk data plane: a claimed block is exclusively owned by the claiming thief, so
 the copy is one contiguous ``read_block`` byte slice (two when the ring
 wraps), and the owner's fill is one ``write_block`` into the
 not-yet-published region.

@@ -94,7 +94,7 @@ class StallTimeout(RuntimeError):
 
     The base class for every "this would have spun forever" diagnostic;
     the mp substrate refines it as :class:`repro.mp.errors.MpStallError`
-    with stripe / rank / holder-pid context.
+    with stripe / rank context.
     """
 
 
@@ -109,15 +109,13 @@ class Backoff:
     progress is observed so a busy phase snaps back to spinning.
 
     With ``deadline_s`` set, a single no-progress stretch (wall time
-    since the last :meth:`reset`) longer than the deadline triggers
-    ``on_deadline`` — which may repair whatever is stuck and return
-    truthy to keep waiting with a fresh deadline — or, without a
-    handler (or when it returns falsy), raises :class:`StallTimeout`.
-    Polling loops must never be able to spin forever silently.
+    since the last :meth:`reset`) longer than the deadline raises
+    :class:`StallTimeout`.  Polling loops must never be able to spin
+    forever silently.
     """
 
     __slots__ = ("spins", "yields", "sleep_s", "max_sleep_s", "_n",
-                 "deadline_s", "on_deadline", "_t0")
+                 "deadline_s", "_t0")
 
     def __init__(
         self,
@@ -126,14 +124,12 @@ class Backoff:
         sleep_s: float = 1e-5,
         max_sleep_s: float = 1e-3,
         deadline_s: float | None = None,
-        on_deadline=None,
     ) -> None:
         self.spins = spins
         self.yields = yields
         self.sleep_s = sleep_s
         self.max_sleep_s = max_sleep_s
         self.deadline_s = deadline_s
-        self.on_deadline = on_deadline
         self._n = 0
         self._t0 = None
 
@@ -149,13 +145,10 @@ class Backoff:
             if self._t0 is None:
                 self._t0 = now
             elif now - self._t0 >= self.deadline_s:
-                if self.on_deadline is not None and self.on_deadline():
-                    self._t0 = now  # handler made progress: re-arm
-                else:
-                    raise StallTimeout(
-                        f"no progress for {now - self._t0:.1f}s "
-                        f"(deadline {self.deadline_s}s)"
-                    )
+                raise StallTimeout(
+                    f"no progress for {now - self._t0:.1f}s "
+                    f"(deadline {self.deadline_s}s)"
+                )
         if n < self.spins:
             return
         n -= self.spins

@@ -15,6 +15,7 @@ properties stress the two contracts the stealval protocol leans on:
 
 from __future__ import annotations
 
+import struct
 import time
 
 import pytest
@@ -22,7 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.stealval import StealValEpoch
-from repro.mp.atomics import ShmWords, _preferred_context
+from repro.mp.atomics import WORD_BYTES, ShmWords, _preferred_context
+from repro.mp.errors import MpStallError
+from repro.mp.heap import MpHeap
+from repro.mp.queue import LAYOUTS
 
 pytestmark = [pytest.mark.mp, pytest.mark.timeout(120)]
 
@@ -217,3 +221,133 @@ def test_claims_racing_owner_lock_partition_exactly(nprocs, generations):
     finally:
         words.close()
         words.unlink()
+
+
+# ----------------------------------------------------------------------
+# Op classes: which word ops take a stripe lock
+# ----------------------------------------------------------------------
+
+class _CountingLock:
+    """A stripe lock that counts its acquisitions into a shared tally."""
+
+    def __init__(self, lock, tally: list) -> None:
+        self._lock = lock
+        self._tally = tally
+
+    def acquire(self, *args, **kwargs):
+        self._tally[0] += 1
+        return self._lock.acquire(*args, **kwargs)
+
+    def release(self) -> None:
+        self._lock.release()
+
+
+#: Stripe acquisitions per thief attempt: (successful, empty).  SWS
+#: locks its claiming and its completing ``fetch_add``; SDC its lock
+#: CAS, its tail ``store`` and its unlocking ``store`` (its ``tail`` and
+#: ``split`` reads take none); ff-mult only its tail ``store``.
+_LOCKS_PER_STEAL = {"sws": (2, 1), "sdc": (3, 2), "ff-mult": (1, 0)}
+
+
+@pytest.mark.parametrize("impl", sorted(LAYOUTS))
+def test_locked_word_ops_per_steal_attempt(impl):
+    """RMWs and stores take a stripe lock, loads never do: one thief
+    ``steal()`` that wins and one that finds the queue empty take the
+    table's stripe acquisitions, and ``has_work()`` takes none."""
+    heap = MpHeap()
+    layout = LAYOUTS[impl].reserve(heap, "q", 40)
+    heap.freeze()
+    try:
+        owner, thief = layout.owner(heap), layout.thief(heap)
+        owner.push_all(range(40))
+        owner.release(32)
+        tally = [0]
+        heap.words._locks = tuple(
+            _CountingLock(lock, tally) for lock in heap.words._locks)
+
+        def locks_taken(op):
+            tally[0] = 0
+            result = op()
+            return tally[0], result
+
+        for view in (owner, thief):
+            assert locks_taken(view.has_work) == (0, True)
+        won, res = locks_taken(thief.steal)
+        assert res.claimed
+        while True:
+            empty, res = locks_taken(thief.steal)
+            if not res.claimed:
+                break
+        assert res.empty
+        assert (won, empty) == _LOCKS_PER_STEAL[impl]
+        for view in (owner, thief):
+            assert locks_taken(view.has_work) == (0, False)
+    finally:
+        heap.close()
+        heap.unlink()
+
+
+# ----------------------------------------------------------------------
+# Stall bounds: no wait on the word seam is unbounded
+# ----------------------------------------------------------------------
+
+def _hold_stripe(words, index, held):
+    words._locks[words._stripe(index)].acquire()
+    held.set()
+    time.sleep(60)
+
+
+@pytest.mark.timeout(60)
+def test_live_holder_stalls_naming_the_stripe():
+    """A stripe whose holder is alive but never releases it fails the
+    next locked op on that stripe with an MpStallError naming the
+    stripe, within ``stall_s`` plus slack."""
+    ctx = _preferred_context()
+    w = ShmWords(64, ctx=ctx, stall_s=1.0)
+    try:
+        held = ctx.Event()
+        p = ctx.Process(target=_hold_stripe, args=(w, 4, held), daemon=True)
+        p.start()
+        try:
+            assert held.wait(10)
+            t0 = time.monotonic()
+            with pytest.raises(MpStallError) as exc:
+                w.fetch_add(4, 1)
+            waited = time.monotonic() - t0
+            assert exc.value.stripe == w._stripe(4)
+            assert f"stripe={w._stripe(4)}" in str(exc.value)
+            assert 0.9 <= waited < 1.0 + 2.0
+            assert w.load(4) == 0  # a read takes no lock: it never waits
+        finally:
+            p.terminate()
+            p.join()
+    finally:
+        w.close()
+        w.unlink()
+
+
+@pytest.mark.timeout(60)
+def test_odd_sequence_read_stalls_naming_the_word():
+    """A shadow sequence left odd (a writer that never finished) fails
+    every read of that word with an MpStallError naming the word and
+    its stripe after ``stall_s``, instead of spinning forever."""
+    w = ShmWords(8, stall_s=0.5)
+    try:
+        w.store(3, 9)
+        soff = w._seq_base + 3 * WORD_BYTES
+        seq = struct.unpack_from("<Q", w._shm.buf, soff)[0]
+        struct.pack_into("<Q", w._shm.buf, soff, seq + 1)
+        for read in (lambda: w.load_seq(3), lambda: w.load(3),
+                     w.ref(3).load):
+            t0 = time.monotonic()
+            with pytest.raises(MpStallError) as exc:
+                read()
+            assert 0.45 <= time.monotonic() - t0 < 0.5 + 2.0
+            assert "word 3" in str(exc.value)
+            assert exc.value.stripe == w._stripe(3)
+        assert w.load(4) == 0  # the other words read as before
+        struct.pack_into("<Q", w._shm.buf, soff, seq + 2)
+        assert w.load(3) == 9
+    finally:
+        w.close()
+        w.unlink()
