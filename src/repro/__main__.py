@@ -15,7 +15,7 @@ Subcommands::
     python -m repro mp [--workload synthetic|uts] [--impl P]
                        [--npes N] [--ntasks N | --tree NAME] [--verify]
     python -m repro serve --arrival poisson:RATE --duration T [--slo MS]
-                          [--backend fabric|threads|mp|all] [--impl P]
+                          [--backend fabric|mp|all] [--impl P]
                           [--npes N] [--shed-threshold K]
 
 ``--protocol`` runs one registered steal protocol (``sws``, ``sws-v1``,
@@ -33,8 +33,8 @@ another code version are views of those rows (see docs/reproducing.md,
 docs/performance.md); ``mp`` runs a workload end-to-end on the
 multiprocess substrate — real OS processes over shared memory (see
 docs/backends.md); ``serve`` runs the open-system serving mode —
-streaming arrivals, tail-latency SLOs and shedding across any of the
-three substrates (see docs/serving.md).  ``mp`` and ``serve`` take any
+streaming arrivals, tail-latency SLOs and shedding on the fabric and
+mp substrates (see docs/serving.md).  ``mp`` and ``serve`` take any
 registered protocol for ``--impl`` and refuse, with rc 2, a cell the
 capability table does not list (docs/protocols.md §0).
 """
@@ -113,11 +113,17 @@ def _run_protocol_race(proto, backend: str, ntasks: int) -> bool:
 
 
 def _cells(args: argparse.Namespace, protocol: str, features):
-    """The requested backends, and the table's refusal of each one's cell."""
-    from .capabilities import check
+    """The requested backends, and the table's refusal of each one's cell.
 
-    backends = (("fabric", "threads", "mp") if args.backend == "all"
-                else (args.backend,))
+    ``all`` is every backend where some cell of the table runs the
+    command's base feature, ``features(backend)[0]``.
+    """
+    from .capabilities import CELLS, MIN_NPES, check
+
+    backends = (tuple(b for b in MIN_NPES
+                      if any(features(b)[0] in row.get(b, ())
+                             for row in CELLS.values()))
+                if args.backend == "all" else (args.backend,))
     refused = {}
     for backend in backends:
         try:
@@ -462,30 +468,6 @@ def _serve_fabric(args: argparse.Namespace, slo_s: float) -> tuple[int, int]:
     return s.checksum, s.shed
 
 
-def _serve_threads(args: argparse.Namespace, slo_s: float) -> int:
-    from .threads.serving import run_serve_threads
-
-    res = run_serve_threads(
-        args.arrival,
-        args.duration,
-        seed=args.seed,
-        impl=args.impl,
-        nthieves=max(1, args.npes - 1),
-        slo_s=slo_s,
-    )
-    s = res.serving
-    pct = s.latency.percentiles()
-    print(
-        f"  threads: 1 owner + {max(1, args.npes - 1)} thieves, "
-        f"{s.emitted} arrivals, {s.completed} claimed "
-        f"(p50={pct['p50'] / 1e3:.1f}us p99={pct['p99'] / 1e3:.1f}us "
-        f"claim latency)"
-        + (f", SLO {s.slo_fraction:.1%}" if s.slo_ticks else "")
-    )
-    print(f"           checksum {s.checksum:#018x}")
-    return s.checksum
-
-
 def _serve_mp(args: argparse.Namespace, slo_s: float) -> int:
     from .mp.driver import run_mp_serve
 
@@ -534,8 +516,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     for backend in backends:
         if backend == "fabric":
             checksums["fabric"], shed = _serve_fabric(args, slo_s)
-        elif backend == "threads":
-            checksums["threads"] = _serve_threads(args, slo_s)
         else:
             checksums["mp"] = _serve_mp(args, slo_s)
     if len(checksums) > 1:
@@ -690,7 +670,7 @@ def main(argv: list[str] | None = None) -> int:
                            "accounting)")
     p_sv.add_argument("--impl", default="sws", choices=protocol_names())
     p_sv.add_argument("--backend", default="fabric",
-                      choices=("fabric", "threads", "mp", "all"))
+                      choices=("fabric", "mp", "all"))
     p_sv.add_argument("--npes", type=int, default=4)
     p_sv.add_argument("--seed", type=int, default=0)
     p_sv.add_argument("--task-s", type=float, default=2e-6,

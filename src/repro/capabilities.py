@@ -11,10 +11,10 @@ _SERVE = "serving shedding"
 CELLS = {protocol: {b: frozenset(f.split()) for b, f in row.items()}
          for protocol, row in {
     "sws": {"fabric": f"{_POOL} {_SERVE} faults damping",
-            "threads": "race serving", "mp": "race run serving damping"},
+            "threads": "race", "mp": "race run serving damping"},
     "sws-v1": {"fabric": f"{_POOL} {_SERVE} damping"},
     "sdc": {"fabric": f"{_POOL} {_SERVE} faults",
-            "threads": "race serving", "mp": "race run serving"},
+            "threads": "race", "mp": "race run serving"},
     "ff-mult": {"fabric": _POOL, "threads": "race", "mp": "race"},
     "localized": {"fabric": f"{_POOL} {_SERVE} faults damping",
                   "threads": "race", "mp": "race"},

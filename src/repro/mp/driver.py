@@ -639,8 +639,8 @@ def run_mp_serve(
     with ``pace_s`` gaps, and latency is wall-clock nanoseconds from post
     to execution, surviving steals because the stamp travels inside the
     2-word task record.  No shedding on this substrate — every emitted
-    arrival is injected, so ``checksum`` must equal the fabric/threads
-    serving checksum for the same trace length.
+    arrival is injected, so ``checksum`` must equal the fabric serving
+    checksum for the same trace length.
     """
     from ..runtime.arrivals import parse_arrival_spec
     from ..runtime.stats import QuantileSketch, ServingStats

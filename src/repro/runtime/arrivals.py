@@ -10,7 +10,7 @@ private :class:`random.Random`, so a fixed spec + seed produces
 bit-identical arrival ticks on every run, on every backend, and across
 serial / process-pool sweep execution.  That property is what lets the
 conformance suite demand identical completed-task checksums on
-fabric ≡ threads ≡ mp for the *same* arrival trace.
+fabric ≡ mp for the *same* arrival trace.
 
 Four processes are provided:
 

@@ -37,9 +37,9 @@ need them:
 * :class:`Backoff` — adaptive spin → yield → exponential-sleep waiter
   for polling loops (idle workers, completion waits), replacing
   fixed-interval sleeps that either burn CPU or add latency;
-* :func:`race` — the owner/thief race harness both hammers and the
-  serving feeder run, so a new protocol needs a queue class and no
-  harness of its own; :func:`hammer` is its thread-thief form.
+* :func:`race` — the owner/thief race harness both hammers run, so a
+  new protocol needs a queue class and no harness of its own;
+  :func:`hammer` is its thread-thief form.
 """
 
 from __future__ import annotations
@@ -160,8 +160,7 @@ class Backoff:
 
 
 def race(queue, nthieves: int, chunk: int, acquires: int, *,
-         pace_s: float = 2e-5, on_claim=None,
-         on_release=None) -> tuple[list[list], list]:
+         pace_s: float = 2e-5, on_claim=None) -> tuple[list[list], list]:
     """Race one owner against ``nthieves`` thief threads.
 
     The owner (the calling thread) publishes ``queue``'s buffer in
@@ -171,9 +170,8 @@ def race(queue, nthieves: int, chunk: int, acquires: int, *,
     shim core (``cursor`` / ``nfilled`` / ``release`` / ``acquire`` /
     ``drain`` / ``steal``).
 
-    ``on_release(start, count)`` runs in the owner just before each
-    ``release``; ``on_claim(idx, result)`` runs in thief ``idx`` on every
-    winning steal.  With ``nthieves=0`` only the owner side runs (the mp
+    ``on_claim(idx, result)`` runs in thief ``idx`` on every winning
+    steal.  With ``nthieves=0`` only the owner side runs (the mp
     hammer's thieves are processes).  Returns ``(per-thief loot, tasks
     the owner kept)``.
     """
@@ -199,9 +197,6 @@ def race(queue, nthieves: int, chunk: int, acquires: int, *,
     try:
         done_acquires = 0
         while queue.cursor < queue.nfilled:
-            if on_release is not None:
-                on_release(queue.cursor,
-                           min(chunk, queue.nfilled - queue.cursor))
             queue.release(chunk)
             time.sleep(pace_s)
             if done_acquires < acquires:
@@ -281,8 +276,6 @@ def sws_steal_once(stealval, comp, comp_slots: int,
     # The tail field stores start % 2^19; shim buffers stay smaller
     # than that, so the raw value is the buffer index.
     claimed = read_tasks(view.tail + disp, vol)
-    # Simulate copy latency so completion really lags the claim.
-    time.sleep(0)
     comp[view.epoch * comp_slots + view.asteals].fetch_add(vol)
     return ShimStealResult(claimed=claimed, view=view)
 
@@ -600,8 +593,6 @@ def ffmult_steal_once(tail, split, read_tasks) -> ShimStealResult:
     if s - t <= 0:
         return ShimStealResult(empty=True)
     claimed = read_tasks(t, 1)
-    # Widen the race window so duplicates actually happen under test.
-    time.sleep(0)
     tail.store(t + 1)
     return ShimStealResult(claimed=list(claimed), index=t)
 

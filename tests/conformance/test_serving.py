@@ -1,4 +1,4 @@
-"""Cross-backend serving conformance: fabric ≡ threads ≡ mp.
+"""Cross-backend serving conformance: fabric ≡ mp.
 
 The arrival trace for a fixed (spec, duration, seed) is bit-identical on
 every backend (:mod:`repro.runtime.arrivals` materializes it from a
@@ -41,16 +41,6 @@ def serve_fabric(impl: str) -> dict:
             "checksum": s.checksum}
 
 
-def serve_threads(impl: str) -> dict:
-    from repro.threads.serving import run_serve_threads
-
-    res = run_serve_threads(ARRIVAL, DURATION, seed=SEED, impl=impl,
-                            nthieves=2)
-    s = res.serving
-    return {"emitted": s.emitted, "completed": s.completed,
-            "checksum": s.checksum}
-
-
 def serve_mp(impl: str) -> dict:
     from repro.mp.driver import run_mp_serve
 
@@ -63,7 +53,6 @@ def serve_mp(impl: str) -> dict:
 
 BACKENDS = {
     "fabric": serve_fabric,
-    "threads": serve_threads,
     "mp": serve_mp,
 }
 
@@ -96,7 +85,7 @@ def test_every_backend_completes_the_full_trace(results, impl):
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_checksums_identical_across_backends(results, impl):
-    """fabric ≡ threads ≡ mp: the same task set completed exactly once."""
+    """fabric ≡ mp: the same task set completed exactly once."""
     expected = serving_checksum(
         range(parse_arrival_spec(ARRIVAL, DURATION, SEED).emitted)
     )

@@ -167,23 +167,13 @@ def _race(backend):
     return run
 
 
-def _serve_realtime(backend):
-    def run(protocol, npes):
-        from repro.runtime.arrivals import serving_checksum
+def _mp_serve(protocol, npes):
+    from repro.mp.driver import run_mp_serve
+    from repro.runtime.arrivals import serving_checksum
 
-        if backend == "threads":
-            from repro.threads.serving import run_serve_threads
-
-            s = run_serve_threads("fixed:200000", 5e-4, impl=protocol,
-                                  nthieves=npes - 1).serving
-        else:
-            from repro.mp.driver import run_mp_serve
-
-            s = run_mp_serve("fixed:200000", 5e-4, impl=protocol,
-                             npes=npes).serving
-        assert s.completed == s.injected == s.emitted
-        assert s.checksum == serving_checksum(range(s.emitted))
-    return run
+    s = run_mp_serve("fixed:200000", 5e-4, impl=protocol, npes=npes).serving
+    assert s.completed == s.injected == s.emitted
+    assert s.checksum == serving_checksum(range(s.emitted))
 
 
 def _mp_run(**kw):
@@ -207,9 +197,8 @@ RUNS = {
     ("fabric", "serving"): _serve(),
     ("fabric", "shedding"): _serve_shedding,
     ("threads", "race"): _race("threads"),
-    ("threads", "serving"): _serve_realtime("threads"),
     ("mp", "race"): _race("mp"),
-    ("mp", "serving"): _serve_realtime("mp"),
+    ("mp", "serving"): _mp_serve,
     ("mp", "run"): _mp_run(),
     ("mp", "damping"): _mp_run(damping=True),
 }
@@ -238,15 +227,15 @@ def _refuse_serve(features, **kw):
     return features, call
 
 
-def _refuse_cli(backend):
-    """``serve --shed-threshold`` on a real-time backend (a fabric-only
-    option): the CLI's rc 2 and its one line, as a ``ValueError``."""
+def _refuse_cli():
+    """``serve --backend mp --shed-threshold`` (a fabric-only option):
+    the CLI's rc 2 and its one line, as a ``ValueError``."""
     def call(protocol, npes):
         from repro.__main__ import main
 
         err = io.StringIO()
         with redirect_stderr(err), redirect_stdout(err):
-            rc = main(["serve", "--backend", backend, "--impl", protocol,
+            rc = main(["serve", "--backend", "mp", "--impl", protocol,
                        "--shed-threshold", "8"])
         assert rc == 2
         raise ValueError(err.getvalue().strip().removeprefix("error: "))
@@ -264,17 +253,11 @@ def _refuse_race(backend):
     return ("race",), call
 
 
-def _refuse_serve_realtime(backend):
+def _refuse_mp_serve():
     def call(protocol, npes):
-        if backend == "threads":
-            from repro.threads.serving import run_serve_threads
+        from repro.mp.driver import run_mp_serve
 
-            run_serve_threads("fixed:200000", 5e-4, impl=protocol,
-                              nthieves=npes - 1)
-        else:
-            from repro.mp.driver import run_mp_serve
-
-            run_mp_serve("fixed:200000", 5e-4, impl=protocol, npes=npes)
+        run_mp_serve("fixed:200000", 5e-4, impl=protocol, npes=npes)
     return ("serving",), call
 
 
@@ -299,12 +282,10 @@ REFUSALS = {
     ("fabric", "shedding"): _refuse_serve(("serving", "shedding"),
                                           shed_threshold=1),
     ("threads", "race"): _refuse_race("threads"),
-    ("threads", "serving"): _refuse_serve_realtime("threads"),
-    ("threads", "shedding"): _refuse_cli("threads"),
     ("mp", "race"): _refuse_race("mp"),
-    ("mp", "serving"): _refuse_serve_realtime("mp"),
+    ("mp", "serving"): _refuse_mp_serve(),
     ("mp", "run"): _refuse_mp_run(),
-    ("mp", "shedding"): _refuse_cli("mp"),
+    ("mp", "shedding"): _refuse_cli(),
 }
 
 

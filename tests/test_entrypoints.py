@@ -99,7 +99,7 @@ class TestUsageErrors:
          "(choose from 'fixed', 'random', 'pct', 'dfs')"),
         (["--protocol", "sws-v1", "--backend", "mp"],
          "error: no mp substrate for 'sws-v1': it runs on fabric only"),
-        (["serve", "--backend", "threads", "--shed-threshold", "8"],
+        (["serve", "--backend", "mp", "--shed-threshold", "8"],
          "error: shedding runs on fabric only"),
         (["serve", "--impl", "ff-mult"],
          "error: serving needs an exactly-once protocol: 'ff-mult' is "
@@ -131,14 +131,14 @@ class TestUsageErrors:
 
 
 def test_serve_all_skips_each_backend_the_table_refuses(capsys):
-    """``serve --backend all`` serves where the protocol's plain serving
-    cell is listed and notes every backend it skips."""
+    """``serve --backend all`` runs the backends with a serving cell: it
+    serves where the protocol's plain serving cell is listed and notes
+    every one it skips."""
     from repro.__main__ import main
 
     assert main(["serve", "--impl", "sws-v1", "--backend", "all"]) == 0
     out = capsys.readouterr().out
     assert [line for line in out.splitlines() if line.startswith("note:")] == [
-        "note: no threads substrate for 'sws-v1': it runs on fabric only",
         "note: no mp substrate for 'sws-v1': it runs on fabric only",
     ]
     assert "  fabric:" in out and "oracle clean" in out

@@ -250,10 +250,14 @@ _LOCKS_PER_STEAL = {"sws": (2, 1), "sdc": (3, 2), "ff-mult": (1, 0)}
 
 
 @pytest.mark.parametrize("impl", sorted(LAYOUTS))
-def test_locked_word_ops_per_steal_attempt(impl):
+def test_locked_word_ops_per_steal_attempt(impl, monkeypatch):
     """RMWs and stores take a stripe lock, loads never do: one thief
     ``steal()`` that wins and one that finds the queue empty take the
-    table's stripe acquisitions, and ``has_work()`` takes none."""
+    table's stripe acquisitions, and ``has_work()`` takes none.  An
+    uncontended winning attempt never sleeps: the steal path is the
+    protocol and nothing else."""
+    import repro.threads.protocol as protocol
+
     heap = MpHeap()
     layout = LAYOUTS[impl].reserve(heap, "q", 40)
     heap.freeze()
@@ -272,8 +276,12 @@ def test_locked_word_ops_per_steal_attempt(impl):
 
         for view in (owner, thief):
             assert locks_taken(view.has_work) == (0, True)
-        won, res = locks_taken(thief.steal)
+        slept = []
+        with monkeypatch.context() as m:
+            m.setattr(protocol.time, "sleep", slept.append)
+            won, res = locks_taken(thief.steal)
         assert res.claimed
+        assert slept == []
         while True:
             empty, res = locks_taken(thief.steal)
             if not res.claimed:

@@ -11,8 +11,8 @@ in an error that names a rank, promptly, and leave neither a child
 process nor a shared-memory segment behind.
 
 Part three holds the threads backend to the same rule: its queues live
-on a heap of their own process, which every hammer, serving run and
-failed race must unlink.
+on a heap of their own process, which every hammer and failed race must
+unlink.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.mp.errors import MpStallError
 from repro.mp.queue import hammer_mp
 from repro.runtime.arrivals import parse_arrival_spec, serving_checksum
 from repro.threads.protocol import hammer
-from repro.threads.serving import run_serve_threads
 
 from .conftest import nothing_left_behind
 
@@ -160,12 +159,6 @@ def test_thread_hammer_leaves_no_segment(impl):
     with nothing_left_behind():
         loot, kept = hammer(list(range(300)), nthieves=3, impl=impl)
     assert {t for lane in loot for t in lane} | set(kept) == set(range(300))
-
-
-def test_thread_serving_leaves_no_segment():
-    with nothing_left_behind():
-        result = run_serve_threads("fixed:200000", 1e-3, nthieves=2)
-    assert result.serving.completed == result.serving.emitted
 
 
 def test_thread_race_whose_owner_raises_leaves_no_segment(monkeypatch):

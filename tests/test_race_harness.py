@@ -1,7 +1,7 @@
 """The race harness's owner side, driven with a fake queue.
 
-``hammer``, ``hammer_mp``'s owner and ``run_serve_threads``' feeder all
-run this one loop; the call sequence they share is pinned here once.
+``hammer`` and ``hammer_mp``'s owner both run this one loop; the call
+sequence they share is pinned here once.
 """
 
 from __future__ import annotations
@@ -52,19 +52,6 @@ def test_owner_sequence_the_five_copies_shared():
     ]
     assert loot == []
     assert kept == list(range(10))
-
-
-def test_on_release_sees_each_published_range_first():
-    queue = FakeQueue(10)
-    seen = []
-
-    def on_release(start, count):
-        seen.append((start, count, len(queue.calls)))
-
-    race(queue, 0, 4, 0, pace_s=0, on_release=on_release)
-    # (start, count) of the range about to be published; the last chunk
-    # is clipped to what is left, and each callback precedes its release.
-    assert seen == [(0, 4, 0), (4, 4, 1), (8, 2, 2)]
 
 
 def test_empty_queue_only_drains():
