@@ -1,13 +1,13 @@
-"""Cross-process atomic 64-bit words over ``multiprocessing.shared_memory``.
+"""Cross-process atomic 64-bit words over one anonymous shared mapping.
 
 THE atomic seam of the multiprocess substrate: every access to shared
 words goes through :class:`ShmWords` — no other module in ``repro.mp``
-touches the raw ``SharedMemory`` buffer (grep for ``_shm.buf`` to audit;
-it appears only here).  The same words serve the threads backend (thief
-threads of one process, GIL present) and the mp backend, where the
-preemption is the OS kernel scheduling *separate processes*, GIL nowhere
-in sight.  CPython has no shared-memory CAS, so the ops fall in the
-paper's three classes (a ``get`` is not an AMO):
+touches the raw mapping (grep for ``mmap`` to audit; it appears only
+here).  The same words serve the threads backend (thief threads of one
+process, GIL present) and the mp backend, where the preemption is the OS
+kernel scheduling *separate processes*, GIL nowhere in sight.  CPython
+has no shared-memory CAS, so the ops fall in the paper's three classes
+(a ``get`` is not an AMO):
 
 * **read-modify-writes and stores** (``fetch_add``, ``swap``,
   ``compare_swap``, ``store``) hold one of a *striped* set of
@@ -44,6 +44,7 @@ ends the run (see :class:`~repro.mp.fleet.Fleet`).
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import struct
 import time
@@ -65,31 +66,27 @@ DEFAULT_STALL_S = 120.0
 
 
 def _preferred_context():
-    """A fork context when the platform has one (cheap, inherits the
-    mapping), else the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else None)
+    """The fork context: a child inherits the anonymous mapping, which
+    a spawned child could not attach."""
+    return multiprocessing.get_context("fork")
 
 
 def _stalled(message: str, stripe: int, waited_s: float):
     # Imported on the error path only: ``errors`` pulls in the shim
-    # protocol module, which a bare word segment never needs.
+    # protocol module, which a bare word array never needs.
     from .errors import MpStallError
 
     return MpStallError(message, stripe=stripe, waited_s=waited_s)
 
 
 class ShmWords:
-    """A fixed array of 64-bit words in one shared-memory segment.
+    """A fixed array of 64-bit words in one anonymous shared mapping.
 
-    All word accesses are atomic with respect to every process attached
-    to the segment.  The creating process should call :meth:`unlink`
-    exactly once when the run is over (children only :meth:`close`).
-
-    Picklable: sending an instance to a ``spawn``-started process
-    re-attaches by segment name (the stripe locks travel through
-    multiprocessing's own reduction).  Under ``fork`` children simply
-    inherit the mapping.
+    All word accesses are atomic with respect to every process sharing
+    the mapping: the creator and the children it forks afterwards.  The
+    kernel zero-fills it and frees it with the last process that maps
+    it, so there is no name to unlink and nothing to clean up after a
+    crash; :meth:`close` only detaches this process early.
     """
 
     def __init__(
@@ -103,50 +100,16 @@ class ShmWords:
             raise ValueError(f"nwords must be positive, got {nwords}")
         if nstripes <= 0:
             raise ValueError(f"nstripes must be positive, got {nstripes}")
-        from multiprocessing import shared_memory
-
         ctx = ctx or _preferred_context()
         self.nwords = nwords
         self._locks = tuple(ctx.Lock() for _ in range(nstripes))
         # Layout: nwords data words, then nwords shadow sequence words
-        # (the seqlock plane — see load_seq).
-        total = 2 * nwords
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=total * WORD_BYTES
-        )
-        self._shm.buf[:] = bytes(total * WORD_BYTES)
-        self._owner = True
-        self._unlinked = False
+        # (the seqlock plane — see load_seq).  Fd -1 is anonymous, and
+        # the default flags are MAP_SHARED: forked children share it.
+        self._map = mmap.mmap(-1, 2 * nwords * WORD_BYTES)
+        self._buf = memoryview(self._map)
         self._seq_base = nwords * WORD_BYTES
         self.stall_s = stall_s
-
-    # -- pickling (spawn-method portability) ---------------------------
-    def __getstate__(self):
-        return {
-            "nwords": self.nwords,
-            "_locks": self._locks,
-            "_name": self._shm.name,
-            "stall_s": self.stall_s,
-        }
-
-    def __setstate__(self, state):
-        from multiprocessing import resource_tracker, shared_memory
-
-        self.nwords = state["nwords"]
-        self._locks = state["_locks"]
-        self._shm = shared_memory.SharedMemory(name=state["_name"])
-        # Attaching registered the segment with this process's resource
-        # tracker; unregister it so a child killed mid-run (or exiting
-        # cleanly) never races the creator's unlink with a double-unlink
-        # warning at tracker shutdown.  The creator owns the lifecycle.
-        try:
-            resource_tracker.unregister(self._shm._name, "shared_memory")
-        except Exception:
-            pass
-        self._owner = False
-        self._unlinked = False
-        self._seq_base = self.nwords * WORD_BYTES
-        self.stall_s = state["stall_s"]
 
     # -- the locked ops ------------------------------------------------
     def _stripe(self, index: int) -> int:
@@ -170,7 +133,7 @@ class ShmWords:
         """Atomic write of word ``index``."""
         off = self._check(index)
         soff = self._seq_base + off
-        buf = self._shm.buf
+        buf = self._buf
         lock = self._lock(index)
         try:
             seq = _unpack_word(buf, soff)[0]
@@ -184,7 +147,7 @@ class ShmWords:
         """Atomic swap; returns the old value."""
         off = self._check(index)
         soff = self._seq_base + off
-        buf = self._shm.buf
+        buf = self._buf
         lock = self._lock(index)
         try:
             old = _unpack_word(buf, off)[0]
@@ -200,7 +163,7 @@ class ShmWords:
         """Atomic fetch-and-add (wraps mod 2^64); returns the old value."""
         off = self._check(index)
         soff = self._seq_base + off
-        buf = self._shm.buf
+        buf = self._buf
         lock = self._lock(index)
         try:
             old = _unpack_word(buf, off)[0]
@@ -216,7 +179,7 @@ class ShmWords:
         """Atomic compare-and-swap; returns the old value."""
         off = self._check(index)
         soff = self._seq_base + off
-        buf = self._shm.buf
+        buf = self._buf
         lock = self._lock(index)
         try:
             old = _unpack_word(buf, off)[0]
@@ -244,7 +207,7 @@ class ShmWords:
         """
         off = self._check(index)
         soff = self._seq_base + off
-        buf = self._shm.buf
+        buf = self._buf
         spins = 0
         t0 = None
         while True:
@@ -276,14 +239,14 @@ class ShmWords:
         ``[start, start + count)`` — e.g. a thief that has already won
         the range via ``fetch_add`` on the control word — so no writer
         can race the copy.  No locks, no sequence words: one
-        ``bytes(memoryview)`` slice out of the segment.
+        ``bytes(memoryview)`` slice out of the mapping.
         """
         if count <= 0:
             return b""
         self._check(start)
         self._check(start + count - 1)
         off = start * WORD_BYTES
-        return bytes(self._shm.buf[off : off + count * WORD_BYTES])
+        return bytes(self._buf[off : off + count * WORD_BYTES])
 
     def write_block(self, start: int, data: bytes) -> None:
         """One contiguous lock-free write of packed little-endian words.
@@ -306,28 +269,20 @@ class ShmWords:
         self._check(start)
         self._check(start + count - 1)
         off = start * WORD_BYTES
-        self._shm.buf[off : off + nbytes] = data
+        self._buf[off : off + nbytes] = data
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Detach this process's mapping."""
         try:
-            self._shm.close()
+            self._buf.release()
+            self._map.close()
         except BufferError:
             pass  # exported memoryviews still alive; mapping dies with us
 
-    def unlink(self) -> None:
-        """Destroy the segment (creator only, after every child exited).
-
-        Idempotent, and tolerant of a segment that already vanished —
-        abnormal-exit teardown paths may race an OS cleanup.
-        """
-        if self._owner and not self._unlinked:
-            self._unlinked = True
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+    #: Nothing to destroy: the kernel frees the mapping with its last
+    #: process.
+    unlink = close
 
     def ref(self, index: int) -> "WordRef":
         """An atomic handle on one word (bounds-checked here, once)."""
@@ -351,9 +306,9 @@ class WordRef:
     def __init__(self, words: ShmWords, index: int) -> None:
         self._words = words
         self._index = index
-        # The segment's own view (no new export: ``close`` still works)
+        # The mapping's own view (no new export: ``close`` still works)
         # and the word's offsets, for the one-frame ``load_seq``.
-        self._buf = words._shm.buf
+        self._buf = words._buf
         self._off = index * WORD_BYTES
         self._soff = words._seq_base + self._off
 

@@ -4,10 +4,10 @@ Every multiprocess entry point (``run_mp``, ``run_mp_serve``,
 ``hammer_mp``) has the same lifecycle: reserve the symmetric heap (one
 steal queue per PE, a few control words, optionally regime regions) →
 freeze → spawn children → collect their reports → terminate stragglers
-→ join → close → unlink.  :class:`Fleet`
-is that lifecycle as a context manager, so the teardown guarantee — no
-child outlives the segment, the segment never outlives the call — is
-written once, and so is the rule that a child which dies *without*
+→ join → close.  :class:`Fleet` is that lifecycle as a context manager,
+so the teardown guarantee — no child outlives the call, and with the
+last of them the kernel frees the heap's anonymous mapping — is written
+once, and so is the rule that a child which dies *without*
 reporting is noticed within a poll interval and named (rank, pid,
 exitcode) instead of hanging the parent for its whole timeout.
 """
@@ -40,7 +40,7 @@ def _child_main(body, rank, heap, args, outq, parent) -> None:
     """Process entry: run ``body`` and report its result or traceback.
 
     A child dies with its parent: a supervisor killed by SIGKILL cannot
-    tear its fleet down, so no PE may outlive it (nor keep its segment).
+    tear its fleet down, so no PE may outlive it (nor keep its mapping).
     """
     if _PRCTL is not None and _PRCTL(_PR_SET_PDEATHSIG, signal.SIGKILL) == 0:
         if os.getppid() != parent:        # it died before the request
@@ -86,16 +86,15 @@ class Fleet:
         return self
 
     def __exit__(self, *exc) -> None:
-        # Teardown must run even when a child died abnormally: kill any
-        # stragglers *before* unlinking so no live mapping outlasts the
-        # segment, then destroy it exactly once (unlink is idempotent).
+        # Teardown must run even when a child died abnormally: kill and
+        # reap every straggler, then detach; the kernel frees the mapping
+        # with its last process.
         for p in self.procs.values():
             if p.is_alive():
                 p.terminate()
         for p in self.procs.values():
             p.join(timeout=5)
         self.heap.close()
-        self.heap.unlink()
 
     def spawn(self, rank: int, body, *args) -> None:
         """Start ``body(rank, heap, *args)`` as child ``rank``."""

@@ -2,15 +2,15 @@
 
 The multiprocess analogue of the fabric's
 :class:`~repro.fabric.memory.SymmetricHeap`: named word regions packed
-into one ``multiprocessing.shared_memory`` segment, addressed by the
+into one anonymous shared mapping, addressed by the
 same ``(region, offset)`` handles the :mod:`repro.shmem` layer uses.
 :class:`MpHeap` implements the :class:`repro.shmem.heap.HeapBackend`
 seam, so :class:`~repro.shmem.heap.SymmetricAllocator` lays out a
 queue's symmetric footprint identically on either substrate.
 
 Two-phase lifecycle: reserve regions (``alloc_words`` — directly or via
-an allocator's ``commit``), then :meth:`freeze` to create the backing
-segment.  Addressing helpers (:meth:`ref`, :meth:`slice`) are only valid
+an allocator's ``commit``), then :meth:`freeze` to map the backing
+words.  Addressing helpers (:meth:`ref`, :meth:`slice`) are only valid
 after the freeze.  All access goes through the atomic word seam
 (:class:`~repro.mp.atomics.ShmWords`); this module never touches raw
 buffer bytes.
@@ -23,7 +23,7 @@ from .atomics import DEFAULT_STRIPES, ShmWords, WordRef, WordSlice
 
 
 class MpHeap:
-    """Named word regions in one cross-process shared-memory segment."""
+    """Named word regions in one cross-process shared mapping."""
 
     def __init__(self, nstripes: int = DEFAULT_STRIPES, ctx=None) -> None:
         self.nstripes = nstripes
@@ -53,7 +53,7 @@ class MpHeap:
 
     # -- lifecycle -----------------------------------------------------
     def freeze(self) -> "MpHeap":
-        """Create the backing segment; no further regions after this."""
+        """Map the backing words; no further regions after this."""
         if self.words is not None:
             raise RuntimeError("heap already frozen")
         if not self._cursor:
@@ -66,10 +66,8 @@ class MpHeap:
         if self.words is not None:
             self.words.close()
 
-    def unlink(self) -> None:
-        """Destroy the segment (creator only, after every child exited)."""
-        if self.words is not None:
-            self.words.unlink()
+    #: Nothing to destroy (see :meth:`ShmWords.unlink`).
+    unlink = close
 
     # -- addressing ----------------------------------------------------
     def _base(self, region: str, offset: int, length: int = 1) -> int:

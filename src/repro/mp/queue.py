@@ -396,7 +396,7 @@ def in_process_queue(impl: str, tasks):
     process only — the threads backend's substrate.
 
     The heap's lifetime is the :class:`~repro.mp.fleet.Fleet`'s, with no
-    child ever spawned: it is unlinked when the ``with`` block exits,
+    child ever spawned: it is closed when the ``with`` block exits,
     however it exits.
     """
     tasks = list(tasks)

@@ -12,7 +12,7 @@ The allocator is deliberately backend-agnostic: anything satisfying
 today — the discrete-event fabric's
 :class:`~repro.fabric.memory.SymmetricHeap` (simulated NIC atomics) and
 the multiprocess :class:`~repro.mp.heap.MpHeap`
-(``multiprocessing.shared_memory`` words behind striped-lock atomics) —
+(anonymous shared-mapping words behind striped-lock atomics) —
 so the same layout code describes a queue's symmetric footprint on
 either substrate.
 """

@@ -7,7 +7,6 @@ import glob
 import os
 import signal
 from contextlib import ExitStack, contextmanager
-from multiprocessing import resource_tracker
 
 import pytest
 
@@ -78,8 +77,7 @@ def shm_segments() -> set[str]:
 
 
 def child_pids() -> set[int]:
-    """Pids whose parent is this process, zombies included (``/proc``),
-    less multiprocessing's resource tracker: one per session, by design."""
+    """Pids whose parent is this process, zombies included (``/proc``)."""
     me, out = os.getpid(), set()
     for path in glob.glob("/proc/[0-9]*/stat"):
         try:
@@ -89,19 +87,17 @@ def child_pids() -> set[int]:
             continue                       # exited while we looked
         if int(stat[stat.rindex(b")") + 2:].split()[1]) == me:
             out.add(int(path.split("/")[2]))
-    return out - {resource_tracker._resource_tracker._pid}
+    return out
 
 
 def open_fds() -> dict[int, str]:
-    """This process's open descriptors and what each one points at, less
-    the resource tracker's pipe."""
+    """This process's open descriptors and what each one points at."""
     out = {}
     for name in os.listdir("/proc/self/fd"):
         try:
             out[int(name)] = os.readlink(f"/proc/self/fd/{name}")
         except OSError:
             continue                       # the listing's own descriptor
-    out.pop(resource_tracker._resource_tracker._fd, None)
     return out
 
 
@@ -118,10 +114,6 @@ def nothing_left_behind():
 def nothing_outlives_the_session():
     """Fail the session on a child process, an open descriptor or a
     shared-memory segment that was not there when it started.
-
-    A ``SharedMemory`` whose ``close()`` met a live export of its buffer
-    keeps its descriptor (``ShmWords.close`` swallows the ``BufferError``),
-    so a cached view that blocks ``close`` shows here as a leaked fd.
     """
     if not os.path.isdir("/proc/self/fd"):
         yield
@@ -148,7 +140,7 @@ def impl(request):
 def shim_queue():
     """``shim_queue(impl, tasks)``: the threads backend's queue — the mp
     layout ``impl`` names, owned on an in-process heap holding ``tasks``.
-    Every heap made is unlinked at teardown."""
+    Every heap made is closed at teardown."""
     from repro.mp.queue import in_process_queue
 
     with ExitStack() as stack:

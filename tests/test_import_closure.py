@@ -309,15 +309,14 @@ REGIONS = {
 
 #: ``run_mp`` is timed from its call, so what the standard library's own
 #: ``multiprocessing`` loads on a process's first fork and first shared
-#: segment lands inside it, as it did before any import of ours could.
+#: mapping lands inside it, as it did before any import of ours could.
 _FIRST_FORK = frozenset("""
-    _bz2 _compression _locale _lzma _multiprocessing _posixshmem
-    _posixsubprocess atexit base64 binascii bz2 fcntl fnmatch hmac
+    _bz2 _compression _locale _lzma _multiprocessing
+    _posixsubprocess atexit binascii bz2 fcntl fnmatch
     importlib._abc importlib.util locale lzma mmap
     multiprocessing.connection multiprocessing.popen_fork
-    multiprocessing.queues multiprocessing.resource_tracker
-    multiprocessing.shared_memory multiprocessing.spawn
-    multiprocessing.synchronize multiprocessing.util runpy secrets shutil
+    multiprocessing.queues
+    multiprocessing.synchronize multiprocessing.util shutil
     subprocess tempfile zlib
 """.split())
 

@@ -1,8 +1,8 @@
 """Cross-process atomics: the multiprocess substrate's word seam.
 
 Mirrors tests/test_threads.py's atomic-word invariants, but the racers
-are real OS processes over ``multiprocessing.shared_memory`` — no GIL,
-genuine kernel preemption across address spaces.  The Hypothesis
+are real OS processes forked over one anonymous shared mapping — no
+GIL, genuine kernel preemption across address spaces.  The Hypothesis
 properties stress the two contracts the stealval protocol leans on:
 
 * racing ``fetch_add``\\ s sum exactly and hand out unique old values
@@ -343,8 +343,8 @@ def test_odd_sequence_read_stalls_naming_the_word():
     try:
         w.store(3, 9)
         soff = w._seq_base + 3 * WORD_BYTES
-        seq = struct.unpack_from("<Q", w._shm.buf, soff)[0]
-        struct.pack_into("<Q", w._shm.buf, soff, seq + 1)
+        seq = struct.unpack_from("<Q", w._buf, soff)[0]
+        struct.pack_into("<Q", w._buf, soff, seq + 1)
         for read in (lambda: w.load_seq(3), lambda: w.load(3),
                      w.ref(3).load):
             t0 = time.monotonic()
@@ -354,7 +354,7 @@ def test_odd_sequence_read_stalls_naming_the_word():
             assert "word 3" in str(exc.value)
             assert exc.value.stripe == w._stripe(3)
         assert w.load(4) == 0  # the other words read as before
-        struct.pack_into("<Q", w._shm.buf, soff, seq + 2)
+        struct.pack_into("<Q", w._buf, soff, seq + 2)
         assert w.load(3) == 9
     finally:
         w.close()

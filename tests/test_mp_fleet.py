@@ -12,7 +12,7 @@ process nor a shared-memory segment behind.
 
 Part three holds the threads backend to the same rule: its queues live
 on a heap of their own process, which every hammer and failed race must
-unlink.
+close; and no real-time entry point starts a helper process at all.
 """
 
 from __future__ import annotations
@@ -187,6 +187,47 @@ def test_only_the_fleet_starts_processes():
     assert callers == ["mp/fleet.py"]
 
 
+#: Every real-time entry point once, then what the process holds.
+_EVERY_REALTIME_ENTRY = """
+import json, os, sys
+from multiprocessing import resource_tracker
+from repro.mp.driver import run_mp
+from repro.mp.queue import hammer_mp
+from repro.threads.protocol import hammer
+
+before = sorted(os.listdir("/dev/shm"))
+assert run_mp("uts", "sws", npes=2, tree="test_tiny", verify=True).conserved
+hammer_mp(list(range(64)))
+hammer(list(range(64)))
+print(json.dumps({
+    "tracker": resource_tracker._resource_tracker._pid,
+    "shared_memory": "multiprocessing.shared_memory" in sys.modules,
+    "shm": [before, sorted(os.listdir("/dev/shm"))],
+}))
+"""
+
+
+@needs_fork
+@pytest.mark.timeout(60)
+def test_no_realtime_entry_point_starts_a_helper_process():
+    """The heap is an anonymous mapping the kernel frees with its last
+    process: no named segment, so no resource-tracker interpreter."""
+    import json
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _EVERY_REALTIME_ENTRY],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        capture_output=True, text=True, timeout=50)
+    assert proc.returncode == 0, proc.stderr
+    held = json.loads(proc.stdout.splitlines()[-1])
+    assert held["tracker"] is None
+    assert not held["shared_memory"]
+    before, after = held["shm"]
+    assert after == before
+
+
 # ----------------------------------------------------------------------
 # abnormal exits of the supervisor itself: SIGKILL and Ctrl-C
 # ----------------------------------------------------------------------
@@ -244,9 +285,8 @@ def _reap_all(deadline_s: float) -> None:
 @pytest.mark.timeout(60)
 def test_a_sigkilled_supervisor_leaves_nothing_behind():
     """The supervisor runs in its own session and this process is the
-    subreaper, so its orphaned PEs (and its resource tracker) become
-    this process's children: none may outlive it, and the segment they
-    mapped must go."""
+    subreaper, so its orphaned PEs become this process's children: none
+    may outlive it, and ``/dev/shm`` must be as found."""
     import ctypes
     import signal
     import subprocess
@@ -262,7 +302,7 @@ def test_a_sigkilled_supervisor_leaves_nothing_behind():
                 start_new_session=True,
                 env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
             deadline = time.monotonic() + 30
-            while len(_children_of(proc.pid)) < 3:   # 2 PEs + the tracker
+            while len(_children_of(proc.pid)) < 2:   # 2 PEs
                 assert proc.poll() is None, "the supervisor exited early"
                 assert time.monotonic() < deadline, "no PE ever started"
                 time.sleep(0.05)
@@ -271,15 +311,12 @@ def test_a_sigkilled_supervisor_leaves_nothing_behind():
             proc.wait()
             _reap_all(10.0)
     finally:
-        # Whatever the verdict, take down the PEs a failure left running;
-        # the supervisor's resource tracker then unlinks its segment.
+        # Whatever the verdict, take down the PEs a failure left running.
         from .conftest import child_pids
 
         for pid in child_pids():
             try:
-                with open(f"/proc/{pid}/cmdline", "rb") as f:
-                    if b"resource_tracker" not in f.read():
-                        os.kill(pid, signal.SIGKILL)
+                os.kill(pid, signal.SIGKILL)
             except OSError:
                 pass                             # exited while we looked
         _reap_all(10.0)
@@ -291,7 +328,7 @@ def test_a_sigkilled_supervisor_leaves_nothing_behind():
 def test_a_keyboard_interrupt_mid_run_leaves_nothing_behind(monkeypatch):
     """Ctrl-C lands in ``run_mp`` while its PEs run: the interrupt
     propagates, and the fleet's teardown still kills and reaps every PE
-    and unlinks the segment."""
+    and closes the heap."""
     import _thread
     import threading
 
