@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test loc chaos schedules mp conformance serving explore perf-ab experiments experiments-full experiments-check examples clean
+.PHONY: install test loc chaos schedules mp conformance serving explore perf-ab perf-pairs experiments experiments-full experiments-check examples clean
 
 install:
 	pip install -e .
@@ -70,6 +70,15 @@ perf-ab:
 	python3 tools/check_exact.py $$out/compare.txt $(ALLOW); \
 	exit $$rc
 
+# One end-to-end claim, as alternating pairs: perfbench's WORKLOAD in a
+# worktree of BASE and here, ten times; prints medians, B/A per pair,
+# the change's wins and the base's IQR; fails on any failed operation.
+# `make perf-pairs BASE=HEAD^ WORKLOAD=mp_uts SEED=7`; ten pairs.
+WORKLOAD ?= mp_uts
+perf-pairs:
+	python3 tools/perf_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+	    --seed $(SEED)
+
 # One runner (docs/reproducing.md): rows land in results/experiments.db,
 # everything printed or written is a view of them.
 experiments:
@@ -97,5 +106,5 @@ examples:
 	done
 
 clean:
-	rm -rf .pytest_cache .hypothesis results .perf-ab
+	rm -rf .pytest_cache .hypothesis results .perf-ab .perf-pairs
 	find . -name __pycache__ -type d -exec rm -rf {} +

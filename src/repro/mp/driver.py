@@ -69,6 +69,9 @@ _U64 = (1 << 64) - 1
 #: Local-queue size below which a PE does not bother sharing.
 RELEASE_MIN = 4
 
+#: Tasks per compute segment: the fabric worker's ``batch_max`` default.
+_SEGMENT = 64
+
 #: Hard deadline on a PE's idle wait with no global progress: a livelock
 #: fails fast with a diagnostic naming the rank instead of hanging the job.
 MP_IDLE_STALL_S = 120.0
@@ -359,8 +362,8 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
         local.pop, local.popleft, local.appendleft, local.extend)
     # Whatever release / acquire re-absorb lands straight in the store.
     owner.owner_kept = local
-    # Owner-local metadata inspection runs after every executed task, off
-    # the stripe locks the thieves' claims are hammering.
+    # The share gate reads the shared portion once per compute segment,
+    # off the stripe locks the thieves' claims are hammering.
     shared_has_work = owner.has_work
     capacity = owner.capacity
 
@@ -398,20 +401,26 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
                    deadline_s=MP_IDLE_STALL_S)
     while True:
         if local:
-            payload = pop()
-            children = execute(payload)
-            if children:
-                born += len(children)
-                extend(children)
-            executed += 1
-            checksum ^= fingerprint(payload)
-            done_pending += 1
-            if (len(local) >= RELEASE_MIN and owner.nfilled < capacity
-                    and not shared_has_work()):
-                if born:
-                    created.fetch_add(born)
-                    born = 0
-                share_out()
+            # One compute segment: one share-gate read, up to _SEGMENT
+            # tasks; a spent shared portion ends it once there is enough.
+            share = owner.nfilled < capacity and not shared_has_work()
+            n = 0
+            while local and n < _SEGMENT:
+                payload = pop()
+                children = execute(payload)
+                if children:
+                    born += len(children)
+                    extend(children)
+                checksum ^= fingerprint(payload)
+                n += 1
+                if share and len(local) >= RELEASE_MIN:
+                    if born:
+                        created.fetch_add(born)
+                        born = 0
+                    share_out()
+                    break
+            executed += n
+            done_pending += n
             continue
         if born:
             created.fetch_add(born)

@@ -84,10 +84,6 @@ class MpHeap:
             )
         return start + offset
 
-    def index(self, addr: SymWord) -> int:
-        """Global word index of a symmetric word handle."""
-        return self._base(addr.region, addr.offset)
-
     def ref(self, addr: SymWord) -> WordRef:
         """Atomic handle on one symmetric word."""
         assert self.words is not None

@@ -11,8 +11,18 @@ from __future__ import annotations
 
 import pytest
 
-from repro.mp.driver import run_mp, synthetic_expected, uts_expected
+from repro.mp.driver import (
+    LAYOUTS,
+    _bind_plain,
+    _pe_loop,
+    run_mp,
+    synthetic_expected,
+    uts_expected,
+)
+from repro.mp.fleet import Fleet
 from repro.workloads.uts import get_tree
+
+from .test_mp_owner_path import BENCH_SHAPE
 
 pytestmark = [pytest.mark.mp, pytest.mark.timeout(180)]
 
@@ -96,3 +106,38 @@ def test_rejects_bad_arguments():
         run_mp("nope", "sws", 4)
     with pytest.raises(ValueError):
         run_mp("synthetic", "sws", 0)
+
+
+# ----------------------------------------------------------------------
+# the owner path's shared-portion reads, and the checksum they feed
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("impl", ["sws", "sdc"])
+def test_owner_reads_the_shared_portion_once_per_segment(impl, monkeypatch):
+    """One PE over perfbench's tree, run in this process: the share gate
+    is read once per compute segment, not once per task."""
+    owner_class = LAYOUTS[impl].owner_class
+    has_work = owner_class.has_work
+    calls = [0]
+
+    def counted(self):
+        calls[0] += 1
+        return has_work(self)
+
+    monkeypatch.setattr(owner_class, "has_work", counted)
+    with Fleet("one queue", LAYOUTS[impl], 1, 1 << 14, 4,
+               ctl=("created", "completed")) as fleet:
+        fleet.heap.ref(fleet.ctl["created"]).store(1)
+        report = _pe_loop(0, fleet.heap, fleet.layouts, fleet.ctl, 7, True,
+                          _bind_plain, ("uts", BENCH_SHAPE))
+    executed = report["executed"]
+    assert (executed, report["checksum"]) == uts_expected(BENCH_SHAPE)
+    assert executed == 34_189
+    assert calls[0] * 32 <= executed, calls[0]
+
+
+def test_uts_checksums_are_pinned():
+    """``uts_expected`` shares ``_fp_uts`` with the PEs, so a changed
+    fingerprint would agree with itself: hold it to recorded values."""
+    assert uts_expected(get_tree("test_tiny")) == (85, 589890851729230755)
+    assert uts_expected(BENCH_SHAPE) == (34_189, 0x6A6EE1B82C9B7961)
