@@ -21,14 +21,17 @@ chaos:
 schedules:
 	$(PYTHON) -m pytest -m schedules tests/schedules/
 
-# Multiprocess-substrate tests: real OS processes over shared memory
-# (see docs/backends.md).  The one list of mp suites: CI's mp job runs
+# Real-time substrate tests: real OS processes over shared memory, and
+# the threads backend, which runs only mp/queue.py's classes (see
+# docs/backends.md).  The one list of real-time suites: CI's mp job runs
 # this target.
 mp:
 	$(PYTHON) -m pytest tests/test_mp_atomics.py tests/test_mp_queue.py \
 	    tests/test_mp_driver.py tests/test_mp_fleet.py \
 	    tests/test_mp_owner_path.py tests/test_mp_bulkcopy.py \
-	    tests/test_mp_inbox.py
+	    tests/test_mp_inbox.py tests/test_threads.py \
+	    tests/test_threads_sdc.py tests/test_race_harness.py \
+	    tests/test_ffmult_properties.py tests/test_model_based_ffmult.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,
 # task conservation and completion accounting; and every protocol ×

@@ -2,10 +2,11 @@
 
 The third execution substrate of the reproduction (after the simulated
 fabric and the in-process threads): shared-memory 64-bit words with
-cross-process atomic operations, the shim protocol cores of
-:mod:`repro.threads.protocol` bound to them once (:mod:`repro.mp.queue`,
-which the threads backend runs too), and a process-pool PE driver that
-runs the synthetic and UTS workloads end-to-end.  See
+cross-process atomic operations (:mod:`repro.mp.atomics`), each
+real-time protocol written once over them as a thief view and an owner
+that extends it (:mod:`repro.mp.queue`, which the threads backend runs
+too), and a process-pool PE driver that runs the synthetic and UTS
+workloads end-to-end.  See
 ``docs/backends.md`` for what each substrate can and cannot falsify.
 """
 
@@ -25,6 +26,7 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "MpSdcThief": "queue",
     "MpFfMultQueue": "queue",
     "MpFfMultThief": "queue",
+    "ShimStealResult": "queue",
     "hammer_mp": "queue",
     "run_mp": "driver",
     "MpRunResult": "driver",

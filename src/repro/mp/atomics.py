@@ -40,6 +40,10 @@ No wait is unbounded.  A stripe acquire that does not succeed within
 sequence left odd), raise :class:`~repro.mp.errors.MpStallError` naming
 the stripe (and the word, for a read).  Nothing is repaired: a PE death
 ends the run (see :class:`~repro.mp.fleet.Fleet`).
+
+Two helpers of the word users live here too: :class:`RecordCodec`
+packs task records into the byte blobs the block copies move, and
+:class:`Backoff` is the bounded waiter every polling loop spins on.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ import mmap
 import multiprocessing
 import struct
 import time
+
+from .errors import MpStallError, StallTimeout
 
 _U64_MASK = (1 << 64) - 1
 _WORD = struct.Struct("<Q")
@@ -69,14 +75,6 @@ def _preferred_context():
     """The fork context: a child inherits the anonymous mapping, which
     a spawned child could not attach."""
     return multiprocessing.get_context("fork")
-
-
-def _stalled(message: str, stripe: int, waited_s: float):
-    # Imported on the error path only: ``errors`` pulls in the shim
-    # protocol module, which a bare word array never needs.
-    from .errors import MpStallError
-
-    return MpStallError(message, stripe=stripe, waited_s=waited_s)
 
 
 class ShmWords:
@@ -125,8 +123,9 @@ class ShmWords:
         and return it for the caller to release."""
         lock = self._locks[index % len(self._locks)]
         if not lock.acquire(True, self.stall_s):
-            raise _stalled("stripe lock acquire stalled",
-                           self._stripe(index), self.stall_s)
+            raise MpStallError("stripe lock acquire stalled",
+                               stripe=self._stripe(index),
+                               waited_s=self.stall_s)
         return lock
 
     def store(self, index: int, value: int) -> None:
@@ -223,10 +222,10 @@ class ShmWords:
                 if t0 is None:
                     t0 = now
                 elif now - t0 >= self.stall_s:
-                    raise _stalled(
+                    raise MpStallError(
                         f"seqlock read of word {index} found no clean "
                         f"sample (sequence left odd?)",
-                        self._stripe(index), now - t0,
+                        stripe=self._stripe(index), waited_s=now - t0,
                     )
 
     #: A plain read is the seqlock read: the paper's ``get`` is no AMO.
@@ -384,3 +383,103 @@ class WordSlice:
                 f"[0, {self._length})"
             )
         self._words.write_block(self._start + start, data)
+
+
+# ----------------------------------------------------------------------
+# What the word users copy with and wait with
+# ----------------------------------------------------------------------
+
+class RecordCodec:
+    """Fixed-width task-record codec for bulk data-plane copies.
+
+    A task record is ``words_per_task`` unsigned little-endian 64-bit
+    words.  Encoding a batch produces one ``bytes`` blob suitable for a
+    single ``write_block``; decoding the blob a ``read_block`` returned
+    recovers the records without touching the atomic word API.  Single
+    -word tasks decode to plain ints (matching what per-word ``load``
+    would have produced); wider tasks decode to tuples.
+    """
+
+    __slots__ = ("words_per_task", "record_bytes", "_struct")
+
+    def __init__(self, words_per_task: int = 1) -> None:
+        if words_per_task <= 0:
+            raise ValueError(
+                f"words_per_task must be positive, got {words_per_task}"
+            )
+        self.words_per_task = words_per_task
+        self._struct = struct.Struct(f"<{words_per_task}Q")
+        self.record_bytes = self._struct.size
+
+    def encode(self, tasks) -> bytes:
+        """Pack a batch of records into one contiguous blob."""
+        if self.words_per_task == 1:
+            return struct.pack(f"<{len(tasks)}Q", *tasks)
+        return b"".join(self._struct.pack(*t) for t in tasks)
+
+    def decode(self, data: bytes) -> list:
+        """Unpack a blob back into records (ints or tuples)."""
+        if self.words_per_task == 1:
+            return list(struct.unpack(f"<{len(data) // 8}Q", data))
+        return [t for t in self._struct.iter_unpack(data)]
+
+
+class Backoff:
+    """Adaptive spin → yield → exponential-sleep waiter.
+
+    The first ``spins`` calls to :meth:`wait` return immediately (pure
+    spin — right when the awaited writer is mid-critical-section on
+    another core); the next ``yields`` calls release the GIL/CPU with
+    ``time.sleep(0)``; after that each call sleeps, doubling from
+    ``sleep_s`` up to ``max_sleep_s``.  Call :meth:`reset` whenever
+    progress is observed so a busy phase snaps back to spinning.
+
+    With ``deadline_s`` set, a single no-progress stretch (wall time
+    since the last :meth:`reset`) longer than the deadline raises
+    :class:`~repro.mp.errors.StallTimeout`.  Polling loops must never be
+    able to spin forever silently.
+    """
+
+    __slots__ = ("spins", "yields", "sleep_s", "max_sleep_s", "_n",
+                 "deadline_s", "_t0")
+
+    def __init__(
+        self,
+        spins: int = 16,
+        yields: int = 8,
+        sleep_s: float = 1e-5,
+        max_sleep_s: float = 1e-3,
+        deadline_s: float | None = None,
+    ) -> None:
+        self.spins = spins
+        self.yields = yields
+        self.sleep_s = sleep_s
+        self.max_sleep_s = max_sleep_s
+        self.deadline_s = deadline_s
+        self._n = 0
+        self._t0 = None
+
+    def reset(self) -> None:
+        self._n = 0
+        self._t0 = None
+
+    def wait(self) -> None:
+        n = self._n
+        self._n = n + 1
+        if self.deadline_s is not None:
+            now = time.monotonic()
+            if self._t0 is None:
+                self._t0 = now
+            elif now - self._t0 >= self.deadline_s:
+                raise StallTimeout(
+                    f"no progress for {now - self._t0:.1f}s "
+                    f"(deadline {self.deadline_s}s)"
+                )
+        if n < self.spins:
+            return
+        n -= self.spins
+        if n < self.yields:
+            time.sleep(0)
+            return
+        delay = self.sleep_s * (1 << min(n - self.yields, 12))
+        time.sleep(delay if delay < self.max_sleep_s else self.max_sleep_s)

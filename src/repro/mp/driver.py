@@ -50,11 +50,11 @@ from ..capabilities import check
 from ..core.damping import DampingTracker
 from ..core.results import StealStatus
 from ..shmem.heap import SymmetricAllocator
-from ..threads.protocol import Backoff, StallTimeout
 from ..workloads.uts.params import get_tree
 from ..workloads.uts.sha1_rng import _TWO31
 from ..workloads.uts.tree import TreeType, UtsParams, expand, geo_log1mp_table
-from .errors import MpStallError, RingOverflowError
+from .atomics import Backoff
+from .errors import MpStallError, RingOverflowError, StallTimeout
 from .fleet import Fleet
 from .queue import LAYOUTS
 

@@ -7,7 +7,15 @@ names the suspect instead of just dying.
 
 from __future__ import annotations
 
-from ..threads.protocol import StallTimeout
+
+class StallTimeout(RuntimeError):
+    """A bounded wait ran out of wall clock without observing progress.
+
+    The base class for every "this would have spun forever" diagnostic:
+    :class:`~repro.mp.atomics.Backoff` raises it bare, and the mp
+    substrate refines it as :class:`MpStallError` with stripe / rank
+    context.
+    """
 
 
 class MpStallError(StallTimeout):

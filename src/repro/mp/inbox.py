@@ -11,7 +11,7 @@ before ``rd`` does, so neither side ever sees a half-written record.
 from __future__ import annotations
 
 from ..shmem.heap import SymArray, SymWord
-from ..threads.protocol import RecordCodec
+from .atomics import RecordCodec
 from .errors import RingOverflowError
 from .heap import MpHeap
 

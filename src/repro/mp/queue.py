@@ -1,14 +1,26 @@
-"""SWS, SDC and ff-mult queues over shared-memory words — the one
-binding of the shim protocols, for threads and processes alike.
+"""SWS, SDC and ff-mult queues over shared-memory words — each real-time
+protocol written once, for threads and processes alike.
 
-These bind the substrate-independent shim protocol cores
-(:mod:`repro.threads.protocol`, reusing
-:class:`repro.core.stealval.StealValEpoch` verbatim) to shared-memory
-words from :class:`~repro.mp.heap.MpHeap`.  The owner-side objects live
-in the process that plays the PE owning the queue; thief-side views are
-cheap picklable handles any other process can steal through.  The
-threads backend runs the same owner objects on a heap of its own
-process (:func:`in_process_queue`), raced by thief threads.
+A protocol is one thief view and one owner class that extends it
+(:class:`MpSwsThief` / :class:`MpSwsQueue`, :class:`MpSdcThief` /
+:class:`MpSdcQueue`, :class:`MpFfMultThief` / :class:`MpFfMultQueue`).
+The thief's ``steal()`` is the protocol's claim sequence, word op for
+word op; the owner adds the release / acquire / drain bookkeeping and
+inherits ``steal()``, ``try_steal()`` and ``has_work()``.  The stealval
+encode/decode is :class:`repro.core.stealval.StealValEpoch`, reused,
+never copied.  The owner object lives in the process that plays the PE
+owning the queue; thief views are cheap handles any other process builds
+from the picklable layout.  The threads backend runs the same owner
+objects on a heap of its own process (:func:`in_process_queue`), raced
+by thief threads (:func:`race`).
+
+Building an owner writes no shared word.  A fresh heap is zero, and zero
+is every layout's empty, unlocked state: ``StealValEpoch.pack(0, 0, 0,
+0) == 0`` (epoch 0, no tasks, unlocked), and an SDC lock, tail and split
+of 0 are a free lock over an empty section.  A claim that lands before
+the owner starts settles to nothing (``owner_remainder(0, k)`` is
+``(0, 0, 0)``), and a thief that holds the SDC lock keeps it: a PE that
+starts late cannot overwrite what its thieves did first.
 
 Task payloads are tuples of 64-bit words (``words_per_task``), or bare
 ints when ``words_per_task == 1``.  The *control* words go through the
@@ -27,26 +39,18 @@ class.
 from __future__ import annotations
 
 import os
+import threading
+import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..capabilities import check
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealStatus
-from ..core.stealval import StealValEpoch
+from ..core.steal_half import schedule
+from ..core.stealval import StealValEpoch, owner_remainder, thief_claim
 from ..shmem.heap import SymArray, SymWord, SymmetricAllocator
-from ..threads.protocol import (
-    Backoff,
-    FfMultShimCore,
-    RecordCodec,
-    SdcShimCore,
-    ShimStealResult,
-    SwsShimCore,
-    ffmult_steal_once,
-    race,
-    sdc_steal_once,
-    sws_steal_once,
-)
+from .atomics import Backoff, RecordCodec
 from .fleet import Fleet
 from .heap import MpHeap
 
@@ -54,8 +58,31 @@ from .heap import MpHeap
 DEFAULT_COMP_SLOTS = 24
 
 
+@dataclass
+class ShimStealResult:
+    """One thief attempt's outcome, for every protocol and substrate.
+
+    ``claimed`` is empty exactly when the attempt got nothing.  The rest
+    says why, or how: ``empty`` (no shared work), ``aborted_locked`` and
+    ``view`` (SWS: the owner held the stealval locked; the decoded word
+    the claiming fetch-add observed — the damping state machine of paper
+    §4.3 feeds on it), ``lock_spins`` (SDC: spins spent on the queue
+    lock), ``index`` (ff-mult: the absolute buffer index consumed, ``-1``
+    when none — the mutation/property suites key duplicate multiplicity
+    on it).
+    """
+
+    claimed: list = field(default_factory=list)
+    empty: bool = False
+    aborted_locked: bool = False
+    view: object = None
+    lock_spins: int = 0
+    index: int = -1
+
+
 class _MpTaskBuffer:
-    """Word-backed task buffer shared by owner and thief views."""
+    """Word-backed task buffer shared by owner and thief views
+    (``push_all`` and ``take_kept`` are the owner's)."""
 
     def _bind_buffer(self, heap: MpHeap, buffer: SymArray, capacity: int,
                      words_per_task: int) -> None:
@@ -71,7 +98,7 @@ class _MpTaskBuffer:
         protocol's fetch-add already won it), so this is the lock-free
         ``read_block`` path: one contiguous byte slice, or two when the
         block wraps the ring end — record indices are taken modulo the
-        buffer, which is a no-op for the flat-cursor shims but lets ring
+        buffer, which is a no-op for the flat-cursor queues but lets ring
         layouts reuse the same accessor.
         """
         if count <= 0:
@@ -116,6 +143,11 @@ class _MpTaskBuffer:
         self.nfilled += fit
         return fit
 
+    def take_kept(self) -> list:
+        """Hand back (and clear) the owner-reabsorbed tasks."""
+        kept, self.owner_kept = self.owner_kept, []
+        return kept
+
 
 class _Layout:
     """A queue's symmetric-heap footprint: picklable, and the factory of
@@ -134,15 +166,15 @@ class _Layout:
 # SWS: the fused fetch-add stealval
 # ======================================================================
 
-class _SwsWords(_MpTaskBuffer):
-    """The words both views of an SWS queue address."""
+class MpSwsThief(_MpTaskBuffer):
+    """Thief-side view: just enough shared words to claim blocks."""
 
     #: ``has_work``'s verdict, cached against the raw word it decoded:
     #: every claim changes the word, so a stale verdict is impossible.
     _sv_raw = None
     _sv_work = False
 
-    def _bind(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
+    def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
         self._bind_buffer(heap, layout.buffer, layout.capacity,
                           layout.words_per_task)
         self.stealval = heap.ref(layout.stealval)
@@ -162,26 +194,25 @@ class _SwsWords(_MpTaskBuffer):
             self._sv_work = StealValEpoch.has_work(raw)
         return self._sv_work
 
-
-class MpSwsQueue(_SwsWords, SwsShimCore):
-    """Owner-side SWS queue state over cross-process atomics."""
-
-    def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
-        self._bind(heap, layout)
-        self.nfilled = 0
-        self._init_protocol(layout.max_epochs, layout.comp_slots)
-
-class MpSwsThief(_SwsWords):
-    """Thief-side view: just enough shared words to claim blocks."""
-
-    def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
-        self._bind(heap, layout)
-
     def steal(self) -> ShimStealResult:
-        """One fused discover+claim attempt (single remote fetch-add)."""
-        return sws_steal_once(
-            self.stealval, self.comp, self.comp_slots, self._read_tasks
-        )
+        """One claiming attempt — exactly the simulator's 3-step protocol.
+
+        The single ``fetch_add`` on the stealval both discovers and
+        claims; everything after it is local arithmetic, the copy of the
+        claimed block and the completion signal in the epoch's row.
+        """
+        old = self.stealval.fetch_add(StealValEpoch.ASTEAL_UNIT)
+        view = StealValEpoch.unpack(old)
+        if view.locked:
+            return ShimStealResult(aborted_locked=True, view=view)
+        vol, disp = thief_claim(view.itasks, view.asteals)
+        if vol == 0:
+            return ShimStealResult(empty=True, view=view)
+        # The tail field stores start % 2^19; the buffer stays smaller
+        # than that (``reserve`` checks), so the raw value is the index.
+        claimed = self._read_tasks(view.tail + disp, vol)
+        self.comp[view.epoch * self.comp_slots + view.asteals].fetch_add(vol)
+        return ShimStealResult(claimed=claimed, view=view)
 
     def try_steal(self, tracker: DampingTracker, victim: int):
         """One damped attempt (paper §4.3): ``(status, claimed)``.
@@ -205,6 +236,119 @@ class MpSwsThief(_SwsWords):
             return StealStatus.DISABLED, ()
         tracker.note_failed_claim(victim, res.view)
         return StealStatus.EMPTY, ()
+
+
+class MpSwsQueue(MpSwsThief):
+    """Owner-side SWS queue: the thief view plus the owner's release /
+    acquire / close / reopen / settle bookkeeping and the epoch-array
+    completion discipline."""
+
+    #: Cap on the adaptive backoff's sleep while waiting on in-flight
+    #: completions (the historical fixed poll interval).
+    POLL_S = 1e-5
+
+    #: Hard wall-clock deadline for one no-progress completion wait,
+    #: past which it raises :class:`~repro.mp.errors.StallTimeout`.
+    #: ``None`` (the default, and the threads backend's setting) keeps
+    #: the historical unbounded wait; the mp hammer sets it so a claim a
+    #: wedged thief never completes fails the run instead of hanging the
+    #: owner.
+    stall_s: float | None = None
+
+    def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
+        super().__init__(heap, layout)
+        self.nfilled = 0
+        self.max_epochs = layout.max_epochs
+        self.epoch = 0
+        # Owner bookkeeping: [start, start+itasks) is the live allotment.
+        # The zero stealval of a fresh heap is epoch 0's empty one.
+        self._records: list[dict] = [
+            {"epoch": 0, "start": 0, "itasks": 0, "claims": 0}
+        ]
+        self.cursor = 0                      # next unshared buffer index
+        self.owner_kept: list = []           # tasks re-acquired by the owner
+
+    def _settle_backoff(self) -> Backoff:
+        return Backoff(sleep_s=self.POLL_S / 4, max_sleep_s=self.POLL_S,
+                       deadline_s=self.stall_s)
+
+    def _keep(self, start: int, count: int) -> None:
+        if count:
+            self.owner_kept.extend(self._read_tasks(start, count))
+
+    def release(self, count: int) -> None:
+        """Publish the next ``count`` buffer tasks as a new allotment.
+
+        Unlike the simulator's split queue — where the unclaimed
+        remainder stays physically contiguous with newly exposed tasks —
+        this flat buffer cannot re-share a remainder across the hole an
+        ``acquire`` leaves, so any unclaimed remainder is absorbed by
+        the owner first (acquire-all-then-release).  The claim/lock/
+        completion races being validated are unaffected.
+        """
+        rem_start, rem = self._close()
+        self._keep(rem_start, rem)
+        count = min(count, self.nfilled - self.cursor)
+        start = self.cursor
+        self.cursor += count
+        self._reopen(start, count)
+
+    def acquire(self) -> list:
+        """Lock, pull back half the unclaimed remainder, re-publish."""
+        rem_start, rem = self._close()
+        ntake = (rem + 1) // 2
+        taken = self._read_tasks(rem_start + (rem - ntake), ntake) if ntake else []
+        self.owner_kept.extend(taken)
+        self._reopen(rem_start, rem - ntake)
+        return taken
+
+    def _close(self) -> tuple[int, int]:
+        old = self.stealval.swap(StealValEpoch.locked_word())
+        view = StealValEpoch.unpack(old)
+        rec = self._records[-1]
+        assert view.epoch == rec["epoch"] and view.itasks == rec["itasks"]
+        rec["claims"], disp, rem = owner_remainder(view.itasks, view.asteals)
+        return rec["start"] + disp, rem
+
+    def _reopen(self, start: int, itasks: int) -> None:
+        next_epoch = (self.epoch + 1) % self.max_epochs
+        # Wait until the epoch's previous record fully completed, then
+        # prune settled records and zero the epoch's completion row.
+        backoff = self._settle_backoff()
+        while any(
+            r["epoch"] == next_epoch and not self._settled(r)
+            for r in self._records
+        ):
+            backoff.wait()
+        self._records = [r for r in self._records if not self._settled(r)]
+        base = next_epoch * self.comp_slots
+        for i in range(self.comp_slots):
+            self.comp[base + i].store(0)
+        self.epoch = next_epoch
+        self._records.append({"epoch": next_epoch, "start": start, "itasks": itasks})
+        self.stealval.store(StealValEpoch.pack(0, next_epoch, itasks, start % (1 << 19)))
+
+    def _settled(self, rec: dict) -> bool:
+        claims = rec.get("claims")
+        if claims is None:
+            return False
+        vols = schedule(rec["itasks"])
+        base = rec["epoch"] * self.comp_slots
+        return all(self.comp[base + i].load() == vols[i] for i in range(claims))
+
+    def drain(self) -> None:
+        """Wait for every claimed steal to complete, absorb the rest.
+
+        Leaves the stealval locked: post-drain claim attempts abort.
+        """
+        rem_start, rem = self._close()
+        self._keep(rem_start, rem)
+        backoff = self._settle_backoff()
+        while not all(self._settled(r) for r in self._records):
+            backoff.wait()
+        self._keep(self.cursor, self.nfilled - self.cursor)
+        self.cursor = self.nfilled
+
 
 @dataclass(frozen=True)
 class SwsQueueLayout(_Layout):
@@ -233,7 +377,7 @@ class SwsQueueLayout(_Layout):
     ) -> "SwsQueueLayout":
         """Lay the queue out on an unfrozen heap via the shmem allocator."""
         if capacity >= 1 << 19:
-            # The stealval tail field stores start % 2^19; shim buffers
+            # The stealval tail field stores start % 2^19; the buffer
             # must stay below that so the raw value is the buffer index.
             raise ValueError(f"capacity must be < 2^19, got {capacity}")
         alloc = SymmetricAllocator(heap, prefix)
@@ -263,10 +407,11 @@ class _TailSplitLayout(_Layout):
         return cls(*words, buffer, capacity, words_per_task)
 
 
-class _TailSplitWords(_MpTaskBuffer):
-    """The words both views of a ``[tail, split)`` queue address."""
+class _TailSplitThief(_MpTaskBuffer):
+    """Thief side of a ``[tail, split)`` queue: no damping, so the
+    tracker is never consulted."""
 
-    def _bind(self, heap: MpHeap, layout) -> None:
+    def __init__(self, heap: MpHeap, layout) -> None:
         self._bind_buffer(heap, layout.buffer, layout.capacity,
                           layout.words_per_task)
         self.tail = heap.ref(layout.tail)
@@ -275,11 +420,6 @@ class _TailSplitWords(_MpTaskBuffer):
     def has_work(self) -> bool:
         """Does ``[tail, split)`` hold tasks?  Two seqlock reads."""
         return self.split.load_seq() - self.tail.load_seq() > 0
-
-
-class _TailSplitThief(_TailSplitWords):
-    """Thief side of a ``[tail, split)`` queue: no damping, so the
-    tracker is never consulted."""
 
     def try_steal(self, tracker: DampingTracker, victim: int):
         """One attempt: ``(status, claimed)``; ``LOCKED_ABORT`` when the
@@ -290,19 +430,83 @@ class _TailSplitThief(_TailSplitWords):
         return (StealStatus.EMPTY if res.empty
                 else StealStatus.LOCKED_ABORT), ()
 
-class MpSdcQueue(_TailSplitWords, SdcShimCore):
-    """Owner-side SDC (lock-based) queue over cross-process atomics.
 
-    The lock word carries the holder's *pid* as its token, so a stuck
-    lock names its holder.
+class _TailSplitOwner:
+    """Owner side of a ``[tail, split)`` shared section — the part SDC
+    and the fence-free deque have in common, mixed in ahead of the
+    protocol's thief view.
+
+    Nothing here takes a lock: before re-publishing, the owner absorbs
+    the shared remainder ``[tail, split)`` into ``owner_kept`` and parks
+    the tail.  Every absorb reads the range *before* moving the tail, so
+    no index is ever skipped unread.  SDC runs each operation inside its
+    queue lock; the fence-free deque runs them bare and lives with what
+    a racing thief's stale ``tail`` store can then do (see
+    :class:`MpFfMultQueue`).
     """
 
-    def __init__(self, heap: MpHeap, layout: SdcQueueLayout) -> None:
-        self._bind(heap, layout)
+    def __init__(self, heap: MpHeap, layout) -> None:
+        super().__init__(heap, layout)
         self.nfilled = 0
-        self.lock = heap.ref(layout.lock)
-        self.lock_token = os.getpid()
-        self._init_protocol()
+        self.cursor = 0                      # next unshared buffer index
+        self.owner_kept: list = []           # tasks re-acquired by the owner
+
+    def release(self, count: int) -> None:
+        """Absorb the shared remainder (acquire-all, like the real
+        protocols' empty-shared precondition), then expose the next
+        ``count`` buffer tasks."""
+        t, s = self.tail.load(), self.split.load()
+        if s > t:
+            self.owner_kept.extend(self._read_tasks(t, s - t))
+        count = min(count, self.nfilled - self.cursor)
+        start = self.cursor
+        self.cursor += count
+        # Order matters: park the tail at the new region's base *before*
+        # widening the split, so a thief never observes (old tail, new
+        # split) and walks through the absorbed gap.
+        self.tail.store(start)
+        self.split.store(start + count)
+
+    def acquire(self) -> list:
+        """Pull back half the shared section (reads before the shrink)."""
+        t, s = self.tail.load(), self.split.load()
+        avail = s - t
+        if avail <= 0:
+            return []
+        ntake = (avail + 1) // 2
+        taken = self._read_tasks(s - ntake, ntake)
+        self.owner_kept.extend(taken)
+        self.split.store(s - ntake)
+        return taken
+
+    def drain(self) -> None:
+        """Absorb everything left: shared remainder, then unshared."""
+        t, s = self.tail.load(), self.split.load()
+        if s > t:
+            self.owner_kept.extend(self._read_tasks(t, s - t))
+        self.tail.store(s)
+        self.owner_kept.extend(
+            self._read_tasks(self.cursor, self.nfilled - self.cursor)
+        )
+        self.cursor = self.nfilled
+
+
+# -- SDC: the lock-based baseline protocol ------------------------------
+
+def _sdc_lock(lock, max_spins: int | None) -> tuple[bool, int]:
+    """Spin for the SDC queue lock; returns ``(acquired, spins)``.
+
+    The value CASed into the lock word is this process's pid; nothing
+    reads it back.  With ``max_spins=None`` the spin is unbounded.
+    """
+    token = os.getpid()
+    spins = 0
+    while lock.compare_swap(0, token) != 0:
+        spins += 1
+        if max_spins is not None and spins >= max_spins:
+            return False, spins
+        time.sleep(0)
+    return True, spins
 
 
 class MpSdcThief(_TailSplitThief):
@@ -312,15 +516,51 @@ class MpSdcThief(_TailSplitThief):
     max_spins = 200
 
     def __init__(self, heap: MpHeap, layout: SdcQueueLayout) -> None:
-        self._bind(heap, layout)
+        super().__init__(heap, layout)
         self.lock = heap.ref(layout.lock)
 
     def steal(self) -> ShimStealResult:
-        """One lock-protected steal-half attempt."""
-        return sdc_steal_once(
-            self.lock, self.tail, self.split, self._read_tasks,
-            self.max_spins, token=os.getpid(),
-        )
+        """One lock-protected steal-half attempt (the six-step SDC
+        shape: lock, read tail and split, copy, advance tail, unlock)."""
+        acquired, spins = _sdc_lock(self.lock, self.max_spins)
+        res = ShimStealResult(lock_spins=spins)
+        if not acquired:
+            return res
+        try:
+            t, s = self.tail.load(), self.split.load()
+            avail = s - t
+            if avail <= 0:
+                res.empty = True
+                return res
+            n = max(1, avail // 2)
+            res.claimed = self._read_tasks(t, n)
+            self.tail.store(t + n)
+            return res
+        finally:
+            self.lock.store(0)
+
+
+def _under_lock(op):
+    """Run an owner operation of :class:`MpSdcQueue` inside its lock."""
+    def locked(self, *args):
+        _sdc_lock(self.lock, None)
+        try:
+            return op(self, *args)
+        finally:
+            self.lock.store(0)
+    return locked
+
+
+class MpSdcQueue(_TailSplitOwner, MpSdcThief):
+    """Owner-side SDC (lock-based) queue over cross-process atomics.
+
+    The owner operations are :class:`_TailSplitOwner`'s, each run under
+    the queue lock thieves also take.
+    """
+
+    release = _under_lock(_TailSplitOwner.release)
+    acquire = _under_lock(_TailSplitOwner.acquire)
+    drain = _under_lock(_TailSplitOwner.drain)
 
 
 @dataclass(frozen=True)
@@ -339,31 +579,42 @@ class SdcQueueLayout(_TailSplitLayout):
     thief_class = MpSdcThief
 
 
-class MpFfMultQueue(_TailSplitWords, FfMultShimCore):
-    """Owner-side fence-free multiplicity queue over shared memory.
-
-    No lock word at all: the owner repairs the tail and absorbs the
-    shared remainder with plain stores — across threads or address
-    spaces a stale thief store can re-expose consumed indices, producing
-    the duplicates the at-least-once contract allows (the hammers check
-    set-coverage, not partition).
-    """
-
-    def __init__(self, heap: MpHeap, layout: FfMultQueueLayout) -> None:
-        self._bind(heap, layout)
-        self.nfilled = 0
-        self._init_protocol()
-
+# -- ff-mult: the fence-free multiplicity deque -------------------------
 
 class MpFfMultThief(_TailSplitThief):
     """Thief-side view of an mp ff-mult queue (no atomic RMW at all)."""
 
-    def __init__(self, heap: MpHeap, layout: FfMultQueueLayout) -> None:
-        self._bind(heap, layout)
-
     def steal(self) -> ShimStealResult:
-        """One fence-free attempt: two plain reads, one plain store."""
-        return ffmult_steal_once(self.tail, self.split, self._read_tasks)
+        """One fence-free steal (Castañeda & Piña): two plain reads, one
+        plain store.
+
+        Plain load of ``tail`` and ``split``, plain read of one task
+        record, plain store of ``tail + 1``.  Two thieves observing the
+        same tail both consume the same record and both store the same
+        new tail — a legal duplicate handout.  The record is read
+        *before* the tail store, so an index is never passed without
+        someone holding its task: races duplicate work, they cannot lose
+        it.
+        """
+        t = self.tail.load()
+        s = self.split.load()
+        if s - t <= 0:
+            return ShimStealResult(empty=True)
+        claimed = self._read_tasks(t, 1)
+        self.tail.store(t + 1)
+        return ShimStealResult(claimed=list(claimed), index=t)
+
+
+class MpFfMultQueue(_TailSplitOwner, MpFfMultThief):
+    """Owner-side fence-free multiplicity queue over shared memory.
+
+    :class:`_TailSplitOwner` run bare — no lock word at all: the owner
+    repairs the tail and absorbs the shared remainder with plain stores.
+    A thief's stale ``tail`` store can land after the owner parked the
+    tail and re-expose consumed indices — across threads or address
+    spaces those re-steals are the duplicates the at-least-once contract
+    allows (the hammers check set-coverage, not partition).
+    """
 
 
 @dataclass(frozen=True)
@@ -408,8 +659,59 @@ def in_process_queue(impl: str, tasks):
 
 
 # ======================================================================
-# The cross-process hammer (repro.threads.protocol.hammer races threads)
+# The race harness, and its cross-process hammer
 # ======================================================================
+
+def race(queue, nthieves: int, chunk: int, acquires: int, *,
+         pace_s: float = 2e-5, on_claim=None) -> tuple[list[list], list]:
+    """Race one owner against ``nthieves`` thief threads.
+
+    The owner (the calling thread) publishes ``queue``'s buffer in
+    chunks — ``release``, a short pause for claims to land, an
+    occasional ``acquire`` — then ``drain``s, while the thieves race
+    ``steal`` against it under genuine preemption.  ``queue`` is any
+    owner queue (``cursor`` / ``nfilled`` / ``release`` / ``acquire`` /
+    ``drain`` / ``steal``).
+
+    ``on_claim(idx, result)`` runs in thief ``idx`` on every winning
+    steal.  With ``nthieves=0`` only the owner side runs (the mp
+    hammer's thieves are processes).  Returns ``(per-thief loot, tasks
+    the owner kept)``.
+    """
+    loot: list[list] = [[] for _ in range(nthieves)]
+    stop = threading.Event()
+
+    def thief(idx: int) -> None:
+        while not stop.is_set():
+            res = queue.steal()
+            if res.claimed:
+                if on_claim is not None:
+                    on_claim(idx, res)
+                loot[idx].extend(res.claimed)
+            else:
+                time.sleep(1e-6)
+
+    threads = [
+        threading.Thread(target=thief, args=(i,), daemon=True)
+        for i in range(nthieves)
+    ]
+    for t in threads:
+        t.start()
+    try:
+        done_acquires = 0
+        while queue.cursor < queue.nfilled:
+            queue.release(chunk)
+            time.sleep(pace_s)
+            if done_acquires < acquires:
+                queue.acquire()
+                done_acquires += 1
+        queue.drain()
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=5.0)
+    return loot, queue.owner_kept
+
 
 def _hammer_thief(idx, heap, layout, stop_addr, stall_s) -> list:
     """Thief child: race claims until the owner raises the stop flag."""
@@ -436,12 +738,13 @@ def hammer_mp(
     join_timeout: float = 30.0,
     stall_s: float = 60.0,
 ) -> tuple[list[list[int]], list[int]]:
-    """Race harness: owner in this process, N thief *processes*.
+    """Race harness: owner in this process, N thief *processes* (the
+    thread-thief form is :func:`repro.threads.protocol.hammer`).
 
     Returns ``(per-thief loot, owner-kept tasks)``.  For the
     exactly-once protocols (``sws``, ``sdc``) their disjoint union must
-    equal ``tasks`` exactly — the shim conservation contract, now under
-    genuine hardware preemption across address spaces.  For ``ff-mult``
+    equal ``tasks`` exactly — the conservation contract, under genuine
+    hardware preemption across address spaces.  For ``ff-mult``
     the contract is at-least-once: the union must *cover* ``tasks``
     (set equality), with duplicates legal wherever thief stores raced.
 

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mp.queue import in_process_queue
-from repro.threads.protocol import race
+from repro.mp.queue import in_process_queue, race
 
 pytestmark = pytest.mark.timeout(120)
 

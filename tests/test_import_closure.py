@@ -119,7 +119,7 @@ ENTRY_POINTS = {
         28, 6854, SUBSTRATES + OPTIONAL),
     "from repro.mp import run_mp, uts_expected": (
         {"stmt": "from repro.mp import run_mp, uts_expected"},
-        23, 4146, SIMULATOR + OPTIONAL),
+        22, 3554, SIMULATOR + OPTIONAL + ("repro.threads",)),
     "from repro.runtime.serving import run_serve": (
         {"stmt": "from repro.runtime.serving import run_serve"},
         32, 8161, SUBSTRATES + OPTIONAL),
@@ -129,14 +129,14 @@ ENTRY_POINTS = {
         _cli(), 29, 6040, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
     "python -m repro --protocol sws --backend all": (
         _cli("--protocol", "sws", "--backend", "all", "--ntasks", "100"),
-        40, 9903, ("repro.analysis",) + OPTIONAL[:2]),
+        40, 9348, ("repro.analysis",) + OPTIONAL[:2]),
     "python -m repro serve": (
         _cli("serve", "--npes", "4", "--seed", "7"),
         33, 8494, SUBSTRATES + OPTIONAL[:2]),
     "python -m repro mp --workload uts": (
         _cli("mp", "--workload", "uts", "--tree", "test_tiny", "--npes", "2",
              "--verify", "--seed", "7"),
-        25, 4416, SIMULATOR + OPTIONAL),
+        24, 3824, SIMULATOR + OPTIONAL + ("repro.threads",)),
     "python -m repro sweep --jobs 2": (
         _cli("sweep", "--scenarios", "fig5,fig6", "--no-cache", "--jobs", "2",
              "--quiet", watch_executor=True),

@@ -256,8 +256,6 @@ def test_locked_word_ops_per_steal_attempt(impl, monkeypatch):
     table's stripe acquisitions, and ``has_work()`` takes none.  An
     uncontended winning attempt never sleeps: the steal path is the
     protocol and nothing else."""
-    import repro.threads.protocol as protocol
-
     heap = MpHeap()
     layout = LAYOUTS[impl].reserve(heap, "q", 40)
     heap.freeze()
@@ -278,7 +276,7 @@ def test_locked_word_ops_per_steal_attempt(impl, monkeypatch):
             assert locks_taken(view.has_work) == (0, True)
         slept = []
         with monkeypatch.context() as m:
-            m.setattr(protocol.time, "sleep", slept.append)
+            m.setattr(time, "sleep", slept.append)
             won, res = locks_taken(thief.steal)
         assert res.claimed
         assert slept == []

@@ -2,19 +2,20 @@
 
 The thief's task copy is a contiguous ``read_block`` byte slice (two
 slices when the block wraps the ring end) decoded by
-:class:`~repro.threads.protocol.RecordCodec`.  The core property: for
+:class:`~repro.mp.atomics.RecordCodec`.  The core property: for
 *any* head/tail/nstolen, the bulk-copied records equal the claimed
 records read one word at a time.  Alongside it: codec round-trips, the
 seqlock read path, and the adaptive backoff curve.
 """
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mp.atomics import ShmWords, _preferred_context
+from repro.mp.atomics import Backoff, RecordCodec, ShmWords, _preferred_context
 from repro.mp.queue import _MpTaskBuffer
-from repro.threads.protocol import Backoff, RecordCodec
 
 #: Ring capacity (records) and widest record used by the wrap property.
 CAP = 32
@@ -141,10 +142,8 @@ def test_backoff_progression_and_reset():
 
 
 def test_backoff_sleep_is_capped(monkeypatch):
-    import repro.threads.protocol as protocol
-
     slept = []
-    monkeypatch.setattr(protocol.time, "sleep", slept.append)
+    monkeypatch.setattr(time, "sleep", slept.append)
     b = Backoff(spins=1, yields=1, sleep_s=1e-6, max_sleep_s=8e-6)
     for _ in range(30):
         b.wait()

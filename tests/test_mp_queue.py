@@ -1,8 +1,8 @@
 """SWS / SDC stealval queues across real OS processes.
 
 The sequential half mirrors tests/test_threads.py's TestThreadQueue —
-same protocol core, different atomic substrate — plus the multi-word
-task payloads only the mp backend needs.  The hammer half races thief
+the same queue classes, there raced by threads of one process — plus
+the multi-word task payloads only the mp backend needs.  The hammer half races thief
 *processes* against a releasing/acquiring owner and asserts exact task
 conservation, the invariant the whole reproduction hangs on.
 """
@@ -19,6 +19,7 @@ from repro.core.results import StealStatus
 from repro.core.stealval import StealValEpoch
 from repro.mp.heap import MpHeap
 from repro.mp.queue import (
+    LAYOUTS,
     SdcQueueLayout,
     SwsQueueLayout,
     hammer_mp,
@@ -113,6 +114,26 @@ class TestMpSdcQueue:
         res = thief.steal()
         assert not res.claimed
         assert res.lock_spins >= 50
+
+
+@pytest.mark.parametrize("impl", ["sws", "sdc", "ff-mult"])
+def test_building_an_owner_writes_no_shared_word(impl, heap):
+    """A PE whose owner starts after its thieves did leaves their words
+    as it found them: zero is every layout's empty, unlocked state, so
+    the constructor stores nothing.  An owner that zeroed the SDC lock
+    under a thief holding it let two parties into the critical section."""
+    layout = LAYOUTS[impl].reserve(heap, "q", 8)
+    heap.freeze()
+    thief = layout.thief(heap)
+    if impl == "sdc":
+        assert thief.lock.compare_swap(0, 99) == 0
+    else:
+        assert thief.steal().empty
+    before = bytes(heap.words._buf)
+    layout.owner(heap)
+    assert bytes(heap.words._buf) == before
+    if impl == "sdc":
+        assert thief.lock.load() == 99
 
 
 class _SpyTracker(DampingTracker):

@@ -15,8 +15,9 @@ import pytest
 
 #: ``__all__`` of every package at the commit before the export tables
 #: (``git show de922d5:src/repro/.../__init__.py``), as literals, less the
-#: names of modules deleted since (the threads shims,
-#: ``shmem/collectives`` and the Fibonacci and NQueens workloads).
+#: names of modules and objects deleted since (the threads shims and
+#: their protocol cores, ``shmem/collectives`` and the Fibonacci and
+#: NQueens workloads); ``ShimStealResult`` moved to ``repro.mp``.
 PUBLIC = {
     "repro": """
         TaskPool run_pool TaskRegistry Task TaskOutcome RunStats
@@ -71,15 +72,14 @@ PUBLIC = {
         run_point run_sweep
     """,
     "repro.threads": """
-        SwsShimCore SdcShimCore
-        FfMultShimCore ShimStealResult sws_steal_once sdc_steal_once
-        ffmult_steal_once hammer
+        hammer
     """,
     "repro.mp": """
         ShmWords WordRef WordSlice MpHeap SwsQueueLayout
         SdcQueueLayout FfMultQueueLayout MpSwsQueue MpSwsThief
-        MpSdcQueue MpSdcThief MpFfMultQueue MpFfMultThief hammer_mp
-        run_mp MpRunResult MpPeStats synthetic_expected uts_expected
+        MpSdcQueue MpSdcThief MpFfMultQueue MpFfMultThief ShimStealResult
+        hammer_mp run_mp MpRunResult MpPeStats synthetic_expected
+        uts_expected
     """,
     "repro.workloads": """
         BpcParams BpcWorkload BPC_PAPER_PARAMS BPC_PAPER_TASK_SIZE

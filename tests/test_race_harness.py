@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.threads.protocol import race
+from repro.mp.queue import race
 
 pytestmark = pytest.mark.timeout(60)
 
