@@ -102,8 +102,7 @@ experiments-check:
 	diff -u tests/data/EXPERIMENTS.quick.md $$tmp
 
 examples:
-	@for e in quickstart steal_latency damping_demo trace_timeline \
-	          lifeline_demo; do \
+	@for e in quickstart steal_latency damping_demo lifeline_demo; do \
 	    echo "== examples/$$e.py =="; \
 	    $(PYTHON) examples/$$e.py || exit 1; \
 	done

@@ -6,6 +6,7 @@ the Figure-2 communication counts, pointers to the full harness).
 Subcommands::
 
     python -m repro --protocol P [--backend fabric|threads|mp|all]
+                    [--steal-trace PATH]
     python -m repro explore [--workload W] [--impl I] [--policy P]
                             [--seeds N] [--dfs-depth D] [--out DIR]
     python -m repro replay TRACE.json [--strict] [--shrink]
@@ -17,6 +18,8 @@ Subcommands::
     python -m repro serve --arrival poisson:RATE --duration T [--slo MS]
                           [--backend fabric|mp|all] [--impl P]
                           [--npes N] [--shed-threshold K]
+                          [--steal-trace PATH]
+    python -m repro inspect PATH
 
 ``--protocol`` runs one registered steal protocol (``sws``, ``sws-v1``,
 ``sdc``, ``ff-mult``, ``localized`` — see docs/protocols.md) across the
@@ -37,6 +40,9 @@ streaming arrivals, tail-latency SLOs and shedding on the fabric and
 mp substrates (see docs/serving.md).  ``mp`` and ``serve`` take any
 registered protocol for ``--impl`` and refuse, with rc 2, a cell the
 capability table does not list (docs/protocols.md §0).
+``--steal-trace PATH`` writes the fabric run's steal trace, one span per
+steal attempt over its fabric ops (Chrome / Perfetto JSON), and
+``inspect`` is its report.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ def _demo() -> int:
     return 0
 
 
-def _run_protocol_fabric(proto, npes: int, ntasks: int) -> bool:
+def _run_protocol_fabric(proto, npes: int, ntasks: int, steal_trace) -> bool:
     from .runtime.pool import run_pool
     from .runtime.registry import TaskOutcome, TaskRegistry
     from .runtime.task import Task
@@ -70,7 +76,8 @@ def _run_protocol_fabric(proto, npes: int, ntasks: int) -> bool:
     reg = TaskRegistry()
     reg.register("leaf", lambda payload, tc: TaskOutcome(duration=5e-6))
     seeds = [Task(reg.id_of("leaf")) for _ in range(ntasks)]
-    stats = run_pool(npes, reg, seeds, impl=proto.name, oracle=True)
+    stats = run_pool(npes, reg, seeds, impl=proto.name, oracle=True,
+                     steal_trace=steal_trace)
     executed = sum(w.tasks_executed for w in stats.workers)
     steals = sum(w.tasks_stolen for w in stats.workers)
     print(
@@ -78,6 +85,28 @@ def _run_protocol_fabric(proto, npes: int, ntasks: int) -> bool:
         f"({executed - ntasks} duplicate(s)), {steals} tasks stolen, "
         f"virtual runtime {stats.runtime * 1e3:.3f} ms — oracle clean"
     )
+    _note_trace(steal_trace, stats)
+    return True
+
+
+def _note_trace(path, stats) -> None:
+    if path is not None:
+        spans = stats.total_steals + stats.total_failed_steals
+        print(f"           {spans} steal attempts traced to {path} "
+              f"(python -m repro inspect {path})")
+
+
+def _refuse_untraced(args: argparse.Namespace) -> bool:
+    """``--steal-trace`` traces the fabric cell only: a real-time backend
+    named alone is refused, and under ``all`` the others run untraced."""
+    if args.steal_trace is None or args.backend == "fabric":
+        return False
+    reason = ("--steal-trace records fabric steal attempts only (real-time "
+              "spans are ROADMAP item 2(b))")
+    if args.backend == "all":
+        print(f"note: {reason}: only the fabric cell is traced")
+        return False
+    print(f"error: {reason}", file=sys.stderr)
     return True
 
 
@@ -136,6 +165,8 @@ def _cells(args: argparse.Namespace, protocol: str, features):
 def _cmd_protocol(args: argparse.Namespace) -> int:
     """Run one registered protocol across the requested backends."""
     proto = get_protocol(args.protocol)
+    if _refuse_untraced(args):
+        return 2
     backends, refused = _cells(
         args, proto.name, lambda b: ("run",) if b == "fabric" else ("race",))
     if args.backend in refused:
@@ -154,7 +185,8 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
         if backend in refused:
             print(f"note: {refused[backend]}")
         elif backend == "fabric":
-            ok &= _run_protocol_fabric(proto, args.npes, args.ntasks)
+            ok &= _run_protocol_fabric(proto, args.npes, args.ntasks,
+                                       args.steal_trace)
         else:
             ok &= _run_protocol_race(proto, backend, args.ntasks)
     if not ok:
@@ -450,6 +482,7 @@ def _serve_fabric(args: argparse.Namespace, slo_s: float) -> tuple[int, int]:
         seed=args.seed,
         task_s=args.task_s,
         shed_threshold=args.shed_threshold,
+        steal_trace=args.steal_trace,
     )
     s = stats.serving
     pct = s.latency.percentiles()
@@ -465,6 +498,7 @@ def _serve_fabric(args: argparse.Namespace, slo_s: float) -> tuple[int, int]:
         + (f", SLO attained {s.slo_fraction:.1%}" if s.slo_ticks else "")
     )
     print(f"           checksum {s.checksum:#018x} — oracle clean")
+    _note_trace(args.steal_trace, stats)
     return s.checksum, s.shed
 
 
@@ -492,6 +526,8 @@ def _serve_mp(args: argparse.Namespace, slo_s: float) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if _refuse_untraced(args):
+        return 2
     extras = ("shedding",) * (args.shed_threshold is not None)
     backends, refused = _cells(args, args.impl, lambda b: ("serving", *extras))
     if args.backend in refused:
@@ -533,6 +569,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    from .fabric.trace import report
+
+    try:
+        print(report(args.trace), end="")
+    except (OSError, ValueError) as exc:
+        args.error(f"cannot inspect {args.trace}: "
+                   f"{getattr(exc, 'strerror', None) or exc}")
+    return 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro", description=__doc__,
@@ -548,6 +595,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="with --protocol: fabric PE count")
     parser.add_argument("--ntasks", type=int, default=300,
                         help="with --protocol: tasks per backend run")
+    parser.add_argument("--steal-trace", default=None, metavar="PATH",
+                        help="with --protocol: write the fabric run's steal "
+                             "trace (read it with inspect)")
     sub = parser.add_subparsers(dest="cmd")
 
     p_ex = sub.add_parser("explore", help="sweep event schedules under the oracle")
@@ -679,11 +729,24 @@ def main(argv: list[str] | None = None) -> int:
                       metavar="K",
                       help="fabric: shed arrivals when every queue "
                            "holds >= K tasks")
+    p_sv.add_argument("--steal-trace", default=argparse.SUPPRESS, metavar="PATH",
+                      help="fabric: write the run's steal trace (read it "
+                           "with inspect)")
     p_sv.set_defaults(fn=_cmd_serve)
+
+    p_in = sub.add_parser(
+        "inspect", help="report on a --steal-trace file: time shares, "
+                        "victim pressure, slowest steals, search time"
+    )
+    p_in.add_argument("trace", help="trace JSON written by --steal-trace")
+    p_in.set_defaults(fn=_cmd_inspect, error=p_in.error)
 
     # main() with no argv is the library entry point (and the historic
     # behaviour): run the demo, never read sys.argv.
     args = parser.parse_args(argv if argv is not None else [])
+    if args.steal_trace is not None and args.cmd != "serve" and (
+            args.cmd is not None or args.protocol is None):
+        parser.error("--steal-trace traces a --protocol run or serve")
     if args.cmd is None:
         if args.protocol is not None:
             return _cmd_protocol(args)

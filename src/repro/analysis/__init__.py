@@ -8,9 +8,6 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "run_experiment": "experiments",
     "AsciiChart": "plots",
     "chart_cells": "plots",
-    "profile_run": "profiles",
-    "render_profiles": "profiles",
-    "imbalance_report": "profiles",
     "Table": "table",
     "RowDiff": "table",
     "diff_payloads": "table",

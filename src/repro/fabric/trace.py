@@ -1,153 +1,126 @@
-"""Communication-trace analysis and ASCII timeline rendering.
+"""The steal trace: one Chrome / Perfetto JSON file per traced run.
 
-With ``ShmemCtx(..., trace_comm=True)`` the metrics layer records every
-one-sided operation (:class:`~repro.fabric.metrics.OpRecord`).  This
-module turns that trace into things a human can read:
+``TaskPool(..., steal_trace=PATH)`` (``python -m repro --protocol P
+--steal-trace PATH``, ``serve --steal-trace PATH``) builds its context
+with ``trace_comm=True``, so the fabric records every one-sided op
+(:class:`~repro.fabric.metrics.OpRecord`) and each worker every steal
+attempt and queue checkpoint.  :func:`write` is the file's one writer and
+:func:`report` (``python -m repro inspect PATH``) its one reader:
 
-* per-PE operation lanes rendered as an ASCII timeline;
-* inter-arrival and per-kind latency summaries;
-* a victim-pressure table (who got stolen from, how often).
+* a steal attempt is an ``"X"`` span on the thief's lane, named by its
+  outcome, with victim, volume and the kinds of its child ops in args —
+  for a ``stolen`` span, Fig. 2's communications plus any damping probe
+  or lock retry;
+* a fabric op is an ``"i"`` instant on its initiator's lane, which
+  Perfetto nests under the span it falls in;
+* a checkpoint's (local, stealable) occupancy is a ``"C"`` counter;
+* ``otherData`` holds the run's ``RunStats`` and the protocol's
+  ``comms_total``.
 
-Used by the examples and handy when debugging protocol interleavings.
+A PE is a lane (``pid`` = ``tid`` = rank); times are virtual
+microseconds.  Nothing here imports the simulator.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 
-from .metrics import OpRecord
+from ..runtime.stats import RunStats
 
-#: One-character glyph per operation kind for timeline lanes.
-GLYPHS = {
-    "put": "P",
-    "put_nb": "p",
-    "put_signal": "s",
-    "get": "G",
-    "amo_fetch_add": "A",
-    "amo_add_nb": "a",
-    "amo_swap": "S",
-    "amo_cas": "C",
-    "amo_fetch": "f",
-}
+#: Virtual seconds to trace microseconds.
+US = 1e6
+SLOWEST = 5
 
 
-@dataclass(frozen=True)
-class TraceSummary:
-    """Aggregate view of one communication trace."""
-
-    duration: float
-    ops_by_kind: dict[str, int]
-    ops_by_initiator: dict[int, int]
-    ops_by_target: dict[int, int]
-    bytes_total: int
-
-    @property
-    def total_ops(self) -> int:
-        """All operations in the trace."""
-        return sum(self.ops_by_kind.values())
-
-    def busiest_target(self) -> int | None:
-        """The PE that received the most one-sided traffic."""
-        if not self.ops_by_target:
-            return None
-        return max(self.ops_by_target, key=self.ops_by_target.get)
-
-
-def summarize(trace: list[OpRecord]) -> TraceSummary:
-    """Collapse a trace into counts per kind / initiator / target."""
-    by_kind: Counter = Counter()
-    by_init: Counter = Counter()
-    by_target: Counter = Counter()
-    nbytes = 0
-    t_min = t_max = 0.0
-    for i, rec in enumerate(trace):
-        by_kind[rec.kind] += 1
-        by_init[rec.initiator] += 1
-        by_target[rec.target] += 1
-        nbytes += rec.nbytes
-        if i == 0:
-            t_min = t_max = rec.time
-        else:
-            t_min = min(t_min, rec.time)
-            t_max = max(t_max, rec.time)
-    return TraceSummary(
-        duration=t_max - t_min,
-        ops_by_kind=dict(by_kind),
-        ops_by_initiator=dict(by_init),
-        ops_by_target=dict(by_target),
-        bytes_total=nbytes,
-    )
-
-
-def render_timeline(
-    trace: list[OpRecord], npes: int, width: int = 72
-) -> str:
-    """ASCII timeline: one lane per initiating PE, one glyph per op.
-
-    Time is binned linearly across ``width`` columns; when several ops of
-    one PE fall into a bin the *last* one's glyph wins (the lane shows
-    activity shape, not exact counts).
-    """
-    if not trace:
-        return "(empty trace)\n"
-    t0 = min(r.time for r in trace)
-    t1 = max(r.time for r in trace)
-    span = (t1 - t0) or 1.0
-    lanes = [[" "] * width for _ in range(npes)]
-    for rec in trace:
-        col = min(width - 1, int((rec.time - t0) / span * width))
-        lanes[rec.initiator][col] = GLYPHS.get(rec.kind, "?")
-    lines = [
-        f"pe{pe:<3}|{''.join(lane)}|" for pe, lane in enumerate(lanes)
-    ]
-    legend = " ".join(f"{g}={k}" for k, g in GLYPHS.items())
-    header = f"t0={t0:.3e}s  span={span:.3e}s"
-    return "\n".join([header] + lines + [legend]) + "\n"
-
-
-def steal_pressure(trace: list[OpRecord]) -> dict[int, int]:
-    """Claiming-operation count per target PE (who got hammered).
-
-    Counts the operations that open a steal attempt: SWS claiming
-    fetch-adds and SDC lock swaps.
-    """
-    pressure: Counter = Counter()
-    for rec in trace:
-        if rec.kind in ("amo_fetch_add", "amo_swap"):
-            pressure[rec.target] += 1
-    return dict(pressure)
-
-
-def to_chrome_trace(trace: list[OpRecord], time_unit: float = 1e-6) -> list[dict]:
-    """Convert a trace to Chrome trace-event JSON objects.
-
-    Load the result of ``json.dump`` into ``chrome://tracing`` or
-    Perfetto: one instant event per op, initiator PEs as "processes",
-    the target PE recorded in args.  ``time_unit`` scales virtual
-    seconds into the format's microsecond timestamps (default: 1 sim
-    second = 1e6 trace us, i.e. timestamps in real microseconds).
-    """
+def write(path, pool, stats: RunStats) -> None:
+    """Write the trace of ``pool``'s finished run, whose stats are ``stats``."""
+    ops = pool.ctx.metrics.trace
     events = []
-    for r in trace:
-        events.append(
-            {
-                "name": r.kind,
-                "ph": "i",                      # instant event
-                "s": "t",                       # thread scope
-                "ts": r.time / time_unit,
-                "pid": r.initiator,
-                "tid": r.initiator,
-                "args": {"target": r.target, "bytes": r.nbytes},
-            }
-        )
-    return events
+    for w in pool.workers:
+        pe = w.rank
+        events.append({"name": "process_name", "ph": "M", "pid": pe,
+                       "args": {"name": f"pe{pe}"}})
+        for victim, t0, t1, status, ntasks, first, end in w.spans:
+            events.append({
+                "name": status.value, "cat": "steal", "ph": "X", "pid": pe,
+                "tid": pe, "ts": t0 * US, "dur": t1 * US - t0 * US,
+                "args": {"victim": victim, "ntasks": ntasks, "ops": [
+                    r.kind for r in ops[first:end] if r.initiator == pe]},
+            })
+        events += [{"name": "queue", "ph": "C", "pid": pe, "ts": t * US,
+                    "args": {"local": local, "stealable": stealable}}
+                   for t, local, stealable in w.samples]
+    events += [{"name": r.kind, "cat": "op", "ph": "i", "s": "t",
+                "pid": r.initiator, "tid": r.initiator, "ts": r.time * US,
+                "args": {"target": r.target, "bytes": r.nbytes}} for r in ops]
+    other = {"protocol": pool.impl, "comms_total": pool.protocol.comms_total,
+             "stats": json.loads(stats.to_json())}
+    with open(path, "w") as fh:
+        json.dump({"traceEvents": events, "otherData": other}, fh)
 
 
-def interarrival_stats(trace: list[OpRecord], target: int) -> tuple[float, float]:
-    """(mean, max) inter-arrival time of ops hitting ``target``."""
-    times = sorted(r.time for r in trace if r.target == target)
-    if len(times) < 2:
-        return (0.0, 0.0)
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    return (sum(gaps) / len(gaps), max(gaps))
+def load(path) -> dict:
+    """The trace at ``path``; ``ValueError`` if it is not one :func:`write`
+    wrote (undecodable JSON included), ``OSError`` if it cannot be read."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    other = doc.get("otherData") if isinstance(doc, dict) else None
+    if not (isinstance(other, dict) and "stats" in other
+            and isinstance(doc.get("traceEvents"), list)):
+        raise ValueError("not a steal trace (written by --steal-trace)")
+    return doc
+
+
+def report(path) -> str:
+    """``inspect``'s fixed report on the trace at ``path``."""
+    doc = load(path)
+    other = doc["otherData"]
+    stats = RunStats.from_json(json.dumps(other["stats"]))
+    spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+    nops = sum(e["ph"] == "i" for e in doc["traceEvents"])
+    runtime = stats.runtime or 1.0
+    out = [f"{other['protocol']}: {stats.npes} PEs, virtual runtime "
+           f"{stats.runtime * 1e3:.3f} ms, {len(spans)} steal attempts, "
+           f"{nops} fabric ops",
+           "", "time shares       task   steal  search  manage    rest"]
+    for w in stats.workers:
+        shares = (w.task_time, w.steal_time, w.search_time,
+                  w.acquire_time + w.release_time,
+                  runtime - w.task_time - w.overhead_time)
+        out.append(f"  pe{w.rank:<5}" + "".join(f"{s / runtime:8.1%}"
+                                                for s in shares))
+    out.append(f"  efficiency {stats.parallel_efficiency:.1%}, "
+               f"idle {stats.idle_fraction:.1%}")
+
+    pressure: dict[int, Counter] = defaultdict(Counter)
+    for e in spans:
+        tally = pressure[e["args"]["victim"]]
+        tally["attempts"] += 1
+        if e["name"] == "stolen":
+            tally["stolen"] += 1
+            tally["tasks"] += e["args"]["ntasks"]
+    out += ["", "victim pressure   attempts  stolen   tasks"]
+    out += [f"  pe{v:<12}{t['attempts']:9d}{t['stolen']:8d}{t['tasks']:8d}"
+            for v, t in sorted(pressure.items())]
+
+    out += ["", f"{SLOWEST} slowest steal attempts"]
+    for e in sorted(spans, key=lambda e: e["dur"], reverse=True)[:SLOWEST]:
+        a = e["args"]
+        out.append(f"  pe{e['pid']} <- pe{a['victim']}: {e['dur']:.3f} us, "
+                   f"{e['name']} {a['ntasks']}, ops: {' '.join(a['ops'])}")
+
+    out += ["", "search time per failed attempt"]
+    for w in stats.workers:
+        per = w.search_time / w.steals_failed * US if w.steals_failed else 0.0
+        out.append(f"  pe{w.rank:<5}{w.steals_failed:6d} failed, "
+                   f"{per:.3f} us each")
+
+    children = Counter(len(e["args"]["ops"]) for e in spans
+                       if e["name"] == "stolen")
+    out += ["", f"stolen spans by child ops (comms_total "
+                f"{other['comms_total']}): " + ", ".join(
+                    f"{n} ops x{k}" for n, k in sorted(children.items()))]
+    if children:
+        out[-1] += f"; mode {children.most_common(1)[0][0]}"
+    return "\n".join(out) + "\n"

@@ -19,6 +19,7 @@ Example::
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from typing import TYPE_CHECKING
 
@@ -78,6 +79,7 @@ class TaskPool:
         scheduler: Scheduler | str | None = None,
         oracle: bool = False,
         topology: Topology | None = None,
+        steal_trace: str | os.PathLike | None = None,
     ) -> None:
         faulty = fault_plan is not None and fault_plan.active
         asks = {"run": True, "faults": faulty, "tree": termination == "tree",
@@ -151,7 +153,14 @@ class TaskPool:
             op_timeout=op_timeout,
             scheduler=scheduler,
             topology=topology,
+            trace_comm=steal_trace is not None,
         )
+        #: Where :meth:`run` writes the steal trace (:mod:`repro.fabric.trace`).
+        self.steal_trace = steal_trace
+        if steal_trace is not None:
+            from ..fabric.trace import write
+
+            self._write_trace = write
         self.queue_system = protocol.queue_system(self.ctx, self.queue_config)
         if termination == "ring":
             self.term_system = TerminationSystem(
@@ -280,13 +289,16 @@ class TaskPool:
             w.stats.locks_recovered = getattr(w.queue, "locks_recovered", 0)
             if isinstance(w.selector, QuarantineSelector):
                 w.stats.quarantines = w.selector.quarantines
-        return RunStats(
+        stats = RunStats(
             npes=self.npes,
             runtime=end,
             workers=[w.stats for w in self.workers],
             comm=self.ctx.metrics.snapshot(),
             faults=faults.snapshot() if faults is not None else {},
         )
+        if self.steal_trace is not None:
+            self._write_trace(self.steal_trace, self, stats)
+        return stats
 
 
 def run_pool(

@@ -92,10 +92,6 @@ class WorkerConfig:
         management checkpoints) or ``"help_first"`` (SLAW-style: break
         the batch after any spawn so fresh work is released to thieves
         as early as possible — faster dispersal, more release churn).
-    sample_queue:
-        Record a (virtual time, local count, stealable count) sample at
-        every management checkpoint into ``Worker.samples`` — occupancy
-        traces for analysis/visualization.  Off by default (memory).
     idle_wait:
         With lifelines active, a quiescent non-zero PE blocks on
         ``wait_until_any`` (inbox delivery / token / termination flag)
@@ -126,7 +122,6 @@ class WorkerConfig:
     damping: bool = True
     progress_every: int = 4
     spawn_policy: str = "work_first"
-    sample_queue: bool = False
     idle_wait: bool = False
     steal_timeout_retries: int = 2
     retry_jitter: float = 0.5
@@ -208,13 +203,24 @@ class Worker:
         self._steal_once = queue.steal if damping is None else self._probe_first_steal
         can_time_out = self._fault_mode or ctx.nic.op_timeout is not None
         self._steal = self._attempt_steal if can_time_out else self._steal_once
+        # A traced run (``ctx.metrics.trace_enabled``, the steal trace of
+        # :mod:`repro.fabric.trace`) records each attempt in one more
+        # layer; an untraced worker composes none of it.
+        self._traced = ctx.metrics.trace_enabled
+        #: Traced: per steal attempt, (victim, start, end, status, ntasks,
+        #: and the slice of ``ctx.metrics.trace`` its ops fall in).
+        self.spans: list[tuple] = []
+        #: Traced: (virtual time, local count, stealable count) at every
+        #: management checkpoint.
+        self.samples: list[tuple[float, int, int]] = []
+        if self._traced:
+            self._ops = ctx.metrics.trace
+            self._steal_untraced = self._steal
+            self._steal = self._traced_steal
         self._batches = 0
         self._backoff = config.steal_backoff
         self._pauses = _Pauses()
         self._remote_spawns: list[tuple[int, Task]] = []
-        #: (virtual time, local count, stealable count) samples, when
-        #: ``sample_queue`` is enabled.
-        self.samples: list[tuple[float, int, int]] = []
 
     @property
     def now(self) -> float:
@@ -239,6 +245,7 @@ class Worker:
         lifeline = self.lifeline
         steal = self._steal
         pauses = self._pauses
+        traced = self._traced
         multi = self.npes > 1
         # Help-first and lifelines may act in ``_manage`` after any batch.
         manage_always = cfg.spawn_policy == "help_first" or lifeline is not None
@@ -293,7 +300,7 @@ class Worker:
                 self._backoff = cfg.steal_backoff
                 yield from self._execute_batch()
                 self._batches += 1
-                if cfg.sample_queue:
+                if traced:
                     self.samples.append((self.now, queue.local_count, queue.stealable))
                 if self._batches % cfg.progress_every == 0:
                     queue.progress()
@@ -376,6 +383,15 @@ class Worker:
                 pass  # stragglers drain in background events after exit
         else:
             yield pe.quiet()
+
+    def _traced_steal(self, victim: int) -> Generator:
+        """One steal attempt of a traced run, recorded as a span."""
+        engine = self._engine
+        t0, first = engine.now, len(self._ops)
+        result = yield from self._steal_untraced(victim)
+        self.spans.append((victim, t0, engine.now, result.status,
+                           result.ntasks, first, len(self._ops)))
+        return result
 
     def _attempt_steal(self, victim: int) -> Generator:
         """One steal on a fabric whose ops can time out (a reliable one

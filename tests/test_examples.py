@@ -37,12 +37,6 @@ def test_damping_demo():
     assert "True" in out and "False" in out
 
 
-def test_trace_timeline():
-    out = run_example("trace_timeline.py")
-    assert "ops by kind" in out
-    assert "pe0" in out
-
-
 def test_uts_demo_tiny():
     out = run_example("uts_demo.py", "test_tiny")
     assert "[OK ]" in out
@@ -52,9 +46,3 @@ def test_uts_demo_tiny():
 def test_paper_scale_smallest():
     out = run_example("paper_scale.py", "--depth", "1", "--npes", "4")
     assert "8,193 tasks" in out
-
-
-def test_profile_breakdown():
-    out = run_example("profile_breakdown.py")
-    assert "per-PE time breakdown" in out
-    assert "== SWS ==" in out

@@ -1,13 +1,9 @@
-"""Tests for HierarchicalVictim, Chrome trace export, crossover finder."""
-
-import json
+"""Tests for HierarchicalVictim and the crossover finder."""
 
 import pytest
 
 from repro.analysis.series import crossover_point
-from repro.fabric.metrics import OpRecord
 from repro.fabric.topology import Topology
-from repro.fabric.trace import to_chrome_trace
 from repro.runtime.victim import HierarchicalVictim, make_selector
 
 
@@ -79,27 +75,6 @@ class TestHierarchicalVictim:
             victim="hierarchical", pes_per_node=4,
         )
         assert stats.total_tasks == 201
-
-
-class TestChromeTrace:
-    def test_event_shape(self):
-        trace = [OpRecord(1.5e-6, 2, 0, "get", 128)]
-        events = to_chrome_trace(trace)
-        assert len(events) == 1
-        e = events[0]
-        assert e["name"] == "get"
-        assert e["ph"] == "i"
-        assert e["ts"] == pytest.approx(1.5)
-        assert e["pid"] == 2
-        assert e["args"] == {"target": 0, "bytes": 128}
-
-    def test_json_serializable(self):
-        trace = [OpRecord(0.0, 0, 1, "put", 8), OpRecord(1e-6, 1, 0, "get", 8)]
-        text = json.dumps(to_chrome_trace(trace))
-        assert json.loads(text)[1]["name"] == "get"
-
-    def test_empty(self):
-        assert to_chrome_trace([]) == []
 
 
 class TestCrossover:

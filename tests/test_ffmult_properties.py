@@ -5,9 +5,8 @@ owner/thief interleavings — including stale thief tail stores landing
 after the owner republished — may duplicate a task but can never lose
 one.  Two layers:
 
-* deterministic Hypothesis-driven op sequences against the shim core
-  (the threads backend's queue: the ff-mult layout on an in-process
-  heap), with thief steals optionally split into read and (deferred,
+* deterministic Hypothesis-driven op sequences against the ff-mult
+  layout on an in-process heap (the threads backend's queue), with thief steals optionally split into read and (deferred,
   stale) store halves so duplicates occur on demand and shrink well;
 * the real-thread race, where genuine preemption produces the races.
 """

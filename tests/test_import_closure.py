@@ -106,6 +106,9 @@ POOL = ("repro.runtime.pool", "repro.workloads.bpc", "repro.workloads.uts")
 SUBSTRATES = ("repro.mp", "repro.threads", "repro.analysis")
 PACKAGES = ("repro.core", "repro.fabric", "repro.runtime", "repro.shmem",
             "repro.workloads", *SUBSTRATES)
+#: A steal trace ``--protocol sdc --backend fabric --npes 4 --ntasks 40
+#: --steal-trace`` wrote: ``inspect`` reads it without the simulator.
+TRACE = str(Path(__file__).parent / "data" / "steal_trace_sdc.json")
 
 #: entry point -> (spec, modules, lines, forbidden packages).  The counts
 #: are the ones measured at merge — the table of docs/performance.md,
@@ -141,6 +144,10 @@ ENTRY_POINTS = {
         _cli("sweep", "--scenarios", "fig5,fig6", "--no-cache", "--jobs", "2",
              "--quiet", watch_executor=True),
         30, 6475, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
+    "python -m repro inspect": (
+        _cli("inspect", TRACE), 7, 1033,
+        ("repro.core", "repro.mp", "repro.shmem", "repro.runtime.pool",
+         "repro.fabric.engine", "repro.fabric.nic")),
 }
 
 
@@ -188,9 +195,9 @@ def test_registry_imports_no_body_and_each_body_imports_alone():
         assert not (bodies - {module}) & set(report["modules"]), module
 
 
-#: Modules no entry point reaches: two waiting for the structured event
-#: spine that will absorb them.  A new module must be reached from the CLI.
-UNREACHED = ["repro.analysis.profiles", "repro.fabric.trace"]
+#: Modules no entry point reaches.  A new module must be reached from the
+#: CLI.
+UNREACHED = []
 
 
 def reached(src: Path) -> tuple[set[str], set[str]]:

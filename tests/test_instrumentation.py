@@ -1,4 +1,4 @@
-"""Tests for queue sampling, RunStats JSON, and the sweep's table file."""
+"""Tests for traced queue occupancy, RunStats JSON, and the sweep's table file."""
 
 import json
 
@@ -20,23 +20,31 @@ def fanout_registry(width, leaf_time=2e-4):
     return reg
 
 
+def pe0_occupancy(tmp_path):
+    """PE 0's (time, local, stealable) counter events in a traced run."""
+    path = tmp_path / "trace.json"
+    pool = TaskPool(2, fanout_registry(100), impl="sws", steal_trace=path,
+                    worker_config=WorkerConfig(batch_max=8))
+    pool.seed(0, [Task(0)])
+    pool.run()
+    events = json.loads(path.read_text())["traceEvents"]
+    return [(e["ts"], e["args"]["local"], e["args"]["stealable"])
+            for e in events if e["ph"] == "C" and e["pid"] == 0]
+
+
 class TestQueueSampling:
+    """Occupancy at each management checkpoint: counter events of the
+    steal trace."""
+
     def test_disabled_by_default(self):
         pool = TaskPool(2, fanout_registry(50), impl="sws")
         pool.seed(0, [Task(0)])
         pool.run()
-        assert all(not w.samples for w in pool.workers)
+        assert pool.steal_trace is None
+        assert all(not w.samples and not w.spans for w in pool.workers)
 
-    def test_samples_recorded(self):
-        pool = TaskPool(
-            2,
-            fanout_registry(100),
-            impl="sws",
-            worker_config=WorkerConfig(sample_queue=True, batch_max=8),
-        )
-        pool.seed(0, [Task(0)])
-        pool.run()
-        samples = pool.workers[0].samples
+    def test_samples_recorded(self, tmp_path):
+        samples = pe0_occupancy(tmp_path)
         assert len(samples) > 3
         times = [t for t, _, _ in samples]
         assert times == sorted(times)
@@ -44,16 +52,8 @@ class TestQueueSampling:
         for _, local, shared in samples:
             assert local >= 0 and shared >= 0
 
-    def test_samples_show_drain(self):
-        pool = TaskPool(
-            2,
-            fanout_registry(100),
-            impl="sws",
-            worker_config=WorkerConfig(sample_queue=True, batch_max=8),
-        )
-        pool.seed(0, [Task(0)])
-        pool.run()
-        locals_ = [l for _, l, _ in pool.workers[0].samples]
+    def test_samples_show_drain(self, tmp_path):
+        locals_ = [l for _, l, _ in pe0_occupancy(tmp_path)]
         assert max(locals_) > locals_[-1]  # queue drained by the end
 
 

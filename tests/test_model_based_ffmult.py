@@ -1,4 +1,4 @@
-"""Model-based stateful testing of the ff-mult shim core + exploration.
+"""Model-based stateful testing of the ff-mult layout + exploration.
 
 Two layers, per the protocol's at-least-once contract:
 

@@ -16,8 +16,9 @@ import pytest
 #: ``__all__`` of every package at the commit before the export tables
 #: (``git show de922d5:src/repro/.../__init__.py``), as literals, less the
 #: names of modules and objects deleted since (the threads shims and
-#: their protocol cores, ``shmem/collectives`` and the Fibonacci and
-#: NQueens workloads); ``ShimStealResult`` moved to ``repro.mp``.
+#: their protocol cores, ``shmem/collectives``, ``analysis/profiles`` and
+#: the Fibonacci and NQueens workloads); ``ShimStealResult`` moved to
+#: ``repro.mp``.
 PUBLIC = {
     "repro": """
         TaskPool run_pool TaskRegistry Task TaskOutcome RunStats
@@ -65,9 +66,8 @@ PUBLIC = {
     """,
     "repro.analysis": """
         EXPERIMENTS ExperimentResult run_experiment AsciiChart
-        chart_cells profile_run render_profiles imbalance_report Table
-        RowDiff diff_payloads render_diff ascii_table sparkline
-        write_csv CellSummary by_impl relative_improvement
+        chart_cells Table RowDiff diff_payloads render_diff ascii_table
+        sparkline write_csv CellSummary by_impl relative_improvement
         speedup_factor summarize_cells SweepConfig SweepPoint
         run_point run_sweep
     """,

@@ -8,7 +8,7 @@ before/after"):
 * a budget in *counts*: ``Delay`` objects built by a worker against the
   distinct pause lengths it yields, and Python calls per arrival;
 * the ``_manage`` gate — wherever the loop skips ``_manage()``, running
-  it anyway yields nothing and changes no queue, stats or sample state;
+  it anyway yields nothing and changes no queue, stats or trace state;
 * a differential against the controller it replaced (one closure per
   arrival, a ``Task``-serialized record, a dict of enqueue ticks) on a
   trace with repeated ticks under a tie-breaking scheduler;
@@ -128,6 +128,7 @@ def _state(worker):
         {k: _value(v) for k, v in vars(worker.stats).items()},
         worker._batches,
         list(worker.samples),
+        list(worker.spans),
         list(worker._remote_spawns),
     )
 
@@ -173,7 +174,7 @@ CONFIGS = {
     "work_first": ({}, {}),
     "help_first": ({"worker_config": WorkerConfig(spawn_policy="help_first")}, {}),
     "lifelines": ({}, {"lifelines": True}),
-    "sample_queue": ({"worker_config": WorkerConfig(sample_queue=True)}, {}),
+    "traced": ({}, {}),  # the test adds ``steal_trace``, a path of its own
 }
 
 
@@ -186,14 +187,17 @@ def _check_tally(config, tally, workers):
     else:
         assert tally["entered"] + tally["skipped"] == batches
         assert tally["entered"] > 0 and tally["skipped"] > tally["entered"]
-    if config == "sample_queue":
+    if config == "traced":
         assert all(len(w.samples) == w._batches for w in workers)
+        assert all(w.spans for w in workers)
 
 
 @pytest.mark.parametrize("config", sorted(CONFIGS))
 @pytest.mark.parametrize("impl", ["sws", "sdc"])
-def test_manage_is_a_no_op_wherever_the_loop_skips_it(impl, config):
+def test_manage_is_a_no_op_wherever_the_loop_skips_it(impl, config, tmp_path):
     worker_kwargs, pool_kwargs = CONFIGS[config]
+    if config == "traced":
+        pool_kwargs = {"steal_trace": tmp_path / "t.json"}
     tally = defaultdict(int)
 
     def audited(pool):
