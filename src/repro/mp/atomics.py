@@ -128,20 +128,6 @@ class ShmWords:
                                waited_s=self.stall_s)
         return lock
 
-    def store(self, index: int, value: int) -> None:
-        """Atomic write of word ``index``."""
-        off = self._check(index)
-        soff = self._seq_base + off
-        buf = self._buf
-        lock = self._lock(index)
-        try:
-            seq = _unpack_word(buf, soff)[0]
-            _WORD.pack_into(buf, soff, (seq + 1) & _U64_MASK)
-            _WORD.pack_into(buf, off, value & _U64_MASK)
-            _WORD.pack_into(buf, soff, (seq + 2) & _U64_MASK)
-        finally:
-            lock.release()
-
     def swap(self, index: int, value: int) -> int:
         """Atomic swap; returns the old value."""
         off = self._check(index)
@@ -157,6 +143,9 @@ class ShmWords:
             return old
         finally:
             lock.release()
+
+    #: An atomic write is a swap whose old value nobody reads.
+    store = swap
 
     def fetch_add(self, index: int, delta: int) -> int:
         """Atomic fetch-and-add (wraps mod 2^64); returns the old value."""
@@ -357,7 +346,7 @@ class WordSlice:
     def __getitem__(self, index: int) -> WordRef:
         if not 0 <= index < self._length:
             raise IndexError(f"index {index} out of range [0, {self._length})")
-        return WordRef(self._words, self._start + index)
+        return self._words.ref(self._start + index)
 
     def snapshot(self) -> list[int]:
         """Non-atomic-across-words read of all values."""
@@ -392,36 +381,42 @@ class WordSlice:
 class RecordCodec:
     """Fixed-width task-record codec for bulk data-plane copies.
 
-    A task record is ``words_per_task`` unsigned little-endian 64-bit
-    words.  Encoding a batch produces one ``bytes`` blob suitable for a
-    single ``write_block``; decoding the blob a ``read_block`` returned
-    recovers the records without touching the atomic word API.  Single
-    -word tasks decode to plain ints (matching what per-word ``load``
-    would have produced); wider tasks decode to tuples.
+    A task record is ``words_per_task`` whole 64-bit words.  Encoding a
+    batch produces one ``bytes`` blob suitable for a single
+    ``write_block``; decoding the blob a ``read_block`` returned recovers
+    the records without touching the atomic word API.  By default the
+    words are unsigned little-endian ints: single-word tasks decode to
+    plain ints (matching what per-word ``load`` would have produced),
+    wider tasks to tuples.  A workload may declare its own ``struct``
+    format of the same width (``fmt``), and its records are that
+    format's tuples.
     """
 
     __slots__ = ("words_per_task", "record_bytes", "_struct")
 
-    def __init__(self, words_per_task: int = 1) -> None:
+    def __init__(self, words_per_task: int = 1, fmt: str | None = None) -> None:
         if words_per_task <= 0:
             raise ValueError(
                 f"words_per_task must be positive, got {words_per_task}"
             )
         self.words_per_task = words_per_task
-        self._struct = struct.Struct(f"<{words_per_task}Q")
+        self._struct = struct.Struct(fmt or f"<{words_per_task}Q")
         self.record_bytes = self._struct.size
+        if self.record_bytes != words_per_task * WORD_BYTES:
+            raise ValueError(f"record {fmt!r} is not {words_per_task} words")
 
     def encode(self, tasks) -> bytes:
         """Pack a batch of records into one contiguous blob."""
         if self.words_per_task == 1:
             return struct.pack(f"<{len(tasks)}Q", *tasks)
-        return b"".join(self._struct.pack(*t) for t in tasks)
+        pack = self._struct.pack
+        return b"".join([pack(*t) for t in tasks])
 
     def decode(self, data: bytes) -> list:
         """Unpack a blob back into records (ints or tuples)."""
         if self.words_per_task == 1:
             return list(struct.unpack(f"<{len(data) // 8}Q", data))
-        return [t for t in self._struct.iter_unpack(data)]
+        return list(self._struct.iter_unpack(data))
 
 
 class Backoff:

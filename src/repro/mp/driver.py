@@ -12,9 +12,9 @@ Workloads:
   PE 0; every other PE starts empty, so all load balance comes from
   stealing.
 * ``uts`` — an Unbalanced Tree Search over a named SHA-1 tree
-  (:mod:`repro.workloads.uts`); tasks are 20-byte node states packed
-  into 4 shared words, children are enqueued locally and shared on
-  demand.
+  (:mod:`repro.workloads.uts`); a task is its ``(state, depth)`` node,
+  stored as one 4-word record (:data:`UTS_RECORD`), children are
+  enqueued locally and shared on demand.
 
 Termination uses two global counters (``created`` / ``completed``) with
 the monotone argument: ``completed <= created`` always, and reading
@@ -86,22 +86,23 @@ def _mix64(x: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Task codecs: workload payloads <-> tuples of 64-bit words
+# Task records
 # ----------------------------------------------------------------------
 
-#: A UTS node's 20-byte SHA-1 state as its first three task words; the
-#: fourth is the depth, with the root flag at bit 32.
-UTS_STATE = struct.Struct("<QQI")
-_DEPTH_MASK = 0xFFFFFFFF
+#: A UTS task is its node, ``(state, depth)``: the 20-byte SHA-1 state and
+#: the depth, one record of four whole words.  The root is depth 0.
+UTS_RECORD = "<20s4xI4x"
+_FP_WORDS = struct.Struct("<Q8xI").unpack
 
 
-def encode_uts(state: bytes, depth: int, is_root: bool) -> tuple[int, int, int, int]:
-    """Pack a UTS node (20-byte SHA-1 state + depth + root flag) into 4 words."""
-    return UTS_STATE.unpack(state) + (depth | (int(is_root) << 32),)
-
-
-def _fp_uts(words) -> int:
-    return _mix64(words[0] ^ words[2])
+def _fp_uts(node) -> int:
+    """A UTS node's fingerprint: :func:`_mix64` of its state's first
+    8-byte word xor its last 4-byte one, inlined."""
+    first, last = _FP_WORDS(node[0])
+    x = ((first ^ last) + 0x9E3779B97F4A7C15) & _U64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+    return x ^ (x >> 31)
 
 
 def synthetic_expected(ntasks: int) -> tuple[int, int]:
@@ -116,15 +117,16 @@ def uts_expected(params: UtsParams, max_nodes: int | None = 2_000_000) -> tuple[
     """(node count, xor-of-fingerprints) via a sequential DFS oracle."""
     count = 0
     chk = 0
-    stack: list[tuple[bytes, int, bool]] = [(params.root(), 0, True)]
+    stack: list[tuple[bytes, int]] = [(params.root(), 0)]
     while stack:
-        state, depth, is_root = stack.pop()
+        node = stack.pop()
         count += 1
         if max_nodes is not None and count > max_nodes:
             raise RuntimeError(f"tree exceeded max_nodes={max_nodes}")
-        chk ^= _fp_uts(encode_uts(state, depth, is_root))
-        for c in expand(params, state, depth, is_root):
-            stack.append((c, depth + 1, False))
+        chk ^= _fp_uts(node)
+        state, depth = node
+        stack.extend((c, depth + 1)
+                     for c in expand(params, state, depth, depth == 0))
     return count, chk
 
 
@@ -243,21 +245,19 @@ class _Regime(NamedTuple):
 
 
 def _uts_execute(params: UtsParams) -> Callable:
-    """A UTS node's task body: its words in, its children's words out.
+    """A UTS node's task body: its ``(state, depth)`` in, its children's
+    nodes out.
 
     GEO trees draw the child count through the per-depth table, exactly
     as :func:`~repro.workloads.uts.tree.num_children` does, and hash a
     child's state only when there is one; BIN trees run the reference
     :func:`~repro.workloads.uts.tree.expand`.
     """
-    pack, unpack = UTS_STATE.pack, UTS_STATE.unpack
     if params.tree_type is not TreeType.GEO:
-        def execute(payload):
-            w0, w1, w2, w3 = payload
-            depth = w3 & _DEPTH_MASK
-            child = (depth + 1,)
-            return [unpack(c) + child for c in
-                    expand(params, pack(w0, w1, w2), depth, w3 >> 32)]
+        def execute(node):
+            state, depth = node
+            return [(c, depth + 1)
+                    for c in expand(params, state, depth, depth == 0)]
 
         return execute
 
@@ -267,21 +267,18 @@ def _uts_execute(params: UtsParams) -> Callable:
     draw, index = be32.unpack_from, be32.pack
     sha1, log = hashlib.sha1, math.log
 
-    def execute(payload):
-        w0, w1, w2, w3 = payload
-        depth = w3 & _DEPTH_MASK
+    def execute(node):
+        state, depth = node
         if depth >= horizon:
             return ()
         log1mp = table[depth]
         if log1mp == 0.0:
             return ()
-        state = pack(w0, w1, w2)
         n = int(log(1.0 - (draw(state)[0] & 0x7FFFFFFF) / _TWO31) / log1mp)
         if not n:
             return ()
-        child = (depth + 1,)
-        return [unpack(sha1(state + index(i)).digest()) + child
-                for i in range(n)]
+        depth += 1
+        return [(sha1(state + index(i)).digest(), depth) for i in range(n)]
 
     return execute
 
@@ -291,8 +288,7 @@ def _bind_workload(kind, arg):
     if kind == "synthetic":
         return range(arg), (lambda payload: ()), _mix64
     if kind == "uts":
-        return ([encode_uts(arg.root(), 0, True)], _uts_execute(arg),
-                _fp_uts)
+        return [(arg.root(), 0)], _uts_execute(arg), _fp_uts
     raise ValueError(f"unknown workload {kind!r}")
 
 
@@ -310,6 +306,9 @@ def _books_balanced(heap, ctl):
 
 def _bind_plain(rank, heap, layouts, ctl, owner, thieves, wl):
     seed_tasks, execute, fingerprint = _bind_workload(*wl)
+    if wl[0] == "uts":
+        for view in (owner, *thieves.values()):
+            view.decode_as(UTS_RECORD)
     local = deque(seed_tasks if rank == 0 else ())
     return _Regime(local, execute, fingerprint, _books_balanced(heap, ctl))
 

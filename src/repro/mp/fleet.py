@@ -10,6 +10,8 @@ last of them the kernel frees the heap's anonymous mapping — is written
 once, and so is the rule that a child which dies *without*
 reporting is noticed within a poll interval and named (rank, pid,
 exitcode) instead of hanging the parent for its whole timeout.
+A child reports down a pipe of its own (one ``send``, no feeder thread),
+and the parent waits on the pipes and the exit sentinels together.
 """
 
 from __future__ import annotations
@@ -19,15 +21,15 @@ import os
 import signal
 import time
 import traceback
-from queue import Empty
+from multiprocessing.connection import wait
 
 from ..shmem.heap import SymmetricAllocator
 from .atomics import _preferred_context
 from .errors import MpStallError
 from .heap import MpHeap
 
-#: How long one blocking look at the report queue lasts between two
-#: liveness checks of the children.
+#: How long one wait on the report pipes and exit sentinels lasts
+#: between two liveness checks of the children.
 POLL_S = 0.05
 
 
@@ -36,8 +38,9 @@ _PRCTL = getattr(ctypes.CDLL(None), "prctl", None)
 _PR_SET_PDEATHSIG = 1
 
 
-def _child_main(body, rank, heap, args, outq, parent) -> None:
-    """Process entry: run ``body`` and report its result or traceback.
+def _child_main(body, rank, heap, args, report, parent) -> None:
+    """Process entry: run ``body`` and send its result or traceback down
+    the ``report`` pipe.
 
     A child dies with its parent: a supervisor killed by SIGKILL cannot
     tear its fleet down, so no PE may outlive it (nor keep its mapping).
@@ -46,9 +49,9 @@ def _child_main(body, rank, heap, args, outq, parent) -> None:
         if os.getppid() != parent:        # it died before the request
             os._exit(1)
     try:
-        outq.put(("ok", rank, body(rank, heap, *args)))
+        report.send(("ok", body(rank, heap, *args)))
     except Exception:
-        outq.put(("error", rank, traceback.format_exc()))
+        report.send(("error", traceback.format_exc()))
 
 
 class Fleet:
@@ -74,8 +77,9 @@ class Fleet:
         self.ctl = {name: alloc.word(name) for name in ctl}
         alloc.commit()
         self.regions = regions(heap) if regions is not None else None
-        self.outq = self.ctx.Queue()
         self.procs: dict[int, object] = {}
+        #: rank -> the read end of its report pipe, until it is read.
+        self._pipes: dict[int, object] = {}
         #: ``(rank, payload)`` of every child that reported success.
         self.reports: list[tuple[int, object]] = []
         self._reported: set[int] = set()
@@ -94,35 +98,43 @@ class Fleet:
                 p.terminate()
         for p in self.procs.values():
             p.join(timeout=5)
+        for conn in self._pipes.values():
+            conn.close()
         self.heap.close()
 
     def spawn(self, rank: int, body, *args) -> None:
         """Start ``body(rank, heap, *args)`` as child ``rank``."""
         if not self.procs:
             self.t0 = time.perf_counter()
+        reader, writer = self.ctx.Pipe(duplex=False)
+        self._pipes[rank] = reader
         p = self.ctx.Process(
             target=_child_main,
-            args=(body, rank, self.heap, args, self.outq, os.getpid()),
+            args=(body, rank, self.heap, args, writer, os.getpid()),
             daemon=True,
         )
         p.start()
+        writer.close()        # the child's exit is now its pipe's EOF
         self.procs[rank] = p
 
     def describe(self, rank: int) -> str:
         p = self.procs[rank]
         return f"rank {rank} (pid {p.pid}, exitcode {p.exitcode})"
 
-    def drain(self, block_s: float = 0.0) -> None:
-        """Move queued child reports into :attr:`reports`, waiting up to
-        ``block_s`` for the first; an error report raises."""
+    def drain(self) -> None:
+        """Move every report already sent into :attr:`reports`; an error
+        report raises."""
         errors = []
-        while True:
+        for rank, conn in list(self._pipes.items()):
+            if not conn.poll():
+                continue
+            del self._pipes[rank]
             try:
-                status, rank, payload = self.outq.get(
-                    block=block_s > 0, timeout=block_s or None)
-            except Empty:
-                break
-            block_s = 0.0
+                status, payload = conn.recv()
+            except EOFError:              # died without sending
+                continue
+            finally:
+                conn.close()
             self._reported.add(rank)
             if status == "ok":
                 self.reports.append((rank, payload))
@@ -140,10 +152,10 @@ class Fleet:
         """
         deadline = time.monotonic() + timeout
         while True:
-            # Liveness first, queue second: a report written before the
-            # exit we observed is already in the pipe when we drain.
+            # Liveness first, pipes second: a report sent before the exit
+            # we observed is already in its pipe when we drain.
             gone = {r for r, p in self.procs.items() if not p.is_alive()}
-            self.drain(0.0 if len(gone) == len(self.procs) else POLL_S)
+            self.drain()
             pending = [r for r in self.procs if r not in self._reported]
             lost = [r for r in pending if r in gone]
             if lost:
@@ -157,6 +169,9 @@ class Fleet:
                     f"{self.what}: no report from ranks "
                     f"{sorted(set(pending) - gone)}",
                     rank=pending[0], waited_s=timeout)
+            # Bounded, so a signal (Ctrl-C) lands within POLL_S.
+            wait([*self._pipes.values(),
+                  *(self.procs[r].sentinel for r in pending)], POLL_S)
         wall = time.perf_counter() - self.t0
         for r, p in self.procs.items():
             p.join(timeout=max(0.0, deadline - time.monotonic()))

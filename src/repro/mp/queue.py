@@ -23,11 +23,13 @@ the owner starts settles to nothing (``owner_remainder(0, k)`` is
 starts late cannot overwrite what its thieves did first.
 
 Task payloads are tuples of 64-bit words (``words_per_task``), or bare
-ints when ``words_per_task == 1``.  The *control* words go through the
-atomic seam (RMWs and stores under a stripe lock, loads as seqlock
-reads); the *task buffer* is a lock-free bulk data plane: a claimed block is exclusively owned by the claiming thief, so
-the copy is one contiguous ``read_block`` byte slice (two when the ring
-wraps), and the owner's fill is one ``write_block`` into the
+ints when ``words_per_task == 1``, unless a view is told to
+:meth:`~_MpTaskBuffer.decode_as` a workload's own record format.  The
+*control* words go through the atomic seam (RMWs and stores under a
+stripe lock, loads as seqlock reads); the *task buffer* is a lock-free
+bulk data plane: a claimed block is exclusively owned by the claiming
+thief, so the copy is one contiguous ``read_block`` byte slice (two when
+the ring wraps), and the owner's fill is one ``write_block`` into the
 not-yet-published region.
 
 What the PE driver needs to know about a protocol it asks of its
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 from ..capabilities import check
 from ..core.damping import DampingTracker, TargetMode
 from ..core.results import StealStatus
-from ..core.steal_half import schedule
+from ..core.steal_half import schedule_tuple
 from ..core.stealval import StealValEpoch, owner_remainder, thief_claim
 from ..shmem.heap import SymArray, SymWord, SymmetricAllocator
 from .atomics import Backoff, RecordCodec
@@ -120,6 +122,11 @@ class _MpTaskBuffer:
             data = buf.read_block(w0, head) + buf.read_block(0, nw - head)
         return self._codec.decode(data)
 
+    def decode_as(self, fmt: str) -> None:
+        """Carry records as ``fmt``, a ``struct`` format of
+        ``words_per_task`` whole words, instead of tuples of words."""
+        self._codec = RecordCodec(self.words_per_task, fmt)
+
     def push_all(self, tasks) -> int:
         """Append many tasks in one bulk write; returns how many fit.
 
@@ -131,15 +138,8 @@ class _MpTaskBuffer:
         fit = min(len(tasks), self.capacity - self.nfilled)
         if fit <= 0:
             return 0
-        batch = tasks[:fit]
-        wpt = self.words_per_task
-        if wpt > 1:
-            for task in batch:
-                if len(task) != wpt:
-                    raise ValueError(
-                        f"task must be {wpt} words, got {len(task)}"
-                    )
-        self._buf.write_block(self.nfilled * wpt, self._codec.encode(batch))
+        self._buf.write_block(self.nfilled * self.words_per_task,
+                              self._codec.encode(tasks[:fit]))
         self.nfilled += fit
         return fit
 
@@ -178,7 +178,9 @@ class MpSwsThief(_MpTaskBuffer):
         self._bind_buffer(heap, layout.buffer, layout.capacity,
                           layout.words_per_task)
         self.stealval = heap.ref(layout.stealval)
-        self.comp = heap.slice(layout.comp)
+        # Every completion word, bound once: ``comp[epoch * comp_slots + i]``.
+        comp = heap.slice(layout.comp)
+        self.comp = [comp[i] for i in range(len(comp))]
         self.comp_slots = layout.comp_slots
 
     def has_work(self) -> bool:
@@ -258,19 +260,24 @@ class MpSwsQueue(MpSwsThief):
     def __init__(self, heap: MpHeap, layout: SwsQueueLayout) -> None:
         super().__init__(heap, layout)
         self.nfilled = 0
-        self.max_epochs = layout.max_epochs
+        self.max_epochs = epochs = layout.max_epochs
         self.epoch = 0
-        # Owner bookkeeping: [start, start+itasks) is the live allotment.
-        # The zero stealval of a fresh heap is epoch 0's empty one.
-        self._records: list[dict] = [
-            {"epoch": 0, "start": 0, "itasks": 0, "claims": 0}
-        ]
+        # One record per epoch: the allotment [start, start + itasks) it
+        # published and, once closed, the volumes its claims owe the
+        # epoch's completion slots [0, claims).  The zero stealval of a
+        # fresh heap is epoch 0's empty record.
+        self._start = [0] * epochs
+        self._itasks = [0] * epochs
+        self._owed: list[tuple[int, ...]] = [()] * epochs
         self.cursor = 0                      # next unshared buffer index
         self.owner_kept: list = []           # tasks re-acquired by the owner
 
-    def _settle_backoff(self) -> Backoff:
-        return Backoff(sleep_s=self.POLL_S / 4, max_sleep_s=self.POLL_S,
-                       deadline_s=self.stall_s)
+    def _wait_settled(self, *epochs: int) -> None:
+        """Wait until each epoch's last record has all its completions."""
+        backoff = Backoff(sleep_s=self.POLL_S / 4, max_sleep_s=self.POLL_S,
+                          deadline_s=self.stall_s)
+        while not all(map(self._settled, epochs)):
+            backoff.wait()
 
     def _keep(self, start: int, count: int) -> None:
         if count:
@@ -305,36 +312,33 @@ class MpSwsQueue(MpSwsThief):
     def _close(self) -> tuple[int, int]:
         old = self.stealval.swap(StealValEpoch.locked_word())
         view = StealValEpoch.unpack(old)
-        rec = self._records[-1]
-        assert view.epoch == rec["epoch"] and view.itasks == rec["itasks"]
-        rec["claims"], disp, rem = owner_remainder(view.itasks, view.asteals)
-        return rec["start"] + disp, rem
+        e = self.epoch
+        assert view.epoch == e and view.itasks == self._itasks[e]
+        claims, disp, rem = owner_remainder(view.itasks, view.asteals)
+        self._owed[e] = schedule_tuple(view.itasks)[:claims]
+        return self._start[e] + disp, rem
 
     def _reopen(self, start: int, itasks: int) -> None:
-        next_epoch = (self.epoch + 1) % self.max_epochs
-        # Wait until the epoch's previous record fully completed, then
-        # prune settled records and zero the epoch's completion row.
-        backoff = self._settle_backoff()
-        while any(
-            r["epoch"] == next_epoch and not self._settled(r)
-            for r in self._records
-        ):
-            backoff.wait()
-        self._records = [r for r in self._records if not self._settled(r)]
-        base = next_epoch * self.comp_slots
-        for i in range(self.comp_slots):
-            self.comp[base + i].store(0)
-        self.epoch = next_epoch
-        self._records.append({"epoch": next_epoch, "start": start, "itasks": itasks})
-        self.stealval.store(StealValEpoch.pack(0, next_epoch, itasks, start % (1 << 19)))
+        e = (self.epoch + 1) % self.max_epochs
+        # A thief writes completion slot ``asteals`` only when its claim
+        # is non-empty, and one that meets the locked word writes nothing:
+        # only the slots [0, claims) of the epoch's last record can be
+        # non-zero.  Wait until each holds its volume, then zero just those.
+        owed = self._owed[e]
+        if owed:
+            self._wait_settled(e)
+            base = e * self.comp_slots
+            for slot in self.comp[base:base + len(owed)]:
+                slot.store(0)
+        self.epoch = e
+        self._start[e], self._itasks[e], self._owed[e] = start, itasks, ()
+        self.stealval.store(StealValEpoch.pack(0, e, itasks, start % (1 << 19)))
 
-    def _settled(self, rec: dict) -> bool:
-        claims = rec.get("claims")
-        if claims is None:
-            return False
-        vols = schedule(rec["itasks"])
-        base = rec["epoch"] * self.comp_slots
-        return all(self.comp[base + i].load() == vols[i] for i in range(claims))
+    def _settled(self, e: int) -> bool:
+        base = e * self.comp_slots
+        comp = self.comp
+        return all(comp[base + i].load_seq() == vol
+                   for i, vol in enumerate(self._owed[e]))
 
     def drain(self) -> None:
         """Wait for every claimed steal to complete, absorb the rest.
@@ -343,9 +347,7 @@ class MpSwsQueue(MpSwsThief):
         """
         rem_start, rem = self._close()
         self._keep(rem_start, rem)
-        backoff = self._settle_backoff()
-        while not all(self._settled(r) for r in self._records):
-            backoff.wait()
+        self._wait_settled(*range(self.max_epochs))
         self._keep(self.cursor, self.nfilled - self.cursor)
         self.cursor = self.nfilled
 

@@ -115,27 +115,27 @@ TRACE = str(Path(__file__).parent / "data" / "steal_trace_sdc.json")
 #: "Start-up: before/after" — and the budget is each of them plus 5 %.
 ENTRY_POINTS = {
     "import repro": (
-        {"stmt": "import repro"}, 2, 133, PACKAGES),
+        {"stmt": "import repro"}, 2, 120, PACKAGES),
     "from repro import TaskPool, ...": (
         {"stmt": "from repro import QueueConfig, Task, TaskOutcome, "
                  "TaskPool, TaskRegistry"},
-        28, 6854, SUBSTRATES + OPTIONAL),
+        29, 6780, SUBSTRATES + OPTIONAL),
     "from repro.mp import run_mp, uts_expected": (
         {"stmt": "from repro.mp import run_mp, uts_expected"},
         22, 3554, SIMULATOR + OPTIONAL + ("repro.threads",)),
     "from repro.runtime.serving import run_serve": (
         {"stmt": "from repro.runtime.serving import run_serve"},
-        32, 8161, SUBSTRATES + OPTIONAL),
+        33, 8189, SUBSTRATES + OPTIONAL),
     "python -m repro --help": (
-        _cli("--help"), 4, 442, PACKAGES[:2] + PACKAGES[3:]),
+        _cli("--help"), 4, 390, PACKAGES[:2] + PACKAGES[3:]),
     "python -m repro": (
-        _cli(), 29, 6040, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
+        _cli(), 29, 5983, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
     "python -m repro --protocol sws --backend all": (
         _cli("--protocol", "sws", "--backend", "all", "--ntasks", "100"),
-        40, 9348, ("repro.analysis",) + OPTIONAL[:2]),
+        40, 9376, ("repro.analysis",) + OPTIONAL[:2]),
     "python -m repro serve": (
         _cli("serve", "--npes", "4", "--seed", "7"),
-        33, 8494, SUBSTRATES + OPTIONAL[:2]),
+        34, 8522, SUBSTRATES + OPTIONAL[:2]),
     "python -m repro mp --workload uts": (
         _cli("mp", "--workload", "uts", "--tree", "test_tiny", "--npes", "2",
              "--verify", "--seed", "7"),
@@ -143,9 +143,9 @@ ENTRY_POINTS = {
     "python -m repro sweep --jobs 2": (
         _cli("sweep", "--scenarios", "fig5,fig6", "--no-cache", "--jobs", "2",
              "--quiet", watch_executor=True),
-        30, 6475, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
+        30, 6375, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
     "python -m repro inspect": (
-        _cli("inspect", TRACE), 7, 1033,
+        _cli("inspect", TRACE), 7, 1031,
         ("repro.core", "repro.mp", "repro.shmem", "repro.runtime.pool",
          "repro.fabric.engine", "repro.fabric.nic")),
 }

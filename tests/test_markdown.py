@@ -23,6 +23,27 @@ class TestShapeVerdict:
         assert judge("fig5", [[1, 9.0], [2, 0.0]])
         assert not judge("fig5", [[1, 0.0], [2, 0.0]])
 
+    def test_fig2_shm_holds_every_protocol_to_its_count(self):
+        rows = [["SWS", "claim", 2, 0, 0, 1, 3, 2],
+                ["SWS", "empty", 1, 0, 0, 0, 1, 1],
+                ["SWS", "damped", 0, 0, 1, 0, 1, 0],
+                ["SDC", "claim", 1, 2, 2, 1, 6, 3],
+                ["SDC", "empty", 1, 1, 2, 0, 4, 2],
+                ["ff-mult", "claim", 0, 1, 2, 1, 4, 1]]
+        assert judge("fig2-shm", rows)
+        damped_rmw = [r[:2] + [1, 0, 1, 0, 2, 1] if r[1] == "damped" else r
+                      for r in rows]
+        assert not judge("fig2-shm", damped_rmw)
+
+    def test_fig5_shm_requires_one_cost_and_the_wait_contrast(self):
+        rows = [[e, cap, slots, 2, 2, 0, 2, "yes" if e == 1 else "no"]
+                for e in (1, 2) for cap, slots in ((256, 9), (4096, 13))]
+        assert judge("fig5-shm", rows)
+        # The cost that zeroes every slot grows with the completion row.
+        per_slot = [r[:4] + [2 + 2 * r[2]] + r[5:] for r in rows]
+        assert not judge("fig5-shm", per_slot)
+        assert not judge("fig5-shm", [r[:7] + ["no"] for r in rows])
+
     def test_malformed_rows_raise(self):
         """No third verdict: rows a judge cannot read are an error (an
         ``error`` row in a sweep), never a silent pass."""
@@ -30,7 +51,7 @@ class TestShapeVerdict:
             judge("fig2", [])
 
     def test_every_experiment_has_a_claim_and_a_judge(self):
-        assert len(EXPERIMENTS) == 25
+        assert len(EXPERIMENTS) == 27
         for exp_id, exp in EXPERIMENTS.items():
             assert exp.claim and "n/a" not in exp.claim, exp_id
             assert callable(exp.judge), exp_id

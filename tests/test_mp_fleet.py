@@ -6,7 +6,8 @@ set against the sequential oracle.
 
 Part two pins three failures the fleet harness exists to prevent — a PE
 that dies without reporting, a hammer owner that raises while thieves
-run, a serving feeder posting to an inbox nobody drains.  Each must end
+run, a serving feeder posting to an inbox nobody drains — and the race
+it must not lose: a report sent as its child exits.  Each must end
 in an error that names a rank, promptly, and leave neither a child
 process nor a shared-memory segment behind.
 
@@ -27,6 +28,7 @@ from repro.mp import driver
 from repro.mp import queue as mp_queue
 from repro.mp.driver import run_mp, run_mp_serve, synthetic_expected
 from repro.mp.errors import MpStallError
+from repro.mp.fleet import Fleet
 from repro.mp.queue import hammer_mp
 from repro.runtime.arrivals import parse_arrival_spec, serving_checksum
 from repro.threads.protocol import hammer
@@ -148,6 +150,24 @@ def test_serve_feeder_gives_up_on_an_inbox_that_cannot_drain():
             run_mp_serve("fixed:200000", 2e-3, npes=2, inbox_cap=16,
                          nbatches=4, join_timeout=1.0)
     assert exc.value.rank == 0
+
+
+def _report_and_exit(rank, heap):
+    return rank
+
+
+def test_a_report_sent_as_its_child_exits_is_never_lost():
+    """Each child sends its report down its pipe and exits at once.  The
+    parent checks liveness before it reads the pipes, so a report sent
+    before an exit it observed is always found: no fleet of 200 may call
+    a clean child "died without reporting"."""
+    with nothing_left_behind():
+        for _ in range(200):
+            with Fleet("report race", mp_queue.LAYOUTS["sws"], 1, 1) as fleet:
+                for rank in range(2):
+                    fleet.spawn(rank, _report_and_exit)
+                fleet.collect(30)
+            assert sorted(fleet.reports) == [(0, 0), (1, 1)]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""The mp PE loop's owner path: the UTS word codec and the batched books.
+"""The mp PE loop's owner path: the UTS node form and the batched books.
 
 Part one holds the mp UTS task body to the reference expansion: on every
-node of whole trees, and on drawn nodes, it must yield exactly the words
-``expand`` + ``encode_uts`` yield — same states, same depths, same order.
+node of whole trees, and on drawn nodes, it must yield exactly the
+``(state, depth)`` nodes ``expand`` yields — same states, same depths,
+same order, with the root the node at depth 0 — and a node must survive
+the trip through its 4-word shared record.
 
 Part two runs forked ``_pe_loop``\\ s whose ``created`` / ``completed``
 words are wrapped by a proxy that checks the termination invariant at
@@ -21,13 +23,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mp.atomics import RecordCodec
 from repro.mp.driver import (
     LAYOUTS,
-    UTS_STATE,
+    UTS_RECORD,
     _bind_plain,
+    _fp_uts,
+    _mix64,
     _pe_loop,
     _uts_execute,
-    encode_uts,
     uts_expected,
 )
 from repro.mp.fleet import Fleet
@@ -53,28 +57,26 @@ TREES = {
 }
 
 
-def _reference(params, state, depth, is_root):
-    return [encode_uts(c, depth + 1, False)
-            for c in expand(params, state, depth, is_root)]
+def _reference(params, state, depth):
+    return [(c, depth + 1) for c in expand(params, state, depth, depth == 0)]
 
 
 # ----------------------------------------------------------------------
-# the word codec against the reference expansion
+# the node form against the reference expansion
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("tree", TREES)
 def test_execute_matches_reference_on_every_node(tree):
     params = TREES[tree]
     execute = _uts_execute(params)
-    stack = [(params.root(), 0, True)]
+    stack = [(params.root(), 0)]
     nodes = 0
     while stack:
-        state, depth, is_root = stack.pop()
+        node = stack.pop()
         nodes += 1
-        want = _reference(params, state, depth, is_root)
-        assert list(execute(encode_uts(state, depth, is_root))) == want
-        stack.extend((c, depth + 1, False)
-                     for c in expand(params, state, depth, is_root))
+        want = _reference(params, *node)
+        assert list(execute(node)) == want
+        stack.extend(want)
     if tree == "bench_shape":
         assert nodes == 34_189              # perfbench's tree, node for node
 
@@ -84,23 +86,26 @@ DEPTHS = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=300, deadline=None)
-@given(state=STATES, depth=DEPTHS, is_root=st.booleans())
-def test_word_codec_round_trips(state, depth, is_root):
-    words = encode_uts(state, depth, is_root)
-    assert len(words) == 4 and all(0 <= w < 2**64 for w in words)
-    assert UTS_STATE.pack(*words[:3]) == state
-    assert words[3] & 0xFFFFFFFF == depth
-    assert words[3] >> 32 == is_root
+@given(state=STATES, depth=DEPTHS)
+def test_node_round_trips_through_its_record(state, depth):
+    codec = RecordCodec(4, UTS_RECORD)
+    record = codec.encode([(state, depth)])
+    assert len(record) == 32 and record[:20] == state
+    assert codec.decode(record * 3) == [(state, depth)] * 3
+    # The record's words are the state's three words and the depth, so
+    # the fingerprint is the word form's: the checksum pins still hold.
+    words = RecordCodec(4).decode(record)[0]
+    assert words[3] == depth
+    assert _fp_uts((state, depth)) == _mix64(words[0] ^ words[2])
 
 
 @settings(max_examples=300, deadline=None)
 @given(tree=st.sampled_from(sorted(TREES)), state=STATES,
-       depth=st.one_of(st.integers(0, 40), DEPTHS), is_root=st.booleans())
-def test_execute_matches_reference_on_drawn_nodes(tree, state, depth,
-                                                  is_root):
+       depth=st.one_of(st.integers(0, 40), DEPTHS))
+def test_execute_matches_reference_on_drawn_nodes(tree, state, depth):
     params = TREES[tree]
-    got = _uts_execute(params)(encode_uts(state, depth, is_root))
-    assert list(got) == _reference(params, state, depth, is_root)
+    got = _uts_execute(params)((state, depth))
+    assert list(got) == _reference(params, state, depth)
 
 
 # ----------------------------------------------------------------------
