@@ -306,8 +306,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         jobs = [SweepJob.bench(name, args.scale) for name in names]
         if every:
-            # Multiprocess-substrate scenarios ride along in the report.
-            jobs += [SweepJob.mp(*mp) for mp in MP_SCENARIOS]
+            # Real-time cells ride along in the report.
+            jobs += MP_SCENARIOS
 
     if args.no_cache:
         if args.diff:
@@ -420,7 +420,6 @@ def _cmd_mp(args: argparse.Namespace) -> int:
         # The table refuses the cell before it looks at --npes.
         args.error(f"argument --{exc}" if str(exc).startswith("npes:")
                    else str(exc))
-    from .core.results import StealStatus
     from .mp.driver import run_mp
 
     result = run_mp(
@@ -433,96 +432,80 @@ def _cmd_mp(args: argparse.Namespace) -> int:
         damping=not args.no_damping,
         verify=args.verify,
     )
-    s = result.summary()
     print(
-        f"mp/{s['impl']} {s['workload']} on {s['npes']} processes: "
-        f"{s['executed']} tasks in {s['wall_s']:.3f}s wall"
+        f"mp/{result.impl} {result.workload} on {result.npes} processes: "
+        f"{result.total_tasks} tasks in {result.runtime:.3f}s wall"
     )
     print(
-        f"  created={s['created']} completed={s['completed']} "
-        f"steals={s['steals']} tasks_stolen={s['tasks_stolen']}"
+        f"  created={result.created} completed={result.completed} "
+        f"steals={result.total_steals} "
+        f"tasks_stolen={sum(w.tasks_stolen for w in result.workers)}"
     )
-    hist = result.steal_volume_histogram()
+    hist = sorted(result.steal_volume_histogram().items())
     if hist:
-        print("  steal volumes: "
-              + ", ".join(f"{v}x{n}" for v, n in hist.items()))
-    for p in result.pes:
-        stolen = p.steals.get(StealStatus.STOLEN.value, 0)
+        print("  steal volumes: " + ", ".join(f"{v}x{n}" for v, n in hist))
+    for w in result.workers:
         print(
-            f"  PE {p.rank}: executed={p.executed} steals={stolen} "
-            f"releases={p.releases} probes={p.probes} "
-            f"demotions={p.demotions}"
+            f"  PE {w.rank}: executed={w.tasks_executed} "
+            f"steals={w.steals_ok} failed={w.steals_failed} "
+            f"releases={w.releases} probes={w.probes}"
         )
     if args.verify:
+        tasks, checksum = result.expected
         if not result.conserved:
             print(
-                f"FAIL: conservation violated — executed {s['executed']} "
-                f"(expected {result.expected_executed}), checksum "
-                f"{result.checksum:#x} (expected "
-                f"{result.expected_checksum:#x})"
+                f"FAIL: conservation violated — executed "
+                f"{result.total_tasks} (expected {tasks}), checksum "
+                f"{result.checksum:#x} (expected {checksum:#x})"
             )
             return 1
         print(
-            f"verified: {result.expected_executed} tasks, zero "
+            f"verified: {tasks} tasks, zero "
             f"lost/duplicated (checksum {result.checksum:#018x})"
         )
     return 0
 
 
-def _serve_fabric(args: argparse.Namespace, slo_s: float) -> tuple[int, int]:
-    """One fabric serving run; returns (checksum, shed)."""
-    from .runtime.serving import run_serve
+#: backend -> (latency unit per microsecond, clock, what vouches for the
+#: run): femtosecond ticks of virtual time on the fabric, wall-clock
+#: nanoseconds on mp.
+_SERVE_CLOCKS = {"fabric": (1e9, "virtual", " — oracle clean"),
+                 "mp": (1e3, "wall", "")}
 
-    stats = run_serve(
-        args.npes,
-        impl=args.impl,
-        arrival=args.arrival,
-        duration_s=args.duration,
-        slo_s=slo_s,
-        seed=args.seed,
-        task_s=args.task_s,
-        shed_threshold=args.shed_threshold,
-        steal_trace=args.steal_trace,
-    )
+
+def _serve(args: argparse.Namespace, backend: str, slo_s: float):
+    """One serving run on ``backend``, printed from its record."""
+    if backend == "fabric":
+        from .runtime.serving import run_serve
+
+        stats = run_serve(
+            args.npes, impl=args.impl, arrival=args.arrival,
+            duration_s=args.duration, slo_s=slo_s, seed=args.seed,
+            task_s=args.task_s, shed_threshold=args.shed_threshold,
+            steal_trace=args.steal_trace,
+        )
+    else:
+        from .mp.driver import run_mp_serve
+
+        stats = run_mp_serve(args.arrival, args.duration, impl=args.impl,
+                             npes=args.npes, seed=args.seed, slo_s=slo_s)
+    per_us, clock, verdict = _SERVE_CLOCKS[backend]
     s = stats.serving
     pct = s.latency.percentiles()
-    to_us = 1e6 / 1e15  # virtual latency is in ticks (1 fs)
     print(
-        f"  fabric:  {args.npes} PEs, {s.emitted} arrivals -> "
+        f"  {backend + ':':8} {args.npes} PEs, {s.emitted} arrivals -> "
         f"{s.injected} injected + {s.shed} shed, {s.completed} completed"
     )
     print(
-        f"           p50={pct['p50'] * to_us:.2f}us "
-        f"p99={pct['p99'] * to_us:.2f}us "
-        f"p999={pct['p999'] * to_us:.2f}us (virtual)"
+        f"           p50={pct['p50'] / per_us:.2f}us "
+        f"p99={pct['p99'] / per_us:.2f}us "
+        f"p999={pct['p999'] / per_us:.2f}us ({clock})"
         + (f", SLO attained {s.slo_fraction:.1%}" if s.slo_ticks else "")
     )
-    print(f"           checksum {s.checksum:#018x} — oracle clean")
-    _note_trace(args.steal_trace, stats)
-    return s.checksum, s.shed
-
-
-def _serve_mp(args: argparse.Namespace, slo_s: float) -> int:
-    from .mp.driver import run_mp_serve
-
-    res = run_mp_serve(
-        args.arrival,
-        args.duration,
-        impl=args.impl,
-        npes=args.npes,
-        seed=args.seed,
-        slo_s=slo_s,
-    )
-    s = res.serving
-    pct = s.latency.percentiles()
-    print(
-        f"  mp:      {args.npes} processes, {s.emitted} arrivals, "
-        f"{s.completed} completed in {res.wall_s:.3f}s wall "
-        f"(p50={pct['p50'] / 1e3:.1f}us p99={pct['p99'] / 1e3:.1f}us)"
-        + (f", SLO {s.slo_fraction:.1%}" if s.slo_ticks else "")
-    )
-    print(f"           checksum {s.checksum:#018x}")
-    return s.checksum
+    print(f"           checksum {s.checksum:#018x}{verdict}")
+    if backend == "fabric":
+        _note_trace(args.steal_trace, stats)
+    return s
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -547,24 +530,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"serve/{args.impl}: {args.arrival} over {args.duration * 1e3:g}ms"
         + (f", SLO {args.slo:g}ms" if args.slo else "")
     )
-    checksums = {}
-    shed = 0
-    for backend in backends:
-        if backend == "fabric":
-            checksums["fabric"], shed = _serve_fabric(args, slo_s)
-        else:
-            checksums["mp"] = _serve_mp(args, slo_s)
-    if len(checksums) > 1:
-        sums = set(checksums.values())
-        if shed:
+    books = {backend: _serve(args, backend, slo_s) for backend in backends}
+    if len(books) > 1:
+        sums = {s.checksum for s in books.values()}
+        if any(s.shed for s in books.values()):
             print("(fabric shed arrivals; cross-backend checksum "
                   "comparison skipped)")
         elif len(sums) == 1:
-            print(f"all {len(checksums)} backends completed the identical "
+            print(f"all {len(books)} backends completed the identical "
                   f"task set (checksum {sums.pop():#018x})")
         else:
             print("FAIL: backends completed different task sets: "
-                  + ", ".join(f"{b}={c:#x}" for b, c in checksums.items()))
+                  + ", ".join(f"{b}={s.checksum:#x}"
+                              for b, s in books.items()))
             return 1
     return 0
 

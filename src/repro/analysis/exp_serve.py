@@ -126,3 +126,47 @@ def serving_sws(scale: str = "quick") -> ExperimentResult:
 def serving_sdc(scale: str = "quick") -> ExperimentResult:
     """The near-saturation serving row under SDC."""
     return _serving_bench("sdc", scale)
+
+
+def xbackend(scale: str = "quick") -> ExperimentResult:
+    """The same work on the simulated fabric and on real processes.
+
+    SWS and SDC each run UTS ``test_tiny`` and one seeded serving trace
+    on both backends, four PEs apiece.  Only what no interleaving and no
+    clock can move is kept: the task counts and checksums of each run,
+    beside the sequential oracle's.  The fabric's UTS run keeps no
+    checksum (``-``).
+    """
+    from ..mp.driver import run_mp_serve, uts_expected
+    from ..runtime.arrivals import parse_arrival_spec, serving_checksum
+    from ..workloads.uts.params import get_tree
+    from .sweep import run_cell
+
+    npes, spec, horizon, seed = 4, "poisson:1000000", 2e-4, 7
+    tasks, checksum = uts_expected(get_tree("test_tiny"))
+    trace = parse_arrival_spec(spec, horizon, seed)
+    served = serving_checksum(range(trace.emitted))
+    rows = []
+    for impl in ("sws", "sdc"):
+        fabric = run_cell("test_tiny", impl, npes, seed)
+        mp = run_cell("test_tiny", impl, npes, seed, "mp")
+        rows.append(["UTS test_tiny", impl.upper(), fabric.total_tasks,
+                     mp.total_tasks, tasks, "-", f"{mp.checksum:#018x}",
+                     f"{checksum:#018x}"])
+    for impl in ("sws", "sdc"):
+        fabric = run_serve(npes, impl=impl, arrival=trace,
+                           duration_s=horizon, seed=seed).serving
+        mp = run_mp_serve(trace, impl=impl, npes=npes, seed=seed).serving
+        rows.append([f"serving {spec}", impl.upper(), fabric.completed,
+                     mp.completed, trace.emitted, f"{fabric.checksum:#018x}",
+                     f"{mp.checksum:#018x}", f"{served:#018x}"])
+    return ExperimentResult(
+        title=f"One run record across backends ({npes} PEs)",
+        headers=["workload", "impl", "fabric tasks", "mp tasks",
+                 "oracle tasks", "fabric checksum", "mp checksum",
+                 "oracle checksum"],
+        rows=rows,
+        notes=[f"serving trace: {spec} over {horizon * 1e6:g} us of "
+               f"arrivals, seed {seed}; mp replays its order, and no "
+               "latency or host time is rendered"],
+    )

@@ -11,7 +11,8 @@ Bodies are grouped by what they import, so running one compiles only its
 closure: :mod:`~repro.analysis.exp_steal` (one steal on a bare
 ``ShmemCtx``), :mod:`~repro.analysis.exp_pool` (``TaskPool`` runs over the
 workloads and the process-count sweep),
-:mod:`~repro.analysis.exp_serve` (the serving frontend) and
+:mod:`~repro.analysis.exp_serve` (the serving frontends, and the
+cross-backend row) and
 :mod:`~repro.analysis.exp_shm` (the real-time queues, counted in word
 ops).  This module imports none of them; :func:`run_experiment` imports a
 row's module on first use.  ``python -m repro sweep`` (:mod:`repro.analysis.sweep`) is the
@@ -123,6 +124,12 @@ def _judge_fig5_shm(rows):
     # one owner cost at every capacity and epoch count; only 1 epoch waits
     return (len({tuple(r[3:7]) for r in rows}) == 1
             and all((r[7] == "yes") == (r[0] == 1) for r in rows))
+
+
+def _judge_xbackend(rows):
+    # one task count and one checksum per workload and protocol
+    return all(len(set(r[2:5])) == 1 and len(set(r[5:]) - {"-"}) == 1
+               for r in rows)
 
 
 def _judge_fig6(rows):
@@ -402,6 +409,12 @@ EXPERIMENTS: dict[str, Experiment] = {
         "with offered load, SWS's p99 is no worse than SDC's at 0.9x "
         "capacity, and requests are shed only past capacity.",
         _judge_serving, "exp_serve"),
+    "xbackend": Experiment(
+        "The simulated fabric and real processes run the same work: for "
+        "SWS and SDC, a UTS tree executes the oracle's node count on both "
+        "and the oracle's checksum on mp, and one arrival trace completes "
+        "with the oracle's serving checksum on both.",
+        _judge_xbackend, "exp_serve"),
     "serving_sws": Experiment(*_SERVING_BENCH, "exp_serve"),
     "serving_sdc": Experiment(*_SERVING_BENCH, "exp_serve"),
 }

@@ -2,8 +2,8 @@
 experiments are run.
 
 Every run in this simulator is deterministic and independent, so
-registered experiments, seed×impl×workload matrix cells and the
-multiprocess rows fan out across a
+registered experiments and backend×seed×impl×workload cells fan out
+across a
 :class:`~concurrent.futures.ProcessPoolExecutor`, and each finished job
 becomes one row of the experiment table (:mod:`repro.analysis.table`)
 keyed by ``(job spec, code version)`` — a job re-runs only when its
@@ -28,15 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-#: Multiprocess-substrate scenarios that ride along with ``--scenarios
-#: all``: (workload, impl, npes, size) — size is ntasks for synthetic, a
-#: named UTS tree otherwise.  Small on purpose: CI runners have 2 cores.
-MP_SCENARIOS: tuple[tuple, ...] = (
-    ("synthetic", "sws", 4, 1200),
-    ("uts", "sws", 4, "test_tiny"),
-)
-
-
 def code_version() -> str:
     """Content hash of the simulator sources (12 hex chars).
 
@@ -58,11 +49,10 @@ def code_version() -> str:
 class SweepJob:
     """One deterministic, independently executable unit of work.
 
-    ``kind`` is ``"bench"`` (regenerate one experiment scenario),
-    ``"cell"`` (one TaskPool run of a named UTS tree) or ``"mp"`` (one
-    end-to-end run on the multiprocess shared-memory substrate).  The
-    frozen spec is the job's table identity — two jobs with equal specs
-    are the same row.
+    ``kind`` is ``"bench"`` (regenerate one experiment scenario) or
+    ``"cell"`` (one run of a workload on one backend, see
+    :func:`run_cell`).  The frozen spec is the job's table identity — two
+    jobs with equal specs are the same row.
     """
 
     kind: str
@@ -75,20 +65,11 @@ class SweepJob:
         return cls("bench", exp_id, (("scale", scale),))
 
     @classmethod
-    def cell(cls, tree: str, impl: str, npes: int, seed: int) -> "SweepJob":
-        """One matrix cell: a named UTS tree under one impl/npes/seed."""
-        return cls(
-            "cell", tree, (("impl", impl), ("npes", npes), ("seed", seed))
-        )
-
-    @classmethod
-    def mp(cls, workload: str, impl: str, npes: int, size) -> "SweepJob":
-        """One multiprocess-substrate run (``size``: ntasks or tree)."""
-        return cls(
-            "mp", f"mp_{workload}_{impl}_n{npes}",
-            (("workload", workload), ("impl", impl), ("npes", npes),
-             ("size", size)),
-        )
+    def cell(cls, workload: str, impl: str, npes: int, seed: int,
+             backend: str = "fabric") -> "SweepJob":
+        """One cell: ``workload`` under one impl/npes/seed on ``backend``."""
+        return cls("cell", workload, (("impl", impl), ("npes", npes),
+                                      ("seed", seed), ("backend", backend)))
 
     def spec(self) -> dict:
         """JSON-ready canonical description."""
@@ -98,10 +79,20 @@ class SweepJob:
 
     def label(self) -> str:
         """Short human-readable name for progress lines."""
-        if self.kind in ("bench", "mp"):
-            return self.name
-        p = dict(self.params)
-        return f"{self.name}/{p.get('impl')}/n{p.get('npes')}/s{p.get('seed')}"
+        return _label(self.spec())
+
+
+def _label(spec: dict) -> str:
+    if spec["kind"] == "bench":
+        return spec["name"]
+    return (f"{spec['backend']}:{spec['name']}/{spec['impl']}"
+            f"/n{spec['npes']}/s{spec['seed']}")
+
+
+#: The real-time cells that ride along with ``--scenarios all``.  Small
+#: on purpose: CI runners have 2 cores.
+MP_SCENARIOS = (SweepJob.cell("synthetic", "sws", 4, 0, "mp"),
+                SweepJob.cell("test_tiny", "sws", 4, 0, "mp"))
 
 
 def _json_safe(value):
@@ -158,14 +149,16 @@ def _execute(spec: dict) -> dict:
         del payload["ops"]
         verdict = result.verdict
     elif spec["kind"] == "cell":
-        stats = _run_cell(spec)
+        record = run_cell(spec["name"], spec["impl"], int(spec["npes"]),
+                          int(spec["seed"]), spec["backend"])
         wall = time.perf_counter() - t0
-        payload = {
-            "summary": {k: _json_safe(v) for k, v in sorted(stats.summary().items())}
-        }
-    elif spec["kind"] == "mp":
-        payload, events, wall = _run_mp_job(spec)
-        verdict = "PASS" if payload["conserved"] else "FAIL"
+        payload = {"summary": {k: _json_safe(v) for k, v in
+                               sorted(exact_fields(record).items())}}
+        # A real-time cell fires no engine event: its count is its tasks,
+        # and its books are its verdict.
+        events = fabric_engine.events_tally() or record.total_tasks
+        if "conserved" in payload["summary"]:
+            verdict = "PASS" if record.conserved else "FAIL"
     else:
         raise ValueError(f"unknown job kind {spec['kind']!r}")
     if events is None:
@@ -190,55 +183,48 @@ def _preload(job: SweepJob) -> None:
         pass
 
 
-def _run_cell(spec: dict):
-    """One matrix cell: a named UTS tree through ``series.run_point``."""
+def run_cell(workload: str, impl: str, npes: int, seed: int,
+             backend: str = "fabric"):
+    """One run of ``workload`` on ``backend``, and its record.
+
+    On the fabric a workload is a named UTS tree, run through
+    ``series.run_point``; on mp it is ``synthetic`` or a named tree, run
+    by ``run_mp`` and verified against the sequential oracle.
+    """
+    if backend == "mp":
+        from ..mp.driver import run_mp
+
+        if workload == "synthetic":
+            return run_mp(workload, impl, npes, seed=seed, verify=True)
+        return run_mp("uts", impl, npes, tree=workload, seed=seed,
+                      verify=True)
     from ..runtime.registry import TaskRegistry
     from ..workloads.uts.params import get_tree
     from ..workloads.uts.workload import UtsWorkload
     from .series import SweepConfig, run_point
 
-    tree = get_tree(spec["name"])
+    tree = get_tree(workload)
 
     def factory():
         reg = TaskRegistry()
         wl = UtsWorkload(reg, tree)
         return reg, [wl.seed_task()]
 
-    return run_point(
-        factory, spec["impl"], int(spec["npes"]), int(spec["seed"]), SweepConfig()
-    )
+    return run_point(factory, impl, npes, seed, SweepConfig())
 
 
-def _run_mp_job(spec: dict) -> tuple[dict, int, float]:
-    """One multiprocess-substrate job → (payload, events, wall).
+def exact_fields(record) -> dict:
+    """The fields of a run record that are a pure function of its spec.
 
-    The payload keeps only fields that are a pure function of the spec
-    (task counts and conservation) so the table row stays honest; racy
-    per-run observables (steal counts, volumes) are not stored.
-    ``events`` is the completed-task count, so the report's events/sec
-    column reads as tasks/sec for mp scenarios.  ``wall`` is the run's
-    own wall (process start to all results in).
+    A simulated run is deterministic, so every summary field is.  On a
+    real-time backend the kernel's interleaving decides the steals and
+    the clock decides the times, so only the books are.
     """
-    from ..mp.driver import run_mp
-
-    workload, size = spec["workload"], spec["size"]
-    kwargs = {"verify": True}
-    if workload == "synthetic":
-        kwargs["ntasks"] = int(size)
-    else:
-        kwargs["tree"] = str(size)
-    result = run_mp(workload, spec["impl"], int(spec["npes"]), **kwargs)
-    s = result.summary()
-    payload = {
-        "workload": workload,
-        "impl": spec["impl"],
-        "npes": int(spec["npes"]),
-        "created": s["created"],
-        "completed": s["completed"],
-        "executed": s["executed"],
-        "conserved": bool(result.conserved),
-    }
-    return payload, s["completed"], result.wall_s
+    if not hasattr(record, "conserved"):
+        return record.summary()
+    return {"npes": record.npes, "tasks": record.total_tasks,
+            "created": record.created, "completed": record.completed,
+            "checksum": record.checksum, "conserved": record.conserved}
 
 
 def resolve_jobs(requested: int | None = None) -> int:
@@ -358,14 +344,11 @@ def run_jobs(
 
 
 def bench_report(outcome: SweepOutcome) -> dict:
-    """The ``--out`` dump: each bench/mp row's ``wall_s`` and ``events``
-    columns — observations of this host, not claims."""
+    """The ``--out`` dump: each row's ``wall_s`` and ``events`` columns —
+    observations of this host, not claims — and its verdict."""
     scenarios = {}
     for rec in outcome.records:
-        spec = rec["spec"]
-        if spec["kind"] not in ("bench", "mp"):
-            continue
-        entry = {
+        scenarios[_label(rec["spec"])] = {
             "status": rec["status"],
             "wall_s": round(rec["wall_s"], 4),
             "events": rec["events"],
@@ -374,12 +357,8 @@ def bench_report(outcome: SweepOutcome) -> dict:
             # denominator instead of dividing by ~0.
             "events_per_sec": round(rec["events"] / max(rec["wall_s"], 1e-4), 1),
             "cached": bool(rec.get("cached")),
+            "verdict": rec["verdict"],
         }
-        if spec["kind"] == "mp":
-            # events == completed tasks here, so events/sec reads as
-            # tasks/sec.
-            entry["conserved"] = bool(rec["payload"].get("conserved"))
-        scenarios[spec["name"]] = entry
     return {
         "schema": 1,
         "code_version": outcome.code_version,

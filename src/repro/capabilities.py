@@ -20,6 +20,29 @@ CELLS = {protocol: {b: frozenset(f.split()) for b, f in row.items()}
                   "threads": "race", "mp": "race"},
 }.items()}
 
+#: (backend, feature) -> the registered experiment row that runs that
+#: backend with that feature and judges what it does there.
+JUDGED_BY = {
+    ("fabric", "run"): "fig7",
+    ("fabric", "tree"): "ablate-termination",
+    ("fabric", "serving"): "serving",
+    ("fabric", "shedding"): "serving",
+    ("fabric", "faults"): "ablate-faults",
+    ("fabric", "damping"): "ablate-damping",
+    # The layouts on the in-process heap: the threads backend's substrate
+    # and the mp queues' own code.
+    ("threads", "race"): "fig2-shm",
+    ("mp", "race"): "fig2-shm",
+    ("mp", "damping"): "fig2-shm",
+    ("mp", "run"): "xbackend",
+    ("mp", "serving"): "xbackend",
+}
+
+#: Features no row's claim covers: the schedule explorer and the
+#: invariant oracle check runs, and the schedule and conformance suites
+#: exercise them.
+UNJUDGED = {("fabric", "scheduler"), ("fabric", "oracle")}
+
 #: Every feature some cell runs.
 FEATURES = frozenset().union(*(c for row in CELLS.values()
                                for c in row.values()))

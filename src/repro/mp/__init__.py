@@ -30,7 +30,6 @@ __getattr__, __dir__, __all__ = exports(__name__, {
     "hammer_mp": "queue",
     "run_mp": "driver",
     "MpRunResult": "driver",
-    "MpPeStats": "driver",
     "synthetic_expected": "driver",
     "uts_expected": "driver",
 })

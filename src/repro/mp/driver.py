@@ -29,10 +29,10 @@ descends from a task this PE ran since its last drain — booked, its
 completion still pending — which keeps ``completed`` strictly below
 ``created`` while such a child exists.
 
-Steal attempts are classified with the simulator's own
-:class:`repro.core.results.StealStatus`, and per-PE stats aggregate into
-:class:`MpRunResult` whose ``summary()`` feeds the sweep runner and the
-``python -m repro mp`` subcommand.
+Each PE books its run in the fabric worker's own row,
+:class:`~repro.runtime.stats.WorkerStats`, and the runners return one
+:class:`MpRunResult`: the fabric's :class:`~repro.runtime.stats.RunStats`
+with the books only a real-time run keeps.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ import random
 import struct
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..capabilities import check
 from ..core.damping import DampingTracker
-from ..core.results import StealStatus
+from ..runtime.stats import QuantileSketch, RunStats, ServingStats, WorkerStats
 from ..shmem.heap import SymmetricAllocator
 from ..workloads.uts.params import get_tree
 from ..workloads.uts.sha1_rng import _TWO31
@@ -135,91 +135,38 @@ def uts_expected(params: UtsParams, max_nodes: int | None = 2_000_000) -> tuple[
 # ----------------------------------------------------------------------
 
 @dataclass
-class MpPeStats:
-    """One PE process's accounting for a run."""
+class MpRunResult(RunStats):
+    """One run on the multiprocess substrate, in the fabric's record.
 
-    rank: int
-    executed: int = 0
+    ``runtime`` is wall seconds, from the first fork to the last report,
+    and ``workers`` holds one row per PE, by rank.  A PE fills the row's
+    task, steal, release / acquire and probe counts; the simulated times
+    and ``comm`` stay zero.  ``checksum`` is the xor of every executed
+    task's fingerprint, ``expected`` the sequential oracle's ``(tasks,
+    checksum)`` when the run was verified.
+    """
+
+    workload: str = ""
+    impl: str = ""
+    seed: int = 0
+    created: int = 0
+    completed: int = 0
     checksum: int = 0
-    steals: dict = field(default_factory=dict)      # StealStatus.value -> count
-    steal_volumes: list = field(default_factory=list)
-    probes: int = 0
-    probe_aborts: int = 0
-    demotions: int = 0
-    promotions: int = 0
-    releases: int = 0
-    acquires: int = 0
+    expected: tuple[int, int] | None = None
 
-    @property
-    def tasks_stolen(self) -> int:
-        return sum(self.steal_volumes)
-
-
-@dataclass
-class MpRunResult:
-    """Aggregate outcome of one multiprocess run."""
-
-    workload: str
-    impl: str
-    npes: int
-    seed: int
-    created: int
-    completed: int
-    wall_s: float
-    pes: list[MpPeStats] = field(default_factory=list)
-    expected_executed: int | None = None
-    expected_checksum: int | None = None
-
-    @property
-    def total_executed(self) -> int:
-        return sum(p.executed for p in self.pes)
-
-    @property
-    def checksum(self) -> int:
-        chk = 0
-        for p in self.pes:
-            chk ^= p.checksum
-        return chk
-
-    @property
-    def total_steals(self) -> int:
-        return sum(
-            p.steals.get(StealStatus.STOLEN.value, 0) for p in self.pes
-        )
+    # The names the host-time bench reads.
+    pes = property(lambda self: self.workers)
+    wall_s = property(lambda self: self.runtime)
+    total_executed = property(lambda self: self.total_tasks)
 
     @property
     def conserved(self) -> bool:
         """No task lost or run twice, as far as the books can tell: the
         counters balance, and match the sequential oracle when verified."""
-        ok = self.created == self.completed == self.total_executed
-        if self.expected_executed is not None:
-            ok = ok and self.total_executed == self.expected_executed
-        if self.expected_checksum is not None:
-            ok = ok and self.checksum == self.expected_checksum
+        ok = self.created == self.completed == self.total_tasks
+        if self.expected is not None:
+            ok = ok and (self.total_tasks, self.checksum) == self.expected
         return ok
-
-    def steal_volume_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for p in self.pes:
-            for v in p.steal_volumes:
-                hist[v] = hist.get(v, 0) + 1
-        return dict(sorted(hist.items()))
-
-    def summary(self) -> dict:
-        """Flat JSON-ready record (sweep payload / CLI output)."""
-        return {
-            "workload": self.workload,
-            "impl": self.impl,
-            "npes": self.npes,
-            "seed": self.seed,
-            "created": self.created,
-            "completed": self.completed,
-            "executed": self.total_executed,
-            "conserved": self.conserved,
-            "steals": self.total_steals,
-            "tasks_stolen": sum(p.tasks_stolen for p in self.pes),
-            "wall_s": round(self.wall_s, 4),
-        }
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +188,7 @@ class _Regime(NamedTuple):
     fingerprint: Callable    # payload -> 64-bit fingerprint
     finished: Callable       # () -> bool, asked only when starved
     inbox: Callable | None = None       # () -> tasks posted to this PE
-    extras: Callable | None = None      # () -> extra report fields
+    extras: Callable | None = None      # () -> the regime's own report
 
 
 def _uts_execute(params: UtsParams) -> Callable:
@@ -317,8 +264,6 @@ def _bind_serve(rank, heap, layouts, ctl, owner, thieves,
                 inbox_regions, slo_ns):
     """Serving regime: records are ``(seq, post_ns)``; executing one is
     sketching its post→execute latency."""
-    from ..runtime.stats import QuantileSketch
-
     sketch = QuantileSketch()
     slo_attained = [0]
 
@@ -335,14 +280,16 @@ def _bind_serve(rank, heap, layouts, ctl, owner, thieves,
         deque(), execute, lambda payload: _mix64(payload[0]),
         lambda: bool(closed.load_seq()) and balanced(),
         inbox=_serve_inbox(heap, inbox_regions[rank]).drain,
-        extras=lambda: {"serve_sketch": sketch.to_dict(),
-                        "serve_slo_attained": slo_attained[0]},
+        extras=lambda: (sketch, slo_attained[0]),
     )
 
 
 def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
-             *bind_args) -> dict:
-    """One PE: execute local tasks, share on demand, steal when starved."""
+             *bind_args) -> tuple:
+    """One PE: execute local tasks, share on demand, steal when starved.
+
+    Reports ``(stats, checksum, extras)``: its row, the xor of its
+    tasks' fingerprints, and the regime's own report (or ``None``)."""
     npes = len(layouts)
     created = heap.ref(ctl["created"])
     completed = heap.ref(ctl["completed"])
@@ -354,7 +301,7 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
     rng = random.Random((seed * 1_000_003) ^ rank)
     # Only a protocol that damps ever consults the tracker.
     tracker = DampingTracker(npes, enabled=damping)
-    stats = MpPeStats(rank=rank)
+    stats = WorkerStats(rank=rank)
     local, execute, fingerprint, finished, inbox, extras = bind(
         rank, heap, layouts, ctl, owner, thieves, *bind_args)
     pop, popleft, appendleft, extend = (
@@ -379,11 +326,13 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
         status, claimed = thieves[victim].try_steal(tracker, victim)
         if status is None:
             return False                     # probe said empty: no AMO spent
-        stats.steals[status.value] = stats.steals.get(status.value, 0) + 1
         if claimed:
-            stats.steal_volumes.append(len(claimed))
+            stats.steals_ok += 1
+            stats.tasks_stolen += len(claimed)
+            stats.note_steal_volume(len(claimed))
             extend(claimed)
             return True
+        stats.steals_failed += 1
         return False
 
     # Both books are batched: ``born`` counts the children spawned and
@@ -451,26 +400,30 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
             raise MpStallError("PE idle loop made no progress", rank=rank,
                                waited_s=MP_IDLE_STALL_S) from None
 
-    stats.executed = executed
-    stats.checksum = checksum
+    stats.tasks_executed = executed
     stats.probes = tracker.stats.probes
-    stats.probe_aborts = tracker.stats.probe_aborts
-    stats.demotions = tracker.stats.demotions
-    stats.promotions = tracker.stats.promotions
-    report = stats.__dict__
-    if extras is not None:
-        report.update(extras())
-    return report
+    return stats, checksum, extras() if extras is not None else None
 
 
 # ----------------------------------------------------------------------
 # The parent-side runners
 # ----------------------------------------------------------------------
 
-def _pe_stats(reports) -> list[MpPeStats]:
-    """Per-PE stats, by rank."""
-    return sorted((MpPeStats(**payload) for _, payload in reports),
-                  key=lambda s: s.rank)
+def _record(fleet, wall: float, **fields) -> tuple[MpRunResult, list]:
+    """The run's record from its PEs' reports, and their extras, by rank."""
+    reports = [payload for _, payload in sorted(fleet.reports,
+                                                key=lambda r: r[0])]
+    checksum = 0
+    for _, chk, _ in reports:
+        checksum ^= chk
+    heap, ctl = fleet.heap, fleet.ctl
+    result = MpRunResult(
+        npes=len(fleet.procs), runtime=wall,
+        workers=[stats for stats, _, _ in reports],
+        created=heap.ref(ctl["created"]).load(),
+        completed=heap.ref(ctl["completed"]).load(),
+        checksum=checksum, **fields)
+    return result, [extras for _, _, extras in reports]
 
 
 def run_mp(
@@ -520,19 +473,9 @@ def run_mp(
         for r in range(npes):
             fleet.spawn(r, _pe_loop, fleet.layouts, ctl, seed, damping,
                         _bind_plain, wl)
-        wall = fleet.collect(join_timeout)
-        result = MpRunResult(
-            workload=workload,
-            impl=impl,
-            npes=npes,
-            seed=seed,
-            created=heap.ref(ctl["created"]).load(),
-            completed=heap.ref(ctl["completed"]).load(),
-            wall_s=wall,
-            pes=_pe_stats(fleet.reports),
-        )
-    if expected is not None:
-        result.expected_executed, result.expected_checksum = expected
+        result, _ = _record(fleet, fleet.collect(join_timeout),
+                            workload=workload, impl=impl, seed=seed,
+                            expected=expected)
     return result
 
 
@@ -552,52 +495,6 @@ def run_mp(
 
 #: Serving records are (arrival seq, post timestamp ns) pairs.
 _SERVE_WPT = 2
-
-
-@dataclass
-class MpServeResult:
-    """Everything one mp serving run produced."""
-
-    impl: str
-    npes: int
-    seed: int
-    created: int
-    completed: int
-    wall_s: float
-    pes: list["MpPeStats"] = field(default_factory=list)
-    serving: "ServingStats | None" = None
-
-    @property
-    def checksum(self) -> int:
-        chk = 0
-        for s in self.pes:
-            chk ^= s.checksum
-        return chk
-
-    def summary(self) -> dict:
-        out = {
-            "impl": self.impl,
-            "npes": self.npes,
-            "created": self.created,
-            "completed": self.completed,
-            "wall_s": round(self.wall_s, 4),
-            "tasks_per_s": (
-                round(self.completed / self.wall_s, 1) if self.wall_s > 0 else 0.0
-            ),
-            "checksum": self.checksum,
-        }
-        if self.serving is not None:
-            pct = self.serving.latency.percentiles()
-            out.update(
-                {
-                    "injected": self.serving.injected,
-                    "p50_ns": round(pct["p50"], 1),
-                    "p99_ns": round(pct["p99"], 1),
-                    "p999_ns": round(pct["p999"], 1),
-                    "slo_fraction": round(self.serving.slo_fraction, 4),
-                }
-            )
-        return out
 
 
 def _reserve_serve_inbox(heap, rank: int, capacity: int):
@@ -639,7 +536,7 @@ def run_mp_serve(
     nbatches: int = 16,
     pace_s: float = 2e-4,
     join_timeout: float = 120.0,
-) -> MpServeResult:
+) -> MpRunResult:
     """Serve one arrival trace across ``npes`` real processes.
 
     The trace's *order* is replayed (the mp substrate has no virtual
@@ -648,10 +545,10 @@ def run_mp_serve(
     to execution, surviving steals because the stamp travels inside the
     2-word task record.  No shedding on this substrate — every emitted
     arrival is injected, so ``checksum`` must equal the fabric serving
-    checksum for the same trace length.
+    checksum for the same trace length.  The record's ``serving`` holds
+    the books, its latencies in nanoseconds.
     """
     from ..runtime.arrivals import parse_arrival_spec
-    from ..runtime.stats import QuantileSketch, ServingStats
 
     check(impl, "mp", ("serving",), npes)
     if isinstance(arrival, str):
@@ -706,21 +603,14 @@ def run_mp_serve(
             time.sleep(pace_s)
         heap.ref(ctl["closed"]).store(1)
 
-        wall = fleet.collect(max(0.0, deadline - time.monotonic()))
-        sketch = QuantileSketch()
-        slo_attained = 0
-        for _, payload in fleet.reports:
-            sketch.merge(QuantileSketch.from_dict(payload.pop("serve_sketch")))
-            slo_attained += payload.pop("serve_slo_attained")
-        result = MpServeResult(
-            impl=impl,
-            npes=npes,
-            seed=seed,
-            created=created.load(),
-            completed=heap.ref(ctl["completed"]).load(),
-            wall_s=wall,
-            pes=_pe_stats(fleet.reports),
-        )
+        result, extras = _record(
+            fleet, fleet.collect(max(0.0, deadline - time.monotonic())),
+            workload="serving", impl=impl, seed=seed)
+    sketch = QuantileSketch()
+    slo_attained = 0
+    for pe_sketch, pe_attained in extras:
+        sketch.merge(pe_sketch)
+        slo_attained += pe_attained
     result.serving = ServingStats(
         emitted=n,
         injected=injected,

@@ -289,12 +289,14 @@ class TaskPool:
             w.stats.locks_recovered = getattr(w.queue, "locks_recovered", 0)
             if isinstance(w.selector, QuarantineSelector):
                 w.stats.quarantines = w.selector.quarantines
+        source = self.term_system.arrival_source
         stats = RunStats(
             npes=self.npes,
             runtime=end,
             workers=[w.stats for w in self.workers],
             comm=self.ctx.metrics.snapshot(),
             faults=faults.snapshot() if faults is not None else {},
+            serving=source.serving_stats() if source is not None else None,
         )
         if self.steal_trace is not None:
             self._write_trace(self.steal_trace, self, stats)

@@ -44,8 +44,9 @@ class ServingController:
     """Injects one arrival trace into a running pool and keeps the books.
 
     The controller is also the pool's ``arrival_source`` (its
-    :meth:`pending` gates termination) and the completion sink (the
-    ``serve`` task function reports back through :meth:`complete`).
+    :meth:`pending` gates termination, and the pool's record takes its
+    :meth:`serving_stats`) and the completion sink (the ``serve`` task
+    function reports back through :meth:`complete`).
 
     Every arrival tick is scheduled with the one bound method
     :meth:`_fire`, which labels an arrival by the number fired before it.
@@ -269,6 +270,5 @@ def run_serve(
         from .oracle import check_serving_conservation
 
         check_serving_conservation(controller.books())
-    stats.serving = controller.serving_stats()
     return stats
 

@@ -113,7 +113,7 @@ class QuantileSketch:
         }
 
     def to_dict(self) -> dict:
-        """JSON/queue-safe form (mp workers ship sketches this way)."""
+        """JSON-safe form."""
         return {
             "gamma": self.gamma,
             "buckets": {str(k): v for k, v in self.buckets.items()},

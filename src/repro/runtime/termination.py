@@ -76,10 +76,11 @@ class TerminationSystem:
         self.ctx = ctx
         self.faults = faults
         self.token_timeout = token_timeout
-        #: Open-system arrival source (anything with ``pending() -> int``).
-        #: While it still has future injections scheduled, ``created ==
-        #: executed`` is a transient coincidence, not quiescence — the
-        #: detectors refuse to declare until the source is exhausted.
+        #: Open-system arrival source (``pending() -> int``, and the
+        #: ``serving_stats()`` the pool's record takes).  While it still
+        #: has future injections scheduled, ``created == executed`` is a
+        #: transient coincidence, not quiescence — the detectors refuse
+        #: to declare until the source is exhausted.
         self.arrival_source = None
         ctx.heap.alloc_words(REGION, WORDS)
 
@@ -143,6 +144,11 @@ class TerminationDetector(_Detector):
         self._holding = rank == 0
         self._round = 0
         self._prev: tuple[int, int] | None = None
+        # Was the arrival source drained when PE 0 launched this round?
+        # An arrival fired mid-round into a PE the token already passed
+        # is in neither count, so only a round that starts drained may
+        # declare (``pending()`` is monotone).
+        self._drained = False
         # Fault-mode state: previous round's all-quiescent bit, the last
         # time PE 0 saw token activity, and how many tokens it regrew.
         self._prev_q = False
@@ -209,6 +215,7 @@ class TerminationDetector(_Detector):
             if self._holding and idle:
                 self._round += 1
                 self._holding = False
+                self._drained = not self._arrivals_pending()
                 yield from self._forward(self._round, created, executed)
             elif self.pe.local_load(REGION, TOKEN_FLAG) == 1:
                 # A round completed: totals exclude PE 0's share only if
@@ -218,11 +225,7 @@ class TerminationDetector(_Detector):
                 e = self.pe.local_load(REGION, TOKEN_EXECUTED)
                 self.pe.local_store(REGION, TOKEN_FLAG, 0)
                 self._holding = True
-                if (
-                    c == e
-                    and self._prev == (c, e)
-                    and not self._arrivals_pending()
-                ):
+                if c == e and self._prev == (c, e) and self._drained:
                     yield from self._declare()
                     return True
                 self._prev = (c, e)
@@ -286,7 +289,7 @@ class TerminationDetector(_Detector):
                     if (
                         self._prev == (c, e)
                         and (c == e or (qbit and self._prev_q))
-                        and not self._arrivals_pending()
+                        and self._drained
                     ):
                         yield from self._declare_fault()
                         return True
@@ -302,6 +305,7 @@ class TerminationDetector(_Detector):
                 self._round += 1
                 self._holding = False
                 self._last_token = now
+                self._drained = not self._arrivals_pending()
                 yield from self._forward_fault(self._round, created, executed, quiescent)
             return False
 
@@ -405,6 +409,8 @@ class TreeTerminationDetector(_Detector):
         self._round = 1       # round currently being collected
         self._reported = 0    # highest round this PE pushed up
         self._prev: tuple[int, int] | None = None
+        # The root's gate, read when it starts a round: see the ring's.
+        self._drained = False
 
     def needs_service(self, idle: bool) -> bool:
         """Would :meth:`service` do anything now?  The polling form of
@@ -495,16 +501,13 @@ class TreeTerminationDetector(_Detector):
         if not idle:
             return False
         self._reported = self._round
-        if (
-            c_sum == e_sum
-            and self._prev == (c_sum, e_sum)
-            and not self._arrivals_pending()
-        ):
+        if c_sum == e_sum and self._prev == (c_sum, e_sum) and self._drained:
             yield from self._broadcast_down(self._round, True)
             self.pe.local_store(REGION, TERM_FLAG, 1)
             return True
         self._prev = (c_sum, e_sum)
         self._round += 1
+        self._drained = not self._arrivals_pending()
         yield from self._broadcast_down(self._round, False)
         return False
 

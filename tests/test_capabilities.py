@@ -28,7 +28,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.capabilities import CELLS, MIN_NPES, RULES, check
+from repro.capabilities import (
+    CELLS,
+    JUDGED_BY,
+    MIN_NPES,
+    RULES,
+    UNJUDGED,
+    check,
+)
 from repro.fabric.faults import FaultPlan
 from repro.runtime.pool import TaskPool
 from repro.runtime.protocols import (
@@ -416,6 +423,34 @@ def test_an_unknown_feature_is_named(feature):
     assert _refusal("sws", "mp", (feature,)) == (
         f"unknown feature {feature!r}: the table knows "
         + ", ".join(FEATURES))
+
+
+# ----------------------------------------------------------------------
+# every cell's features are judged by a row that runs its backend
+# ----------------------------------------------------------------------
+
+def _backends_run_by(row: str) -> set[str]:
+    """A word-op row runs the real-time layouts on an in-process heap: the
+    threads backend's substrate and the mp queues' own code; the
+    cross-backend row runs the fabric and mp; every other row the fabric."""
+    from repro.analysis.experiments import EXPERIMENTS
+
+    if row == "xbackend":
+        return {"fabric", "mp"}
+    return {"threads", "mp"} if EXPERIMENTS[row].module == "exp_shm" else {
+        "fabric"}
+
+
+def test_every_feature_of_every_cell_is_judged_or_named_unjudged():
+    from repro.analysis.experiments import EXPERIMENTS
+
+    cells = {(backend, feature) for row in CELLS.values()
+             for backend, features in row.items() for feature in features}
+    assert UNJUDGED == {("fabric", "scheduler"), ("fabric", "oracle")}
+    assert set(JUDGED_BY) == cells - UNJUDGED
+    for (backend, feature), row in JUDGED_BY.items():
+        assert row in EXPERIMENTS, (backend, feature, row)
+        assert backend in _backends_run_by(row), (backend, feature, row)
 
 
 # ----------------------------------------------------------------------

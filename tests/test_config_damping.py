@@ -106,3 +106,24 @@ class TestDampingTracker:
         d.note_failed_claim(1, view(asteals=9, itasks=4))
         assert d.modes.get(1, TargetMode.FULL) is TargetMode.EMPTY
         assert d.modes.get(2, TargetMode.FULL) is TargetMode.FULL
+
+    def test_counters_stay_ordered_under_any_history(self):
+        """Aborted probes never outnumber probes, and a target is promoted
+        only out of a demotion, whatever the thief observes in turn."""
+        import random
+
+        rng = random.Random(7)
+        d = DampingTracker(4, threshold=2)
+        for _ in range(5000):
+            target, event = rng.randrange(4), rng.randrange(3)
+            if event == 0:
+                d.note_failed_claim(target, view(asteals=rng.randrange(12),
+                                                 itasks=rng.randrange(8)))
+            elif event == 1:
+                d.note_probe(target, rng.random() < 0.3)
+            else:
+                d.note_success(target)
+            s = d.stats
+            assert s.probe_aborts <= s.probes
+            assert 0 <= s.promotions <= s.demotions
+        assert d.stats.promotions > 0 and d.stats.probe_aborts > 0

@@ -122,7 +122,7 @@ ENTRY_POINTS = {
         29, 6780, SUBSTRATES + OPTIONAL),
     "from repro.mp import run_mp, uts_expected": (
         {"stmt": "from repro.mp import run_mp, uts_expected"},
-        22, 3554, SIMULATOR + OPTIONAL + ("repro.threads",)),
+        24, 3971, SIMULATOR + OPTIONAL + ("repro.threads",)),
     "from repro.runtime.serving import run_serve": (
         {"stmt": "from repro.runtime.serving import run_serve"},
         33, 8189, SUBSTRATES + OPTIONAL),
@@ -139,7 +139,7 @@ ENTRY_POINTS = {
     "python -m repro mp --workload uts": (
         _cli("mp", "--workload", "uts", "--tree", "test_tiny", "--npes", "2",
              "--verify", "--seed", "7"),
-        24, 3824, SIMULATOR + OPTIONAL + ("repro.threads",)),
+        25, 4205, SIMULATOR + OPTIONAL + ("repro.threads",)),
     "python -m repro sweep --jobs 2": (
         _cli("sweep", "--scenarios", "fig5,fig6", "--no-cache", "--jobs", "2",
              "--quiet", watch_executor=True),

@@ -44,6 +44,15 @@ class TestShapeVerdict:
         assert not judge("fig5-shm", per_slot)
         assert not judge("fig5-shm", [r[:7] + ["no"] for r in rows])
 
+    def test_xbackend_requires_one_count_and_one_checksum(self):
+        rows = [["UTS test_tiny", "SWS", 85, 85, 85, "-", "0x1", "0x1"],
+                ["serving", "SDC", 7, 7, 7, "0x2", "0x2", "0x2"]]
+        assert judge("xbackend", rows)
+        lost = [rows[0], ["serving", "SDC", 7, 6, 7, "0x2", "0x2", "0x2"]]
+        assert not judge("xbackend", lost)
+        twice = [rows[0][:6] + ["0x3", "0x1"], rows[1]]
+        assert not judge("xbackend", twice)
+
     def test_malformed_rows_raise(self):
         """No third verdict: rows a judge cannot read are an error (an
         ``error`` row in a sweep), never a silent pass."""
@@ -51,7 +60,7 @@ class TestShapeVerdict:
             judge("fig2", [])
 
     def test_every_experiment_has_a_claim_and_a_judge(self):
-        assert len(EXPERIMENTS) == 27
+        assert len(EXPERIMENTS) == 28
         for exp_id, exp in EXPERIMENTS.items():
             assert exp.claim and "n/a" not in exp.claim, exp_id
             assert callable(exp.judge), exp_id

@@ -20,6 +20,7 @@ from repro.mp.driver import (
     uts_expected,
 )
 from repro.mp.fleet import Fleet
+from repro.runtime.stats import RunStats, WorkerStats
 from repro.workloads.uts import get_tree
 
 from .test_mp_owner_path import BENCH_SHAPE
@@ -63,40 +64,43 @@ def test_steal_volumes_follow_steal_half():
     exceed half the largest allotment ever published."""
     result = run_mp("synthetic", "sws", 4, ntasks=1500, verify=True)
     assert result.conserved
-    volumes = [v for p in result.pes for v in p.steal_volumes]
-    assert all(v >= 1 for v in volumes)
-    assert sum(volumes) <= 1500
-    assert max(volumes, default=0) <= 1500 // 2 + 1
+    hist = result.steal_volume_histogram()
+    assert all(v >= 1 for v in hist)
+    assert sum(v * n for v, n in hist.items()) <= 1500
+    assert max(hist, default=0) <= 1500 // 2 + 1
 
-    summary = result.summary()
-    assert summary["tasks_stolen"] == sum(volumes)
-    assert summary["steals"] == len(volumes)
+    stolen = sum(w.tasks_stolen for w in result.workers)
+    assert stolen == sum(v * n for v, n in hist.items())
+    assert result.total_steals == sum(hist.values())
 
 
 def test_damping_toggle_controls_probes():
-    """With damping off, nobody probes; with it on, counters stay sane."""
+    """With damping off, nobody probes.  (The tracker's own counters are
+    held in ``test_config_damping.py``.)"""
     quiet = run_mp("synthetic", "sws", 4, ntasks=600, damping=False,
                    verify=True)
     assert quiet.conserved
-    assert all(p.probes == 0 and p.demotions == 0 for p in quiet.pes)
+    assert all(w.probes == 0 for w in quiet.workers)
 
     damped = run_mp("synthetic", "sws", 4, ntasks=600, damping=True,
                     verify=True)
     assert damped.conserved
-    for p in damped.pes:
-        assert p.probe_aborts <= p.probes
-        assert 0 <= p.promotions <= p.demotions
 
 
-def test_summary_is_json_ready():
+def test_the_record_is_the_fabric_record():
+    """A run books itself in ``RunStats`` with one ``WorkerStats`` row per
+    PE, and its JSON round-trips as any fabric record does."""
     result = run_mp("synthetic", "sws", 4, ntasks=400, verify=True)
-    s = result.summary()
-    for key in ("workload", "impl", "npes", "created", "completed",
-                "executed", "conserved", "steals", "tasks_stolen",
-                "wall_s"):
-        assert key in s
-    assert s["conserved"] is True
-    assert s["npes"] == 4
+    assert isinstance(result, RunStats) and result.conserved
+    assert [w.rank for w in result.workers] == [0, 1, 2, 3]
+    assert all(type(w) is WorkerStats for w in result.workers)
+    assert result.npes == 4 and result.runtime == result.wall_s > 0
+    assert result.pes is result.workers
+    assert result.total_executed == result.total_tasks == 400
+    assert result.expected == synthetic_expected(400)
+    again = RunStats.from_json(result.to_json())
+    assert again.workers == result.workers
+    assert again.summary() == result.summary()
 
 
 def test_rejects_bad_arguments():
@@ -128,10 +132,11 @@ def test_owner_reads_the_shared_portion_once_per_segment(impl, monkeypatch):
     with Fleet("one queue", LAYOUTS[impl], 1, 1 << 14, 4,
                ctl=("created", "completed")) as fleet:
         fleet.heap.ref(fleet.ctl["created"]).store(1)
-        report = _pe_loop(0, fleet.heap, fleet.layouts, fleet.ctl, 7, True,
-                          _bind_plain, ("uts", BENCH_SHAPE))
-    executed = report["executed"]
-    assert (executed, report["checksum"]) == uts_expected(BENCH_SHAPE)
+        stats, checksum, _ = _pe_loop(0, fleet.heap, fleet.layouts,
+                                      fleet.ctl, 7, True, _bind_plain,
+                                      ("uts", BENCH_SHAPE))
+    executed = stats.tasks_executed
+    assert (executed, checksum) == uts_expected(BENCH_SHAPE)
     assert executed == 34_189
     assert calls[0] * 32 <= executed, calls[0]
 

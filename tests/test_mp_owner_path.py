@@ -187,8 +187,8 @@ def test_books_never_overdraw_at_a_flush(impl, npes):
         reports = [payload for _, payload in fleet.reports]
     nodes, checksum = uts_expected(params)
     assert books == (nodes, nodes)
-    assert sum(p["executed"] for p in reports) == nodes
+    assert sum(stats.tasks_executed for stats, _, _ in reports) == nodes
     chk = 0
-    for p in reports:
-        chk ^= p["checksum"]
+    for _, pe_checksum, _ in reports:
+        chk ^= pe_checksum
     assert chk == checksum

@@ -78,7 +78,7 @@ PUBLIC = {
         ShmWords WordRef WordSlice MpHeap SwsQueueLayout
         SdcQueueLayout FfMultQueueLayout MpSwsQueue MpSwsThief
         MpSdcQueue MpSdcThief MpFfMultQueue MpFfMultThief ShimStealResult
-        hammer_mp run_mp MpRunResult MpPeStats synthetic_expected
+        hammer_mp run_mp MpRunResult synthetic_expected
         uts_expected
     """,
     "repro.workloads": """

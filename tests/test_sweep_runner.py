@@ -155,6 +155,22 @@ def test_job_keys_separate_specs_and_versions(table):
             ] == [5, 2, 3, 4]
 
 
+def test_a_cell_names_its_backend_and_keeps_its_exact_fields():
+    """One cell spec on either backend; a real-time cell's row is its
+    books, and its verdict is whether they balanced."""
+    fabric = SweepJob.cell("test_tiny", "sws", 2, 0)
+    mp = SweepJob.cell("test_tiny", "sws", 2, 0, "mp")
+    assert fabric.spec()["backend"] == "fabric" and mp.spec() != fabric.spec()
+    assert mp.label() == "mp:test_tiny/sws/n2/s0"
+
+    row = run_job(mp.spec())
+    assert (row["status"], row["verdict"], row["events"]) == ("done", "PASS", 85)
+    assert row["payload"]["summary"] == {
+        "checksum": 589890851729230755, "completed": 85, "conserved": True,
+        "created": 85, "npes": 2, "tasks": 85}
+    assert run_job(fabric.spec())["payload"]["summary"]["tasks"] == 85
+
+
 # ----------------------------------------------------------------------
 # bench jobs + the --out dump
 # ----------------------------------------------------------------------

@@ -177,6 +177,17 @@ def test_a_traced_serve_run_has_one_span_per_attempt(impl, tmp_path):
     assert traced_stats.total_steals == stats.total_steals
 
 
+def test_a_traced_serve_run_carries_its_serving_books(tmp_path):
+    """The trace holds the whole record the run returns, serving books
+    included: it round-trips through ``RunStats.from_json``."""
+    path = tmp_path / "serve.json"
+    stats = run_serve(4, seed=7, slo_s=5e-5, steal_trace=path)
+    _, traced_stats, _ = load(path)
+    assert traced_stats.serving is not None
+    assert traced_stats.serving.to_dict() == stats.serving.to_dict()
+    assert traced_stats.to_json() == stats.to_json()
+
+
 # ----------------------------------------------------------------------
 # refused up front
 # ----------------------------------------------------------------------
