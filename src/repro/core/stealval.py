@@ -133,6 +133,13 @@ class StealValV1:
         )
 
     @classmethod
+    def fields(cls, word: int) -> tuple[int, int, int, int]:
+        """``unpack(word)`` as a plain tuple, with no view built."""
+        return ((word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS,
+                (word >> cls.VALID_SHIFT) & 1,
+                (word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS, word & cls.MAX_TAIL)
+
+    @classmethod
     def has_work(cls, word: int) -> bool:
         """The damped probe's decode: ``view_has_work(unpack(word))``."""
         if not (word >> cls.VALID_SHIFT) & 1:
@@ -194,6 +201,13 @@ class StealValEpoch:
             itasks=(word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS,
             tail=word & cls.MAX_TAIL,
         )
+
+    @classmethod
+    def fields(cls, word: int) -> tuple[int, int, int, int]:
+        """``unpack(word)`` as a plain tuple, with no view built."""
+        return ((word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS,
+                (word >> cls.EPOCH_SHIFT) & cls.EPOCH_LOCKED,
+                (word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS, word & cls.MAX_TAIL)
 
     @classmethod
     def has_work(cls, word: int) -> bool:

@@ -106,9 +106,6 @@ class StealvalQueue(SplitQueue):
         self.probe = partial(system.ctx.nic.amo_fetch, rank,
                              region=self.meta_region, offset=STEALVAL)
 
-    def _load_stealval(self) -> int:
-        return self._meta[STEALVAL]
-
     def _comp_offset(self, epoch: int, ordinal: int) -> int:
         return epoch * self.cfg.comp_slots + ordinal
 
@@ -177,28 +174,27 @@ class StealvalQueue(SplitQueue):
     # ------------------------------------------------------------------
     # schedule-exploration oracle hooks (repro.runtime.oracle)
     # ------------------------------------------------------------------
-    def _check_fields(self, view) -> bool:
-        """Field ranges of a decoded live stealval, for ``oracle_check``.
+    def _check_fields(self, locked: bool, itasks: int, tail: int) -> bool:
+        """Field ranges of a decoded stealval, for ``oracle_check``.
 
         Returns False when steals are disabled (the word then carries
         nothing further to check).
         """
-        if view.locked:
-            if view.itasks or view.tail:
+        if locked:
+            if itasks or tail:
                 raise self._violation(
                     "locked-fields",
-                    f"disabled stealval carries itasks={view.itasks} "
-                    f"tail={view.tail}",
+                    f"disabled stealval carries itasks={itasks} tail={tail}",
                 )
             return False
         cap = min(self.system.itask_cap, self.cfg.qsize)
-        if view.itasks > cap:
+        if itasks > cap:
             raise self._violation(
-                "itasks-range", f"advertised itasks={view.itasks} exceeds cap {cap}"
+                "itasks-range", f"advertised itasks={itasks} exceeds cap {cap}"
             )
-        if view.tail >= self.cfg.qsize:
+        if tail >= self.cfg.qsize:
             raise self._violation(
-                "tail-range", f"tail={view.tail} outside qsize={self.cfg.qsize}"
+                "tail-range", f"tail={tail} outside qsize={self.cfg.qsize}"
             )
         return True
 
@@ -221,6 +217,8 @@ class SwsQueue(StealvalQueue):
         #: Cumulative time the owner spent polling for a free epoch (the
         #: cost the completion-epoch design exists to minimize).
         self.epoch_wait_time = 0.0
+        #: Claims of each epoch's last close (settled records leave ``records``).
+        self._claimed = [0] * self.cfg.max_epochs
 
     @property
     def stealable(self) -> int:
@@ -261,6 +259,7 @@ class SwsQueue(StealvalQueue):
                 f"({view.itasks},{view.epoch}) vs ({rec.itasks},{rec.epoch})"
             )
         rec.claims, disp, rem = owner_remainder(view.itasks, view.asteals)
+        self._claimed[rec.epoch] = rec.claims
         rec.open = False
         return rec.start + disp, rem
         yield  # unreachable: makes this a generator, like the Figure-3 close
@@ -280,9 +279,9 @@ class SwsQueue(StealvalQueue):
                 break
             yield self._lock_pause
         self.epoch_wait_time += self.system.ctx.engine.now - t0
-        # Re-initialize the epoch's completion row before re-enabling steals.
+        # Only a claim writes a completion slot: zero [0, claims) (Fig. 5).
         base = self._comp_offset(next_epoch, 0)
-        for i in range(self.cfg.comp_slots):
+        for i in range(self._claimed[next_epoch]):
             self.pe.local_store(COMP_REGION, base + i, 0)
         self.epoch = next_epoch
         self.records.append(EpochRecord(next_epoch, start, itasks))
@@ -348,7 +347,7 @@ class SwsQueue(StealvalQueue):
         Includes the decoded live stealval, index positions, and one
         entry per outstanding allotment record.
         """
-        view = StealValEpoch.unpack(self._load_stealval())
+        view = StealValEpoch.unpack(self._meta[STEALVAL])
         return {
             "rank": self.rank,
             "head": self.head,
@@ -380,35 +379,37 @@ class SwsQueue(StealvalQueue):
                 expected[self._comp_offset(rec.epoch, j)] = vol
         return expected
 
-    def oracle_check(self) -> None:
+    def oracle_check(self) -> tuple[int, int] | None:
         """Per-event invariants, valid at *any* event boundary.
 
         Unlike :meth:`invariants` (end-of-run strictness), this tolerates
         the mid-management window where the stealval is locked and no
         record is open — but everything it does assert must hold after
-        every single engine event.
+        every single engine event.  Returns the live stealval's
+        ``(publications, asteals)`` key, None while it is locked.
         """
         self._check_indices(self._violation)
         if sum(r.open for r in self.records) > 1:
             raise self._violation("records", "more than one open allotment record")
-        view = StealValEpoch.unpack(self._load_stealval())
+        asteals, epoch, itasks, tail = StealValEpoch.fields(self._meta[STEALVAL])
+        locked = epoch == _EPOCH_LOCKED
         open_rec = self.records[-1] if self.records and self.records[-1].open else None
-        if view.locked and open_rec is not None:
+        if locked and open_rec is not None:
             raise self._violation(
                 "locked-open", "stealval locked while a record is open"
             )
-        if not view.locked and open_rec is None:
+        if not locked and open_rec is None:
             raise self._violation(
                 "unlocked-closed", "stealval live but no open allotment record"
             )
-        if not self._check_fields(view):
-            return
-        if (view.epoch, view.itasks, view.tail) != (
+        if not self._check_fields(locked, itasks, tail):
+            return None
+        if (epoch, itasks, tail) != (
             open_rec.epoch, open_rec.itasks, self._slot(open_rec.start)
         ):
             raise self._violation(
                 "stealval-record",
-                f"stealval ({view.epoch},{view.itasks},{view.tail}) disagrees "
+                f"stealval ({epoch},{itasks},{tail}) disagrees "
                 f"with open record ({open_rec.epoch},{open_rec.itasks},"
                 f"{self._slot(open_rec.start)})",
             )
@@ -427,6 +428,7 @@ class SwsQueue(StealvalQueue):
                     f"epoch {rec.epoch}: folded={rec.folded} claims={claims} "
                     f"schedule={len(vols)}",
                 )
+        return self.publications, asteals
 
     def invariants(self) -> None:
         """Raise :class:`ProtocolError` on inconsistent owner state."""

@@ -61,10 +61,8 @@ class SwsV1Queue(StealvalQueue):
     @property
     def stealable(self) -> int:
         """Unclaimed tasks still advertised."""
-        view = StealValV1.unpack(self._meta[STEALVAL])
-        if not view.valid:
-            return 0
-        return owner_remainder(view.itasks, view.asteals)[2]
+        asteals, valid, itasks, _ = StealValV1.fields(self._meta[STEALVAL])
+        return owner_remainder(itasks, asteals)[2] if valid else 0
 
     # ------------------------------------------------------------------
     # owner operations
@@ -147,16 +145,17 @@ class SwsV1Queue(StealvalQueue):
         """
         return dict(enumerate(schedule(self.allot_itasks)))
 
-    def oracle_check(self) -> None:
-        """Per-event invariants, valid at any event boundary."""
+    def oracle_check(self) -> tuple[int, int] | None:
+        """Per-event invariants, valid at any event boundary.  Returns the
+        valid stealval's ``(publications, asteals)`` key, else None."""
         self._check_indices(self._violation)
-        view = StealValV1.unpack(self._meta[STEALVAL])
-        if not self._check_fields(view):
-            return
-        if (view.itasks, view.tail) != (self.allot_itasks, self._slot(self.allot_start)):
+        asteals, valid, itasks, tail = StealValV1.fields(self._meta[STEALVAL])
+        if not self._check_fields(not valid, itasks, tail):
+            return None
+        if (itasks, tail) != (self.allot_itasks, self._slot(self.allot_start)):
             raise self._violation(
                 "stealval-allotment",
-                f"stealval ({view.itasks},{view.tail}) disagrees with "
+                f"stealval ({itasks},{tail}) disagrees with "
                 f"allotment ({self.allot_itasks},{self._slot(self.allot_start)})",
             )
         if self.allot_start + self.allot_itasks != self.split:
@@ -165,6 +164,7 @@ class SwsV1Queue(StealvalQueue):
                 f"allotment end {self.allot_start + self.allot_itasks} != "
                 f"split {self.split}",
             )
+        return self.publications, asteals
 
 
 class SwsV1QueueSystem(SwsQueueSystem):

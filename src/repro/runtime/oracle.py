@@ -17,7 +17,8 @@ interleaving of the paper's fused fetch-add window would produce:
   nonzero-to-different-nonzero transition the instant the second
   notification lands;
 * **attempted-steal monotonicity** — within one stealval publication the
-  asteals counter may only grow (a shrink means a lost increment);
+  asteals counter may only grow (a shrink means a lost increment), read
+  from the ``(publication, asteals)`` key a queue's ``oracle_check`` returns;
 * **task conservation** — parameterized on the protocol's declared
   semantics contract (:mod:`repro.runtime.protocols`).  Exactly-once
   protocols: tasks resident in queues never exceed ``spawned - executed``
@@ -67,6 +68,18 @@ class _Resumed:
     def __init__(self, gen, mark, rank: int) -> None:
         self._gen, self._mark, self._rank = gen, mark, rank
 
+    def send(self, value):
+        self._mark(self._rank)
+        return self._gen.send(value)
+
+    def throw(self, *args):
+        self._mark(self._rank)
+        return self._gen.throw(*args)
+
+    def close(self):
+        self._mark(self._rank)
+        return self._gen.close()
+
     def __getattr__(self, name: str):
         self._mark(self._rank)
         return getattr(self._gen, name)
@@ -100,7 +113,9 @@ class PoolOracle:
         self._comp: dict[int, list[int]] = {}  # live completion-word views
         self._written = {r: set() for r in self._worker}  # offsets to compare
         self._shadow = {r: {} for r in self._worker}  # their nonzero values
-        self._prev_sv: dict[int, tuple] = {}
+        #: Each stealval PE's last (publication, asteals) key: a re-published
+        #: allotment with identical fields never reads as an asteals reset.
+        self._prev_sv: dict[int, tuple[int, int]] = {}
         #: Pool-wide [spawned, executed, resident] and each PE's share of
         #: it, kept current from the dirty PEs' deltas.
         self.books = [0, 0, 0]
@@ -147,25 +162,37 @@ class PoolOracle:
         if self._sweep:
             dirty.update(self._worker)
         if dirty:
-            faults = self._faults
-            now = self.pool.ctx.engine.now
-            for rank in sorted(dirty):
+            faults, books = self._faults, self.books
+            if faults is not None:
+                now = self.pool.ctx.engine.now
+            for rank in sorted(dirty) if len(dirty) > 1 else dirty:
                 if faults is not None and faults.is_dead(rank, now):
                     continue  # a fail-stopped PE's memory is moot
                 w = self._worker[rank]
                 q = w.queue
-                q.oracle_check()
+                key = q.oracle_check()  # (publication, asteals) or None
                 if self._written[rank]:
                     self._check_comp_transitions(q)
-                self._check_asteals_monotone(q)
+                if key is not None:
+                    prev = self._prev_sv.get(rank, key)
+                    if prev[0] == key[0] and key[1] < prev[1]:
+                        raise OracleViolation(
+                            "asteals-monotone",
+                            f"attempted-steal counter shrank {prev[1]} -> "
+                            f"{key[1]} within publication {key[0]}",
+                            pe=rank,
+                        )
+                    self._prev_sv[rank] = key
                 if self._conserve:
                     new = (w.stats.tasks_spawned, w.stats.tasks_executed,
                            q.local_count + q.stealable)
-                    for i, was in enumerate(self._pe_books[rank]):
-                        self.books[i] += new[i] - was
+                    was = self._pe_books[rank]
+                    books[0] += new[0] - was[0]
+                    books[1] += new[1] - was[1]
+                    books[2] += new[2] - was[2]
                     self._pe_books[rank] = new
             dirty.clear()
-            if self._conserve:
+            if self._conserve and books[2] > books[0] - books[1]:
                 self._check_conservation()
         self.checks_passed += 1
 
@@ -246,39 +273,6 @@ class PoolOracle:
                 )
             shadow[off] = val
         written.clear()
-
-    def _check_asteals_monotone(self, q) -> None:
-        """asteals only grows within one stealval publication."""
-        sv = self._stealval_view(q)
-        if sv is None:
-            return
-        key, asteals = sv
-        prev = self._prev_sv.get(q.rank)
-        if prev is not None and prev[0] == key and asteals < prev[1]:
-            raise OracleViolation(
-                "asteals-monotone",
-                f"attempted-steal counter shrank {prev[1]} -> {asteals} "
-                f"within publication {key}",
-                pe=q.rank,
-            )
-        self._prev_sv[q.rank] = sv
-
-    @staticmethod
-    def _stealval_view(q) -> tuple | None:
-        """(publication key, asteals) for a stealval queue; None otherwise.
-
-        The key is the owner's monotone publication counter, so two
-        different allotments that happen to advertise identical
-        (epoch, itasks, tail) fields are never conflated — without it, an
-        asteals reset across such a re-publication would look like a lost
-        increment.
-        """
-        if q.codec is None:
-            return None
-        v = q.codec.unpack(q._load_stealval())
-        if v.locked:
-            return None
-        return q.publications, v.asteals
 
     def _check_conservation(self) -> None:
         """Resident tasks can never exceed spawned - executed."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 
 class QuantileSketch:
@@ -389,6 +389,8 @@ class RunStats:
             payload["faults"] = self.faults
         if self.serving is not None:
             payload["serving"] = self.serving.to_dict()
+        for f in fields(self)[len(fields(RunStats)):]:  # a subclass's books
+            payload[f.name] = getattr(self, f.name)
         return json.dumps(payload)
 
     @classmethod
@@ -402,7 +404,10 @@ class RunStats:
                 int(k): v for k, v in w.get("steal_volumes", {}).items()
             }
             workers.append(WorkerStats(**w))
+        own = [f.name for f in fields(cls)[len(fields(RunStats)):]]
         return cls(
+            **{k: tuple(v) if isinstance(v, list) else v  # JSON has no tuple
+               for k, v in payload.items() if k in own},
             npes=payload["npes"],
             runtime=payload["runtime"],
             workers=workers,

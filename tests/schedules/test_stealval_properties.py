@@ -7,8 +7,10 @@ allotment, asteals wraparound off the top of the word, and the locked
 epoch sentinel (any epoch encoding >= MAX_EPOCHS disables stealing).
 """
 
+from dataclasses import astuple
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.stealval import StealValEpoch, StealValV1, max_initial_tasks
@@ -93,6 +95,44 @@ def test_asteals_wraparound_falls_off_the_top(epoch, itasks, tail):
     view = StealValEpoch.unpack(bumped)
     assert view.asteals == 0  # wrapped
     assert (view.epoch, view.itasks, view.tail) == (epoch, itasks, tail)
+
+
+# The edges of the fields' widths: asteals saturated, a 19-bit itasks or
+# tail at its top, and a 20-bit tail at its top (Figure 3's; on Figure 4's
+# layout the same low 20 bits spill one bit into itasks).
+_EDGES = [(1 << 24) - 1, (1 << 19) - 1, (1 << 20) - 1]
+
+
+def _edge(bits):
+    return st.one_of(st.sampled_from(_EDGES + [0, 1]),
+                     st.integers(min_value=0, max_value=(1 << bits) - 1))
+
+
+@settings(max_examples=300)
+@given(asteals=_edge(24), flag=st.integers(0, 3), itasks=_edge(19),
+       tail=_edge(20), bumps=st.sampled_from([0, 1, 2]),
+       word=st.none() | st.integers(min_value=0, max_value=_U64))
+@example(asteals=(1 << 24) - 1, flag=0, itasks=(1 << 19) - 1,
+         tail=(1 << 19) - 1, bumps=1, word=None)
+@example(asteals=(1 << 24) - 1, flag=1, itasks=(1 << 19) - 1,
+         tail=(1 << 20) - 1, bumps=2, word=None)
+@pytest.mark.parametrize("codec", [StealValEpoch, StealValV1])
+def test_fields_is_unpack_at_the_field_edges(codec, asteals, flag, itasks,
+                                             tail, bumps, word):
+    """``codec.fields`` (the per-event oracle's shift-and-mask decode) is
+    ``unpack`` as a plain tuple, on any 64-bit word: fields laid at their
+    edges, or a drawn word, then ``bumps`` thieves' fetch-adds — past
+    asteals 2^24 - 1 the count falls off the top of the word, kept to 64
+    bits as the heap keeps it or left unmasked."""
+    flag_shift = codec.ITASK_SHIFT + codec.ITASK_BITS  # epoch / valid bit
+    if word is None:
+        word = ((asteals << codec.ASTEAL_SHIFT) | (flag << flag_shift)
+                | (itasks << codec.ITASK_SHIFT) | tail) & _U64
+    bumped = word + bumps * codec.ASTEAL_UNIT
+    for w in (word, bumped & _U64, bumped):
+        assert codec.fields(w) == astuple(codec.unpack(w))
+    if word >> codec.ASTEAL_SHIFT == codec.MAX_ASTEALS and bumps:
+        assert codec.fields(bumped & _U64)[0] == bumps - 1  # wrapped
 
 
 def test_locked_epoch_encodings_disable_stealing():

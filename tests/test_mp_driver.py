@@ -13,6 +13,7 @@ import pytest
 
 from repro.mp.driver import (
     LAYOUTS,
+    MpRunResult,
     _bind_plain,
     _pe_loop,
     run_mp,
@@ -101,6 +102,15 @@ def test_the_record_is_the_fabric_record():
     again = RunStats.from_json(result.to_json())
     assert again.workers == result.workers
     assert again.summary() == result.summary()
+
+
+def test_the_mp_books_survive_json():
+    """``MpRunResult``'s own fields ride in its JSON: read back, the
+    record is equal, and a conserved run still reads conserved."""
+    result = run_mp("synthetic", "sws", 2, ntasks=200, verify=True)
+    again = MpRunResult.from_json(result.to_json())
+    assert type(again) is MpRunResult and again == result
+    assert again.expected == synthetic_expected(200) and again.conserved
 
 
 def test_rejects_bad_arguments():

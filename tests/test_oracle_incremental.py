@@ -35,7 +35,8 @@ from repro.analysis.explore import build_pool
 from repro.core.config import QueueConfig
 from repro.core.ffmult_queue import FfMultQueue
 from repro.core.sdc_queue import SdcQueue
-from repro.core.sws_queue import SwsQueue
+from repro.core.sws_queue import STEALVAL, SwsQueue
+from repro.core.sws_v1_queue import SwsV1Queue
 from repro.fabric.errors import (
     DeadlockError,
     OracleViolation,
@@ -89,7 +90,7 @@ class RescanOracle:
                 continue
             q.oracle_check()
             self.comp_transitions(q)
-            sv = PoolOracle._stealval_view(q)
+            sv = self.stealval_key(q)
             if sv is not None:
                 prev = self.prev_sv[q.rank]
                 if prev is not None and prev[0] == sv[0] and sv[1] < prev[1]:
@@ -108,6 +109,15 @@ class RescanOracle:
                     f"(spawned={spawned}, executed={executed}): work was "
                     f"duplicated")
         self.checks_passed += 1
+
+    @staticmethod
+    def stealval_key(q) -> tuple[int, int] | None:
+        """``(publication, asteals)`` of a live stealval, decoded here
+        through the codec's view rather than the hook's return value."""
+        if q.codec is None:
+            return None
+        view = q.codec.unpack(q._meta[STEALVAL])
+        return None if view.locked else (q.publications, view.asteals)
 
     def comp_transitions(self, q) -> None:
         region = q.oracle_comp_region
@@ -201,7 +211,7 @@ class Differential:
     def _noting(self, rank, oracle_check):
         def noted():
             self.checked.add(rank)
-            oracle_check()
+            return oracle_check()
         return noted
 
     def step(self) -> None:
@@ -340,6 +350,31 @@ def test_doubled_completion_same_first_violation(monkeypatch, cls, impl):
         d = Differential(pool).run(pool.run)
         assert d.first["real"] is not None
         assert d.first["real"][1] == "double-claim"
+
+
+def _lowers_asteals(original):
+    """An owner step that first takes one back from a live stealval's
+    attempted-steal counter, in the same publication: a lost increment."""
+    def progress(self):
+        word = self._meta[STEALVAL]
+        view = self.codec.unpack(word)
+        if not view.locked and view.asteals:
+            self.pe.local_store(
+                self.meta_region, STEALVAL, word - self.codec.ASTEAL_UNIT)
+        return original(self)
+    return progress
+
+
+@pytest.mark.parametrize("cls,impl", [(SwsQueue, "sws"), (SwsV1Queue, "sws-v1")])
+def test_lowered_asteals_same_first_violation(monkeypatch, cls, impl):
+    """The rule reads the key the queue's hook returns; the reference
+    decodes the word itself.  Both must see the shrink at its event."""
+    monkeypatch.setattr(cls, "progress", _lowers_asteals(cls.progress))
+    for policy, seed in [("fixed", 0), ("random", 1), ("pct", 2)]:
+        pool = explore_pool("flat", impl, policy, seed)
+        d = Differential(pool).run(pool.run)
+        assert d.first["real"] is not None
+        assert d.first["real"][1] == "asteals-monotone"
 
 
 def test_first_check_covers_words_older_than_the_journal():

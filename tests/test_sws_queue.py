@@ -419,6 +419,36 @@ class TestEpochMachinery:
         assert victim.epoch_wait_time == 0.0
         victim.invariants()
 
+    @pytest.mark.parametrize("comp_slots", [24, 48])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_cycle_zeroes_only_the_claimed_slots(self, k, comp_slots):
+        """Fig. 5 on the owner: a release + acquire cycle after k settled
+        claims stores k completion words, whatever ``comp_slots`` is
+        (zeroing the whole row stored ``comp_slots`` per reopen)."""
+        ctx, sys_ = make_system("sws", npes=2, comp_slots=comp_slots)
+        victim, thief = sys_.handle(0), sys_.handle(1)
+        for i in range(64):
+            victim.enqueue(rec(i))
+        release_now(ctx, victim)  # epoch 1 advertises 32 tasks
+
+        def t():
+            for _ in range(k):
+                assert (yield from thief.steal(0)).success
+            yield thief.pe.quiet()
+
+        run_procs(ctx, t())
+        journal = ctx.heap.attach_journal()
+
+        def owner():
+            yield from victim.release()  # closes epoch 1 with k claims
+            yield from victim.acquire()  # reopens epoch 1: zeroes them
+
+        run_procs(ctx, owner())
+        stores = [off for _, region, off in journal if region == COMP_REGION]
+        assert sorted(stores) == [comp_slots + i for i in range(k)]
+        assert not any(ctx.heap.word_view(0, COMP_REGION))
+        victim.invariants()
+
     def test_thief_aborts_during_owner_lock_window(self):
         """A claim landing while the stealval is locked is discarded and
         the thief told the queue is disabled."""
