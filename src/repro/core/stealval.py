@@ -145,7 +145,8 @@ class StealValV1:
         if not (word >> cls.VALID_SHIFT) & 1:
             return False
         itasks = (word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS
-        return (word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS < max_steals(itasks)
+        return itasks != 0 and (
+            (word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS < max_steals(itasks))
 
     @classmethod
     def invalid_word(cls) -> int:
@@ -215,7 +216,8 @@ class StealValEpoch:
         if (word >> cls.EPOCH_SHIFT) & cls.EPOCH_LOCKED == cls.EPOCH_LOCKED:
             return False
         itasks = (word >> cls.ITASK_SHIFT) & cls.MAX_ITASKS
-        return (word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS < max_steals(itasks)
+        return itasks != 0 and (
+            (word >> cls.ASTEAL_SHIFT) & cls.MAX_ASTEALS < max_steals(itasks))
 
     @classmethod
     def locked_word(cls) -> int:

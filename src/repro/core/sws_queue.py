@@ -230,6 +230,8 @@ class SwsQueue(StealvalQueue):
         if (word >> _EPOCH_SHIFT) & _EPOCH_LOCKED == _EPOCH_LOCKED:
             return 0
         itasks = (word >> _ITASK_SHIFT) & _MAX_ITASKS
+        if not itasks:
+            return 0
         asteals = word >> _ASTEAL_SHIFT
         claims = max_steals(itasks)
         if asteals < claims:
@@ -312,6 +314,8 @@ class SwsQueue(StealvalQueue):
                     raise ProtocolError(
                         f"PE {self.rank}: open record but stealval locked"
                     )
+                if not rec.itasks:
+                    break  # an empty allotment has nothing to fold
                 claims = min(word >> _ASTEAL_SHIFT, max_steals(rec.itasks))
             else:
                 claims = rec.claims

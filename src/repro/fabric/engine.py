@@ -14,6 +14,10 @@ this layer:
     (the NIC layer uses this to implement one-sided operations whose
     completion time depends on remote state).
 
+A layer may also *post* a request during a step: it schedules the resume
+of :attr:`Engine.active` itself, marks it waiting, and hands back
+:data:`POSTED` for the process to yield, which needs no dispatch.
+
 Virtual time is kept as an **integer tick count** (1 tick = 1 femtosecond,
 :data:`TICKS_PER_SECOND` = 10**15).  Integer ticks give exact event
 ordering — no accumulated float error can reorder two events — and exact
@@ -331,9 +335,7 @@ class Call:
 
     The handler is responsible for eventually calling
     :meth:`Engine.resume` on the process (possibly immediately).
-    Subclasses with extra state are dispatched through the same path
-    (the NIC's pooled operation records subclass Call so the dispatch
-    test stays two pointer compares on the hot path).
+    Subclasses with extra state are dispatched through the same path.
     """
 
     __slots__ = ("handler", "args")
@@ -344,6 +346,11 @@ class Call:
 
     def __repr__(self) -> str:
         return f"call({getattr(self.handler, '__name__', self.handler)!r})"
+
+
+#: What a process yields for a request posted during its step: the
+#: issuer already scheduled the resume, so there is nothing to dispatch.
+POSTED = object()
 
 
 class Process:
@@ -404,6 +411,8 @@ class Engine:
         #: Callbacks invoked after every executed event (invariant
         #: oracles).  Must not mutate simulation state.
         self.observers: list[Callable[[], None]] = []
+        #: The process whose step is running; None between steps.
+        self.active: Process | None = None
 
     # ------------------------------------------------------------------
     # clock & event queue
@@ -568,11 +577,18 @@ class Engine:
             raise SimulationError(f"double resume of process {proc.name}")
         proc.waiting = False
         proc.blocked_on = None
+        self.active = proc
         try:
             req = proc.gen.send(value) if exc is None else proc.gen.throw(exc)
         except StopIteration as stop:
             self._finish(proc, stop.value)
             return
+        finally:
+            self.active = None
+        if proc.waiting:  # posted during the step: the resume is set
+            if req is POSTED:
+                return
+            raise SimulationError(f"process {proc.name} posted a request, yielded {req!r}")
         proc.waiting = True
         if req.__class__ is Delay:
             # Store the request itself as the blocking description — its
@@ -589,8 +605,6 @@ class Engine:
                 q._push_slow(entry)
             q._len += 1
         elif isinstance(req, Call):
-            # Covers Call itself and subclasses (the NIC's pooled
-            # operation records) in one C-level type check.
             req.handler(self, proc, *req.args)
         else:
             raise SimulationError(

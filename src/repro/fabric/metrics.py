@@ -29,8 +29,10 @@ BLOCKING_KINDS = frozenset(
     {"put", "get", "amo_fetch_add", "amo_swap", "amo_cas", "amo_fetch"}
 )
 
-#: Set form of OP_KINDS for O(1) validation in the per-op hot path.
-_OP_KIND_SET = frozenset(OP_KINDS)
+#: Kind -> its column in :attr:`FabricMetrics.counts`.
+OP_CODE = {kind: code for code, kind in enumerate(OP_KINDS)}
+
+_NKINDS = len(OP_KINDS)
 
 
 @dataclass
@@ -45,11 +47,16 @@ class OpRecord:
 
 
 class FabricMetrics:
-    """Counters for one-sided traffic, with optional per-op audit trace."""
+    """Counters for one-sided traffic, with optional per-op audit trace.
+
+    The op tally is one flat list, ``counts[initiator * len(OP_KINDS) +
+    OP_CODE[kind]]``, the cheapest counter for the per-op path to bump;
+    the views below are built when read.
+    """
 
     def __init__(self, npes: int, trace: bool = False) -> None:
         self.npes = npes
-        self.ops_by_pe: list[Counter] = [Counter() for _ in range(npes)]
+        self.counts: list[int] = [0] * (npes * _NKINDS)
         self.bytes_by_pe: list[int] = [0] * npes
         self.trace_enabled = trace
         self.trace: list[OpRecord] = []
@@ -66,9 +73,10 @@ class FabricMetrics:
         self, time: float, initiator: int, target: int, kind: str, nbytes: int
     ) -> None:
         """Tally one operation issued by ``initiator`` against ``target``."""
-        if kind not in _OP_KIND_SET:
+        code = OP_CODE.get(kind)
+        if code is None:
             raise ValueError(f"unknown op kind {kind!r}")
-        self.ops_by_pe[initiator][kind] += 1
+        self.counts[initiator * _NKINDS + code] += 1
         self.bytes_by_pe[initiator] += nbytes
         if self.trace_enabled:
             self.trace.append(OpRecord(time, initiator, target, kind, nbytes))
@@ -79,14 +87,12 @@ class FabricMetrics:
     def total_ops(self, kind: str | None = None) -> int:
         """Total operations across all PEs, optionally filtered by kind."""
         if kind is None:
-            return sum(sum(c.values()) for c in self.ops_by_pe)
-        return sum(c[kind] for c in self.ops_by_pe)
+            return sum(self.counts)
+        return sum(self.counts[OP_CODE[kind]::_NKINDS])
 
     def total_blocking_ops(self) -> int:
         """Total blocking (round-trip) operations across all PEs."""
-        return sum(
-            n for c in self.ops_by_pe for k, n in c.items() if k in BLOCKING_KINDS
-        )
+        return sum(self.total_ops(kind) for kind in BLOCKING_KINDS)
 
     def total_bytes(self) -> int:
         """Total payload bytes moved."""
@@ -94,15 +100,18 @@ class FabricMetrics:
 
     def ops_of_pe(self, pe: int) -> Counter:
         """Counter of operations issued by one PE."""
-        return self.ops_by_pe[pe]
+        row = self.counts[pe * _NKINDS:(pe + 1) * _NKINDS]
+        return Counter({k: n for k, n in zip(OP_KINDS, row) if n})
+
+    @property
+    def ops_by_pe(self) -> list[Counter]:
+        """One :meth:`ops_of_pe` Counter per PE."""
+        return [self.ops_of_pe(pe) for pe in range(self.npes)]
 
     def snapshot(self) -> dict[str, int]:
         """Aggregate counts by kind plus totals, as a plain dict."""
-        agg: Counter = Counter()
-        for c in self.ops_by_pe:
-            agg.update(c)
-        out = {k: agg.get(k, 0) for k in OP_KINDS}
-        out["total"] = sum(agg.values())
+        out = {kind: self.total_ops(kind) for kind in OP_KINDS}
+        out["total"] = sum(self.counts)
         out["blocking"] = self.total_blocking_ops()
         out["bytes"] = self.total_bytes()
         for event, n in sorted(self.serving.items()):

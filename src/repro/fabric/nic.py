@@ -9,6 +9,11 @@ object the corresponding method returns::
     yield nic.amo_add_nb(me, victim, "comp", slot, ntasks)
     yield nic.quiet(me)
 
+On a fault-free NIC a blocking op is *posted* when issued: the call itself
+tallies it and schedules its at-target leg for the issuing process, which
+then yields :data:`~repro.fabric.engine.POSTED` — so an op is issued only
+from the process step that yields it, and yielded at once.
+
 Timing model (see :mod:`repro.fabric.latency`):
 
 * the initiator always pays ``alpha_sw`` of injection overhead;
@@ -49,13 +54,14 @@ Every operation is tallied in :class:`~repro.fabric.metrics.FabricMetrics`.
 from __future__ import annotations
 
 from bisect import insort
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from .engine import TICKS_PER_SECOND, Call, Engine, Process
+from .engine import POSTED, TICKS_PER_SECOND, Call, Engine, Process
 from .errors import FabricTimeoutError, SimulationError
 from .latency import LatencyModel, TieredLatencyModel
 from .memory import SymmetricHeap
-from .metrics import FabricMetrics, OpRecord
+from .metrics import OP_CODE, OP_KINDS, FabricMetrics, OpRecord
 from .topology import Topology, TieredTopology
 
 if TYPE_CHECKING:
@@ -77,95 +83,86 @@ class _QuietWait:
         self.timer: Any = None
 
 
-#: Free-list cap per operation pool.  Generous versus the realistic
-#: number of in-flight ops (bounded by live PEs), tiny in absolute terms.
-_POOL_MAX = 1024
+_NKINDS = len(OP_KINDS)
 
 
-#: Pooled get payload opcodes.
-_GET_WORD, _GET_WORDS, _GET_BYTES = 0, 1, 2
+#: The seven blocking round trips, bound per NIC by ``Nic.__init__`` as
+#: ``name(initiator, target, region, offset, *operands)``: name, payload
+#: bytes per unit of a get's ``count`` (0: one word), and the
+#: :class:`SymmetricHeap` method whose result the op yields.
+_BLOCKING = (
+    ("amo_fetch_add", 0, "fetch_add"),        # delta -> old word
+    ("amo_swap", 0, "swap"),                  # value -> old word
+    ("amo_cas", 0, "compare_swap"),           # expected, desired -> old word
+    ("amo_fetch", 0, "load"),                 # -> the word
+    ("get_word", 0, "load"),                  # -> int
+    ("get_words", WORD_BYTES, "load_words"),  # count -> list[int]
+    ("get_bytes", 1, "read_bytes"),           # count -> bytes
+)
 
 
-class _PooledOp(Call):
+def _describe(kind: str, target: int, region: str, offset: int, width: int,
+              count: Any) -> str:
+    """A blocking op as a deadlock report names it."""
+    where = f"{offset}:{offset + count}" if width else offset
+    return f"{kind} -> pe{target} {region}[{where}]{'B' if width == 1 else ''}"
+
+
+class _PooledOp:
     """Pooled record for one fault-free blocking round trip: a fetching
-    atomic (``kind``, operands ``a1`` / ``a2``) or a get (``count`` words
-    or bytes, by ``opcode``).
+    atomic or a get, applied at the target by the heap method ``apply``
+    with operands ``a1`` / ``a2`` (a get's ``a1`` is its count).
 
     The fig7 hot path issues hundreds of thousands of fetch-amos and
-    gets; the closure-based implementation allocated a handler closure,
-    an at-target closure, a resume closure, a ``blocked_on`` description
-    string and a Call object per op.  This record replaces all of them:
-    it *is* the Call (handler pre-bound to :meth:`_start`), carries the
-    op operands in ``__slots__``, renders its description lazily (only a
-    deadlock report ever formats it), and returns to the owning NIC's
-    free list at resume time.  Only the unguarded path (no fault
-    injector, no op timeout) uses pooled records — the guarded path
-    keeps the closure implementation and its descriptor-cancel
-    semantics.
+    gets.  :meth:`Nic._post` fills a record from the free list and
+    schedules its at-target leg; the record renders its description
+    lazily (only a deadlock report formats it) and returns to the free
+    list at resume time.  The guarded path keeps the closure
+    implementation and its descriptor-cancel semantics.
 
-    :meth:`_at_target` reads the tick clock and serializes on the
-    target's unit inline (:meth:`Nic._serialize` without the frame).
-    Both legs push their ``[when, seq, fn, actor]`` entry the way
-    ``Engine._step`` pushes a Delay's: ``Engine.at_ticks`` minus its
-    frame and its past-check (an arrival is never before now).
+    A record serves one family, atomics or gets, so its at-target leg is
+    fixed when it is built.  Each leg serializes on the target's unit
+    inline (:meth:`Nic._serialize` without the frame) and pushes its
+    ``[when, seq, fn, actor]`` entry the way ``Engine._step`` pushes a
+    Delay's: ``Engine.at_ticks`` minus its frame and its past-check.
     """
 
     __slots__ = ("nic", "initiator", "target", "region", "offset", "kind",
-                 "nbytes", "proc", "value", "back", "a1", "a2", "count",
-                 "opcode", "_pool", "_actors", "_cb_at_target", "_cb_resume",
-                 "_step")
+                 "apply", "a1", "a2", "width", "nbytes", "proc", "value",
+                 "back", "_pool", "_cb_at_target", "_cb_resume", "_step")
 
     def __init__(self, nic: "Nic", get: bool) -> None:
         self.nic = nic
-        self.handler = self._start
-        self.args = ()
-        # A record serves one free list: gets, or the atomics (which set
-        # ``kind`` per op).
         self._pool = nic._get_pool if get else nic._amo_pool
-        self._actors = nic._get_actors if get else nic._amo_actors
-        self.kind = "get" if get else None
-        self.nbytes = WORD_BYTES
         # Bound-method callbacks created once per record, not per op.
-        self._cb_at_target = self._at_target
+        self._cb_at_target = self._get_at_target if get else self._amo_at_target
         self._cb_resume = self._resume
         self._step = nic.engine._step
-        self.proc = None
-        self.value = None
+        self.proc = self.value = None
 
     def __repr__(self) -> str:
-        if self.kind != "get" or self.opcode == _GET_WORD:
-            return f"{self.kind} -> pe{self.target} {self.region}[{self.offset}]"
-        suffix = "B" if self.opcode == _GET_BYTES else ""
-        return (f"get -> pe{self.target} "
-                f"{self.region}[{self.offset}:{self.offset + self.count}]{suffix}")
+        return _describe(self.kind, self.target, self.region, self.offset,
+                         self.width, self.a1)
 
-    def _start(self, engine: Engine, proc: Process) -> None:
+    def _amo_at_target(self) -> None:
         nic = self.nic
-        initiator = self.initiator
+        engine = nic.engine
         target = self.target
-        nbytes = self.nbytes
-        # Metrics tally inlined (record() validates the kind and converts
-        # the clock to float seconds — both wasted on pooled ops).
-        metrics = nic.metrics
-        metrics.ops_by_pe[initiator][self.kind] += 1
-        metrics.bytes_by_pe[initiator] += nbytes
-        if metrics.trace_enabled:
-            metrics.trace.append(
-                OpRecord(engine.now, initiator, target, self.kind, nbytes)
-            )
-        proc.blocked_on = self
-        self.proc = proc
-        if nic._ow_dynamic:
-            ow = nic._one_way_ticks(initiator, target)
+        busy = nic._amo_busy_until
+        done = busy[target]
+        if done < engine._now:
+            done = engine._now
+        busy[target] = done = done + nic._amo_ticks
+        a1 = self.a1
+        if a1 is None:
+            self.value = self.apply(target, self.region, self.offset)
+        elif self.a2 is None:
+            self.value = self.apply(target, self.region, self.offset, a1)
         else:
-            # A pure function of the pair, the same both ways: the return
-            # leg reuses it.
-            node_of = nic._node_of
-            ow = self.back = nic._ow_ticks[
-                (initiator == target) + (node_of[initiator] == node_of[target])
-            ]
-        when = engine._now + nic._alpha_ticks + ow
-        entry = [when, engine._seq, self._cb_at_target, self._actors[target]]
+            self.value = self.apply(target, self.region, self.offset, a1, self.a2)
+        when = done + (nic._one_way_ticks(target, self.initiator)
+                       if nic._ow_dynamic else self.back)
+        entry = [when, engine._seq, self._cb_resume, self.proc.name]
         engine._seq += 1
         q = engine._q
         cur = q._cur
@@ -175,49 +172,29 @@ class _PooledOp(Call):
             q._push_slow(entry)
         q._len += 1
 
-    def _at_target(self) -> None:
+    def _get_at_target(self) -> None:
         nic = self.nic
         engine = nic.engine
         target = self.target
-        heap = nic.heap
-        kind = self.kind
-        get = kind == "get"
-        busy = nic._get_busy_until if get else nic._amo_busy_until
+        busy = nic._get_busy_until
         done = busy[target]
         if done < engine._now:
             done = engine._now
-        busy[target] = done = done + (nic._get_ticks if get else nic._amo_ticks)
-        if get:
-            opcode = self.opcode
-            if opcode == _GET_WORD:
-                value = heap.load(target, self.region, self.offset)
-            elif opcode == _GET_WORDS:
-                value = heap.load_words(target, self.region, self.offset, self.count)
-            else:
-                value = heap.read_bytes(target, self.region, self.offset, self.count)
-        elif kind == "amo_fetch_add":
-            value = heap.fetch_add(target, self.region, self.offset, self.a1)
-        elif kind == "amo_swap":
-            value = heap.swap(target, self.region, self.offset, self.a1)
-        elif kind == "amo_cas":
-            value = heap.compare_swap(
-                target, self.region, self.offset, self.a1, self.a2
-            )
-        else:  # amo_fetch
-            value = heap.load(target, self.region, self.offset)
-        self.value = value
-        back = (
-            nic._one_way_ticks(target, self.initiator)
-            if nic._ow_dynamic else self.back
-        )
-        if get:
-            stream = round(self.nbytes * nic._beta_fs)
-            if nic._link_serialize:
-                # The response payload occupies the target's egress link;
-                # concurrent bulk reads of one victim serialize.
-                done = nic._serialize(nic._link_busy_until, target, done, stream)
-            else:
-                back += stream
+        busy[target] = done = done + nic._get_ticks
+        a1 = self.a1
+        if a1 is None:
+            self.value = self.apply(target, self.region, self.offset)
+        else:
+            self.value = self.apply(target, self.region, self.offset, a1)
+        back = (nic._one_way_ticks(target, self.initiator)
+                if nic._ow_dynamic else self.back)
+        stream = nic._payload_ticks(self.nbytes)
+        if nic._link_serialize:
+            # The response payload occupies the target's egress link;
+            # concurrent bulk reads of one victim serialize.
+            done = nic._serialize(nic._link_busy_until, target, done, stream)
+        else:
+            back += stream
         when = done + back
         entry = [when, engine._seq, self._cb_resume, self.proc.name]
         engine._seq += 1
@@ -234,14 +211,18 @@ class _PooledOp(Call):
         value = self.value
         self.proc = None
         self.value = None
-        pool = self._pool
-        if len(pool) < _POOL_MAX:
-            pool.append(self)
+        # A free list never outgrows the peak of ops in flight at once.
+        self._pool.append(self)
         self._step(proc, value)
 
 
 class Nic:
-    """Simulated RDMA network interface shared by all PEs."""
+    """Simulated RDMA network interface shared by all PEs.
+
+    The ``_BLOCKING`` round trips are bound to :meth:`_post` when the
+    fabric is fault-free, to :meth:`_guarded` under a fault injector or an
+    op timeout.
+    """
 
     def __init__(
         self,
@@ -298,7 +279,9 @@ class Nic:
             round(lat.one_way(True) * TICKS_PER_SECOND),
             round(lat.half_rtt_intra * lat.local_penalty * TICKS_PER_SECOND),
         ]
-        self._beta_fs = lat.beta * TICKS_PER_SECOND  # payload fs per byte
+        beta_fs = lat.beta * TICKS_PER_SECOND  # payload fs per byte
+        #: Payload streaming ticks by byte count, each size rounded once.
+        self._payload_ticks = lru_cache(maxsize=None)(lambda n: round(n * beta_fs))
         self._jitter_on = bool(lat.jitter)
         # Tiered mode: a four-level one-way table indexed by the
         # topology's socket/node/rack tier.  Requires both a tiered
@@ -341,6 +324,15 @@ class Nic:
         # Free lists of pooled op records (fault-free blocking path only).
         self._amo_pool: list[_PooledOp] = []
         self._get_pool: list[_PooledOp] = []
+        issue = self._post if self._pooled else self._guarded
+        for name, width, method in _BLOCKING:
+            get = name.startswith("get")
+            kind = "get" if get else name
+            pool, actors = ((self._get_pool, self._get_actors) if get
+                            else (self._amo_pool, self._amo_actors))
+            setattr(self, name, partial(issue, (
+                kind, OP_CODE[kind], get, width, getattr(heap, method),
+                pool, actors)))
         engine.diagnostics.append(self._deadlock_diagnostic)
 
     # ------------------------------------------------------------------
@@ -372,9 +364,6 @@ class Nic:
         u = z / float(1 << 64)
         base *= 1.0 + lat.jitter * u
         return round(base * TICKS_PER_SECOND)
-
-    def _payload_ticks(self, nbytes: int) -> int:
-        return round(nbytes * self._beta_fs)
 
     def _serialize(self, busy: list[int], target: int, arrival: int, cost: int) -> int:
         """Queue behind the target NIC unit; return completion tick there."""
@@ -446,58 +435,68 @@ class Nic:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # fetching atomics (blocking round trip)
+    # blocking round trips (the ``_BLOCKING`` kinds)
     # ------------------------------------------------------------------
-    def amo_fetch_add(self, initiator: int, target: int, region: str, offset: int, delta: int) -> Call:
-        """Atomic fetch-and-add on a remote 64-bit word; yields the old value."""
-        if self._pooled:
-            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
-            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
-            rec.kind, rec.a1 = "amo_fetch_add", delta
-            return rec
-        return self._guarded(initiator, target, "amo_fetch_add", region, offset,
-                             lambda: self.heap.fetch_add(target, region, offset, delta))
+    def _post(self, spec: tuple, initiator: int, target: int, region: str,
+              offset: int, a1: Any = None, a2: Any = None) -> Any:
+        """Issue one pooled blocking op from the running process step:
+        tally it, mark the process waiting on it, schedule its at-target
+        leg and return :data:`~repro.fabric.engine.POSTED` for the
+        process to yield.  ``spec`` is the kind's binding from
+        ``__init__``."""
+        kind, code, get, width, apply, pool, actors = spec
+        engine = self.engine
+        proc = engine.active
+        if proc is None:
+            raise SimulationError(f"{kind} issued outside a process step")
+        if proc.waiting:
+            raise SimulationError(f"double resume of process {proc.name}")
+        rec = pool.pop() if pool else _PooledOp(self, get)
+        rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
+        rec.kind, rec.apply, rec.width = kind, apply, width
+        rec.a1, rec.a2 = a1, a2
+        rec.nbytes = nbytes = width * a1 if width else WORD_BYTES
+        # Metrics tally inlined (record() validates the kind and converts
+        # the clock to float seconds — both wasted on pooled ops).
+        metrics = self.metrics
+        metrics.counts[initiator * _NKINDS + code] += 1
+        metrics.bytes_by_pe[initiator] += nbytes
+        if metrics.trace_enabled:
+            metrics.trace.append(OpRecord(engine.now, initiator, target, kind, nbytes))
+        proc.waiting = True
+        proc.blocked_on = rec
+        rec.proc = proc
+        if self._ow_dynamic:
+            ow = self._one_way_ticks(initiator, target)
+        else:
+            # A pure function of the pair, the same both ways: the return
+            # leg reuses it.
+            node_of = self._node_of
+            ow = rec.back = self._ow_ticks[
+                (initiator == target) + (node_of[initiator] == node_of[target])
+            ]
+        when = engine._now + self._alpha_ticks + ow
+        entry = [when, engine._seq, rec._cb_at_target, actors[target]]
+        engine._seq += 1
+        q = engine._q
+        cur = q._cur
+        if cur is not None and when >> q._shift == q._cur_key:
+            insort(cur, entry, q._cur_i)
+        else:
+            q._push_slow(entry)
+        q._len += 1
+        return POSTED
 
-    def amo_swap(self, initiator: int, target: int, region: str, offset: int, value: int) -> Call:
-        """Atomic swap on a remote word; yields the old value."""
-        if self._pooled:
-            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
-            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
-            rec.kind, rec.a1 = "amo_swap", value
-            return rec
-        return self._guarded(initiator, target, "amo_swap", region, offset,
-                             lambda: self.heap.swap(target, region, offset, value))
-
-    def amo_cas(self, initiator: int, target: int, region: str, offset: int,
-                expected: int, desired: int) -> Call:
-        """Atomic compare-and-swap; yields the old value."""
-        if self._pooled:
-            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
-            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
-            rec.kind, rec.a1, rec.a2 = "amo_cas", expected, desired
-            return rec
-        return self._guarded(initiator, target, "amo_cas", region, offset,
-                             lambda: self.heap.compare_swap(target, region, offset, expected, desired))
-
-    def amo_fetch(self, initiator: int, target: int, region: str, offset: int) -> Call:
-        """Atomic read of a remote word (steal-damping probe); yields the value."""
-        if self._pooled:
-            rec = self._amo_pool.pop() if self._amo_pool else _PooledOp(self, False)
-            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
-            rec.kind = "amo_fetch"
-            return rec
-        return self._guarded(initiator, target, "amo_fetch", region, offset,
-                             lambda: self.heap.load(target, region, offset))
-
-    def _guarded(self, initiator: int, target: int, kind: str, region: str,
-                 where: Any, apply: Callable[[], Any], nbytes: int = WORD_BYTES,
-                 unit: str = "") -> Call:
-        """One blocking round trip under a fault injector or an op timeout
+    def _guarded(self, spec: tuple, initiator: int, target: int, region: str,
+                 offset: int, *operands: Any) -> Call:
+        """Issue one blocking op under a fault injector or an op timeout
         (the pooled records never run here): a closure chain whose
-        descriptor the timeout can cancel.  ``kind`` is ``"get"`` or the
-        atomic's name, and picks the target's unit and the payload leg."""
-        get = kind == "get"
-        desc = f"{kind} -> pe{target} {region}[{where}]{unit}"
+        descriptor the timeout can cancel.  ``spec`` is the kind's binding
+        from ``__init__``; it picks the target's unit and the payload leg."""
+        kind, _code, get, width, apply, _pool, actors = spec
+        count = operands[0] if width else 0
+        nbytes = width * count if width else WORD_BYTES
+        desc = _describe(kind, target, region, offset, width, count)
 
         def handler(engine: Engine, proc: Process) -> None:
             self.metrics.record(engine.now, initiator, target, kind, nbytes)
@@ -519,7 +518,7 @@ class Nic:
                 busy, cost = ((self._get_busy_until, self._get_ticks) if get
                               else (self._amo_busy_until, self._amo_ticks))
                 done = self._serialize(busy, target, engine.now_ticks, cost)
-                value = apply()
+                value = apply(target, region, offset, *operands)
                 back = self._one_way_ticks(target, initiator)
                 if get:
                     stream = self._payload_ticks(nbytes)
@@ -535,7 +534,6 @@ class Nic:
                                 actor=proc.name)
 
             if not lost:
-                actors = self._get_actors if get else self._amo_actors
                 engine.at_ticks(arrival, at_target, actor=actors[target])
             if self.op_timeout is not None:
                 self._arm_timeout(engine, proc, state, initiator, target, kind)
@@ -574,41 +572,6 @@ class Nic:
             engine.resume_ticks(proc, None, self._alpha_ticks)
 
         return Call(handler)
-
-    # ------------------------------------------------------------------
-    # gets (blocking)
-    # ------------------------------------------------------------------
-    def get_words(self, initiator: int, target: int, region: str, offset: int, count: int) -> Call:
-        """Blocking read of consecutive remote words; yields list[int]."""
-        if self._pooled:
-            rec = self._get_pool.pop() if self._get_pool else _PooledOp(self, True)
-            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
-            rec.count, rec.nbytes, rec.opcode = count, count * WORD_BYTES, _GET_WORDS
-            return rec
-        return self._guarded(initiator, target, "get", region, f"{offset}:{offset + count}",
-                             lambda: self.heap.load_words(target, region, offset, count),
-                             count * WORD_BYTES)
-
-    def get_word(self, initiator: int, target: int, region: str, offset: int) -> Call:
-        """Blocking read of one remote word; yields int."""
-        if self._pooled:
-            rec = self._get_pool.pop() if self._get_pool else _PooledOp(self, True)
-            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
-            rec.count, rec.nbytes, rec.opcode = 1, WORD_BYTES, _GET_WORD
-            return rec
-        return self._guarded(initiator, target, "get", region, offset,
-                             lambda: self.heap.load(target, region, offset))
-
-    def get_bytes(self, initiator: int, target: int, region: str, offset: int, count: int) -> Call:
-        """Blocking read of remote bytes; yields bytes."""
-        if self._pooled:
-            rec = self._get_pool.pop() if self._get_pool else _PooledOp(self, True)
-            rec.initiator, rec.target, rec.region, rec.offset = initiator, target, region, offset
-            rec.count, rec.nbytes, rec.opcode = count, count, _GET_BYTES
-            return rec
-        return self._guarded(initiator, target, "get", region, f"{offset}:{offset + count}",
-                             lambda: self.heap.read_bytes(target, region, offset, count),
-                             count, "B")
 
     # ------------------------------------------------------------------
     # puts

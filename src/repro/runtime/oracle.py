@@ -49,6 +49,7 @@ scheduler's recorded choice sequence into a replayable failure trace.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from ..fabric.errors import OracleViolation
@@ -134,8 +135,10 @@ class PoolOracle:
             region = w.queue.oracle_comp_region
             if region is not None:
                 view = self._comp[rank] = ctx.heap.word_view(rank, region)
-                # Whatever predates the journal is due at the first check.
-                self._written[rank].update(i for i, v in enumerate(view) if v)
+                # Whatever predates the journal is due at the first check
+                # (found in C: a fresh pool's words are all zero).
+                if any(view):
+                    self._written[rank].update(compress(range(len(view)), view))
         ctx.engine.observers.append(self.check)
 
     def watch(self, rank: int, gen):

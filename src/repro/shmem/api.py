@@ -15,7 +15,7 @@ because a PE touching its own symmetric heap is an ordinary load/store.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 from ..fabric.engine import Call, Delay, Engine, Process
 from ..fabric.latency import EDR_INFINIBAND, LatencyModel
@@ -140,21 +140,21 @@ class Pe:
         """Write own payload bytes (no comm)."""
         self.ctx.heap.write_bytes(self.rank, region, offset, data)
 
-    # -- remote, yieldable -------------------------------------------------
-    def atomic_fetch_add(self, target: int, region: str, offset: int, delta: int) -> Call:
+    # -- remote, yieldable (a Call, or POSTED for an op that posted itself) --
+    def atomic_fetch_add(self, target: int, region: str, offset: int, delta: int) -> Any:
         """``shmem_atomic_fetch_add`` — the SWS claim operation."""
         return self.ctx.nic.amo_fetch_add(self.rank, target, region, offset, delta)
 
-    def atomic_swap(self, target: int, region: str, offset: int, value: int) -> Call:
+    def atomic_swap(self, target: int, region: str, offset: int, value: int) -> Any:
         """``shmem_atomic_swap`` — SDC lock acquisition."""
         return self.ctx.nic.amo_swap(self.rank, target, region, offset, value)
 
     def atomic_compare_swap(self, target: int, region: str, offset: int,
-                            expected: int, desired: int) -> Call:
+                            expected: int, desired: int) -> Any:
         """``shmem_atomic_compare_swap``."""
         return self.ctx.nic.amo_cas(self.rank, target, region, offset, expected, desired)
 
-    def atomic_fetch(self, target: int, region: str, offset: int) -> Call:
+    def atomic_fetch(self, target: int, region: str, offset: int) -> Any:
         """``shmem_atomic_fetch`` — read-only probe (steal damping)."""
         return self.ctx.nic.amo_fetch(self.rank, target, region, offset)
 
@@ -162,15 +162,15 @@ class Pe:
         """Non-blocking ``shmem_atomic_add`` — completion signalling."""
         return self.ctx.nic.amo_add_nb(self.rank, target, region, offset, delta)
 
-    def get_word(self, target: int, region: str, offset: int) -> Call:
+    def get_word(self, target: int, region: str, offset: int) -> Any:
         """Blocking 8-byte ``shmem_getmem``."""
         return self.ctx.nic.get_word(self.rank, target, region, offset)
 
-    def get_words(self, target: int, region: str, offset: int, count: int) -> Call:
+    def get_words(self, target: int, region: str, offset: int, count: int) -> Any:
         """Blocking multi-word ``shmem_getmem``."""
         return self.ctx.nic.get_words(self.rank, target, region, offset, count)
 
-    def get_bytes(self, target: int, region: str, offset: int, count: int) -> Call:
+    def get_bytes(self, target: int, region: str, offset: int, count: int) -> Any:
         """Blocking ``shmem_getmem`` on payload bytes."""
         return self.ctx.nic.get_bytes(self.rank, target, region, offset, count)
 

@@ -272,8 +272,8 @@ _NIC_PROGRAMS = st.lists(st.lists(_NIC_STEP, max_size=10), min_size=1, max_size=
 @given(programs=_NIC_PROGRAMS, shift=st.integers(0, 40), ppn=st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
 def test_pooled_nic_legs_keep_heapq_order(programs, shift, ppn):
-    """``_PooledOp._start`` and ``_at_target`` insert their entries with
-    the queue's current-bucket fast path inlined.  Every entry pushed by
+    """``Nic._post`` and the pooled records' at-target legs insert their
+    entries with the queue's current-bucket fast path inlined.  Every entry pushed by
     any site (the NIC legs, the engine's ``Delay`` and ``at_ticks`` paths,
     ``CalendarQueue.push``) is tagged as it goes in; the run must fire
     each exactly once, in strictly increasing ``(when, seq)`` order —

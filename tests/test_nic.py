@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fabric.engine import Delay
+from repro.fabric.errors import SimulationError
 from repro.fabric.latency import LatencyModel
 from repro.shmem.api import ShmemCtx
 
@@ -353,3 +354,97 @@ class TestOutstandingAccounting:
         assert done == [True]
         for rank in range(3):
             assert ctx.nic.pending_ops(rank) == 0
+
+
+# ----------------------------------------------------------------------
+# A pooled op is posted by the process step that issues it
+# ----------------------------------------------------------------------
+_POOLED_KINDS = {
+    "amo_fetch_add": (1,), "amo_swap": (1,), "amo_cas": (0, 1),
+    "amo_fetch": (), "get_word": (), "get_words": (2,), "get_bytes": (8,),
+}
+
+
+def _posting_ctx():
+    ctx = ShmemCtx(2)
+    ctx.heap.alloc_words("w", 4)
+    ctx.heap.alloc_bytes("b", 16)
+    assert ctx.nic._pooled
+    return ctx
+
+
+def _issue(nic, kind):
+    region = "b" if kind == "get_bytes" else "w"
+    return getattr(nic, kind)(0, 1, region, 0, *_POOLED_KINDS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(_POOLED_KINDS))
+def test_pooled_op_outside_a_step_raises(kind):
+    """Outside a process step there is no process to resume: the issue
+    raises, before a run, after one, and after a step that raised."""
+    ctx = _posting_ctx()
+    with pytest.raises(SimulationError, match="outside a process step"):
+        _issue(ctx.nic, kind)
+
+    def body():
+        yield _issue(ctx.nic, kind)
+        yield Delay(1e-6)
+        raise RuntimeError("boom")
+
+    ctx.engine.spawn(body(), "p")
+    with pytest.raises(RuntimeError, match="boom"):
+        ctx.run()
+    assert ctx.engine.active is None
+    with pytest.raises(SimulationError, match="outside a process step"):
+        _issue(ctx.nic, kind)
+    assert ctx.metrics.total_ops() == 1
+
+
+def test_two_ops_before_one_yield_is_a_double_resume():
+    ctx = _posting_ctx()
+    nic = ctx.nic
+
+    def body():
+        nic.amo_fetch_add(0, 1, "w", 0, 1)
+        yield nic.get_word(0, 1, "w", 0)
+
+    ctx.engine.spawn(body(), "p")
+    with pytest.raises(SimulationError, match="double resume of process p"):
+        ctx.run()
+
+
+def test_a_posted_op_must_be_what_the_step_yields():
+    ctx = _posting_ctx()
+
+    def posts_then_delays():
+        ctx.nic.get_word(0, 1, "w", 0)
+        yield Delay(1e-6)
+
+    ctx.engine.spawn(posts_then_delays(), "p")
+    with pytest.raises(SimulationError, match="posted a request"):
+        ctx.run()
+
+    ctx = _posting_ctx()
+
+    def yields_a_stale_post():
+        req = ctx.nic.get_word(0, 1, "w", 0)
+        yield req
+        yield req  # nothing was posted in this step
+
+    ctx.engine.spawn(yields_a_stale_post(), "p")
+    with pytest.raises(SimulationError, match="unsupported request"):
+        ctx.run()
+
+
+def test_a_blocked_process_names_its_posted_op():
+    """The deadlock report renders the pooled record lazily."""
+    ctx = _posting_ctx()
+    seen = []
+
+    def body():
+        yield ctx.nic.get_bytes(0, 1, "b", 4, 8)
+
+    proc = ctx.engine.spawn(body(), "p")
+    ctx.engine.at(1e-9, lambda: seen.append(str(proc.blocked_on)))
+    ctx.run()
+    assert seen == ["get -> pe1 b[4:12]B"]

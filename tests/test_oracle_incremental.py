@@ -391,6 +391,34 @@ def test_first_check_covers_words_older_than_the_journal():
     assert d.first["real"][:2] == (1, "comp-volume")
 
 
+@pytest.mark.parametrize("impl", [i for i in IMPLS if i != "ff-mult"])
+def test_attach_names_what_a_full_scan_names(impl):
+    """The first check's offsets, found at attach without a Python pass
+    over every word, are the ones a full generator scan names: on pools
+    stopped mid-run (claims in flight, reclaimed slots, settled epoch
+    rows) and with one word planted behind the queue's back."""
+    reg = TaskRegistry()
+    leaf = reg.register("leaf", lambda p, tc: TaskOutcome(duration=2e-6))
+    live = 0
+    for until in (5e-6, 2e-5, 5e-5, 1e-4):
+        pool = TaskPool(4, reg, impl=impl, queue_config=SMALL)
+        pool.seed(0, [Task(leaf)] * 96)
+        pool.start_workers()
+        pool.ctx.run(until=until)
+        region = pool.workers[0].queue.oracle_comp_region
+        heap = pool.ctx.heap
+        nonzero = [{i for i, v in enumerate(heap.word_view(r, region)) if v}
+                   for r in range(pool.npes)]
+        live += sum(map(len, nonzero))
+        planted = next(i for i in range(4) if i not in nonzero[3])
+        heap.store(3, region, planted, 7)
+        nonzero[3].add(planted)
+        oracle = PoolOracle(pool)
+        oracle.attach()
+        assert [oracle._written[r] for r in range(pool.npes)] == nonzero
+    assert live > 0  # some word predated the journal without a plant
+
+
 # ----------------------------------------------------------------------
 # serving: injections write a PE's books from an engine event
 # ----------------------------------------------------------------------
