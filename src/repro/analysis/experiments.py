@@ -12,10 +12,11 @@ closure: :mod:`~repro.analysis.exp_steal` (one steal on a bare
 ``ShmemCtx``), :mod:`~repro.analysis.exp_pool` (``TaskPool`` runs over the
 workloads and the process-count sweep),
 :mod:`~repro.analysis.exp_serve` (the serving frontends, and the
-cross-backend row) and
+cross-backend row),
 :mod:`~repro.analysis.exp_shm` (the real-time queues, counted in word
-ops).  This module imports none of them; :func:`run_experiment` imports a
-row's module on first use.  ``python -m repro sweep`` (:mod:`repro.analysis.sweep`) is the
+ops) and :mod:`~repro.analysis.explore` (the schedule explorer).  This
+module imports none of them; :func:`run_experiment` imports a row's
+module on first use.  ``python -m repro sweep`` (:mod:`repro.analysis.sweep`) is the
 runner; ``benchmarks/bench_experiments.py`` asserts every verdict.
 
 Scales:
@@ -397,6 +398,16 @@ EXPERIMENTS: dict[str, Experiment] = {
         "Lifelines eliminate unproductive steal traffic (§2.2, "
         "Saraswat'11) and compose with SWS.",
         _judge_lifelines, "exp_pool"),
+    "explore-race": Experiment(
+        "Fusing discover and claim into one fetch-add removes the claim "
+        "race (§4): split back into a read then an add, SWS duplicates or "
+        "loses work, and the oracle-armed explorer catches it in every "
+        "workload at 4 PEs under every policy; the fused SWS is clean on "
+        "the same schedules.",
+        # fused clean everywhere; unfused caught everywhere at 4 PEs
+        lambda rows: all(r[6].startswith("0/") for r in rows)
+        and all(r[4] != "-" for r in rows if r[1] == 4),
+        "explore"),
     "fig7_jumbo": Experiment(
         "The paper's Fig. 7 x-axis ends at 2048 PEs; a 2112-PE run "
         "completes with every seeded task executed exactly once and work "

@@ -23,9 +23,13 @@ Exposed on the command line as ``python -m repro explore`` / ``replay``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Callable, Iterable, Sequence
 
 from ..core.config import QueueConfig
+from ..core.results import StealResult, StealStatus
+from ..core.stealval import StealValEpoch, thief_claim
+from ..core.sws_queue import META_REGION, STEALVAL
 from ..fabric.errors import DeadlockError, OracleViolation, ProtocolError
 from ..fabric.scheduler import (
     DfsScheduler,
@@ -41,6 +45,11 @@ from ..runtime.task import Task
 #: Workload names accepted by :func:`build_pool` (all small on purpose:
 #: exploration multiplies runs, so each run must be cheap).
 WORKLOADS = ("flat", "tree", "churn")
+
+#: Virtual seconds an explored run may take.  The slowest clean run of the
+#: built-in workloads (every protocol, 2-4 PEs, fixed, random and PCT
+#: schedules) ends at 0.66 ms.
+DEADLINE = 5e-3
 
 
 def build_pool(
@@ -101,14 +110,8 @@ def build_pool(
         seeds = [Task(reg.id_of("chain"), bytes([40]))]
     else:
         raise ValueError(f"workload must be one of {WORKLOADS}, got {workload!r}")
-    pool = TaskPool(
-        npes,
-        reg,
-        impl=impl,
-        queue_config=cfg,
-        scheduler=scheduler,
-        oracle=oracle,
-    )
+    pool = TaskPool(npes, reg, impl=impl, queue_config=cfg,
+                    scheduler=scheduler, oracle=oracle)
     pool.seed(0, seeds)
     return pool
 
@@ -139,23 +142,32 @@ class RunResult:
 
 
 def run_once(factory: PoolFactory, scheduler: Scheduler) -> RunResult:
-    """One run under ``scheduler``; failures become results, not raises."""
+    """One run under ``scheduler``; failures become results, not raises.
+
+    A run still live at :data:`DEADLINE` is a ``no-termination`` failure:
+    the oracle's conservation check sees duplicated work, not a lost
+    task, so a protocol that loses one never ends on its own.
+    """
     pool = factory(scheduler)
-    sched = pool.ctx.engine.scheduler
+    engine = pool.ctx.engine
+    sched = engine.scheduler
     assert sched is not None, "exploration requires an attached scheduler"
+    check, detail, runtime = None, "", None
     try:
-        stats = pool.run()
+        pool.start_workers()
+        end = pool.ctx.run(until=DEADLINE)
+        if engine.live:
+            check = "no-termination"
+            detail = f"still live at the {DEADLINE * 1e3:g} ms virtual deadline"
+        else:
+            runtime = pool.finish(end).runtime
     except OracleViolation as exc:
-        return RunResult(False, exc.check, str(exc), sched.trace(),
-                         pool.ctx.engine.events_processed, None)
-    except DeadlockError as exc:
-        return RunResult(False, "deadlock", str(exc), sched.trace(),
-                         pool.ctx.engine.events_processed, None)
-    except ProtocolError as exc:
-        return RunResult(False, "protocol", str(exc), sched.trace(),
-                         pool.ctx.engine.events_processed, None)
-    return RunResult(True, None, "", sched.trace(),
-                     pool.ctx.engine.events_processed, stats.runtime)
+        check, detail = exc.check, str(exc)
+    except (DeadlockError, ProtocolError) as exc:
+        check = "deadlock" if isinstance(exc, DeadlockError) else "protocol"
+        detail = str(exc)
+    return RunResult(check is None, check, detail, sched.trace(),
+                     engine.events_processed, runtime)
 
 
 @dataclass
@@ -244,16 +256,19 @@ def replay_trace(
     strict: bool = False,
 ) -> RunResult:
     """Re-execute a recorded trace (workload/impl come from its meta)."""
-    if factory is None:
-        meta = trace.meta
-        if "workload" not in meta or "impl" not in meta:
-            raise ValueError(
-                "trace has no workload/impl metadata; pass factory= explicitly"
-            )
-        factory = pool_factory(
-            meta["workload"], meta["impl"], npes=int(meta.get("npes", 4))
-        )
+    factory = factory or _recorded_factory(trace)
     return run_once(factory, trace.replayer(strict=strict))
+
+
+def _recorded_factory(trace: ScheduleTrace) -> PoolFactory:
+    """The pool a trace's meta names."""
+    meta = trace.meta
+    if "workload" not in meta or "impl" not in meta:
+        raise ValueError(
+            "trace has no workload/impl metadata; pass factory= explicitly"
+        )
+    return pool_factory(meta["workload"], meta["impl"],
+                        npes=int(meta.get("npes", 4)))
 
 
 def shrink_trace(
@@ -275,11 +290,7 @@ def shrink_trace(
     check); a trace that no longer fails at full length is returned
     unchanged.
     """
-    if factory is None:
-        meta = trace.meta
-        factory = pool_factory(
-            meta["workload"], meta["impl"], npes=int(meta.get("npes", 4))
-        )
+    factory = factory or _recorded_factory(trace)
     attempts = 0
     want = trace.meta.get("check")
 
@@ -323,3 +334,80 @@ def shrink_trace(
         meta={**trace.meta, "shrunk_from": len(trace.choices)},
     )
     return shrunk, attempts
+
+
+# ----------------------------------------------------------------------
+# The explore-race row: paper §4's claim race, planted and explored
+# ----------------------------------------------------------------------
+def unfused_steal(self, victim: int):
+    """``SwsQueue.steal`` with its fused fetch-add split into a read THEN
+    an add: the discover-then-claim window paper §4 closes.  Thieves that
+    read between each other's adds claim the same block."""
+    old = yield self.pe.atomic_fetch(victim, META_REGION, STEALVAL)
+    yield self.pe.atomic_add_nb(victim, META_REGION, STEALVAL,
+                                StealValEpoch.ASTEAL_UNIT)
+    view = StealValEpoch.unpack(old)
+    if view.locked:
+        return StealResult(StealStatus.DISABLED, victim)
+    ntasks, disp = thief_claim(view.itasks, view.asteals)
+    if ntasks == 0:
+        return self.empty_results[victim]
+    return (yield from self._take_claimed(
+        victim, view.tail + disp, ntasks,
+        self._comp_offset(view.epoch, view.asteals)))
+
+
+def unfused_factory(workload: str, npes: int) -> PoolFactory:
+    """:func:`pool_factory` for SWS whose queues steal with
+    :func:`unfused_steal`, bound per queue (the class is untouched)."""
+    def factory(scheduler: Scheduler | None) -> TaskPool:
+        pool = build_pool(workload, "sws", scheduler=scheduler, npes=npes)
+        for w in pool.workers:
+            w.queue.steal = MethodType(unfused_steal, w.queue)
+        return pool
+    return factory
+
+
+#: scale -> (random and PCT seeds, DFS depth, DFS runs, shrink replays).
+RACE_SCALES = {"quick": (4, 4, 8, 12), "full": (16, 6, 32, 48)}
+
+
+def explore_race(scale: str = "quick"):
+    """The unfused mutant and the fused SWS under every policy, on every
+    built-in workload at 2-4 PEs: failing runs, the mutant's first failed
+    check and its shrunk trace's decision count."""
+    from .experiments import ExperimentResult
+
+    nseeds, depth, dfs_runs, replays = RACE_SCALES[scale]
+    rows, caught = [], {}
+    for workload in WORKLOADS:
+        for npes in (2, 3, 4):
+            mutant = unfused_factory(workload, npes)
+            for policy in ("fixed", "random", "pct", "dfs"):
+                kw = dict(policy=policy, seeds=range(nseeds), npes=npes,
+                          dfs_depth=depth, max_runs=dfs_runs)
+                bad = explore(workload, "sws", factory=mutant, **kw)
+                good = explore(workload, "sws", **kw)
+                first = bad.failures[0] if bad.failures else None
+                shrunk = first and shrink_trace(first.trace, mutant, replays)[0]
+                rows.append([workload, npes, policy,
+                             f"{len(bad.failures)}/{bad.runs}",
+                             first.check if first else "-",
+                             len(shrunk.choices) if first else "-",
+                             f"{len(good.failures)}/{good.runs}"])
+                caught.setdefault((workload, npes), set()).add(bool(first))
+    split = [f"{w}@{n}" for (w, n), seen in caught.items() if len(seen) > 1]
+    longest = max((r[5] for r in rows if r[5] != "-"), default=0)
+    return ExperimentResult(
+        title="Discover-then-claim race: unfused vs fused SWS, explored",
+        headers=["workload", "PEs", "policy", "unfused fails", "first check",
+                 "shrunk decisions", "fused fails"],
+        rows=rows,
+        notes=[f"a run still live at {DEADLINE * 1e3:g} ms virtual is "
+               "'no-termination': it lost a task, which conservation (a "
+               "duplicate check) cannot see",
+               "policies disagree on " + ", ".join(split) if split else
+               "no policy separates from fixed: wherever one finds the "
+               "race, every policy does",
+               f"the longest shrunk failing schedule holds {longest} "
+               "decisions (0: the default order already races)"])

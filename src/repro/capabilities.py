@@ -4,7 +4,7 @@ builds a pool, a heap or a process.  This module imports nothing from
 the package, so ``from repro.mp import run_mp`` can afford it.
 """
 
-_POOL = "run tree scheduler oracle"
+_POOL = "run tree scheduler oracle lifelines victim placement"
 _SERVE = "serving shedding"
 
 #: protocol -> backend -> the features that cell runs, in registry order.
@@ -29,6 +29,12 @@ JUDGED_BY = {
     ("fabric", "shedding"): "serving",
     ("fabric", "faults"): "ablate-faults",
     ("fabric", "damping"): "ablate-damping",
+    ("fabric", "lifelines"): "ablate-lifelines",
+    ("fabric", "victim"): "ablate-victims",
+    ("fabric", "placement"): "ablate-victims",
+    # The schedule explorer and its oracle against paper §4's claim race.
+    ("fabric", "scheduler"): "explore-race",
+    ("fabric", "oracle"): "explore-race",
     # The layouts on the in-process heap: the threads backend's substrate
     # and the mp queues' own code.
     ("threads", "race"): "fig2-shm",
@@ -38,10 +44,8 @@ JUDGED_BY = {
     ("mp", "serving"): "xbackend",
 }
 
-#: Features no row's claim covers: the schedule explorer and the
-#: invariant oracle check runs, and the schedule and conformance suites
-#: exercise them.
-UNJUDGED = {("fabric", "scheduler"), ("fabric", "oracle")}
+#: Features no row's claim covers.
+UNJUDGED: set[tuple[str, str]] = set()
 
 #: Every feature some cell runs.
 FEATURES = frozenset().union(*(c for row in CELLS.values()

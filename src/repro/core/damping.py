@@ -15,7 +15,7 @@ costs nothing when work is plentiful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .stealval import StealViewEpoch, owner_remainder
@@ -30,12 +30,11 @@ class TargetMode(Enum):
 
 @dataclass
 class DampingStats:
-    """Counters for the damping state machine, for the ablation bench."""
+    """Counters for the damping state machine, for the ablation bench.
+    (A thief counts its own probes: ``WorkerStats.probes``.)"""
 
     demotions: int = 0
     promotions: int = 0
-    probes: int = 0
-    probe_aborts: int = 0
 
 
 class DampingTracker:
@@ -70,18 +69,9 @@ class DampingTracker:
             self.modes[target] = TargetMode.EMPTY
             self.stats.demotions += 1
 
-    def note_probe(self, target: int, has_work: bool) -> None:
-        """Record a probe outcome; promote the target if work appeared."""
-        self.stats.probes += 1
-        if has_work:
-            if self.modes.get(target) is TargetMode.EMPTY:
-                self.modes[target] = TargetMode.FULL
-                self.stats.promotions += 1
-        else:
-            self.stats.probe_aborts += 1
-
     def note_success(self, target: int) -> None:
-        """A successful steal confirms full-mode."""
+        """The target showed work — a steal took some, or an empty-mode
+        probe saw some: it is back in full-mode."""
         if self.modes.get(target) is TargetMode.EMPTY:
             self.modes[target] = TargetMode.FULL
             self.stats.promotions += 1

@@ -217,8 +217,6 @@ class SwsQueue(StealvalQueue):
         #: Cumulative time the owner spent polling for a free epoch (the
         #: cost the completion-epoch design exists to minimize).
         self.epoch_wait_time = 0.0
-        #: Claims of each epoch's last close (settled records leave ``records``).
-        self._claimed = [0] * self.cfg.max_epochs
 
     @property
     def stealable(self) -> int:
@@ -261,7 +259,6 @@ class SwsQueue(StealvalQueue):
                 f"({view.itasks},{view.epoch}) vs ({rec.itasks},{rec.epoch})"
             )
         rec.claims, disp, rem = owner_remainder(view.itasks, view.asteals)
-        self._claimed[rec.epoch] = rec.claims
         rec.open = False
         return rec.start + disp, rem
         yield  # unreachable: makes this a generator, like the Figure-3 close
@@ -281,10 +278,6 @@ class SwsQueue(StealvalQueue):
                 break
             yield self._lock_pause
         self.epoch_wait_time += self.system.ctx.engine.now - t0
-        # Only a claim writes a completion slot: zero [0, claims) (Fig. 5).
-        base = self._comp_offset(next_epoch, 0)
-        for i in range(self._claimed[next_epoch]):
-            self.pe.local_store(COMP_REGION, base + i, 0)
         self.epoch = next_epoch
         self.records.append(EpochRecord(next_epoch, start, itasks))
         self.publications += 1
@@ -336,7 +329,11 @@ class SwsQueue(StealvalQueue):
                 reclaimed += expected
             # A closed, fully folded record is done; the deque may go
             # empty transiently while release/acquire reopens the queue.
+            # Only a claim wrote its row: zero [0, claims) (Fig. 5), so a
+            # row holds words of live records only.
             if not rec.open and rec.folded == claims:
+                for i in range(claims):
+                    self.pe.local_store(COMP_REGION, base + i, 0)
                 self.records.popleft()
                 continue
             break

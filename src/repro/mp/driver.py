@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..capabilities import check
-from ..core.damping import DampingTracker
+from ..core.damping import DampingTracker, TargetMode
 from ..runtime.stats import QuantileSketch, RunStats, ServingStats, WorkerStats
 from ..shmem.heap import SymmetricAllocator
 from ..workloads.uts.params import get_tree
@@ -301,6 +301,7 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
     rng = random.Random((seed * 1_000_003) ^ rank)
     # Only a protocol that damps ever consults the tracker.
     tracker = DampingTracker(npes, enabled=damping)
+    modes, empty_mode = tracker.modes, TargetMode.EMPTY
     stats = WorkerStats(rank=rank)
     local, execute, fingerprint, finished, inbox, extras = bind(
         rank, heap, layouts, ctl, owner, thieves, *bind_args)
@@ -323,6 +324,8 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
             appendleft(payload)          # buffer full: keep the rest
 
     def try_steal_from(victim: int) -> bool:
+        if modes.get(victim) is empty_mode:   # a probe goes first
+            stats.probes += 1
         status, claimed = thieves[victim].try_steal(tracker, victim)
         if status is None:
             return False                     # probe said empty: no AMO spent
@@ -401,7 +404,6 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
                                waited_s=MP_IDLE_STALL_S) from None
 
     stats.tasks_executed = executed
-    stats.probes = tracker.stats.probes
     return stats, checksum, extras() if extras is not None else None
 
 

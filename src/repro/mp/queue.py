@@ -225,11 +225,10 @@ class MpSwsThief(_MpTaskBuffer):
         leaves the tracker alone; one that finds the allotment spent is
         ``EMPTY`` and may demote the victim.
         """
-        modes = tracker.modes
-        if modes.get(victim) is TargetMode.EMPTY:
-            tracker.note_probe(victim, self.has_work())
-            if modes.get(victim) is TargetMode.EMPTY:
+        if tracker.modes.get(victim) is TargetMode.EMPTY:
+            if not self.has_work():
                 return None, ()
+            tracker.note_success(victim)
         res = self.steal()
         if res.claimed:
             tracker.note_success(victim)

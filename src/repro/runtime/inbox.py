@@ -1,22 +1,22 @@
-"""Remote task spawning via per-PE MPSC inboxes (paper §2.1/§3).
+"""Lifeline work delivery via per-PE MPSC inboxes (paper §2.1/§3).
 
-The Scioto model lets a task "spawn tasks onto remote queues, although
-with more overhead due to communication".  The owner's task queue cannot
-be written by arbitrary remote producers (thieves only *read* the shared
-portion), so remote spawns land in a separate symmetric **inbox** — a
-multi-producer single-consumer ring:
+A donor hands surplus tasks to a quiescent buddy (:mod:`.lifeline`), but
+the buddy's task queue cannot be written by arbitrary remote producers
+(thieves only *read* the shared portion), so deliveries land in a
+separate symmetric **inbox** — a multi-producer single-consumer ring:
 
 1. the sender reserves a slot with a remote ``fetch_add`` on the
    reserve counter;
-2. writes the task record into the slot (non-blocking put);
-3. fences (``quiet``) so the record precedes its flag;
-4. raises the slot's commit flag (non-blocking atomic).
+2. one ``put_signal`` (OpenSHMEM 1.5) writes the task record and raises
+   the slot's commit flag in a single message: two communications per
+   delivered task.
 
 The owner polls commit flags from its drain cursor (a local read),
 moving committed tasks onto its normal local queue.  Slots are reused
-once drained; the ring must be sized for the peak in-flight spawn count
-(an overwritten un-drained slot raises :class:`ProtocolError` — the
-flow-control discipline real implementations enforce with windowing).
+once drained; the ring must be sized for the peak in-flight delivery
+count (an overwritten un-drained slot raises :class:`ProtocolError` —
+the flow-control discipline real implementations enforce with
+windowing).
 """
 
 from __future__ import annotations
@@ -32,23 +32,14 @@ TASK_REGION = "inbox.tasks"
 
 RESERVE = 0  # meta word: next slot sequence number
 
+#: Slots per PE in a pool's inbox ring.
+CAPACITY = 1024
+
 
 class InboxSystem:
-    """Allocates the symmetric inbox regions for the job.
+    """Allocates the symmetric inbox regions for the job."""
 
-    ``use_put_signal`` selects the OpenSHMEM 1.5 fast path: the record
-    and its commit flag travel as one ``put_signal`` message (2
-    communications per spawn instead of 4).  The classic path (reserve /
-    put / quiet / flag) remains for OpenSHMEM 1.4 semantics.
-    """
-
-    def __init__(
-        self,
-        ctx: ShmemCtx,
-        capacity: int,
-        task_size: int,
-        use_put_signal: bool = True,
-    ) -> None:
+    def __init__(self, ctx: ShmemCtx, capacity: int, task_size: int) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         if task_size <= 0:
@@ -56,7 +47,6 @@ class InboxSystem:
         self.ctx = ctx
         self.capacity = capacity
         self.task_size = task_size
-        self.use_put_signal = use_put_signal
         ctx.heap.alloc_words(META_REGION, 1)
         ctx.heap.alloc_words(FLAG_REGION, capacity)
         ctx.heap.alloc_bytes(TASK_REGION, capacity * task_size)
@@ -74,21 +64,14 @@ class Inbox:
         self.pe = system.ctx.pe(rank)
         self.rank = rank
         self.drain_cursor = 0  # owner-local: next sequence to drain
-        self.sent = 0
-        self.received = 0
 
     # ------------------------------------------------------------------
     # sender side (remote)
     # ------------------------------------------------------------------
     def send(self, target: int, record: bytes) -> Generator:
-        """Deposit one task record into ``target``'s inbox.
-
-        Classic path: reserve fetch-add (blocking), record put
-        (non-blocking), quiet, commit-flag atomic (non-blocking) — four
-        communications, the 'more overhead' the paper attributes to
-        remote spawns.  With ``use_put_signal`` the record and flag fuse
-        into one message: two communications total.
-        """
+        """Deposit one task record into ``target``'s inbox: a blocking
+        reserve fetch-add, then the record and its commit flag as one
+        non-blocking ``put_signal``."""
         if target == self.rank:
             raise ProtocolError("use the local queue, not the inbox, for self-spawns")
         if len(record) != self.system.task_size:
@@ -96,72 +79,54 @@ class Inbox:
                 f"record of {len(record)} bytes; inbox expects "
                 f"{self.system.task_size}"
             )
-        cap = self.system.capacity
         seq = yield self.pe.atomic_fetch_add(target, META_REGION, RESERVE, 1)
-        slot = seq % cap
-        if self.system.use_put_signal:
-            # Overrun detection needs flag increments, not stores; encode
-            # the lap count so a clobbered slot is still detectable.
-            lap = seq // cap + 1
-            yield self.pe.put_signal_nb(
-                target,
-                TASK_REGION,
-                slot * self.system.task_size,
-                record,
-                FLAG_REGION,
-                slot,
-                lap,
-            )
-        else:
-            yield self.pe.put_bytes_nb(
-                target, TASK_REGION, slot * self.system.task_size, record
-            )
-            # Fence: the record must be visible before its commit flag.
-            yield self.pe.quiet()
-            yield self.pe.atomic_add_nb(target, FLAG_REGION, slot, 1)
-        self.sent += 1
+        # The flag carries the lap count, so a clobbered slot (a producer
+        # lapping an undrained one) is still detectable.
+        lap, slot = divmod(seq, self.system.capacity)
+        yield self.pe.put_signal_nb(
+            target, TASK_REGION, slot * self.system.task_size, record,
+            FLAG_REGION, slot, lap + 1)
 
     # ------------------------------------------------------------------
     # owner side (local)
     # ------------------------------------------------------------------
-    def drain(self, limit: int | None = None) -> list[bytes]:
+    def drain(self) -> list[bytes]:
         """Collect committed records in arrival sequence (local reads).
 
         Commit flags carry the *lap count* (pass number over the ring):
         slot ``seq`` is ready when its flag equals ``seq // cap + 1``.
         A higher flag means a producer lapped an undrained slot and
         clobbered it — the ring was undersized.  Flags are never cleared;
-        the lap discipline makes reuse unambiguous on both send paths.
+        the lap discipline makes reuse unambiguous.
         """
         out: list[bytes] = []
-        cap = self.system.capacity
         ts = self.system.task_size
-        while limit is None or len(out) < limit:
-            slot = self.drain_cursor % cap
-            expected_lap = self.drain_cursor // cap + 1
+        while True:
+            slot, lap = self._next()
             flag = self.pe.local_load(FLAG_REGION, slot)
-            if flag < expected_lap:
-                break
-            if flag > expected_lap:
+            if flag < lap:
+                return out
+            if flag > lap:
                 raise ProtocolError(
                     f"PE {self.rank}: inbox overrun at slot {slot} "
-                    f"(flag={flag}, expected lap {expected_lap}); "
+                    f"(flag={flag}, expected lap {lap}); "
                     f"increase inbox capacity"
                 )
             out.append(self.pe.local_read_bytes(TASK_REGION, slot * ts, ts))
             self.drain_cursor += 1
-        self.received += len(out)
-        return out
+
+    def _next(self) -> tuple[int, int]:
+        """The next sequence's slot, and the flag that commits it."""
+        lap, slot = divmod(self.drain_cursor, self.system.capacity)
+        return slot, lap + 1
 
     @property
     def pending_hint(self) -> bool:
         """Cheap check: is the next slot committed? (one local read)"""
-        slot = self.drain_cursor % self.system.capacity
-        expected_lap = self.drain_cursor // self.system.capacity + 1
-        return self.pe.local_load(FLAG_REGION, slot) >= expected_lap
+        slot, lap = self._next()
+        return self.pe.local_load(FLAG_REGION, slot) >= lap
 
     def wake_condition(self) -> tuple[str, int, object]:
         """``wait_until_any`` triple firing when the next slot commits."""
-        slot = self.drain_cursor % self.system.capacity
-        expected_lap = self.drain_cursor // self.system.capacity + 1
-        return (FLAG_REGION, slot, lambda v: v >= expected_lap)
+        slot, lap = self._next()
+        return (FLAG_REGION, slot, lambda v: v >= lap)

@@ -9,7 +9,7 @@ composes the two.
 Mechanism: after ``z`` consecutive failed random steals, an idle PE goes
 quiescent and instead *registers lifelines* with a fixed set of buddies
 (its hypercube neighbours).  A buddy that later has surplus work pushes
-tasks directly to the registered PE through the remote-spawn inbox, at
+tasks directly to the registered PE through its delivery inbox, at
 which point the PE retracts its outstanding lifelines and resumes
 stealing normally.
 

@@ -27,7 +27,7 @@ from ..capabilities import CELLS, check
 from ..core.config import QueueConfig
 from ..core.damping import DampingTracker
 from ..fabric.latency import EDR_INFINIBAND, TIERED_EDR, LatencyModel
-from ..fabric.topology import TieredTopology, Topology
+from ..fabric.topology import TieredTopology
 from ..shmem.api import ShmemCtx
 from .protocols import get_protocol
 from .registry import TaskRegistry
@@ -68,22 +68,20 @@ class TaskPool:
         pes_per_node: int = 48,
         victim: str | None = None,
         seed: int = 0,
-        remote_spawn: bool = False,
-        inbox_capacity: int = 1024,
         lifelines: bool = False,
         lifeline_config: LifelineConfig | None = None,
         termination: str = "ring",
         fault_plan: FaultPlan | None = None,
         op_timeout: float | None = None,
-        token_timeout: float | None = None,
         scheduler: Scheduler | str | None = None,
         oracle: bool = False,
-        topology: Topology | None = None,
         steal_trace: str | os.PathLike | None = None,
     ) -> None:
         faulty = fault_plan is not None and fault_plan.active
         asks = {"run": True, "faults": faulty, "tree": termination == "tree",
-                "scheduler": scheduler is not None, "oracle": oracle}
+                "scheduler": scheduler is not None, "oracle": oracle,
+                "lifelines": lifelines, "victim": victim is not None,
+                "placement": pes_per_node != TieredTopology.pes_per_node}
         check(impl, "fabric", [f for f, on in asks.items() if on], npes)
         protocol = get_protocol(impl)
         self.npes = npes
@@ -93,18 +91,21 @@ class TaskPool:
         self.registry = registry
         self.queue_config = queue_config or QueueConfig()
         self.worker_config = worker_config or WorkerConfig()
-        self.seed_value = seed
         if victim is None:
             victim = protocol.default_victim
         # A tiered protocol wants the socket/node/rack hierarchy; build
-        # it (and swap in the tiered latency preset, when the caller
-        # kept the default) unless an explicit topology overrides.
-        if topology is None and protocol.tiered:
-            topology = TieredTopology(npes, pes_per_node=pes_per_node)
+        # it (and swap in the tiered latency preset, when the caller kept
+        # the default).  A node smaller than the default socket is one
+        # socket.
+        topology = None
+        if protocol.tiered:
+            topology = TieredTopology(
+                npes, pes_per_node=pes_per_node,
+                pes_per_socket=min(pes_per_node, TieredTopology.pes_per_socket))
             if latency is EDR_INFINIBAND:
                 latency = TIERED_EDR
-        self.topology_override = topology
 
+        token_timeout = 1e-3
         if faulty:
             if any(f.pe == 0 for f in fault_plan.pe_failures):
                 raise ValueError(
@@ -116,12 +117,11 @@ class TaskPool:
                 # stay far below any useful quarantine/token timescale.
                 rtt = 2.0 * (latency.alpha_sw + latency.half_rtt_inter)
                 op_timeout = max(50.0 * rtt, 20e-6)
-            if token_timeout is None:
-                # A full ring round: one hop + worker service latency per
-                # PE, with generous slack for retry/backoff storms.
-                token_timeout = 4.0 * npes * max(
-                    op_timeout, self.worker_config.steal_backoff_max
-                )
+            # A full ring round: one hop + worker service latency per PE,
+            # with generous slack for retry/backoff storms.
+            token_timeout = 4.0 * npes * max(
+                op_timeout, self.worker_config.steal_backoff_max
+            )
             if self.queue_config.sdc_lock_lease is None:
                 # A lossy fabric can drop the unlock of SDC's swap-lock (or
                 # kill its holder); without a lease nothing ever breaks
@@ -136,7 +136,6 @@ class TaskPool:
                 self.queue_config = replace(
                     self.queue_config, sdc_lock_lease=4.0 * op_timeout
                 )
-        self.fault_plan = fault_plan if faulty else None
         self.op_timeout = op_timeout
 
         if isinstance(scheduler, str):
@@ -146,15 +145,9 @@ class TaskPool:
         self.scheduler = scheduler
 
         self.ctx = ShmemCtx(
-            npes,
-            latency=latency,
-            pes_per_node=pes_per_node,
-            fault_plan=fault_plan,
-            op_timeout=op_timeout,
-            scheduler=scheduler,
-            topology=topology,
-            trace_comm=steal_trace is not None,
-        )
+            npes, latency=latency, pes_per_node=pes_per_node,
+            fault_plan=fault_plan, op_timeout=op_timeout, scheduler=scheduler,
+            topology=topology, trace_comm=steal_trace is not None)
         #: Where :meth:`run` writes the steal trace (:mod:`repro.fabric.trace`).
         self.steal_trace = steal_trace
         if steal_trace is not None:
@@ -164,48 +157,29 @@ class TaskPool:
         self.queue_system = protocol.queue_system(self.ctx, self.queue_config)
         if termination == "ring":
             self.term_system = TerminationSystem(
-                self.ctx,
-                faults=self.ctx.faults,
-                token_timeout=token_timeout if token_timeout is not None else 1e-3,
-            )
+                self.ctx, faults=self.ctx.faults, token_timeout=token_timeout)
         elif termination == "tree":
             self.term_system = TreeTerminationSystem(self.ctx)
         else:
             raise ValueError(
                 f"termination must be 'ring' or 'tree', got {termination!r}"
             )
-        # Lifelines deliver work through the inbox, so they imply it.
-        self.inbox_system = self.lifeline_system = None
-        if remote_spawn or lifelines:
-            from .inbox import InboxSystem
-
-            self.inbox_system = InboxSystem(
-                self.ctx, inbox_capacity, self.queue_config.task_size
-            )
-        if lifelines:
+        if lifelines:  # lifelines deliver work through the inbox
+            from .inbox import CAPACITY, InboxSystem
             from .lifeline import LifelineConfig, LifelineSystem
 
-            self.lifeline_system = LifelineSystem(self.ctx, faults=self.ctx.faults)
+            inboxes = InboxSystem(self.ctx, CAPACITY, self.queue_config.task_size)
+            lifeline_system = LifelineSystem(self.ctx, faults=self.ctx.faults)
             lifeline_config = lifeline_config or LifelineConfig()
-        self.lifeline_config = lifeline_config
 
         self.workers: list[Worker] = []
+        damps = "damping" in CELLS[impl]["fabric"]
         for rank in range(npes):
-            queue = self.queue_system.handle(rank)
-            damping = (
-                DampingTracker(
-                    npes,
-                    threshold=self.queue_config.damping_threshold,
-                    enabled=self.worker_config.damping,
-                )
-                if "damping" in CELLS[impl]["fabric"]
-                else None
-            )
-            selector = (
-                make_selector(victim, npes, rank, seed, self.ctx.topology)
-                if npes > 1
-                else None
-            )
+            damping = DampingTracker(
+                npes, threshold=self.queue_config.damping_threshold,
+                enabled=self.worker_config.damping) if damps else None
+            selector = make_selector(
+                victim, npes, rank, seed, self.ctx.topology) if npes > 1 else None
             if selector is not None and self.ctx.faults is not None:
                 selector = QuarantineSelector(
                     selector,
@@ -213,30 +187,17 @@ class TaskPool:
                     quarantine_after=self.worker_config.quarantine_after,
                     quarantine_time=self.worker_config.quarantine_time,
                 )
-            self.workers.append(
-                Worker(
-                    rank=rank,
-                    npes=npes,
-                    queue=queue,
-                    registry=registry,
-                    selector=selector,
-                    termination=self.term_system.handle(rank),
-                    config=self.worker_config,
-                    task_size=self.queue_config.task_size,
-                    inbox=(
-                        self.inbox_system.handle(rank)
-                        if self.inbox_system
-                        else None
-                    ),
-                    lifeline=(
-                        self.lifeline_system.handle(rank, self.lifeline_config)
-                        if self.lifeline_system
-                        else None
-                    ),
-                    seed=seed,
-                    damping=damping,
-                )
-            )
+            inbox = lifeline = None
+            if lifelines:
+                inbox = inboxes.handle(rank)
+                lifeline = lifeline_system.handle(rank, lifeline_config)
+            self.workers.append(Worker(
+                rank=rank, npes=npes, queue=self.queue_system.handle(rank),
+                registry=registry, selector=selector,
+                termination=self.term_system.handle(rank),
+                config=self.worker_config,
+                task_size=self.queue_config.task_size, inbox=inbox,
+                lifeline=lifeline, seed=seed, damping=damping))
         self.oracle: PoolOracle | None = None
         if oracle:
             from .oracle import PoolOracle
@@ -259,7 +220,7 @@ class TaskPool:
     def start_workers(self) -> dict:
         """Spawn every PE's worker without running the engine
         (:meth:`run` does both; a caller stepping the engine itself with
-        ``ctx.run(until=)`` starts here)."""
+        ``ctx.run(until=)`` starts here and ends in :meth:`finish`)."""
         if self._ran:
             raise RuntimeError("pool already ran")
         self._ran = True
@@ -277,8 +238,12 @@ class TaskPool:
     def run(self) -> RunStats:
         """Execute to global termination; returns aggregated statistics."""
         self.start_workers()
+        return self.finish(self.ctx.run())
+
+    def finish(self, end: float) -> RunStats:
+        """Audit the queues (and the oracle's final books) of a run that
+        terminated at virtual time ``end``, and collect its statistics."""
         faults = self.ctx.faults
-        end = self.ctx.run()
         for w in self.workers:
             if faults is not None and faults.is_dead(w.rank, end):
                 continue  # a fail-stopped PE's mid-protocol state is moot

@@ -35,10 +35,7 @@ class TaskContext:
 class TaskOutcome:
     """What executing one task produced.
 
-    ``children`` are enqueued LIFO on the executing PE; each
-    ``remote_children`` entry ``(target_pe, task)`` is deposited into the
-    target's inbox instead (requires the pool's remote-spawn support;
-    paper §2.1: spawning onto remote queues costs extra communication).
+    ``children`` are enqueued LIFO on the executing PE.
 
     A ``__slots__`` class: one outcome is built per executed task, which
     makes construction cost part of the simulator's per-task overhead.
@@ -46,25 +43,17 @@ class TaskOutcome:
     immutable ``()``, so build the list first and pass it in.
     """
 
-    __slots__ = ("duration", "children", "remote_children")
+    __slots__ = ("duration", "children")
 
-    def __init__(
-        self,
-        duration: float,
-        children: Sequence[Task] = (),
-        remote_children: Sequence[tuple[int, Task]] = (),
-    ) -> None:
+    def __init__(self, duration: float, children: Sequence[Task] = ()) -> None:
         if duration < 0:
             raise ValueError(f"negative task duration: {duration}")
         self.duration = duration
         self.children = children
-        self.remote_children = remote_children
 
     def __repr__(self) -> str:
-        return (
-            f"TaskOutcome(duration={self.duration!r}, "
-            f"children={self.children!r}, remote_children={self.remote_children!r})"
-        )
+        return (f"TaskOutcome(duration={self.duration!r}, "
+                f"children={self.children!r})")
 
 
 TaskFn = Callable[[bytes, TaskContext], TaskOutcome]

@@ -189,7 +189,7 @@ class Worker:
         self.inbox = inbox
         self.lifeline = lifeline
         if lifeline is not None and inbox is None:
-            raise ProtocolError("lifelines require the remote-spawn inbox")
+            raise ProtocolError("lifelines require the delivery inbox")
         ctx = queue.system.ctx
         self._engine = ctx.engine
         # Fault mode: timed-out steals are retried with jittered backoff.
@@ -220,7 +220,6 @@ class Worker:
         self._batches = 0
         self._backoff = config.steal_backoff
         self._pauses = _Pauses()
-        self._remote_spawns: list[tuple[int, Task]] = []
 
     @property
     def now(self) -> float:
@@ -285,7 +284,7 @@ class Worker:
                 idle = queue.local_count == 0
 
             if inbox is not None:
-                # Committed remote spawns move onto the local queue.
+                # Committed lifeline deliveries move onto the local queue.
                 queue.enqueue_many(inbox.drain())
                 idle = queue.local_count == 0
 
@@ -430,11 +429,11 @@ class Worker:
         damping = self.damping
         queue = self.queue
         if damping.modes.get(victim) is _EMPTY_MODE:
-            has_work = queue.codec.has_work((yield queue.probe(victim)))
+            word = yield queue.probe(victim)
             self.stats.probes += 1
-            damping.note_probe(victim, has_work)
-            if not has_work:
+            if not queue.codec.has_work(word):
                 return queue.empty_results[victim]
+            damping.note_success(victim)
         result = yield from queue.steal(victim)
         status = result.status
         if status is _STOLEN and result.ntasks:
@@ -504,15 +503,6 @@ class Worker:
                     room = queue.room(len(stack))
                 room -= 1
                 stack.append(child)
-            if outcome.remote_children:
-                if self.inbox is None:
-                    raise ProtocolError(
-                        "remote_children require TaskPool(remote_spawn=True)"
-                    )
-                # Counted as spawned now (before any receiver can run
-                # them), sent after the batch's compute segment.
-                self._remote_spawns.extend(outcome.remote_children)
-                spawned += len(outcome.remote_children)
             spawned += len(children)
             task_time += outcome.duration
             duration += outcome.duration + overhead
@@ -531,10 +521,6 @@ class Worker:
         stats.tasks_executed += executed
         if duration > 0:
             yield self._pauses[duration]
-        if self._remote_spawns:
-            spawns, self._remote_spawns = self._remote_spawns, []
-            for target, task in spawns:
-                yield from self.inbox.send(target, task.serialize(self.task_size))
 
     def _manage(self) -> Generator:
         """Post-batch release and lifeline donations.  The loop enters it

@@ -6,8 +6,9 @@ that the recorded schedule trace reproduces the failure bit-identically,
 and that greedy shrinking keeps it failing:
 
 * **un-fused claim** — the thief's discover-and-claim split back into a
-  separate read and add (the pre-SWS racy window, paper §4): thieves
-  that read between each other's adds claim the same block;
+  separate read and add (the pre-SWS racy window, paper §4; the
+  ``explore-race`` row's mutant): thieves that read between each other's
+  adds claim the same block, or lose one;
 * **spurious completion retry** — a widened notification window where
   the thief's completion fetch-add lands twice: the completion-word
   discipline pins it as a double claim the moment the second add lands.
@@ -15,42 +16,23 @@ and that greedy shrinking keeps it failing:
 
 import pytest
 
-from repro.analysis.explore import explore, pool_factory, replay_trace, shrink_trace
-from repro.core.results import StealResult, StealStatus
-from repro.core.steal_half import steal_displacement, steal_volume
-from repro.core.stealval import StealValEpoch
-from repro.core.sws_queue import META_REGION, STEALVAL, SwsQueue
+from repro.analysis.explore import (
+    explore,
+    pool_factory,
+    replay_trace,
+    run_once,
+    shrink_trace,
+    unfused_factory,
+    unfused_steal,
+)
+from repro.core.sws_queue import SwsQueue
+from repro.fabric.scheduler import make_scheduler
 
 pytestmark = pytest.mark.schedules
 
 
-def _unfused_steal(self, victim):
-    """SwsQueue.steal with the fetch-add split into read THEN add."""
-    if victim == self.rank:
-        raise AssertionError("a PE cannot steal from itself")
-    pe = self.pe
-    old = yield pe.atomic_fetch(victim, META_REGION, STEALVAL)
-    yield pe.atomic_add_nb(
-        victim, META_REGION, STEALVAL, StealValEpoch.ASTEAL_UNIT
-    )
-    view = StealValEpoch.unpack(old)
-    if view.locked:
-        return StealResult(StealStatus.DISABLED, victim)
-    ntasks = steal_volume(view.itasks, view.asteals)
-    if ntasks == 0:
-        return StealResult(StealStatus.EMPTY, victim)
-    disp = steal_displacement(view.itasks, view.asteals)
-    data = yield from self._fetch_block(victim, view.tail + disp, ntasks)
-    yield from self._notify_completion(
-        victim, self._comp_offset(view.epoch, view.asteals), ntasks
-    )
-    ts = self.cfg.task_size
-    records = [data[i * ts : (i + 1) * ts] for i in range(ntasks)]
-    return StealResult(StealStatus.STOLEN, victim, ntasks, records)
-
-
 def test_explorer_catches_unfused_claim(monkeypatch):
-    monkeypatch.setattr(SwsQueue, "steal", _unfused_steal)
+    monkeypatch.setattr(SwsQueue, "steal", unfused_steal)
     report = explore(
         "flat", "sws", policy="random", seeds=range(10), stop_on_failure=True
     )
@@ -106,3 +88,30 @@ def test_clean_protocol_survives_same_sweep():
     """The exact sweep the mutations fail must pass unmutated."""
     report = explore("flat", "sws", policy="random", seeds=range(10))
     assert report.clean, report.render()
+
+
+@pytest.mark.timeout(60)
+def test_a_lost_task_is_no_termination_not_a_hang():
+    """The unfused tree at 3 PEs loses a task, which the conservation
+    check (a duplicate check) cannot see: the run is cut at the explorer's
+    virtual deadline, and replay and shrink keep the failure."""
+    factory = unfused_factory("tree", 3)
+    result = run_once(factory, make_scheduler("fixed"))
+    assert (result.ok, result.check) == (False, "no-termination")
+    replayed = replay_trace(result.trace, factory=factory)
+    assert (replayed.check, replayed.events) == ("no-termination",
+                                                 result.events)
+    shrunk, _ = shrink_trace(result.trace, factory=factory, max_attempts=8)
+    again = replay_trace(shrunk, factory=factory)
+    assert again.check == "no-termination"
+
+
+def test_the_mutant_is_bound_per_pool():
+    """The row's factory rebinds each queue's steal; the class and a pool
+    built beside it keep the fused fetch-add."""
+    mutant = unfused_factory("flat", 3)(make_scheduler("fixed"))
+    plain = pool_factory("flat", "sws", npes=3)(make_scheduler("fixed"))
+    assert all(w.queue.steal.__func__ is unfused_steal
+               for w in mutant.workers)
+    assert all(w.queue.steal.__func__ is SwsQueue.steal
+               for w in plain.workers)

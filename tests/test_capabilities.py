@@ -133,6 +133,15 @@ def _fabric_faults(protocol, npes):
         assert pool.ctx.faults.snapshot()["dropped_ops"] > 0
 
 
+def _fabric_placement(protocol, npes):
+    """Two nodes of two PEs: for the tiered protocol a node smaller than
+    the default 24-PE socket is one socket."""
+    pool = _fabric_pool(pes_per_node=2)(protocol, max(npes, 4))
+    assert pool.ctx.topology.node_of(3) == 1
+    if get_protocol(protocol).tiered:
+        assert pool.ctx.topology.pes_per_socket == 2
+
+
 def _fabric_damping(protocol, npes):
     pool = _fabric_pool()(protocol, npes)
     assert all(w.damping is not None for w in pool.workers)
@@ -201,6 +210,9 @@ RUNS = {
     ("fabric", "oracle"): _fabric_pool(),
     ("fabric", "faults"): _fabric_faults,
     ("fabric", "damping"): _fabric_damping,
+    ("fabric", "lifelines"): _fabric_pool(lifelines=True),
+    ("fabric", "victim"): _fabric_pool(victim="roundrobin"),
+    ("fabric", "placement"): _fabric_placement,
     ("fabric", "serving"): _serve(),
     ("fabric", "shedding"): _serve_shedding,
     ("threads", "race"): _race("threads"),
@@ -285,6 +297,12 @@ REFUSALS = {
     ("fabric", "oracle"): _refuse_pool(("run", "oracle"), oracle=True),
     ("fabric", "faults"): _refuse_pool(("run", "faults"),
                                        fault_plan=FAULTS[0]),
+    ("fabric", "lifelines"): _refuse_pool(("run", "lifelines"),
+                                          lifelines=True),
+    ("fabric", "victim"): _refuse_pool(("run", "victim"),
+                                       victim="roundrobin"),
+    ("fabric", "placement"): _refuse_pool(("run", "placement"),
+                                          pes_per_node=2),
     ("fabric", "serving"): _refuse_serve(("serving",)),
     ("fabric", "shedding"): _refuse_serve(("serving", "shedding"),
                                           shed_threshold=1),
@@ -446,7 +464,7 @@ def test_every_feature_of_every_cell_is_judged_or_named_unjudged():
 
     cells = {(backend, feature) for row in CELLS.values()
              for backend, features in row.items() for feature in features}
-    assert UNJUDGED == {("fabric", "scheduler"), ("fabric", "oracle")}
+    assert UNJUDGED == set()
     assert set(JUDGED_BY) == cells - UNJUDGED
     for (backend, feature), row in JUDGED_BY.items():
         assert row in EXPERIMENTS, (backend, feature, row)

@@ -1,13 +1,10 @@
-"""Tests for remote task spawning via MPSC inboxes."""
+"""Tests for the lifeline delivery inbox (an MPSC ring per PE)."""
 
 import pytest
 
 from repro.fabric.engine import Delay
 from repro.fabric.errors import ProtocolError
 from repro.runtime.inbox import InboxSystem
-from repro.runtime.pool import run_pool
-from repro.runtime.registry import TaskOutcome, TaskRegistry
-from repro.runtime.task import Task
 from repro.shmem.api import ShmemCtx
 
 from .conftest import TEST_LAT, rec, rec_id, run_procs
@@ -34,8 +31,6 @@ class TestInbox:
 
         results = run_procs(ctx, s(), o())
         assert results[1] == [7, 8]
-        assert owner.received == 2
-        assert sender.sent == 2
 
     def test_multiple_producers_all_arrive(self):
         ctx, sys_ = make(npes=5, capacity=64)
@@ -59,24 +54,6 @@ class TestInbox:
         owner = sys_.handle(0)
         assert owner.drain() == []
         assert not owner.pending_hint
-
-    def test_drain_limit(self):
-        ctx, sys_ = make()
-        sender = sys_.handle(1)
-        owner = sys_.handle(0)
-
-        def s():
-            for i in range(6):
-                yield from sender.send(0, rec(i))
-
-        def o():
-            yield Delay(1.0)
-            first = owner.drain(limit=2)
-            rest = owner.drain()
-            return len(first), len(rest)
-
-        results = run_procs(ctx, s(), o())
-        assert results[1] == (2, 4)
 
     def test_ring_reuse_after_drain(self):
         ctx, sys_ = make(capacity=4)
@@ -135,54 +112,3 @@ class TestInbox:
         with pytest.raises(ValueError):
             InboxSystem(ctx, 0, 16)
 
-
-class TestPoolRemoteSpawn:
-    def test_scatter_via_remote_spawn(self):
-        """A root task scatters leaves to every PE by remote spawn; all
-        of them execute exactly once."""
-        reg = TaskRegistry()
-
-        def root(payload, tc):
-            remote = [
-                (pe, Task(1)) for pe in range(tc.npes) if pe != tc.rank
-                for _ in range(10)
-            ]
-            return TaskOutcome(1e-5, [Task(1)] * 10, remote_children=remote)
-
-        reg.register("root", root)
-        reg.register("leaf", lambda p, tc: TaskOutcome(1e-4))
-        stats = run_pool(4, reg, [Task(0)], impl="sws", remote_spawn=True)
-        assert stats.total_tasks == 1 + 4 * 10
-        # Remote-spawned leaves really ran on their target PEs.
-        assert all(w.tasks_executed >= 10 for w in stats.workers[1:])
-
-    def test_remote_spawn_without_inbox_raises(self):
-        reg = TaskRegistry()
-
-        def root(payload, tc):
-            return TaskOutcome(1e-5, remote_children=[(1, Task(0))])
-
-        reg.register("root", root)
-        with pytest.raises(ProtocolError, match="remote_spawn"):
-            run_pool(2, reg, [Task(0)], impl="sws")
-
-    def test_remote_spawn_chain(self):
-        """Tasks hop PE to PE via remote spawns; termination still fires."""
-        reg = TaskRegistry()
-
-        def hop(payload, tc):
-            hops = int.from_bytes(payload, "little")
-            if hops == 0:
-                return TaskOutcome(1e-5)
-            nxt = (tc.rank + 1) % tc.npes
-            return TaskOutcome(
-                1e-5,
-                remote_children=[(nxt, Task(0, (hops - 1).to_bytes(2, "little")))],
-            )
-
-        reg.register("hop", hop)
-        stats = run_pool(
-            4, reg, [Task(0, (12).to_bytes(2, "little"))],
-            impl="sws", remote_spawn=True,
-        )
-        assert stats.total_tasks == 13

@@ -59,8 +59,17 @@ class TestShapeVerdict:
         with pytest.raises((KeyError, IndexError, ValueError)):
             judge("fig2", [])
 
+    def test_explore_race_needs_a_clean_fused_claim_and_a_caught_split(self):
+        rows = [["flat", n, "fixed", f"{int(n > 2)}/1",
+                 "conservation" if n > 2 else "-", 0 if n > 2 else "-", "0/1"]
+                for n in (2, 3, 4)]
+        assert judge("explore-race", rows)
+        assert not judge("explore-race", [r[:6] + ["1/1"] for r in rows])
+        missed = rows[:2] + [rows[2][:3] + ["0/1", "-", "-", "0/1"]]
+        assert not judge("explore-race", missed)
+
     def test_every_experiment_has_a_claim_and_a_judge(self):
-        assert len(EXPERIMENTS) == 28
+        assert len(EXPERIMENTS) == 29
         for exp_id, exp in EXPERIMENTS.items():
             assert exp.claim and "n/a" not in exp.claim, exp_id
             assert callable(exp.judge), exp_id

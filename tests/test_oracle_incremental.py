@@ -31,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.explore import build_pool
+from repro.analysis.explore import build_pool, unfused_steal
 from repro.core.config import QueueConfig
 from repro.core.ffmult_queue import FfMultQueue
 from repro.core.sdc_queue import SdcQueue
@@ -51,7 +51,6 @@ from repro.runtime.pool import TaskPool
 from repro.runtime.registry import TaskOutcome, TaskRegistry
 from repro.runtime.serving import ServingController, run_serve
 from repro.runtime.task import Task
-from tests.schedules.test_mutation import _unfused_steal
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -332,7 +331,7 @@ def _doubled(original):
 
 
 def test_unfused_claim_same_first_violation(monkeypatch):
-    monkeypatch.setattr(SwsQueue, "steal", _unfused_steal)
+    monkeypatch.setattr(SwsQueue, "steal", unfused_steal)
     caught = 0
     for seed in range(10):
         pool = explore_pool("flat", "sws", "random", seed)
@@ -417,6 +416,33 @@ def test_attach_names_what_a_full_scan_names(impl):
         oracle.attach()
         assert [oracle._written[r] for r in range(pool.npes)] == nonzero
     assert live > 0  # some word predated the journal without a plant
+
+
+@pytest.mark.parametrize("impl", [i for i in IMPLS if i != "ff-mult"])
+def test_an_oracle_attached_mid_run_stays_clean(impl):
+    """A clean run judged from the middle: a settled epoch's row keeps its
+    claims' words until the epoch reopens, and a live record the owner
+    folds away before the first check explained its words at attach."""
+    reg = TaskRegistry()
+    leaf = reg.register("leaf", lambda p, tc: TaskOutcome(duration=2e-6))
+    pools = []
+    for until in (5e-5, 1e-4):
+        pool = TaskPool(4, reg, impl=impl, queue_config=SMALL)
+        pool.seed(0, [Task(leaf)] * 96)
+        pools.append((pool, until))
+    for k in range(1, 40):
+        pools.append((build_pool("tree", impl, oracle=False), k * 5e-6))
+    judged = 0
+    for pool, until in pools:
+        pool.start_workers()
+        pool.ctx.run(until=until)
+        if not pool.ctx.engine.live:
+            continue  # the run ended before the oracle came
+        pool.oracle = PoolOracle(pool)
+        pool.oracle.attach()
+        pool.finish(pool.ctx.run())
+        judged += pool.oracle.checks_passed > 0
+    assert judged >= 10
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ batch's first ``yield`` (docs/simulator.md, "Batching";
 docs/performance.md, "The owner path").  Three host-independent checks:
 
 * **differential** — the loop it replaced (one ``dequeue`` →
-  ``parse_record`` → body → ``serialize`` → ``enqueue`` per task,
-  copied verbatim from the parent commit) runs the same grid; executed
+  ``parse_record`` → body → ``serialize`` → ``enqueue`` per task) runs
+  the same grid, one column with lifeline deliveries included; executed
   payloads per PE, every statistic and the task buffer at every event
   boundary must be identical;
 * **edges** — the capacity test and its ``progress()`` call fire at the
@@ -29,6 +29,7 @@ from repro.core.config import QueueConfig
 from repro.fabric.engine import Delay
 from repro.fabric.errors import ProtocolError
 from repro.runtime.pool import TaskPool
+from repro.runtime.lifeline import LifelineConfig
 from repro.runtime.registry import TaskOutcome, TaskRegistry
 from repro.runtime.task import Task, parse_record
 from repro.runtime.worker import WorkerConfig
@@ -44,7 +45,7 @@ NPES = 4
 
 
 # ----------------------------------------------------------------------
-# The reference: the parent commit's loop, verbatim
+# The reference: the per-task loop the batch window replaced
 # ----------------------------------------------------------------------
 def reference_execute_batch(self) -> Generator:
     """Run up to ``batch_max`` local tasks as one compute segment."""
@@ -79,13 +80,6 @@ def reference_execute_batch(self) -> Generator:
         children = outcome.children
         for child in children:
             enqueue(child.serialize(task_size))
-        if outcome.remote_children:
-            if self.inbox is None:
-                raise ProtocolError(
-                    "remote_children require TaskPool(remote_spawn=True)"
-                )
-            self._remote_spawns.extend(outcome.remote_children)
-            spawned += len(outcome.remote_children)
         spawned += len(children)
         task_time += outcome.duration
         duration += outcome.duration + overhead
@@ -101,10 +95,6 @@ def reference_execute_batch(self) -> Generator:
     stats.tasks_executed += executed
     if duration > 0:
         yield Delay(duration)
-    if self._remote_spawns:
-        spawns, self._remote_spawns = self._remote_spawns, []
-        for target, task in spawns:
-            yield from self.inbox.send(target, task.serialize(self.task_size))
 
 
 def use_reference(pool: TaskPool) -> None:
@@ -168,32 +158,28 @@ def bpc(registry):
     return [BpcWorkload(registry, params).seed_task()]
 
 
-def scatter(registry):
-    """A tree whose nodes also spawn onto the next PE's inbox."""
-    def node(payload, tc):
-        depth = payload[0]
-        if depth == 0:
-            return TaskOutcome(2e-6)
-        child = Task(0, bytes([depth - 1]) + payload[1:])
-        remote = [((tc.rank + 1) % tc.npes, Task(0, bytes([depth - 1, 1])))]
-        return TaskOutcome(1e-6, [child, child, child],
-                           remote_children=remote if depth % 2 else ())
-
-    registry.register("scatter.node", node)
-    return [Task(0, bytes([5, 0]))]
+def lifelines(registry):
+    """UTS on a pool whose idle PEs quiesce on lifelines (after one failed
+    steal) and are fed through the inbox by any donor with a spare task,
+    from ``_manage`` after every batch."""
+    return uts(registry)
 
 
-WORKLOADS = {"uts": uts, "bpc": bpc, "scatter": scatter}
+WORKLOADS = {"uts": uts, "bpc": bpc, "lifelines": lifelines}
 
 
 def build(impl, policy, batch_max, workload):
     registry = TaskRegistry()
     seeds = WORKLOADS[workload](registry)
     log = log_executions(registry)
+    feed = {}
+    if workload == "lifelines":
+        feed = dict(lifelines=True, lifeline_config=LifelineConfig(
+            z_failures=1, donor_min_local=1))
     pool = TaskPool(
         NPES, registry, impl=impl, seed=11,
         worker_config=WorkerConfig(batch_max=batch_max, spawn_policy=policy),
-        remote_spawn=workload == "scatter",
+        **feed,
     )
     pool.seed(0, seeds)
     return pool, log
@@ -222,6 +208,8 @@ def test_same_run_as_the_per_task_loop(impl, policy, batch_max, workload):
     for event, (a, b) in enumerate(zip(trace, want_trace)):
         assert a == b, f"task buffers differ after event {event}"
     assert len(log) > 100  # the grid ran real work
+    if workload == "lifelines":
+        assert pool.ctx.metrics.total_ops("put_signal") > 0  # and fed it
 
 
 def test_control_the_differential_sees_a_reordered_batch():
@@ -376,12 +364,10 @@ def test_a_raising_task_leaves_no_half_written_buffer(oracle):
 def test_outcomes_never_share_a_mutable_list():
     a, b = TaskOutcome(1e-6), TaskOutcome(2e-6)
     for leaf in (a, b):
-        assert not leaf.children and not leaf.remote_children
+        assert not leaf.children
         assert len(leaf.children) == 0 and list(leaf.children) == []
         with pytest.raises(AttributeError):
             leaf.children.append(Task(0))
-        with pytest.raises(AttributeError):
-            leaf.remote_children.append((0, Task(0)))
     assert not b.children   # nothing leaked from the attempts on ``a``
     mine = [Task(0)]
     assert TaskOutcome(1e-6, mine).children is mine

@@ -1,7 +1,5 @@
 """Tests for put-with-signal and the inbox fast path."""
 
-import pytest
-
 from repro.fabric.engine import Delay
 from repro.runtime.inbox import InboxSystem
 from repro.shmem.api import ShmemCtx
@@ -68,15 +66,16 @@ class TestPutSignal:
 
 
 class TestInboxFastPath:
-    def _roundtrip(self, use_put_signal, nmsgs=6):
+    def test_fast_path_delivers(self):
+        """Two communications per record: the reserve and one put_signal."""
         ctx = ShmemCtx(2, latency=TEST_LAT)
-        system = InboxSystem(ctx, 16, 16, use_put_signal=use_put_signal)
+        system = InboxSystem(ctx, 16, 16)
         sender, owner = system.handle(1), system.handle(0)
         got = {}
 
         def s():
             before = ctx.metrics.snapshot()
-            for i in range(nmsgs):
+            for i in range(6):
                 yield from sender.send(0, rec(i))
             got["comms"] = ctx.metrics.delta(before)
             yield sender.pe.quiet()
@@ -86,75 +85,20 @@ class TestInboxFastPath:
             got["records"] = [rec_id(r) for r in owner.drain()]
 
         run_procs(ctx, s(), o())
-        return got
-
-    def test_fast_path_delivers(self):
-        got = self._roundtrip(True)
         assert got["records"] == list(range(6))
+        assert got["comms"]["total"] == 2 * 6   # reserve + put_signal
+        assert got["comms"]["put_signal"] == 6
 
-    def test_classic_path_delivers(self):
-        got = self._roundtrip(False)
-        assert got["records"] == list(range(6))
-
-    def test_fast_path_halves_comms(self):
-        fast = self._roundtrip(True)["comms"]["total"]
-        classic = self._roundtrip(False)["comms"]["total"]
-        assert fast == 2 * 6      # reserve + put_signal per message
-        assert classic == 3 * 6   # reserve + put + flag (quiet is free)
-
-    def test_fast_path_ring_reuse(self):
-        """Lap-encoded flags survive multiple passes over the ring."""
-        ctx = ShmemCtx(2, latency=TEST_LAT)
-        system = InboxSystem(ctx, 4, 16, use_put_signal=True)
-        sender, owner = system.handle(1), system.handle(0)
-        got = []
-
-        def s():
-            for wave in range(3):
-                for i in range(4):
-                    yield from sender.send(0, rec(wave * 10 + i))
-                yield Delay(1.0)
-
-        def o():
-            for _ in range(3):
-                yield Delay(0.9)
-                got.extend(rec_id(r) for r in owner.drain())
-                yield Delay(0.1)
-
-        run_procs(ctx, s(), o())
-        assert len(got) == 12
-
-    def test_fast_path_overrun_detected(self):
-        from repro.fabric.errors import ProtocolError
-
-        ctx = ShmemCtx(2, latency=TEST_LAT)
-        system = InboxSystem(ctx, 2, 16, use_put_signal=True)
-        sender, owner = system.handle(1), system.handle(0)
-
-        def s():
-            for i in range(4):  # laps the 2-slot ring undrained
-                yield from sender.send(0, rec(i))
-
-        def o():
-            yield Delay(1.0)
-            owner.drain()
-
-        with pytest.raises(ProtocolError, match="overrun"):
-            run_procs(ctx, s(), o())
-
-    def test_pool_remote_spawn_uses_fast_path(self):
-        from repro.runtime.pool import run_pool
-        from repro.runtime.registry import TaskOutcome, TaskRegistry
-        from repro.runtime.task import Task
+    def test_pool_lifeline_delivery_uses_fast_path(self):
+        from repro.runtime.lifeline import LifelineConfig
+        from repro.runtime.pool import TaskPool
+        from repro.runtime.registry import TaskRegistry
+        from repro.workloads.uts import TEST_SMALL, UtsWorkload
 
         reg = TaskRegistry()
-
-        def root(payload, tc):
-            remote = [(1, Task(1)) for _ in range(5)]
-            return TaskOutcome(1e-5, remote_children=remote)
-
-        reg.register("root", root)
-        reg.register("leaf", lambda p, tc: TaskOutcome(1e-4))
-        stats = run_pool(2, reg, [Task(0)], impl="sws", remote_spawn=True)
-        assert stats.total_tasks == 6
-        assert stats.comm.get("put_signal", 0) >= 5
+        pool = TaskPool(4, reg, seed=11, lifelines=True,
+                        lifeline_config=LifelineConfig(z_failures=1,
+                                                       donor_min_local=1))
+        pool.seed(0, [UtsWorkload(reg, TEST_SMALL).seed_task()])
+        stats = pool.run()
+        assert stats.comm["put_signal"] > 0

@@ -129,7 +129,6 @@ def _state(worker):
         worker._batches,
         list(worker.samples),
         list(worker.spans),
-        list(worker._remote_spawns),
     )
 
 

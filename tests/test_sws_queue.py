@@ -441,7 +441,7 @@ class TestEpochMachinery:
 
         def owner():
             yield from victim.release()  # closes epoch 1 with k claims
-            yield from victim.acquire()  # reopens epoch 1: zeroes them
+            yield from victim.acquire()  # settles epoch 1: zeroes them
 
         run_procs(ctx, owner())
         stores = [off for _, region, off in journal if region == COMP_REGION]
