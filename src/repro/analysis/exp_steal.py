@@ -20,6 +20,7 @@ from ..core.sws_queue import SwsQueueSystem
 from ..core.task_state import TaskStateTracker
 from ..fabric.engine import Delay
 from ..fabric.latency import EDR_INFINIBAND, SLOW_ETHERNET
+from ..runtime.task import Task
 from ..shmem.api import ShmemCtx
 from ..workloads.synthetic import measure_single_steal
 from .experiments import ExperimentResult
@@ -126,7 +127,7 @@ def fig5(scale: str = "quick") -> ExperimentResult:
         owner_q, thief_q = system.handle(0), system.handle(1)
 
         def owner():
-            owner_q.enqueue_many([bytes(192)] * 2048)
+            owner_q.push([Task(0)] * 2048)
             yield from owner_q.release()
             # The thief claims 512 tasks at ~18 us; its ~100 us task copy
             # and the passive completion are still in flight when the
@@ -218,7 +219,7 @@ def ablate_contention(scale: str = "quick") -> ExperimentResult:
         done: list[float] = []
 
         def owner():
-            victim_q.enqueue_many([bytes(24)] * 1024)
+            victim_q.push([Task(0)] * 1024)
             yield from victim_q.release()
 
         def thief(rank):
@@ -294,7 +295,7 @@ def ablate_bandwidth(scale: str = "quick") -> ExperimentResult:
         lats: list[float] = []
 
         def owner():
-            victim.enqueue_many([bytes(192)] * 8192)
+            victim.push([Task(0)] * 8192)
             yield from victim.release()
 
         def thief(rank):

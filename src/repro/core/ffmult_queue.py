@@ -28,7 +28,7 @@ never skipping an unconsumed index upward.  Indices at or above
 consumed at least once; racy interleavings only add extra consumers.
 
 **Duplicate accounting.**  Every handout (a thief's tail store, or the
-owner dequeuing an index) bumps a per-index claim count in system-side
+owner popping an index) bumps a per-index claim count in system-side
 bookkeeping; the second and later claims of one task instance increment
 the victim's ``dup_handouts`` counter *at handout time* — before the
 duplicate can execute — so Mattern-style termination detection stays
@@ -49,9 +49,10 @@ slot any thief may still copy.
 
 from __future__ import annotations
 
-from typing import Generator, Sequence
+from typing import Generator
 
 from ..fabric.errors import ProtocolError
+from ..runtime.task import Task
 from ..shmem.api import ShmemCtx
 from .config import QueueConfig
 from .results import StealResult, StealStatus
@@ -84,15 +85,13 @@ class FfMultQueue(SplitQueue):
     #: in-flight registration moves from *its* process: nothing local
     #: witnesses the change, so the oracle checks this queue every event.
     oracle_owner_local = False
+    #: A thief may copy a slot an ``acquire`` took back (a booked
+    #: duplicate), so it must hold that slot's current task.
+    write_through = True
 
     # ------------------------------------------------------------------
     # owner-local index views
     # ------------------------------------------------------------------
-    @property
-    def local_count(self) -> int:
-        """Tasks in the local (owner-only) portion."""
-        return self.head - self._meta[SPLIT]
-
     @property
     def stealable(self) -> int:
         """Tasks in the shared window (clamped: a stale thief store can
@@ -112,26 +111,22 @@ class FfMultQueue(SplitQueue):
     # ------------------------------------------------------------------
     # owner operations (local, no communication)
     # ------------------------------------------------------------------
-    def enqueue(self, record: bytes) -> None:
-        self.enqueue_many((record,))  # the one place that resets claims
-
-    def enqueue_many(self, records: Sequence[bytes]) -> None:
-        """Append serialized tasks at the head of the local portion; a
-        fresh instance starts its index's claim history over."""
+    def push(self, tasks: list[Task]) -> None:
+        """Append tasks at the head of the local portion; a fresh
+        instance starts its index's claim history over."""
         claims = self.system.claims[self.rank]
-        for index in range(self.head, self.head + len(records)):
+        for index in range(self.head, self.head + len(tasks)):
             claims.pop(index, None)
-        super().enqueue_many(records)
+        super().push(tasks)
 
-    def dequeue(self) -> bytes | None:
+    def pop(self) -> Task:
         """Pop the newest local task, booked as a handout like a steal: a
         re-privatized task that a stale thief also copied must charge a
         duplicate to exactly one side, and the symmetric claim count does
         that for any ordering."""
-        record = super().dequeue()
-        if record is not None:
-            self.system.note_handout(self.rank, self.head)
-        return record
+        task = super().pop()
+        self.system.note_handout(self.rank, self.head)
+        return task
 
     def release(self) -> Generator:
         """Expose half of the local portion to thieves.
@@ -146,6 +141,7 @@ class FfMultQueue(SplitQueue):
             raise ProtocolError("ff-mult release requires an empty shared window")
         nshare = share_half(self.local_count)
         if nshare:
+            self._expose(nshare)
             split = self._meta[SPLIT]
             if self._meta[TAIL] != split:
                 self.pe.local_store(META_REGION, TAIL, split)
@@ -168,6 +164,7 @@ class FfMultQueue(SplitQueue):
             self.pe.local_store(META_REGION, TAIL, split)
         elif split > tail:
             ntake = share_half(split - tail)
+            self._withdraw(ntake)
             self.pe.local_store(META_REGION, SPLIT, split - ntake)
         return ntake
         yield  # unreachable: makes this a generator, per the queue contract

@@ -88,11 +88,6 @@ class SdcQueue(SplitQueue):
     # owner-local index views
     # ------------------------------------------------------------------
     @property
-    def local_count(self) -> int:
-        """Tasks in the local (owner-only) portion."""
-        return self.head - self._meta[SPLIT]
-
-    @property
     def stealable(self) -> int:
         """Tasks in the shared (stealable) portion."""
         meta = self._meta
@@ -117,6 +112,7 @@ class SdcQueue(SplitQueue):
             raise ProtocolError("SDC release requires an empty shared portion")
         nshare = share_half(self.local_count)
         if nshare:
+            self._expose(nshare)
             self.pe.local_store(META_REGION, SPLIT, self._meta[SPLIT] + nshare)
         return nshare
         yield  # unreachable: makes this a generator, per the queue contract
@@ -151,6 +147,7 @@ class SdcQueue(SplitQueue):
             if avail <= 0:
                 return 0
             ntake = share_half(avail)
+            self._withdraw(ntake)
             self.pe.local_store(META_REGION, SPLIT, self._meta[SPLIT] - ntake)
             return ntake
         finally:

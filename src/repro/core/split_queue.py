@@ -21,8 +21,10 @@ rest, once, together with the contract the runtime drives every queue
 through:
 
 ===================  ================================================
-``enqueue_many()``   append records on top of the local portion
-``dequeue()``        pop the newest local record; ``None`` when empty
+``push(tasks)``      append :class:`Task` objects on top of the local portion
+``pop()``            pop the newest local task (there must be one)
+``enqueue_many()``   ``push`` for records (what crosses a PE boundary)
+``dequeue()``        ``pop`` as a record; ``None`` when local is empty
 ``room(pending)``    free slots beyond ``pending``; raises on overflow
 ``local_count``      tasks only the owner can reach
 ``stealable``        unclaimed tasks advertised to thieves
@@ -34,6 +36,11 @@ through:
                      (steal damping; ``codec.has_work`` reads it)
 ``dup_handouts``     duplicate handouts so far (0 unless at-least-once)
 ===================  ================================================
+
+The local portion is a list of tasks that ``head`` counts: a task
+becomes a record only when ``release`` writes it into its slot, before
+it publishes the new split, and ``acquire`` parses the records it takes
+back (unless :attr:`SplitQueue.write_through` writes each one at push).
 
 ``release`` and ``acquire`` are generators for every protocol, so a
 caller writes ``yield from`` without asking which queue it holds; one
@@ -50,6 +57,7 @@ from typing import Generator, Sequence
 
 from ..fabric.engine import Delay
 from ..fabric.errors import FabricTimeoutError, OracleViolation, ProtocolError
+from ..runtime.task import Task, make_task, parse_record
 from ..shmem.api import ShmemCtx
 from .config import QueueConfig
 from .results import StealResult, StealStatus
@@ -113,6 +121,9 @@ class SplitQueue:
     #: them into the new allotment); otherwise the shared portion must be
     #: empty first.
     release_merges_shared = False
+    #: ``push`` writes each task's record too, so the buffer holds the
+    #: local portion as well (thieves that may copy above the split).
+    write_through = False
     #: Stealval codec class, for the queues that advertise through one.
     codec = None
     #: Duplicate handouts charged to this queue.  Termination detection
@@ -129,6 +140,8 @@ class SplitQueue:
         self.rank = rank
         # Owner-local bookkeeping (absolute indices; slots are idx % qsize).
         self.head = 0          # next enqueue slot
+        #: The local portion ``[split, head)``, oldest first.
+        self.local: list[Task] = []
         self.reclaim_tail = 0  # everything below is reusable buffer space
         # Direct heap views of the owner's own rows.  They alias the live
         # rows remote ops mutate, and reads through them skip the (pe,
@@ -159,7 +172,7 @@ class SplitQueue:
     @property
     def local_count(self) -> int:
         """Tasks in the local (owner-only) portion."""
-        return self.head - self.split
+        return len(self.local)
 
     @property
     def in_use(self) -> int:
@@ -190,46 +203,70 @@ class SplitQueue:
                 )
         return room
 
+    def push(self, tasks: list[Task]) -> None:
+        """Append tasks at the head of the local portion, the last one on
+        top: one capacity test for all of them."""
+        n = len(tasks)
+        if n:
+            self.room(n - 1)
+            if self.write_through:
+                self._store(self.head, tasks)
+            self.local += tasks
+            self.head += n
+
+    def pop(self) -> Task:
+        """Pop the newest local task (LIFO); the caller knows there is one."""
+        task = self.local.pop()
+        self.head -= 1
+        return task
+
     def enqueue(self, record: bytes) -> None:
         """Append one serialized task at the head of the local portion."""
-        ts = self._tsize
-        if len(record) != ts:
-            raise ProtocolError(f"record of {len(record)} bytes; queue expects {ts}")
-        self.room()
-        addr = (self.head % self._qsize) * ts
-        self._tasks[addr : addr + ts] = record
-        self.head += 1
+        self.enqueue_many((record,))
 
     def enqueue_many(self, records: Sequence[bytes]) -> None:
-        """Append serialized tasks at the head of the local portion, the
-        last one on top: one capacity test and one buffer store (two
-        when the block wraps) for all of them."""
-        n = len(records)
-        if not n:
-            return
+        """Append serialized tasks (a stolen block, a lifeline delivery)
+        at the head of the local portion, the last one on top."""
         ts = self._tsize
-        if {*map(len, records)} != {ts}:
-            size = next(len(r) for r in records if len(r) != ts)
-            raise ProtocolError(f"record of {size} bytes; queue expects {ts}")
-        self.room(n - 1)
-        data = b"".join(records)
-        addr = (self.head % self._qsize) * ts
-        first = len(self._tasks) - addr
-        if len(data) <= first:
-            self._tasks[addr : addr + len(data)] = data
-        else:
-            self._tasks[addr:] = data[:first]
-            self._tasks[: len(data) - first] = data[first:]
-        self.head += n
+        for record in records:
+            if len(record) != ts:
+                raise ProtocolError(f"record of {len(record)} bytes; queue expects {ts}")
+        self.push([make_task(*parse_record(r)) for r in records])
 
     def dequeue(self) -> bytes | None:
-        """Pop the newest local task (LIFO); ``None`` when local is empty."""
-        if self.local_count <= 0:
-            return None
-        self.head = head = self.head - 1
+        """``pop`` as a record; ``None`` when local is empty."""
+        return self.pop().serialize(self._tsize) if self.local else None
+
+    def _expose(self, nshare: int) -> None:
+        """Write the bottom ``nshare`` local tasks into their slots above
+        the split (unless ``push`` already did) and drop them from the
+        list; the caller then publishes the new split."""
+        local = self.local
+        if not self.write_through:
+            self._store(self.head - len(local), local[:nshare])
+        del local[:nshare]
+
+    def _withdraw(self, ntake: int) -> None:
+        """Put the ``ntake`` records below the split under the list, as
+        tasks; the caller then moves the split down."""
+        ts, qsize, buf = self._tsize, self._qsize, self._tasks
+        start = self.head - len(self.local) - ntake
+        addrs = [i % qsize * ts for i in range(start, start + ntake)]
+        self.local[:0] = [make_task(*parse_record(buf[a : a + ts])) for a in addrs]
+
+    def _store(self, index: int, tasks: list[Task]) -> None:
+        """Write the tasks' records from slot ``index`` on: one buffer
+        store, two when the block wraps."""
         ts = self._tsize
-        addr = (head % self._qsize) * ts
-        return bytes(self._tasks[addr : addr + ts])
+        data = b"".join([t.serialize(ts) for t in tasks])
+        buf = self._tasks
+        addr = index % self._qsize * ts
+        first = len(buf) - addr
+        if len(data) <= first:
+            buf[addr : addr + len(data)] = data
+        else:
+            buf[addr:] = data[:first]
+            buf[: len(data) - first] = data[first:]
 
     # ------------------------------------------------------------------
     # thief side: everything after a won claim

@@ -123,6 +123,7 @@ class StealvalQueue(SplitQueue):
         nshare = share_half(self.local_count)
         cap = min(self.system.itask_cap, self.cfg.qsize)
         nshare = max(0, min(nshare, cap - rem))
+        self._expose(nshare)
         self.split += nshare
         yield from self._open(rem_start, rem + nshare)
         return nshare
@@ -136,6 +137,7 @@ class StealvalQueue(SplitQueue):
         """
         rem_start, rem = yield from self._close()
         ntake = share_half(rem)
+        self._withdraw(ntake)
         self.split -= ntake
         if self.split < rem_start + (rem - ntake):
             raise ProtocolError(f"PE {self.rank}: acquire moved split below allotment")

@@ -33,7 +33,7 @@ from .arrivals import ArrivalProcess, mix64, parse_arrival_spec
 from .pool import TaskPool
 from .registry import TaskOutcome, TaskRegistry
 from .stats import QuantileSketch, RunStats, ServingStats
-from .task import Task
+from .task import Task, make_task
 from .worker import WorkerConfig
 
 #: The serve payload: the arrival's seq, one little-endian u32.
@@ -87,8 +87,6 @@ class ServingController:
         #: Enqueue tick per seq; ``None`` until injected and once completed.
         self._enqueue_tick: list[int | None] = [None] * process.emitted
         Task(fn_id, bytes(_SEQ.size)).serialize(self.task_size)  # raises if too small
-        # Byte for byte ``Task(fn_id, _SEQ.pack(seq)).serialize(task_size)``.
-        self._pack_record = struct.Struct(f"<HHI{self.task_size - 8}x").pack
 
     # -- termination gate ----------------------------------------------
     def pending(self) -> int:
@@ -135,7 +133,7 @@ class ServingController:
             self.metrics.record_serving("shed")
             return
         worker = self.pool.workers[target]
-        worker.queue.enqueue(self._pack_record(self.fn_id, _SEQ.size, seq))
+        worker.queue.push([make_task(self.fn_id, _SEQ.pack(seq))])
         # The injection is the spawn: counting it on the target keeps the
         # four-counter termination books and the conservation oracle
         # exact (executed can never outrun spawned + injected).

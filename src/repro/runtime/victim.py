@@ -272,29 +272,14 @@ class QuarantineSelector:
         self._strikes: dict[int, int] = {}
         self._until: dict[int, float] = {}
         self._episodes: dict[int, int] = {}
-        self._dead: set[int] = set()
         #: Total quarantine events (reported into WorkerStats).
         self.quarantines = 0
         #: Outcome notes are an adaptive inner selector's own ``note``,
         #: resolved once; ``None`` when it takes none.
         self.note = getattr(inner, "note", None)
 
-    def mark_dead(self, victim: int) -> None:
-        """Permanently quarantine ``victim``: a supervisor confirmed the
-        fail-stop, so no decay timer should ever re-probe it."""
-        self._dead.add(victim)
-        self._strikes.pop(victim, None)
-        self._until.pop(victim, None)
-
-    @property
-    def dead(self) -> frozenset[int]:
-        """Victims currently under permanent quarantine."""
-        return frozenset(self._dead)
-
     def is_quarantined(self, victim: int) -> bool:
         """Is ``victim`` currently excluded (decays automatically)?"""
-        if victim in self._dead:
-            return True
         until = self._until.get(victim)
         if until is None:
             return False

@@ -32,7 +32,7 @@ from ..fabric.engine import TICKS_PER_SECOND, Delay
 from ..fabric.errors import FabricTimeoutError, ProtocolError
 from .registry import TaskContext, TaskRegistry
 from .stats import WorkerStats
-from .task import HEADER_BYTES, Task, parse_record
+from .task import HEADER_BYTES, Task
 from .termination import TerminationDetector
 from .victim import VictimSelector
 
@@ -228,7 +228,11 @@ class Worker:
 
     def seed(self, tasks: list[Task]) -> None:
         """Place initial tasks on this PE's queue (pre-run, untimed)."""
-        self.queue.enqueue_many([t.serialize(self.task_size) for t in tasks])
+        payload_max = self.task_size - HEADER_BYTES
+        for task in tasks:
+            if len(task.payload) > payload_max:
+                task.serialize(self.task_size)  # raises: names the sizes
+        self.queue.push(tasks)
         self.stats.tasks_spawned += len(tasks)
 
     # ------------------------------------------------------------------
@@ -450,7 +454,7 @@ class Worker:
 
         The batch is a write-back window over the local portion: tasks
         spawned in it wait on ``stack``, the top of the LIFO, and only
-        the ones still there at the end become records.
+        the ones still there at the end are pushed.
         """
         queue = self.queue
         stats = self.stats
@@ -464,7 +468,7 @@ class Worker:
         # mutated only by remote atomics (fabric events) or the owner's
         # own release/acquire (not called here) — is constant for the
         # whole batch, so its emptiness check is evaluated once.
-        dequeue = queue.dequeue
+        pop = queue.pop
         fns = self.registry.dispatch_table()
         nfns = len(fns)
         tc = self.tc
@@ -486,15 +490,14 @@ class Worker:
         while executed < budget:
             if stack:
                 task = stack.pop()
-                fn_id = task.fn_id
-                payload = task.payload
             else:
                 # ``budget`` tasks were local when the batch began.
-                fn_id, payload = parse_record(dequeue())
+                task = pop()
                 local -= 1
+            fn_id = task.fn_id
             if fn_id >= nfns:
                 raise ProtocolError(f"task references unregistered fn_id {fn_id}")
-            outcome = fns[fn_id](payload, tc)
+            outcome = fns[fn_id](task.payload, tc)
             children = outcome.children
             for child in children:
                 if len(child.payload) > payload_max:
@@ -515,7 +518,7 @@ class Worker:
                 # Break the batch so _manage can release promptly.
                 break
         if stack:
-            queue.enqueue_many([t.serialize(task_size) for t in stack])
+            queue.push(stack)
         stats.tasks_spawned += spawned
         stats.task_time += task_time
         stats.tasks_executed += executed

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from ..core.config import QueueConfig
 from ..core.results import StealResult
 from ..fabric.latency import EDR_INFINIBAND, LatencyModel
+from ..runtime.task import Task
 from ..shmem.api import ShmemCtx
 
 
@@ -76,11 +77,10 @@ def measure_single_steal(
     victim_q = system.handle(0)
     thief_q = system.handle(1)
 
-    record = bytes(task_size)
     out: dict[str, object] = {}
 
     def victim() -> object:
-        victim_q.enqueue_many([record] * preload)
+        victim_q.push([Task(0)] * preload)   # records of bytes(task_size)
         yield from victim_q.release()
         out["released"] = True
 

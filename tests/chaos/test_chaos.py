@@ -65,13 +65,19 @@ def build_pool(impl, plan, lease=None, seed=7):
 
 
 def task_buffers(pool):
-    """Concatenated raw task-region bytes of every PE."""
+    """Per PE, its raw task-region bytes followed by the records of its
+    local portion, which is a list of tasks and not in the buffer."""
     region = (
         sdc_queue.TASK_REGION if pool.impl == "sdc" else sws_queue.TASK_REGION
     )
     heap = pool.ctx.heap
-    size = pool.queue_config.qsize * pool.queue_config.task_size
-    return [heap.read_bytes(rank, region, 0, size) for rank in range(pool.npes)]
+    ts = pool.queue_config.task_size
+    size = pool.queue_config.qsize * ts
+    return [
+        heap.read_bytes(rank, region, 0, size)
+        + b"".join(t.serialize(ts) for t in w.queue.local)
+        for rank, w in enumerate(pool.workers)
+    ]
 
 
 DROPS = FaultPlan(seed=3, drop_rate=0.01)
@@ -134,7 +140,8 @@ class TestPeFailStop:
         assert dead.tasks_executed <= NTASKS
 
         # Any task that never ran must have died with a PE: its record
-        # bytes are still pinned in someone's task buffer.
+        # bytes are still pinned in someone's task buffer, or it is on
+        # the dead PE's local list.
         missing = set(range(NTASKS)) - set(executed)
         buffers = task_buffers(pool)
         for i in sorted(missing):

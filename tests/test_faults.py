@@ -20,6 +20,7 @@ from repro.fabric.engine import Delay
 from repro.fabric.errors import DeadlockError, FabricTimeoutError
 from repro.fabric.faults import NO_FAULTS, FaultInjector, FaultPlan, PEFailure
 from repro.fabric.latency import LatencyModel
+from repro.runtime.task import Task
 from repro.runtime.victim import QuarantineSelector, RoundRobinVictim
 from repro.shmem.api import ShmemCtx
 
@@ -355,26 +356,10 @@ class TestQuarantineSelector:
             sel.note_timeout(v)
         assert sel.next_victim() in (1, 2, 3)  # degraded, not deadlocked
 
-    def test_mark_dead_is_permanent(self):
-        sel, clock = self.make()
-        sel.mark_dead(2)
-        assert sel.is_quarantined(2)
-        assert 2 in sel.dead
-        clock.t = 10.0  # far past any decay timer
-        assert sel.is_quarantined(2)  # supervisor-confirmed: no re-probe
-        for _ in range(20):
-            assert sel.next_victim() != 2
-
-    def test_mark_dead_survives_steal_success_note(self):
-        # A racy late success signal must not resurrect a confirmed corpse.
-        sel, _ = self.make()
-        sel.mark_dead(2)
-        sel.note_steal(2, True)
-        assert sel.is_quarantined(2)
-
 
 class TestSdcLeaseRecovery:
-    TASK = bytes(range(64))
+    # A record the queue can parse: the local portion holds tasks.
+    TASK = Task(0x100, bytes(range(4, 64))).serialize(64)
 
     def make_system(self, lease=200e-6):
         ctx = ShmemCtx(2, latency=LAT, pes_per_node=1)

@@ -1,31 +1,43 @@
 """The owner's batch loop: a write-back window over the local portion.
 
-``Worker._execute_batch`` keeps the tasks spawned inside a batch on a
-Python list and turns the survivors into records once, before the
-batch's first ``yield`` (docs/simulator.md, "Batching";
-docs/performance.md, "The owner path").  Three host-independent checks:
+The local portion ``[split, head)`` is the queue's list of ``Task``s; a
+task becomes a record only when ``release`` writes it into its slot
+(docs/protocols.md §0; docs/performance.md, "The local portion holds
+tasks").  ``Worker._execute_batch`` pops that list and keeps the tasks
+spawned inside a batch on a stack of its own, pushed back once before
+the batch's first ``yield`` (docs/simulator.md, "Batching").  The owner
+path is per protocol, so every check runs on all five.  Three
+host-independent checks:
 
 * **differential** — the loop it replaced (one ``dequeue`` →
   ``parse_record`` → body → ``serialize`` → ``enqueue`` per task) runs
   the same grid, one column with lifeline deliveries included; executed
-  payloads per PE, every statistic and the task buffer at every event
-  boundary must be identical;
+  payloads per PE, every statistic and the queue at every event
+  boundary (the shared slots' bytes, and the local list as the records
+  it stands for) must be identical.  Controls: a batch that runs
+  children oldest first, and a ``release`` that publishes a split with
+  no records under it, both fail it; ``ff-mult`` without write-through
+  runs a different computation;
 * **edges** — the capacity test and its ``progress()`` call fire at the
   same child, an oversized payload is refused at spawn, and a task
-  function that raises leaves no half-written buffer behind;
+  function that raises leaves no half-written queue behind;
 * a **budget in counts**: Python calls per executed task, and how many
   tasks ever become a record.
 """
 
 from __future__ import annotations
 
+import contextlib
 import sys
 import types
+from collections import Counter
 from typing import Generator
 
 import pytest
 
 from repro.core.config import QueueConfig
+from repro.core.ffmult_queue import FfMultQueue
+from repro.core.split_queue import SplitQueue
 from repro.fabric.engine import Delay
 from repro.fabric.errors import ProtocolError
 from repro.runtime.pool import TaskPool
@@ -98,8 +110,12 @@ def reference_execute_batch(self) -> Generator:
 
 
 def use_reference(pool: TaskPool) -> None:
+    """The per-task loop, over queues that write every record as it is
+    pushed (the buffer then holds the local portion too, as it once did):
+    a ``release`` that failed to write its records shows against it."""
     for w in pool.workers:
         w._execute_batch = types.MethodType(reference_execute_batch, w)
+        w.queue.write_through = True
 
 
 # ----------------------------------------------------------------------
@@ -118,15 +134,20 @@ def log_executions(registry: TaskRegistry) -> list:
 
 
 def queue_state(queue) -> tuple:
-    """Indices plus the bytes of every occupied slot, oldest first: the
-    whole of what a thief, the injector or the oracle can read.  Slots
+    """Indices plus the record of every occupied slot, oldest first: the
+    whole of what a thief, the injector or the oracle can read.  Below
+    the split that is the buffer's bytes; the local portion is the
+    owner's list, rendered as the records ``release`` would write.  Slots
     above ``head`` hold dead records nobody addresses."""
     ts, qsize, buf = queue._tsize, queue._qsize, queue._tasks
-    lo, hi = queue.reclaim_tail % qsize, queue.head % qsize
-    if queue.head - queue.reclaim_tail == qsize or lo > hi:
+    split = queue._indices()[-2]
+    assert queue.head - split == len(queue.local)   # head counts the list
+    lo, hi = queue.reclaim_tail % qsize, split % qsize
+    if split - queue.reclaim_tail == qsize or lo > hi:
         live = bytes(buf[lo * ts:]) + bytes(buf[: hi * ts])
     else:
         live = bytes(buf[lo * ts : hi * ts])
+    live += b"".join(t.serialize(ts) for t in queue.local)
     return (queue.reclaim_tail, queue.head, queue.local_count,
             queue.stealable, live)
 
@@ -233,6 +254,48 @@ def test_control_the_differential_sees_a_reordered_batch():
     assert sorted(e[1:] for e in log) == sorted(e[1:] for e in want_log)
     assert per_pe(log) != per_pe(want_log)
     assert trace != want_trace
+
+
+@pytest.mark.parametrize("impl", ["sws", "sdc"])
+def test_control_the_differential_sees_a_release_that_writes_no_record(
+    monkeypatch, impl
+):
+    """A ``release`` that publishes the new split but skips the record
+    write leaves stale bytes where thieves copy from: the queue trace
+    moves at the first release, before any thief has run them.  (The
+    reference's queues wrote every record at push, so the same broken
+    ``release`` costs them nothing.)"""
+    def expose_unwritten(self, nshare):
+        del self.local[:nshare]
+
+    monkeypatch.setattr(SplitQueue, "_expose", expose_unwritten)
+    want_pool, _ = build(impl, "work_first", 64, "uts")
+    use_reference(want_pool)
+    want_trace = watch_buffers(want_pool)
+    want_pool.run()
+
+    pool, _ = build(impl, "work_first", 64, "uts")
+    trace = watch_buffers(pool)
+    with contextlib.suppress(Exception):   # a thief may run what it copied
+        pool.run()
+    first = next(i for i, (a, b) in enumerate(zip(trace, want_trace)) if a != b)
+    assert any(q[3] for q in want_trace[first])   # tasks were exposed
+
+
+def test_ffmult_without_write_through_runs_another_computation(monkeypatch):
+    """``ff-mult``'s thief reads the metadata, then copies the slot at the
+    tail; an ``acquire`` in between can take that slot back and a batch
+    can push a new task into it.  Its claim books charge the copy to the
+    new task, so the slot must hold that task's record: with the record
+    written only at ``release`` the thief runs the stale one, and on
+    this cell (also work_first/3/lifelines) a different task runs twice."""
+    want_pool, want_log = build("ff-mult", "help_first", 3, "lifelines")
+    want = _row(want_pool.run)
+    monkeypatch.setattr(FfMultQueue, "write_through", False)
+    pool, log = build("ff-mult", "help_first", 3, "lifelines")
+    got = _row(pool.run)
+    assert Counter(e[1:] for e in log) != Counter(e[1:] for e in want_log)
+    assert got != want
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +463,10 @@ def test_calls_per_executed_task():
     stats = counter.run(pool)
     tasks = stats.total_tasks
     assert tasks == 3542
-    # Parent commit: 10.35 calls per task, one dequeue per task.
-    assert sum(counter.calls.values()) / tasks <= 7.0
-    dequeue = type(pool.workers[0].queue).dequeue.__code__
-    assert counter.calls[dequeue] < 0.6 * tasks
+    # 10.35 calls per task before the batch window, 5.58 with it while
+    # the local portion held records, 4.55 now; the bound leaves 5 %.
+    assert sum(counter.calls.values()) / tasks <= 4.8
+    # One PE never releases: no task ever becomes a record.
+    for code in (Task.serialize.__code__, parse_record.__code__,
+                 SplitQueue._store.__code__):
+        assert counter.calls[code] == 0, code.co_name

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 #: Physical lines in src/**/*.py at the last commit that touched this.
-BUDGET = 17234
+BUDGET = 17254
 
 
 def count(root: Path) -> int:
