@@ -13,7 +13,7 @@ Subcommands::
     python -m repro sweep [--scenarios S] [--scale quick|full] [--jobs N]
                           [--tables] [--csv-dir DIR] [--markdown FILE]
                           [--diff CODE_VERSION] [--out FILE] [--matrix ...]
-    python -m repro mp [--workload synthetic|uts] [--impl P]
+    python -m repro mp [--workload synthetic|uts|bpc] [--impl P]
                        [--npes N] [--ntasks N | --tree NAME] [--verify]
     python -m repro serve --arrival poisson:RATE --duration T [--slo MS]
                           [--backend fabric|mp|all] [--impl P]
@@ -665,7 +665,8 @@ def main(argv: list[str] | None = None) -> int:
         "mp", help="run a workload on the multiprocess shared-memory substrate"
     )
     p_mp.add_argument("--workload", default="synthetic",
-                      choices=("synthetic", "uts"))
+                      choices=("synthetic", "uts", "bpc"),
+                      help="bpc: paper §5.2.1's BPC at BpcParams' defaults")
     p_mp.add_argument("--impl", default="sws", choices=protocol_names())
     p_mp.add_argument("--npes", type=int, default=4,
                       help="worker processes (PEs)")

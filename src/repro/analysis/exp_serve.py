@@ -131,28 +131,30 @@ def serving_sdc(scale: str = "quick") -> ExperimentResult:
 def xbackend(scale: str = "quick") -> ExperimentResult:
     """The same work on the simulated fabric and on real processes.
 
-    SWS and SDC each run UTS ``test_tiny`` and one seeded serving trace
-    on both backends, four PEs apiece.  Only what no interleaving and no
-    clock can move is kept: the task counts and checksums of each run,
-    beside the sequential oracle's.  The fabric's UTS run keeps no
-    checksum (``-``).
+    SWS and SDC each run UTS ``test_tiny``, BPC at ``BpcParams``'
+    defaults and one seeded serving trace on both backends, four PEs
+    apiece.  Only what no interleaving and no clock can move is kept: the
+    task counts and checksums of each run, beside the sequential
+    oracle's (for BPC, the walk of its step: ``BpcParams().total_tasks``
+    nodes).  The fabric's UTS and BPC runs keep no checksum (``-``).
     """
-    from ..mp.driver import run_mp_serve, uts_expected
+    from ..mp.driver import WORKLOADS, run_mp_serve
     from ..runtime.arrivals import parse_arrival_spec, serving_checksum
-    from ..workloads.uts.params import get_tree
     from .sweep import run_cell
 
     npes, spec, horizon, seed = 4, "poisson:1000000", 2e-4, 7
-    tasks, checksum = uts_expected(get_tree("test_tiny"))
     trace = parse_arrival_spec(spec, horizon, seed)
     served = serving_checksum(range(trace.emitted))
     rows = []
-    for impl in ("sws", "sdc"):
-        fabric = run_cell("test_tiny", impl, npes, seed)
-        mp = run_cell("test_tiny", impl, npes, seed, "mp")
-        rows.append(["UTS test_tiny", impl.upper(), fabric.total_tasks,
-                     mp.total_tasks, tasks, "-", f"{mp.checksum:#018x}",
-                     f"{checksum:#018x}"])
+    for label, cell, name in (("UTS test_tiny", "test_tiny", "uts"),
+                              ("BPC", "bpc", "bpc")):
+        tasks, checksum = WORKLOADS[name](0, cell).expected()
+        for impl in ("sws", "sdc"):
+            fabric = run_cell(cell, impl, npes, seed)
+            mp = run_cell(cell, impl, npes, seed, "mp")
+            rows.append([label, impl.upper(), fabric.total_tasks,
+                         mp.total_tasks, tasks, "-", f"{mp.checksum:#018x}",
+                         f"{checksum:#018x}"])
     for impl in ("sws", "sdc"):
         fabric = run_serve(npes, impl=impl, arrival=trace,
                            duration_s=horizon, seed=seed).serving

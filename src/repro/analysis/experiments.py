@@ -422,9 +422,9 @@ EXPERIMENTS: dict[str, Experiment] = {
         _judge_serving, "exp_serve"),
     "xbackend": Experiment(
         "The simulated fabric and real processes run the same work: for "
-        "SWS and SDC, a UTS tree executes the oracle's node count on both "
-        "and the oracle's checksum on mp, and one arrival trace completes "
-        "with the oracle's serving checksum on both.",
+        "SWS and SDC, a UTS tree and BPC each execute the oracle's task "
+        "count on both and the oracle's checksum on mp, and one arrival "
+        "trace completes with the oracle's serving checksum on both.",
         _judge_xbackend, "exp_serve"),
     "serving_sws": Experiment(*_SERVING_BENCH, "exp_serve"),
     "serving_sdc": Experiment(*_SERVING_BENCH, "exp_serve"),

@@ -187,28 +187,29 @@ def run_cell(workload: str, impl: str, npes: int, seed: int,
              backend: str = "fabric"):
     """One run of ``workload`` on ``backend``, and its record.
 
-    On the fabric a workload is a named UTS tree, run through
-    ``series.run_point``; on mp it is ``synthetic`` or a named tree, run
-    by ``run_mp`` and verified against the sequential oracle.
+    A workload is ``bpc`` or a named UTS tree, and on mp any entry of
+    ``mp.driver.WORKLOADS``: the fabric runs it through ``run_point``, mp
+    through ``run_mp``, verified against the sequential oracle.
     """
     if backend == "mp":
-        from ..mp.driver import run_mp
+        from ..mp.driver import WORKLOADS, run_mp
 
-        if workload == "synthetic":
-            return run_mp(workload, impl, npes, seed=seed, verify=True)
-        return run_mp("uts", impl, npes, tree=workload, seed=seed,
-                      verify=True)
+        name = workload if workload in WORKLOADS else "uts"
+        return run_mp(name, impl, npes, tree=workload, seed=seed, verify=True)
+    from functools import partial
+
     from ..runtime.registry import TaskRegistry
+    from ..workloads.bpc import BpcWorkload
     from ..workloads.uts.params import get_tree
     from ..workloads.uts.workload import UtsWorkload
     from .series import SweepConfig, run_point
 
-    tree = get_tree(workload)
+    make = (BpcWorkload if workload == "bpc"
+            else partial(UtsWorkload, tree=get_tree(workload)))
 
     def factory():
         reg = TaskRegistry()
-        wl = UtsWorkload(reg, tree)
-        return reg, [wl.seed_task()]
+        return reg, [make(reg).seed_task()]
 
     return run_point(factory, impl, npes, seed, SweepConfig())
 

@@ -5,7 +5,7 @@ fabric and the in-process threads): shared-memory 64-bit words with
 cross-process atomic operations (:mod:`repro.mp.atomics`), each
 real-time protocol written once over them as a thief view and an owner
 that extends it (:mod:`repro.mp.queue`, which the threads backend runs
-too), and a process-pool PE driver that runs the synthetic and UTS
+too), and a process-pool PE driver that runs the synthetic, UTS and BPC
 workloads end-to-end.  See
 ``docs/backends.md`` for what each substrate can and cannot falsify.
 """

@@ -6,15 +6,12 @@ symmetric heap; idle PEs steal from victims with steal-half volumes and
 simulated runtime does — but here the interleavings come from the
 kernel scheduler across address spaces, not from a discrete-event loop.
 
-Workloads:
-
-* ``synthetic`` — a flat bag of ``ntasks`` independent tasks seeded on
-  PE 0; every other PE starts empty, so all load balance comes from
-  stealing.
-* ``uts`` — an Unbalanced Tree Search over a named SHA-1 tree
-  (:mod:`repro.workloads.uts`); a task is its ``(state, depth)`` node,
-  stored as one 4-word record (:data:`UTS_RECORD`), children are
-  enqueued locally and shared on demand.
+A workload is one :data:`WORKLOADS` entry around the substrate-free
+step every substrate runs (node in, child nodes out): ``synthetic``, a
+flat bag of ``ntasks`` tasks seeded on PE 0; ``uts``, a named SHA-1 tree
+whose task is its ``(state, depth)`` node (:data:`UTS_RECORD`); and
+``bpc``, paper §5.2.1's Bouncing Producer-Consumer at ``BpcParams()``,
+whose consumer step is real SHA-1 work.
 
 Termination uses two global counters (``created`` / ``completed``) with
 the monotone argument: ``completed <= created`` always, and reading
@@ -37,22 +34,20 @@ with the books only a real-time run keeps.
 
 from __future__ import annotations
 
-import hashlib
-import math
 import random
 import struct
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from ..capabilities import check
 from ..core.damping import DampingTracker, TargetMode
 from ..runtime.stats import QuantileSketch, RunStats, ServingStats, WorkerStats
 from ..shmem.heap import SymmetricAllocator
+from ..workloads.bpc_params import BpcParams, bpc_step
 from ..workloads.uts.params import get_tree
-from ..workloads.uts.sha1_rng import _TWO31
-from ..workloads.uts.tree import TreeType, UtsParams, expand, geo_log1mp_table
+from ..workloads.uts.tree import UtsParams, uts_step
 from .atomics import Backoff
 from .errors import MpStallError, RingOverflowError, StallTimeout
 from .fleet import Fleet
@@ -105,29 +100,56 @@ def _fp_uts(node) -> int:
     return x ^ (x >> 31)
 
 
+class MpWorkload(NamedTuple):
+    """One workload on real processes: what a PE binds and the oracle walks."""
+
+    seeds: Sequence          # rank 0's seed nodes
+    step: Callable           # node -> child nodes
+    fingerprint: Callable    # node -> 64-bit fingerprint
+    record: str              # a node's format, wpt words (1 word: an int)
+    wpt: int                 # words per task record
+    capacity: int            # the queues' default capacity, in tasks
+
+    def expected(self, max_nodes: int | None = 2_000_000) -> tuple[int, int]:
+        """(node count, xor-of-fingerprints) via a sequential DFS oracle."""
+        count = chk = 0
+        stack = list(self.seeds)
+        step, fingerprint = self.step, self.fingerprint
+        while stack:
+            node = stack.pop()
+            count += 1
+            if max_nodes is not None and count > max_nodes:
+                raise RuntimeError(f"tree exceeded max_nodes={max_nodes}")
+            chk ^= fingerprint(node)
+            stack.extend(step(node))
+        return count, chk
+
+
+def _uts(tree) -> MpWorkload:
+    params = tree if isinstance(tree, UtsParams) else get_tree(tree)
+    return MpWorkload([(params.root(), 0)], uts_step(params), _fp_uts,
+                      UTS_RECORD, 4, 1 << 14)
+
+
+#: name -> the workload, built from ``run_mp``'s ``ntasks`` and ``tree``.
+WORKLOADS: dict[str, Callable[..., MpWorkload]] = {
+    "synthetic": lambda ntasks, tree: MpWorkload(
+        range(ntasks), lambda node: (), _mix64, "<Q", 1, max(256, 2 * ntasks)),
+    "uts": lambda ntasks, tree: _uts(tree),
+    "bpc": lambda ntasks, tree: MpWorkload(
+        [BpcParams().root()], bpc_step(BpcParams()),
+        lambda node: _mix64(node[0] << 32 | node[1]), "<I4xI4x", 2, 1 << 12),
+}
+
+
 def synthetic_expected(ntasks: int) -> tuple[int, int]:
     """(node count, xor-of-fingerprints) for the flat synthetic bag."""
-    chk = 0
-    for i in range(ntasks):
-        chk ^= _mix64(i)
-    return ntasks, chk
+    return WORKLOADS["synthetic"](ntasks, None).expected(None)
 
 
 def uts_expected(params: UtsParams, max_nodes: int | None = 2_000_000) -> tuple[int, int]:
     """(node count, xor-of-fingerprints) via a sequential DFS oracle."""
-    count = 0
-    chk = 0
-    stack: list[tuple[bytes, int]] = [(params.root(), 0)]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if max_nodes is not None and count > max_nodes:
-            raise RuntimeError(f"tree exceeded max_nodes={max_nodes}")
-        chk ^= _fp_uts(node)
-        state, depth = node
-        stack.extend((c, depth + 1)
-                     for c in expand(params, state, depth, depth == 0))
-    return count, chk
+    return _uts(params).expected(max_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -191,54 +213,6 @@ class _Regime(NamedTuple):
     extras: Callable | None = None      # () -> the regime's own report
 
 
-def _uts_execute(params: UtsParams) -> Callable:
-    """A UTS node's task body: its ``(state, depth)`` in, its children's
-    nodes out.
-
-    GEO trees draw the child count through the per-depth table, exactly
-    as :func:`~repro.workloads.uts.tree.num_children` does, and hash a
-    child's state only when there is one; BIN trees run the reference
-    :func:`~repro.workloads.uts.tree.expand`.
-    """
-    if params.tree_type is not TreeType.GEO:
-        def execute(node):
-            state, depth = node
-            return [(c, depth + 1)
-                    for c in expand(params, state, depth, depth == 0)]
-
-        return execute
-
-    table = geo_log1mp_table(params)
-    horizon = len(table)
-    be32 = struct.Struct(">I")          # the draw, and a child's index
-    draw, index = be32.unpack_from, be32.pack
-    sha1, log = hashlib.sha1, math.log
-
-    def execute(node):
-        state, depth = node
-        if depth >= horizon:
-            return ()
-        log1mp = table[depth]
-        if log1mp == 0.0:
-            return ()
-        n = int(log(1.0 - (draw(state)[0] & 0x7FFFFFFF) / _TWO31) / log1mp)
-        if not n:
-            return ()
-        depth += 1
-        return [(sha1(state + index(i)).digest(), depth) for i in range(n)]
-
-    return execute
-
-
-def _bind_workload(kind, arg):
-    """(rank-0 seed tasks, execute, fingerprint) for a workload spec."""
-    if kind == "synthetic":
-        return range(arg), (lambda payload: ()), _mix64
-    if kind == "uts":
-        return [(arg.root(), 0)], _uts_execute(arg), _fp_uts
-    raise ValueError(f"unknown workload {kind!r}")
-
-
 def _books_balanced(heap, ctl):
     """The monotone termination read: ``completed`` *before* ``created``."""
     created = heap.ref(ctl["created"])
@@ -251,13 +225,11 @@ def _books_balanced(heap, ctl):
     return balanced
 
 
-def _bind_plain(rank, heap, layouts, ctl, owner, thieves, wl):
-    seed_tasks, execute, fingerprint = _bind_workload(*wl)
-    if wl[0] == "uts":
-        for view in (owner, *thieves.values()):
-            view.decode_as(UTS_RECORD)
-    local = deque(seed_tasks if rank == 0 else ())
-    return _Regime(local, execute, fingerprint, _books_balanced(heap, ctl))
+def _bind_plain(rank, heap, layouts, ctl, owner, thieves, wl: MpWorkload):
+    for view in (owner, *thieves.values()):
+        view.decode_as(wl.record)
+    local = deque(wl.seeds if rank == 0 else ())
+    return _Regime(local, wl.step, wl.fingerprint, _books_balanced(heap, ctl))
 
 
 def _bind_serve(rank, heap, layouts, ctl, owner, thieves,
@@ -447,31 +419,18 @@ def run_mp(
     computed by a sequential oracle and attached to the result, making
     ``result.conserved`` a zero-lost / zero-duplicated proof.
     """
-    if workload not in ("synthetic", "uts"):
-        raise ValueError(f"workload must be synthetic|uts, got {workload!r}")
+    build = WORKLOADS.get(workload)
+    if build is None:
+        raise ValueError(f"workload must be {'|'.join(WORKLOADS)}, "
+                         f"got {workload!r}")
     check(impl, "mp", ("run",), npes)
+    wl = build(ntasks, tree)
+    expected = wl.expected() if verify else None
 
-    if workload == "synthetic":
-        wl = ("synthetic", ntasks)
-        wpt = 1
-        capacity = capacity or max(256, 2 * ntasks)
-        nseed = ntasks
-    else:
-        params = tree if isinstance(tree, UtsParams) else get_tree(tree)
-        wl = ("uts", params)
-        wpt = 4
-        capacity = capacity or (1 << 14)
-        nseed = 1
-
-    expected = None
-    if verify:
-        expected = (synthetic_expected(ntasks) if workload == "synthetic"
-                    else uts_expected(wl[1]))
-
-    with Fleet("mp run", LAYOUTS[impl], npes, capacity, wpt,
-               ctl=("created", "completed")) as fleet:
+    with Fleet("mp run", LAYOUTS[impl], npes, capacity or wl.capacity,
+               wl.wpt, ctl=("created", "completed")) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
-        heap.ref(ctl["created"]).store(nseed)
+        heap.ref(ctl["created"]).store(len(wl.seeds))
         for r in range(npes):
             fleet.spawn(r, _pe_loop, fleet.layouts, ctl, seed, damping,
                         _bind_plain, wl)

@@ -13,72 +13,18 @@ Paper parameters: n=8192 consumers per producer, depth 500, consumer
 Scaled defaults keep simulation tractable; ``paper_scale`` restores the
 published configuration.
 
-Payload layout (little-endian): ``depth_remaining:u32``.
+Payload: the task's ``(d, i)`` node (:mod:`repro.workloads.bpc_params`).
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass
-
 from ..runtime.registry import TaskContext, TaskOutcome, TaskRegistry
 from ..runtime.task import Task
-
-_PRODUCER = struct.Struct("<I")
+from .bpc_params import PAPER_PARAMS, paper_scale  # noqa: F401  (re-exported)
+from .bpc_params import NODE, PRODUCER, BpcParams, bpc_step
 
 #: Task record size used by the paper for BPC (Table 2).
 PAPER_TASK_SIZE = 32
-
-
-@dataclass(frozen=True)
-class BpcParams:
-    """BPC workload configuration.
-
-    ``n_consumers`` consumers per producer, producers chained to
-    ``depth``; durations in seconds.
-    """
-
-    n_consumers: int = 64
-    depth: int = 32
-    consumer_time: float = 5.0e-3
-    producer_time: float = 1.0e-3
-
-    def __post_init__(self) -> None:
-        if self.n_consumers < 0:
-            raise ValueError(f"n_consumers must be >= 0, got {self.n_consumers}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.consumer_time < 0 or self.producer_time < 0:
-            raise ValueError("task durations must be non-negative")
-
-    @property
-    def total_tasks(self) -> int:
-        """Exact task count: each of ``depth`` producers spawns
-        ``n_consumers``; the deepest producer spawns nothing further."""
-        return self.depth * (self.n_consumers + 1)
-
-    @property
-    def total_task_time(self) -> float:
-        """Sum of all task compute durations (for efficiency baselines)."""
-        return self.depth * (
-            self.n_consumers * self.consumer_time + self.producer_time
-        )
-
-    @property
-    def avg_task_time(self) -> float:
-        """Mean task duration (Table 2 reports 5 ms at paper scale)."""
-        return self.total_task_time / self.total_tasks
-
-
-#: The configuration used in the paper's evaluation.
-PAPER_PARAMS = BpcParams(
-    n_consumers=8192, depth=500, consumer_time=5.0e-3, producer_time=1.0e-3
-)
-
-
-def paper_scale() -> BpcParams:
-    """The published configuration (≈2.46 M tasks — heavy to simulate)."""
-    return PAPER_PARAMS
 
 
 class BpcWorkload:
@@ -90,16 +36,16 @@ class BpcWorkload:
 
     def __init__(self, registry: TaskRegistry, params: BpcParams | None = None) -> None:
         self.params = params or BpcParams()
-        self.registry = registry
         self.producer_id = registry.register("bpc.producer", self._producer)
         self.consumer_id = registry.register("bpc.consumer", self._consumer)
+        self._step = bpc_step(self.params)
         #: (depth, executing rank) per producer, in execution order — the
         #: raw data behind the "bouncing" in the benchmark's name.
         self.producer_hosts: list[tuple[int, int]] = []
 
     def seed_task(self) -> Task:
         """The root producer task."""
-        return Task(self.producer_id, _PRODUCER.pack(self.params.depth))
+        return Task(self.producer_id, NODE.pack(*self.params.root()))
 
     @property
     def bounces(self) -> int:
@@ -116,15 +62,11 @@ class BpcWorkload:
         )
 
     def _producer(self, payload: bytes, tc: TaskContext) -> TaskOutcome:
-        (depth,) = _PRODUCER.unpack(payload)
-        self.producer_hosts.append((depth, tc.rank))
-        children: list[Task] = []
-        if depth > 1:
-            # Next producer first: closest to the tail, first to be stolen.
-            children.append(Task(self.producer_id, _PRODUCER.pack(depth - 1)))
-        children.extend(
-            Task(self.consumer_id) for _ in range(self.params.n_consumers)
-        )
+        node = NODE.unpack(payload)
+        self.producer_hosts.append((node[0], tc.rank))
+        pack, producer, consumer = NODE.pack, self.producer_id, self.consumer_id
+        children = [Task(producer if i == PRODUCER else consumer, pack(d, i))
+                    for d, i in self._step(node)]
         return TaskOutcome(duration=self.params.producer_time, children=children)
 
     def _consumer(self, payload: bytes, tc: TaskContext) -> TaskOutcome:

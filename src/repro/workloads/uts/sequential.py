@@ -35,9 +35,9 @@ def enumerate_tree(params: UtsParams, max_nodes: int | None = None) -> TreeStats
     hours.
     """
     stats = TreeStats()
-    stack: list[tuple[bytes, int, bool]] = [(params.root(), 0, True)]
+    stack: list[tuple[bytes, int]] = [(params.root(), 0)]
     while stack:
-        state, depth, is_root = stack.pop()
+        state, depth = stack.pop()
         stats.nodes += 1
         if max_nodes is not None and stats.nodes > max_nodes:
             raise RuntimeError(
@@ -46,9 +46,8 @@ def enumerate_tree(params: UtsParams, max_nodes: int | None = None) -> TreeStats
             )
         stats.max_depth = max(stats.max_depth, depth)
         stats.depth_histogram[depth] = stats.depth_histogram.get(depth, 0) + 1
-        children = expand(params, state, depth, is_root)
+        children = expand(params, state, depth, depth == 0)  # root: depth 0
         if not children:
             stats.leaves += 1
-        for c in children:
-            stack.append((c, depth + 1, False))
+        stack.extend((c, depth + 1) for c in children)
     return stats

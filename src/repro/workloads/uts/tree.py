@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import Callable
 
-from .sha1_rng import root_state, to_prob
+from .sha1_rng import _CHILD, _TWO31, root_state, to_prob
 
-_CHILD_PACK = struct.Struct(">I").pack
 _SHA1 = hashlib.sha1
 
 
@@ -101,10 +100,7 @@ def branching_factor(params: UtsParams, depth: int) -> float:
 @lru_cache(maxsize=4096)
 def _geo_log1mp(params: UtsParams, depth: int) -> float:
     """``log(1 - p)`` of the geometric draw at ``depth``; 0.0 = no children.
-
-    The branching factor — and thus ``p`` — is a pure function of
-    ``(params, depth)``, so the log is computed once per depth instead of
-    once per node (every node at a depth shares it).
+    A pure function of ``(params, depth)``: every node at a depth shares it.
     """
     b = branching_factor(params, depth)
     if b <= 0.0:
@@ -115,10 +111,10 @@ def _geo_log1mp(params: UtsParams, depth: int) -> float:
 def geo_log1mp_table(params: UtsParams) -> tuple[float, ...]:
     """``log(1 - p)`` of a GEO tree's geometric draw, indexed by depth.
 
-    Built once per run by the per-node fast paths (the fabric workload
-    and the mp PE loop), so a node costs a tuple index instead of hashing
-    ``params`` through :func:`_geo_log1mp`'s cache.  Depths past the
-    table, like entries of 0.0, are leaves.
+    Built once per tree by :func:`uts_step`, the one per-node fast path,
+    so a node costs a tuple index instead of hashing ``params`` through
+    :func:`_geo_log1mp`'s cache.  Depths past the table, like entries of
+    0.0, are leaves.
     """
     horizon = 5 * params.gen_mx if params.shape is GeoShape.CYCLIC else params.gen_mx
     return tuple(_geo_log1mp(params, d) for d in range(horizon + 1))
@@ -131,10 +127,7 @@ def num_children(params: UtsParams, state: bytes, depth: int, is_root: bool) -> 
         log1mp = _geo_log1mp(params, depth)
         if log1mp == 0.0:
             return 0
-        u = to_prob(state)
-        if u >= 1.0:  # pragma: no cover - to_prob is < 1 by construction
-            u = math.nextafter(1.0, 0.0)
-        return int(math.log(1.0 - u) / log1mp)
+        return int(math.log(1.0 - to_prob(state)) / log1mp)  # to_prob < 1
     # BIN
     if is_root:
         return int(params.b0)
@@ -142,13 +135,40 @@ def num_children(params: UtsParams, state: bytes, depth: int, is_root: bool) -> 
 
 
 def expand(params: UtsParams, state: bytes, depth: int, is_root: bool = False) -> list[bytes]:
-    """Child states of one node."""
-    n = num_children(params, state, depth, is_root)
-    if n <= 0:
-        return []
-    # Inlined spawn() loop: num_children already drew from ``state``
-    # through the validating rand31 path, so the per-child length check
-    # is redundant here.
-    sha1 = _SHA1
-    pack = _CHILD_PACK
-    return [sha1(state + pack(i)).digest() for i in range(n)]
+    """Child states of one node: :func:`~.sha1_rng.spawn`'s digests,
+    whose checks ``num_children``'s draw already made."""
+    return [_SHA1(state + _CHILD.pack(i)).digest()
+            for i in range(num_children(params, state, depth, is_root))]
+
+
+def uts_step(params: UtsParams) -> Callable:
+    """The tree's one task body on every substrate: a node ``(state,
+    depth)`` in, its children's nodes out; the root is depth 0.  GEO
+    trees draw exactly as :func:`num_children` does, through the
+    per-depth table; BIN trees run the reference :func:`expand`.
+    """
+    if params.tree_type is not TreeType.GEO:
+        def step(node):
+            state, depth = node
+            return [(c, depth + 1)
+                    for c in expand(params, state, depth, depth == 0)]
+
+        return step
+
+    table = geo_log1mp_table(params)
+    horizon = len(table)
+    draw, index = _CHILD.unpack_from, _CHILD.pack   # the draw, a child's index
+    sha1, log = _SHA1, math.log
+
+    def step(node):
+        state, depth = node
+        log1mp = table[depth] if depth < horizon else 0.0
+        if log1mp == 0.0:
+            return ()
+        n = int(log(1.0 - (draw(state)[0] & 0x7FFFFFFF) / _TWO31) / log1mp)
+        if not n:
+            return ()
+        depth += 1
+        return [(sha1(state + index(i)).digest(), depth) for i in range(n)]
+
+    return step

@@ -1,11 +1,14 @@
 """Tests for the Bouncing Producer-Consumer workload."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.pool import run_pool
 from repro.runtime.registry import TaskContext, TaskRegistry
 from repro.runtime.task import Task
 from repro.workloads.bpc import PAPER_PARAMS, BpcParams, BpcWorkload, paper_scale
+from repro.workloads.bpc_params import NODE, PRODUCER, bpc_step
 
 
 class TestParams:
@@ -65,6 +68,36 @@ class TestExpansion:
         cons = reg.execute(prod.children[1], TaskContext(0, 1))
         assert cons.duration == 7.0
         assert not cons.children
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(params=st.builds(BpcParams, n_consumers=st.integers(0, 20),
+                            depth=st.integers(1, 20)))
+    def test_step_walk_visits_every_task_once(self, params):
+        """A sequential walk of the step visits exactly ``total_tasks``
+        distinct nodes, and a producer's first child is the next one."""
+        step = bpc_step(params)
+        stack, seen = [params.root()], set()
+        while stack:
+            node = stack.pop()
+            seen.add(node)
+            children = list(step(node))
+            d, i = node
+            if i == PRODUCER and d > 1:
+                assert children[0] == (d - 1, PRODUCER)
+                assert all(c[1] != PRODUCER for c in children[1:])
+            else:
+                assert all(c[1] != PRODUCER for c in children)
+            stack.extend(children)
+        assert len(seen) == params.total_tasks
+
+    def test_fabric_children_carry_the_step_nodes(self):
+        reg = TaskRegistry()
+        p = BpcParams(n_consumers=3, depth=5)
+        wl = BpcWorkload(reg, p)
+        out = reg.execute(wl.seed_task(), TaskContext(0, 1))
+        nodes = [NODE.unpack(t.payload) for t in out.children]
+        assert nodes == list(bpc_step(p)(p.root()))
 
 
 class TestEndToEnd:

@@ -1,6 +1,6 @@
 """End-to-end runs on the multiprocess substrate.
 
-The acceptance bar for the backend: synthetic and UTS workloads run to
+The acceptance bar for the backend: synthetic, UTS and BPC workloads run to
 completion across ≥ 4 real OS processes with zero lost or duplicated
 tasks.  ``verify=True`` checks both the task *count* and an
 order-independent execution checksum against a sequential oracle, so a
@@ -13,6 +13,7 @@ import pytest
 
 from repro.mp.driver import (
     LAYOUTS,
+    WORKLOADS,
     MpRunResult,
     _bind_plain,
     _pe_loop,
@@ -57,6 +58,17 @@ def test_uts_sws_four_processes_conserves():
 def test_uts_sdc_four_processes_conserves():
     result = run_mp("uts", "sdc", 4, tree="test_tiny", verify=True)
     assert result.conserved
+
+
+@pytest.mark.parametrize("impl", ["sws", "sdc"])
+def test_bpc_four_processes_conserves(impl):
+    """BPC reaches mp as its table entry alone: the run executes
+    ``BpcParams``' task count, with the sequential oracle's checksum."""
+    from repro.workloads.bpc_params import BpcParams
+
+    result = run_mp("bpc", impl, 4, verify=True)
+    assert result.conserved
+    assert result.total_executed == BpcParams().total_tasks
 
 
 def test_steal_volumes_follow_steal_half():
@@ -144,7 +156,7 @@ def test_owner_reads_the_shared_portion_once_per_segment(impl, monkeypatch):
         fleet.heap.ref(fleet.ctl["created"]).store(1)
         stats, checksum, _ = _pe_loop(0, fleet.heap, fleet.layouts,
                                       fleet.ctl, 7, True, _bind_plain,
-                                      ("uts", BENCH_SHAPE))
+                                      WORKLOADS["uts"](0, BENCH_SHAPE))
     executed = stats.tasks_executed
     assert (executed, checksum) == uts_expected(BENCH_SHAPE)
     assert executed == 34_189

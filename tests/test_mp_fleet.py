@@ -75,21 +75,21 @@ def test_serve_regime_completes_the_trace(impl):
 @needs_fork
 @pytest.mark.parametrize("impl", IMPLS)
 def test_pe_dying_silently_is_named_at_once(monkeypatch, impl):
-    bind = driver._bind_workload
+    build = driver.WORKLOADS["synthetic"]
 
-    def dying_workload(kind, arg):
-        seed_tasks, execute, fingerprint = bind(kind, arg)
+    def dying_workload(ntasks, tree):
+        wl = build(ntasks, tree)
         count = [0]
 
-        def dying(payload):
+        def dying(node):
             count[0] += 1
             if count[0] == 50:
                 os._exit(9)
-            return execute(payload)
+            return wl.step(node)
 
-        return seed_tasks, dying, fingerprint
+        return wl._replace(step=dying)
 
-    monkeypatch.setattr(driver, "_bind_workload", dying_workload)
+    monkeypatch.setitem(driver.WORKLOADS, "synthetic", dying_workload)
     with nothing_left_behind():
         t0 = time.monotonic()
         with pytest.raises(MpStallError) as exc:
@@ -112,8 +112,11 @@ def test_hammer_owner_raising_takes_its_thieves_down(monkeypatch):
 
 @needs_fork
 def test_hammer_thief_dying_is_named(monkeypatch):
-    monkeypatch.setattr(mp_queue.MpSwsThief, "steal",
-                        lambda self: os._exit(7))
+    # The thief dies building its view, before its first read of the
+    # owner's stop flag: a death in ``steal`` is skipped by a thief that
+    # starts after the owner's whole race has already stored it.
+    monkeypatch.setattr(mp_queue.SwsQueueLayout, "thief",
+                        lambda self, heap: os._exit(7))
     with nothing_left_behind():
         with pytest.raises(MpStallError) as exc:
             hammer_mp(list(range(200)), nthieves=2, join_timeout=60)
@@ -258,16 +261,16 @@ _SLOW_SUPERVISOR = """
 import time
 import repro.mp.driver as d
 
-bind = d._bind_workload
+build = d.WORKLOADS["synthetic"]
 
-def slow(*wl):
-    seeds, execute, fingerprint = bind(*wl)
-    def execute_slowly(payload):
+def slow(ntasks, tree):
+    wl = build(ntasks, tree)
+    def step_slowly(node):
         time.sleep(0.01)
-        return execute(payload)
-    return seeds, execute_slowly, fingerprint
+        return wl.step(node)
+    return wl._replace(step=step_slowly)
 
-d._bind_workload = slow
+d.WORKLOADS["synthetic"] = slow
 d.run_mp("synthetic", "sws", 2, ntasks=20000)
 """
 
@@ -354,17 +357,17 @@ def test_a_keyboard_interrupt_mid_run_leaves_nothing_behind(monkeypatch):
 
     from .conftest import child_pids
 
-    bind = driver._bind_workload
+    build = driver.WORKLOADS["synthetic"]
 
-    def slow(*wl):
-        seeds, execute, fingerprint = bind(*wl)
+    def slow(ntasks, tree):
+        wl = build(ntasks, tree)
 
-        def execute_slowly(payload):
+        def step_slowly(node):
             time.sleep(0.01)
-            return execute(payload)
-        return seeds, execute_slowly, fingerprint
+            return wl.step(node)
+        return wl._replace(step=step_slowly)
 
-    monkeypatch.setattr(driver, "_bind_workload", slow)
+    monkeypatch.setitem(driver.WORKLOADS, "synthetic", slow)
 
     def interrupt_once_running():
         deadline = time.monotonic() + 30

@@ -1,10 +1,11 @@
 """The mp PE loop's owner path: the UTS node form and the batched books.
 
-Part one holds the mp UTS task body to the reference expansion: on every
-node of whole trees, and on drawn nodes, it must yield exactly the
-``(state, depth)`` nodes ``expand`` yields — same states, same depths,
-same order, with the root the node at depth 0 — and a node must survive
-the trip through its 4-word shared record.
+Part one holds the UTS step, and both substrates' wrappers of it, to the
+reference expansion: on every node of whole trees, and on drawn nodes of
+drawn trees, it must yield exactly the ``(state, depth)`` nodes
+``expand`` yields — same states, same depths, same order, with the root
+the node at depth 0 — and so must the fabric task body's children,
+decoded; a node must survive the trip through its 4-word shared record.
 
 Part two runs forked ``_pe_loop``\\ s whose ``created`` / ``completed``
 words are wrapped by a proxy that checks the termination invariant at
@@ -27,21 +28,25 @@ from repro.mp.atomics import RecordCodec
 from repro.mp.driver import (
     LAYOUTS,
     UTS_RECORD,
+    WORKLOADS,
     _bind_plain,
     _fp_uts,
     _mix64,
     _pe_loop,
-    _uts_execute,
     uts_expected,
 )
 from repro.mp.fleet import Fleet
+from repro.runtime.registry import TaskContext, TaskRegistry
 from repro.workloads.uts import (
     GeoShape,
     TreeType,
     UtsParams,
+    UtsWorkload,
     expand,
     get_tree,
 )
+from repro.workloads.uts.tree import uts_step
+from repro.workloads.uts.workload import _NODE
 
 #: The shape of perfbench's ``uts_fine`` / ``mp_uts`` tree (34,189 nodes).
 BENCH_SHAPE = UtsParams(tree_type=TreeType.GEO, b0=5.5, gen_mx=10,
@@ -61,6 +66,24 @@ def _reference(params, state, depth):
     return [(c, depth + 1) for c in expand(params, state, depth, depth == 0)]
 
 
+def _fabric_body(params):
+    """The fabric's task body for ``params``, as a node step: the node
+    packed into its payload, the children's payloads decoded."""
+    registry = TaskRegistry()
+    workload = UtsWorkload(registry, params)
+    tc = TaskContext(0, 1)
+
+    def step(node):
+        state, depth = node
+        out = workload._node(_NODE.pack(depth, state), tc)
+        assert all(t.fn_id == workload.node_id for t in out.children)
+        assert out.duration == workload.params.node_time
+        return [(c, d) for d, c in (_NODE.unpack(t.payload)
+                                    for t in out.children)]
+
+    return step
+
+
 # ----------------------------------------------------------------------
 # the node form against the reference expansion
 # ----------------------------------------------------------------------
@@ -68,14 +91,15 @@ def _reference(params, state, depth):
 @pytest.mark.parametrize("tree", TREES)
 def test_execute_matches_reference_on_every_node(tree):
     params = TREES[tree]
-    execute = _uts_execute(params)
+    step, fabric = uts_step(params), _fabric_body(params)
     stack = [(params.root(), 0)]
     nodes = 0
     while stack:
         node = stack.pop()
         nodes += 1
         want = _reference(params, *node)
-        assert list(execute(node)) == want
+        assert list(step(node)) == want
+        assert fabric(node) == want
         stack.extend(want)
     if tree == "bench_shape":
         assert nodes == 34_189              # perfbench's tree, node for node
@@ -99,13 +123,24 @@ def test_node_round_trips_through_its_record(state, depth):
     assert _fp_uts((state, depth)) == _mix64(words[0] ^ words[2])
 
 
+#: Drawn trees: every GEO shape with a drawn ``b0`` and ``gen_mx``, and
+#: BIN trees at or below criticality (``q * m < 1``).
+GEO_TREES = st.builds(UtsParams, b0=st.floats(0.05, 40.0),
+                      gen_mx=st.integers(1, 30), shape=st.sampled_from(GeoShape))
+BIN_TREES = st.builds(
+    lambda b0, m, qm: UtsParams(tree_type=TreeType.BIN, b0=b0, m=m, q=qm / m),
+    b0=st.floats(1.0, 64.0), m=st.integers(1, 16), qm=st.floats(0.0, 0.999))
+
+
 @settings(max_examples=300, deadline=None)
-@given(tree=st.sampled_from(sorted(TREES)), state=STATES,
-       depth=st.one_of(st.integers(0, 40), DEPTHS))
-def test_execute_matches_reference_on_drawn_nodes(tree, state, depth):
-    params = TREES[tree]
-    got = _uts_execute(params)((state, depth))
-    assert list(got) == _reference(params, state, depth)
+@given(params=st.one_of(st.sampled_from([TREES[t] for t in sorted(TREES)]),
+                        GEO_TREES, BIN_TREES),
+       state=STATES, depth=st.one_of(st.integers(0, 40),
+                                     st.integers(0, 2**32 - 2)))
+def test_execute_matches_reference_on_drawn_nodes(params, state, depth):
+    want = _reference(params, state, depth)
+    assert list(uts_step(params)((state, depth))) == want
+    assert _fabric_body(params)((state, depth)) == want
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +208,7 @@ def _checked_pe_loop(rank, heap, layouts, ctl, *args):
 @pytest.mark.parametrize("npes", [2, 3])
 def test_books_never_overdraw_at_a_flush(impl, npes):
     params = get_tree("test_small")
-    wl = ("uts", params)
+    wl = WORKLOADS["uts"](0, params)
     with Fleet("books", LAYOUTS[impl], npes, 1 << 12, 4,
                ctl=("created", "completed")) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
