@@ -135,8 +135,8 @@ def xbackend(scale: str = "quick") -> ExperimentResult:
     defaults and one seeded serving trace on both backends, four PEs
     apiece.  Only what no interleaving and no clock can move is kept: the
     task counts and checksums of each run, beside the sequential
-    oracle's (for BPC, the walk of its step: ``BpcParams().total_tasks``
-    nodes).  The fabric's UTS and BPC runs keep no checksum (``-``).
+    oracle's (for BPC, its ``BpcParams().total_tasks`` nodes,
+    enumerated).  The fabric's UTS and BPC runs keep no checksum (``-``).
     """
     from ..mp.driver import WORKLOADS, run_mp_serve
     from ..runtime.arrivals import parse_arrival_spec, serving_checksum

@@ -388,11 +388,11 @@ class RecordCodec:
     words are unsigned little-endian ints: single-word tasks decode to
     plain ints (matching what per-word ``load`` would have produced),
     wider tasks to tuples.  A workload may declare its own ``struct``
-    format of the same width (``fmt``), and its records are that
-    format's tuples.
+    format of the same width (``fmt``), one word included, and its
+    records are that format's tuples.
     """
 
-    __slots__ = ("words_per_task", "record_bytes", "_struct")
+    __slots__ = ("words_per_task", "record_bytes", "_struct", "_ints")
 
     def __init__(self, words_per_task: int = 1, fmt: str | None = None) -> None:
         if words_per_task <= 0:
@@ -400,6 +400,7 @@ class RecordCodec:
                 f"words_per_task must be positive, got {words_per_task}"
             )
         self.words_per_task = words_per_task
+        self._ints = fmt is None and words_per_task == 1
         self._struct = struct.Struct(fmt or f"<{words_per_task}Q")
         self.record_bytes = self._struct.size
         if self.record_bytes != words_per_task * WORD_BYTES:
@@ -407,14 +408,14 @@ class RecordCodec:
 
     def encode(self, tasks) -> bytes:
         """Pack a batch of records into one contiguous blob."""
-        if self.words_per_task == 1:
+        if self._ints:
             return struct.pack(f"<{len(tasks)}Q", *tasks)
         pack = self._struct.pack
         return b"".join([pack(*t) for t in tasks])
 
     def decode(self, data: bytes) -> list:
         """Unpack a blob back into records (ints or tuples)."""
-        if self.words_per_task == 1:
+        if self._ints:
             return list(struct.unpack(f"<{len(data) // 8}Q", data))
         return list(self._struct.iter_unpack(data))
 

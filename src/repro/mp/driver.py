@@ -45,9 +45,9 @@ from ..capabilities import check
 from ..core.damping import DampingTracker, TargetMode
 from ..runtime.stats import QuantileSketch, RunStats, ServingStats, WorkerStats
 from ..shmem.heap import SymmetricAllocator
-from ..workloads.bpc_params import BpcParams, bpc_step
+from ..workloads.bpc_params import PRODUCER, BpcParams, bpc_step
 from ..workloads.uts.params import get_tree
-from ..workloads.uts.tree import UtsParams, uts_step
+from ..workloads.uts.tree import UtsParams, expand_step, uts_step
 from .atomics import Backoff
 from .errors import MpStallError, RingOverflowError, StallTimeout
 from .fleet import Fleet
@@ -100,56 +100,72 @@ def _fp_uts(node) -> int:
     return x ^ (x >> 31)
 
 
+def _walk(seeds, step, fingerprint, max_nodes=None) -> tuple[int, int]:
+    """(node count, xor-of-fingerprints): a sequential DFS of ``step``
+    from ``seeds``, refused past ``max_nodes`` nodes."""
+    count = chk = 0
+    stack = list(seeds)
+    while stack:
+        node = stack.pop()
+        count += 1
+        if max_nodes is not None and count > max_nodes:
+            raise RuntimeError(f"tree exceeded max_nodes={max_nodes}")
+        chk ^= fingerprint(node)
+        stack.extend(step(node))
+    return count, chk
+
+
+def _leaf(node) -> tuple:
+    return ()
+
+
 class MpWorkload(NamedTuple):
-    """One workload on real processes: what a PE binds and the oracle walks."""
+    """One workload on real processes: what a PE binds, and its oracle."""
 
     seeds: Sequence          # rank 0's seed nodes
     step: Callable           # node -> child nodes
     fingerprint: Callable    # node -> 64-bit fingerprint
-    record: str              # a node's format, wpt words (1 word: an int)
-    wpt: int                 # words per task record
+    record: str | None       # a node's struct format (None: a one-word int)
     capacity: int            # the queues' default capacity, in tasks
-
-    def expected(self, max_nodes: int | None = 2_000_000) -> tuple[int, int]:
-        """(node count, xor-of-fingerprints) via a sequential DFS oracle."""
-        count = chk = 0
-        stack = list(self.seeds)
-        step, fingerprint = self.step, self.fingerprint
-        while stack:
-            node = stack.pop()
-            count += 1
-            if max_nodes is not None and count > max_nodes:
-                raise RuntimeError(f"tree exceeded max_nodes={max_nodes}")
-            chk ^= fingerprint(node)
-            stack.extend(step(node))
-        return count, chk
+    expected: Callable       # () -> (tasks, checksum), not by ``step``
 
 
 def _uts(tree) -> MpWorkload:
     params = tree if isinstance(tree, UtsParams) else get_tree(tree)
     return MpWorkload([(params.root(), 0)], uts_step(params), _fp_uts,
-                      UTS_RECORD, 4, 1 << 14)
+                      UTS_RECORD, 1 << 14, lambda: uts_expected(params))
+
+
+def _bpc(params: BpcParams) -> MpWorkload:
+    def fingerprint(node):
+        return _mix64(node[0] << 32 | node[1])
+
+    # Every node, enumerated: a producer and its consumers at each depth.
+    nodes = [(d, i) for d in range(1, params.depth + 1)
+             for i in (*range(params.n_consumers), PRODUCER)]
+    return MpWorkload([params.root()], bpc_step(params), fingerprint, "<II",
+                      1 << 12, lambda: _walk(nodes, _leaf, fingerprint))
 
 
 #: name -> the workload, built from ``run_mp``'s ``ntasks`` and ``tree``.
 WORKLOADS: dict[str, Callable[..., MpWorkload]] = {
     "synthetic": lambda ntasks, tree: MpWorkload(
-        range(ntasks), lambda node: (), _mix64, "<Q", 1, max(256, 2 * ntasks)),
+        range(ntasks), _leaf, _mix64, None, max(256, 2 * ntasks),
+        lambda: synthetic_expected(ntasks)),
     "uts": lambda ntasks, tree: _uts(tree),
-    "bpc": lambda ntasks, tree: MpWorkload(
-        [BpcParams().root()], bpc_step(BpcParams()),
-        lambda node: _mix64(node[0] << 32 | node[1]), "<I4xI4x", 2, 1 << 12),
+    "bpc": lambda ntasks, tree: _bpc(BpcParams()),
 }
 
 
 def synthetic_expected(ntasks: int) -> tuple[int, int]:
     """(node count, xor-of-fingerprints) for the flat synthetic bag."""
-    return WORKLOADS["synthetic"](ntasks, None).expected(None)
+    return _walk(range(ntasks), _leaf, _mix64)
 
 
 def uts_expected(params: UtsParams, max_nodes: int | None = 2_000_000) -> tuple[int, int]:
-    """(node count, xor-of-fingerprints) via a sequential DFS oracle."""
-    return _uts(params).expected(max_nodes)
+    """(node count, xor-of-fingerprints) via a sequential DFS of the
+    reference :func:`expand`, not of the step the PEs run."""
+    return _walk([(params.root(), 0)], expand_step(params), _fp_uts, max_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -428,7 +444,8 @@ def run_mp(
     expected = wl.expected() if verify else None
 
     with Fleet("mp run", LAYOUTS[impl], npes, capacity or wl.capacity,
-               wl.wpt, ctl=("created", "completed")) as fleet:
+               struct.calcsize(wl.record or "<Q") // 8,
+               ctl=("created", "completed")) as fleet:
         heap, ctl = fleet.heap, fleet.ctl
         heap.ref(ctl["created"]).store(len(wl.seeds))
         for r in range(npes):

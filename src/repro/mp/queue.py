@@ -122,9 +122,9 @@ class _MpTaskBuffer:
             data = buf.read_block(w0, head) + buf.read_block(0, nw - head)
         return self._codec.decode(data)
 
-    def decode_as(self, fmt: str) -> None:
+    def decode_as(self, fmt: str | None) -> None:
         """Carry records as ``fmt``, a ``struct`` format of
-        ``words_per_task`` whole words, instead of tuples of words."""
+        ``words_per_task`` whole words (``None``: bare words)."""
         self._codec = RecordCodec(self.words_per_task, fmt)
 
     def push_all(self, tasks) -> int:

@@ -141,19 +141,23 @@ def expand(params: UtsParams, state: bytes, depth: int, is_root: bool = False) -
             for i in range(num_children(params, state, depth, is_root))]
 
 
+def expand_step(params: UtsParams) -> Callable:
+    """The reference :func:`expand` as a node step: ``(state, depth)``
+    in, its children's nodes out; the root is depth 0."""
+    def step(node):
+        state, depth = node
+        return [(c, depth + 1) for c in expand(params, state, depth, depth == 0)]
+
+    return step
+
+
 def uts_step(params: UtsParams) -> Callable:
-    """The tree's one task body on every substrate: a node ``(state,
-    depth)`` in, its children's nodes out; the root is depth 0.  GEO
-    trees draw exactly as :func:`num_children` does, through the
-    per-depth table; BIN trees run the reference :func:`expand`.
+    """The tree's one task body on every substrate: :func:`expand_step`'s
+    nodes.  GEO trees draw exactly as :func:`num_children` does, through
+    the per-depth table; BIN trees run :func:`expand_step` itself.
     """
     if params.tree_type is not TreeType.GEO:
-        def step(node):
-            state, depth = node
-            return [(c, depth + 1)
-                    for c in expand(params, state, depth, depth == 0)]
-
-        return step
+        return expand_step(params)
 
     table = geo_log1mp_table(params)
     horizon = len(table)

@@ -8,6 +8,7 @@ records read one word at a time.  Alongside it: codec round-trips, the
 seqlock read path, and the adaptive backoff curve.
 """
 
+import struct
 import time
 
 import pytest
@@ -82,6 +83,15 @@ def test_codec_round_trip(wpt, data):
     blob = codec.encode(tasks)
     assert len(blob) == len(tasks) * codec.record_bytes
     assert codec.decode(blob) == list(tasks)
+
+
+def test_codec_honours_a_one_word_format():
+    """A one-word ``fmt`` is that format's tuples, not a bare word."""
+    codec = RecordCodec(1, "<II")
+    blob = codec.encode([(1, 2), (3, 4)])
+    assert blob == struct.pack("<4I", 1, 2, 3, 4)
+    assert codec.decode(blob) == [(1, 2), (3, 4)]
+    assert RecordCodec(1).decode(blob) == [2 << 32 | 1, 4 << 32 | 3]
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.mp import driver
 from repro.mp.driver import (
     LAYOUTS,
     WORKLOADS,
@@ -23,6 +24,7 @@ from repro.mp.driver import (
 )
 from repro.mp.fleet import Fleet
 from repro.runtime.stats import RunStats, WorkerStats
+from repro.workloads.bpc_params import BpcParams
 from repro.workloads.uts import get_tree
 
 from .test_mp_owner_path import BENCH_SHAPE
@@ -64,8 +66,6 @@ def test_uts_sdc_four_processes_conserves():
 def test_bpc_four_processes_conserves(impl):
     """BPC reaches mp as its table entry alone: the run executes
     ``BpcParams``' task count, with the sequential oracle's checksum."""
-    from repro.workloads.bpc_params import BpcParams
-
     result = run_mp("bpc", impl, 4, verify=True)
     assert result.conserved
     assert result.total_executed == BpcParams().total_tasks
@@ -168,3 +168,35 @@ def test_uts_checksums_are_pinned():
     fingerprint would agree with itself: hold it to recorded values."""
     assert uts_expected(get_tree("test_tiny")) == (85, 589890851729230755)
     assert uts_expected(BENCH_SHAPE) == (34_189, 0x6A6EE1B82C9B7961)
+
+
+def test_a_drifted_step_fails_verify(monkeypatch):
+    """The oracles do not walk the step the PEs run: UTS's walks the
+    reference ``expand``, BPC's enumerates its nodes.  So a broken step
+    is not repeated by the oracle, and a verified run of it fails."""
+    monkeypatch.setattr(driver, "uts_step", lambda params: lambda node: ())
+    monkeypatch.setattr(driver, "bpc_step", lambda params: lambda node: ())
+    assert WORKLOADS["uts"](0, "test_tiny").expected() == (
+        85, 589890851729230755)
+    assert WORKLOADS["bpc"](0, None).expected()[0] == BpcParams().total_tasks
+    result = run_mp("uts", "sws", 2, tree="test_tiny", verify=True)
+    assert result.total_executed == 1 and not result.conserved
+
+
+def test_only_a_tree_oracle_is_capped(monkeypatch):
+    """UTS's oracle refuses a tree one node past its cap; a flat bag's
+    and BPC's, whose sizes are given, walk with no cap at any size."""
+    tiny = get_tree("test_tiny")                       # 85 nodes
+    assert uts_expected(tiny, max_nodes=85)[0] == 85
+    with pytest.raises(RuntimeError, match="max_nodes=84"):
+        uts_expected(tiny, max_nodes=84)
+    caps = []
+
+    def walk(seeds, step, fingerprint, max_nodes=None):
+        caps.append(max_nodes)
+        return 0, 0
+
+    monkeypatch.setattr(driver, "_walk", walk)
+    WORKLOADS["synthetic"](2_000_001, None).expected()
+    WORKLOADS["bpc"](0, None).expected()
+    assert caps == [None, None]
