@@ -29,8 +29,8 @@ mp:
 	$(PYTHON) -m pytest tests/test_mp_atomics.py tests/test_mp_queue.py \
 	    tests/test_mp_driver.py tests/test_mp_fleet.py \
 	    tests/test_mp_owner_path.py tests/test_mp_bulkcopy.py \
-	    tests/test_mp_inbox.py tests/test_threads.py \
-	    tests/test_threads_sdc.py tests/test_race_harness.py \
+	    tests/test_threads.py tests/test_threads_sdc.py \
+	    tests/test_race_harness.py \
 	    tests/test_ffmult_properties.py tests/test_model_based_ffmult.py
 
 # Cross-backend agreement: fabric ≡ threads ≡ mp on the golden schedule,

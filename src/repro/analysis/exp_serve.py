@@ -169,6 +169,6 @@ def xbackend(scale: str = "quick") -> ExperimentResult:
                  "oracle checksum"],
         rows=rows,
         notes=[f"serving trace: {spec} over {horizon * 1e6:g} us of "
-               f"arrivals, seed {seed}; mp replays its order, and no "
+               f"arrivals, seed {seed}; mp replays its times, and no "
                "latency or host time is rendered"],
     )

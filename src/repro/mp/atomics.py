@@ -428,7 +428,9 @@ class Backoff:
     another core); the next ``yields`` calls release the GIL/CPU with
     ``time.sleep(0)``; after that each call sleeps, doubling from
     ``sleep_s`` up to ``max_sleep_s``.  Call :meth:`reset` whenever
-    progress is observed so a busy phase snaps back to spinning.
+    progress is observed so a busy phase snaps back to spinning.  A
+    ``limit`` caps one call's sleep: a waiter that knows when its next
+    event is due never sleeps past it.
 
     With ``deadline_s`` set, a single no-progress stretch (wall time
     since the last :meth:`reset`) longer than the deadline raises
@@ -459,7 +461,7 @@ class Backoff:
         self._n = 0
         self._t0 = None
 
-    def wait(self) -> None:
+    def wait(self, limit: float | None = None) -> None:
         n = self._n
         self._n = n + 1
         if self.deadline_s is not None:
@@ -477,5 +479,8 @@ class Backoff:
         if n < self.yields:
             time.sleep(0)
             return
-        delay = self.sleep_s * (1 << min(n - self.yields, 12))
-        time.sleep(delay if delay < self.max_sleep_s else self.max_sleep_s)
+        delay = min(self.sleep_s * (1 << min(n - self.yields, 12)),
+                    self.max_sleep_s)
+        if limit is not None and limit < delay:
+            delay = max(limit, 0.0)
+        time.sleep(delay)

@@ -39,25 +39,18 @@ import struct
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ..capabilities import check
 from ..core.damping import DampingTracker, TargetMode
-from ..runtime.stats import QuantileSketch, RunStats, ServingStats, WorkerStats
-from ..shmem.heap import SymmetricAllocator
+from ..runtime.stats import RunStats, ServingStats, WorkerStats, mix64
 from ..workloads.bpc_params import PRODUCER, BpcParams, bpc_step
 from ..workloads.uts.params import get_tree
 from ..workloads.uts.tree import UtsParams, expand_step, uts_step
 from .atomics import Backoff
-from .errors import MpStallError, RingOverflowError, StallTimeout
+from .errors import MpStallError, StallTimeout
 from .fleet import Fleet
 from .queue import LAYOUTS
-
-# The serving inbox is imported by ``run_mp_serve``, in the parent and
-# before the first PE is forked, so a plain run never compiles it and no
-# PE loop ever imports.
-if TYPE_CHECKING:
-    from .inbox import ShmInbox
 
 _U64 = (1 << 64) - 1
 
@@ -72,14 +65,6 @@ _SEGMENT = 64
 MP_IDLE_STALL_S = 120.0
 
 
-def _mix64(x: int) -> int:
-    """Splitmix64 finalizer: an order-independent task fingerprint."""
-    x = (x + 0x9E3779B97F4A7C15) & _U64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
-    return (x ^ (x >> 31)) & _U64
-
-
 # ----------------------------------------------------------------------
 # Task records
 # ----------------------------------------------------------------------
@@ -91,7 +76,7 @@ _FP_WORDS = struct.Struct("<Q8xI").unpack
 
 
 def _fp_uts(node) -> int:
-    """A UTS node's fingerprint: :func:`_mix64` of its state's first
+    """A UTS node's fingerprint: :func:`mix64` of its state's first
     8-byte word xor its last 4-byte one, inlined."""
     first, last = _FP_WORDS(node[0])
     x = ((first ^ last) + 0x9E3779B97F4A7C15) & _U64
@@ -138,7 +123,7 @@ def _uts(tree) -> MpWorkload:
 
 def _bpc(params: BpcParams) -> MpWorkload:
     def fingerprint(node):
-        return _mix64(node[0] << 32 | node[1])
+        return mix64(node[0] << 32 | node[1])
 
     # Every node, enumerated: a producer and its consumers at each depth.
     nodes = [(d, i) for d in range(1, params.depth + 1)
@@ -150,7 +135,7 @@ def _bpc(params: BpcParams) -> MpWorkload:
 #: name -> the workload, built from ``run_mp``'s ``ntasks`` and ``tree``.
 WORKLOADS: dict[str, Callable[..., MpWorkload]] = {
     "synthetic": lambda ntasks, tree: MpWorkload(
-        range(ntasks), _leaf, _mix64, None, max(256, 2 * ntasks),
+        range(ntasks), _leaf, mix64, None, max(256, 2 * ntasks),
         lambda: synthetic_expected(ntasks)),
     "uts": lambda ntasks, tree: _uts(tree),
     "bpc": lambda ntasks, tree: _bpc(BpcParams()),
@@ -159,7 +144,7 @@ WORKLOADS: dict[str, Callable[..., MpWorkload]] = {
 
 def synthetic_expected(ntasks: int) -> tuple[int, int]:
     """(node count, xor-of-fingerprints) for the flat synthetic bag."""
-    return _walk(range(ntasks), _leaf, _mix64)
+    return _walk(range(ntasks), _leaf, mix64)
 
 
 def uts_expected(params: UtsParams, max_nodes: int | None = 2_000_000) -> tuple[int, int]:
@@ -214,8 +199,8 @@ class MpRunResult(RunStats):
 # sweep, termination read — is written once in ``_pe_loop``.  A regime
 # changes a handful of seams, bound *once* before the loop into a
 # ``_Regime`` record (regime × seam table: docs/backends.md): plain runs
-# seed rank 0's deque and end when created/completed balance; serving
-# runs drain an arrival inbox and end once the feeder has closed it.
+# seed rank 0's deque; serving runs replay this rank's share of the
+# arrival trace at its times.  Both end when created/completed balance.
 # ----------------------------------------------------------------------
 
 class _Regime(NamedTuple):
@@ -224,8 +209,8 @@ class _Regime(NamedTuple):
     local: deque             # the private task store, newest on the right
     execute: Callable        # payload -> child payloads
     fingerprint: Callable    # payload -> 64-bit fingerprint
-    finished: Callable       # () -> bool, asked only when starved
-    inbox: Callable | None = None       # () -> tasks posted to this PE
+    inbox: Callable | None = None       # () -> arrivals now due here
+    until_due: Callable | None = None   # () -> s to the next one, or None
     extras: Callable | None = None      # () -> the regime's own report
 
 
@@ -245,31 +230,54 @@ def _bind_plain(rank, heap, layouts, ctl, owner, thieves, wl: MpWorkload):
     for view in (owner, *thieves.values()):
         view.decode_as(wl.record)
     local = deque(wl.seeds if rank == 0 else ())
-    return _Regime(local, wl.step, wl.fingerprint, _books_balanced(heap, ctl))
+    return _Regime(local, wl.step, wl.fingerprint)
 
 
-def _bind_serve(rank, heap, layouts, ctl, owner, thieves,
-                inbox_regions, slo_ns):
-    """Serving regime: records are ``(seq, post_ns)``; executing one is
-    sketching its post→execute latency."""
-    sketch = QuantileSketch()
-    slo_attained = [0]
+def _common_start(rank, heap, ctl, npes) -> int:
+    """The run's start stamp (monotonic ns), the same on every PE: each
+    adds itself to ``ready``, the last to arrive stores ``start``, and
+    the rest wait for it."""
+    start = heap.ref(ctl["start"])
+    if heap.ref(ctl["ready"]).fetch_add(1) == npes - 1:
+        start.store(time.monotonic_ns())
+    waiting = Backoff(deadline_s=MP_IDLE_STALL_S)
+    while not (stamp := start.load_seq()):
+        try:
+            waiting.wait()
+        except StallTimeout:
+            raise MpStallError("PE never saw the common start", rank=rank,
+                               waited_s=MP_IDLE_STALL_S) from None
+    return stamp
+
+
+def _bind_serve(rank, heap, layouts, ctl, owner, thieves, offsets, slo_ns):
+    """Serving regime: arrivals ``rank, rank + npes, ...`` of the trace,
+    each due ``offsets[seq]`` ns after the common start.  A record is
+    ``(seq, due_ns)``; executing one books its due→execute latency."""
+    npes = len(layouts)
+    seqs = range(rank, len(offsets), npes)
+    books = ServingStats(emitted=len(seqs), injected=len(seqs),
+                         slo_ticks=slo_ns)
+    complete = books.complete
+    start = _common_start(rank, heap, ctl, npes)
+    due = deque((seq, start + offsets[seq]) for seq in seqs)
 
     def execute(payload):
-        lat = time.monotonic_ns() - payload[1]
-        sketch.add(lat)
-        if slo_ns and lat <= slo_ns:
-            slo_attained[0] += 1
+        complete(payload[0], time.monotonic_ns() - payload[1])
         return ()
 
-    closed = heap.ref(ctl["closed"])
-    balanced = _books_balanced(heap, ctl)
-    return _Regime(
-        deque(), execute, lambda payload: _mix64(payload[0]),
-        lambda: bool(closed.load_seq()) and balanced(),
-        inbox=_serve_inbox(heap, inbox_regions[rank]).drain,
-        extras=lambda: (sketch, slo_attained[0]),
-    )
+    def arrived() -> list:
+        now = time.monotonic_ns()
+        out = []
+        while due and due[0][1] <= now:
+            out.append(due.popleft())
+        return out
+
+    def until_due() -> float | None:
+        return (due[0][1] - time.monotonic_ns()) / 1e9 if due else None
+
+    return _Regime(deque(), execute, lambda payload: mix64(payload[0]),
+                   arrived, until_due, lambda: books)
 
 
 def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
@@ -291,8 +299,9 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
     tracker = DampingTracker(npes, enabled=damping)
     modes, empty_mode = tracker.modes, TargetMode.EMPTY
     stats = WorkerStats(rank=rank)
-    local, execute, fingerprint, finished, inbox, extras = bind(
+    local, execute, fingerprint, inbox, until_due, extras = bind(
         rank, heap, layouts, ctl, owner, thieves, *bind_args)
+    balanced = _books_balanced(heap, ctl)
     pop, popleft, appendleft, extend = (
         local.pop, local.popleft, local.appendleft, local.extend)
     # Whatever release / acquire re-absorb lands straight in the store.
@@ -367,9 +376,9 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
         if done_pending:
             completed.fetch_add(done_pending)
             done_pending = 0
-        # Starved.  In turn, while still empty: tasks posted to our
-        # inbox, our own shared remainder, a steal sweep over the
-        # victims in a fresh random order.
+        # Starved.  In turn, while still empty: arrivals now due here,
+        # our own shared remainder, a steal sweep over the victims in a
+        # fresh random order.
         if inbox is not None:
             extend(inbox())
         if not local:
@@ -382,11 +391,12 @@ def _pe_loop(rank, heap, layouts, ctl, seed, damping, bind,
         if local:
             idle.reset()
             continue
-        # Nothing anywhere: has the run ended?
-        if finished():
+        # Nothing anywhere: has the run ended?  If not, wait, but never
+        # past the next arrival.
+        if balanced():
             break
         try:
-            idle.wait()
+            idle.wait(until_due() if until_due is not None else None)
         except StallTimeout:
             raise MpStallError("PE idle loop made no progress", rank=rank,
                                waited_s=MP_IDLE_STALL_S) from None
@@ -460,45 +470,14 @@ def run_mp(
 # ----------------------------------------------------------------------
 # Open-system serving mode (docs/serving.md)
 #
-# The parent process is the arrival feeder: it replays a seeded arrival
-# trace (in arrival order) into per-rank SPSC inboxes, bumping the
-# global ``created`` counter *before* each post so the created/completed
-# books can never balance while an injection is still in flight.  PEs
-# drain their inbox into the local deque and otherwise run the classic
-# share/steal loop; each record carries ``(seq, post_ns)`` so completion
-# latency survives steals.  Termination: the feeder sets ``closed`` after
-# the last post, and a starved PE exits once ``closed`` is set and
-# ``completed == created`` (completed read first, as ever).
+# Every arrival is known before the first fork, so the PEs replay the
+# trace themselves and the parent feeds nothing: ``created`` starts at
+# the trace's length, and rank ``r`` takes the arrivals ``s ≡ r (mod
+# npes)`` — the fabric controller's round-robin with no shed threshold.
+# The PEs agree on one start stamp, and a starved PE moves the arrivals
+# that are due into its store.  The run ends, as a plain one does, once
+# ``completed == created``.
 # ----------------------------------------------------------------------
-
-#: Serving records are (arrival seq, post timestamp ns) pairs.
-_SERVE_WPT = 2
-
-
-def _reserve_serve_inbox(heap, rank: int, capacity: int):
-    """Symmetric rd/wr/buf words for one PE's arrival inbox."""
-    alloc = SymmetricAllocator(heap, f"serve{rank}")
-    rd = alloc.word("rd")
-    wr = alloc.word("wr")
-    buf = alloc.array("buf", capacity * _SERVE_WPT)
-    alloc.commit()
-    return (rd, wr, buf, capacity)
-
-
-def _serve_inbox(heap, region) -> ShmInbox:
-    from .inbox import ShmInbox
-
-    rd, wr, buf, capacity = region
-    return ShmInbox(heap, rd, wr, buf, capacity, _SERVE_WPT)
-
-
-def _try_post(inbox: ShmInbox, records) -> bool:
-    try:
-        inbox.post(records)
-    except RingOverflowError:
-        return False
-    return True
-
 
 def run_mp_serve(
     arrival="poisson:50000",
@@ -510,21 +489,17 @@ def run_mp_serve(
     slo_s: float = 0.0,
     damping: bool = True,
     capacity: int | None = None,
-    inbox_cap: int | None = None,
-    nbatches: int = 16,
-    pace_s: float = 2e-4,
     join_timeout: float = 120.0,
 ) -> MpRunResult:
     """Serve one arrival trace across ``npes`` real processes.
 
-    The trace's *order* is replayed (the mp substrate has no virtual
-    clock): the parent feeds batches round-robin into per-rank inboxes
-    with ``pace_s`` gaps, and latency is wall-clock nanoseconds from post
-    to execution, surviving steals because the stamp travels inside the
-    2-word task record.  No shedding on this substrate — every emitted
-    arrival is injected, so ``checksum`` must equal the fabric serving
-    checksum for the same trace length.  The record's ``serving`` holds
-    the books, its latencies in nanoseconds.
+    The trace's *times* are replayed on the wall clock from a start all
+    PEs share, and latency is wall-clock nanoseconds from an arrival's
+    due time to its execution, surviving steals because the due stamp
+    travels inside the 2-word task record.  No shedding on this
+    substrate — every emitted arrival is injected, so ``checksum`` must
+    equal the fabric serving checksum for the same trace.  The record's
+    ``serving`` holds the books, its latencies in nanoseconds.
     """
     from ..runtime.arrivals import parse_arrival_spec
 
@@ -533,70 +508,20 @@ def run_mp_serve(
         process = parse_arrival_spec(arrival, duration_s, seed)
     else:
         process = arrival
-    n = process.emitted
-    capacity = capacity or max(256, 2 * n)
-    inbox_cap = inbox_cap or max(64, capacity)
+    # Arrival ticks (fs) as ns after the start.
+    offsets = [tick // 1_000_000 for tick in process.trace()]
     slo_ns = int(slo_s * 1e9)
 
-    def reserve(heap):
-        return [_reserve_serve_inbox(heap, r, inbox_cap) for r in range(npes)]
-
-    with Fleet("mp serve run", LAYOUTS[impl], npes, capacity, _SERVE_WPT,
-               ctl=("created", "completed", "closed"),
-               regions=reserve) as fleet:
-        heap, ctl = fleet.heap, fleet.ctl
-        created = heap.ref(ctl["created"])
-        # Bound before the first fork: the PEs inherit the inbox module.
-        inboxes = [_serve_inbox(heap, reg) for reg in fleet.regions]
+    with Fleet("mp serve run", LAYOUTS[impl], npes,
+               capacity or max(256, 2 * len(offsets)), 2,
+               ctl=("created", "completed", "ready", "start")) as fleet:
+        fleet.heap.ref(fleet.ctl["created"]).store(len(offsets))
         for r in range(npes):
-            fleet.spawn(r, _pe_loop, fleet.layouts, ctl, seed, damping,
-                        _bind_serve, fleet.regions, slo_ns)
-
-        # -- the feeder: replay the trace in batches, round-robin ------
-        deadline = time.monotonic() + join_timeout
-        batch = max(1, (n + nbatches - 1) // nbatches) if n else 0
-        injected = 0
-        while injected < n:
-            seqs = range(injected, min(n, injected + batch))
-            by_rank: dict[int, list[int]] = {}
-            for s in seqs:
-                by_rank.setdefault(s % npes, []).append(s)
-            for r in sorted(by_rank):
-                group = by_rank[r]
-                # Count first: the books cannot balance while the post
-                # is still in flight, so no PE exits early.
-                created.fetch_add(len(group))
-                stamp = time.monotonic_ns()
-                records = [(s, stamp) for s in group]
-                while not _try_post(inboxes[r], records):
-                    # Inbox full: only rank r can drain it.
-                    fleet.drain()
-                    if (not fleet.procs[r].is_alive()
-                            or time.monotonic() > deadline):
-                        raise MpStallError(
-                            f"mp serve run: arrival inbox of "
-                            f"{fleet.describe(r)} never drained", rank=r)
-                    time.sleep(1e-4)
-            injected += len(seqs)
-            time.sleep(pace_s)
-        heap.ref(ctl["closed"]).store(1)
-
-        result, extras = _record(
-            fleet, fleet.collect(max(0.0, deadline - time.monotonic())),
-            workload="serving", impl=impl, seed=seed)
-    sketch = QuantileSketch()
-    slo_attained = 0
-    for pe_sketch, pe_attained in extras:
-        sketch.merge(pe_sketch)
-        slo_attained += pe_attained
-    result.serving = ServingStats(
-        emitted=n,
-        injected=injected,
-        shed=0,
-        completed=result.completed,
-        slo_ticks=slo_ns,
-        slo_attained=slo_attained,
-        checksum=result.checksum,
-        latency=sketch,
-    )
+            fleet.spawn(r, _pe_loop, fleet.layouts, fleet.ctl, seed, damping,
+                        _bind_serve, offsets, slo_ns)
+        result, extras = _record(fleet, fleet.collect(join_timeout),
+                                 workload="serving", impl=impl, seed=seed)
+    result.serving = ServingStats(slo_ticks=slo_ns)
+    for books in extras:
+        result.serving.merge(books)
     return result

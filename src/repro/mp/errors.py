@@ -43,8 +43,3 @@ class MpStallError(StallTimeout):
         self.stripe = stripe
         self.rank = rank
         self.waited_s = waited_s
-
-
-class RingOverflowError(RuntimeError):
-    """A serving inbox (:class:`~repro.mp.inbox.ShmInbox`) cannot take a
-    post: the feeder retries once its PE has drained."""

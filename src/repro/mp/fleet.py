@@ -2,7 +2,7 @@
 
 Every multiprocess entry point (``run_mp``, ``run_mp_serve``,
 ``hammer_mp``) has the same lifecycle: reserve the symmetric heap (one
-steal queue per PE, a few control words, optionally regime regions) →
+steal queue per PE, a few control words) →
 freeze → spawn children → collect their reports → terminate stragglers
 → join → close.  :class:`Fleet` is that lifecycle as a context manager,
 so the teardown guarantee — no child outlives the call, and with the
@@ -57,14 +57,11 @@ def _child_main(body, rank, heap, args, report, parent) -> None:
 class Fleet:
     """One run's heap, layouts, control words and child processes.
 
-    ``regions`` is an optional ``heap -> object`` callable reserving
-    regime-specific regions before the freeze; its result is kept as
-    :attr:`regions`.  ``what`` names the run in error messages.
+    ``what`` names the run in error messages.
     """
 
     def __init__(self, what: str, layout_cls, nqueues: int, capacity: int,
-                 words_per_task: int = 1, ctl: tuple[str, ...] = (),
-                 regions=None) -> None:
+                 words_per_task: int = 1, ctl: tuple[str, ...] = ()) -> None:
         self.what = what
         self.ctx = _preferred_context()
         self.heap = heap = MpHeap(ctx=self.ctx)
@@ -76,7 +73,6 @@ class Fleet:
         alloc = SymmetricAllocator(heap, "ctl")
         self.ctl = {name: alloc.word(name) for name in ctl}
         alloc.commit()
-        self.regions = regions(heap) if regions is not None else None
         self.procs: dict[int, object] = {}
         #: rank -> the read end of its report pipe, until it is read.
         self._pipes: dict[int, object] = {}

@@ -40,20 +40,7 @@ import math
 import random
 
 from ..fabric.engine import TICKS_PER_SECOND
-
-_U64 = (1 << 64) - 1
-
-
-def mix64(x: int) -> int:
-    """Splitmix64 finalizer: an order-independent task fingerprint.
-
-    The same mix the mp driver uses for its conservation checksums, so a
-    serving run's fingerprints are comparable across all substrates.
-    """
-    x = (x + 0x9E3779B97F4A7C15) & _U64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
-    return (x ^ (x >> 31)) & _U64
+from .stats import mix64
 
 
 def serving_checksum(seqs) -> int:

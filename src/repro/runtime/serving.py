@@ -29,10 +29,10 @@ from ..capabilities import check
 from ..core import sdc_queue, sws_queue  # noqa: F401
 from ..fabric.engine import to_ticks
 from ..fabric.errors import ProtocolError
-from .arrivals import ArrivalProcess, mix64, parse_arrival_spec
+from .arrivals import ArrivalProcess, parse_arrival_spec
 from .pool import TaskPool
 from .registry import TaskOutcome, TaskRegistry
-from .stats import QuantileSketch, RunStats, ServingStats
+from .stats import RunStats, ServingStats
 from .task import Task, make_task
 from .worker import WorkerConfig
 
@@ -66,22 +66,17 @@ class ServingController:
         fn_id: int,
         slo_s: float = 0.0,
         shed_threshold: int | None = None,
-        latency_rel_err: float = 0.01,
     ) -> None:
         self.pool = pool
         self.process = process
         self.fn_id = fn_id
-        self.slo_ticks = to_ticks(slo_s) if slo_s > 0 else 0
         self.shed_threshold = shed_threshold
         self.task_size = pool.queue_config.task_size
         self.engine = pool.ctx.engine
         self.metrics = pool.ctx.metrics
-        self.sketch = QuantileSketch(rel_err=latency_rel_err)
-        self.injected = 0
-        self.shed = 0
-        self.completed = 0
-        self.slo_attained = 0
-        self.checksum = 0
+        self.stats = ServingStats(
+            emitted=process.emitted,
+            slo_ticks=to_ticks(slo_s) if slo_s > 0 else 0)
         self._fired = 0
         self._next_rank = 0
         #: Enqueue tick per seq; ``None`` until injected and once completed.
@@ -129,7 +124,7 @@ class ServingController:
     def _inject(self, seq: int) -> None:
         target = self._pick_target()
         if target is None:
-            self.shed += 1
+            self.stats.shed += 1
             self.metrics.record_serving("shed")
             return
         worker = self.pool.workers[target]
@@ -141,7 +136,7 @@ class ServingController:
         if self.pool.oracle is not None:
             # This event, not the target's process, changed its books.
             self.pool.oracle.touched(target)
-        self.injected += 1
+        self.stats.injected += 1
         self._enqueue_tick[seq] = self.engine._now
         self.metrics.record_serving("injected")
 
@@ -154,33 +149,20 @@ class ServingController:
         if enqueued is None:
             raise ProtocolError(f"arrival {seq} completed twice or never injected")
         ticks[seq] = None
-        latency = self.engine._now - enqueued
-        self.sketch.add(latency)
-        self.completed += 1
-        if self.slo_ticks and latency <= self.slo_ticks:
-            self.slo_attained += 1
-        self.checksum ^= mix64(seq)
+        self.stats.complete(seq, self.engine._now - enqueued)
 
     # -- results ----------------------------------------------------------
     def serving_stats(self) -> ServingStats:
-        return ServingStats(
-            emitted=self.process.emitted,
-            injected=self.injected,
-            shed=self.shed,
-            completed=self.completed,
-            slo_ticks=self.slo_ticks,
-            slo_attained=self.slo_attained,
-            checksum=self.checksum,
-            latency=self.sketch,
-        )
+        return self.stats
 
     def books(self) -> dict:
         """The open-system ledger for the conservation oracle."""
         workers = self.pool.workers
+        stats = self.serving_stats()
         return {
-            "emitted": self.process.emitted,
-            "injected": self.injected,
-            "shed": self.shed,
+            "emitted": stats.emitted,
+            "injected": stats.injected,
+            "shed": stats.shed,
             "spawned": sum(w.stats.tasks_spawned for w in workers),
             "executed": sum(w.stats.tasks_executed for w in workers),
             "resident": sum(

@@ -14,6 +14,17 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
+_U64 = (1 << 64) - 1
+
+
+def mix64(x: int) -> int:
+    """Splitmix64 finalizer: an order-independent task fingerprint, the
+    same on every substrate."""
+    x = (x + 0x9E3779B97F4A7C15) & _U64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _U64
+    return (x ^ (x >> 31)) & _U64
+
 
 class QuantileSketch:
     """Streaming quantile sketch with bounded *relative* rank error.
@@ -147,8 +158,10 @@ class ServingStats:
     ``emitted`` is the arrival process's ledger; ``injected`` + ``shed``
     must equal it (the open-system conservation oracle).  ``latency``
     holds completion latencies — enqueue→complete ticks on the fabric,
-    release→claim / post→execute nanoseconds on the real backends — and
-    ``slo_attained`` counts completions within ``slo_ticks``.
+    due→execute nanoseconds on mp — and ``slo_attained`` counts
+    completions within ``slo_ticks``.  Each completion is booked once, by
+    :meth:`complete`; books kept apart (one per mp PE) fold by
+    :meth:`merge`.
     """
 
     emitted: int = 0
@@ -159,6 +172,24 @@ class ServingStats:
     slo_attained: int = 0
     checksum: int = 0               # xor-mix64 over completed seqs
     latency: QuantileSketch = field(default_factory=QuantileSketch)
+
+    def complete(self, seq: int, latency: int) -> None:
+        """Book arrival ``seq``'s completion after ``latency``."""
+        self.latency.add(latency)
+        self.completed += 1
+        if self.slo_ticks and latency <= self.slo_ticks:
+            self.slo_attained += 1
+        self.checksum ^= mix64(seq)
+
+    def merge(self, other: "ServingStats") -> None:
+        """Fold ``other``'s books, kept under the same SLO, into these."""
+        self.emitted += other.emitted
+        self.injected += other.injected
+        self.shed += other.shed
+        self.completed += other.completed
+        self.slo_attained += other.slo_attained
+        self.checksum ^= other.checksum
+        self.latency.merge(other.latency)
 
     @property
     def slo_fraction(self) -> float:

@@ -44,8 +44,7 @@ def serve_fabric(impl: str) -> dict:
 def serve_mp(impl: str) -> dict:
     from repro.mp.driver import run_mp_serve
 
-    res = run_mp_serve(ARRIVAL, DURATION, impl=impl, npes=3, seed=SEED,
-                       pace_s=1e-4, nbatches=8)
+    res = run_mp_serve(ARRIVAL, DURATION, impl=impl, npes=3, seed=SEED)
     s = res.serving
     return {"emitted": s.emitted, "completed": s.completed,
             "checksum": s.checksum}

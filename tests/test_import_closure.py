@@ -97,9 +97,9 @@ def _cli(*argv: str, **extra) -> dict:
     return {"argv": list(argv), **extra}
 
 
-#: The serving inbox, fault injection and the oracle are switched on by
-#: an option; a plain run never imports them.
-OPTIONAL = ("repro.mp.inbox", "repro.fabric.faults", "repro.runtime.oracle")
+#: Fault injection and the oracle are switched on by an option; a plain
+#: run never imports them.
+OPTIONAL = ("repro.fabric.faults", "repro.runtime.oracle")
 SIMULATOR = ("repro.fabric", "repro.runtime.pool", "repro.analysis")
 #: A steal-level experiment runs on a bare ``ShmemCtx``.
 POOL = ("repro.runtime.pool", "repro.workloads.bpc", "repro.workloads.uts")
@@ -132,10 +132,10 @@ ENTRY_POINTS = {
         _cli(), 29, 5983, ("repro.mp", "repro.threads") + OPTIONAL + POOL),
     "python -m repro --protocol sws --backend all": (
         _cli("--protocol", "sws", "--backend", "all", "--ntasks", "100"),
-        40, 9376, ("repro.analysis",) + OPTIONAL[:2]),
+        40, 9376, ("repro.analysis",) + OPTIONAL[:1]),
     "python -m repro serve": (
         _cli("serve", "--npes", "4", "--seed", "7"),
-        34, 8522, SUBSTRATES + OPTIONAL[:2]),
+        34, 8522, SUBSTRATES + OPTIONAL[:1]),
     "python -m repro mp --workload uts": (
         _cli("mp", "--workload", "uts", "--tree", "test_tiny", "--npes", "2",
              "--verify", "--seed", "7"),

@@ -164,3 +164,17 @@ def test_backoff_sleep_is_capped(monkeypatch):
     assert ramp[:3] == [1e-6, 2e-6, 4e-6]
     assert max(ramp) == 8e-6
     assert ramp[-1] == 8e-6
+
+
+@pytest.mark.parametrize("limit", [0.0, 3e-6, 1.0, -1e-6])
+def test_backoff_never_sleeps_past_its_limit(monkeypatch, limit):
+    """A waiter with its next event due in ``limit`` seconds is never
+    put to sleep for longer (an overdue one for nothing)."""
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    b = Backoff(spins=1, yields=1, sleep_s=1e-6, max_sleep_s=8e-6)
+    for _ in range(30):
+        b.wait(limit)
+    assert len(slept) == 29
+    assert all(0 <= s <= max(limit, 0.0) for s in slept)
+    assert max(slept) == min(max(limit, 0.0), 8e-6)

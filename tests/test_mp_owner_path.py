@@ -32,12 +32,12 @@ from repro.mp.driver import (
     WORKLOADS,
     _bind_plain,
     _fp_uts,
-    _mix64,
     _pe_loop,
     uts_expected,
 )
 from repro.mp.fleet import Fleet
 from repro.runtime.registry import TaskContext, TaskRegistry
+from repro.runtime.stats import mix64
 from repro.workloads.uts import (
     GeoShape,
     TreeType,
@@ -121,7 +121,7 @@ def test_node_round_trips_through_its_record(state, depth):
     # the fingerprint is the word form's: the checksum pins still hold.
     words = RecordCodec(4).decode(record)[0]
     assert words[3] == depth
-    assert _fp_uts((state, depth)) == _mix64(words[0] ^ words[2])
+    assert _fp_uts((state, depth)) == mix64(words[0] ^ words[2])
 
 
 #: Drawn trees: every GEO shape with a drawn ``b0`` and ``gen_mx``, and
